@@ -1,0 +1,212 @@
+package simtest
+
+import (
+	"encoding/json"
+	"flag"
+	"fmt"
+	"hash/fnv"
+	"net"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"vini/internal/sim"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite golden files with current output")
+
+// goldenRow renders one pinned line: the four digests plus a hash of the
+// telemetry JSON snapshot (the JSON itself is too large to commit).
+func goldenRow(regime string, seed int64, workers int, digest, schedule, tel, flight uint64, js string) string {
+	h := fnv.New64a()
+	h.Write([]byte(js))
+	return fmt.Sprintf("%s %d %d %016x %016x %016x %016x %016x\n",
+		regime, seed, workers, digest, schedule, tel, flight, h.Sum64())
+}
+
+// runDistSharded runs the distributed scenario split across `shards`
+// executors joined by loopback TCP sockets (all in this process — the
+// transport cannot tell) and returns every shard's result, index =
+// shard.
+func runDistSharded(t *testing.T, p DistParams, shards int) []*DistResult {
+	t.Helper()
+	const timeout = 30 * time.Second
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer ln.Close()
+	results := make([]*DistResult, shards)
+	errs := make([]error, shards)
+	var wg sync.WaitGroup
+	for s := 1; s < shards; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			w, _, err := sim.DialCoordinator(ln.Addr().String(), s, timeout)
+			if err != nil {
+				errs[s] = err
+				return
+			}
+			defer w.Close()
+			r, err := RunDist(p, w, s, shards)
+			if err == nil {
+				err = w.Report(r.DomainDigests, nil)
+			}
+			results[s], errs[s] = r, err
+		}(s)
+	}
+	coord, err := sim.AcceptWorkers(ln, shards, nil, timeout)
+	if err != nil {
+		t.Fatalf("accept: %v", err)
+	}
+	defer coord.Close()
+	results[0], errs[0] = RunDist(p, coord, 0, shards)
+	if errs[0] != nil {
+		t.Fatalf("coordinator run: %v", errs[0])
+	}
+	if _, err := coord.Gather(); err != nil {
+		t.Fatalf("gather: %v", err)
+	}
+	wg.Wait()
+	for s := 1; s < shards; s++ {
+		if errs[s] != nil {
+			t.Fatalf("shard %d: %v", s, errs[s])
+		}
+	}
+	return results
+}
+
+// TestRegimeDigestsGolden pins every regime's digests — scenario,
+// event schedule, telemetry registry, flight recorder, JSON snapshot —
+// for seeds 1..3 on the classic loop and on 1 and 4 sharded workers
+// (dist: whole and split three ways). The file was recorded before the
+// runners were folded onto the shared world helper; any diff means the
+// refactor moved behaviour. Regenerate with -update only alongside a
+// documented, intentional behaviour change.
+func TestRegimeDigestsGolden(t *testing.T) {
+	var b strings.Builder
+	for seed := int64(1); seed <= 3; seed++ {
+		for _, w := range []int{0, 1, 4} {
+			r, err := Run(Options{Seed: seed, Workers: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.WriteString(goldenRow("base", seed, w, r.Digest, r.ScheduleDigest, r.TelemetryDigest, r.FlightDigest, r.Telemetry))
+		}
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		for _, w := range []int{0, 1, 4} {
+			r, err := RunChurn(ChurnOptions{Seed: seed, Workers: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.WriteString(goldenRow("churn", seed, w, r.Digest, r.ScheduleDigest, r.TelemetryDigest, r.FlightDigest, r.Telemetry))
+		}
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		for _, w := range []int{0, 1, 4} {
+			r, err := RunScale(ScaleOptions{Seed: seed, Nodes: 24, Slices: 60, Workers: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.WriteString(goldenRow("scale", seed, w, r.Digest, r.ScheduleDigest, r.TelemetryDigest, r.FlightDigest, r.Telemetry))
+		}
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		for _, w := range []int{0, 1, 4} {
+			r, err := RunMigrate(MigrateOptions{Seed: seed, Workers: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.WriteString(goldenRow("migrate", seed, w, r.Digest, r.ScheduleDigest, r.TelemetryDigest, r.FlightDigest, r.Telemetry))
+		}
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		for _, w := range []int{0, 1, 4} {
+			r, err := RunAdaptive(AdaptiveOptions{Seed: seed, Workers: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.WriteString(goldenRow("adaptive", seed, w, r.Digest, r.ScheduleDigest, r.TelemetryDigest, r.FlightDigest, r.Telemetry))
+		}
+	}
+	// dist pins the merged schedule and telemetry digests only (the
+	// workers column is the shard count); the other columns have no
+	// whole-world meaning for a shard.
+	for seed := int64(1); seed <= 3; seed++ {
+		p := DistParams{Seed: seed, Nodes: 6, Duration: 2 * time.Second, Workers: 2}
+		whole, err := RunDist(p, nil, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "dist %d 1 - %016x %016x - -\n", seed, whole.ScheduleDigest, whole.TelemetryDigest)
+		sched, tel, err := MergeDistResults(runDistSharded(t, p, 3), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "dist %d 3 - %016x %016x - -\n", seed, sched, tel)
+	}
+
+	path := filepath.Join("testdata", "regime_digests.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Fatalf("regime digests diverged from %s (re-run with -update only if intentional):\n--- got ---\n%s\n--- want ---\n%s",
+			path, got, want)
+	}
+}
+
+// TestAdaptiveMatchesCommittedBench: seed 2 must reproduce the digest
+// rows committed in BENCH_adaptive.json, so the bench baseline and the
+// simtest golden can never drift apart.
+func TestAdaptiveMatchesCommittedBench(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_adaptive.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep struct {
+		Seed int64 `json:"seed"`
+		Rows []struct {
+			Workers   int    `json:"workers"`
+			Digest    string `json:"digest"`
+			Schedule  string `json:"schedule_digest"`
+			Telemetry string `json:"telemetry_digest"`
+			Flight    string `json:"flight_digest"`
+		} `json:"rows"`
+	}
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Seed != 2 || len(rep.Rows) == 0 {
+		t.Fatalf("BENCH_adaptive.json: seed %d with %d rows, want seed 2", rep.Seed, len(rep.Rows))
+	}
+	for _, row := range rep.Rows {
+		if row.Workers > 1 && testing.Short() {
+			continue
+		}
+		r, err := RunAdaptive(AdaptiveOptions{Seed: rep.Seed, Workers: row.Workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fmt.Sprintf("%016x %016x %016x %016x", r.Digest, r.ScheduleDigest, r.TelemetryDigest, r.FlightDigest)
+		want := row.Digest + " " + row.Schedule + " " + row.Telemetry + " " + row.Flight
+		if got != want {
+			t.Errorf("workers=%d: digests %s, BENCH_adaptive.json has %s", row.Workers, got, want)
+		}
+	}
+}
