@@ -1,17 +1,11 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"net/netip"
-	"os"
-	"runtime"
 	"time"
 
 	"vini/internal/core"
-	"vini/internal/netem"
 	"vini/internal/packet"
-	"vini/internal/sched"
 	"vini/internal/topology"
 )
 
@@ -28,15 +22,12 @@ type churnRow struct {
 }
 
 type churnReport struct {
+	benchHeader
 	Topology    string     `json:"topology"`
-	GoVersion   string     `json:"go_version"`
-	NumCPU      int        `json:"num_cpu"`
-	GOMAXPROCS  int        `json:"gomaxprocs"`
 	Cycles      int        `json:"cycles"`
 	Rows        []churnRow `json:"rows"`
 	IDsRecycled bool       `json:"ids_recycled"`
 	LedgerClean bool       `json:"ledger_clean"`
-	Note        string     `json:"note,omitempty"`
 }
 
 // churnExp cycles one IIAS slice through its whole lifecycle on a
@@ -49,38 +40,24 @@ type churnReport struct {
 // released blocks straight back).
 func churnExp() error {
 	cycles := count(8, 3)
-	v := core.New(*seedFlag)
-	g := topology.Abilene()
-	for _, pop := range g.Nodes() {
-		addr, _ := topology.AbilenePublicAddr(pop)
-		if _, err := v.AddNode(pop, netip.MustParseAddr(addr),
-			netem.PlanetLabProfile(), sched.Options{}); err != nil {
-			return err
-		}
+	v, err := abileneWorld(*seedFlag, 0)
+	if err != nil {
+		return err
 	}
-	for _, l := range g.Links() {
-		if _, err := v.AddLink(netem.LinkConfig{A: l.A, B: l.B,
-			Bandwidth: l.Bandwidth, Delay: l.Delay}); err != nil {
-			return err
-		}
-	}
-	v.ComputeRoutes()
 	baseline := packet.Stats()
 	loop := v.Loop()
-	rep := churnReport{Topology: "abilene",
-		GoVersion: runtime.Version(), NumCPU: runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0), Cycles: cycles,
-		IDsRecycled: true, LedgerClean: true}
+	rep := churnReport{benchHeader: newHeader(), Topology: "abilene",
+		Cycles: cycles, IDsRecycled: true, LedgerClean: true}
 	fmt.Printf("slice churn on Abilene (11 PoPs), %d cycles\n", cycles)
 	fmt.Printf("%-6s %8s %10s %8s %10s %12s %10s\n",
 		"cycle", "id", "baseport", "moved", "wall", "events", "inflight")
 	firstID := 0
 	var firstPrefix, firstPorts string
-	links := g.Links()
+	links := topology.Abilene().Links()
 	var prevFired uint64
 	for c := 0; c < cycles; c++ {
 		start := time.Now()
-		s, err := v.CreateSlice(core.SliceConfig{
+		s, err := mirrorAbilene(v, core.SliceConfig{
 			Name: fmt.Sprintf("churn%d", c), CPUShare: 0.25, RT: true,
 			ExposePhysicalFailures: true})
 		if err != nil {
@@ -94,17 +71,6 @@ func churnExp() error {
 			s.PortRange().String() != firstPorts {
 			rep.IDsRecycled = false
 		}
-		for _, pop := range g.Nodes() {
-			if _, err := s.AddVirtualNode(pop); err != nil {
-				return err
-			}
-		}
-		for _, l := range g.Links() {
-			if _, err := s.ConnectVirtual(l.A, l.B, l.CostAB); err != nil {
-				return err
-			}
-		}
-		s.StartOSPF(5*time.Second, 10*time.Second)
 		v.Run(loop.Now() + dur(30*time.Second, 15*time.Second))
 		if err := s.Pause(); err != nil {
 			return err
@@ -139,14 +105,11 @@ func churnExp() error {
 			return fmt.Errorf("cycle %d: %v", c, err)
 		}
 		v.Run(loop.Now() + 3*time.Second)
-		for i := 0; i < 40 && packet.Stats().Sub(baseline).InFlight() != 0; i++ {
-			v.Run(loop.Now() + 50*time.Millisecond)
-		}
+		inFlight := settlePool(v, baseline)
 		fired := v.Executor().TotalFired()
 		row := churnRow{Cycle: c, SliceID: s.ID(), BasePort: s.BasePort(),
 			Moved: moved, WallSeconds: time.Since(start).Seconds(),
-			Events:   fired - prevFired,
-			InFlight: packet.Stats().Sub(baseline).InFlight()}
+			Events: fired - prevFired, InFlight: inFlight}
 		prevFired = fired
 		if row.InFlight != 0 {
 			rep.LedgerClean = false
@@ -166,14 +129,9 @@ func churnExp() error {
 	if !rep.LedgerClean {
 		fmt.Println("WARNING: pool ledger did not balance after teardown")
 	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
+	if err := writeReport("churn", rep); err != nil {
 		return err
 	}
-	if err := os.WriteFile("BENCH_churn.json", append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Println("wrote BENCH_churn.json")
 	if !rep.IDsRecycled || !rep.LedgerClean {
 		return fmt.Errorf("churn: lifecycle invariants violated")
 	}

@@ -4,15 +4,19 @@
 //
 // Usage:
 //
-//	vinibench [-exp all|table2|table3|table4|table5|table6|fig6|fig7|fig8|fig9|ablation|fastpath|simtest|parallel|telemetry|churn|migrate|scale|adaptive] [-seed N] [-short] [-parallel N] [-slices N] [-nodes N] [-topo F -demands F] [-v]
+//	vinibench [-exp all|NAME] [-seed N] [-short] [-parallel N] [-slices N] [-nodes N] [-topo F -demands F] [-baseline F] [-v]
+//
+// vinibench -h lists the experiment names.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net/netip"
 	"os"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -26,12 +30,33 @@ import (
 	"vini/internal/topology"
 )
 
+// experiments is the table -exp selects from, in -exp all order.
+var experiments = []struct {
+	name string
+	run  func() error
+}{
+	{"table2", table2}, {"table3", table3}, {"table4", table4}, {"table5", table5},
+	{"table6", table6}, {"fig6", fig6}, {"fig7", fig7}, {"fig8", fig8}, {"fig9", fig9},
+	{"ablation", ablation}, {"fastpath", fastpath}, {"simtest", simtestExp},
+	{"parallel", parallelExp}, {"telemetry", telemetryExp}, {"churn", churnExp},
+	{"migrate", migrateExp}, {"scale", scaleExp}, {"adaptive", adaptiveExp},
+}
+
+// expNames renders the valid -exp values.
+func expNames() string {
+	names := []string{"all"}
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	return strings.Join(names, "|")
+}
+
 var (
-	expFlag      = flag.String("exp", "all", "experiment to run")
+	expFlag      = flag.String("exp", "all", "experiment to run: "+expNames())
 	seedFlag     = flag.Int64("seed", 2, "simulation seed")
 	short        = flag.Bool("short", false, "shorter measurement windows")
-	parallelFlag = flag.Int("parallel", 4, "max worker count for the parallel-executor benchmark")
-	baselineFlag = flag.String("baseline", "", "path to a prior BENCH_parallel.json (or BENCH_scale.json / BENCH_adaptive.json for -exp scale / adaptive); the experiment fails if the max-worker events/sec regresses more than 15% below it")
+	parallelFlag = flag.Int("parallel", 4, "max worker count for the engine benchmarks (parallel, scale, adaptive)")
+	baselineFlag = flag.String("baseline", "", "path to a prior BENCH_<exp>.json for -exp parallel, scale or adaptive; the experiment fails if the max-worker events/sec regresses more than 15% below it")
 	verbose      = flag.Bool("v", false, "print per-domain event counters in the parallel experiment")
 	scaleSlices  = flag.Int("slices", 500, "concurrent slice count for the scale experiment")
 	scaleNodes   = flag.Int("nodes", 64, "synthetic substrate size for the scale experiment")
@@ -41,35 +66,35 @@ var (
 
 func main() {
 	flag.Parse()
-	run := func(name string, fn func() error) {
-		if *expFlag != "all" && *expFlag != name {
-			return
+	os.Exit(run(os.Stderr))
+}
+
+// run executes the experiments the parsed flags select and returns the
+// process exit code: 2 for a usage error, 1 for a failed experiment.
+func run(stderr io.Writer) int {
+	selected := experiments[:0:0]
+	for _, e := range experiments {
+		if *expFlag == "all" || *expFlag == e.name {
+			selected = append(selected, e)
 		}
-		fmt.Printf("==== %s ====\n", name)
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			os.Exit(1)
+	}
+	if len(selected) == 0 {
+		fmt.Fprintf(stderr, "vinibench: unknown experiment %q; valid: %s\n", *expFlag, expNames())
+		return 2
+	}
+	if *topoFlag != "" && *demandsFlag == "" {
+		fmt.Fprintln(stderr, "vinibench: -topo requires -demands")
+		return 2
+	}
+	for _, e := range selected {
+		fmt.Printf("==== %s ====\n", e.name)
+		if err := e.run(); err != nil {
+			fmt.Fprintf(stderr, "%s: %v\n", e.name, err)
+			return 1
 		}
 		fmt.Println()
 	}
-	run("table2", table2)
-	run("table3", table3)
-	run("table4", table4)
-	run("table5", table5)
-	run("table6", table6)
-	run("fig6", fig6)
-	run("fig7", fig7)
-	run("fig8", fig8)
-	run("fig9", fig9)
-	run("ablation", ablation)
-	run("fastpath", fastpath)
-	run("simtest", simtestExp)
-	run("parallel", parallelExp)
-	run("telemetry", telemetryExp)
-	run("churn", churnExp)
-	run("migrate", migrateExp)
-	run("scale", scaleExp)
-	run("adaptive", adaptiveExp)
+	return 0
 }
 
 // telemetryExp reruns the Figure 8 failure scenario with the telemetry

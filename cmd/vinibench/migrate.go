@@ -2,11 +2,8 @@ package main
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"net/netip"
-	"os"
-	"runtime"
 	"time"
 
 	"vini/internal/core"
@@ -42,16 +39,12 @@ type migrateRow struct {
 }
 
 type migrateReport struct {
-	GoVersion          string     `json:"go_version"`
-	NumCPU             int        `json:"num_cpu"`
-	GOMAXPROCS         int        `json:"gomaxprocs"`
-	Seed               int64      `json:"seed"`
+	benchHeader
 	ProbeIntervalUs    int64      `json:"probe_interval_us"`
 	MBB                migrateRow `json:"make_before_break"`
 	Naive              migrateRow `json:"naive_reembed"`
 	ReplayDigestsMatch bool       `json:"replay_digests_match"`
 	StrictlySmaller    bool       `json:"mbb_blackout_strictly_smaller"`
-	Note               string     `json:"note,omitempty"`
 }
 
 // migrateExp measures the cutover blackout of live vnode migration two
@@ -85,8 +78,7 @@ func migrateExp() error {
 		return err
 	}
 	rep := migrateReport{
-		GoVersion: runtime.Version(), NumCPU: runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0), Seed: *seedFlag,
+		benchHeader:     newHeader(),
 		ProbeIntervalUs: migProbeInterval.Microseconds(),
 		MBB:             mbb, Naive: naive,
 		ReplayDigestsMatch: mbb.MetricsDigest == mbbReplay.MetricsDigest &&
@@ -110,14 +102,9 @@ func migrateExp() error {
 		fmt.Println("WARNING: " + rep.Note)
 	}
 	fmt.Printf("blackout: make-before-break %dus vs naive re-embed %dus\n", mbb.BlackoutUs, naive.BlackoutUs)
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
+	if err := writeReport("migrate", rep); err != nil {
 		return err
 	}
-	if err := os.WriteFile("BENCH_migrate.json", append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Println("wrote BENCH_migrate.json")
 	switch {
 	case !rep.ReplayDigestsMatch:
 		return fmt.Errorf("migrate: replay digests diverged")
@@ -258,10 +245,7 @@ func migrateArm(naive bool, warm, total int) (migrateRow, error) {
 	if err := s.Audit(); err != nil {
 		return row, fmt.Errorf("%s: %v", mode, err)
 	}
-	for i := 0; i < 40 && packet.Stats().Sub(base).InFlight() != 0; i++ {
-		v.Run(loop.Now() + 50*time.Millisecond)
-	}
-	if f := packet.Stats().Sub(base).InFlight(); f != 0 {
+	if f := settlePool(v, base); f != 0 {
 		return row, fmt.Errorf("%s: pool ledger unbalanced: %d in flight", mode, f)
 	}
 	row.WallSeconds = time.Since(start).Seconds()

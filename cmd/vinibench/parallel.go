@@ -1,17 +1,13 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/netip"
-	"os"
-	"runtime"
 	"time"
 
 	"vini/internal/core"
 	"vini/internal/netem"
 	"vini/internal/sched"
-	"vini/internal/sim"
 	"vini/internal/topology"
 	"vini/internal/traffic"
 )
@@ -19,18 +15,7 @@ import (
 // parallelRow is one engine configuration's measurement in the
 // BENCH_parallel.json report.
 type parallelRow struct {
-	Name        string  `json:"name"`
-	Workers     int     `json:"workers"`
-	Gomaxprocs  int     `json:"gomaxprocs"`
-	WallSeconds float64 `json:"wall_seconds"`
-	// Events counts fired events. Since cross-domain hand-offs became
-	// typed deliveries (no wrapper events on either path), a fired
-	// event means the same thing in classic and sharded mode: one
-	// semantic action. Residual differences between the modes are real
-	// workload divergence — the engines fork RNG streams differently
-	// and are separate deterministic baselines — not accounting noise.
-	Events       uint64  `json:"events"`
-	EventsPerSec float64 `json:"events_per_sec"`
+	engineRow
 	// Deliveries is reported separately: cross-domain typed messages
 	// delivered into a destination heap (0 in classic mode, where every
 	// hop is a local event).
@@ -42,24 +27,19 @@ type parallelRow struct {
 	Trains    uint64 `json:"trains"`
 	TrainMsgs uint64 `json:"train_msgs"`
 	// Steals is wall-clock/interleaving dependent (diagnostic only).
-	Steals         uint64 `json:"steals"`
-	ScheduleDigest string `json:"schedule_digest"`
+	Steals uint64 `json:"steals"`
 	// PerDomain maps domain label -> fired event count; the full
 	// counter set prints under -v.
 	PerDomain map[string]uint64 `json:"per_domain_fired,omitempty"`
 }
 
 type parallelReport struct {
-	Topology     string        `json:"topology"`
-	Slices       int           `json:"slices"`
-	VirtualSecs  float64       `json:"virtual_seconds"`
-	GoVersion    string        `json:"go_version"`
-	NumCPU       int           `json:"num_cpu"`
-	GOMAXPROCS   int           `json:"gomaxprocs"`
-	Rows         []parallelRow `json:"rows"`
-	Speedup      float64       `json:"speedup_4w_over_1w"`
-	DigestsAgree bool          `json:"sharded_digests_agree"`
-	Note         string        `json:"note,omitempty"`
+	benchHeader
+	Topology    string  `json:"topology"`
+	Slices      int     `json:"slices"`
+	VirtualSecs float64 `json:"virtual_seconds"`
+	engineLegs[*parallelRow]
+	Speedup float64 `json:"speedup_4w_over_1w"`
 }
 
 // cbrPairs are the per-slice cross-country flows; each slice gets one,
@@ -71,14 +51,11 @@ var cbrPairs = [][2]string{
 	{topology.Atlanta, topology.Sunnyvale},
 }
 
-// buildParallelWorld assembles the benchmark scenario: the 11-PoP
-// Abilene substrate (minimum link propagation delay 2.25 ms — the
-// conservative executor's lookahead floor) carrying 4 IIAS slices, each
-// mirroring the physical topology with its own OSPF instance and one
-// cross-country UDP CBR flow. workers == 0 builds on the classic
-// single-timeline loop; workers >= 1 shards each PoP into its own time
-// domain.
-func buildParallelWorld(seed int64, workers int) (*core.VINI, error) {
+// abileneWorld builds the 11-PoP Abilene substrate (PlanetLab profile;
+// minimum link propagation delay 2.25 ms — the conservative executor's
+// lookahead floor). workers == 0 builds on the classic single-timeline
+// loop; workers >= 1 shards each PoP into its own time domain.
+func abileneWorld(seed int64, workers int) (*core.VINI, error) {
 	v := core.New(seed)
 	if workers > 0 {
 		v = core.NewParallel(seed, workers)
@@ -98,23 +75,43 @@ func buildParallelWorld(seed int64, workers int) (*core.VINI, error) {
 		}
 	}
 	v.ComputeRoutes()
+	return v, nil
+}
+
+// mirrorAbilene admits an IIAS slice that mirrors the physical topology
+// and runs its own OSPF instance (5s hello, 10s dead).
+func mirrorAbilene(v *core.VINI, cfg core.SliceConfig) (*core.Slice, error) {
+	s, err := v.CreateSlice(cfg)
+	if err != nil {
+		return nil, err
+	}
+	g := topology.Abilene()
+	for _, pop := range g.Nodes() {
+		if _, err := s.AddVirtualNode(pop); err != nil {
+			return nil, err
+		}
+	}
+	for _, l := range g.Links() {
+		if _, err := s.ConnectVirtual(l.A, l.B, l.CostAB); err != nil {
+			return nil, err
+		}
+	}
+	s.StartOSPF(5*time.Second, 10*time.Second)
+	return s, nil
+}
+
+// buildParallelWorld assembles the benchmark scenario: Abilene carrying
+// 4 mirrored slices, each with one cross-country UDP CBR flow.
+func buildParallelWorld(seed int64, workers int) (*core.VINI, error) {
+	v, err := abileneWorld(seed, workers)
+	if err != nil {
+		return nil, err
+	}
 	for i := 0; i < len(cbrPairs); i++ {
-		s, err := v.CreateSlice(core.SliceConfig{
-			Name: fmt.Sprintf("slice%d", i), CPUShare: 0.2})
+		s, err := mirrorAbilene(v, core.SliceConfig{Name: fmt.Sprintf("slice%d", i), CPUShare: 0.2})
 		if err != nil {
 			return nil, err
 		}
-		for _, pop := range g.Nodes() {
-			if _, err := s.AddVirtualNode(pop); err != nil {
-				return nil, err
-			}
-		}
-		for _, l := range g.Links() {
-			if _, err := s.ConnectVirtual(l.A, l.B, l.CostAB); err != nil {
-				return nil, err
-			}
-		}
-		s.StartOSPF(5*time.Second, 10*time.Second)
 		src, _ := s.VirtualNode(cbrPairs[i][0])
 		dst, _ := s.VirtualNode(cbrPairs[i][1])
 		if _, err := traffic.StartUDPCBR(v.Net, src.Phys(), dst.Phys(), traffic.UDPCBRConfig{
@@ -126,78 +123,50 @@ func buildParallelWorld(seed int64, workers int) (*core.VINI, error) {
 	return v, nil
 }
 
-// runParallelBench measures one engine configuration end to end.
-func runParallelBench(workers int, window time.Duration) (parallelRow, []sim.DomainStats, error) {
-	name := "classic-loop"
-	if workers > 0 {
-		name = fmt.Sprintf("domains x%d", workers)
-	}
-	row := parallelRow{Name: name, Workers: workers}
-	v, err := buildParallelWorld(*seedFlag, workers)
-	if err != nil {
-		return row, nil, err
-	}
-	defer v.Close()
-	start := time.Now()
-	v.Run(window)
-	row.WallSeconds = time.Since(start).Seconds()
-	x := v.Executor()
-	row.Gomaxprocs = runtime.GOMAXPROCS(0)
-	row.Events = x.TotalFired()
-	row.EventsPerSec = float64(row.Events) / row.WallSeconds
-	row.Deliveries = x.Deliveries()
-	row.Rounds = x.Rounds()
-	row.Windows = x.Windows()
-	row.Fallbacks = x.Fallbacks()
-	row.Trains, row.TrainMsgs = x.TrainStats()
-	row.Steals = x.Steals()
-	row.ScheduleDigest = fmt.Sprintf("%016x", x.ScheduleDigest())
-	stats := x.Stats()
-	if workers > 0 {
-		row.PerDomain = make(map[string]uint64, len(stats))
-		for _, s := range stats {
-			row.PerDomain[s.Label] = s.Fired
-		}
-	}
-	return row, stats, nil
-}
-
 // parallelExp benchmarks the sharded conservative executor against the
 // classic loop on the 4-slice Abilene scenario, checks that every
 // sharded worker count executes the byte-identical event schedule, and
 // writes BENCH_parallel.json.
 func parallelExp() error {
 	window := dur(60*time.Second, 20*time.Second)
-	maxW := *parallelFlag
-	if maxW < 1 {
-		maxW = 1
-	}
-	workerCounts := []int{0, 1}
-	for w := 2; w <= maxW; w *= 2 {
-		workerCounts = append(workerCounts, w)
-	}
 	fmt.Printf("4-slice Abilene (11 PoPs, min link delay 2.25ms), %v virtual time\n", window)
-	fmt.Printf("host: %d CPUs, GOMAXPROCS=%d\n", runtime.NumCPU(), runtime.GOMAXPROCS(0))
-	fmt.Printf("%-14s %10s %12s %14s %12s %8s %10s %10s %10s\n",
+	columns := fmt.Sprintf("%-14s %10s %12s %14s %12s %8s %10s %10s %10s",
 		"engine", "wall", "events", "events/sec", "deliveries", "rounds", "trains", "steals", "fallbacks")
-	rep := parallelReport{
-		Topology: "abilene", Slices: len(cbrPairs),
-		VirtualSecs: window.Seconds(),
-		GoVersion:   runtime.Version(),
-		NumCPU:      runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
-		DigestsAgree: true,
-	}
-	var wall1, wall4 float64
-	shardDigest := ""
-	for _, w := range workerCounts {
-		row, stats, err := runParallelBench(w, window)
+	rep := parallelReport{benchHeader: newHeader(),
+		Topology: "abilene", Slices: len(cbrPairs), VirtualSecs: window.Seconds()}
+	var err error
+	rep.engineLegs, err = forEngines(&rep.benchHeader, columns, func(leg engineRow) (*parallelRow, error) {
+		row := &parallelRow{engineRow: leg}
+		v, err := buildParallelWorld(*seedFlag, leg.Workers)
 		if err != nil {
-			return err
+			return row, err
 		}
+		defer v.Close()
+		start := time.Now()
+		v.Run(window)
+		row.WallSeconds = time.Since(start).Seconds()
+		x := v.Executor()
+		row.Events = x.TotalFired()
+		row.EventsPerSec = float64(row.Events) / row.WallSeconds
+		row.Deliveries = x.Deliveries()
+		row.Rounds = x.Rounds()
+		row.Windows = x.Windows()
+		row.Fallbacks = x.Fallbacks()
+		row.Trains, row.TrainMsgs = x.TrainStats()
+		row.Steals = x.Steals()
+		row.Schedule = fmt.Sprintf("%016x", x.ScheduleDigest())
 		fmt.Printf("%-14s %9.2fs %12d %14.0f %12d %8d %10d %10d %10d\n",
 			row.Name, row.WallSeconds, row.Events, row.EventsPerSec,
 			row.Deliveries, row.Rounds, row.Trains, row.Steals, row.Fallbacks)
-		if *verbose && w > 0 {
+		if leg.Workers == 0 {
+			return row, nil
+		}
+		stats := x.Stats()
+		row.PerDomain = make(map[string]uint64, len(stats))
+		for _, s := range stats {
+			row.PerDomain[s.Label] = s.Fired
+		}
+		if *verbose {
 			fmt.Printf("  %-14s %10s %10s %10s %10s %10s %10s %8s\n",
 				"domain", "scheduled", "sent", "delivered", "fired", "cancelled", "recycled", "stalls")
 			for _, s := range stats {
@@ -205,89 +174,23 @@ func parallelExp() error {
 					s.Label, s.Scheduled, s.Sent, s.Delivered, s.Fired, s.Cancelled, s.Recycled, s.Stalls)
 			}
 		}
-		if w > 0 {
-			if shardDigest == "" {
-				shardDigest = row.ScheduleDigest
-			} else if row.ScheduleDigest != shardDigest {
-				rep.DigestsAgree = false
-			}
-		}
-		if w == 1 {
-			wall1 = row.WallSeconds
-		}
-		if w == maxW {
-			wall4 = row.WallSeconds
-		}
-		rep.Rows = append(rep.Rows, row)
-	}
-	if wall1 > 0 && wall4 > 0 {
-		rep.Speedup = wall1 / wall4
-		fmt.Printf("speedup (%d workers vs 1): %.2fx\n", maxW, rep.Speedup)
-	}
-	if !rep.DigestsAgree {
-		fmt.Println("DETERMINISM VIOLATION: sharded schedule digests diverged across worker counts")
-	} else {
-		fmt.Printf("sharded schedule digest %s identical across all worker counts\n", shardDigest)
-	}
-	if runtime.GOMAXPROCS(0) < 2 {
-		rep.Note = "single-CPU host: worker goroutines time-share one core, so no " +
-			"wall-clock speedup is possible here; see DESIGN.md \"Time domains & " +
-			"conservative synchronization\" for the multi-core profile"
-		fmt.Println("note: " + rep.Note)
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
+		return row, nil
+	})
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile("BENCH_parallel.json", append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Println("wrote BENCH_parallel.json")
-	if !rep.DigestsAgree {
-		return fmt.Errorf("parallel: schedule digests diverged across worker counts")
-	}
-	if *baselineFlag != "" {
-		if err := checkBaseline(*baselineFlag, rep, maxW); err != nil {
-			return err
+	var wall1, wallMax float64
+	for _, r := range rep.Rows {
+		if r.Workers == 1 {
+			wall1 = r.WallSeconds
+		}
+		if r.Workers == maxWorkers() {
+			wallMax = r.WallSeconds
 		}
 	}
-	return nil
-}
-
-// checkBaseline compares the max-worker leg's throughput against a
-// committed prior report and fails on a regression of more than 15%.
-// The committed baseline records whatever host class generated it, so
-// the gate is a floor, not a race: a faster runner passes trivially,
-// while dropping 15% below even the baseline host signals a real
-// executor regression.
-func checkBaseline(path string, rep parallelReport, maxW int) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("parallel: baseline: %w", err)
+	if wall1 > 0 && wallMax > 0 {
+		rep.Speedup = wall1 / wallMax
+		fmt.Printf("speedup (%d workers vs 1): %.2fx\n", maxWorkers(), rep.Speedup)
 	}
-	var base parallelReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("parallel: baseline %s: %w", path, err)
-	}
-	pick := func(rows []parallelRow) *parallelRow {
-		for i := range rows {
-			if rows[i].Workers == maxW {
-				return &rows[i]
-			}
-		}
-		return nil
-	}
-	cur, prev := pick(rep.Rows), pick(base.Rows)
-	if cur == nil || prev == nil || prev.EventsPerSec <= 0 {
-		fmt.Printf("baseline %s has no comparable %d-worker row; skipping throughput gate\n", path, maxW)
-		return nil
-	}
-	ratio := cur.EventsPerSec / prev.EventsPerSec
-	fmt.Printf("baseline gate: %d-worker %.0f events/sec vs baseline %.0f (%.2fx, floor 0.85x; baseline host GOMAXPROCS=%d, this host %d)\n",
-		maxW, cur.EventsPerSec, prev.EventsPerSec, ratio, prev.Gomaxprocs, cur.Gomaxprocs)
-	if ratio < 0.85 {
-		return fmt.Errorf("parallel: %d-worker events/sec regressed %.0f%% below baseline %s",
-			maxW, (1-ratio)*100, path)
-	}
-	return nil
+	return rep.gate("parallel", rep, nil)
 }

@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 
 	"vini/internal/simtest"
 )
@@ -12,35 +10,23 @@ import (
 // scaleRow is one engine configuration's measurement in the
 // BENCH_scale.json report.
 type scaleRow struct {
-	Name         string  `json:"name"`
-	Workers      int     `json:"workers"`
-	Gomaxprocs   int     `json:"gomaxprocs"`
+	engineRow
 	BuildSeconds float64 `json:"build_seconds"`
 	RunSeconds   float64 `json:"run_seconds"`
-	Events       uint64  `json:"events"`
-	EventsPerSec float64 `json:"events_per_sec"`
 	Sent         uint64  `json:"sent"`
 	Delivered    uint64  `json:"delivered"`
-	Digest       string  `json:"digest"`
-	Schedule     string  `json:"schedule_digest"`
 }
 
 type scaleReport struct {
-	Topology   string     `json:"topology"`
-	Nodes      int        `json:"nodes"`
-	Links      int        `json:"links"`
-	Slices     int        `json:"slices"`
-	VNodes     int        `json:"vnodes"`
-	Flows      int        `json:"flows"`
-	OfferedBps float64    `json:"offered_bps"`
-	GoVersion  string     `json:"go_version"`
-	NumCPU     int        `json:"num_cpu"`
-	GOMAXPROCS int        `json:"gomaxprocs"`
-	Rows       []scaleRow `json:"rows"`
-	// DigestsAgree reports whether every sharded worker count produced
-	// byte-identical scenario and schedule digests.
-	DigestsAgree bool   `json:"sharded_digests_agree"`
-	Note         string `json:"note,omitempty"`
+	benchHeader
+	Topology   string  `json:"topology"`
+	Nodes      int     `json:"nodes"`
+	Links      int     `json:"links"`
+	Slices     int     `json:"slices"`
+	VNodes     int     `json:"vnodes"`
+	Flows      int     `json:"flows"`
+	OfferedBps float64 `json:"offered_bps"`
+	engineLegs[*scaleRow]
 }
 
 // scaleExp runs the scale-regime scenario — hundreds of slices on a
@@ -60,136 +46,45 @@ func scaleExp() error {
 			return fmt.Errorf("scale: %w", err)
 		}
 		opts.GraphText = string(g)
-		if *demandsFlag == "" {
-			return fmt.Errorf("scale: -topo requires -demands")
-		}
 		d, err := os.ReadFile(*demandsFlag)
 		if err != nil {
 			return fmt.Errorf("scale: %w", err)
 		}
 		opts.DemandsText = string(d)
 	}
-	maxW := *parallelFlag
-	if maxW < 1 {
-		maxW = 1
-	}
-	workerCounts := []int{0, 1}
-	for w := 2; w <= maxW; w *= 2 {
-		workerCounts = append(workerCounts, w)
-	}
-	rep := scaleReport{
-		GoVersion: runtime.Version(),
-		NumCPU:    runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
-		DigestsAgree: true,
-		Topology:     "synthetic",
-	}
+	rep := scaleReport{benchHeader: newHeader(), Topology: "synthetic"}
 	if *topoFlag != "" {
 		rep.Topology = *topoFlag
 	}
 	fmt.Printf("scale regime: %d slices, seed %d\n", opts.Slices, opts.Seed)
-	fmt.Printf("host: %d CPUs, GOMAXPROCS=%d\n", runtime.NumCPU(), runtime.GOMAXPROCS(0))
-	fmt.Printf("%-14s %8s %8s %12s %14s %10s %12s\n",
+	columns := fmt.Sprintf("%-14s %8s %8s %12s %14s %10s %12s",
 		"engine", "build", "run", "events", "events/sec", "sent", "delivered")
-	shardDigest, shardSchedule := "", ""
-	for _, w := range workerCounts {
+	var err error
+	rep.engineLegs, err = forEngines(&rep.benchHeader, columns, func(leg engineRow) (*scaleRow, error) {
 		o := opts
-		o.Workers = w
+		o.Workers = leg.Workers
 		r, err := simtest.RunScale(o)
 		if err != nil {
-			return fmt.Errorf("scale: workers=%d: %w", w, err)
+			return nil, err
 		}
 		if r.Failed() {
 			fmt.Printf("%s\n", r)
-			return fmt.Errorf("scale: workers=%d: %d invariant violations", w, len(r.Violations))
+			return nil, fmt.Errorf("%d invariant violations", len(r.Violations))
 		}
-		name := "classic-loop"
-		if w > 0 {
-			name = fmt.Sprintf("domains x%d", w)
-		}
-		row := scaleRow{
-			Name: name, Workers: w, Gomaxprocs: runtime.GOMAXPROCS(0),
+		row := &scaleRow{engineRow: leg.measured(&r.Outcome),
 			BuildSeconds: r.BuildSeconds, RunSeconds: r.RunSeconds,
-			Events: r.Events, EventsPerSec: float64(r.Events) / r.RunSeconds,
-			Sent: r.Sent, Delivered: r.Delivered,
-			Digest:   fmt.Sprintf("%016x", r.Digest),
-			Schedule: fmt.Sprintf("%016x", r.ScheduleDigest),
-		}
+			Sent: r.Sent, Delivered: r.Delivered}
 		fmt.Printf("%-14s %7.2fs %7.2fs %12d %14.0f %10d %12d\n",
 			row.Name, row.BuildSeconds, row.RunSeconds, row.Events,
 			row.EventsPerSec, row.Sent, row.Delivered)
 		rep.Nodes, rep.Links, rep.Slices = r.Nodes, r.Links, r.Slices
 		rep.VNodes, rep.Flows, rep.OfferedBps = r.VNodes, r.Flows, r.OfferedBps
-		if w > 0 {
-			if shardDigest == "" {
-				shardDigest, shardSchedule = row.Digest, row.Schedule
-			} else if row.Digest != shardDigest || row.Schedule != shardSchedule {
-				rep.DigestsAgree = false
-			}
-		}
-		rep.Rows = append(rep.Rows, row)
-	}
-	if !rep.DigestsAgree {
-		fmt.Println("DETERMINISM VIOLATION: sharded digests diverged across worker counts")
-	} else {
-		fmt.Printf("sharded scenario digest %s / schedule %s identical across all worker counts\n",
-			shardDigest, shardSchedule)
-	}
-	if runtime.GOMAXPROCS(0) < 2 {
-		rep.Note = "single-CPU host: worker goroutines time-share one core, so no " +
-			"wall-clock speedup is possible here"
-		fmt.Println("note: " + rep.Note)
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
+		return row, nil
+	})
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile("BENCH_scale.json", append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Println("wrote BENCH_scale.json")
-	if !rep.DigestsAgree {
-		return fmt.Errorf("scale: digests diverged across worker counts")
-	}
-	if *baselineFlag != "" {
-		if err := checkScaleBaseline(*baselineFlag, rep, maxW); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// checkScaleBaseline compares the max-worker leg's throughput against a
-// committed prior BENCH_scale.json, failing on a regression of more
-// than 15% — the same floor-not-race gate as the parallel experiment.
-func checkScaleBaseline(path string, rep scaleReport, maxW int) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("scale: baseline: %w", err)
-	}
-	var base scaleReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("scale: baseline %s: %w", path, err)
-	}
-	pick := func(rows []scaleRow) *scaleRow {
-		for i := range rows {
-			if rows[i].Workers == maxW {
-				return &rows[i]
-			}
-		}
-		return nil
-	}
-	cur, prev := pick(rep.Rows), pick(base.Rows)
-	if cur == nil || prev == nil || prev.EventsPerSec <= 0 ||
-		base.Slices != rep.Slices || base.Nodes != rep.Nodes {
-		fmt.Printf("baseline %s has no comparable %d-worker row; skipping throughput gate\n", path, maxW)
-		return nil
-	}
-	ratio := cur.EventsPerSec / prev.EventsPerSec
-	fmt.Printf("baseline gate: %d-worker %.0f events/sec vs baseline %.0f (%.2fx, floor 0.85x; baseline host GOMAXPROCS=%d, this host %d)\n",
-		maxW, cur.EventsPerSec, prev.EventsPerSec, ratio, prev.Gomaxprocs, cur.Gomaxprocs)
-	if ratio < 0.85 {
-		return fmt.Errorf("scale: %d-worker events/sec regressed %.0f%% below baseline %s",
-			maxW, (1-ratio)*100, path)
-	}
-	return nil
+	return rep.gate("scale", rep, func(base baseline) bool {
+		return base.Slices == rep.Slices && base.Nodes == rep.Nodes
+	})
 }

@@ -97,7 +97,7 @@ func runWorker() error {
 	if err != nil {
 		return err
 	}
-	tel, err := json.Marshal(res.Telemetry)
+	tel, err := json.Marshal(res.Snapshot)
 	if err != nil {
 		return err
 	}
@@ -171,7 +171,7 @@ func runCoordinator() error {
 		if err := json.Unmarshal(r.Payload, &snap); err != nil {
 			return fmt.Errorf("shard %d telemetry payload: %w", r.Shard, err)
 		}
-		results[r.Shard] = &simtest.DistResult{DomainDigests: r.Digests, Telemetry: snap}
+		results[r.Shard] = &simtest.DistResult{DomainDigests: r.Digests, Snapshot: snap}
 	}
 	sched, tel, err := simtest.MergeDistResults(results, shards)
 	if err != nil {

@@ -291,3 +291,12 @@ func addrU32(a netip.Addr) uint32 {
 // and carved space exactly accounted for. Complements Slice.Audit,
 // which checks one slice's ledger.
 func (v *VINI) AuditAddressPlan() error { return v.plan.audit() }
+
+// LeakAddressBlockForTest carves a minimum-size port span and drops it
+// from the allocator's books without freeing it — the accounting bug
+// AuditAddressPlan exists to catch.
+func (v *VINI) LeakAddressBlockForTest() {
+	if off, err := v.plan.ports.acquire(sizedPortSpan); err == nil {
+		delete(v.plan.ports.live, off)
+	}
+}

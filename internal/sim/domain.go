@@ -6,12 +6,10 @@ import (
 	"time"
 )
 
-// Cross-domain timer states (Timer.cancel). A cross-domain send cannot
-// be removed from the destination heap by the sender (that heap belongs
-// to another worker), so cancellation is lazy: Stop flips the flag and
-// the destination drops the message at delivery time, or at fire time
-// if it was already materialized. Exactly one side wins the CAS, so the
-// event is recycled exactly once, by its owning domain.
+// Tick-wheel timer states (Timer.cancel). A wheel entry shares its
+// slot's heap event with its neighbours, so it cannot be removed on
+// Stop: cancellation is lazy — Stop flips the flag and the slot skips
+// the entry when it fires. Exactly one side wins the CAS.
 const (
 	timerPending = iota
 	timerStopped
@@ -51,24 +49,12 @@ type DomainStats struct {
 	Trains, TrainMsgs uint64
 }
 
-// xmsg is a timestamped cross-domain message: "run fn in the receiving
-// domain at virtual time at". (dom, seq) is the sender's unique key,
-// which slots the message into the deterministic global merge order
-// (at, dom, seq) no matter when the channel delivery happens.
-type xmsg struct {
-	at     time.Duration
-	dom    int32
-	seq    uint64
-	fn     func()
-	cancel *atomic.Uint32
-}
-
 // Domain is one sequential event timeline: a per-physical-node (or
 // control) event queue carrying its own virtual clock, sequence
 // counter, RNG stream, and free list. All code running inside a domain
 // is single-threaded with respect to that domain, exactly as all code
 // was single-threaded under the old global Loop. The only concurrent
-// surface is the inbox, which other domains append to under inMu.
+// surface is the typed inbox, which other domains append to under inMu.
 //
 // A Domain implements Clock, so sched.CPU, the routing protocols, and
 // the traffic tools take a domain-scoped handle without API changes.
@@ -123,25 +109,19 @@ type Domain struct {
 
 	// trains accumulate outbound typed messages per destination domain;
 	// dirtyTrains lists those with pending messages; flushed is the
-	// wake-up scratch list the last flushTrains call populated. sentTo
-	// collects destinations of closure-based SendTo calls made during
-	// the current window so the executor can wake them too.
+	// wake-up scratch list the last flushTrains call populated.
 	trains      []*train
 	dirtyTrains []*train
 	flushed     []*Domain
-	sentTo      []*Domain
 
-	// inbox collects closure-based cross-domain messages (SendTo) and
-	// tin the typed train messages (Send) between windows. inboxMin
-	// caches the earliest timestamp across both so horizon checks don't
-	// scan; it is atomic because next() reads it from the owning worker
-	// while senders update it under inMu. spare/tspare are drained
-	// buffers kept for reuse.
+	// tin collects the typed train messages (Send) other domains flush
+	// here between windows. inboxMin caches its earliest timestamp so
+	// horizon checks don't scan; it is atomic because next() reads it
+	// from the owning worker while senders update it under inMu. tspare
+	// is the drained buffer kept for reuse.
 	inMu     sync.Mutex
-	inbox    []xmsg
 	tin      []tmsg
 	inboxMin atomic.Int64
-	spare    []xmsg
 	tspare   []tmsg
 }
 
@@ -222,85 +202,21 @@ func (d *Domain) Schedule(delay time.Duration, fn func()) Timer {
 	return Timer{ev: ev, gen: ev.gen}
 }
 
-// SendTo arranges for fn to run in dst at this domain's Now()+delay.
-// Same-domain sends degenerate to Schedule — identical cost and
-// ordering to the pre-domain loop. Cross-domain sends become
-// timestamped mailbox messages keyed by (at, sender id, sender seq), so
-// the destination merges them into exactly the slot a shared heap would
-// have used. The returned Timer stops either kind.
-func (d *Domain) SendTo(dst *Domain, delay time.Duration, fn func()) Timer {
-	if dst == d {
-		return d.Schedule(delay, fn)
-	}
-	if fn == nil {
-		panic("sim: SendTo with nil fn")
-	}
-	if d.remote {
-		// Replicated driver-time code runs on every shard; only the
-		// shard owning the calling domain materializes its sends (and a
-		// closure could not cross the process boundary anyway).
-		return Timer{}
-	}
-	if delay < 0 {
-		delay = 0
-	}
-	d.seq++
-	d.stats.Sent++
-	cancel := new(atomic.Uint32)
-	m := xmsg{at: d.now + delay, dom: d.id, seq: d.seq, fn: fn, cancel: cancel}
-	dst.inMu.Lock()
-	dst.inbox = append(dst.inbox, m)
-	if int64(m.at) < dst.inboxMin.Load() {
-		dst.inboxMin.Store(int64(m.at))
-	}
-	dst.inMu.Unlock()
-	noted := false
-	for _, s := range d.sentTo {
-		if s == dst {
-			noted = true
-			break
-		}
-	}
-	if !noted {
-		d.sentTo = append(d.sentTo, dst)
-	}
-	return Timer{cancel: cancel}
-}
-
-// drainInbox materializes queued cross-domain messages (closure-based
-// and typed) into the heap. Called by the owning worker at the start of
-// each execution window, or by the coordinator at a barrier. Heap keys
-// are globally unique and totally ordered, so the append order of the
-// inbox — the one thing thread interleaving can vary — is semantically
-// invisible.
+// drainInbox materializes queued typed cross-domain messages into the
+// heap. Called by the owning worker at the start of each execution
+// window, or by the coordinator at a barrier. Heap keys are globally
+// unique and totally ordered, so the append order of the inbox — the
+// one thing thread interleaving can vary — is semantically invisible.
 func (d *Domain) drainInbox() {
 	d.inMu.Lock()
-	if len(d.inbox) == 0 && len(d.tin) == 0 {
+	if len(d.tin) == 0 {
 		d.inMu.Unlock()
 		return
 	}
-	msgs := d.inbox
 	tmsgs := d.tin
-	d.inbox = d.spare[:0]
 	d.tin = d.tspare[:0]
 	d.inboxMin.Store(int64(maxTime))
 	d.inMu.Unlock()
-	for i := range msgs {
-		m := &msgs[i]
-		if m.cancel.Load() == timerStopped {
-			// Stopped before delivery: never materialized, nothing to
-			// recycle.
-			d.stats.Cancelled++
-		} else {
-			ev := d.alloc()
-			ev.at, ev.dom, ev.seq = m.at, m.dom, m.seq
-			ev.fn, ev.cancel = m.fn, m.cancel
-			d.push(ev)
-			d.stats.Delivered++
-		}
-		m.fn, m.cancel = nil, nil
-	}
-	d.spare = msgs[:0]
 	for i := range tmsgs {
 		m := &tmsgs[i]
 		ev := d.alloc()
@@ -327,8 +243,7 @@ func (d *Domain) next() time.Duration {
 }
 
 // step runs the single earliest event. It reports false when the queue
-// is empty. Lazily-cancelled cross-domain events are recycled without
-// firing (and still report true: the queue made progress).
+// is empty.
 func (d *Domain) step() bool {
 	if len(d.heap) == 0 {
 		return false
@@ -339,22 +254,15 @@ func (d *Domain) step() bool {
 	}
 	fn := ev.fn
 	th, targ := ev.h, ev.arg
-	cancelled := ev.cancel != nil && !ev.cancel.CompareAndSwap(timerPending, timerFired)
-	if !cancelled {
-		// Fold the fired event's merge key before the struct recycles.
-		h := d.digest
-		h = (h ^ uint64(ev.at)) * fnvPrime
-		h = (h ^ uint64(uint32(ev.dom))) * fnvPrime
-		h = (h ^ ev.seq) * fnvPrime
-		d.digest = h
-	}
+	// Fold the fired event's merge key before the struct recycles.
+	h := d.digest
+	h = (h ^ uint64(ev.at)) * fnvPrime
+	h = (h ^ uint64(uint32(ev.dom))) * fnvPrime
+	h = (h ^ ev.seq) * fnvPrime
+	d.digest = h
 	// Recycle before running so a Stop on the firing timer is a no-op
 	// and the struct is immediately reusable by fn's own Schedule calls.
 	d.recycle(ev)
-	if cancelled {
-		d.stats.Cancelled++
-		return true
-	}
 	d.stats.Fired++
 	if th != nil {
 		th.Invoke(targ)
@@ -366,7 +274,7 @@ func (d *Domain) step() bool {
 
 // runTo is the worker-side window body: run every event at or before
 // the inclusive horizon h. Nothing outside this domain is touched
-// except via Send/SendTo (train buffers and inboxes), so domains in one
+// except via Send (train buffers and inboxes), so domains in one
 // window race on nothing.
 func (d *Domain) runTo(h time.Duration) bool {
 	ran := false
@@ -400,7 +308,6 @@ func (d *Domain) recycle(ev *event) {
 	ev.gen++
 	ev.fn = nil
 	ev.h, ev.arg = nil, nil
-	ev.cancel = nil
 	ev.next = d.free
 	d.free = ev
 	d.stats.Recycled++

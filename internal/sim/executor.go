@@ -255,8 +255,7 @@ func (x *Executor) TrainStats() (trains, msgs uint64) {
 	return trains, msgs
 }
 
-// Deliveries sums cross-domain messages materialized into domain heaps
-// (both the typed train path and closure SendTo).
+// Deliveries sums cross-domain messages materialized into domain heaps.
 func (x *Executor) Deliveries() uint64 {
 	var n uint64
 	for _, d := range x.domains {
@@ -303,7 +302,7 @@ func (x *Executor) Pending() int {
 		n += len(d.heap)
 		n += d.trainBacklog()
 		d.inMu.Lock()
-		n += len(d.inbox) + len(d.tin)
+		n += len(d.tin)
 		d.inMu.Unlock()
 	}
 	return n
@@ -411,7 +410,6 @@ func (x *Executor) flushAllTrains() {
 	for _, d := range x.domains {
 		d.flushTrains()
 		d.flushed = d.flushed[:0]
-		d.sentTo = d.sentTo[:0]
 	}
 }
 
@@ -678,10 +676,6 @@ func (x *Executor) runDomain(wid int, d *Domain) {
 			x.enqueue(dst, wid)
 		}
 		d.flushed = d.flushed[:0]
-		for _, dst := range d.sentTo {
-			x.enqueue(dst, wid)
-		}
-		d.sentTo = d.sentTo[:0]
 		if raised {
 			if len(d.outs) > 0 {
 				for _, o := range d.outs {

@@ -38,14 +38,14 @@ func workload(t *testing.T, workers int) (uint64, [][]string) {
 			// Local RNG draw: per-domain streams must replay identically.
 			jitter := time.Duration(d.RNG().Intn(100)) * time.Microsecond
 			from := d.Now()
-			d.SendTo(next, look+jitter, func() {
+			d.Send(next, look+jitter, handlerFunc(func(any) {
 				at := next.Now()
 				if at < from+look {
 					t.Errorf("causality: message sent at %v (+%v) ran at %v", from, look, at)
 				}
 				traces[(i+1)%n] = append(traces[(i+1)%n],
 					fmt.Sprintf("recv@%v from n%d", at, i))
-			})
+			}), nil)
 			d.Schedule(time.Millisecond, tick)
 		}
 		d.Schedule(0, tick)
@@ -92,86 +92,6 @@ func TestExecutorRunAdvancesClocks(t *testing.T) {
 		if d.Now() != 10*time.Millisecond {
 			t.Fatalf("domain %s clock %v, want 10ms", d.Label(), d.Now())
 		}
-	}
-}
-
-// TestCrossDomainTimerStop covers the lazy-cancellation protocol: a
-// timer scheduled into another domain then stopped must not fire, must
-// not double-recycle, and the freed event slot must be safely reusable.
-func TestCrossDomainTimerStop(t *testing.T) {
-	x := NewExecutor(7, 2)
-	defer x.Shutdown()
-	a := x.NewDomain("a")
-	b := x.NewDomain("b")
-	a.ObserveInboundLatency(time.Millisecond)
-	b.ObserveInboundLatency(time.Millisecond)
-
-	// Stop before the message is even delivered.
-	fired := 0
-	tm := a.SendTo(b, 5*time.Millisecond, func() { fired++ })
-	if tm.IsZero() {
-		t.Fatal("SendTo returned zero Timer")
-	}
-	if !tm.Stop() {
-		t.Fatal("Stop before delivery reported not cancelled")
-	}
-	if tm.Stop() {
-		t.Fatal("second Stop reported cancelled again")
-	}
-	x.Run(10 * time.Millisecond)
-	if fired != 0 {
-		t.Fatalf("stopped-before-delivery timer fired %d times", fired)
-	}
-	bs := b.Stats()
-	if bs.Delivered != 0 || bs.Cancelled != 1 {
-		t.Fatalf("stats after undelivered stop: %+v", bs)
-	}
-
-	// Stop after delivery (the event sits in b's heap) but before fire.
-	tm2 := a.SendTo(b, 20*time.Millisecond, func() { fired++ })
-	x.Run(15 * time.Millisecond) // delivers the message, does not fire it
-	if got := b.Stats().Delivered; got != 1 {
-		t.Fatalf("message not delivered: Delivered=%d", got)
-	}
-	if !tm2.Stop() {
-		t.Fatal("Stop after delivery reported not cancelled")
-	}
-	x.Run(30 * time.Millisecond)
-	if fired != 0 {
-		t.Fatalf("stopped-after-delivery timer fired %d times", fired)
-	}
-	bs = b.Stats()
-	if bs.Fired != 0 || bs.Cancelled != 2 {
-		t.Fatalf("stats after delivered stop: %+v", bs)
-	}
-	// Exactly one recycle for the one materialized event: no double
-	// recycle from the Stop racing the lazy discard.
-	if bs.Recycled != 1 {
-		t.Fatalf("materialized event recycled %d times, want 1", bs.Recycled)
-	}
-
-	// The recycled slot is generation-bumped: reuse it for a local
-	// timer and confirm the stale cross-domain handle stays inert while
-	// the new timer works.
-	ranLocal := false
-	local := b.Schedule(time.Millisecond, func() { ranLocal = true })
-	if tm2.Stop() {
-		t.Fatal("stale cross-domain Stop cancelled something after recycle")
-	}
-	x.Run(40 * time.Millisecond)
-	if !ranLocal {
-		t.Fatal("local timer on recycled event slot never fired")
-	}
-	_ = local
-
-	// Stop after fire is a no-op returning false.
-	tm3 := a.SendTo(b, time.Millisecond, func() { fired++ })
-	x.Run(45 * time.Millisecond)
-	if fired != 1 {
-		t.Fatalf("live cross-domain timer fired %d times, want 1", fired)
-	}
-	if tm3.Stop() {
-		t.Fatal("Stop after fire reported cancelled")
 	}
 }
 
@@ -222,16 +142,16 @@ func TestZeroLookaheadFallback(t *testing.T) {
 		a.ObserveInboundLatency(0)
 		b.ObserveInboundLatency(0)
 		count := 0
-		var ping, pong func()
-		ping = func() {
+		var ping, pong handlerFunc
+		ping = func(any) {
 			if count >= 100 {
 				return
 			}
 			count++
-			a.SendTo(b, 0, pong)
+			a.Send(b, 0, pong, nil)
 		}
-		pong = func() { b.SendTo(a, 0, ping) }
-		a.Schedule(0, ping)
+		pong = func(any) { b.Send(a, 0, ping, nil) }
+		a.Schedule(0, func() { ping(nil) })
 		x.Run(time.Millisecond)
 		if x.Fallbacks() == 0 {
 			t.Error("zero-lookahead run never used the sequential fallback")
@@ -269,9 +189,8 @@ func TestSingleDomainDigestStable(t *testing.T) {
 	}
 }
 
-// TestDomainStatsLedger: fired plus lazily-discarded events equals
-// recycles per domain — every materialized event is recycled exactly
-// once.
+// TestDomainStatsLedger: fired plus cancelled events equals recycles
+// per domain — every materialized event is recycled exactly once.
 func TestDomainStatsLedger(t *testing.T) {
 	_, _ = workload(t, 4)
 	x := NewExecutor(42, 4)
@@ -281,11 +200,11 @@ func TestDomainStatsLedger(t *testing.T) {
 	a.ObserveInboundLatency(time.Millisecond)
 	b.ObserveInboundLatency(time.Millisecond)
 	for i := 0; i < 10; i++ {
-		tm := a.SendTo(b, time.Duration(i+1)*time.Millisecond, func() {})
+		a.Send(b, time.Duration(i+1)*time.Millisecond, handlerFunc(func(any) {}), nil)
+		tm := a.Schedule(time.Duration(i)*time.Millisecond, func() {})
 		if i%2 == 0 {
 			tm.Stop()
 		}
-		a.Schedule(time.Duration(i)*time.Millisecond, func() {})
 	}
 	x.Run(50 * time.Millisecond)
 	for _, d := range x.Domains() {
@@ -299,11 +218,11 @@ func TestDomainStatsLedger(t *testing.T) {
 		}
 	}
 	bs := b.Stats()
-	if bs.Fired != 5 {
-		t.Fatalf("b fired %d cross-domain events, want 5", bs.Fired)
+	if bs.Fired != 10 {
+		t.Fatalf("b fired %d cross-domain events, want 10", bs.Fired)
 	}
 	as := a.Stats()
-	if as.Sent != 10 || as.Fired != 10 {
+	if as.Sent != 10 || as.Fired != 5 || as.Cancelled != 5 {
 		t.Fatalf("a stats: %+v", as)
 	}
 }

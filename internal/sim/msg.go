@@ -18,9 +18,8 @@ type Handler interface {
 // receiving domain at virtual time at". (dom, seq) is the sender's
 // unique key, slotting the message into the deterministic global merge
 // order (at, dom, seq) no matter when the train carrying it is flushed.
-// Unlike xmsg there is no cancellation flag: typed sends are
-// fire-and-forget (packet deliveries), which is what makes them
-// allocation-free.
+// There is no cancellation flag: typed sends are fire-and-forget
+// (packet deliveries), which is what makes them allocation-free.
 type tmsg struct {
 	at  time.Duration
 	dom int32
@@ -32,8 +31,7 @@ type tmsg struct {
 // train accumulates this domain's typed messages for one destination
 // between flushes. A burst of N packets over one cross-domain link costs
 // N slice appends plus a single lock acquisition at flush time, instead
-// of the N allocations and N lock acquisitions the closure-based SendTo
-// path pays.
+// of N allocations and N lock acquisitions.
 type train struct {
 	dst   *Domain
 	msgs  []tmsg
@@ -84,10 +82,9 @@ func (d *Domain) ObserveInboundLink(src *Domain, delay time.Duration) {
 // Send arranges for h.Invoke(arg) to run in dst at this domain's
 // Now()+delay. Same-domain sends become ordinary local events.
 // Cross-domain sends append to the per-(src,dst) train, which the
-// executor flushes into dst's inbox once per execution window — the
-// allocation-free, lock-amortized replacement for SendTo on the
-// per-packet data path. There is no Timer: typed sends cannot be
-// cancelled.
+// executor flushes into dst's inbox once per execution window:
+// allocation-free and lock-amortized on the per-packet data path.
+// There is no Timer: typed sends cannot be cancelled.
 func (d *Domain) Send(dst *Domain, delay time.Duration, h Handler, arg any) {
 	if h == nil {
 		panic("sim: Send with nil handler")

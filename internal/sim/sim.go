@@ -44,18 +44,16 @@ type Clock interface {
 // zero Timer is valid and Stop on it is a no-op. Because events recycle
 // through a free list, the handle carries a generation stamp — a Timer
 // whose event has fired (and possibly been reused) safely does nothing.
-// Timers returned by Domain.SendTo for cross-domain sends carry a
-// shared cancellation flag instead of a heap reference, since the
-// destination heap belongs to another worker.
+// TickWheel timers carry their entry's cancellation flag instead of a
+// heap reference, since one heap event backs a whole slot of entries.
 type Timer struct {
 	ev  *event
 	gen uint32
-	// cancel backs cross-domain and tick-wheel timers (lazy
-	// cancellation).
+	// cancel and wentry back TickWheel timers: the entry's lazy
+	// cancellation flag, and the entry itself so Stop can route through
+	// the wheel and release the slot's heap event when its last entry
+	// is cancelled.
 	cancel *atomic.Uint32
-	// wentry additionally backs TickWheel timers: Stop routes through
-	// the wheel so a slot whose last entry is cancelled releases its
-	// underlying heap event.
 	wentry *wheelEntry
 	// real backs RealClock timers.
 	real *time.Timer
@@ -66,18 +64,14 @@ type Timer struct {
 // no-op. For in-domain timers, cancelling removes the event from the
 // queue immediately, so the callback closure (and anything it captures)
 // is released right away rather than being retained until its deadline
-// pops. Cross-domain timers cancel lazily: the flag flips now and the
-// owning domain discards the message at delivery or fire time, so the
-// event is recycled exactly once no matter which side wins the race.
+// pops. TickWheel timers cancel lazily: the flag flips now and the slot
+// skips the entry when it fires.
 func (t Timer) Stop() bool {
 	if t.real != nil {
 		return t.real.Stop()
 	}
 	if t.wentry != nil {
 		return t.wentry.stop()
-	}
-	if t.cancel != nil {
-		return t.cancel.CompareAndSwap(timerPending, timerStopped)
 	}
 	if t.ev == nil || t.ev.gen != t.gen {
 		return false
@@ -92,7 +86,7 @@ func (t Timer) IsZero() bool { return t.ev == nil && t.cancel == nil && t.real =
 
 // Pending reports whether the timer's callback is still scheduled: not
 // yet fired and not stopped. For in-domain timers the generation stamp
-// answers exactly; for cross-domain timers the shared cancellation flag
+// answers exactly; for TickWheel timers the entry's cancellation flag
 // does. RealClock timers report false — the wall clock offers no
 // portable way to inspect a time.Timer, and the lifecycle audits that
 // need Pending only run in simulation.
@@ -113,14 +107,12 @@ type event struct {
 	fn  func()
 	// h/arg back typed events (Send): no closure is allocated, the
 	// long-lived Handler and its payload ride in the struct directly.
-	h   Handler
-	arg any
-	idx int    // position in the heap
-	gen uint32 // incremented on recycle; stale Timers compare unequal
-	// cancel is non-nil for cross-domain events (lazy cancellation).
-	cancel *atomic.Uint32
-	owner  *Domain
-	next   *event // free-list link
+	h     Handler
+	arg   any
+	idx   int    // position in the heap
+	gen   uint32 // incremented on recycle; stale Timers compare unequal
+	owner *Domain
+	next  *event // free-list link
 }
 
 // Loop is the single-timeline façade over a one-or-more-domain

@@ -198,18 +198,14 @@ func (x *Executor) BindWire(h WireHandler) uint32 {
 }
 
 // collectRemote drains every replica domain's pending input into
-// encoded wire messages appended to out. Three cases:
+// encoded wire messages appended to out. Two cases:
 //
-//   - typed messages originated by an owned node domain: the authentic
-//     copy — encode and ship to the destination's owner (the local
-//     pooled argument is released).
-//   - messages originated by the control domain (closure or typed):
-//     control is replicated, so the destination's owner generated its
-//     own identical copy locally; drop ours (releasing typed args).
-//   - closures originated by a node domain: cannot cross a process
-//     boundary — a typed error, not silent loss. Production cross-domain
-//     traffic uses the typed Send path (netem links), which is
-//     wire-capable.
+//   - messages originated by an owned node domain: the authentic copy —
+//     encode and ship to the destination's owner (the local pooled
+//     argument is released).
+//   - messages originated by the control domain: control is replicated,
+//     so the destination's owner generated its own identical copy
+//     locally; drop ours (releasing the argument).
 //
 // Barrier context only (called from the transport's Exchange).
 func (x *Executor) collectRemote(out []WireMsg) ([]WireMsg, error) {
@@ -218,24 +214,14 @@ func (x *Executor) collectRemote(out []WireMsg) ([]WireMsg, error) {
 			continue
 		}
 		d.inMu.Lock()
-		if len(d.inbox) == 0 && len(d.tin) == 0 {
+		if len(d.tin) == 0 {
 			d.inMu.Unlock()
 			continue
 		}
-		msgs := d.inbox
 		tmsgs := d.tin
-		d.inbox = d.spare[:0]
 		d.tin = d.tspare[:0]
 		d.inboxMin.Store(int64(maxTime))
 		d.inMu.Unlock()
-		for i := range msgs {
-			m := &msgs[i]
-			if m.dom != 0 {
-				return out, fmt.Errorf("sim: closure SendTo from domain %d into remote domain %d (%s): only typed Send crosses shards", m.dom, d.id, d.label)
-			}
-			m.fn, m.cancel = nil, nil
-		}
-		d.spare = msgs[:0]
 		for i := range tmsgs {
 			m := &tmsgs[i]
 			wh, ok := m.h.(WireHandler)

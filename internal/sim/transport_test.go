@@ -352,11 +352,11 @@ func TestHandshakeDeadline(t *testing.T) {
 	}
 }
 
-// TestClosureAcrossShardsIsTypedError pins the contract that only typed
-// Sends cross shards: an event-context closure SendTo into a remote
-// domain surfaces a typed transport error at the next exchange barrier
-// instead of silently losing the message.
-func TestClosureAcrossShardsIsTypedError(t *testing.T) {
+// TestNonWireHandlerAcrossShardsIsTypedError pins the contract that
+// only wire-capable handlers cross shards: an event-context Send of a
+// plain Handler into a remote domain surfaces a typed transport error
+// at the next exchange barrier instead of silently losing the message.
+func TestNonWireHandlerAcrossShardsIsTypedError(t *testing.T) {
 	const timeout = 5 * time.Second
 	cc, wc := net.Pipe()
 	workerErr := make(chan error, 1)
@@ -375,7 +375,7 @@ func TestClosureAcrossShardsIsTypedError(t *testing.T) {
 		x.Distribute(w, 1, 2)
 		defer x.Shutdown()
 		b.Schedule(time.Millisecond, func() {
-			b.SendTo(a, time.Millisecond, func() {})
+			b.Send(a, time.Millisecond, handlerFunc(func(any) {}), nil)
 		})
 		workerErr <- x.Run(100 * time.Millisecond)
 	}()
@@ -392,19 +392,19 @@ func TestClosureAcrossShardsIsTypedError(t *testing.T) {
 	x.Distribute(coord, 0, 2)
 	defer x.Shutdown()
 	b.Schedule(time.Millisecond, func() {
-		b.SendTo(a, time.Millisecond, func() {})
+		b.Send(a, time.Millisecond, handlerFunc(func(any) {}), nil)
 	})
 	cerr := x.Run(100 * time.Millisecond)
 	werr := <-workerErr
 	if werr == nil {
-		t.Fatal("worker Run succeeded despite cross-shard closure")
+		t.Fatal("worker Run succeeded despite a cross-shard non-wire handler")
 	}
 	var te *TransportError
 	if !errors.As(werr, &te) {
 		t.Fatalf("worker error %T is not *TransportError", werr)
 	}
-	if !strings.Contains(werr.Error(), "closure SendTo") {
-		t.Fatalf("worker error %q does not name the closure contract", werr)
+	if !strings.Contains(werr.Error(), "not wire-capable") {
+		t.Fatalf("worker error %q does not name the wire-handler contract", werr)
 	}
 	// The coordinator must fail too (FAIL broadcast or read error), not
 	// hang; its exact error depends on timing.

@@ -52,19 +52,19 @@ func (p *DistParams) normalize() {
 	}
 }
 
-// DistResult is one process's fingerprint of the scenario.
+// DistResult is one process's fingerprint of the scenario. For a shard
+// of a split run the embedded whole-world digests cover only what this
+// process saw; MergeDistResults rebuilds the real ones from
+// DomainDigests and Snapshot.
 type DistResult struct {
+	Outcome
 	// DomainDigests has one schedule digest per domain (index = domain
 	// id); entries for domains this shard does not own are stale
 	// replicas and must be substituted from the owner's report.
 	DomainDigests []uint64
-	// ScheduleDigest folds DomainDigests — the whole-world fingerprint
-	// for a single-process run, meaningless for a shard.
-	ScheduleDigest uint64
-	// Telemetry is the registry snapshot (authoritative only for owned
-	// nodes' series); TelemetryDigest folds it.
-	Telemetry       []telemetry.MetricValue
-	TelemetryDigest uint64
+	// Snapshot is the registry snapshot (authoritative only for owned
+	// nodes' series).
+	Snapshot []telemetry.MetricValue
 	// Delivered counts CBR packets received across all flows, a cheap
 	// liveness check that traffic actually crossed shard boundaries.
 	Delivered uint64
@@ -76,9 +76,10 @@ type DistResult struct {
 // The caller owns tr and closes it after the run.
 func RunDist(p DistParams, tr sim.DomainTransport, shard, shards int) (*DistResult, error) {
 	p.normalize()
-	v := core.NewParallel(p.Seed, p.Workers)
-	defer v.Close()
-	v.EnableTelemetry()
+	res := &DistResult{}
+	w := newWorld("dist", &res.Outcome, p.Seed, p.Workers)
+	v := w.vini
+	defer v.Close() // error paths; finish already closed on success
 
 	// Ring plus stride-2 chords: every node has degree 4, failures leave
 	// the graph connected, and shortest paths cross shard boundaries for
@@ -108,6 +109,7 @@ func RunDist(p DistParams, tr sim.DomainTransport, shard, shards int) (*DistResu
 		}
 	}
 	v.ComputeRoutes()
+	w.baseline()
 
 	if shards > 1 {
 		v.Distribute(tr, shard, shards)
@@ -129,13 +131,12 @@ func RunDist(p DistParams, tr sim.DomainTransport, shard, shards int) (*DistResu
 
 	// Timed failure and recovery on the control timeline (replicated on
 	// every shard; the substrate IGP reroutes after 50ms).
-	loop := v.Loop()
-	loop.Schedule(p.Duration/4, func() {
+	w.loop.Schedule(p.Duration/4, func() {
 		if err := v.FailLink(names[0], names[1], 50*time.Millisecond); err != nil {
 			panic(err)
 		}
 	})
-	loop.Schedule(3*p.Duration/4, func() {
+	w.loop.Schedule(3*p.Duration/4, func() {
 		if err := v.RestoreLink(names[0], names[1], 50*time.Millisecond); err != nil {
 			panic(err)
 		}
@@ -155,16 +156,15 @@ func RunDist(p DistParams, tr sim.DomainTransport, shard, shards int) (*DistResu
 		f.Stop()
 	}
 
-	res := &DistResult{
-		DomainDigests: v.Executor().DomainDigests(),
-		Telemetry:     v.Telemetry().Reg.Snapshot(),
-		Rounds:        v.Executor().Rounds(),
-	}
-	res.ScheduleDigest = sim.FoldDigests(res.DomainDigests)
-	res.TelemetryDigest = telemetry.DigestOf(res.Telemetry)
+	res.DomainDigests = v.Executor().DomainDigests()
+	res.Snapshot = v.Telemetry().Reg.Snapshot()
+	res.Rounds = v.Executor().Rounds()
 	for _, f := range flows {
 		res.Delivered += uint64(f.Received())
+		f.Close()
 	}
+	w.audit("end of run")
+	w.finish("shard=%d/%d delivered=%d", shard, shards, res.Delivered)
 	return res, nil
 }
 
@@ -194,13 +194,13 @@ func MergeDistResults(results []*DistResult, shards int) (schedule, tel uint64, 
 			return 0, 0, fmt.Errorf("simtest: missing result from shard %d", s)
 		}
 		byShard[s] = r.DomainDigests
-		snaps[s] = r.Telemetry
+		snaps[s] = r.Snapshot
 	}
 	schedule, err = core.MergeShardDigests(byShard, shards)
 	if err != nil {
 		return 0, 0, err
 	}
-	merged, err := telemetry.MergeSnapshots(results[0].Telemetry, DistOwner(shards), snaps)
+	merged, err := telemetry.MergeSnapshots(results[0].Snapshot, DistOwner(shards), snaps)
 	if err != nil {
 		return 0, 0, err
 	}

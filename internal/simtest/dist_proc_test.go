@@ -8,11 +8,11 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"vini/internal/sim"
-	"vini/internal/telemetry"
 )
 
 // buildVinid compiles cmd/vinid once per test binary.
@@ -45,71 +45,20 @@ func spawnWorkers(t *testing.T, bin, addr string, shards int, extra ...string) [
 	return procs
 }
 
-// TestDistParityAcrossProcesses is the acceptance property: the same
-// seeded scenario runs in-process and split across vinid worker
-// PROCESSES over loopback sockets, and the merged per-domain schedule
-// digests and telemetry registry digest are byte-identical.
+// TestDistParityAcrossProcesses is the acceptance property, driven
+// through the real command: vinid coordinates one seeded scenario split
+// across itself and two worker PROCESSES over loopback sockets, reruns
+// it in-process (-check), and exits non-zero unless the merged
+// per-domain schedule digests and telemetry registry digest are
+// byte-identical.
 func TestDistParityAcrossProcesses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles and spawns subprocesses")
 	}
-	bin := buildVinid(t)
-	p := DistParams{Seed: 777, Nodes: 9, Duration: 2 * time.Second, Workers: 2}
-	base, err := RunDist(p, nil, 0, 1)
-	if err != nil {
-		t.Fatalf("in-process run: %v", err)
-	}
-
-	const shards = 3 // coordinator in this process + 2 worker processes
-	const timeout = 60 * time.Second
-	payload, err := json.Marshal(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	procs := spawnWorkers(t, bin, ln.Addr().String(), shards)
-
-	coord, err := sim.AcceptWorkers(ln, shards, payload, timeout)
-	if err != nil {
-		t.Fatalf("accept: %v", err)
-	}
-	defer coord.Close()
-	own, err := RunDist(p, coord, 0, shards)
-	if err != nil {
-		t.Fatalf("coordinator run: %v", err)
-	}
-	reports, err := coord.Gather()
-	if err != nil {
-		t.Fatalf("gather: %v", err)
-	}
-	results := make([]*DistResult, shards)
-	results[0] = own
-	for _, r := range reports {
-		var snap []telemetry.MetricValue
-		if err := json.Unmarshal(r.Payload, &snap); err != nil {
-			t.Fatalf("shard %d telemetry payload: %v", r.Shard, err)
-		}
-		results[r.Shard] = &DistResult{DomainDigests: r.Digests, Telemetry: snap}
-	}
-	for _, c := range procs {
-		if err := c.Wait(); err != nil {
-			t.Fatalf("worker process: %v", err)
-		}
-	}
-
-	sched, tel, err := MergeDistResults(results, shards)
-	if err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-	if sched != base.ScheduleDigest {
-		t.Fatalf("merged schedule digest %016x != in-process %016x", sched, base.ScheduleDigest)
-	}
-	if tel != base.TelemetryDigest {
-		t.Fatalf("merged telemetry digest %016x != in-process %016x", tel, base.TelemetryDigest)
+	out, err := exec.Command(buildVinid(t), "-shards", "3", "-check",
+		"-seed", "777", "-nodes", "9", "-duration", "2s", "-workers", "2").CombinedOutput()
+	if err != nil || !strings.Contains(string(out), "parity check passed") {
+		t.Fatalf("vinid -shards 3 -check: %v\n%s", err, out)
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"vini/internal/core"
-	"vini/internal/netem"
-	"vini/internal/sched"
 	"vini/internal/sim"
 )
 
@@ -53,9 +51,8 @@ func genTopology(rng *sim.RNG, n int) []genLink {
 // scenario is one generated world: substrate, slice, mirrors of every
 // virtual link, and per-node delivery counters for the traffic probes.
 type scenario struct {
-	opts  Options
+	*world
 	rng   *sim.RNG
-	vini  *core.VINI
 	slice *core.Slice
 	nodes []string
 	vnode []*core.VirtualNode
@@ -79,82 +76,53 @@ type scenario struct {
 // comes from a single RNG stream, so construction order is the replay
 // discipline: never reorder these calls without a compatibility note.
 func buildScenario(opts Options) (*scenario, error) {
+	if opts.MinNodes == 0 {
+		opts.MinNodes = 3
+	}
+	if opts.MaxNodes == 0 {
+		opts.MaxNodes = 8
+	}
+	if opts.MaxNodes < opts.MinNodes {
+		return nil, fmt.Errorf("simtest: MaxNodes %d < MinNodes %d", opts.MaxNodes, opts.MinNodes)
+	}
 	rng := sim.NewRNG(opts.Seed)
 	n := opts.MinNodes + rng.Intn(opts.MaxNodes-opts.MinNodes+1)
-	vini := core.New(opts.Seed)
-	if opts.Workers > 0 {
-		vini = core.NewParallel(opts.Seed, opts.Workers)
-	}
-	// Telemetry runs in every scenario so the worker-parity property
-	// also pins the metrics registry and flight recorder byte-for-byte.
-	vini.EnableTelemetry()
+	res := &Result{Nodes: n}
 	sc := &scenario{
-		opts:      opts,
+		world:     newWorld("base", &res.Outcome, opts.Seed, opts.Workers),
 		rng:       rng,
-		vini:      vini,
 		crashed:   make([]bool, n),
 		addrOwner: make(map[netip.Addr]int),
 		delivered: make([]int, n),
-		res:       &Result{Seed: opts.Seed, Workers: opts.Workers},
+		res:       res,
 	}
-	prof := netem.DETERProfile()
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("n%d", i)
-		sc.nodes = append(sc.nodes, name)
-		addr := netip.AddrFrom4([4]byte{192, 168, byte(1 + i/200), byte(1 + i%200)})
-		if _, err := sc.vini.AddNode(name, addr, prof, sched.Options{}); err != nil {
-			return nil, err
-		}
+	var err error
+	if sc.nodes, sc.links, err = sc.genSubstrate(rng, n, 1, 10); err != nil {
+		return nil, err
 	}
-	sc.links = genTopology(rng, n)
-	for _, l := range sc.links {
-		if _, err := sc.vini.AddLink(netem.LinkConfig{
-			A: sc.nodes[l.a], B: sc.nodes[l.b],
-			Bandwidth: 1e9, Delay: time.Duration(1+rng.Intn(10)) * time.Millisecond,
-		}); err != nil {
-			return nil, err
-		}
-	}
-	sc.vini.ComputeRoutes()
+	res.Links = len(sc.links)
 
-	s, err := sc.vini.CreateSlice(core.SliceConfig{Name: "simtest", CPUShare: 1.0})
+	sc.slice, sc.vnode, sc.vls, err = sc.embed(core.SliceConfig{Name: "simtest", CPUShare: 1.0}, sc.nodes, sc.links)
 	if err != nil {
 		return nil, err
 	}
-	sc.slice = s
-	for i, name := range sc.nodes {
-		vn, err := s.AddVirtualNode(name)
-		if err != nil {
-			return nil, err
-		}
-		sc.vnode = append(sc.vnode, vn)
-		sc.addrOwner[vn.TapAddr] = i
-	}
-	for _, l := range sc.links {
-		vl, err := s.ConnectVirtual(sc.nodes[l.a], sc.nodes[l.b], l.cost)
-		if err != nil {
-			return nil, err
-		}
-		sc.vls = append(sc.vls, vl)
-	}
+	// Every node listens for probe datagrams on its kernel stack.
 	for i, vn := range sc.vnode {
+		sc.addrOwner[vn.TapAddr] = i
 		for _, ifc := range vn.Interfaces() {
 			sc.addrOwner[ifc.Addr] = i
 		}
-	}
-	// Every node listens for probe datagrams on its kernel stack.
-	for i, vn := range sc.vnode {
-		i := i
 		if err := vn.Phys().StackListenUDP(probePort, func([]byte) { sc.delivered[i]++ }); err != nil {
 			return nil, err
 		}
 	}
 	sc.withRIP = rng.Bool(0.4)
-	s.StartOSPF(time.Second, 3*time.Second)
+	res.WithRIP = sc.withRIP
+	sc.slice.StartOSPF(time.Second, 3*time.Second)
 	if sc.withRIP {
-		s.StartRIP(5 * time.Second)
+		sc.slice.StartRIP(5 * time.Second)
 	}
-	sc.res.Nodes, sc.res.Links, sc.res.WithRIP = n, len(sc.links), sc.withRIP
+	sc.baseline()
 	return sc, nil
 }
 

@@ -18,15 +18,6 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files with current output")
 
-// goldenRow renders one pinned line: the four digests plus a hash of the
-// telemetry JSON snapshot (the JSON itself is too large to commit).
-func goldenRow(regime string, seed int64, workers int, digest, schedule, tel, flight uint64, js string) string {
-	h := fnv.New64a()
-	h.Write([]byte(js))
-	return fmt.Sprintf("%s %d %d %016x %016x %016x %016x %016x\n",
-		regime, seed, workers, digest, schedule, tel, flight, h.Sum64())
-}
-
 // runDistSharded runs the distributed scenario split across `shards`
 // executors joined by loopback TCP sockets (all in this process — the
 // transport cannot tell) and returns every shard's result, index =
@@ -83,60 +74,36 @@ func runDistSharded(t *testing.T, p DistParams, shards int) []*DistResult {
 // TestRegimeDigestsGolden pins every regime's digests — scenario,
 // event schedule, telemetry registry, flight recorder, JSON snapshot —
 // for seeds 1..3 on the classic loop and on 1 and 4 sharded workers
-// (dist: whole and split three ways). The file was recorded before the
-// runners were folded onto the shared world helper; any diff means the
-// refactor moved behaviour. Regenerate with -update only alongside a
-// documented, intentional behaviour change.
+// (dist: whole and split three ways). The file was recorded on the six
+// hand-rolled runners that preceded the regime kernel, so a diff means
+// behaviour moved. Regenerate with -update only alongside a documented,
+// intentional behaviour change.
 func TestRegimeDigestsGolden(t *testing.T) {
 	var b strings.Builder
-	for seed := int64(1); seed <= 3; seed++ {
-		for _, w := range []int{0, 1, 4} {
-			r, err := Run(Options{Seed: seed, Workers: w})
-			if err != nil {
-				t.Fatal(err)
-			}
-			b.WriteString(goldenRow("base", seed, w, r.Digest, r.ScheduleDigest, r.TelemetryDigest, r.FlightDigest, r.Telemetry))
+	for _, rg := range regimes {
+		run := rg.run
+		if rg.name == "scale" {
+			run = smallScale
 		}
-	}
-	for seed := int64(1); seed <= 3; seed++ {
-		for _, w := range []int{0, 1, 4} {
-			r, err := RunChurn(ChurnOptions{Seed: seed, Workers: w})
-			if err != nil {
-				t.Fatal(err)
+		for seed := int64(1); seed <= 3; seed++ {
+			for _, w := range []int{0, 1, 4} {
+				r, err := run(seed, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				o := r.header()
+				// The JSON snapshot is too large to commit; pin its hash.
+				js := fnv.New64a()
+				js.Write([]byte(o.Telemetry))
+				fmt.Fprintf(&b, "%s %d %d %016x %016x %016x %016x %016x\n", rg.name, seed, w,
+					o.Digest, o.ScheduleDigest, o.TelemetryDigest, o.FlightDigest, js.Sum64())
 			}
-			b.WriteString(goldenRow("churn", seed, w, r.Digest, r.ScheduleDigest, r.TelemetryDigest, r.FlightDigest, r.Telemetry))
-		}
-	}
-	for seed := int64(1); seed <= 3; seed++ {
-		for _, w := range []int{0, 1, 4} {
-			r, err := RunScale(ScaleOptions{Seed: seed, Nodes: 24, Slices: 60, Workers: w})
-			if err != nil {
-				t.Fatal(err)
-			}
-			b.WriteString(goldenRow("scale", seed, w, r.Digest, r.ScheduleDigest, r.TelemetryDigest, r.FlightDigest, r.Telemetry))
-		}
-	}
-	for seed := int64(1); seed <= 3; seed++ {
-		for _, w := range []int{0, 1, 4} {
-			r, err := RunMigrate(MigrateOptions{Seed: seed, Workers: w})
-			if err != nil {
-				t.Fatal(err)
-			}
-			b.WriteString(goldenRow("migrate", seed, w, r.Digest, r.ScheduleDigest, r.TelemetryDigest, r.FlightDigest, r.Telemetry))
-		}
-	}
-	for seed := int64(1); seed <= 3; seed++ {
-		for _, w := range []int{0, 1, 4} {
-			r, err := RunAdaptive(AdaptiveOptions{Seed: seed, Workers: w})
-			if err != nil {
-				t.Fatal(err)
-			}
-			b.WriteString(goldenRow("adaptive", seed, w, r.Digest, r.ScheduleDigest, r.TelemetryDigest, r.FlightDigest, r.Telemetry))
 		}
 	}
 	// dist pins the merged schedule and telemetry digests only (the
-	// workers column is the shard count); the other columns have no
-	// whole-world meaning for a shard.
+	// workers column is the shard count; the other columns have no
+	// whole-world meaning for a shard). Every flow's receiver lives on
+	// exactly one shard, so delivered counts must partition across them.
 	for seed := int64(1); seed <= 3; seed++ {
 		p := DistParams{Seed: seed, Nodes: 6, Duration: 2 * time.Second, Workers: 2}
 		whole, err := RunDist(p, nil, 0, 1)
@@ -144,11 +111,15 @@ func TestRegimeDigestsGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		fmt.Fprintf(&b, "dist %d 1 - %016x %016x - -\n", seed, whole.ScheduleDigest, whole.TelemetryDigest)
-		sched, tel, err := MergeDistResults(runDistSharded(t, p, 3), 3)
+		shards := runDistSharded(t, p, 3)
+		sched, tel, err := MergeDistResults(shards, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fmt.Fprintf(&b, "dist %d 3 - %016x %016x - -\n", seed, sched, tel)
+		if sum := shards[0].Delivered + shards[1].Delivered + shards[2].Delivered; sum != whole.Delivered || sum == 0 {
+			t.Errorf("seed %d: shards delivered %d packets, the whole world %d", seed, sum, whole.Delivered)
+		}
 	}
 
 	path := filepath.Join("testdata", "regime_digests.golden")

@@ -7,9 +7,6 @@ import (
 	"vini/internal/packet"
 )
 
-// takeBaselineForTest snapshots the pool ledger for the leak test.
-func takeBaselineForTest() packet.PoolStats { return packet.Stats() }
-
 // leakPacketForTest obtains a pooled packet and deliberately drops it
 // on the floor — the exact bug class invariant 3 exists to catch.
 func leakPacketForTest() { _ = packet.Get() }

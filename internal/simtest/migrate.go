@@ -3,14 +3,11 @@ package simtest
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"net/netip"
 	"time"
 
 	"vini/internal/core"
-	"vini/internal/netem"
 	"vini/internal/packet"
-	"vini/internal/sched"
 	"vini/internal/sim"
 	"vini/internal/telemetry"
 )
@@ -39,52 +36,27 @@ type MigrateOptions struct {
 // MigrateResult is everything one migration scenario produced. Every
 // probe is painted with its round number and tracked per (destination,
 // sequence), so loss and duplication are attributable to the exact
-// in-flight packet, not just aggregate counters.
+// in-flight packet, not just aggregate counters. Digest folds every
+// per-round observation (op, migration phase, clone counts, probe
+// ledger, FIB fingerprints).
 type MigrateResult struct {
-	Seed    int64
-	Workers int
-	Rounds  int
-	Nodes   int
+	Outcome
+	Rounds int
+	Nodes  int
 	// Sent/Delivered/Duplicates aggregate the painted-probe ledger:
 	// Delivered counts probes that arrived at least once, Duplicates
 	// those that arrived more than once (must be 0).
 	Sent, Delivered, Duplicates int
-	Log                         []string
-	Violations                  []string
-	// Digest folds every per-round observation (op, migration phase,
-	// clone counts, probe ledger, FIB fingerprints); the remaining
-	// digests carry the same worker-parity obligations as in Result.
-	Digest          uint64
-	ScheduleDigest  uint64
-	TelemetryDigest uint64
-	FlightDigest    uint64
-	Telemetry       string
-}
-
-// Failed reports whether any migration invariant was violated.
-func (r *MigrateResult) Failed() bool { return len(r.Violations) > 0 }
-
-func (r *MigrateResult) String() string {
-	s := fmt.Sprintf("migrate seed=%d workers=%d rounds=%d nodes=%d sent=%d delivered=%d dups=%d digest=%016x",
-		r.Seed, r.Workers, r.Rounds, r.Nodes, r.Sent, r.Delivered, r.Duplicates, r.Digest)
-	for _, l := range r.Log {
-		s += "\n  " + l
-	}
-	for _, v := range r.Violations {
-		s += "\n  VIOLATION: " + v
-	}
-	return s
 }
 
 // migWorld is one generated migration scenario: the substrate, the
 // slice under test, the rotating spare node, and the painted-probe
 // delivery ledger.
 type migWorld struct {
+	*world
 	opts     MigrateOptions
 	rng      *sim.RNG
-	vini     *core.VINI
 	slice    *core.Slice
-	name     string // current slice name (changes across destroy/rebuild)
 	nodes    []string
 	subLinks []genLink
 	members  []string // phys nodes currently hosting the slice
@@ -112,36 +84,16 @@ func RunMigrate(opts MigrateOptions) (*MigrateResult, error) {
 	}
 	rng := sim.NewRNG(opts.Seed)
 	n := 4 + rng.Intn(3)
-	vini := core.New(opts.Seed)
-	if opts.Workers > 0 {
-		vini = core.NewParallel(opts.Seed, opts.Workers)
-	}
-	vini.EnableTelemetry()
+	res := &MigrateResult{Rounds: opts.Rounds, Nodes: n}
 	w := &migWorld{
-		opts: opts, rng: rng, vini: vini,
+		world: newWorld("migrate", &res.Outcome, opts.Seed, opts.Workers),
+		opts:  opts, rng: rng, res: res,
 		delivered: make([]map[string]uint32, n),
-		res: &MigrateResult{Seed: opts.Seed, Workers: opts.Workers,
-			Rounds: opts.Rounds, Nodes: n},
 	}
-	prof := netem.DETERProfile()
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("n%d", i)
-		w.nodes = append(w.nodes, name)
-		addr := netip.AddrFrom4([4]byte{192, 168, 3, byte(1 + i)})
-		if _, err := vini.AddNode(name, addr, prof, sched.Options{}); err != nil {
-			return nil, err
-		}
+	var err error
+	if w.nodes, w.subLinks, err = w.genSubstrate(rng, n, 3, 5); err != nil {
+		return nil, err
 	}
-	w.subLinks = genTopology(rng, n)
-	for _, l := range w.subLinks {
-		if _, err := vini.AddLink(netem.LinkConfig{
-			A: w.nodes[l.a], B: w.nodes[l.b],
-			Bandwidth: 1e9, Delay: time.Duration(1+rng.Intn(5)) * time.Millisecond,
-		}); err != nil {
-			return nil, err
-		}
-	}
-	vini.ComputeRoutes()
 	w.members = append([]string(nil), w.nodes[:n-1]...)
 	w.spare = w.nodes[n-1]
 	w.vlinks = genTopology(rng, n-1)
@@ -150,8 +102,7 @@ func RunMigrate(opts MigrateOptions) (*MigrateResult, error) {
 	for i, name := range w.nodes {
 		w.delivered[i] = make(map[string]uint32)
 		ledger := w.delivered[i]
-		node, _ := vini.Net.Node(name)
-		if err := node.StackListenUDP(migProbePort, func(d []byte) {
+		if err := w.vini.Net.MustNode(name).StackListenUDP(migProbePort, func(d []byte) {
 			if k, ok := probeKey(d); ok {
 				ledger[k]++
 			}
@@ -160,19 +111,11 @@ func RunMigrate(opts MigrateOptions) (*MigrateResult, error) {
 		}
 	}
 
-	baseline := packet.Stats()
+	w.baseline()
 	if err := w.buildSlice("mig0"); err != nil {
 		return nil, err
 	}
-	w.stable()
-
-	digest := fnv.New64a()
-	fold := func(format string, args ...any) {
-		fmt.Fprintf(digest, format+"\n", args...)
-	}
-	note := func(format string, args ...any) {
-		w.res.Log = append(w.res.Log, fmt.Sprintf(format, args...))
-	}
+	w.converge()
 
 	for round := 0; round < opts.Rounds; round++ {
 		// Round 0 is always a clean migration so every seed exercises
@@ -190,23 +133,22 @@ func RunMigrate(opts MigrateOptions) (*MigrateResult, error) {
 				op = 3
 			}
 		}
-		var err error
 		var line string
 		switch op {
 		case 0:
-			line, err = w.roundMigrate(round, baseline, false, fold)
+			line, err = w.roundMigrate(round, false)
 		case 1:
-			line, err = w.roundMigrate(round, baseline, true, fold)
+			line, err = w.roundMigrate(round, true)
 		case 2:
-			line, err = w.roundPauseAbort(round, baseline, fold)
+			line, err = w.roundPauseAbort(round)
 		case 3:
-			line, err = w.roundPauseDestroy(round, baseline, fold)
+			line, err = w.roundPauseDestroy(round)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("seed %d round %d: %w", opts.Seed, round, err)
 		}
-		note("round %d: %s", round, line)
-		fold("round %d %s fib=%016x", round, line, w.fingerprint())
+		w.note("round %d: %s", round, line)
+		w.fold("round %d %s fib=%016x", round, line, fibFingerprint(w.memberVNodes()))
 	}
 
 	// Final teardown: the substrate must come out exactly as clean as it
@@ -214,33 +156,11 @@ func RunMigrate(opts MigrateOptions) (*MigrateResult, error) {
 	if err := w.slice.Destroy(); err != nil {
 		w.violate("final destroy: %v", err)
 	}
-	if err := w.slice.Audit(); err != nil {
-		w.violate("final audit: %v", err)
-	}
-	loop := vini.Loop()
-	vini.Run(loop.Now() + 3*time.Second)
-	for i := 0; i < 40 && packet.Stats().Sub(baseline).InFlight() != 0; i++ {
-		vini.Run(loop.Now() + 50*time.Millisecond)
-	}
-	w.res.Violations = append(w.res.Violations, checkConservation(baseline, "final teardown")...)
-	if p := loop.Pending(); p != 0 {
-		w.violate("%d events still pending after final teardown (orphaned migration timers)", p)
-	}
-
-	for _, v := range w.res.Violations {
-		fold("violation %s", v)
-	}
-	w.res.Digest = digest.Sum64()
-	w.res.ScheduleDigest = vini.Executor().ScheduleDigest()
-	if tel := vini.Telemetry(); tel != nil {
-		w.res.TelemetryDigest = tel.Reg.Digest()
-		w.res.FlightDigest = tel.Rec.Digest()
-		if js, err := tel.SnapshotJSON(); err == nil {
-			w.res.Telemetry = string(js)
-		}
-	}
-	vini.Close()
-	return w.res, nil
+	w.audit("final teardown")
+	w.drain(3*time.Second, "final teardown")
+	w.finish("rounds=%d nodes=%d sent=%d delivered=%d dups=%d",
+		res.Rounds, res.Nodes, res.Sent, res.Delivered, res.Duplicates)
+	return res, nil
 }
 
 // roundMigrate is the core arm: continuous painted traffic through (and
@@ -249,8 +169,7 @@ func RunMigrate(opts MigrateOptions) (*MigrateResult, error) {
 // link fails mid-window and restores after the retirement — loss is
 // then legitimate (packets die on the dead physical link) but
 // duplicates and ledger imbalance still are not.
-func (w *migWorld) roundMigrate(round int, baseline packet.PoolStats, flap bool,
-	fold func(string, ...any)) (string, error) {
+func (w *migWorld) roundMigrate(round int, flap bool) (string, error) {
 	victimIdx := w.rng.Intn(len(w.members))
 	victim := w.members[victimIdx]
 	target := w.spare
@@ -259,7 +178,7 @@ func (w *migWorld) roundMigrate(round int, baseline packet.PoolStats, flap bool,
 	for i := 0; i < 3; i++ {
 		w.step(&keys, "", paint)
 	}
-	migStart := w.vini.Loop().Now()
+	migStart := w.loop.Now()
 	m, err := w.slice.Migrate(victim, target, core.MigrateOptions{
 		Window: 800 * time.Millisecond, Drain: 400 * time.Millisecond})
 	if err != nil {
@@ -279,7 +198,7 @@ func (w *migWorld) roundMigrate(round int, baseline packet.PoolStats, flap bool,
 		}
 		w.step(&keys, victim, paint)
 	}
-	w.vini.Run(w.vini.Loop().Now() + 2*time.Second)
+	w.run(2 * time.Second)
 	if m.Phase() != core.MigDone {
 		w.violate("round %d: migration %s->%s stuck in %s", round, victim, target, m.Phase())
 	}
@@ -297,7 +216,7 @@ func (w *migWorld) roundMigrate(round int, baseline packet.PoolStats, flap bool,
 	w.tap[target] = w.tap[victim]
 	delete(w.tap, victim)
 	w.spare = victim
-	w.stable()
+	w.converge()
 	// Bounded control-plane disruption: a clean migration transplants
 	// OSPF state, so no neighbor FSM transition may occur anywhere.
 	if !flap {
@@ -306,15 +225,13 @@ func (w *migWorld) roundMigrate(round int, baseline packet.PoolStats, flap bool,
 				round, nev)
 		}
 	}
-	w.checkRound(round, baseline, keys, !flap)
-	if err := w.slice.Audit(); err != nil {
-		w.violate("round %d: audit: %v", round, err)
-	}
+	w.checkRound(round, keys, !flap)
+	w.audit(fmt.Sprintf("round %d", round))
 	op := "migrate"
 	if flap {
 		op = "migrate+flap"
 	}
-	fold("%s %s->%s clones=%d drops=%d", op, victim, target, clones, drops)
+	w.fold("%s %s->%s clones=%d drops=%d", op, victim, target, clones, drops)
 	return fmt.Sprintf("%s %s->%s probes=%d clones=%d", op, victim, target, len(keys), clones), nil
 }
 
@@ -322,11 +239,38 @@ func (w *migWorld) roundMigrate(round int, baseline packet.PoolStats, flap bool,
 // migration must abort, the shadow's handles must all drop, and after
 // Resume the old instance must still forward with exactly-once
 // delivery.
-func (w *migWorld) roundPauseAbort(round int, baseline packet.PoolStats,
-	fold func(string, ...any)) (string, error) {
-	victim := w.members[w.rng.Intn(len(w.members))]
-	target := w.spare
-	var keys []string
+func (w *migWorld) roundPauseAbort(round int) (string, error) {
+	victim, target, keys, err := w.pauseMidMigration(round, 4)
+	if err != nil {
+		return "", err
+	}
+	paint := byte(round)
+	if node, ok := w.vini.Net.Node(target); ok && node.HasAddr(w.tap[victim]) {
+		w.violate("round %d: aborted shadow still answers for %v on %s", round, w.tap[victim], target)
+	}
+	w.audit(fmt.Sprintf("round %d after abort", round))
+	w.run(time.Second)
+	if err := w.slice.Resume(); err != nil {
+		w.violate("round %d: resume after abort: %v", round, err)
+	}
+	w.converge()
+	for i := 0; i < 4; i++ {
+		w.step(&keys, "", paint)
+	}
+	// The stale cutover timer (scheduled for the 5s window) must be
+	// inert; run past it before judging the ledger.
+	w.run(6 * time.Second)
+	w.checkRound(round, keys, true)
+	w.fold("pause-abort %s->%s", victim, target)
+	return fmt.Sprintf("pause-abort %s->%s probes=%d", victim, target, len(keys)), nil
+}
+
+// pauseMidMigration opens both pause arms: painted traffic, a migration
+// with a 5s double-delivery window, `during` more traffic steps inside
+// it, then Pause — which must abort the migration.
+func (w *migWorld) pauseMidMigration(round, during int) (victim, target string, keys []string, err error) {
+	victim = w.members[w.rng.Intn(len(w.members))]
+	target = w.spare
 	paint := byte(round)
 	for i := 0; i < 2; i++ {
 		w.step(&keys, "", paint)
@@ -334,125 +278,60 @@ func (w *migWorld) roundPauseAbort(round int, baseline packet.PoolStats,
 	m, err := w.slice.Migrate(victim, target, core.MigrateOptions{
 		Window: 5 * time.Second, Drain: 400 * time.Millisecond})
 	if err != nil {
-		return "", fmt.Errorf("migrate %s->%s: %w", victim, target, err)
+		return "", "", nil, fmt.Errorf("migrate %s->%s: %w", victim, target, err)
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < during; i++ {
 		w.step(&keys, victim, paint)
 	}
-	w.vini.Run(w.vini.Loop().Now() + time.Second) // drain in-flight probes
+	w.run(time.Second) // drain in-flight probes
 	if err := w.slice.Pause(); err != nil {
 		w.violate("round %d: pause mid-migration: %v", round, err)
 	}
 	if m.Phase() != core.MigAborted {
 		w.violate("round %d: pause left migration in %s, want Aborted", round, m.Phase())
 	}
-	if node, ok := w.vini.Net.Node(target); ok && node.HasAddr(w.tap[victim]) {
-		w.violate("round %d: aborted shadow still answers for %v on %s", round, w.tap[victim], target)
-	}
-	if err := w.slice.Audit(); err != nil {
-		w.violate("round %d: audit after abort: %v", round, err)
-	}
-	w.vini.Run(w.vini.Loop().Now() + time.Second)
-	if err := w.slice.Resume(); err != nil {
-		w.violate("round %d: resume after abort: %v", round, err)
-	}
-	w.stable()
-	for i := 0; i < 4; i++ {
-		w.step(&keys, "", paint)
-	}
-	// The stale cutover timer (scheduled for the 5s window) must be
-	// inert; run past it before judging the ledger.
-	w.vini.Run(w.vini.Loop().Now() + 6*time.Second)
-	w.checkRound(round, baseline, keys, true)
-	fold("pause-abort %s->%s", victim, target)
-	return fmt.Sprintf("pause-abort %s->%s probes=%d", victim, target, len(keys)), nil
+	return victim, target, keys, nil
 }
 
 // roundPauseDestroy is the Pause -> Destroy interleaving: destroying a
 // slice whose migration was aborted by the pause must release every
 // shadow handle, retire every telemetry series, and leave no orphaned
 // timers; the arm then rebuilds the slice so later rounds keep running.
-func (w *migWorld) roundPauseDestroy(round int, baseline packet.PoolStats,
-	fold func(string, ...any)) (string, error) {
-	victim := w.members[w.rng.Intn(len(w.members))]
-	target := w.spare
-	var keys []string
-	paint := byte(round)
-	for i := 0; i < 2; i++ {
-		w.step(&keys, "", paint)
-	}
-	m, err := w.slice.Migrate(victim, target, core.MigrateOptions{
-		Window: 5 * time.Second, Drain: 400 * time.Millisecond})
+func (w *migWorld) roundPauseDestroy(round int) (string, error) {
+	victim, target, keys, err := w.pauseMidMigration(round, 3)
 	if err != nil {
-		return "", fmt.Errorf("migrate %s->%s: %w", victim, target, err)
+		return "", err
 	}
-	for i := 0; i < 3; i++ {
-		w.step(&keys, victim, paint)
-	}
-	w.vini.Run(w.vini.Loop().Now() + time.Second) // drain in-flight probes
-	if err := w.slice.Pause(); err != nil {
-		w.violate("round %d: pause mid-migration: %v", round, err)
-	}
-	if m.Phase() != core.MigAborted {
-		w.violate("round %d: pause left migration in %s, want Aborted", round, m.Phase())
-	}
-	oldName := w.name
 	if err := w.slice.Destroy(); err != nil {
 		w.violate("round %d: destroy paused mid-migration slice: %v", round, err)
 	}
-	if err := w.slice.Audit(); err != nil {
-		w.violate("round %d: audit after destroy: %v", round, err)
-	}
+	where := fmt.Sprintf("round %d destroy", round)
+	w.audit(where)
 	if node, ok := w.vini.Net.Node(target); ok && node.HasAddr(w.tap[victim]) {
 		w.violate("round %d: destroyed shadow still answers for %v on %s", round, w.tap[victim], target)
 	}
-	if tel := w.vini.Telemetry(); tel != nil {
-		if live := tel.Reg.Series(oldName); live != 0 {
-			w.violate("round %d: %d telemetry series survive destroyed slice %s", round, live, oldName)
-		}
-	}
-	loop := w.vini.Loop()
-	w.vini.Run(loop.Now() + 6*time.Second) // past the stale cutover timer
-	for i := 0; i < 40 && packet.Stats().Sub(baseline).InFlight() != 0; i++ {
-		w.vini.Run(loop.Now() + 50*time.Millisecond)
-	}
-	w.res.Violations = append(w.res.Violations,
-		checkConservation(baseline, fmt.Sprintf("round %d destroy", round))...)
-	if p := loop.Pending(); p != 0 {
-		w.violate("round %d: %d events pending after mid-migration destroy (orphaned timers)", round, p)
-	}
+	w.drain(6*time.Second, where) // past the stale cutover timer
 	// Rebuild on the same members so later rounds have a slice to move.
 	if err := w.buildSlice(fmt.Sprintf("mig%d", round+1)); err != nil {
 		return "", err
 	}
-	w.stable()
-	w.checkRound(round, baseline, keys, true)
-	fold("pause-destroy %s->%s rebuilt=%s", victim, target, w.name)
-	return fmt.Sprintf("pause-destroy %s->%s probes=%d rebuilt=%s", victim, target, len(keys), w.name), nil
+	w.converge()
+	w.checkRound(round, keys, true)
+	w.fold("pause-destroy %s->%s rebuilt=%s", victim, target, w.slice.Name())
+	return fmt.Sprintf("pause-destroy %s->%s probes=%d rebuilt=%s", victim, target, len(keys), w.slice.Name()), nil
 }
 
 // buildSlice embeds the slice on the current members and starts OSPF.
 func (w *migWorld) buildSlice(name string) error {
-	s, err := w.vini.CreateSlice(core.SliceConfig{Name: name, CPUShare: 0.5, RT: true})
+	s, vns, _, err := w.embed(core.SliceConfig{Name: name, CPUShare: 0.5, RT: true}, w.members, w.vlinks)
 	if err != nil {
 		return err
 	}
-	for _, m := range w.members {
-		if _, err := s.AddVirtualNode(m); err != nil {
-			return err
-		}
-	}
-	for _, l := range w.vlinks {
-		if _, err := s.ConnectVirtual(w.members[l.a], w.members[l.b], l.cost); err != nil {
-			return err
-		}
-	}
 	s.StartOSPF(time.Second, 3*time.Second)
-	w.slice, w.name = s, name
+	w.slice = s
 	w.tap = make(map[string]netip.Addr)
-	for _, m := range w.members {
-		vn, _ := s.VirtualNode(m)
-		w.tap[m] = vn.TapAddr
+	for i, m := range w.members {
+		w.tap[m] = vns[i].TapAddr
 	}
 	return nil
 }
@@ -482,7 +361,7 @@ func (w *migWorld) step(keys *[]string, victim string, paint byte) {
 		si := avoid(w.rng.Intn(len(w.members)))
 		w.send(w.members[si], w.tap[victim], keys, paint)
 	}
-	w.vini.Run(w.vini.Loop().Now() + 100*time.Millisecond)
+	w.run(100 * time.Millisecond)
 }
 
 // send paints and injects one probe from src's kernel stack into the
@@ -528,13 +407,8 @@ func (w *migWorld) deliveries(k string) uint32 {
 
 // checkRound settles the pool ledger and then judges this round's
 // painted probes: exactly-once when lossless, at-most-once always.
-func (w *migWorld) checkRound(round int, baseline packet.PoolStats, keys []string, lossless bool) {
-	loop := w.vini.Loop()
-	for i := 0; i < 40 && packet.Stats().Sub(baseline).InFlight() != 0; i++ {
-		w.vini.Run(loop.Now() + 50*time.Millisecond)
-	}
-	w.res.Violations = append(w.res.Violations,
-		checkConservation(baseline, fmt.Sprintf("round %d", round))...)
+func (w *migWorld) checkRound(round int, keys []string, lossless bool) {
+	w.settle(fmt.Sprintf("round %d", round))
 	losses, dups := 0, 0
 	for _, k := range keys {
 		switch c := w.deliveries(k); {
@@ -566,20 +440,22 @@ func (w *migWorld) checkRound(round int, baseline packet.PoolStats, keys []strin
 	w.res.Duplicates += dups
 }
 
-// stable runs the loop until every member FIB's contents stop changing.
-func (w *migWorld) stable() {
-	w.vini.Loop().RunUntilStable(time.Second, 120*time.Second, 5, w.fingerprint)
+// converge runs the loop until every member FIB's contents stop
+// changing.
+func (w *migWorld) converge() {
+	w.stable(w.memberVNodes(), time.Second, 120*time.Second, 5)
 }
 
-// fingerprint hashes the FIBs of the current members, in member order.
-func (w *migWorld) fingerprint() uint64 {
+// memberVNodes lists the current members' virtual nodes, in member
+// order.
+func (w *migWorld) memberVNodes() []*core.VirtualNode {
 	var vns []*core.VirtualNode
 	for _, m := range w.members {
 		if vn, ok := w.slice.VirtualNode(m); ok {
 			vns = append(vns, vn)
 		}
 	}
-	return fibFingerprint(vns)
+	return vns
 }
 
 // neighborEventsSince counts OSPF neighbor FSM transitions recorded at
@@ -597,8 +473,4 @@ func (w *migWorld) neighborEventsSince(since time.Duration) int {
 		}
 	}
 	return n
-}
-
-func (w *migWorld) violate(format string, args ...any) {
-	w.res.Violations = append(w.res.Violations, fmt.Sprintf(format, args...))
 }

@@ -11,13 +11,11 @@ package simtest
 
 import (
 	"fmt"
-	"hash/fnv"
 	"net/netip"
 	"time"
 
 	"vini/internal/core"
 	"vini/internal/netem"
-	"vini/internal/packet"
 	"vini/internal/sched"
 	"vini/internal/sim"
 	"vini/internal/topology"
@@ -46,50 +44,19 @@ type ScaleOptions struct {
 	DemandsText string
 }
 
-// ScaleResult is everything one scale scenario produced.
+// ScaleResult is everything one scale scenario produced. Digest folds
+// embeddings, FIB fingerprints per phase, traffic counts and violations.
 type ScaleResult struct {
-	Seed    int64
-	Workers int
-	Nodes   int
-	Links   int
-	Slices  int
-	VNodes  int
-	Flows   int
+	Outcome
+	Nodes  int
+	Links  int
+	Slices int
+	VNodes int
+	Flows  int
 	// Sent/Delivered count demand datagrams; OfferedBps the scaled load.
 	Sent       uint64
 	Delivered  uint64
 	OfferedBps float64
-	// Events counts fired executor events end to end.
-	Events     uint64
-	Log        []string
-	Violations []string
-	// Digest folds every deterministic observation (embeddings, FIB
-	// fingerprints per phase, traffic counts, violations); it and the
-	// other digests must be byte-identical across worker counts.
-	Digest          uint64
-	ScheduleDigest  uint64
-	TelemetryDigest uint64
-	FlightDigest    uint64
-	Telemetry       string
-	// BuildSeconds/RunSeconds split wall-clock spend (diagnostic only —
-	// never folded into digests).
-	BuildSeconds float64
-	RunSeconds   float64
-}
-
-// Failed reports whether any invariant was violated.
-func (r *ScaleResult) Failed() bool { return len(r.Violations) > 0 }
-
-func (r *ScaleResult) String() string {
-	s := fmt.Sprintf("scale seed=%d workers=%d nodes=%d slices=%d vnodes=%d flows=%d sent=%d delivered=%d events=%d digest=%016x",
-		r.Seed, r.Workers, r.Nodes, r.Slices, r.VNodes, r.Flows, r.Sent, r.Delivered, r.Events, r.Digest)
-	for _, l := range r.Log {
-		s += "\n  " + l
-	}
-	for _, v := range r.Violations {
-		s += "\n  VIOLATION: " + v
-	}
-	return s
 }
 
 // scaleSlice is one embedded slice and its invariant-checking state.
@@ -104,6 +71,22 @@ type scaleSlice struct {
 	// mid is the failable virtual link (between hops 0 and 1).
 	mid  *core.VirtualLink
 	rate float64
+}
+
+// walk checks loop-freedom and reachability inside the slice: every
+// ordered (src, dst-tap) pair must walk the next-hop graph to delivery
+// without cycling; failed is called for each pair that does not.
+func (ss *scaleSlice) walk(failed func(s, d int, r walkResult, path string)) {
+	for d, dvn := range ss.vns {
+		for s := range ss.vns {
+			if s == d {
+				continue
+			}
+			if r, path := walkFIB(ss.vns, ss.owner, s, dvn.TapAddr); r != walkDelivered {
+				failed(s, d, r, path)
+			}
+		}
+	}
 }
 
 // maxScaleHops caps each slice's path length: slices are deliberately
@@ -151,41 +134,25 @@ func RunScale(opts ScaleOptions) (*ScaleResult, error) {
 		return nil, fmt.Errorf("simtest: scale demand matrix empty")
 	}
 
-	buildStart := time.Now()
-	vini := core.New(opts.Seed)
-	if opts.Workers > 0 {
-		vini = core.NewParallel(opts.Seed, opts.Workers)
-	}
-	vini.EnableTelemetry()
-	res := &ScaleResult{Seed: opts.Seed, Workers: opts.Workers,
-		Nodes: len(names), Links: len(g.Links()), Slices: opts.Slices}
-	note := func(format string, args ...any) {
-		res.Log = append(res.Log, fmt.Sprintf(format, args...))
-	}
-	violate := func(format string, args ...any) {
-		res.Violations = append(res.Violations, fmt.Sprintf(format, args...))
-	}
-	digest := fnv.New64a()
-	fold := func(format string, args ...any) {
-		fmt.Fprintf(digest, format+"\n", args...)
-	}
+	res := &ScaleResult{Nodes: len(names), Links: len(g.Links()), Slices: opts.Slices}
+	w := newWorld("scale", &res.Outcome, opts.Seed, opts.Workers)
 
 	// Substrate: one physical node per topology node, REPETITA link
 	// parameters verbatim.
 	prof := netem.DETERProfile()
 	for i, name := range names {
 		addr := netip.AddrFrom4([4]byte{198, byte(18 + i/40000), byte(1 + (i/200)%200), byte(1 + i%200)})
-		if _, err := vini.AddNode(name, addr, prof, sched.Options{}); err != nil {
+		if _, err := w.vini.AddNode(name, addr, prof, sched.Options{}); err != nil {
 			return nil, err
 		}
 	}
 	for _, l := range g.Links() {
-		if _, err := vini.AddLink(netem.LinkConfig{A: l.A, B: l.B,
+		if _, err := w.vini.AddLink(netem.LinkConfig{A: l.A, B: l.B,
 			Bandwidth: l.Bandwidth, Delay: l.Delay}); err != nil {
 			return nil, err
 		}
 	}
-	vini.ComputeRoutes()
+	w.vini.ComputeRoutes()
 
 	// Embed one slice per demand (cycling if the matrix is short): the
 	// demand's shortest path, capped at maxScaleHops, with a redundant
@@ -219,7 +186,7 @@ func RunScale(opts ScaleOptions) (*ScaleResult, error) {
 			hops = hops[:maxScaleHops]
 		}
 		name := fmt.Sprintf("s%04d", len(slices))
-		s, err := vini.CreateSlice(core.SliceConfig{
+		s, err := w.createSlice(core.SliceConfig{
 			Name: name, CPUShare: cpuShare,
 			MaxNodes: len(hops), MaxLinks: len(hops),
 		})
@@ -257,18 +224,15 @@ func RunScale(opts ScaleOptions) (*ScaleResult, error) {
 			}
 		}
 		s.StartOSPF(2*time.Second, 6*time.Second)
-		fold("slice %s id=%d prefix=%s ports=%s hops=%v",
+		w.fold("slice %s id=%d prefix=%s ports=%s hops=%v",
 			name, s.ID(), s.Prefix(), s.PortRange(), hops)
 		slices = append(slices, ss)
 		res.VNodes += len(ss.vns)
 	}
-	note("embedded %d slices (%d vnodes) on %d nodes / %d links",
+	w.note("embedded %d slices (%d vnodes) on %d nodes / %d links",
 		len(slices), res.VNodes, res.Nodes, res.Links)
-	res.BuildSeconds = time.Since(buildStart).Seconds()
+	w.baseline()
 
-	runStart := time.Now()
-	baseline := packet.Stats()
-	loop := vini.Loop()
 	allVN := make([]*core.VirtualNode, 0, res.VNodes)
 	for _, ss := range slices {
 		allVN = append(allVN, ss.vns...)
@@ -278,13 +242,11 @@ func RunScale(opts ScaleOptions) (*ScaleResult, error) {
 	// fires, and declaring quiescence inside that silence would check
 	// invariants against pre-reconvergence state.
 	stable := func(phase string) {
-		took, ok := loop.RunUntilStable(time.Second, 240*time.Second, 8, func() uint64 {
-			return fibFingerprint(allVN)
-		})
+		took, ok := w.stable(allVN, time.Second, 240*time.Second, 8)
 		if !ok {
-			violate("%s: FIBs did not quiesce within 240s", phase)
+			w.violate("%s: FIBs did not quiesce within 240s", phase)
 		}
-		fold("%s stable took=%v fib=%016x", phase, took, fibFingerprint(allVN))
+		w.fold("%s stable took=%v fib=%016x", phase, took, fibFingerprint(allVN))
 	}
 	// walkAll checks per-slice loop-freedom and reachability: every
 	// ordered (src, dst-tap) pair inside each slice must walk the
@@ -292,26 +254,16 @@ func RunScale(opts ScaleOptions) (*ScaleResult, error) {
 	walkAll := func(phase string) {
 		bad := 0
 		for _, ss := range slices {
-			for d, dvn := range ss.vns {
-				for s := range ss.vns {
-					if s == d {
-						continue
-					}
-					r, path := walkFIB(ss.vns, ss.owner, s, dvn.TapAddr)
-					if r != walkDelivered {
-						bad++
-						if bad <= 5 {
-							violate("%s: slice %s walk %d->%d: %v (%s)",
-								phase, ss.s.Name(), s, d, r, path)
-						}
-					}
+			ss.walk(func(s, d int, r walkResult, path string) {
+				if bad++; bad <= 5 {
+					w.violate("%s: slice %s walk %d->%d: %v (%s)", phase, ss.s.Name(), s, d, r, path)
 				}
-			}
+			})
 		}
 		if bad > 5 {
-			violate("%s: %d total failed walks", phase, bad)
+			w.violate("%s: %d total failed walks", phase, bad)
 		}
-		fold("%s walks bad=%d", phase, bad)
+		w.fold("%s walks bad=%d", phase, bad)
 	}
 
 	stable("converge")
@@ -321,10 +273,10 @@ func RunScale(opts ScaleOptions) (*ScaleResult, error) {
 	for _, ss := range slices {
 		for i, vn := range ss.vns {
 			if err := vn.RIB().Verify(); err != nil {
-				violate("slice %s n%d RIB vs FIB: %v", ss.s.Name(), i, err)
+				w.violate("slice %s n%d RIB vs FIB: %v", ss.s.Name(), i, err)
 			}
 			if err := vn.Router.Audit(); err != nil {
-				violate("slice %s n%d click audit: %v", ss.s.Name(), i, err)
+				w.violate("slice %s n%d click audit: %v", ss.s.Name(), i, err)
 			}
 		}
 	}
@@ -342,20 +294,12 @@ func RunScale(opts ScaleOptions) (*ScaleResult, error) {
 		ss := eligible[rng.Intn(len(eligible))]
 		ss.mid.SetFailed(true)
 		stable(fmt.Sprintf("flap%d-down", f))
-		for d, dvn := range ss.vns {
-			for s := range ss.vns {
-				if s == d {
-					continue
-				}
-				if r, path := walkFIB(ss.vns, ss.owner, s, dvn.TapAddr); r != walkDelivered {
-					violate("flap%d: slice %s lost %d->%d with chord up: %v (%s)",
-						f, ss.s.Name(), s, d, r, path)
-				}
-			}
-		}
+		ss.walk(func(s, d int, r walkResult, path string) {
+			w.violate("flap%d: slice %s lost %d->%d with chord up: %v (%s)", f, ss.s.Name(), s, d, r, path)
+		})
 		ss.mid.SetFailed(false)
 		stable(fmt.Sprintf("flap%d-up", f))
-		fold("flap%d slice=%s fib=%016x", f, ss.s.Name(), fibFingerprint(ss.vns))
+		w.fold("flap%d slice=%s fib=%016x", f, ss.s.Name(), fibFingerprint(ss.vns))
 	}
 
 	// Demand-driven traffic: one CBR flow per slice between its first
@@ -370,7 +314,7 @@ func RunScale(opts ScaleOptions) (*ScaleResult, error) {
 		flowMat.Demands = append(flowMat.Demands, topology.Demand{
 			Src: src, Dst: dst, RateBps: ss.rate})
 	}
-	flows, err := traffic.StartDemands(vini.Net, flowMat,
+	flows, err := traffic.StartDemands(w.vini.Net, flowMat,
 		func(name string) (*netem.Node, netip.Addr, bool) {
 			vn, ok := endpoints[name]
 			if !ok {
@@ -384,24 +328,24 @@ func RunScale(opts ScaleOptions) (*ScaleResult, error) {
 	}
 	res.Flows = len(flows.Flows)
 	res.OfferedBps = flows.OfferedBps
-	vini.Run(loop.Now() + opts.Window)
+	w.run(opts.Window)
 	flows.Stop()
 	// Drain in-flight datagrams, then every sent packet must have
 	// arrived: the overlay was converged and loop-free, so loss would
 	// mean a forwarding or scheduling defect.
 	for i := 0; i < 60 && flows.Delivered() != flows.Sent(); i++ {
-		vini.Run(loop.Now() + 250*time.Millisecond)
+		w.run(250 * time.Millisecond)
 	}
 	res.Sent, res.Delivered = flows.Sent(), flows.Delivered()
 	if res.Sent == 0 {
-		violate("traffic: no datagrams sent in %v window", opts.Window)
+		w.violate("traffic: no datagrams sent in %v window", opts.Window)
 	}
 	if res.Delivered != res.Sent {
-		violate("traffic: delivered %d of %d demand datagrams", res.Delivered, res.Sent)
+		w.violate("traffic: delivered %d of %d demand datagrams", res.Delivered, res.Sent)
 	}
-	note("traffic: %d flows, %.1f kbps offered, %d sent / %d delivered",
+	w.note("traffic: %d flows, %.1f kbps offered, %d sent / %d delivered",
 		res.Flows, res.OfferedBps/1000, res.Sent, res.Delivered)
-	fold("traffic flows=%d offered=%.0f sent=%d delivered=%d",
+	w.fold("traffic flows=%d offered=%.0f sent=%d delivered=%d",
 		res.Flows, res.OfferedBps, res.Sent, res.Delivered)
 
 	// Churn tail: destroy a handful of slices, audit the books, and
@@ -415,58 +359,32 @@ func RunScale(opts ScaleOptions) (*ScaleResult, error) {
 		ss := slices[i]
 		prefix, ports := ss.s.Prefix(), ss.s.PortRange()
 		if err := ss.s.Destroy(); err != nil {
-			violate("churn destroy %s: %v", ss.s.Name(), err)
+			w.violate("churn destroy %s: %v", ss.s.Name(), err)
 			continue
 		}
-		if err := ss.s.Audit(); err != nil {
-			violate("churn audit %s: %v", ss.s.Name(), err)
-		}
-		s2, err := vini.CreateSlice(core.SliceConfig{
+		s2, err := w.createSlice(core.SliceConfig{
 			Name: ss.s.Name() + "r", CPUShare: cpuShare,
 			MaxNodes: len(ss.hops), MaxLinks: len(ss.hops)})
 		if err != nil {
-			violate("churn readmit %s: %v", ss.s.Name(), err)
+			w.violate("churn readmit %s: %v", ss.s.Name(), err)
 			continue
 		}
 		if s2.Prefix() != prefix || s2.PortRange() != ports {
-			violate("churn readmit %s got %v/%v, want LIFO reuse of %v/%v",
+			w.violate("churn readmit %s got %v/%v, want LIFO reuse of %v/%v",
 				s2.Name(), s2.Prefix(), s2.PortRange(), prefix, ports)
 		}
-		fold("churn %s -> %s prefix=%s ports=%s", ss.s.Name(), s2.Name(), s2.Prefix(), s2.PortRange())
+		w.fold("churn %s -> %s prefix=%s ports=%s", ss.s.Name(), s2.Name(), s2.Prefix(), s2.PortRange())
 		if err := s2.Destroy(); err != nil {
-			violate("churn re-destroy %s: %v", s2.Name(), err)
+			w.violate("churn re-destroy %s: %v", s2.Name(), err)
 		}
 	}
 
-	// Final accounting: every slice ledger, the substrate address plan,
-	// and the packet pool must balance.
-	for _, ss := range slices {
-		if err := ss.s.Audit(); err != nil {
-			violate("final audit %s: %v", ss.s.Name(), err)
-		}
-	}
-	if err := vini.AuditAddressPlan(); err != nil {
-		violate("address plan: %v", err)
-	}
-	for i := 0; i < 40 && packet.Stats().Sub(baseline).InFlight() != 0; i++ {
-		vini.Run(loop.Now() + 50*time.Millisecond)
-	}
-	res.Violations = append(res.Violations, checkConservation(baseline, "end of scale run")...)
-
-	for _, v := range res.Violations {
-		fold("violation %s", v)
-	}
-	res.Digest = digest.Sum64()
-	res.Events = vini.Executor().TotalFired()
-	res.ScheduleDigest = vini.Executor().ScheduleDigest()
-	if tel := vini.Telemetry(); tel != nil {
-		res.TelemetryDigest = tel.Reg.Digest()
-		res.FlightDigest = tel.Rec.Digest()
-		if js, err := tel.SnapshotJSON(); err == nil {
-			res.Telemetry = string(js)
-		}
-	}
-	res.RunSeconds = time.Since(runStart).Seconds()
-	vini.Close()
+	// Final accounting: the packet pool, then — with the demand
+	// receivers closed — every ledger the kernel audits.
+	w.settle("end of scale run")
+	flows.Close()
+	w.audit("end of scale run")
+	w.finish("nodes=%d slices=%d vnodes=%d flows=%d sent=%d delivered=%d",
+		res.Nodes, res.Slices, res.VNodes, res.Flows, res.Sent, res.Delivered)
 	return res, nil
 }

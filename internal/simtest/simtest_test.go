@@ -1,81 +1,10 @@
 package simtest
 
 import (
-	"flag"
-	"fmt"
-	"os"
+	"strings"
 	"testing"
 	"time"
 )
-
-var (
-	flagSeeds = flag.Int("seeds", 25, "number of seeded scenarios to explore")
-	flagSeed  = flag.Int64("seed", -1, "replay exactly one scenario seed")
-)
-
-// failArtifact appends a failing seed to the file named by
-// SIMTEST_FAIL_FILE (set in CI) so the artifact survives the run.
-func failArtifact(r *Result) {
-	path := os.Getenv("SIMTEST_FAIL_FILE")
-	if path == "" {
-		return
-	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return
-	}
-	defer f.Close()
-	fmt.Fprintf(f, "%s\n", r)
-}
-
-// TestScenarios is the harness entry point: it explores -seeds seeded
-// scenarios (or exactly one with -seed N) and fails on any invariant
-// violation, printing the seed that reproduces it.
-func TestScenarios(t *testing.T) {
-	seeds := *flagSeeds
-	first := int64(1)
-	if *flagSeed >= 0 {
-		first, seeds = *flagSeed, 1
-	}
-	for s := first; s < first+int64(seeds); s++ {
-		r, err := Run(Options{Seed: s})
-		if err != nil {
-			t.Fatalf("seed %d: harness error: %v", s, err)
-		}
-		if r.Failed() {
-			failArtifact(r)
-			t.Errorf("invariant violation — replay with: go test ./internal/simtest -seed %d -run TestScenarios\n%s", s, r)
-		}
-		if testing.Verbose() {
-			t.Logf("seed %d: nodes=%d links=%d rip=%v events=%d reconv=%v digest=%016x",
-				s, r.Nodes, r.Links, r.WithRIP, len(r.EventLog), r.Reconvergences, r.Digest)
-		}
-	}
-}
-
-// TestReplayDeterminism runs the same seeds twice and demands
-// byte-identical digests: the digest covers the event schedule, every
-// quiescent FIB fingerprint, and every violation, so equality means
-// the whole run replays exactly.
-func TestReplayDeterminism(t *testing.T) {
-	for s := int64(1); s <= 5; s++ {
-		a, err := Run(Options{Seed: s})
-		if err != nil {
-			t.Fatalf("seed %d: %v", s, err)
-		}
-		b, err := Run(Options{Seed: s})
-		if err != nil {
-			t.Fatalf("seed %d: %v", s, err)
-		}
-		if a.Digest != b.Digest {
-			t.Errorf("seed %d: replay diverged: %016x vs %016x\nfirst:\n%s\nsecond:\n%s",
-				s, a.Digest, b.Digest, a, b)
-		}
-		if fmt.Sprint(a.EventLog) != fmt.Sprint(b.EventLog) {
-			t.Errorf("seed %d: event logs diverged:\n%v\n%v", s, a.EventLog, b.EventLog)
-		}
-	}
-}
 
 // TestDistinctSeedsDiverge is the generator sanity check: different
 // seeds must explore different worlds.
@@ -127,7 +56,7 @@ func TestCatchesCompiledFIBMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := sc.stable(time.Second, 300*time.Second, settleFor(sc)); !ok {
+	if _, ok := sc.stable(sc.vnode, time.Second, 300*time.Second, sc.settleSteps()); !ok {
 		t.Fatal("did not converge")
 	}
 	if v := sc.checkLoops(); len(v) != 0 {
@@ -152,16 +81,15 @@ func TestCatchesPacketLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := sc.stable(time.Second, 300*time.Second, settleFor(sc)); !ok {
+	if _, ok := sc.stable(sc.vnode, time.Second, 300*time.Second, sc.settleSteps()); !ok {
 		t.Fatal("did not converge")
 	}
-	baseline := takeBaselineForTest()
 	leakPacketForTest() // Get() with no Release/Escape
-	v := sc.settleConservation(baseline)
-	if len(v) == 0 {
+	sc.settle("leak test")
+	if !sc.res.Failed() {
 		t.Fatal("leaked packet went undetected by the conservation checker")
 	}
-	t.Logf("caught: %v", v[0])
+	t.Logf("caught: %v", sc.res.Violations[0])
 }
 
 // TestCatchesForwardingLoop installs a two-node routing loop for a
@@ -172,7 +100,7 @@ func TestCatchesForwardingLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := sc.stable(time.Second, 300*time.Second, settleFor(sc)); !ok {
+	if _, ok := sc.stable(sc.vnode, time.Second, 300*time.Second, sc.settleSteps()); !ok {
 		t.Fatal("did not converge")
 	}
 	if v := sc.checkLoops(); len(v) != 0 {
@@ -186,7 +114,7 @@ func TestCatchesForwardingLoop(t *testing.T) {
 	v := sc.checkLoops()
 	found := false
 	for _, s := range v {
-		if containsLoop(s) {
+		if strings.HasPrefix(s, "forwarding loop") {
 			found = true
 		}
 	}
@@ -194,15 +122,4 @@ func TestCatchesForwardingLoop(t *testing.T) {
 		t.Fatalf("injected forwarding loop went undetected; got %v", v)
 	}
 	t.Logf("caught: %v", v)
-}
-
-func containsLoop(s string) bool {
-	return len(s) >= len("forwarding loop") && s[:len("forwarding loop")] == "forwarding loop"
-}
-
-func settleFor(sc *scenario) int {
-	if sc.withRIP {
-		return 36
-	}
-	return 5
 }
