@@ -1,0 +1,116 @@
+package vini_test
+
+// Zero-allocation guard for a packet's whole life, not just one Click
+// hop: source tool -> kernel stack -> tap0 -> Click -> UDP tunnel -> link
+// -> process socket -> scheduler grain -> Click forwarder -> tunnel ->
+// link -> socket -> Click -> tap sink -> kernel stack -> measurement
+// tool, on both engines. Once the world is warm (pools filled, queues
+// and heaps at their working size), advancing virtual time must not
+// allocate.
+
+import (
+	"net/netip"
+	"runtime/debug"
+	"testing"
+	"time"
+
+	"vini/internal/core"
+	"vini/internal/netem"
+	"vini/internal/sched"
+	"vini/internal/traffic"
+)
+
+// lineWorld is the DETER Figure 4 shape on PlanetLab hosts: src, fwdr,
+// sink in a line, one slice with a Click forwarder on each, OSPF
+// converged. Hellos are slow so the measured second sees at most one.
+func lineWorld(t *testing.T, v *core.VINI) (src, sink *netem.Node, srcTap, sinkTap netip.Addr) {
+	t.Helper()
+	prof := netem.PlanetLabProfile()
+	names := []string{"src", "fwdr", "sink"}
+	nodes := make([]*netem.Node, len(names))
+	for i, name := range names {
+		n, err := v.AddNode(name, netip.AddrFrom4([4]byte{192, 168, 1, byte(i + 1)}), prof, sched.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = n
+		if i > 0 {
+			if _, err := v.AddLink(netem.LinkConfig{A: names[i-1], B: name,
+				Bandwidth: 100e6, Delay: time.Millisecond, Jitter: 50 * time.Microsecond}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	v.ComputeRoutes()
+	s, err := v.CreateSlice(core.SliceConfig{Name: "iias", CPUShare: 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		if _, err := s.AddVirtualNode(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 1; i < len(names); i++ {
+		if _, err := s.ConnectVirtual(names[i-1], names[i], 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.StartOSPF(10*time.Second, 40*time.Second)
+	v.Run(25 * time.Second)
+	a, _ := s.VirtualNode("src")
+	b, _ := s.VirtualNode("sink")
+	return nodes[0], nodes[2], a.TapAddr, b.TapAddr
+}
+
+func TestWholePathZeroAlloc(t *testing.T) {
+	engines := []struct {
+		name string
+		new  func() *core.VINI
+	}{
+		{"classic", func() *core.VINI { return core.New(2) }},
+		{"domains", func() *core.VINI { return core.NewParallel(2, 1) }},
+	}
+	workloads := []struct {
+		name  string
+		start func(v *core.VINI, src, sink *netem.Node, srcTap, sinkTap netip.Addr) (delivered func() uint64, err error)
+	}{
+		{"udp_cbr", func(v *core.VINI, src, sink *netem.Node, srcTap, sinkTap netip.Addr) (func() uint64, error) {
+			c, err := traffic.StartUDPCBR(v.Net, src, sink, traffic.UDPCBRConfig{
+				RateBps: 10e6, SrcAddr: srcTap, DstAddr: sinkTap})
+			return func() uint64 { return uint64(c.Received()) }, err
+		}},
+		{"tcp", func(v *core.VINI, src, sink *netem.Node, srcTap, sinkTap netip.Addr) (func() uint64, error) {
+			c, err := traffic.StartIperfTCP(v.Net, src, sink, traffic.IperfTCPConfig{
+				Streams: 4, Window: 64 << 10, SrcAddr: srcTap, DstAddr: sinkTap})
+			return func() uint64 { return c.Receivers()[0].Bytes }, err
+		}},
+	}
+	for _, e := range engines {
+		for _, w := range workloads {
+			t.Run(e.name+"/"+w.name, func(t *testing.T) {
+				v := e.new()
+				defer v.Close()
+				src, sink, srcTap, sinkTap := lineWorld(t, v)
+				delivered, err := w.start(v, src, sink, srcTap, sinkTap)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Warm-up: fill the packet pool and event free lists,
+				// grow every ring, heap and train to its working size.
+				v.Run(v.Loop().Now() + 3*time.Second)
+				before := delivered()
+				step := func() { v.Run(v.Loop().Now() + 10*time.Millisecond) }
+				// GC during measurement would drain the sync.Pool and
+				// charge the refill to the data path.
+				defer debug.SetGCPercent(debug.SetGCPercent(-1))
+				if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+					t.Errorf("%.0f allocs per 10 ms of virtual time, want 0", allocs)
+				}
+				if delivered() == before {
+					t.Fatal("nothing was delivered during the measured second")
+				}
+			})
+		}
+	}
+}
