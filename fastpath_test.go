@@ -7,6 +7,7 @@ package vini_test
 // chain must run at 0 allocations per packet.
 
 import (
+	"bytes"
 	"net/netip"
 	"runtime/debug"
 	"testing"
@@ -238,4 +239,49 @@ func TestFastPathEncapsulationBytes(t *testing.T) {
 	if string(p.Data) != string(want) {
 		t.Fatalf("in-place encap differs from reference:\n got %x\nwant %x", p.Data, want)
 	}
+}
+
+// FuzzTCPEncapMatchesMarshal pins the in-place TCP header writer the
+// traffic sources use (payload written into a pooled packet, TCP and
+// IPv4 headers prepended into headroom) byte-for-byte to the allocating
+// reference builder, and checks the result parses back to what went in.
+func FuzzTCPEncapMatchesMarshal(f *testing.F) {
+	f.Add(uint32(0xc0a80101), uint32(0x0a010002), uint16(6001), uint16(5001),
+		uint32(1), uint32(0), uint8(packet.TCPAck), uint16(0xffff), make([]byte, 1448))
+	f.Add(uint32(0x0a000001), uint32(0x0a000002), uint16(1), uint16(2),
+		uint32(0xfffffff0), uint32(77), uint8(packet.TCPSyn|packet.TCPAck), uint16(16384), []byte(nil))
+	f.Add(uint32(1), uint32(2), uint16(0), uint16(0), uint32(0), uint32(0), uint8(0xff), uint16(0), []byte{0xde})
+	f.Fuzz(func(t *testing.T, s, d uint32, sport, dport uint16, seq, ack uint32, flags uint8, wnd uint16, payload []byte) {
+		if len(payload) > 4000 {
+			payload = payload[:4000] // past the pooled buffer: Extend must still grow correctly
+		}
+		src := netip.AddrFrom4([4]byte{byte(s >> 24), byte(s >> 16), byte(s >> 8), byte(s)})
+		dst := netip.AddrFrom4([4]byte{byte(d >> 24), byte(d >> 16), byte(d >> 8), byte(d)})
+		th := packet.TCP{SrcPort: sport, DstPort: dport, Seq: seq, Ack: ack, Flags: flags, Window: wnd}
+		want := packet.BuildTCP(src, dst, th, 64, payload)
+
+		p := packet.Get()
+		defer p.Release()
+		copy(p.Extend(len(payload)), payload)
+		packet.EncapTCP(p, src, dst, &th)
+		packet.EncapIPv4(p, &packet.IPv4{TTL: 64, Proto: packet.ProtoTCP, Src: src, Dst: dst})
+		if !bytes.Equal(p.Data, want) {
+			t.Fatalf("in-place TCP encap differs from reference:\n got %x\nwant %x", p.Data, want)
+		}
+		var ip packet.IPv4
+		seg, err := ip.Parse(p.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got packet.TCP
+		body, err := got.Parse(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.Checksum, got.DataOff = 0, 0
+		th.Flags &= 0x3f
+		if got != th || !bytes.Equal(body, payload) || ip.Src != src || ip.Dst != dst {
+			t.Fatalf("round trip: header %+v (want %+v), %d payload bytes (want %d)", got, th, len(body), len(payload))
+		}
+	})
 }

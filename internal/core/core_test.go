@@ -311,7 +311,7 @@ func TestEgressNATLifeOfAPacket(t *testing.T) {
 	cnn, _ := v.Net.Node("cnn")
 	var gotReq []byte
 	cnn.StackListenUDP(80, func(d []byte) {
-		gotReq = d
+		gotReq = append([]byte(nil), d...) // d is borrowed for the call
 		var ip packet.IPv4
 		seg, _ := ip.Parse(d)
 		var u packet.UDP
@@ -324,7 +324,7 @@ func TestEgressNATLifeOfAPacket(t *testing.T) {
 	sea, _ := s.VirtualNode(topology.Seattle)
 	sea.DivertPrefix(netip.PrefixFrom(cnnAddr, 32))
 	var gotResp []byte
-	sea.Phys().StackListenUDP(5555, func(d []byte) { gotResp = d })
+	sea.Phys().StackListenUDP(5555, func(d []byte) { gotResp = append([]byte(nil), d...) })
 	req := packet.BuildUDP(sea.TapAddr, cnnAddr, 5555, 80, 64, []byte("GET /"))
 	sea.Phys().StackSend(req)
 	v.Run(40 * time.Second)

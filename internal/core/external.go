@@ -70,11 +70,7 @@ func (vn *VirtualNode) EnableEgress() error {
 type externalSink VirtualNode
 
 func (t *externalSink) SendExternal(p *packet.Packet) {
-	vn := (*VirtualNode)(t)
-	// The substrate send wraps p.Data in a new packet; the buffer leaves
-	// the pool with it.
-	p.Escape()
-	vn.proc.SendIP(p.Data)
+	(*VirtualNode)(t).proc.SendIPPacket(p)
 }
 
 // vpnSession is one opted-in client on an ingress node.
@@ -265,5 +261,5 @@ func (c *VPNClient) ret(p *packet.Packet) {
 		return
 	}
 	c.Received++
-	c.node.InjectLocal(inner)
+	c.node.InjectLocalPacket(packet.New(inner))
 }

@@ -371,16 +371,16 @@ func (vn *VirtualNode) tunnelReceive(p *packet.Packet) {
 	// through to the data path, where DupSuppress retires it.
 	switch {
 	case iip.Proto == packet.ProtoOSPF && vn.OSPF != nil && !p.Anno.MigClone:
-		// Control traffic: the protocol parses (and may retain) the inner
-		// slices, so the buffer stays out of the pool.
-		p.Escape()
+		// Control traffic: the protocol borrows the inner slice for the
+		// call and copies what it keeps.
 		vn.OSPF.Receive(idx, iip.Src, ipayload)
+		p.Release()
 		return
 	case iip.Proto == packet.ProtoUDP && !p.Anno.MigClone:
 		var iu packet.UDP
 		if body, err := iu.Parse(ipayload); err == nil && iu.DstPort == 520 && vn.RIP != nil {
-			p.Escape()
 			vn.RIP.Receive(idx, iip.Src, body)
+			p.Release()
 			return
 		}
 	}
@@ -464,12 +464,7 @@ func (t *tunnelTransport) SendTunnel(e fib.EncapEntry, p *packet.Packet) {
 type tapSink VirtualNode
 
 func (t *tapSink) DeliverTap(p *packet.Packet) {
-	vn := (*VirtualNode)(t)
-	// InjectLocal wraps p.Data in a fresh packet that local consumers may
-	// retain, so this buffer must not return to the pool (Escape, not
-	// Release — releasing would recycle memory the kernel now aliases).
-	p.Escape()
-	vn.phys.InjectLocal(p.Data)
+	(*VirtualNode)(t).phys.InjectLocalPacket(p)
 }
 
 // DumpFIB renders the virtual node's forwarding table.

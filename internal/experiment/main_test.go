@@ -1,0 +1,16 @@
+package experiment
+
+import (
+	"os"
+	"testing"
+
+	"vini/internal/packet"
+)
+
+// TestMain runs the Table 2 / Figure 8 goldens (and everything else
+// here) with released packet buffers poisoned, so they double as a
+// check that no consumer keeps a borrowed slice past its call.
+func TestMain(m *testing.M) {
+	packet.PoisonOnReleaseForTest(true)
+	os.Exit(m.Run())
+}

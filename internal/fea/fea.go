@@ -118,7 +118,7 @@ func (r *RIB) recompute() int {
 		routes = append(routes, pr.Route)
 	}
 	sort.Slice(routes, func(i, j int) bool {
-		return routes[i].Prefix.String() < routes[j].Prefix.String()
+		return fib.PrefixTextLess(routes[i].Prefix, routes[j].Prefix)
 	})
 	r.target.Replace("rib", routes)
 	return len(routes)

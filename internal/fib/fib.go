@@ -6,6 +6,7 @@
 package fib
 
 import (
+	"bytes"
 	"fmt"
 	"net/netip"
 	"sort"
@@ -34,6 +35,16 @@ type Route struct {
 func (r Route) String() string {
 	return fmt.Sprintf("%s via %s port %d metric %d (%s)",
 		r.Prefix, r.NextHop, r.OutPort, r.Metric, r.Owner)
+}
+
+// PrefixTextLess orders prefixes by their text form, the order in which
+// the routing protocols and the RIB have always handed route sets on
+// (install order is observable, so it is not Prefix.Compare's numeric
+// order). It equals a.String() < b.String() for every non-zero prefix
+// but renders into stack buffers, so a sort comparator costs no heap.
+func PrefixTextLess(a, b netip.Prefix) bool {
+	var ab, bb [24]byte // "255.255.255.255/32" is 18 bytes
+	return bytes.Compare(a.AppendTo(ab[:0]), b.AppendTo(bb[:0])) < 0
 }
 
 // node is a binary-trie node keyed on successive destination-address bits.

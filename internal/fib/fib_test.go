@@ -283,3 +283,30 @@ func BenchmarkLookup(b *testing.B) {
 		tb.Lookup(dst)
 	}
 }
+
+// TestPrefixTextLessMatchesStringOrder pins the comparator the routing
+// protocols sort route sets with to the String() order it replaces
+// (install order is observable in the goldens), and to zero heap.
+func TestPrefixTextLessMatchesStringOrder(t *testing.T) {
+	f := func(a, b [4]byte, abits, bbits uint8) bool {
+		p := netip.PrefixFrom(netip.AddrFrom4(a), int(abits%33))
+		q := netip.PrefixFrom(netip.AddrFrom4(b), int(bbits%33))
+		return PrefixTextLess(p, q) == (p.String() < q.String()) &&
+			PrefixTextLess(p, p.Masked()) == (p.String() < p.Masked().String())
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+	// Text order, not numeric order: "10.0.0.0/8" < "9.0.0.0/8".
+	if !PrefixTextLess(pfx("10.0.0.0/8"), pfx("9.0.0.0/8")) {
+		t.Fatal("PrefixTextLess is not text order")
+	}
+	six := netip.MustParsePrefix("2001:db8:aaaa:bbbb:cccc:dddd:eeee:ffff/128") // outgrows the stack buffer
+	if PrefixTextLess(six, pfx("10.0.0.0/8")) != (six.String() < "10.0.0.0/8") {
+		t.Fatal("PrefixTextLess disagrees with String order on a long IPv6 prefix")
+	}
+	p, q := pfx("10.1.2.0/24"), pfx("10.1.128.0/17")
+	if n := testing.AllocsPerRun(100, func() { PrefixTextLess(p, q) }); n != 0 {
+		t.Fatalf("PrefixTextLess allocates %.0f objects per comparison, want 0", n)
+	}
+}

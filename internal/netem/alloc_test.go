@@ -15,9 +15,9 @@ import (
 // allocation-free in steady state: locally-originated forward at the
 // source node → typed transmit event → link serialization with lazy
 // queue drain → cross-domain message train → typed delivery → kernel
-// route lookup at the far node → drop (no route). The drop exit is used
-// deliberately — local delivery Escapes the buffer to the consumer,
-// which allocates by design; the forwarding fabric itself must not.
+// route lookup at the far node → drop (no route). The drop exit keeps the
+// guard on the forwarding fabric alone; TestWholePathZeroAlloc (root
+// package) covers the path through sockets, Click and local delivery.
 func TestCrossDomainPacketPathAllocs(t *testing.T) {
 	x := sim.NewExecutor(21, 1)
 	defer x.Shutdown()

@@ -36,9 +36,8 @@ type Link struct {
 
 type linkDir struct {
 	link *Link
-	// dst is the receiving node of this direction (the typed delivery
-	// handler target in sharded mode).
-	dst *Node
+	// src transmits in this direction and dst receives.
+	src, dst *Node
 	// rng draws per-packet jitter. In classic mode this aliases the
 	// network RNG (preserving the historical draw sequence); in sharded
 	// mode each direction owns a forked stream, since transmit runs in
@@ -61,8 +60,6 @@ type linkDir struct {
 	// lastArrival keeps delivery FIFO under per-packet jitter: a link is
 	// a pipe, so a later packet never overtakes an earlier one.
 	lastArrival time.Duration
-	// tx is the typed forward-onto-this-link handler (see linkTx).
-	tx linkTx
 	// Telemetry mirrors of the counters above; nil-safe, each direction
 	// written only from the source node's domain.
 	mPkts, mBytes, mDrops *telemetry.Counter
@@ -74,25 +71,24 @@ type drainRec struct {
 	size int
 }
 
-// linkTx is the typed handler for the kernel-forwarding hand-off onto a
-// link: forwardOut schedules it (same-domain, through the event free
-// list) after the forwarding latency, so the per-hop path costs no
-// closure allocation. One lives in each linkDir, with src the node that
-// transmits in that direction.
-type linkTx struct {
-	l   *Link
-	src *Node
-}
+// linkTx is a linkDir seen as the typed handler for the kernel-forwarding
+// hand-off onto the link: forwardOut schedules it (same-domain, through
+// the event free list) after the forwarding latency, so the per-hop path
+// costs no closure allocation.
+type linkTx linkDir
 
 // Invoke runs in src's domain: put the packet on the wire.
-func (t *linkTx) Invoke(arg any) { t.l.transmit(t.src, arg.(*packet.Packet)) }
+func (t *linkTx) Invoke(arg any) { (*linkDir)(t).transmit(arg.(*packet.Packet)) }
+
+// DropArg releases a hand-off that a replica domain refuses to schedule.
+func (t *linkTx) DropArg(arg any) { arg.(*packet.Packet).Release() }
 
 // txFrom returns the transmit handler for packets leaving src.
 func (l *Link) txFrom(src *Node) *linkTx {
 	if src == l.a {
-		return &l.dir[0].tx
+		return (*linkTx)(l.dir[0])
 	}
-	return &l.dir[1].tx
+	return (*linkTx)(l.dir[1])
 }
 
 // purge applies every due queue-drain entry, replicating the semantics
@@ -116,11 +112,19 @@ func (d *linkDir) purge(now time.Duration) {
 	}
 }
 
-// Invoke is the typed cross-domain delivery handler: it runs in the
-// receiving node's domain at the packet's arrival time, carried by a
-// pooled message train instead of a per-packet closure.
+// Invoke is the typed arrival handler: it runs in the receiving node's
+// domain at the packet's arrival time — a pooled local event in classic
+// mode, a pooled message train across domains — never a per-packet
+// closure. In classic mode the arrival also drains the transmit queue;
+// in sharded mode that state belongs to the sender's domain (see purge).
 func (d *linkDir) Invoke(arg any) {
 	p := arg.(*packet.Packet)
+	if d.src.dom == d.dst.dom {
+		d.queued -= p.Len()
+		if d.queued < 0 {
+			d.queued = 0
+		}
+	}
 	if d.link.down {
 		p.Release() // failed while in flight
 		return
@@ -170,26 +174,17 @@ func (l *Link) Stats(dir int) (packets, bytes, drops uint64) {
 	return d.Packets, d.Bytes, d.Drops
 }
 
-// transmit sends p from node src across the link. It models a FIFO
+// transmit sends p across the link in this direction. It models a FIFO
 // drop-tail queue ahead of a fixed-rate serializer plus propagation
 // delay, then hands the packet to the far node's receive path. It runs
 // in src's time domain; when the far node lives in a different domain
 // the arrival becomes a timestamped mailbox message, which is the only
 // way simulated state ever crosses domains.
-func (l *Link) transmit(src *Node, p *packet.Packet) {
+func (d *linkDir) transmit(p *packet.Packet) {
+	l, src, dst := d.link, d.src, d.dst
 	if l.down {
 		p.Release()
 		return
-	}
-	var d *linkDir
-	var dst *Node
-	switch src {
-	case l.a:
-		d, dst = l.dir[0], l.b
-	case l.b:
-		d, dst = l.dir[1], l.a
-	default:
-		panic("netem: transmit from node not on link")
 	}
 	now := src.dom.Now()
 	if src.dom != dst.dom {
@@ -226,27 +221,14 @@ func (l *Link) transmit(src *Node, p *packet.Packet) {
 		arrival = d.lastArrival
 	}
 	d.lastArrival = arrival
-	size := p.Len()
-	if src.dom == dst.dom {
-		src.dom.Schedule(arrival-now, func() {
-			d.queued -= size
-			if d.queued < 0 {
-				d.queued = 0
-			}
-			if l.down {
-				p.Release() // failed while in flight
-				return
-			}
-			dst.receive(p, l)
-		})
-		return
+	if src.dom != dst.dom {
+		// Sharded: the transmitter state (d.queued) belongs to src's
+		// domain and the receive path to dst's, so the queue drain is
+		// recorded for lazy application at the next transmit (no event
+		// at all) and the delivery rides a typed message train — one
+		// inbox lock per flushed train rather than per packet.
+		d.pend = append(d.pend, drainRec{at: arrival, size: p.Len()})
 	}
-	// Sharded: the transmitter state (d.queued) belongs to src's domain
-	// and the receive path to dst's. The queue drain is recorded for
-	// lazy application at the next transmit (no event at all), and the
-	// delivery rides a typed message train — one pooled event in dst,
-	// zero allocations, one inbox lock per flushed train rather than
-	// per packet. Ownership of p transfers with the message.
-	d.pend = append(d.pend, drainRec{at: arrival, size: size})
+	// Ownership of p transfers with the typed event, on either engine.
 	src.dom.Send(dst.dom, arrival-now, d, p)
 }

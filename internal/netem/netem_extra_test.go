@@ -82,12 +82,12 @@ func TestInjectLocalAndGarbage(t *testing.T) {
 	n, _ := w.AddNode("n", addr("10.0.0.1"), DETERProfile(), sched.Options{})
 	got := 0
 	n.StackListenUDP(9, func([]byte) { got++ })
-	n.InjectLocal(packet.BuildUDP(addr("10.0.0.2"), n.Addr(), 1, 9, 64, nil))
+	n.InjectLocalPacket(packet.New(packet.BuildUDP(addr("10.0.0.2"), n.Addr(), 1, 9, 64, nil)))
 	if got != 1 {
 		t.Fatal("InjectLocal did not deliver")
 	}
 	drops := n.Drops
-	n.InjectLocal([]byte{1, 2, 3})
+	n.InjectLocalPacket(packet.New([]byte{1, 2, 3}))
 	if n.Drops != drops+1 {
 		t.Fatal("garbage not counted as drop")
 	}
@@ -156,10 +156,10 @@ func TestProcessSendIPRoutesViaKernel(t *testing.T) {
 	proc := src.NewProcess(ProcessConfig{Name: "p", Share: 0.5})
 	got := 0
 	dst.StackListenUDP(7, func([]byte) { got++ })
-	proc.SendIP(packet.BuildUDP(src.Addr(), dst.Addr(), 1, 7, 64, nil))
+	proc.SendIPPacket(packet.New(packet.BuildUDP(src.Addr(), dst.Addr(), 1, 7, 64, nil)))
 	w.Run(10 * time.Millisecond)
 	if got != 1 {
-		t.Fatal("SendIP not delivered")
+		t.Fatal("SendIPPacket not delivered")
 	}
 }
 

@@ -42,7 +42,7 @@ func threeNodeNet(t *testing.T, prof Profile, bw float64, delay time.Duration) (
 func TestKernelForwardingDelivers(t *testing.T) {
 	w, src, _, dst := threeNodeNet(t, DETERProfile(), 1e9, 100*time.Microsecond)
 	var got [][]byte
-	if err := dst.StackListenUDP(7000, func(d []byte) { got = append(got, d) }); err != nil {
+	if err := dst.StackListenUDP(7000, func(d []byte) { got = append(got, append([]byte(nil), d...)) }); err != nil {
 		t.Fatal(err)
 	}
 	d := packet.BuildUDP(src.Addr(), dst.Addr(), 5000, 7000, 64, []byte("hello"))

@@ -144,8 +144,8 @@ func (w *Network) AddLink(cfg LinkConfig) (*Link, error) {
 		cfg.QueueBytes = 256 << 10
 	}
 	l := &Link{cfg: cfg, net: w, a: a, b: b}
-	l.dir[0] = &linkDir{link: l, rng: w.rng, dst: b, tx: linkTx{l: l, src: a}}
-	l.dir[1] = &linkDir{link: l, rng: w.rng, dst: a, tx: linkTx{l: l, src: b}}
+	l.dir[0] = &linkDir{link: l, rng: w.rng, src: a, dst: b}
+	l.dir[1] = &linkDir{link: l, rng: w.rng, src: b, dst: a}
 	if w.shard {
 		// Each direction draws jitter from its own stream (forked at
 		// construction, so deterministic) — transmit runs inside the

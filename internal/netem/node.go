@@ -74,7 +74,9 @@ func (n *Node) drop() {
 	n.mDrops.Inc()
 }
 
-// StackHandler receives a full IP datagram delivered by the kernel.
+// StackHandler receives a full IP datagram delivered by the kernel. The
+// slice is borrowed: it aliases a pooled buffer that is recycled as soon
+// as the handler returns, so a handler copies whatever it keeps.
 type StackHandler func(dgram []byte)
 
 type tapRoute struct {
@@ -201,17 +203,18 @@ func (n *Node) StackListenTCP(port uint16, h StackHandler) error {
 // port that is not listened is a no-op.
 func (n *Node) StackUnlistenTCP(port uint16) { delete(n.stackTCP, port) }
 
-// InjectLocal delivers a datagram to this node's local consumers as if it
-// had arrived addressed to the node — the path Click's ToTap element uses
-// to hand overlay packets back to applications.
-func (n *Node) InjectLocal(dgram []byte) {
+// InjectLocalPacket delivers a datagram to this node's local consumers as
+// if it had arrived addressed to the node — the path Click's ToTap element
+// uses to hand overlay packets back to applications. Ownership transfers
+// to the kernel; overlay annotations do not survive re-entry.
+func (n *Node) InjectLocalPacket(p *packet.Packet) {
 	var ip packet.IPv4
-	if _, err := ip.Parse(dgram); err != nil {
+	if _, err := ip.Parse(p.Data); err != nil {
 		n.drop()
+		p.Release()
 		return
 	}
-	p := packet.Get()
-	p.SetData(dgram)
+	p.Anno = packet.Annotations{}
 	n.deliverLocal(ip, p)
 }
 
@@ -254,6 +257,13 @@ func (n *Node) ResetAccounting() {
 func (n *Node) StackSend(dgram []byte) {
 	n.kernelCharge(n.prof.scaled(n.prof.StackCost))
 	n.send(dgram)
+}
+
+// StackSendPacket is StackSend for a datagram built in place in a packet
+// the caller owns (the traffic tools); ownership transfers to the kernel.
+func (n *Node) StackSendPacket(p *packet.Packet) {
+	n.kernelCharge(n.prof.scaled(n.prof.StackCost))
+	n.sendPacket(p)
 }
 
 // receive handles a packet arriving from a link.
@@ -331,11 +341,9 @@ func (n *Node) forwardOut(r fib.Route, p *packet.Packet) {
 	n.dom.Send(n.dom, cost, link.txFrom(n), p)
 }
 
-// deliverLocal hands a packet addressed to this node to its consumer.
-// Delivered packets are never Released here: stack handlers receive (and
-// may retain) p.Data, so the buffer must stay out of the pool and fall to
-// the garbage collector — Escape records that hand-off in the pool
-// ledger. Only undeliverable packets are released.
+// deliverLocal hands a packet addressed to this node to its consumer:
+// a process socket takes ownership; a stack handler borrows p.Data for
+// the call and the packet is released when it returns.
 func (n *Node) deliverLocal(ip packet.IPv4, p *packet.Packet) {
 	n.kernelCharge(n.prof.scaled(n.prof.StackCost))
 	switch ip.Proto {
@@ -352,8 +360,8 @@ func (n *Node) deliverLocal(ip packet.IPv4, p *packet.Packet) {
 			return
 		}
 		if h, ok := n.stackUDP[u.DstPort]; ok {
-			p.Escape() // handler may retain p.Data; buffer leaves the pool
 			h(p.Data)
+			p.Release()
 			return
 		}
 		if s := n.rangeSocket(u.DstPort); s != nil {
@@ -376,8 +384,8 @@ func (n *Node) deliverLocal(ip packet.IPv4, p *packet.Packet) {
 			return
 		}
 		if h, ok := n.stackTCP[th.DstPort]; ok {
-			p.Escape()
 			h(p.Data)
+			p.Release()
 			return
 		}
 		if s := n.rangeSocket(th.DstPort); s != nil {
@@ -388,8 +396,8 @@ func (n *Node) deliverLocal(ip packet.IPv4, p *packet.Packet) {
 		p.Release()
 	case packet.ProtoICMP:
 		if n.icmpTap != nil {
-			p.Escape()
 			n.icmpTap(p.Data)
+			p.Release()
 			return
 		}
 		n.drop()

@@ -31,13 +31,18 @@ type Process struct {
 	closed bool
 }
 
-// Socket is a UDP socket bound by a process.
+// Socket is a UDP socket bound by a process, and the sim.Handler of its
+// own deliveries (work schedules it with the packet as the argument).
 type Socket struct {
 	proc    *Process
 	port    uint16
 	handler func(p *packet.Packet)
-	buf     []*packet.Packet
-	bufB    int
+	// buf is the receive queue: a ring of queued packets starting at head
+	// (len(buf) is zero or a power of two), so an enqueue reallocates
+	// only when the queue outgrows its previous peak.
+	buf          []*packet.Packet
+	head, queued int
+	bufB         int
 	// closed rejects enqueues and makes an in-flight delivery drop its
 	// packet instead of running the handler (teardown).
 	closed bool
@@ -134,7 +139,15 @@ func (s *Socket) enqueue(p *packet.Packet) {
 		p.Release()
 		return
 	}
-	s.buf = append(s.buf, p)
+	if s.queued == len(s.buf) {
+		grown := make([]*packet.Packet, max(8, 2*len(s.buf)))
+		for i := range s.buf {
+			grown[i] = s.buf[(s.head+i)&(len(s.buf)-1)]
+		}
+		s.buf, s.head = grown, 0
+	}
+	s.buf[(s.head+s.queued)&(len(s.buf)-1)] = p
+	s.queued++
 	s.bufB += p.Len()
 	s.proc.pending++
 	s.Received++
@@ -162,9 +175,11 @@ func (p *Process) SendUDPPacket(srcPort uint16, dst netip.AddrPort, pkt *packet.
 	p.node.sendPacket(pkt)
 }
 
-// SendIP transmits a raw IP datagram from this process (tap0 writes).
-func (p *Process) SendIP(dgram []byte) {
-	p.node.send(dgram)
+// SendIPPacket transmits a raw IP datagram the process owns (Click's
+// external sink); its overlay annotations do not leave with it.
+func (p *Process) SendIPPacket(pkt *packet.Packet) {
+	pkt.Anno = packet.Annotations{}
+	p.node.sendPacket(pkt)
 }
 
 // work is the scheduler WorkFunc: it consumes the CPU cost of the oldest
@@ -177,25 +192,41 @@ func (p *Process) work(budget time.Duration) (time.Duration, bool) {
 		p.pending = 0
 		return 0, false
 	}
-	pkt := s.buf[0]
+	pkt := s.pop()
 	cost := p.node.prof.UserPacketCost(pkt.Len())
 	if cost > budget {
 		cost = budget // a grain is the scheduler's accounting floor
 	}
-	s.buf = s.buf[1:]
-	s.bufB -= pkt.Len()
 	p.pending--
-	p.node.dom.Schedule(cost, func() {
-		if s.closed {
-			// The process was torn down while this delivery was in
-			// flight; the handler's world no longer exists.
-			pkt.Release()
-			return
-		}
-		s.handler(pkt)
-	})
+	p.node.dom.Send(p.node.dom, cost, s, pkt)
 	return cost, p.pending > 0
 }
+
+// pop dequeues the oldest packet, clearing its slot so the ring never
+// pins a packet it no longer holds.
+func (s *Socket) pop() *packet.Packet {
+	pkt := s.buf[s.head]
+	s.buf[s.head] = nil
+	s.head = (s.head + 1) & (len(s.buf) - 1)
+	s.queued--
+	s.bufB -= pkt.Len()
+	return pkt
+}
+
+// Invoke hands a packet whose processing cost has elapsed to the handler.
+func (s *Socket) Invoke(arg any) {
+	pkt := arg.(*packet.Packet)
+	if s.closed {
+		// The process was torn down while this delivery was in flight;
+		// the handler's world no longer exists.
+		pkt.Release()
+		return
+	}
+	s.handler(pkt)
+}
+
+// DropArg releases a delivery that a replica domain refuses to schedule.
+func (s *Socket) DropArg(arg any) { arg.(*packet.Packet).Release() }
 
 // SetPaused freezes or thaws the process: inbound packets tail-drop at
 // its sockets and the scheduler task is parked (so buffered work stops
@@ -225,11 +256,9 @@ func (p *Process) Close() {
 		if s.port != 0 && n.udpPorts[s.port] == s {
 			delete(n.udpPorts, s.port)
 		}
-		for _, pkt := range s.buf {
-			pkt.Release()
+		for s.queued > 0 {
+			s.pop().Release()
 		}
-		s.buf = nil
-		s.bufB = 0
 	}
 	p.pending = 0
 	taps := n.taps[:0]
@@ -264,10 +293,10 @@ func (p *Process) nextReady() *Socket {
 	var best *Socket
 	var bestT time.Duration
 	for _, s := range p.socks {
-		if len(s.buf) == 0 {
+		if s.queued == 0 {
 			continue
 		}
-		t := s.buf[0].Anno.Timestamp
+		t := s.buf[s.head].Anno.Timestamp
 		if best == nil || t < bestT {
 			best, bestT = s, t
 		}

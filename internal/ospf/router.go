@@ -663,7 +663,7 @@ func (r *Router) runSPF() {
 		routes = append(routes, rt)
 	}
 	sort.Slice(routes, func(i, j int) bool {
-		return routes[i].Prefix.String() < routes[j].Prefix.String()
+		return fib.PrefixTextLess(routes[i].Prefix, routes[j].Prefix)
 	})
 	r.lastRoutes = append(r.lastRoutes[:0], routes...)
 	r.onRoutes(routes)

@@ -267,16 +267,30 @@ func (h *TCP) Parse(b []byte) ([]byte, error) {
 // Marshal serializes header+payload with pseudo-header checksum.
 func (h *TCP) Marshal(src, dst netip.Addr, payload []byte) []byte {
 	b := make([]byte, TCPHeaderLen+len(payload))
-	binary.BigEndian.PutUint16(b[0:2], h.SrcPort)
-	binary.BigEndian.PutUint16(b[2:4], h.DstPort)
-	binary.BigEndian.PutUint32(b[4:8], h.Seq)
-	binary.BigEndian.PutUint32(b[8:12], h.Ack)
-	b[12] = 5 << 4
-	b[13] = h.Flags & 0x3f
-	binary.BigEndian.PutUint16(b[14:16], h.Window)
 	copy(b[TCPHeaderLen:], payload)
-	binary.BigEndian.PutUint16(b[16:18], transportChecksum(src, dst, ProtoTCP, b))
+	h.Put(src, dst, b)
 	return b
+}
+
+// Put serializes the header (no options) into the first TCPHeaderLen
+// bytes of seg, which must already hold the payload at
+// seg[TCPHeaderLen:]; the pseudo-header checksum is computed in place.
+func (h *TCP) Put(src, dst netip.Addr, seg []byte) {
+	binary.BigEndian.PutUint16(seg[0:2], h.SrcPort)
+	binary.BigEndian.PutUint16(seg[2:4], h.DstPort)
+	binary.BigEndian.PutUint32(seg[4:8], h.Seq)
+	binary.BigEndian.PutUint32(seg[8:12], h.Ack)
+	seg[12] = 5 << 4
+	seg[13] = h.Flags & 0x3f
+	binary.BigEndian.PutUint16(seg[14:16], h.Window)
+	seg[16], seg[17], seg[18], seg[19] = 0, 0, 0, 0
+	binary.BigEndian.PutUint16(seg[16:18], transportChecksum(src, dst, ProtoTCP, seg))
+}
+
+// EncapTCP prepends a TCP header to p in place; the current contents
+// become the segment payload. Wire bytes match TCP.Marshal exactly.
+func EncapTCP(p *Packet, src, dst netip.Addr, h *TCP) {
+	h.Put(src, dst, p.Extend(TCPHeaderLen))
 }
 
 // ICMP message types used here.

@@ -64,8 +64,8 @@ const poolBufSize = DefaultHeadroom + 2048
 //
 // Ownership: a packet has exactly one owner at a time. Pushing a packet
 // into an element or transport transfers ownership; an owner that drops a
-// packet instead of handing it on calls Release. See DESIGN.md "Packet
-// lifecycle & ownership".
+// packet, or has lent its bytes to a consumer for the length of a call,
+// calls Release. See DESIGN.md "Packet lifecycle & ownership".
 type Packet struct {
 	Data []byte
 	Anno Annotations
@@ -120,10 +120,10 @@ var pktPool = sync.Pool{
 }
 
 // Pool accounting: every pooled packet leaves the pool through Get and
-// comes back through Release, or is handed off for keeps through Escape.
-// The deterministic simulation tests assert Gets == Releases + Escapes at
-// every quiescent point (packet conservation); see internal/simtest.
-var poolGets, poolReleases, poolEscapes atomic.Uint64
+// comes back through Release. The deterministic simulation tests assert
+// Gets == Releases at every quiescent point (packet conservation); see
+// internal/simtest.
+var poolGets, poolReleases atomic.Uint64
 
 // PoolStats is a snapshot of the pooled-packet ledger.
 type PoolStats struct {
@@ -131,29 +131,36 @@ type PoolStats struct {
 	Gets uint64
 	// Releases counts packets returned to the pool with Release.
 	Releases uint64
-	// Escapes counts packets whose ownership left the pool for good:
-	// delivered to a stack handler that may retain the buffer.
+	// Escapes is always 0 — delivery lends the buffer, nothing leaves the
+	// ledger — and stays only because the benchmark module reports it.
 	Escapes uint64
 }
 
 // InFlight is the number of pooled packets currently owned by someone:
-// taken from the pool and neither released nor escaped.
+// taken from the pool and not yet released.
 func (s PoolStats) InFlight() int64 {
-	return int64(s.Gets) - int64(s.Releases) - int64(s.Escapes)
+	return int64(s.Gets) - int64(s.Releases)
 }
 
 // Sub returns the per-counter difference s - t, for delta accounting
 // across a test region.
 func (s PoolStats) Sub(t PoolStats) PoolStats {
-	return PoolStats{Gets: s.Gets - t.Gets, Releases: s.Releases - t.Releases,
-		Escapes: s.Escapes - t.Escapes}
+	return PoolStats{Gets: s.Gets - t.Gets, Releases: s.Releases - t.Releases}
 }
 
 // Stats snapshots the pool ledger.
 func Stats() PoolStats {
-	return PoolStats{Gets: poolGets.Load(), Releases: poolReleases.Load(),
-		Escapes: poolEscapes.Load()}
+	return PoolStats{Gets: poolGets.Load(), Releases: poolReleases.Load()}
 }
+
+// poisonOnRelease makes Release overwrite the backing buffer with 0xDE, so
+// a consumer that kept a borrowed slice past its call reads garbage, not
+// plausible stale bytes. Test binaries switch it on in TestMain.
+var poisonOnRelease atomic.Bool
+
+// PoisonOnReleaseForTest sets release-time poisoning; it returns the
+// previous setting.
+func PoisonOnReleaseForTest(on bool) (was bool) { return poisonOnRelease.Swap(on) }
 
 // Get returns an empty pooled packet with DefaultHeadroom reserved.
 // The caller owns it until it is handed off or Released.
@@ -182,26 +189,13 @@ func (p *Packet) Release() {
 	}
 	p.released = true
 	p.Data = nil
+	if poisonOnRelease.Load() {
+		for i := range p.buf {
+			p.buf[i] = 0xDE
+		}
+	}
 	poolReleases.Add(1)
 	pktPool.Put(p)
-}
-
-// Escape removes a pooled packet from the pool's ledger without
-// returning its buffer: the receiver (a simulated kernel stack handler,
-// a tap consumer) may retain p.Data indefinitely, so the buffer must
-// never be recycled. After Escape the packet behaves as a wrapped
-// packet — Release becomes a no-op. Calling Escape on a wrapped packet
-// is a no-op; calling it after Release panics (the owner already gave
-// the buffer away).
-func (p *Packet) Escape() {
-	if !p.pooled {
-		return
-	}
-	if p.released {
-		panic("packet: escape after release")
-	}
-	p.pooled = false
-	poolEscapes.Add(1)
 }
 
 // Released reports whether a pooled packet has been returned to the pool.

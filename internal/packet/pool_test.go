@@ -177,3 +177,37 @@ func TestExtendLargerThanPoolBufferGrows(t *testing.T) {
 	}
 	p.Release()
 }
+
+// TestPoisonOnReleaseScribblesBorrowedBytes shows the test hook has
+// teeth: with it on, a slice kept past Release reads 0xDE, with it off
+// the bytes stay whatever they were.
+func TestPoisonOnReleaseScribblesBorrowedBytes(t *testing.T) {
+	for _, on := range []bool{true, false} {
+		was := PoisonOnReleaseForTest(on)
+		p := Get()
+		copy(p.Extend(4), []byte{1, 2, 3, 4})
+		kept := p.Data
+		p.Release()
+		PoisonOnReleaseForTest(was)
+		if poisoned := bytes.Equal(kept, []byte{0xDE, 0xDE, 0xDE, 0xDE}); poisoned != on {
+			t.Fatalf("poison=%v: retained slice reads %x", on, kept)
+		}
+	}
+}
+
+// TestPoolLedgerHasNoEscapeHatch pins conservation as Gets == Releases:
+// the Escapes field survives for the benchmark's per-layer report and
+// stays zero.
+func TestPoolLedgerHasNoEscapeHatch(t *testing.T) {
+	base := Stats()
+	p := Get()
+	q := p.Clone()
+	if d := Stats().Sub(base); d.InFlight() != 2 || d.Escapes != 0 {
+		t.Fatalf("two live packets: %+v", d)
+	}
+	p.Release()
+	q.Release()
+	if d := Stats().Sub(base); d.InFlight() != 0 || d.Gets != d.Releases || d.Escapes != 0 {
+		t.Fatalf("after release: %+v", d)
+	}
+}

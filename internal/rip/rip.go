@@ -193,7 +193,7 @@ func (r *Router) sendUpdates(_ bool) {
 		for p := range r.table {
 			prefixes = append(prefixes, p)
 		}
-		sort.Slice(prefixes, func(i, j int) bool { return prefixes[i].String() < prefixes[j].String() })
+		sort.Slice(prefixes, func(i, j int) bool { return fib.PrefixTextLess(prefixes[i], prefixes[j]) })
 		for _, p := range prefixes {
 			e := r.table[p]
 			m := e.metric + 1
@@ -280,7 +280,7 @@ func (r *Router) emit() {
 		})
 	}
 	sort.Slice(routes, func(i, j int) bool {
-		return routes[i].Prefix.String() < routes[j].Prefix.String()
+		return fib.PrefixTextLess(routes[i].Prefix, routes[j].Prefix)
 	})
 	r.lastRoutes = append(r.lastRoutes[:0], routes...)
 	r.onRoutes(routes)
@@ -301,7 +301,7 @@ func (r *Router) Table() []fib.Route {
 		out = append(out, fib.Route{Prefix: e.prefix, NextHop: e.nextHop,
 			OutPort: e.ifIndex, Metric: e.metric})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Prefix.String() < out[j].Prefix.String() })
+	sort.Slice(out, func(i, j int) bool { return fib.PrefixTextLess(out[i].Prefix, out[j].Prefix) })
 	return out
 }
 

@@ -175,6 +175,8 @@ type CPU struct {
 	refillKick bool
 	// mBusy is the telemetry mirror of busy (cumulative, nil-safe).
 	mBusy *telemetry.Counter
+	// onGrainDone is c.grainDone bound once (no method value per grain).
+	onGrainDone func()
 }
 
 // Instrument attaches the CPU's cumulative busy-time counter
@@ -184,7 +186,9 @@ func (c *CPU) Instrument(busyNS *telemetry.Counter) { c.mBusy = busyNS }
 // New returns a CPU bound to a domain-scoped clock (or a Loop).
 func New(clock sim.Clock, opt Options) *CPU {
 	opt.setDefaults()
-	return &CPU{clock: clock, opt: opt, started: clock.Now()}
+	c := &CPU{clock: clock, opt: opt, started: clock.Now()}
+	c.onGrainDone = c.grainDone
+	return c
 }
 
 // Options returns the CPU's effective options.
@@ -390,7 +394,7 @@ func (c *CPU) dispatch() {
 			continue
 		}
 		c.running = true
-		c.clock.Schedule(used, c.grainDone)
+		c.clock.Schedule(used, c.onGrainDone)
 		return
 	}
 }

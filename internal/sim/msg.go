@@ -94,8 +94,9 @@ func (d *Domain) Send(dst *Domain, delay time.Duration, h Handler, arg any) {
 		// driver-time code, and the owning shard's copy is the authentic
 		// one. Pushing here would strand the event on a never-drained
 		// heap (same-domain) or double-deliver (cross-domain). Release
-		// the payload if the handler knows how.
-		if w, ok := h.(WireHandler); ok {
+		// the payload if the handler knows how — a WireHandler does, and
+		// so does a same-domain handler that carries pooled payloads.
+		if w, ok := h.(interface{ DropArg(arg any) }); ok {
 			w.DropArg(arg)
 		}
 		return

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"vini/internal/packet"
 )
 
 // relayHandler is a wire-capable typed handler for transport tests: a
@@ -413,6 +415,46 @@ func TestNonWireHandlerAcrossShardsIsTypedError(t *testing.T) {
 	}
 	if x.Err() == nil {
 		t.Fatal("Executor.Err() not sticky after transport failure")
+	}
+}
+
+// pooledSink is a same-domain typed handler carrying pooled packets —
+// the shape of netem's socket and link-arrival handlers: it never
+// crosses shards (no codec), but it knows how to give a payload back.
+type pooledSink struct{ invoked int }
+
+func (h *pooledSink) Invoke(arg any)  { h.invoked++; arg.(*packet.Packet).Release() }
+func (h *pooledSink) DropArg(arg any) { arg.(*packet.Packet).Release() }
+
+// TestReplicaSendReleasesPooledPayload pins the replica drop path for
+// handlers that are not WireHandlers: a replicated driver-time Send on a
+// domain another shard owns must neither strand an event on the replica's
+// never-drained heap nor strand the pooled packet it carries.
+func TestReplicaSendReleasesPooledPayload(t *testing.T) {
+	x := NewExecutor(1, 1)
+	a := x.NewDomain("a") // owned by shard 0
+	b := x.NewDomain("b") // owned by shard 1
+	a.ObserveInboundLink(b, time.Millisecond)
+	b.ObserveInboundLink(a, time.Millisecond)
+	x.Distribute(nil, 1, 2)
+	defer x.Shutdown()
+	base := packet.Stats()
+	sink := &pooledSink{}
+	a.Send(a, time.Millisecond, sink, packet.Get()) // replica, same-domain
+	a.Send(b, time.Millisecond, sink, packet.Get()) // replica, cross-domain
+	if d := packet.Stats().Sub(base); d.Gets != 2 || d.InFlight() != 0 {
+		t.Fatalf("replica sends stranded their payloads: %+v", d)
+	}
+	if x.Pending() != 0 {
+		t.Fatalf("replica sends left %d events pending", x.Pending())
+	}
+	// The owner's copy of the same code is the authentic one.
+	b.Send(b, time.Millisecond, sink, packet.Get())
+	if err := x.Run(10 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if sink.invoked != 1 || packet.Stats().Sub(base).InFlight() != 0 {
+		t.Fatalf("owner send: invoked=%d ledger=%+v", sink.invoked, packet.Stats().Sub(base))
 	}
 }
 

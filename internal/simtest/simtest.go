@@ -9,9 +9,9 @@
 //     destination, and reachability matches the live link components;
 //  2. control-plane/data-plane consistency — protocol RIB == FEA RIB ==
 //     installed FIB == compiled stride-8 FIB == Click element caches;
-//  3. packet conservation — every pooled packet obtained is released,
-//     escaped to a retaining consumer, or still in flight; nothing
-//     leaks (checked via the pool's Gets/Releases/Escapes ledger);
+//  3. packet conservation — every pooled packet obtained is released
+//     or still in flight; nothing leaks (checked via the pool's
+//     Gets == Releases ledger);
 //  4. bounded reconvergence — after every injected failure the control
 //     plane reaches a new fixed point within the scenario budget.
 //

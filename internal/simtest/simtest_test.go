@@ -84,7 +84,7 @@ func TestCatchesPacketLeak(t *testing.T) {
 	if _, ok := sc.stable(sc.vnode, time.Second, 300*time.Second, sc.settleSteps()); !ok {
 		t.Fatal("did not converge")
 	}
-	leakPacketForTest() // Get() with no Release/Escape
+	leakPacketForTest() // Get() with no Release
 	sc.settle("leak test")
 	if !sc.res.Failed() {
 		t.Fatal("leaked packet went undetected by the conservation checker")

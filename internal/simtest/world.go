@@ -214,7 +214,7 @@ func (w *world) stable(vnodes []*core.VirtualNode, step, max time.Duration, sett
 }
 
 // settle checks packet conservation: relative to the baseline, every
-// pooled packet obtained has been released or escaped. Control traffic
+// pooled packet obtained has been released. Control traffic
 // flows forever, so at any single instant a handful of pooled packets
 // may legitimately be mid-flight inside the event queue; a leak, by
 // contrast, never drains. Sampling the ledger at several closely spaced
@@ -226,8 +226,8 @@ func (w *world) settle(where string) {
 	}
 	d := packet.Stats().Sub(w.pool)
 	if n := d.InFlight(); n != 0 {
-		w.violate("packet conservation at %s (t=%v): %d pooled packets unaccounted (gets=%d releases=%d escapes=%d)",
-			where, w.loop.Now(), n, d.Gets, d.Releases, d.Escapes)
+		w.violate("packet conservation at %s (t=%v): %d pooled packets unaccounted (gets=%d releases=%d)",
+			where, w.loop.Now(), n, d.Gets, d.Releases)
 	}
 }
 

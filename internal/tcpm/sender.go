@@ -31,6 +31,7 @@ type Sender struct {
 	rto          time.Duration
 	backoff      int
 	rtoTimer     sim.Timer
+	onRTOTimer   func() // s.onRTO bound once (no method value per re-arm)
 	// rttSeq/rttAt sample one segment per window (Karn's algorithm:
 	// never sample retransmitted segments).
 	rttSeq   uint32
@@ -49,7 +50,7 @@ type Sender struct {
 func NewSender(clock sim.Clock, cfg Config, local netip.Addr, port uint16,
 	peer netip.Addr, pport uint16, out Output) *Sender {
 	cfg.setDefaults()
-	return &Sender{
+	s := &Sender{
 		cfg: cfg, clock: clock, out: out,
 		local: local, peer: peer, port: port, pport: pport,
 		state: "idle",
@@ -57,6 +58,8 @@ func NewSender(clock sim.Clock, cfg Config, local netip.Addr, port uint16,
 		rwnd:  cfg.RcvWnd,
 		cc:    NewReno(cfg),
 	}
+	s.onRTOTimer = s.onRTO
+	return s
 }
 
 // SetCongestion swaps the congestion controller (before Start).
@@ -73,7 +76,7 @@ func (s *Sender) Start(total uint64) {
 	s.sndUna = s.isn
 	s.sndNxt = s.isn
 	s.cc.Open()
-	s.sendSeg(packet.TCPSyn, s.sndNxt, nil)
+	s.sendSeg(packet.TCPSyn, s.sndNxt, 0)
 	s.sndNxt++
 	s.armRTO()
 }
@@ -121,7 +124,7 @@ func (s *Sender) Deliver(dgram []byte) {
 		}
 		s.state = "established"
 		s.sndUna = s.sndNxt
-		s.sendSeg(packet.TCPAck, s.sndNxt, nil) // complete handshake
+		s.sendSeg(packet.TCPAck, s.sndNxt, 0) // complete handshake
 		s.clearRTO()
 		s.pump()
 		return
@@ -229,7 +232,7 @@ func (s *Sender) pump() {
 			return
 		}
 		seq := s.sndNxt
-		s.sendSeg(packet.TCPAck, seq, make([]byte, n))
+		s.sendSeg(packet.TCPAck, seq, n)
 		s.sndNxt += uint32(n)
 		if !s.rttValid {
 			s.rttSeq = seq + uint32(n)
@@ -254,14 +257,15 @@ func (s *Sender) retransmitFirst() {
 	}
 	s.Retransmits++
 	s.rttValid = false // Karn's algorithm
-	s.sendSeg(packet.TCPAck, s.sndUna, make([]byte, n))
+	s.sendSeg(packet.TCPAck, s.sndUna, n)
 	s.lastSend = s.clock.Now()
 }
 
-func (s *Sender) sendSeg(flags uint8, seq uint32, payload []byte) {
+// sendSeg emits a segment of n payload bytes (the bulk stream is zeros).
+func (s *Sender) sendSeg(flags uint8, seq uint32, n int) {
 	th := packet.TCP{SrcPort: s.port, DstPort: s.pport, Seq: seq,
 		Flags: flags, Window: uint16(min(s.cfg.RcvWnd, 0xffff))}
-	s.out(packet.BuildTCP(s.local, s.peer, th, 64, payload))
+	s.out(segment(s.local, s.peer, &th, n))
 }
 
 func (s *Sender) sampleRTT(rtt time.Duration) {
@@ -288,7 +292,7 @@ func (s *Sender) armRTO() {
 	if rto > time.Minute {
 		rto = time.Minute
 	}
-	s.rtoTimer = s.clock.Schedule(rto, s.onRTO)
+	s.rtoTimer = s.clock.Schedule(rto, s.onRTOTimer)
 }
 
 func (s *Sender) clearRTO() {
@@ -305,7 +309,7 @@ func (s *Sender) onRTO() {
 	}
 	s.Timeouts++
 	if s.state == "syn-sent" {
-		s.sendSeg(packet.TCPSyn, s.isn, nil)
+		s.sendSeg(packet.TCPSyn, s.isn, 0)
 		s.backoff++
 		s.armRTO()
 		return

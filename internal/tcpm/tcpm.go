@@ -49,8 +49,19 @@ func (c *Config) setDefaults() {
 	}
 }
 
-// Output transmits a serialized IP datagram (typically Node.StackSend).
-type Output func(dgram []byte)
+// Output transmits an IP datagram the endpoint built in a pooled packet
+// (typically Node.StackSendPacket). Ownership of the packet transfers.
+type Output func(p *packet.Packet)
+
+// segment builds an IPv4/TCP datagram with n zero payload bytes in place
+// in a pooled packet: the bytes of packet.BuildTCP over make([]byte, n).
+func segment(src, dst netip.Addr, th *packet.TCP, n int) *packet.Packet {
+	p := packet.Get()
+	clear(p.Extend(n))
+	packet.EncapTCP(p, src, dst, th)
+	packet.EncapIPv4(p, &packet.IPv4{TTL: 64, Proto: packet.ProtoTCP, Src: src, Dst: dst})
+	return p
+}
 
 // Arrival is one data-segment arrival at the receiver, Figure 9(b)'s
 // y-axis (position in the byte stream) against its x-axis (time).
@@ -83,14 +94,17 @@ type Receiver struct {
 	// delayed-ACK state: one un-ACKed segment allowed.
 	ackPending bool
 	ackTimer   sim.Timer
+	onAckTimer func() // r.sendAckNow bound once (no method value per ACK)
 }
 
 // NewReceiver creates a listening endpoint; wire its Deliver to the
 // node's TCP stack handler for the chosen port.
 func NewReceiver(clock sim.Clock, cfg Config, local netip.Addr, port uint16, out Output) *Receiver {
 	cfg.setDefaults()
-	return &Receiver{cfg: cfg, clock: clock, out: out, local: local, port: port,
+	r := &Receiver{cfg: cfg, clock: clock, out: out, local: local, port: port,
 		ooo: make(map[uint32]int)}
+	r.onAckTimer = r.sendAckNow
+	return r
 }
 
 // Close cancels the receiver's pending delayed-ACK timer so workload
@@ -174,7 +188,7 @@ func (r *Receiver) scheduleAck() {
 		return
 	}
 	r.ackPending = true
-	r.ackTimer = r.clock.Schedule(40*time.Millisecond, r.sendAckNow)
+	r.ackTimer = r.clock.Schedule(40*time.Millisecond, r.onAckTimer)
 }
 
 func (r *Receiver) sendAckNow() {
@@ -196,7 +210,7 @@ func (r *Receiver) sendFlags(flags uint8, seq, ack uint32) {
 	}
 	th := packet.TCP{SrcPort: r.port, DstPort: r.pport, Seq: seq, Ack: ack,
 		Flags: flags, Window: uint16(wnd)}
-	r.out(packet.BuildTCP(r.local, r.peer, th, 64, nil))
+	r.out(segment(r.local, r.peer, &th, 0))
 }
 
 func (r *Receiver) oooBytes() int {

@@ -53,9 +53,9 @@ func (c *channel) send(dir int, dgram []byte) {
 func newPair(loop *sim.Loop, cfg Config, delay time.Duration, bps float64) (*Sender, *Receiver, *channel) {
 	ch := &channel{loop: loop, delay: delay, bps: bps}
 	snd := NewSender(loop, cfg, clientA, 5001, serverA, 5002,
-		func(d []byte) { ch.send(0, d) })
+		func(p *packet.Packet) { ch.send(0, p.Data); p.Release() })
 	rcv := NewReceiver(loop, cfg, serverA, 5002,
-		func(d []byte) { ch.send(1, d) })
+		func(p *packet.Packet) { ch.send(1, p.Data); p.Release() })
 	ch.snd, ch.rcv = snd, rcv
 	return snd, rcv, ch
 }

@@ -167,6 +167,7 @@ type Adaptive struct {
 	seq        uint32
 	sentBytes  uint64
 	tickTimer  sim.Timer
+	onTick     func() // a.tick bound once (no method value per datagram)
 	watchTimer sim.Timer
 	lastFB     time.Duration // sim time feedback was last applied
 	lastPoint  time.Duration // sim time of the previous trace point
@@ -230,6 +231,7 @@ func StartAdaptive(w *netem.Network, client, server *netem.Node, cfg AdaptiveCon
 		rate: cfg.InitBps, est: cfg.InitBps,
 		tel: cfg.Telemetry,
 	}
+	a.onTick = a.tick
 	if cfg.SrcAddr.IsValid() {
 		a.src = cfg.SrcAddr
 	}
@@ -317,13 +319,12 @@ func (a *Adaptive) tick() {
 	if !a.active {
 		return
 	}
-	payload := make([]byte, a.cfg.Payload)
-	putFrame(payload, a.seq, a.send.Now())
+	sendFrame(a.client, a.src, a.dst, a.fbPort, a.dataPort,
+		a.cfg.Payload, a.seq, a.send.Now())
 	a.seq++
 	wire := a.cfg.Payload + packet.UDPHeaderLen + packet.IPv4HeaderLen
 	a.sentBytes += uint64(wire)
-	a.client.StackSend(packet.BuildUDP(a.src, a.dst, a.fbPort, a.dataPort, 64, payload))
-	a.tickTimer = a.send.Schedule(paceInterval(wire, a.rate), a.tick)
+	a.tickTimer = a.send.Schedule(paceInterval(wire, a.rate), a.onTick)
 }
 
 // receiveFeedback applies a receiver report (client domain).

@@ -64,12 +64,12 @@ func StartIperfTCP(w *netem.Network, client, server *netem.Node, cfg IperfTCPCon
 		dport := cfg.BasePort + uint16(i)
 		// Each endpoint's protocol machine runs on its own node's
 		// domain clock (identical to the loop in classic mode).
-		rcv := tcpm.NewReceiver(server.Clock(), tcpCfg, dst, dport, server.StackSend)
+		rcv := tcpm.NewReceiver(server.Clock(), tcpCfg, dst, dport, server.StackSendPacket)
 		if err := t.serverEP.ListenTCP(dport, rcv.Deliver); err != nil {
 			t.Close()
 			return nil, err
 		}
-		snd := tcpm.NewSender(client.Clock(), tcpCfg, src, sport, dst, dport, client.StackSend)
+		snd := tcpm.NewSender(client.Clock(), tcpCfg, src, sport, dst, dport, client.StackSendPacket)
 		if err := t.clientEP.ListenTCP(sport, snd.Deliver); err != nil {
 			t.Close()
 			return nil, err

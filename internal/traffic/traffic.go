@@ -118,6 +118,7 @@ type Ping struct {
 	// tickTimer is the pending interval tick; Stop cancels it so
 	// teardown leaves nothing live in the domain heap.
 	tickTimer sim.Timer
+	onTick    func() // p.tick bound once (no method value per echo)
 	stopped   bool
 	// RTTs aggregates in milliseconds (ping's min/avg/max/mdev line).
 	RTTs sim.Stats
@@ -145,6 +146,7 @@ func (h *ICMPHost) StartPing(clock sim.Clock, cfg PingConfig) *Ping {
 	p := &Ping{host: h, clock: clock, cfg: cfg, id: h.nextID,
 		sent: make(map[uint16]time.Duration), timers: make(map[uint16]sim.Timer)}
 	h.clients[p.id] = p
+	p.onTick = p.tick
 	p.tick()
 	return p
 }
@@ -197,7 +199,7 @@ func (p *Ping) tick() {
 			p.Timeline = append(p.Timeline, PingSample{At: at, Lost: true})
 		}
 	})
-	p.tickTimer = p.clock.Schedule(p.cfg.Interval, p.tick)
+	p.tickTimer = p.clock.Schedule(p.cfg.Interval, p.onTick)
 }
 
 func (p *Ping) reply(seq uint16) {

@@ -44,6 +44,7 @@ type UDPCBR struct {
 	ep        *Endpoint
 	seq       uint32
 	tickTimer sim.Timer
+	onTick    func() // t.tick bound once (no method value per datagram)
 	active    bool
 	closed    bool
 	// Receiver state.
@@ -73,6 +74,7 @@ func StartUDPCBR(w *netem.Network, client, server *netem.Node, cfg UDPCBRConfig)
 	t := &UDPCBR{send: client.Clock(), recv: server.Clock(), cfg: cfg,
 		client: client, src: client.Addr(), dst: server.Addr(),
 		ctrl: cfg.Controller, ep: NewEndpoint(server)}
+	t.onTick = t.tick
 	if t.ctrl == nil {
 		t.ctrl = NewFixedRate(cfg.RateBps)
 	}
@@ -125,13 +127,12 @@ func (t *UDPCBR) tick() {
 	if !t.active {
 		return
 	}
-	payload := make([]byte, t.cfg.Payload)
-	putFrame(payload, t.seq, t.send.Now())
+	sendFrame(t.client, t.src, t.dst, t.cfg.Port+1000, t.cfg.Port,
+		t.cfg.Payload, t.seq, t.send.Now())
 	t.seq++
-	t.client.StackSend(packet.BuildUDP(t.src, t.dst, t.cfg.Port+1000, t.cfg.Port, 64, payload))
 	interval := paceInterval(t.cfg.Payload+packet.UDPHeaderLen+packet.IPv4HeaderLen,
 		t.ctrl.TargetBps())
-	t.tickTimer = t.send.Schedule(interval, t.tick)
+	t.tickTimer = t.send.Schedule(interval, t.onTick)
 }
 
 func (t *UDPCBR) receive(dgram []byte) {

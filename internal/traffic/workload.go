@@ -12,9 +12,11 @@ package traffic
 
 import (
 	"encoding/binary"
+	"net/netip"
 	"time"
 
 	"vini/internal/netem"
+	"vini/internal/packet"
 	"vini/internal/sim"
 )
 
@@ -197,6 +199,19 @@ const FrameHeaderLen = 12
 func putFrame(payload []byte, seq uint32, sentAt time.Duration) {
 	binary.BigEndian.PutUint32(payload[0:4], seq)
 	binary.BigEndian.PutUint64(payload[4:12], uint64(sentAt))
+}
+
+// sendFrame emits one framed UDP datagram of n payload bytes from node,
+// written in place into a pooled packet. The payload past the preamble
+// is zeroed: the wire bytes of packet.BuildUDP over make([]byte, n).
+func sendFrame(node *netem.Node, src, dst netip.Addr, sport, dport uint16,
+	n int, seq uint32, sentAt time.Duration) {
+	p := packet.Get()
+	clear(p.Extend(n))
+	putFrame(p.Data, seq, sentAt)
+	packet.EncapUDP(p, src, dst, sport, dport)
+	packet.EncapIPv4(p, &packet.IPv4{TTL: 64, Proto: packet.ProtoUDP, Src: src, Dst: dst})
+	node.StackSendPacket(p)
 }
 
 // parseFrame reads the preamble back; ok is false on a short payload.

@@ -64,6 +64,9 @@ func lineWorld(t *testing.T, v *core.VINI) (src, sink *netem.Node, srcTap, sinkT
 }
 
 func TestWholePathZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds Puts under the race detector")
+	}
 	engines := []struct {
 		name string
 		new  func() *core.VINI
