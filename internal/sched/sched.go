@@ -105,11 +105,9 @@ type Task struct {
 	// and waiting whether that wake's latency is still unrecorded.
 	wakeAt  time.Duration
 	waiting bool
-	// WakeStat records per-wake scheduling latency in milliseconds —
-	// the quantity whose tail causes the paper's Figure 6(a) losses.
-	WakeStat sim.Stats
 	// Telemetry mirrors (nil-safe): cumulative CPU nanoseconds consumed
-	// and the wake-to-dispatch latency distribution.
+	// and the wake-to-dispatch latency distribution — the quantity
+	// whose tail causes the paper's Figure 6(a) losses.
 	mUsed *telemetry.Counter
 	mWake *telemetry.Histogram
 }
@@ -264,7 +262,6 @@ func (c *CPU) ResetAccounting() {
 	c.busy = 0
 	for _, t := range c.tasks {
 		t.used = 0
-		t.WakeStat = sim.Stats{}
 	}
 }
 
@@ -365,9 +362,7 @@ func (c *CPU) dispatch() {
 			t.quantumLeft = c.opt.Quantum
 			if t.waiting {
 				t.waiting = false
-				lat := c.clock.Now() - t.wakeAt
-				t.WakeStat.AddDuration(lat)
-				t.mWake.Observe(lat)
+				t.mWake.Observe(c.clock.Now() - t.wakeAt)
 			}
 		}
 		budget := c.opt.Grain

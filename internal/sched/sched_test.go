@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"vini/internal/sim"
+	"vini/internal/telemetry"
 )
 
 // hogTask returns a config for an always-runnable CPU-bound task.
@@ -86,11 +87,12 @@ func TestRTPreemptsQuickly(t *testing.T) {
 	}
 	// An RT task woken periodically must be scheduled within one grain.
 	var rt *Task
-	var maxWait time.Duration
 	rt = cpu.NewTask(TaskConfig{Name: "rt", RT: true, Share: 0.25,
 		Work: func(budget time.Duration) (time.Duration, bool) {
 			return 50 * time.Microsecond, false
 		}})
+	var wake telemetry.Histogram
+	rt.Instrument(nil, &wake)
 	var tick func()
 	wakes := 0
 	tick = func() {
@@ -103,12 +105,15 @@ func TestRTPreemptsQuickly(t *testing.T) {
 	}
 	loop.Schedule(time.Millisecond, tick)
 	loop.Run(time.Second)
-	if rt.WakeStat.N() < 90 {
-		t.Fatalf("rt ran %d times, want ~100", rt.WakeStat.N())
+	if wake.Count() < 90 {
+		t.Fatalf("rt ran %d times, want ~100", wake.Count())
 	}
-	maxWait = time.Duration(rt.WakeStat.Max() * float64(time.Millisecond))
-	if maxWait > 600*time.Microsecond {
-		t.Fatalf("RT wake latency max = %v, want <= grain (+rounding)", maxWait)
+	// Bucket i holds waits below 2^i us, so a grain (500 us) lands in
+	// bucket 9 or below.
+	for i, n := range wake.Buckets() {
+		if i > 9 && n != 0 {
+			t.Fatalf("%d RT wakes waited >= %d us, want <= grain", n, 1<<(i-1))
+		}
 	}
 }
 
@@ -123,6 +128,8 @@ func TestNonRTWaitsBehindHogs(t *testing.T) {
 		Work: func(budget time.Duration) (time.Duration, bool) {
 			return 50 * time.Microsecond, false
 		}})
+	var wake telemetry.Histogram
+	lat.Instrument(nil, &wake)
 	var tick func()
 	wakes := 0
 	tick = func() {
@@ -135,11 +142,11 @@ func TestNonRTWaitsBehindHogs(t *testing.T) {
 	}
 	loop.Schedule(time.Millisecond, tick)
 	loop.Run(2 * time.Second)
-	if lat.WakeStat.N() < 40 {
-		t.Fatalf("task ran %d times", lat.WakeStat.N())
+	if wake.Count() < 40 {
+		t.Fatalf("task ran %d times", wake.Count())
 	}
-	if lat.WakeStat.Mean() < 1.0 {
-		t.Fatalf("mean wait = %.3f ms; expected contention delays", lat.WakeStat.Mean())
+	if mean := time.Duration(wake.Sum() / wake.Count()); mean < time.Millisecond {
+		t.Fatalf("mean wait = %v; expected contention delays", mean)
 	}
 }
 

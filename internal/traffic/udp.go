@@ -53,10 +53,6 @@ type UDPCBR struct {
 	jitter    float64 // seconds, RFC 1889 smoothed
 	lastTrans time.Duration
 	haveTrans bool
-	// JitterStats samples the smoothed jitter (ms) at each arrival.
-	JitterStats sim.Stats
-	// TransitStats records one-way transit times (ms).
-	TransitStats sim.Stats
 }
 
 // StartUDPCBR begins the test; Stop it after the measurement interval,
@@ -155,7 +151,6 @@ func (t *UDPCBR) receive(dgram []byte) {
 		t.maxSeq = seq
 	}
 	transit := t.recv.Now() - sentAt
-	t.TransitStats.AddDuration(transit)
 	if t.haveTrans {
 		d := transit - t.lastTrans
 		if d < 0 {
@@ -163,7 +158,6 @@ func (t *UDPCBR) receive(dgram []byte) {
 		}
 		// RFC 1889: J += (|D| - J) / 16.
 		t.jitter += (d.Seconds() - t.jitter) / 16
-		t.JitterStats.Add(t.jitter * 1000)
 	}
 	t.haveTrans = true
 	t.lastTrans = transit

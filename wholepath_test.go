@@ -6,10 +6,14 @@ package vini_test
 // link -> socket -> Click -> tap sink -> kernel stack -> measurement
 // tool, on both engines. Once the world is warm (pools filled, queues
 // and heaps at their working size), advancing virtual time must not
-// allocate.
+// allocate — and, for UDP CBR, must not grow the heap either: a
+// per-packet sample log appended to for the life of the world is invisible
+// to AllocsPerRun (amortised slice doubling rounds to 0 objects) but not
+// to the bytes it allocates.
 
 import (
 	"net/netip"
+	"runtime"
 	"runtime/debug"
 	"testing"
 	"time"
@@ -75,15 +79,21 @@ func TestWholePathZeroAlloc(t *testing.T) {
 		{"domains", func() *core.VINI { return core.NewParallel(2, 1) }},
 	}
 	workloads := []struct {
-		name  string
-		start func(v *core.VINI, src, sink *netem.Node, srcTap, sinkTap netip.Addr) (delivered func() uint64, err error)
+		name string
+		// maxBytes, when set, bounds the bytes allocated over five more
+		// virtual seconds: long enough that a growing slice must double
+		// at least once inside the window whatever its phase.
+		maxBytes uint64
+		start    func(v *core.VINI, src, sink *netem.Node, srcTap, sinkTap netip.Addr) (delivered func() uint64, err error)
 	}{
-		{"udp_cbr", func(v *core.VINI, src, sink *netem.Node, srcTap, sinkTap netip.Addr) (func() uint64, error) {
+		// One OSPF hello round is ~2 KB; two 8-byte samples per datagram
+		// are ~70 KB over the window before the slice's growth factor.
+		{"udp_cbr", 16 << 10, func(v *core.VINI, src, sink *netem.Node, srcTap, sinkTap netip.Addr) (func() uint64, error) {
 			c, err := traffic.StartUDPCBR(v.Net, src, sink, traffic.UDPCBRConfig{
 				RateBps: 10e6, SrcAddr: srcTap, DstAddr: sinkTap})
 			return func() uint64 { return uint64(c.Received()) }, err
 		}},
-		{"tcp", func(v *core.VINI, src, sink *netem.Node, srcTap, sinkTap netip.Addr) (func() uint64, error) {
+		{"tcp", 0, func(v *core.VINI, src, sink *netem.Node, srcTap, sinkTap netip.Addr) (func() uint64, error) {
 			c, err := traffic.StartIperfTCP(v.Net, src, sink, traffic.IperfTCPConfig{
 				Streams: 4, Window: 64 << 10, SrcAddr: srcTap, DstAddr: sinkTap})
 			return func() uint64 { return c.Receivers()[0].Bytes }, err
@@ -112,6 +122,15 @@ func TestWholePathZeroAlloc(t *testing.T) {
 				}
 				if delivered() == before {
 					t.Fatal("nothing was delivered during the measured second")
+				}
+				if w.maxBytes > 0 {
+					var m0, m1 runtime.MemStats
+					runtime.ReadMemStats(&m0)
+					v.Run(v.Loop().Now() + 5*time.Second)
+					runtime.ReadMemStats(&m1)
+					if got := m1.TotalAlloc - m0.TotalAlloc; got > w.maxBytes {
+						t.Errorf("%d bytes allocated in 5 s of virtual time, want <= %d", got, w.maxBytes)
+					}
 				}
 			})
 		}
