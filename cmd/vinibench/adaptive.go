@@ -33,11 +33,11 @@ type adaptiveReport struct {
 
 // adaptiveExp drives the delay-gradient adaptive sender through the
 // full simtest scenario — alone, against CBR cross-traffic, across
-// overlay Pause/Resume, and through a substrate reroute — on the
-// classic engine and on 1/2/4-worker sharded execution. Every sharded
-// leg must produce byte-identical digests, a same-seed classic rerun
-// must reproduce its digests exactly (the replay cross-check every
-// benchmark here applies), and every leg must satisfy the convergence
+// overlay Pause/Resume, and through a substrate reroute — on 1, 2 and 4
+// workers. Every leg must produce byte-identical digests, a same-seed
+// one-worker rerun must reproduce its digests exactly (the replay
+// cross-check every benchmark here applies), and every leg must satisfy
+// the convergence
 // and teardown invariants. The per-phase estimate-vs-actual table is
 // the paper-style readout; BENCH_adaptive.json is the committed
 // artifact the CI baseline gate compares against.
@@ -57,7 +57,7 @@ func adaptiveExp() error {
 		row := &adaptiveRow{engineRow: leg.measured(&r.Outcome), TracePoints: r.TracePoints}
 		fmt.Printf("%-14s %12d %14.0f %10d %7.2fs\n",
 			row.Name, row.Events, row.EventsPerSec, row.TracePoints, row.WallSeconds)
-		if leg.Workers == 0 && rep.Phases == nil {
+		if rep.Phases == nil {
 			rep.BottleneckBps, rep.AltBps, rep.CrossBps = r.BottleneckBps, r.AltBps, r.CrossBps
 			for _, p := range r.Phases {
 				rep.Phases = append(rep.Phases, adaptivePhaseRow{

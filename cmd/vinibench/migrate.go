@@ -168,8 +168,8 @@ func migrateArm(naive bool, warm, total int) (migrateRow, error) {
 	west, _ := s.VirtualNode("west")
 	east, _ := s.VirtualNode("east")
 	westTap, eastTap := west.TapAddr, east.TapAddr
-	// The classic single-timeline engine runs listeners inline, so a
-	// plain slice indexed by sequence number is race-free here.
+	// core.New runs every domain on one worker, so a plain slice
+	// indexed by sequence number is race-free here.
 	delivered := make([]int, total)
 	for _, n := range []string{"west", "mid", "east", "spare"} {
 		node, ok := v.Net.Node(n)

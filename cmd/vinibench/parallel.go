@@ -17,10 +17,9 @@ import (
 type parallelRow struct {
 	engineRow
 	// Deliveries is reported separately: cross-domain typed messages
-	// delivered into a destination heap (0 in classic mode, where every
-	// hop is a local event).
+	// delivered into a destination heap.
 	Deliveries uint64 `json:"deliveries"`
-	// Rounds counts coordinator quiescence epochs (classic: events).
+	// Rounds counts coordinator quiescence epochs.
 	Rounds    uint64 `json:"rounds"`
 	Windows   uint64 `json:"windows"`
 	Fallbacks uint64 `json:"fallbacks"`
@@ -53,13 +52,9 @@ var cbrPairs = [][2]string{
 
 // abileneWorld builds the 11-PoP Abilene substrate (PlanetLab profile;
 // minimum link propagation delay 2.25 ms — the conservative executor's
-// lookahead floor). workers == 0 builds on the classic single-timeline
-// loop; workers >= 1 shards each PoP into its own time domain.
+// lookahead floor), each PoP its own time domain.
 func abileneWorld(seed int64, workers int) (*core.VINI, error) {
-	v := core.New(seed)
-	if workers > 0 {
-		v = core.NewParallel(seed, workers)
-	}
+	v := core.NewParallel(seed, workers)
 	g := topology.Abilene()
 	for _, pop := range g.Nodes() {
 		addr, _ := topology.AbilenePublicAddr(pop)
@@ -123,10 +118,9 @@ func buildParallelWorld(seed int64, workers int) (*core.VINI, error) {
 	return v, nil
 }
 
-// parallelExp benchmarks the sharded conservative executor against the
-// classic loop on the 4-slice Abilene scenario, checks that every
-// sharded worker count executes the byte-identical event schedule, and
-// writes BENCH_parallel.json.
+// parallelExp benchmarks the conservative executor on the 4-slice
+// Abilene scenario, checks that every worker count executes the
+// byte-identical event schedule, and writes BENCH_parallel.json.
 func parallelExp() error {
 	window := dur(60*time.Second, 20*time.Second)
 	fmt.Printf("4-slice Abilene (11 PoPs, min link delay 2.25ms), %v virtual time\n", window)
@@ -141,7 +135,6 @@ func parallelExp() error {
 		if err != nil {
 			return row, err
 		}
-		defer v.Close()
 		start := time.Now()
 		v.Run(window)
 		row.WallSeconds = time.Since(start).Seconds()
@@ -158,9 +151,6 @@ func parallelExp() error {
 		fmt.Printf("%-14s %9.2fs %12d %14.0f %12d %8d %10d %10d %10d\n",
 			row.Name, row.WallSeconds, row.Events, row.EventsPerSec,
 			row.Deliveries, row.Rounds, row.Trains, row.Steals, row.Fallbacks)
-		if leg.Workers == 0 {
-			return row, nil
-		}
 		stats := x.Stats()
 		row.PerDomain = make(map[string]uint64, len(stats))
 		for _, s := range stats {

@@ -45,12 +45,9 @@ func writeReport(name string, v any) error {
 // engineRow is what every engine leg of a benchmark reports; the
 // per-experiment row types embed it and add their own columns.
 //
-// Events counts fired events. Since cross-domain hand-offs became typed
-// deliveries (no wrapper events on either path), a fired event means
-// the same thing in classic and sharded mode: one semantic action.
-// Residual differences between the modes are real workload divergence —
-// the engines fork RNG streams differently and are separate
-// deterministic baselines — not accounting noise.
+// Events counts fired events: cross-domain hand-offs are typed
+// deliveries (no wrapper events), so a fired event is one semantic
+// action.
 type engineRow struct {
 	Name            string  `json:"name"`
 	Workers         int     `json:"workers"`
@@ -89,63 +86,55 @@ func (r engineRow) measured(o *simtest.Outcome) engineRow {
 // determinism verdicts forEngines reaches.
 type engineLegs[R engineLeg] struct {
 	Rows []R `json:"rows"`
-	// DigestsAgree reports whether every sharded worker count produced
+	// DigestsAgree reports whether every worker count produced
 	// byte-identical digests; ReplayDigestsMatch whether a second seeded
-	// classic run reproduced the first.
+	// one-worker run reproduced the first.
 	DigestsAgree       bool `json:"sharded_digests_agree"`
 	ReplayDigestsMatch bool `json:"replay_digests_match"`
 }
 
-// forEngines is the one engine loop: it runs fn on the classic loop
-// (workers 0) and on 1, 2, 4, … -parallel sharded workers, checks that
-// every sharded leg agrees on its digests, and reruns the classic leg
-// to cross-check that a seeded replay reproduces them. fn receives the
-// leg's identity (name, workers, GOMAXPROCS), measures it, prints its
-// line under the columns heading and returns the completed row. On a
-// single-CPU host forEngines leaves a note in the header, since no
-// wall-clock speedup is possible there.
+// forEngines is the one engine loop: it runs fn on 1, 2, 4, … -parallel
+// workers, checks that every leg agrees on its digests, and reruns the
+// one-worker leg to cross-check that a seeded replay reproduces them.
+// fn receives the leg's identity (name, workers, GOMAXPROCS), measures
+// it, prints its line under the columns heading and returns the
+// completed row. On a single-CPU host forEngines leaves a note in the
+// header, since no wall-clock speedup is possible there.
 func forEngines[R engineLeg](h *benchHeader, columns string, fn func(leg engineRow) (R, error)) (engineLegs[R], error) {
 	legs := engineLegs[R]{DigestsAgree: true}
 	fmt.Printf("host: %d CPUs, GOMAXPROCS=%d\n%s\n", h.NumCPU, h.GOMAXPROCS, columns)
 	leg := func(w int) (R, error) {
-		id := engineRow{Name: "classic-loop", Workers: w, Gomaxprocs: runtime.GOMAXPROCS(0)}
-		if w > 0 {
-			id.Name = fmt.Sprintf("domains x%d", w)
-		}
-		row, err := fn(id)
+		row, err := fn(engineRow{Name: fmt.Sprintf("domains x%d", w), Workers: w,
+			Gomaxprocs: runtime.GOMAXPROCS(0)})
 		if err != nil {
 			err = fmt.Errorf("workers=%d: %w", w, err)
 		}
 		return row, err
 	}
-	var classic, shard *engineRow
-	for w := 0; w <= maxWorkers(); w = max(1, 2*w) {
+	var one *engineRow
+	for w := 1; w <= maxWorkers(); w *= 2 {
 		row, err := leg(w)
 		if err != nil {
 			return legs, err
 		}
-		e := row.engine()
-		switch {
-		case w == 0:
-			classic = e
-		case shard == nil:
-			shard = e
-		case e.digests() != shard.digests():
+		if e := row.engine(); one == nil {
+			one = e
+		} else if e.digests() != one.digests() {
 			legs.DigestsAgree = false
 		}
 		legs.Rows = append(legs.Rows, row)
 	}
-	fmt.Println("replaying the classic leg:")
-	replay, err := leg(0)
+	fmt.Println("replaying the x1 leg:")
+	replay, err := leg(1)
 	if err != nil {
 		return legs, err
 	}
-	legs.ReplayDigestsMatch = replay.engine().digests() == classic.digests()
+	legs.ReplayDigestsMatch = replay.engine().digests() == one.digests()
 
 	if legs.DigestsAgree {
-		fmt.Printf("sharded digests %v identical across all worker counts\n", shard.digests())
+		fmt.Printf("digests %v identical across all worker counts\n", one.digests())
 	} else {
-		fmt.Println("DETERMINISM VIOLATION: sharded digests diverged across worker counts")
+		fmt.Println("DETERMINISM VIOLATION: digests diverged across worker counts")
 	}
 	switch {
 	case !legs.ReplayDigestsMatch:
@@ -158,7 +147,7 @@ func forEngines[R engineLeg](h *benchHeader, columns string, fn func(leg engineR
 		fmt.Println("note: " + h.Note)
 	}
 	if legs.ReplayDigestsMatch {
-		fmt.Println("replay cross-check: second seeded classic run reproduced every digest")
+		fmt.Println("replay cross-check: second seeded x1 run reproduced every digest")
 	}
 	return legs, nil
 }
@@ -232,7 +221,7 @@ func checkBaseline(path string, cur *engineRow, sameInputs func(base baseline) b
 	return nil
 }
 
-// maxWorkers is the largest sharded leg, from -parallel.
+// maxWorkers is the largest leg, from -parallel.
 func maxWorkers() int { return max(1, *parallelFlag) }
 
 // settlePool steps the world in 50ms increments until the packet-pool

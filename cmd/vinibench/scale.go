@@ -30,9 +30,8 @@ type scaleReport struct {
 }
 
 // scaleExp runs the scale-regime scenario — hundreds of slices on a
-// REPETITA topology, far past the old 126-slice ceiling — across the
-// classic loop and 1/2/4-worker sharded engines, checks digest parity,
-// and writes BENCH_scale.json. External REPETITA files plug in via
+// REPETITA topology, far past the old 126-slice ceiling — on 1, 2 and 4
+// workers, checks digest parity, and writes BENCH_scale.json. External REPETITA files plug in via
 // -topo/-demands; otherwise the pinned synthetic topology is used.
 func scaleExp() error {
 	opts := simtest.ScaleOptions{

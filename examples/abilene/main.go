@@ -79,7 +79,7 @@ func main() {
 	wash, _ := e.Slice.VirtualNode(topology.Washington)
 	sea, _ := e.Slice.VirtualNode(topology.Seattle)
 	h := traffic.NewICMPHost(wash.Phys())
-	tr := h.StartTraceroute(e.V.Loop(), traffic.TracerouteConfig{
+	tr := h.StartTraceroute(traffic.TracerouteConfig{
 		Src: wash.TapAddr, Dst: sea.TapAddr})
 	e.V.Run(e.V.Loop().Now() + 60*time.Second)
 	for _, hop := range tr.Hops {

@@ -52,7 +52,7 @@ func main() {
 	// Ping across the overlay.
 	traffic.NewICMPHost(right.Phys())
 	h := traffic.NewICMPHost(left.Phys())
-	p := h.StartPing(v.Loop(), traffic.PingConfig{
+	p := h.StartPing(traffic.PingConfig{
 		Src: left.TapAddr, Dst: right.TapAddr,
 		Interval: 100 * time.Millisecond, Count: 50,
 	})

@@ -39,29 +39,20 @@ type VINI struct {
 	tel *telemetry.Telemetry
 }
 
-// New creates an infrastructure on a fresh event loop: the classic
-// single-timeline mode, byte-identical to the historical global loop.
-func New(seed int64) *VINI {
-	return build(sim.NewLoop(seed), false)
-}
+// New creates an infrastructure run by one worker: NewParallel(seed, 1).
+func New(seed int64) *VINI { return NewParallel(seed, 1) }
 
 // NewParallel creates an infrastructure whose physical nodes each get
 // their own time domain, run by an executor with the given worker
-// budget under conservative synchronization. workers <= 1 still shards
-// nodes into domains but executes them on one worker — the
-// determinism-parity baseline: results are byte-identical for any
-// worker count.
+// budget (workers <= 1 is one worker) under conservative
+// synchronization. Results are byte-identical for any worker count.
 func NewParallel(seed int64, workers int) *VINI {
-	return build(sim.NewExecutor(seed, workers).Loop(), true)
-}
-
-func build(loop *sim.Loop, shard bool) *VINI {
-	net := netem.New(loop)
-	if shard {
-		net = netem.NewSharded(loop)
-	}
-	v := &VINI{
-		Net:      net,
+	loop := sim.NewExecutor(seed, workers).Loop()
+	// The network's stream is the control stream's second fork, the one
+	// every pinned digest was recorded with.
+	loop.RNG().Fork()
+	return &VINI{
+		Net:      netem.New(loop),
 		loop:     loop,
 		graph:    topology.New(),
 		slices:   make(map[string]*Slice),
@@ -69,19 +60,18 @@ func build(loop *sim.Loop, shard bool) *VINI {
 		plan:     newAddrPlan(),
 		reserved: make(map[string]float64),
 	}
-	return v
 }
 
 // Loop exposes the event loop for scheduling experiment actions.
 func (v *VINI) Loop() *sim.Loop { return v.loop }
 
 // Executor exposes the coordinating executor (domain statistics,
-// schedule digests, worker shutdown).
+// schedule digests).
 func (v *VINI) Executor() *sim.Executor { return v.loop.Executor() }
 
-// Close releases the executor's worker goroutines. Only needed for
-// NewParallel infrastructures that have run; harmless otherwise.
-func (v *VINI) Close() { v.loop.Executor().Shutdown() }
+// Close does nothing: worker goroutines never outlive Run, so a dropped
+// infrastructure holds nothing to release. Kept for existing callers.
+func (v *VINI) Close() {}
 
 // AddNode creates a physical node.
 func (v *VINI) AddNode(name string, addr netip.Addr, prof netem.Profile, opt sched.Options) (*netem.Node, error) {

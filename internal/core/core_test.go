@@ -121,7 +121,7 @@ func TestPingAcrossOverlay(t *testing.T) {
 	sea, _ := s.VirtualNode(topology.Seattle)
 	traffic.NewICMPHost(sea.Phys())
 	h := traffic.NewICMPHost(wash.Phys())
-	p := h.StartPing(v.Loop(), traffic.PingConfig{
+	p := h.StartPing(traffic.PingConfig{
 		Src: wash.TapAddr, Dst: sea.TapAddr,
 		Interval: 200 * time.Millisecond, Count: 50})
 	v.Run(60 * time.Second)
@@ -382,7 +382,7 @@ func TestVPNOptIn(t *testing.T) {
 	traffic.NewICMPHost(sea.Phys())
 	clientNode, _ := v.Net.Node("client")
 	h := traffic.NewICMPHost(clientNode)
-	p := h.StartPing(v.Loop(), traffic.PingConfig{
+	p := h.StartPing(traffic.PingConfig{
 		Src: clientOverlay, Dst: sea.TapAddr,
 		Interval: 500 * time.Millisecond, Count: 10})
 	v.Run(70 * time.Second)

@@ -20,8 +20,7 @@ import (
 // Distribute splits this infrastructure's node domains across process
 // shards: this process executes shard `shard` of `shards`, joined to
 // its peers by tr (a sim.SockWorker or sim.SockCoordinator). Must be
-// called on a NewParallel infrastructure after the topology is complete
-// and before the first Run.
+// called after the topology is complete and before the first Run.
 func (v *VINI) Distribute(tr sim.DomainTransport, shard, shards int) {
 	v.Executor().Distribute(tr, shard, shards)
 }

@@ -77,7 +77,7 @@ func TestSharedLinkInterference(t *testing.T) {
 		be, _ := b.VirtualNode("east")
 		traffic.NewICMPHost(be.Phys())
 		h := traffic.NewICMPHost(bw.Phys())
-		p := h.StartPing(v.Loop(), traffic.PingConfig{Src: bw.TapAddr, Dst: be.TapAddr,
+		p := h.StartPing(traffic.PingConfig{Src: bw.TapAddr, Dst: be.TapAddr,
 			Interval: 100 * time.Millisecond, Count: 50})
 		v.Run(v.Loop().Now() + 10*time.Second)
 		if p.RTTs.N() == 0 {
@@ -130,7 +130,7 @@ func TestVPNWrongKeyRejected(t *testing.T) {
 	traffic.NewICMPHost(sea.Phys())
 	att, _ := v.Net.Node("attacker")
 	h := traffic.NewICMPHost(att)
-	p := h.StartPing(v.Loop(), traffic.PingConfig{Src: overlayAddr, Dst: sea.TapAddr,
+	p := h.StartPing(traffic.PingConfig{Src: overlayAddr, Dst: sea.TapAddr,
 		Interval: 500 * time.Millisecond, Count: 6})
 	v.Run(v.Loop().Now() + 10*time.Second)
 	if p.RTTs.N() != 0 || vc.Received != 0 {

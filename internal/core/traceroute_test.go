@@ -19,7 +19,7 @@ func TestTracerouteAcrossOverlay(t *testing.T) {
 	wash, _ := s.VirtualNode(topology.Washington)
 	sea, _ := s.VirtualNode(topology.Seattle)
 	h := traffic.NewICMPHost(wash.Phys())
-	tr := h.StartTraceroute(v.Loop(), traffic.TracerouteConfig{
+	tr := h.StartTraceroute(traffic.TracerouteConfig{
 		Src: wash.TapAddr, Dst: sea.TapAddr})
 	v.Run(v.Loop().Now() + 60*time.Second)
 	if !tr.Done {

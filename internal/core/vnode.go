@@ -35,6 +35,9 @@ type VIface struct {
 	Peer     *VirtualNode
 	PeerAddr netip.Addr
 	Cost     uint32
+	// fail is the head of this tunnel's Click chain (fail<Index>), where
+	// routing messages enter.
+	fail click.Element
 }
 
 // VirtualNode is the slice's presence on one physical node: the IIAS
@@ -52,10 +55,9 @@ type VirtualNode struct {
 	clock sim.Clock
 	group *sim.TimerGroup
 	// ticks is a second group over the node's coarse tick clock (a
-	// per-node wheel in sharded mode, the domain itself in classic):
-	// periodic protocol timers (hellos, RIP updates) schedule here so
-	// they coalesce into shared slot events, and teardown cancels them
-	// the same way as the main group's.
+	// per-node wheel): periodic protocol timers (hellos, RIP updates)
+	// schedule here so they coalesce into shared slot events, and
+	// teardown cancels them the same way as the main group's.
 	ticks *sim.TimerGroup
 	// suspended silences control-plane output while the slice is
 	// paused (data-plane output stops with the parked process; control
@@ -63,11 +65,13 @@ type VirtualNode struct {
 	suspended bool
 	proc      *netem.Process
 	// Router is the Click graph, built by parsing a generated
-	// configuration in the Click language.
-	Router *click.Router
-	FIB    *fib.Table
-	Encap  *fib.EncapTable
-	rib    *fea.RIB
+	// configuration in the Click language. fromTun is its tunnel entry,
+	// resolved once (the per-packet path does no lookup by name).
+	Router  *click.Router
+	fromTun click.Element
+	FIB     *fib.Table
+	Encap   *fib.EncapTable
+	rib     *fea.RIB
 	// TapAddr is this virtual node's address (tap0).
 	TapAddr netip.Addr
 	ifaces  []*VIface
@@ -198,6 +202,7 @@ func newVirtualNode(s *Slice, phys *netem.Node, tap netip.Addr) (*VirtualNode, e
 		return nil, fmt.Errorf("core: IIAS config: %w", err)
 	}
 	vn.Router = r
+	vn.fromTun, _ = r.Element("fromtun")
 	// tap0: the kernel routes the slice's block into its Click. (The
 	// paper routes all of 10/8 to tap0 with per-slice demux in the
 	// modified TUN/TAP driver; scoping each slice's tap to its own /16
@@ -284,6 +289,7 @@ func (vn *VirtualNode) addInterface(prefix netip.Prefix, local, peerAddr netip.A
 	if err := vn.Router.Initialize(); err != nil {
 		return 0, err
 	}
+	ifc.fail, _ = vn.Router.Element(failName)
 	// The node answers for its interface address; connected routes send
 	// /30 traffic to the peer via the tunnel and our own address to tap.
 	vn.phys.AddAddr(local)
@@ -391,7 +397,7 @@ func (vn *VirtualNode) tunnelReceive(p *packet.Packet) {
 	p.Trim(len(inner))
 	p.Anno.InPort = idx
 	p.Anno.SliceID = vn.slice.id
-	vn.Router.Push("fromtun", 0, p)
+	vn.fromTun.Push(0, p)
 }
 
 // sendControl pushes a routing-protocol packet into the per-tunnel Click
@@ -410,7 +416,7 @@ func (vn *VirtualNode) sendControl(ifIndex int, dgram []byte) {
 	p := packet.New(dgram)
 	p.Anno.Timestamp = vn.clock.Now()
 	p.Anno.NextHop = vn.ifaces[ifIndex].PeerAddr
-	vn.Router.Push(fmt.Sprintf("fail%d", ifIndex), 0, p)
+	vn.ifaces[ifIndex].fail.Push(0, p)
 }
 
 // ospfTransport adapts the OSPF Transport interface onto the vnode.

@@ -97,7 +97,7 @@ func CPUIsolationAblation(seed int64, duration time.Duration, pings int) ([]Isol
 		b2, _ := s2.VirtualNode(topology.Washington)
 		traffic.NewICMPHost(was2)
 		h := traffic.NewICMPHost(chi2)
-		p := h.StartPing(v2.Loop(), traffic.PingConfig{Src: a2.TapAddr, Dst: b2.TapAddr,
+		p := h.StartPing(traffic.PingConfig{Src: a2.TapAddr, Dst: b2.TapAddr,
 			Interval: 20 * time.Millisecond, Count: pings})
 		v2.Run(v2.Loop().Now() + time.Duration(pings)*20*time.Millisecond + 5*time.Second)
 		row.PingMdev = p.RTTs.Mdev()

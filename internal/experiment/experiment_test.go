@@ -127,11 +127,11 @@ func TestTable5Shape(t *testing.T) {
 
 func TestFigure6Shape(t *testing.T) {
 	rates := []float64{5, 25, 45}
-	def, err := Figure6(2, ModeDefaultShare, rates, 5*time.Second)
+	def, err := Figure6(10, ModeDefaultShare, rates, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plv, err := Figure6(2, ModePLVINI, rates, 5*time.Second)
+	plv, err := Figure6(10, ModePLVINI, rates, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

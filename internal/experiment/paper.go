@@ -194,7 +194,7 @@ func Table3(seed int64, overlay bool, count int) (PingResult, error) {
 	}
 	traffic.NewICMPHost(dst)
 	h := traffic.NewICMPHost(src)
-	p := h.StartPing(v.Loop(), traffic.PingConfig{Src: pingSrc, Dst: pingDst,
+	p := h.StartPing(traffic.PingConfig{Src: pingSrc, Dst: pingDst,
 		Interval: time.Millisecond, Count: count})
 	v.Run(v.Loop().Now() + time.Duration(count+2000)*time.Millisecond)
 	return PingResult{Name: name,
@@ -231,7 +231,7 @@ func planetlabNetProf(seed int64, prof netem.Profile) (*core.VINI, *netem.Node, 
 	rng := v.Loop().RNG()
 	for _, n := range []*netem.Node{chi, ny, was} {
 		for i := 0; i < 6; i++ {
-			sched.StartHog(v.Loop(), n.CPU, sched.HogConfig{
+			sched.StartHog(n.CPU, sched.HogConfig{
 				Name: fmt.Sprintf("slice%d", i), Share: 1.0 / 40,
 				MeanBusy: 150 * time.Millisecond, MeanIdle: 350 * time.Millisecond,
 				RNG: rng.Fork(),
@@ -323,7 +323,7 @@ func Table5(seed int64, mode Mode, count int) (PingResult, error) {
 	srcA, dstA := endpoints(v, s, mode)
 	traffic.NewICMPHost(was)
 	h := traffic.NewICMPHost(chi)
-	p := h.StartPing(v.Loop(), traffic.PingConfig{Src: srcA, Dst: dstA,
+	p := h.StartPing(traffic.PingConfig{Src: srcA, Dst: dstA,
 		Interval: 20 * time.Millisecond, Count: count})
 	v.Run(v.Loop().Now() + time.Duration(count)*20*time.Millisecond + 5*time.Second)
 	return PingResult{Name: mode.String(),
@@ -520,7 +520,7 @@ func (e *AbileneExperiment) Figure8() ([]RTTPoint, error) {
 	t0 := v.Loop().Now()
 	v.Loop().Schedule(10*time.Second, func() { e.denverKC.SetFailed(true) })
 	v.Loop().Schedule(34*time.Second, func() { e.denverKC.SetFailed(false) })
-	p := h.StartPing(v.Loop(), traffic.PingConfig{
+	p := h.StartPing(traffic.PingConfig{
 		Src: wash.TapAddr, Dst: sea.TapAddr,
 		Interval: 200 * time.Millisecond, Count: 250,
 		Timeout: 1500 * time.Millisecond})

@@ -540,7 +540,7 @@ func (sp *Spec) Run() (*Result, error) {
 		case "ping":
 			hostFor(dst.Phys())
 			h := hostFor(src.Phys())
-			p := h.StartPing(v.Loop(), traffic.PingConfig{
+			p := h.StartPing(traffic.PingConfig{
 				Src: src.TapAddr, Dst: dst.TapAddr, Interval: ts.Interval,
 				Count: int(sp.Duration/ts.Interval) + 1})
 			pings = append(pings, pingHandle{ts, p})

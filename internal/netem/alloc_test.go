@@ -11,7 +11,7 @@ import (
 	"vini/internal/sim"
 )
 
-// TestCrossDomainPacketPathAllocs proves the sharded per-packet path is
+// TestCrossDomainPacketPathAllocs proves the per-packet path is
 // allocation-free in steady state: locally-originated forward at the
 // source node → typed transmit event → link serialization with lazy
 // queue drain → cross-domain message train → typed delivery → kernel
@@ -22,7 +22,7 @@ func TestCrossDomainPacketPathAllocs(t *testing.T) {
 	x := sim.NewExecutor(21, 1)
 	defer x.Shutdown()
 	loop := x.Loop()
-	w := NewSharded(loop)
+	w := New(loop)
 	aAddr := netip.MustParseAddr("192.168.0.1")
 	bAddr := netip.MustParseAddr("192.168.0.2")
 	a, err := w.AddNode("a", aAddr, DETERProfile(), sched.Options{})

@@ -128,7 +128,7 @@ func TestSocketQueueIsARing(t *testing.T) {
 func TestReplicaNodeSendsReleaseTheirPackets(t *testing.T) {
 	x := sim.NewExecutor(7, 1)
 	defer x.Shutdown()
-	w := NewSharded(x.Loop())
+	w := New(x.Loop())
 	a, err := w.AddNode("a", addr("192.168.0.1"), DETERProfile(), sched.Options{})
 	if err != nil {
 		t.Fatal(err)

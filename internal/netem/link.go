@@ -38,19 +38,16 @@ type linkDir struct {
 	link *Link
 	// src transmits in this direction and dst receives.
 	src, dst *Node
-	// rng draws per-packet jitter. In classic mode this aliases the
-	// network RNG (preserving the historical draw sequence); in sharded
-	// mode each direction owns a forked stream, since transmit runs in
-	// the source node's domain.
+	// rng draws per-packet jitter: each direction owns a forked stream,
+	// since transmit runs in the source node's domain.
 	rng *sim.RNG
 	// busyUntil is when the transmitter finishes the current queue.
 	busyUntil time.Duration
 	// queued tracks bytes committed but not yet serialized.
 	queued int
-	// pend records in-flight (arrival, size) pairs in sharded mode; the
-	// transmit path purges due entries lazily instead of scheduling one
-	// queue-drain event per packet. pendHead is the ring's consumed
-	// prefix.
+	// pend records in-flight (arrival, size) pairs; the transmit path
+	// purges due entries lazily instead of scheduling one queue-drain
+	// event per packet. pendHead is the ring's consumed prefix.
 	pend     []drainRec
 	pendHead int
 	// Drops counts queue-overflow losses.
@@ -91,9 +88,8 @@ func (l *Link) txFrom(src *Node) *linkTx {
 	return (*linkTx)(l.dir[1])
 }
 
-// purge applies every due queue-drain entry, replicating the semantics
-// of the per-packet drain events it replaces: each entry decrements
-// queued, floored at zero (an idle-reset may already have zeroed it).
+// purge applies every due queue-drain entry: each decrements queued,
+// floored at zero (an idle-reset may already have zeroed it).
 func (d *linkDir) purge(now time.Duration) {
 	for d.pendHead < len(d.pend) && d.pend[d.pendHead].at <= now {
 		d.queued -= d.pend[d.pendHead].size
@@ -113,18 +109,11 @@ func (d *linkDir) purge(now time.Duration) {
 }
 
 // Invoke is the typed arrival handler: it runs in the receiving node's
-// domain at the packet's arrival time — a pooled local event in classic
-// mode, a pooled message train across domains — never a per-packet
-// closure. In classic mode the arrival also drains the transmit queue;
-// in sharded mode that state belongs to the sender's domain (see purge).
+// domain at the packet's arrival time, delivered by a pooled message
+// train — never a per-packet closure. The transmit queue is the sender's
+// state and drains there (see purge).
 func (d *linkDir) Invoke(arg any) {
 	p := arg.(*packet.Packet)
-	if d.src.dom == d.dst.dom {
-		d.queued -= p.Len()
-		if d.queued < 0 {
-			d.queued = 0
-		}
-	}
 	if d.link.down {
 		p.Release() // failed while in flight
 		return
@@ -177,9 +166,8 @@ func (l *Link) Stats(dir int) (packets, bytes, drops uint64) {
 // transmit sends p across the link in this direction. It models a FIFO
 // drop-tail queue ahead of a fixed-rate serializer plus propagation
 // delay, then hands the packet to the far node's receive path. It runs
-// in src's time domain; when the far node lives in a different domain
-// the arrival becomes a timestamped mailbox message, which is the only
-// way simulated state ever crosses domains.
+// in src's time domain; the arrival becomes a timestamped mailbox
+// message, which is the only way simulated state ever crosses domains.
 func (d *linkDir) transmit(p *packet.Packet) {
 	l, src, dst := d.link, d.src, d.dst
 	if l.down {
@@ -187,11 +175,7 @@ func (d *linkDir) transmit(p *packet.Packet) {
 		return
 	}
 	now := src.dom.Now()
-	if src.dom != dst.dom {
-		// Sharded: apply queue drains that came due before this
-		// transmit (they ran as their own events on the classic path).
-		d.purge(now)
-	}
+	d.purge(now)
 	if d.busyUntil < now {
 		d.busyUntil = now
 		d.queued = 0
@@ -221,14 +205,11 @@ func (d *linkDir) transmit(p *packet.Packet) {
 		arrival = d.lastArrival
 	}
 	d.lastArrival = arrival
-	if src.dom != dst.dom {
-		// Sharded: the transmitter state (d.queued) belongs to src's
-		// domain and the receive path to dst's, so the queue drain is
-		// recorded for lazy application at the next transmit (no event
-		// at all) and the delivery rides a typed message train — one
-		// inbox lock per flushed train rather than per packet.
-		d.pend = append(d.pend, drainRec{at: arrival, size: p.Len()})
-	}
-	// Ownership of p transfers with the typed event, on either engine.
+	// The transmitter state (d.queued) belongs to src's domain and the
+	// receive path to dst's, so the queue drain is recorded for lazy
+	// application at the next transmit (no event at all) and the
+	// delivery rides a typed message train — one inbox lock per flushed
+	// train rather than per packet. Ownership of p transfers with it.
+	d.pend = append(d.pend, drainRec{at: arrival, size: p.Len()})
 	src.dom.Send(dst.dom, arrival-now, d, p)
 }

@@ -64,7 +64,7 @@ func TestLatencyMatchesLinkModel(t *testing.T) {
 	prof := DETERProfile()
 	w, src, _, dst := threeNodeNet(t, prof, 1e9, 100*time.Microsecond)
 	var arrived time.Duration
-	dst.StackListenUDP(7000, func(d []byte) { arrived = w.Loop().Now() })
+	dst.StackListenUDP(7000, func(d []byte) { arrived = dst.Clock().Now() })
 	payload := make([]byte, 1000-packet.IPv4HeaderLen-packet.UDPHeaderLen)
 	d := packet.BuildUDP(src.Addr(), dst.Addr(), 5000, 7000, 64, payload)
 	src.StackSend(d)
@@ -296,7 +296,11 @@ func TestDuplicateNodeRejected(t *testing.T) {
 	if _, err := w.AddLink(LinkConfig{A: "x", B: "ghost", Bandwidth: 1e9}); err == nil {
 		t.Fatal("link to unknown node accepted")
 	}
-	if _, err := w.AddLink(LinkConfig{A: "x", B: "x", Bandwidth: 0}); err == nil {
+	w.AddNode("y", addr("10.0.0.3"), DETERProfile(), sched.Options{})
+	if _, err := w.AddLink(LinkConfig{A: "x", B: "y", Bandwidth: 0}); err == nil {
 		t.Fatal("zero bandwidth accepted")
+	}
+	if _, err := w.AddLink(LinkConfig{A: "x", B: "x", Bandwidth: 1e9}); err == nil {
+		t.Fatal("link from a node to itself accepted")
 	}
 }

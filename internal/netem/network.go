@@ -18,15 +18,11 @@ import (
 	"vini/internal/topology"
 )
 
-// Network is a set of nodes and links on a shared executor. In classic
-// mode every node shares the loop's control domain (single timeline,
-// byte-identical to the historical global loop); in sharded mode each
-// node gets its own sim.Domain and cross-node packet hand-offs travel
-// through domain mailboxes, letting the executor run nodes in parallel.
+// Network is a set of nodes and links on a shared executor. Each node
+// gets its own sim.Domain and cross-node packet hand-offs travel through
+// domain mailboxes, letting the executor run nodes in parallel.
 type Network struct {
-	loop *sim.Loop
-	// shard assigns each node its own time domain.
-	shard bool
+	loop  *sim.Loop
 	rng   *sim.RNG
 	nodes map[string]*Node
 	order []string
@@ -57,26 +53,18 @@ type LinkEvent struct {
 	At   time.Duration
 }
 
-// New creates an empty network on loop, with every node on the loop's
-// single timeline (the classic mode).
+// New creates an empty network in which every node added gets its own
+// time domain on loop's executor, so the simulation can run nodes on
+// parallel workers. Topology must be complete before the first Run.
+// Control actions (FailLink, ComputeRoutes, driver Schedule calls on
+// the loop) run on the control domain at global barriers, exactly
+// ordered against node events by the merge key.
 func New(loop *sim.Loop) *Network {
 	return &Network{
 		loop:  loop,
 		rng:   loop.RNG().Fork(),
 		nodes: make(map[string]*Node),
 	}
-}
-
-// NewSharded creates an empty network in which every node added gets
-// its own time domain on loop's executor, so the simulation can run
-// nodes on parallel workers. Topology must be complete before the
-// first Run. Control actions (FailLink, ComputeRoutes, driver
-// Schedule calls on the loop) run on the control domain at global
-// barriers, exactly ordered against node events by the merge key.
-func NewSharded(loop *sim.Loop) *Network {
-	w := New(loop)
-	w.shard = true
-	return w
 }
 
 // Loop returns the event loop.
@@ -87,10 +75,7 @@ func (w *Network) AddNode(name string, addr netip.Addr, prof Profile, schedOpt s
 	if _, dup := w.nodes[name]; dup {
 		return nil, fmt.Errorf("netem: duplicate node %q", name)
 	}
-	dom := w.loop.Domain
-	if w.shard {
-		dom = w.loop.Executor().NewDomain(name)
-	}
+	dom := w.loop.Executor().NewDomain(name)
 	n := &Node{
 		name:     name,
 		net:      w,
@@ -137,6 +122,9 @@ func (w *Network) AddLink(cfg LinkConfig) (*Link, error) {
 	if !ok {
 		return nil, fmt.Errorf("netem: unknown node %q", cfg.B)
 	}
+	if a == b {
+		return nil, fmt.Errorf("netem: link %s-%s joins a node to itself", cfg.A, cfg.B)
+	}
 	if cfg.Bandwidth <= 0 {
 		return nil, fmt.Errorf("netem: link %s-%s needs positive bandwidth", cfg.A, cfg.B)
 	}
@@ -144,28 +132,21 @@ func (w *Network) AddLink(cfg LinkConfig) (*Link, error) {
 		cfg.QueueBytes = 256 << 10
 	}
 	l := &Link{cfg: cfg, net: w, a: a, b: b}
-	l.dir[0] = &linkDir{link: l, rng: w.rng, src: a, dst: b}
-	l.dir[1] = &linkDir{link: l, rng: w.rng, src: b, dst: a}
-	if w.shard {
-		// Each direction draws jitter from its own stream (forked at
-		// construction, so deterministic) — transmit runs inside the
-		// source node's domain and must not touch a shared RNG.
-		l.dir[0].rng = w.rng.Fork()
-		l.dir[1].rng = w.rng.Fork()
-		if a.dom != b.dom {
-			// Register the per-pair edge: the link's propagation delay
-			// bounds how far each endpoint's published promise reaches
-			// into the other's horizon (adaptive per-neighbor
-			// lookahead, not a single worst-case minimum).
-			a.dom.ObserveInboundLink(b.dom, cfg.Delay)
-			b.dom.ObserveInboundLink(a.dom, cfg.Delay)
-			// Register both directions as wire handlers so deliveries
-			// can cross process shards. Every process replays AddLink in
-			// the same order, so the handler ids agree everywhere.
-			w.loop.Executor().BindWire(l.dir[0])
-			w.loop.Executor().BindWire(l.dir[1])
-		}
-	}
+	// Each direction draws jitter from its own stream (forked at
+	// construction, so deterministic) — transmit runs inside the source
+	// node's domain and must not touch a shared RNG.
+	l.dir[0] = &linkDir{link: l, rng: w.rng.Fork(), src: a, dst: b}
+	l.dir[1] = &linkDir{link: l, rng: w.rng.Fork(), src: b, dst: a}
+	// Register the per-pair edge: the link's propagation delay bounds
+	// how far each endpoint's published promise reaches into the other's
+	// horizon.
+	a.dom.ObserveInboundLink(b.dom, cfg.Delay)
+	b.dom.ObserveInboundLink(a.dom, cfg.Delay)
+	// Register both directions as wire handlers so deliveries can cross
+	// process shards. Every process replays AddLink in the same order,
+	// so the handler ids agree everywhere.
+	w.loop.Executor().BindWire(l.dir[0])
+	w.loop.Executor().BindWire(l.dir[1])
 	a.links = append(a.links, l)
 	b.links = append(b.links, l)
 	w.links = append(w.links, l)

@@ -18,8 +18,7 @@ import (
 type Node struct {
 	name string
 	net  *Network
-	// dom is the node's time domain: the control domain in classic
-	// mode, a private one in sharded mode. Everything the node does at
+	// dom is the node's own time domain. Everything the node does at
 	// runtime — CPU scheduling, forwarding latency, stack timestamps —
 	// is clocked and scheduled here.
 	dom  *sim.Domain
@@ -59,7 +58,7 @@ type Node struct {
 	// Telemetry mirrors (nil-safe): cumulative kernel CPU nanoseconds
 	// and kernel drops, written only from this node's domain.
 	mKernel, mDrops *telemetry.Counter
-	// wheel coalesces coarse protocol ticks in sharded mode (see Ticks).
+	// wheel coalesces coarse protocol ticks (see Ticks).
 	wheel *sim.TickWheel
 }
 
@@ -113,16 +112,11 @@ func (n *Node) Clock() sim.Clock { return n.dom }
 func (n *Node) Domain() *sim.Domain { return n.dom }
 
 // Ticks returns the clock coarse periodic protocol timers (hellos, RIP
-// updates, refresh sweeps) should schedule on. In sharded mode it is a
-// per-node tick wheel: many ticks share one heap event per 100 ms slot,
-// so timer housekeeping neither multiplies events nor pins the domain's
-// published execution promise to the next hello. In classic mode it is
-// the domain itself — the single-timeline schedule stays byte-identical
-// to the historical loop.
+// updates, refresh sweeps) should schedule on: a per-node tick wheel.
+// Many ticks share one heap event per 100 ms slot, so timer housekeeping
+// neither multiplies events nor pins the domain's published execution
+// promise to the next hello.
 func (n *Node) Ticks() sim.Clock {
-	if !n.net.shard {
-		return n.dom
-	}
 	if n.wheel == nil {
 		n.wheel = sim.NewTickWheel(n.dom, 100*time.Millisecond)
 	}

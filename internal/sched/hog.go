@@ -23,19 +23,20 @@ type HogConfig struct {
 
 // Hog is a running background slice.
 type Hog struct {
-	task *Task
+	task  *Task
 	clock sim.Clock
-	cfg  HogConfig
-	busy bool
-	stop bool
+	cfg   HogConfig
+	busy  bool
+	stop  bool
 }
 
-// StartHog registers and starts a background slice on cpu.
-func StartHog(clock sim.Clock, cpu *CPU, cfg HogConfig) *Hog {
+// StartHog registers and starts a background slice on cpu, timed by
+// cpu's clock.
+func StartHog(cpu *CPU, cfg HogConfig) *Hog {
 	if cfg.RNG == nil {
 		cfg.RNG = sim.NewRNG(1)
 	}
-	h := &Hog{clock: clock, cfg: cfg}
+	h := &Hog{clock: cpu.clock, cfg: cfg}
 	h.task = cpu.NewTask(TaskConfig{
 		Name:  cfg.Name,
 		Share: cfg.Share,

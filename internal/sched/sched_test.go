@@ -210,7 +210,7 @@ func TestResetAccounting(t *testing.T) {
 func TestHogDutyCycle(t *testing.T) {
 	loop := sim.NewLoop(42)
 	cpu := New(loop, Options{})
-	h := StartHog(loop, cpu, HogConfig{
+	h := StartHog(cpu, HogConfig{
 		Name: "bg", Share: 0.05,
 		MeanBusy: 20 * time.Millisecond, MeanIdle: 60 * time.Millisecond,
 		RNG: loop.RNG().Fork(),

@@ -81,19 +81,12 @@ type Domain struct {
 	// barriers, and the executor never enqueues it.
 	remote bool
 
-	// lookIn is the minimum latency of any cross-domain edge into this
-	// domain (the conservative lookahead); maxTime when nothing sends
-	// here.
-	lookIn time.Duration
-
-	// ins are the registered per-pair inbound edges (adaptive horizon);
-	// edged is set once any edge is registered, switching horizon math
-	// from the coarse all-pairs lookIn to the edge list. outs are the
-	// domains this one has registered edges into — the executor wakes
-	// them when this domain's published bound rises.
-	ins   []inEdge
-	outs  []*Domain
-	edged bool
+	// ins are the registered per-pair inbound edges: the only domains
+	// that may send here, each bounding the horizon by its own delay.
+	// outs are the domains this one has registered edges into — the
+	// executor wakes them when this domain's published bound rises.
+	ins  []inEdge
+	outs []*Domain
 
 	// pub is the domain's published execution bound (nanoseconds): a
 	// monotone promise that no event with an earlier timestamp will ever
@@ -160,19 +153,14 @@ func (d *Domain) ScheduleDigest() uint64 { return d.digest }
 // minimum latency of any cross-domain edge into it (maxTime when
 // nothing sends here). Telemetry surfaces it next to the stall counts:
 // a small lookahead is why a domain's horizon advances slowly.
-func (d *Domain) Lookahead() time.Duration { return d.lookIn }
-
-// ObserveInboundLatency lowers the domain's conservative lookahead to
-// lat if smaller. netem calls this once per inbound cross-domain link;
-// a zero latency forces the executor's sequential fallback, which stays
-// correct (and deterministic) but does not scale.
-func (d *Domain) ObserveInboundLatency(lat time.Duration) {
-	if lat < 0 {
-		lat = 0
+func (d *Domain) Lookahead() time.Duration {
+	look := maxTime
+	for _, e := range d.ins {
+		if e.delay < look {
+			look = e.delay
+		}
 	}
-	if lat < d.lookIn {
-		d.lookIn = lat
-	}
+	return look
 }
 
 // Schedule implements Clock: fn runs in this domain at Now()+delay.
@@ -315,7 +303,7 @@ func (d *Domain) recycle(ev *event) {
 
 // less orders events by the deterministic merge key (time, origin
 // domain, origin sequence). With a single domain this degenerates to
-// the classic (time, sequence) order.
+// (time, sequence) order.
 func less(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at

@@ -81,11 +81,10 @@ func (q *deque) stealTop() *Domain {
 //   - A domain's inclusive horizon is derived from its in-neighbors'
 //     promises: H(d) = min over registered edges e=(s->d) of
 //     pub(s) + delay(e) - 1, capped by the run window and by the next
-//     control event (coarse mode, when no edges are registered, uses
-//     every other domain at the single minimum inbound delay). Any
-//     message that can still arrive does so at or after pub(s)+delay,
-//     strictly beyond H(d), so running d to H(d) never receives a
-//     message from its past — the conservative-PDES safety condition.
+//     control event. Any message that can still arrive does so at or
+//     after pub(s)+delay, strictly beyond H(d), so running d to H(d)
+//     never receives a message from its past — the conservative-PDES
+//     safety condition.
 //
 //   - Workers drain a domain's inbox, run it to its horizon, flush its
 //     outbound message trains, publish its new bound, and wake the
@@ -120,11 +119,15 @@ type Executor struct {
 	workers int
 	stopped atomic.Bool
 
-	started  bool
-	closed   bool
-	nworkers int
-	deques   []*deque
-	quit     atomic.Bool
+	// Worker goroutines live only inside run: startWorkers launches
+	// one per deque through its pre-bound entry in workerFns (a bare
+	// `go fn()` allocates nothing), stopWorkers raises quit and joins
+	// them on wg.
+	nworkers  int
+	deques    []*deque
+	workerFns []func()
+	wg        sync.WaitGroup
+	quit      atomic.Bool
 
 	parkMu   sync.Mutex
 	parkCond *sync.Cond
@@ -167,25 +170,23 @@ type Executor struct {
 	rr int // round-robin cursor for coordinator seeding
 }
 
-// NewExecutor returns an executor with the given worker budget and its
-// control domain (id 0) already created, seeded like NewLoop(seed).
-// NewExecutor(seed, 1).Loop() is behaviorally identical to the classic
-// single loop.
+// NewExecutor returns an executor with the given worker budget (at
+// least one) and its control domain (id 0) already created, seeded like
+// NewLoop(seed).
 func NewExecutor(seed int64, workers int) *Executor {
 	if workers < 1 {
 		workers = 1
 	}
 	x := &Executor{workers: workers, transport: inprocTransport{}, shards: 1}
-	ctrl := &Domain{id: 0, label: "control", exec: x, rng: NewRNG(seed),
-		lookIn: maxTime}
+	ctrl := &Domain{id: 0, label: "control", exec: x, rng: NewRNG(seed)}
 	ctrl.inboxMin.Store(int64(maxTime))
 	x.domains = []*Domain{ctrl}
 	x.loop = &Loop{Domain: ctrl, exec: x}
 	return x
 }
 
-// Loop returns the control-domain façade, which preserves the classic
-// sim.Loop API (Run, RunAll, Step, Schedule on the control timeline).
+// Loop returns the control-domain façade (Run, RunAll, Step, Schedule
+// on the control timeline).
 func (x *Executor) Loop() *Loop { return x.loop }
 
 // Workers returns the configured worker budget.
@@ -197,8 +198,7 @@ func (x *Executor) Workers() int { return x.workers }
 func (x *Executor) NewDomain(label string) *Domain {
 	ctrl := x.domains[0]
 	d := &Domain{id: int32(len(x.domains)), label: label, exec: x,
-		rng: ctrl.rng.Fork(), now: ctrl.now,
-		lookIn: maxTime}
+		rng: ctrl.rng.Fork(), now: ctrl.now}
 	d.inboxMin.Store(int64(maxTime))
 	if x.shards > 1 {
 		d.remote = OwnerShard(d.id, x.shards) != x.shard
@@ -308,23 +308,14 @@ func (x *Executor) Pending() int {
 	return n
 }
 
-// Shutdown releases the worker goroutines. The executor remains usable
-// for single-domain stepping but must not Run multi-domain again.
-// Idempotent; harmless on never-started executors.
-func (x *Executor) Shutdown() {
-	if x.started && !x.closed {
-		x.closed = true
-		x.quit.Store(true)
-		x.parkMu.Lock()
-		x.parkCond.Broadcast()
-		x.parkMu.Unlock()
-	}
-}
+// Shutdown does nothing: worker goroutines exit before Run returns, so
+// an executor holds nothing to release. Kept for callers written when
+// workers outlived Run.
+func (x *Executor) Shutdown() {}
 
 // Run executes events until every domain's next event lies beyond
 // until, or Stop is called. Virtual time in every domain is advanced to
-// until when its work drains first, mirroring the classic Loop.Run
-// contract. In a sharded run the returned error is the typed
+// until when its work drains first. In a sharded run the returned error is the typed
 // TransportError that aborted the superstep protocol (a peer died,
 // timed out, or desynchronized); single-process runs never fail.
 func (x *Executor) Run(until time.Duration) error {
@@ -372,34 +363,53 @@ func (x *Executor) step() bool {
 	return x.stepGlobalMin()
 }
 
-func (x *Executor) ensureWorkers() {
-	if x.started {
-		return
-	}
-	x.started = true
-	owned := 0
-	for _, d := range x.domains[1:] {
-		if !d.remote {
-			owned++
+// startWorkers launches the worker goroutines for one run, sizing the
+// work queues on first use (domains are fixed before the first Run).
+func (x *Executor) startWorkers() {
+	if x.deques == nil {
+		owned := 0
+		for _, d := range x.domains[1:] {
+			if !d.remote {
+				owned++
+			}
 		}
+		n := x.workers
+		if n > owned {
+			n = owned
+		}
+		if n < 1 {
+			n = 1
+		}
+		x.nworkers = n
+		x.deques = make([]*deque, n)
+		x.workerFns = make([]func(), n)
+		for i := range x.deques {
+			i := i
+			x.deques[i] = &deque{}
+			x.workerFns[i] = func() {
+				x.worker(i)
+				x.wg.Done()
+			}
+		}
+		x.parkCond = sync.NewCond(&x.parkMu)
+		x.quietCh = make(chan struct{}, 1)
 	}
-	n := x.workers
-	if n > owned {
-		n = owned
+	x.wg.Add(x.nworkers)
+	for _, fn := range x.workerFns {
+		go fn()
 	}
-	if n < 1 {
-		n = 1
-	}
-	x.nworkers = n
-	x.deques = make([]*deque, n)
-	for i := range x.deques {
-		x.deques[i] = &deque{}
-	}
-	x.parkCond = sync.NewCond(&x.parkMu)
-	x.quietCh = make(chan struct{}, 1)
-	for i := 0; i < n; i++ {
-		go x.worker(i)
-	}
+}
+
+// stopWorkers makes every worker exit and waits for it, so no goroutine
+// outlives the run that started it. Workers are idle here: run only
+// returns from a barrier.
+func (x *Executor) stopWorkers() {
+	x.quit.Store(true)
+	x.parkMu.Lock()
+	x.parkCond.Broadcast()
+	x.parkMu.Unlock()
+	x.wg.Wait()
+	x.quit.Store(false)
 }
 
 // flushAllTrains flushes every domain's outbound trains into the
@@ -602,28 +612,16 @@ func (x *Executor) worker(id int) {
 }
 
 // horizonOf computes d's inclusive safe horizon from its in-neighbors'
-// published bounds: with registered edges, per-pair (pub(src)+delay);
-// otherwise every other node domain at the coarse minimum inbound
-// delay. Both are capped by the run window and the next control event.
+// published bounds, per registered edge (pub(src)+delay), capped by the
+// run window and the next control event.
 func (x *Executor) horizonOf(d *Domain, until time.Duration) time.Duration {
 	h := until
 	if cg := time.Duration(x.ctrlGate.Load()); cg != maxTime && cg-1 < h {
 		h = cg - 1
 	}
-	if d.edged {
-		for _, e := range d.ins {
-			if b := satAdd(e.src.pubTime(), e.delay) - 1; b < h {
-				h = b
-			}
-		}
-	} else if d.lookIn < maxTime {
-		for _, s := range x.domains[1:] {
-			if s == d {
-				continue
-			}
-			if b := satAdd(s.pubTime(), d.lookIn) - 1; b < h {
-				h = b
-			}
+	for _, e := range d.ins {
+		if b := satAdd(e.src.pubTime(), e.delay) - 1; b < h {
+			h = b
 		}
 	}
 	return h
@@ -677,16 +675,8 @@ func (x *Executor) runDomain(wid int, d *Domain) {
 		}
 		d.flushed = d.flushed[:0]
 		if raised {
-			if len(d.outs) > 0 {
-				for _, o := range d.outs {
-					x.enqueue(o, wid)
-				}
-			} else if !d.edged {
-				for _, o := range x.domains[1:] {
-					if o != d {
-						x.enqueue(o, wid)
-					}
-				}
+			for _, o := range d.outs {
+				x.enqueue(o, wid)
 			}
 		}
 		if d.state.CompareAndSwap(stateRunning, stateIdle) {
@@ -714,7 +704,8 @@ func (x *Executor) runDomain(wid int, d *Domain) {
 // global node bound must be re-agreed before deciding whether another
 // control event still precedes all node work.
 func (x *Executor) run(until time.Duration, advance bool) error {
-	x.ensureWorkers()
+	x.startWorkers()
+	defer x.stopWorkers()
 	ctrl := x.domains[0]
 	x.untilA.Store(int64(until))
 	// Promises from a previous window may exceed events the driver has

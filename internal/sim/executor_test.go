@@ -22,7 +22,9 @@ func workload(t *testing.T, workers int) (uint64, [][]string) {
 	traces := make([][]string, n)
 	for i := range doms {
 		doms[i] = x.NewDomain(fmt.Sprintf("n%d", i))
-		doms[i].ObserveInboundLatency(look)
+	}
+	for i := range doms {
+		doms[(i+1)%n].ObserveInboundLink(doms[i], look)
 	}
 	for i := range doms {
 		i := i
@@ -78,14 +80,14 @@ func TestExecutorWorkerParity(t *testing.T) {
 }
 
 // TestExecutorRunAdvancesClocks: after Run(until), every domain clock
-// sits at until, like the classic Loop.Run contract.
+// sits at until, the Loop.Run contract.
 func TestExecutorRunAdvancesClocks(t *testing.T) {
 	x := NewExecutor(1, 2)
 	defer x.Shutdown()
 	a := x.NewDomain("a")
 	b := x.NewDomain("b")
-	a.ObserveInboundLatency(time.Millisecond)
-	b.ObserveInboundLatency(time.Millisecond)
+	a.ObserveInboundLink(b, time.Millisecond)
+	b.ObserveInboundLink(a, time.Millisecond)
 	a.Schedule(3*time.Millisecond, func() {})
 	x.Run(10 * time.Millisecond)
 	for _, d := range x.Domains() {
@@ -103,8 +105,8 @@ func TestControlBarrierOrder(t *testing.T) {
 	defer x.Shutdown()
 	a := x.NewDomain("a")
 	b := x.NewDomain("b")
-	a.ObserveInboundLatency(time.Millisecond)
-	b.ObserveInboundLatency(time.Millisecond)
+	a.ObserveInboundLink(b, time.Millisecond)
+	b.ObserveInboundLink(a, time.Millisecond)
 	loop := x.Loop()
 
 	var order []string
@@ -139,8 +141,8 @@ func TestZeroLookaheadFallback(t *testing.T) {
 		defer x.Shutdown()
 		a := x.NewDomain("a")
 		b := x.NewDomain("b")
-		a.ObserveInboundLatency(0)
-		b.ObserveInboundLatency(0)
+		a.ObserveInboundLink(b, 0)
+		b.ObserveInboundLink(a, 0)
 		count := 0
 		var ping, pong handlerFunc
 		ping = func(any) {
@@ -169,7 +171,7 @@ func TestZeroLookaheadFallback(t *testing.T) {
 }
 
 // TestSingleDomainDigestStable: the schedule digest is also maintained
-// on the classic single-domain path, and replays identically.
+// on a bare loop (no node domains), and replays identically.
 func TestSingleDomainDigestStable(t *testing.T) {
 	run := func() uint64 {
 		l := NewLoop(99)
@@ -197,8 +199,8 @@ func TestDomainStatsLedger(t *testing.T) {
 	defer x.Shutdown()
 	a := x.NewDomain("a")
 	b := x.NewDomain("b")
-	a.ObserveInboundLatency(time.Millisecond)
-	b.ObserveInboundLatency(time.Millisecond)
+	a.ObserveInboundLink(b, time.Millisecond)
+	b.ObserveInboundLink(a, time.Millisecond)
 	for i := 0; i < 10; i++ {
 		a.Send(b, time.Duration(i+1)*time.Millisecond, handlerFunc(func(any) {}), nil)
 		tm := a.Schedule(time.Duration(i)*time.Millisecond, func() {})

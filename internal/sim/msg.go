@@ -40,37 +40,33 @@ type train struct {
 
 // inEdge is one registered cross-domain link into a domain: messages
 // from src arrive no earlier than src's published execution bound plus
-// delay. Per-pair edges give each receiver an adaptive horizon (each
-// neighbor constrains it by its own delay) instead of the single
-// worst-case min inbound delay.
+// delay, so each neighbor constrains the receiver's horizon by its own
+// delay.
 type inEdge struct {
 	src   *Domain
 	delay time.Duration
 }
 
 // ObserveInboundLink registers a cross-domain edge src -> d with the
-// given propagation delay. Once any edge is registered the domain's
-// horizon is computed per-pair over its registered edges only, so every
-// sender into an edge-registered domain must register its edge (netem
-// does this for every link at AddLink time). ObserveInboundLatency
-// remains the coarse alternative: it constrains the domain by every
-// other domain at the single minimum delay.
+// given propagation delay (parallel edges keep the smallest). A domain's
+// horizon is computed over its registered edges only, so every sender
+// must register its edge before it first sends (netem does this for
+// every link at AddLink time); a domain nothing sends to runs straight
+// to the window. A zero delay forces the executor's sequential fallback,
+// which stays correct (and deterministic) but does not scale.
 func (d *Domain) ObserveInboundLink(src *Domain, delay time.Duration) {
 	if delay < 0 {
 		delay = 0
 	}
-	d.edged = true
 	for i := range d.ins {
 		if d.ins[i].src == src {
 			if delay < d.ins[i].delay {
 				d.ins[i].delay = delay
-				d.ObserveInboundLatency(delay)
 			}
 			return
 		}
 	}
 	d.ins = append(d.ins, inEdge{src: src, delay: delay})
-	d.ObserveInboundLatency(delay)
 	for _, o := range src.outs {
 		if o == d {
 			return
@@ -136,19 +132,16 @@ func (d *Domain) trainFor(dst *Domain) *train {
 	}
 	t := d.trains[dst.id]
 	if t == nil {
-		if dst.edged {
-			found := false
-			for _, e := range dst.ins {
-				if e.src == d {
-					found = true
-					break
-				}
+		registered := false
+		for _, e := range dst.ins {
+			if e.src == d {
+				registered = true
+				break
 			}
-			if !found {
-				panic("sim: Send to edge-registered domain " + dst.label +
-					" from unregistered source " + d.label +
-					" (missing ObserveInboundLink)")
-			}
+		}
+		if !registered {
+			panic("sim: Send to domain " + dst.label + " from unregistered source " +
+				d.label + " (missing ObserveInboundLink)")
 		}
 		t = &train{dst: dst}
 		d.trains[dst.id] = t

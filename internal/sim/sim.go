@@ -10,11 +10,10 @@
 // are byte-identical regardless of GOMAXPROCS or thread interleaving.
 // See Executor for the synchronization algorithm.
 //
-// Loop is the classic single-timeline façade: NewLoop returns a
-// one-domain executor whose behavior is identical to the historical
-// global loop, and all simulated components written against the Clock
-// interface run unmodified inside a Domain, on a Loop, or on a real
-// clock (see RealClock, which is how the live overlay in
+// Loop is the control-timeline façade: NewLoop returns an executor with
+// only its control domain, and all simulated components written against
+// the Clock interface run unmodified inside a Domain, on a Loop, or on a
+// real clock (see RealClock, which is how the live overlay in
 // internal/overlay reuses the protocol implementations).
 //
 // Each domain's event queue is a typed 4-ary min-heap over *event (no
@@ -115,7 +114,7 @@ type event struct {
 	next  *event // free-list link
 }
 
-// Loop is the single-timeline façade over a one-or-more-domain
+// Loop is the control-timeline façade over a one-or-more-domain
 // Executor. It embeds the control domain, so it is a Clock (Now,
 // Schedule, RNG act on the control timeline), and its Run family
 // drives the whole executor. The zero value is not usable; call
@@ -125,10 +124,10 @@ type Loop struct {
 	exec *Executor
 }
 
-// NewLoop returns a single-domain Loop whose clock starts at zero and
-// whose RNG is seeded with seed (runs with equal seeds are
-// bit-identical). Behavior matches the historical global event loop
-// exactly.
+// NewLoop returns a Loop on a fresh one-worker executor, holding only
+// the control domain until a network adds node domains. Its clock starts
+// at zero and its RNG is seeded with seed (runs with equal seeds are
+// bit-identical).
 func NewLoop(seed int64) *Loop {
 	return NewExecutor(seed, 1).Loop()
 }

@@ -27,7 +27,7 @@ import (
 // AdaptiveOptions configures one seeded adaptive-controller scenario.
 type AdaptiveOptions struct {
 	Seed int64
-	// Workers selects the execution engine, exactly as in Options.
+	// Workers is the executor's worker budget, exactly as in Options.
 	Workers int
 	// DisableOveruse sabotages the controller's over-use detector — the
 	// mutation check: with it set, the convergence invariant must trip.

@@ -21,7 +21,7 @@ type ChurnOptions struct {
 	// Rounds is the number of create/run/pause/reembed/destroy cycles
 	// (default 4).
 	Rounds int
-	// Workers selects the execution engine, exactly as in Options.
+	// Workers is the executor's worker budget, exactly as in Options.
 	Workers int
 }
 

@@ -73,11 +73,11 @@ func runDistSharded(t *testing.T, p DistParams, shards int) []*DistResult {
 
 // TestRegimeDigestsGolden pins every regime's digests — scenario,
 // event schedule, telemetry registry, flight recorder, JSON snapshot —
-// for seeds 1..3 on the classic loop and on 1 and 4 sharded workers
-// (dist: whole and split three ways). The file was recorded on the six
-// hand-rolled runners that preceded the regime kernel, so a diff means
-// behaviour moved. Regenerate with -update only alongside a documented,
-// intentional behaviour change.
+// for seeds 1..3 on 1 and 4 workers (dist: whole and split three ways).
+// The file was recorded on the six hand-rolled runners that preceded the
+// regime kernel, and its rows predate core.New becoming one worker of
+// this engine, so a diff means behaviour moved. Regenerate with -update
+// only alongside a documented, intentional behaviour change.
 func TestRegimeDigestsGolden(t *testing.T) {
 	var b strings.Builder
 	for _, rg := range regimes {
@@ -86,7 +86,7 @@ func TestRegimeDigestsGolden(t *testing.T) {
 			run = smallScale
 		}
 		for seed := int64(1); seed <= 3; seed++ {
-			for _, w := range []int{0, 1, 4} {
+			for _, w := range []int{1, 4} {
 				r, err := run(seed, w)
 				if err != nil {
 					t.Fatal(err)
@@ -136,6 +136,12 @@ func TestRegimeDigestsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("missing golden file (run with -update to create): %v", err)
 	}
+	// There is one engine: a "workers 0" row would pin a second baseline.
+	for _, line := range strings.Split(string(want), "\n") {
+		if f := strings.Fields(line); len(f) > 2 && f[2] == "0" {
+			t.Fatalf("%s pins a workers-0 row: %q", path, line)
+		}
+	}
 	if got := b.String(); got != string(want) {
 		t.Fatalf("regime digests diverged from %s (re-run with -update only if intentional):\n--- got ---\n%s\n--- want ---\n%s",
 			path, got, want)
@@ -167,6 +173,9 @@ func TestAdaptiveMatchesCommittedBench(t *testing.T) {
 		t.Fatalf("BENCH_adaptive.json: seed %d with %d rows, want seed 2", rep.Seed, len(rep.Rows))
 	}
 	for _, row := range rep.Rows {
+		if row.Workers < 1 {
+			t.Fatalf("BENCH_adaptive.json has a workers=%d row; legs start at one worker", row.Workers)
+		}
 		if row.Workers > 1 && testing.Short() {
 			continue
 		}

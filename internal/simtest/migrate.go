@@ -25,7 +25,7 @@ type MigrateOptions struct {
 	Seed int64
 	// Rounds is the number of migration rounds (default 4).
 	Rounds int
-	// Workers selects the execution engine, exactly as in Options.
+	// Workers is the executor's worker budget, exactly as in Options.
 	Workers int
 	// Sabotage disables duplicate suppression on every shadow — the
 	// mutation hook proving the exactly-once checker has teeth. A
@@ -67,8 +67,8 @@ type migWorld struct {
 	tap map[string]netip.Addr
 	// delivered is the painted-probe ledger: per-node maps from probe
 	// key to delivery count. Each physical node's stack listener writes
-	// only its own map (listeners run on the node's time domain under
-	// the sharded executor), and the driver merges them at barriers —
+	// only its own map (listeners run on the node's time domain), and
+	// the driver merges them at barriers —
 	// the same single-writer discipline as scenario.delivered.
 	delivered []map[string]uint32
 	seq       uint32

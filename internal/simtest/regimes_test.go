@@ -81,9 +81,9 @@ func smallScale(seed int64, workers int) (result, error) {
 }
 
 // regimes is the suite: one row per regime. Every arm starts at seed
-// first; sweep seeds run on the classic engine, parity seeds on 1 vs 4
-// sharded workers (plus 2 workers on the first two seeds when spot2),
-// replay seeds twice on each of the two engines.
+// first; sweep seeds run on 1 worker, parity seeds on 1 vs 4 workers
+// (plus 2 workers on the first two seeds when spot2), replay seeds
+// twice each on 1 and on 4 workers.
 var regimes = []struct {
 	name                  string
 	first                 int64
@@ -97,15 +97,10 @@ var regimes = []struct {
 		func(s int64, w int) (result, error) { return RunChurn(ChurnOptions{Seed: s, Workers: w}) }},
 	// One pinned seed: 200 slices — well past the old 126-slice ceiling —
 	// on a 64-node synthetic REPETITA substrate, byte-identical at 1, 2
-	// and 4 workers. -short trims only the classic sweep; the parity arm
-	// always runs full size.
-	{"scale", 2, seedCount{1, 1}, seedCount{1, 1}, seedCount{}, true,
-		func(s int64, w int) (result, error) {
-			if w == 0 && testing.Short() {
-				return smallScale(s, w)
-			}
-			return RunScale(ScaleOptions{Seed: s, Workers: w})
-		}},
+	// and 4 workers. The parity arm's 1-worker leg is the sweep of that
+	// seed, so the sweep arm runs only under -seeds.
+	{"scale", 2, seedCount{}, seedCount{1, 1}, seedCount{}, true,
+		func(s int64, w int) (result, error) { return RunScale(ScaleOptions{Seed: s, Workers: w}) }},
 	{"migrate", 1, seedCount{6, 2}, seedCount{15, 4}, seedCount{3, 3}, true,
 		func(s int64, w int) (result, error) { return RunMigrate(MigrateOptions{Seed: s, Workers: w}) }},
 	{"adaptive", 1, seedCount{5, 2}, seedCount{10, 3}, seedCount{3, 3}, true,
@@ -133,13 +128,13 @@ func diverged(a, b *Outcome) (out []string) {
 }
 
 // TestRegimes gives every regime the same three properties from the
-// same code. sweep explores seeded scenarios on the classic engine and
-// fails on any invariant violation; parity demands byte-identical
-// fingerprints between 1 and 4 sharded workers — any divergence is a
-// synchronization bug: a message delivered across a horizon, a racy RNG
-// draw, or state shared between domains; replay runs the same seed
-// twice per engine and demands the same. Every failure prints the exact
-// command that reproduces it.
+// same code. sweep explores seeded scenarios on 1 worker and fails on
+// any invariant violation; parity demands byte-identical fingerprints
+// between 1 and 4 workers — any divergence is a synchronization bug: a
+// message delivered across a horizon, a racy RNG draw, or state shared
+// between domains; replay runs the same seed twice per worker count and
+// demands the same. Every failure prints the exact command that
+// reproduces it.
 func TestRegimes(t *testing.T) {
 	for _, rg := range regimes {
 		hint := func(arm string, seed int64) string {
@@ -188,7 +183,7 @@ func TestRegimes(t *testing.T) {
 				c = seedCount{*flagSeeds, *flagSeeds}
 			}
 			for s, end := seeds(c); s < end; s++ {
-				must(t, "sweep", s, 0)
+				must(t, "sweep", s, 1)
 			}
 		})
 		t.Run(rg.name+"/parity", func(t *testing.T) {
@@ -203,7 +198,7 @@ func TestRegimes(t *testing.T) {
 		})
 		t.Run(rg.name+"/replay", func(t *testing.T) {
 			for s, end := seeds(rg.replay); s < end; s++ {
-				for _, w := range []int{0, 4} {
+				for _, w := range []int{1, 4} {
 					same(t, "replay", must(t, "replay", s, w), must(t, "replay", s, w))
 				}
 			}
@@ -314,7 +309,7 @@ func TestAuditCatches(t *testing.T) {
 				}
 			}
 			defer func() { beforeAuditForTest = nil }()
-			r, err := tc.run(1, 0)
+			r, err := tc.run(1, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

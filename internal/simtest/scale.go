@@ -30,8 +30,7 @@ type ScaleOptions struct {
 	Nodes int
 	// Slices is the concurrent slice count (default 200).
 	Slices int
-	// Workers selects the engine: 0 the classic loop, >= 1 the sharded
-	// executor with that worker budget.
+	// Workers is the executor's worker budget, exactly as in Options.
 	Workers int
 	// Flaps is the number of virtual-link failure/recovery cycles
 	// (default 2).

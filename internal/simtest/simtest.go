@@ -38,13 +38,11 @@ type Options struct {
 	// Events fixes the number of failure/recovery events; 0 draws
 	// 2..5 from the scenario RNG.
 	Events int
-	// Workers selects the execution engine: 0 runs the classic
-	// single-timeline loop; >= 1 shards every node into its own time
-	// domain executed by that many workers under conservative
-	// synchronization. Any Workers >= 1 must produce byte-identical
-	// results (that is the worker-parity property the CI matrix
-	// asserts); Workers = 0 is a different — also deterministic —
-	// baseline, because domain RNG streams fork differently.
+	// Workers is the executor's worker budget (<= 1 is one worker):
+	// every node is its own time domain, executed by that many workers
+	// under conservative synchronization. Any value must produce
+	// byte-identical results (that is the worker-parity property the CI
+	// matrix asserts).
 	Workers int
 }
 

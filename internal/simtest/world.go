@@ -15,12 +15,11 @@ import (
 )
 
 // Outcome is the result header every regime's Result embeds: who ran
-// (seed, engine), what was observed (log, violations), the replay
+// (seed, workers), what was observed (log, violations), the replay
 // fingerprints the parity properties compare, and wall-clock spend.
 type Outcome struct {
 	Seed int64
-	// Workers is the engine that ran: 0 the classic single-timeline
-	// loop, >= 1 the sharded executor with that worker budget.
+	// Workers is the executor's worker budget (at least 1).
 	Workers    int
 	Log        []string
 	Violations []string
@@ -31,7 +30,7 @@ type Outcome struct {
 	// over every fired event's (timestamp, domain, sequence) merge key.
 	// TelemetryDigest folds the metrics registry, FlightDigest the merged
 	// flight-recorder stream, and Telemetry is the full JSON snapshot.
-	// All five must be byte-identical for any Workers >= 1.
+	// All five must be byte-identical for any Workers.
 	Digest          uint64
 	ScheduleDigest  uint64
 	TelemetryDigest uint64
@@ -66,7 +65,7 @@ func (o *Outcome) String() string {
 }
 
 // world is the kernel every regime runs on: the infrastructure on its
-// chosen engine, the scenario digest, the ledger baselines, and the
+// worker budget, the scenario digest, the ledger baselines, and the
 // checks that must hold wherever a regime stops. Regimes keep their own
 // state (topology, probes, phases) and call into it.
 type world struct {
@@ -87,16 +86,14 @@ type world struct {
 // negative tests can plant a leak inside an otherwise clean regime run.
 var beforeAuditForTest func(*world)
 
-// newWorld is the single place a regime's engine is chosen and its
-// telemetry enabled (every scenario runs with telemetry so the parity
-// properties also pin the registry and flight recorder byte-for-byte).
+// newWorld is the single place a regime's infrastructure is built and
+// its telemetry enabled (every scenario runs with telemetry so the
+// parity properties also pin the registry and flight recorder
+// byte-for-byte). workers <= 1 is one worker.
 func newWorld(regime string, out *Outcome, seed int64, workers int) *world {
-	out.regime, out.Seed, out.Workers = regime, seed, workers
+	out.regime, out.Seed, out.Workers = regime, seed, max(workers, 1)
 	w := &world{out: out, digest: fnv.New64a(), mark: time.Now()}
-	w.vini = core.New(seed)
-	if workers > 0 {
-		w.vini = core.NewParallel(seed, workers)
-	}
+	w.vini = core.NewParallel(seed, workers)
 	w.vini.EnableTelemetry()
 	w.loop = w.vini.Loop()
 	return w
@@ -273,7 +270,7 @@ func (w *world) audit(where string) {
 }
 
 // finish folds the violations, collects every digest and the telemetry
-// snapshot, and shuts the engine down. The format renders the regime's
+// snapshot. The format renders the regime's
 // own fields for the replay header.
 func (w *world) finish(format string, args ...any) {
 	o := w.out
@@ -294,5 +291,4 @@ func (w *world) finish(format string, args ...any) {
 	if js, err := tel.SnapshotJSON(); err == nil {
 		o.Telemetry = string(js)
 	}
-	w.vini.Close()
 }

@@ -63,7 +63,7 @@ func StartIperfTCP(w *netem.Network, client, server *netem.Node, cfg IperfTCPCon
 		sport := cfg.BasePort + uint16(i) + 1000
 		dport := cfg.BasePort + uint16(i)
 		// Each endpoint's protocol machine runs on its own node's
-		// domain clock (identical to the loop in classic mode).
+		// domain clock.
 		rcv := tcpm.NewReceiver(server.Clock(), tcpCfg, dst, dport, server.StackSendPacket)
 		if err := t.serverEP.ListenTCP(dport, rcv.Deliver); err != nil {
 			t.Close()

@@ -45,8 +45,8 @@ type Traceroute struct {
 	onDone  func()
 }
 
-// StartTraceroute begins a trace through the host's node.
-func (h *ICMPHost) StartTraceroute(clock sim.Clock, cfg TracerouteConfig) *Traceroute {
+// StartTraceroute begins a trace through the host's node, on its clock.
+func (h *ICMPHost) StartTraceroute(cfg TracerouteConfig) *Traceroute {
 	if cfg.MaxTTL <= 0 {
 		cfg.MaxTTL = 16
 	}
@@ -56,7 +56,7 @@ func (h *ICMPHost) StartTraceroute(clock sim.Clock, cfg TracerouteConfig) *Trace
 	if cfg.Port == 0 {
 		cfg.Port = 33434
 	}
-	tr := &Traceroute{host: h, clock: clock, cfg: cfg}
+	tr := &Traceroute{host: h, clock: h.node.Clock(), cfg: cfg}
 	h.traces = append(h.traces, tr)
 	tr.started = true
 	tr.probe(1)

@@ -9,7 +9,7 @@ func TestTracerouteDiscoversChain(t *testing.T) {
 	w, src, dst := gigChain(t)
 	h := NewICMPHost(src)
 	done := false
-	tr := h.StartTraceroute(w.Loop(), TracerouteConfig{Src: src.Addr(), Dst: dst.Addr()})
+	tr := h.StartTraceroute(TracerouteConfig{Src: src.Addr(), Dst: dst.Addr()})
 	tr.OnDone(func() { done = true })
 	w.Run(5 * time.Second)
 	if !tr.Done || !done {
@@ -40,9 +40,9 @@ func TestTracerouteDemuxWithPing(t *testing.T) {
 	w, src, dst := gigChain(t)
 	NewICMPHost(dst)
 	h := NewICMPHost(src)
-	p := h.StartPing(w.Loop(), PingConfig{Src: src.Addr(), Dst: dst.Addr(),
+	p := h.StartPing(PingConfig{Src: src.Addr(), Dst: dst.Addr(),
 		Interval: 10 * time.Millisecond, Count: 50})
-	tr := h.StartTraceroute(w.Loop(), TracerouteConfig{Src: src.Addr(), Dst: dst.Addr()})
+	tr := h.StartTraceroute(TracerouteConfig{Src: src.Addr(), Dst: dst.Addr()})
 	w.Run(5 * time.Second)
 	if !tr.Done || len(tr.Hops) != 2 {
 		t.Fatalf("trace beside ping: Done=%v hops=%d, want 2", tr.Done, len(tr.Hops))
@@ -57,7 +57,7 @@ func TestTracerouteTimeoutHops(t *testing.T) {
 	l, _ := w.FindLink("src", "fwdr")
 	l.SetDown(true)
 	h := NewICMPHost(src)
-	tr := h.StartTraceroute(w.Loop(), TracerouteConfig{Src: src.Addr(), Dst: dst.Addr(),
+	tr := h.StartTraceroute(TracerouteConfig{Src: src.Addr(), Dst: dst.Addr(),
 		MaxTTL: 3, Timeout: 200 * time.Millisecond})
 	w.Run(2 * time.Second)
 	if !tr.Done {
@@ -85,7 +85,7 @@ func TestTracerouteStopAndClose(t *testing.T) {
 	l, _ := w.FindLink("src", "fwdr")
 	l.SetDown(true)
 	h := NewICMPHost(src)
-	tr := h.StartTraceroute(w.Loop(), TracerouteConfig{Src: src.Addr(), Dst: dst.Addr(),
+	tr := h.StartTraceroute(TracerouteConfig{Src: src.Addr(), Dst: dst.Addr(),
 		Timeout: 10 * time.Second})
 	w.Run(100 * time.Millisecond)
 	if tr.Done {

@@ -128,11 +128,10 @@ type Ping struct {
 	Sent, Lost int
 }
 
-// StartPing launches a ping client through the host dispatcher. Under
-// parallel execution pass the host node's Clock(), so the echo tick and
-// the reply path share the node's time domain; on a classic loop any
-// clock handle is the same timeline.
-func (h *ICMPHost) StartPing(clock sim.Clock, cfg PingConfig) *Ping {
+// StartPing launches a ping client through the host dispatcher, clocked
+// by the host node so the echo tick and the reply path share its time
+// domain.
+func (h *ICMPHost) StartPing(cfg PingConfig) *Ping {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 200 * time.Millisecond
 	}
@@ -143,7 +142,7 @@ func (h *ICMPHost) StartPing(clock sim.Clock, cfg PingConfig) *Ping {
 		cfg.Timeout = 2 * time.Second
 	}
 	h.nextID++
-	p := &Ping{host: h, clock: clock, cfg: cfg, id: h.nextID,
+	p := &Ping{host: h, clock: h.node.Clock(), cfg: cfg, id: h.nextID,
 		sent: make(map[uint16]time.Duration), timers: make(map[uint16]sim.Timer)}
 	h.clients[p.id] = p
 	p.onTick = p.tick

@@ -37,7 +37,7 @@ func TestPingOverKernelPath(t *testing.T) {
 	w, src, dst := gigChain(t)
 	NewICMPHost(dst)
 	h := NewICMPHost(src)
-	p := h.StartPing(w.Loop(), PingConfig{Src: src.Addr(), Dst: dst.Addr(),
+	p := h.StartPing(PingConfig{Src: src.Addr(), Dst: dst.Addr(),
 		Interval: 10 * time.Millisecond, Count: 100})
 	w.Run(5 * time.Second)
 	if p.Sent != 100 {
@@ -59,7 +59,7 @@ func TestPingCountsLosses(t *testing.T) {
 	w, src, dst := gigChain(t)
 	NewICMPHost(dst)
 	h := NewICMPHost(src)
-	p := h.StartPing(w.Loop(), PingConfig{Src: src.Addr(), Dst: dst.Addr(),
+	p := h.StartPing(PingConfig{Src: src.Addr(), Dst: dst.Addr(),
 		Interval: 50 * time.Millisecond, Count: 20, Timeout: 500 * time.Millisecond})
 	// Fail the path mid-test.
 	l, _ := w.FindLink("src", "fwdr")

@@ -30,10 +30,9 @@ type UDPCBRConfig struct {
 // interarrival-jitter estimator) and loss from sequence gaps — the
 // quantities Tables 3/5/6 and Figure 6 report.
 type UDPCBR struct {
-	// send is the client node's clock, recv the server's: under
-	// parallel execution the tick loop runs in the client's domain and
-	// the receive path in the server's, so each side reads its own
-	// timeline (identical in classic mode, where both are the loop).
+	// send is the client node's clock, recv the server's: the tick loop
+	// runs in the client's domain and the receive path in the server's,
+	// so each side reads its own timeline.
 	send      sim.Clock
 	recv      sim.Clock
 	cfg       UDPCBRConfig

@@ -243,7 +243,7 @@ func NewFixedRate(bps float64) *FixedRate { return &FixedRate{bps: bps} }
 func (f *FixedRate) TargetBps() float64 { return f.bps }
 
 // Set retargets the rate (the experiment-spec `rate` action). Call it
-// from the sender's domain — or, classic mode, anywhere on the loop.
+// from the sender's domain or at a barrier (driver time, a control event).
 func (f *FixedRate) Set(bps float64) { f.bps = bps }
 
 // paceInterval is the CBR interarrival formula, preserved verbatim from

@@ -48,7 +48,7 @@ func TestPingStopCancelsIntervalTimer(t *testing.T) {
 	w, src, dst := gigChain(t)
 	NewICMPHost(dst)
 	h := NewICMPHost(src)
-	p := h.StartPing(w.Loop(), PingConfig{Src: src.Addr(), Dst: dst.Addr(),
+	p := h.StartPing(PingConfig{Src: src.Addr(), Dst: dst.Addr(),
 		Interval: 50 * time.Millisecond}) // Count 0: runs until Stop
 	w.Run(time.Second)
 	p.Stop()
@@ -77,9 +77,9 @@ func TestPingIDsArePerHost(t *testing.T) {
 	NewICMPHost(dst1)
 	NewICMPHost(dst2)
 	h1, h2 := NewICMPHost(src1), NewICMPHost(src2)
-	p1 := h1.StartPing(w1.Loop(), PingConfig{Src: src1.Addr(), Dst: dst1.Addr(), Count: 1})
-	q1 := h1.StartPing(w1.Loop(), PingConfig{Src: src1.Addr(), Dst: dst1.Addr(), Count: 1})
-	p2 := h2.StartPing(w2.Loop(), PingConfig{Src: src2.Addr(), Dst: dst2.Addr(), Count: 1})
+	p1 := h1.StartPing(PingConfig{Src: src1.Addr(), Dst: dst1.Addr(), Count: 1})
+	q1 := h1.StartPing(PingConfig{Src: src1.Addr(), Dst: dst1.Addr(), Count: 1})
+	p2 := h2.StartPing(PingConfig{Src: src2.Addr(), Dst: dst2.Addr(), Count: 1})
 	if p1.id == q1.id {
 		t.Fatalf("two clients on one host share id %#x", p1.id)
 	}

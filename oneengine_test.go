@@ -119,7 +119,11 @@ func TestDroppedWorldLeaksNothing(t *testing.T) {
 		v.Net.MustNode("a").Clock().Schedule(time.Millisecond, func() {})
 		v.Run(10 * time.Millisecond)
 	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("%d goroutines before 200 dropped worlds, %d after", before, after)
+	// Run returns once every worker has signalled its exit; the runtime
+	// may still be retiring the last of them.
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before 200 dropped worlds, %d after", before, runtime.NumGoroutine())
+		}
 	}
 }

@@ -68,7 +68,7 @@ func TestFacadeAbileneHelpers(t *testing.T) {
 	sea, _ := s.VirtualNode(topology.Seattle)
 	traffic.NewICMPHost(sea.Phys())
 	h := traffic.NewICMPHost(wash.Phys())
-	p := h.StartPing(v.Loop(), traffic.PingConfig{Src: wash.TapAddr, Dst: sea.TapAddr,
+	p := h.StartPing(traffic.PingConfig{Src: wash.TapAddr, Dst: sea.TapAddr,
 		Interval: 500 * time.Millisecond, Count: 10})
 	v.Run(v.Loop().Now() + 10*time.Second)
 	if p.LossRate() != 0 {

@@ -4,7 +4,7 @@ package vini_test
 // hop: source tool -> kernel stack -> tap0 -> Click -> UDP tunnel -> link
 // -> process socket -> scheduler grain -> Click forwarder -> tunnel ->
 // link -> socket -> Click -> tap sink -> kernel stack -> measurement
-// tool, on both engines. Once the world is warm (pools filled, queues
+// tool. Once the world is warm (pools filled, queues
 // and heaps at their working size), advancing virtual time must not
 // allocate — and, for UDP CBR, must not grow the heap either: a
 // per-packet sample log appended to for the life of the world is invisible
@@ -71,13 +71,6 @@ func TestWholePathZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds Puts under the race detector")
 	}
-	engines := []struct {
-		name string
-		new  func() *core.VINI
-	}{
-		{"classic", func() *core.VINI { return core.New(2) }},
-		{"domains", func() *core.VINI { return core.NewParallel(2, 1) }},
-	}
 	workloads := []struct {
 		name string
 		// maxBytes, when set, bounds the bytes allocated over five more
@@ -99,40 +92,37 @@ func TestWholePathZeroAlloc(t *testing.T) {
 			return func() uint64 { return c.Receivers()[0].Bytes }, err
 		}},
 	}
-	for _, e := range engines {
-		for _, w := range workloads {
-			t.Run(e.name+"/"+w.name, func(t *testing.T) {
-				v := e.new()
-				defer v.Close()
-				src, sink, srcTap, sinkTap := lineWorld(t, v)
-				delivered, err := w.start(v, src, sink, srcTap, sinkTap)
-				if err != nil {
-					t.Fatal(err)
+	for _, w := range workloads {
+		t.Run(w.name, func(t *testing.T) {
+			v := core.New(2)
+			src, sink, srcTap, sinkTap := lineWorld(t, v)
+			delivered, err := w.start(v, src, sink, srcTap, sinkTap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Warm-up: fill the packet pool and event free lists,
+			// grow every ring, heap and train to its working size.
+			v.Run(v.Loop().Now() + 3*time.Second)
+			before := delivered()
+			step := func() { v.Run(v.Loop().Now() + 10*time.Millisecond) }
+			// GC during measurement would drain the sync.Pool and
+			// charge the refill to the data path.
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+				t.Errorf("%.0f allocs per 10 ms of virtual time, want 0", allocs)
+			}
+			if delivered() == before {
+				t.Fatal("nothing was delivered during the measured second")
+			}
+			if w.maxBytes > 0 {
+				var m0, m1 runtime.MemStats
+				runtime.ReadMemStats(&m0)
+				v.Run(v.Loop().Now() + 5*time.Second)
+				runtime.ReadMemStats(&m1)
+				if got := m1.TotalAlloc - m0.TotalAlloc; got > w.maxBytes {
+					t.Errorf("%d bytes allocated in 5 s of virtual time, want <= %d", got, w.maxBytes)
 				}
-				// Warm-up: fill the packet pool and event free lists,
-				// grow every ring, heap and train to its working size.
-				v.Run(v.Loop().Now() + 3*time.Second)
-				before := delivered()
-				step := func() { v.Run(v.Loop().Now() + 10*time.Millisecond) }
-				// GC during measurement would drain the sync.Pool and
-				// charge the refill to the data path.
-				defer debug.SetGCPercent(debug.SetGCPercent(-1))
-				if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
-					t.Errorf("%.0f allocs per 10 ms of virtual time, want 0", allocs)
-				}
-				if delivered() == before {
-					t.Fatal("nothing was delivered during the measured second")
-				}
-				if w.maxBytes > 0 {
-					var m0, m1 runtime.MemStats
-					runtime.ReadMemStats(&m0)
-					v.Run(v.Loop().Now() + 5*time.Second)
-					runtime.ReadMemStats(&m1)
-					if got := m1.TotalAlloc - m0.TotalAlloc; got > w.maxBytes {
-						t.Errorf("%d bytes allocated in 5 s of virtual time, want <= %d", got, w.maxBytes)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
