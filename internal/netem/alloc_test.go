@@ -19,8 +19,10 @@ import (
 // guard on the forwarding fabric alone; TestWholePathZeroAlloc (root
 // package) covers the path through sockets, Click and local delivery.
 func TestCrossDomainPacketPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds Puts under the race detector")
+	}
 	x := sim.NewExecutor(21, 1)
-	defer x.Shutdown()
 	loop := x.Loop()
 	w := New(loop)
 	aAddr := netip.MustParseAddr("192.168.0.1")

@@ -127,7 +127,6 @@ func TestSocketQueueIsARing(t *testing.T) {
 // packets must go back to the pool instead of being stranded.
 func TestReplicaNodeSendsReleaseTheirPackets(t *testing.T) {
 	x := sim.NewExecutor(7, 1)
-	defer x.Shutdown()
 	w := New(x.Loop())
 	a, err := w.AddNode("a", addr("192.168.0.1"), DETERProfile(), sched.Options{})
 	if err != nil {

@@ -1,0 +1,8 @@
+//go:build race
+
+package netem
+
+// raceEnabled reports that the race detector is on. Under it sync.Pool
+// drops a quarter of all Puts on purpose, so a pooled path cannot be
+// allocation-free and the packet-path guard skips.
+const raceEnabled = true

@@ -123,7 +123,6 @@ type Executor struct {
 	// one per deque through its pre-bound entry in workerFns (a bare
 	// `go fn()` allocates nothing), stopWorkers raises quit and joins
 	// them on wg.
-	nworkers  int
 	deques    []*deque
 	workerFns []func()
 	wg        sync.WaitGroup
@@ -315,9 +314,10 @@ func (x *Executor) Shutdown() {}
 
 // Run executes events until every domain's next event lies beyond
 // until, or Stop is called. Virtual time in every domain is advanced to
-// until when its work drains first. In a sharded run the returned error is the typed
-// TransportError that aborted the superstep protocol (a peer died,
-// timed out, or desynchronized); single-process runs never fail.
+// until when its work drains first. In a sharded run the returned error
+// is the typed TransportError that aborted the superstep protocol (a
+// peer died, timed out, or desynchronized); single-process runs never
+// fail.
 func (x *Executor) Run(until time.Duration) error {
 	x.stopped.Store(false)
 	if len(x.domains) == 1 {
@@ -373,14 +373,7 @@ func (x *Executor) startWorkers() {
 				owned++
 			}
 		}
-		n := x.workers
-		if n > owned {
-			n = owned
-		}
-		if n < 1 {
-			n = 1
-		}
-		x.nworkers = n
+		n := max(1, min(x.workers, owned))
 		x.deques = make([]*deque, n)
 		x.workerFns = make([]func(), n)
 		for i := range x.deques {
@@ -394,7 +387,7 @@ func (x *Executor) startWorkers() {
 		x.parkCond = sync.NewCond(&x.parkMu)
 		x.quietCh = make(chan struct{}, 1)
 	}
-	x.wg.Add(x.nworkers)
+	x.wg.Add(len(x.workerFns))
 	for _, fn := range x.workerFns {
 		go fn()
 	}
@@ -528,7 +521,7 @@ func (x *Executor) pushWork(d *Domain, wid int) {
 	if wid < 0 {
 		wid = x.rr
 		x.rr++
-		if x.rr >= x.nworkers {
+		if x.rr >= len(x.deques) {
 			x.rr = 0
 		}
 	}
@@ -574,8 +567,8 @@ func (x *Executor) worker(id int) {
 			continue
 		}
 		stolen := false
-		for i := 1; i < x.nworkers; i++ {
-			if d := x.deques[(id+i)%x.nworkers].stealTop(); d != nil {
+		for i := 1; i < len(x.deques); i++ {
+			if d := x.deques[(id+i)%len(x.deques)].stealTop(); d != nil {
 				x.steals.Add(1)
 				stolen = true
 				spins = 0

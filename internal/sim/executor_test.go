@@ -17,7 +17,6 @@ func workload(t *testing.T, workers int) (uint64, [][]string) {
 	const n = 4
 	const look = 2 * time.Millisecond
 	x := NewExecutor(42, workers)
-	defer x.Shutdown()
 	doms := make([]*Domain, n)
 	traces := make([][]string, n)
 	for i := range doms {
@@ -83,7 +82,6 @@ func TestExecutorWorkerParity(t *testing.T) {
 // sits at until, the Loop.Run contract.
 func TestExecutorRunAdvancesClocks(t *testing.T) {
 	x := NewExecutor(1, 2)
-	defer x.Shutdown()
 	a := x.NewDomain("a")
 	b := x.NewDomain("b")
 	a.ObserveInboundLink(b, time.Millisecond)
@@ -102,7 +100,6 @@ func TestExecutorRunAdvancesClocks(t *testing.T) {
 // control event observes node clocks advanced to its own time.
 func TestControlBarrierOrder(t *testing.T) {
 	x := NewExecutor(1, 2)
-	defer x.Shutdown()
 	a := x.NewDomain("a")
 	b := x.NewDomain("b")
 	a.ObserveInboundLink(b, time.Millisecond)
@@ -138,7 +135,6 @@ func TestControlBarrierOrder(t *testing.T) {
 func TestZeroLookaheadFallback(t *testing.T) {
 	run := func(workers int) (int, uint64) {
 		x := NewExecutor(3, workers)
-		defer x.Shutdown()
 		a := x.NewDomain("a")
 		b := x.NewDomain("b")
 		a.ObserveInboundLink(b, 0)
@@ -196,7 +192,6 @@ func TestSingleDomainDigestStable(t *testing.T) {
 func TestDomainStatsLedger(t *testing.T) {
 	_, _ = workload(t, 4)
 	x := NewExecutor(42, 4)
-	defer x.Shutdown()
 	a := x.NewDomain("a")
 	b := x.NewDomain("b")
 	a.ObserveInboundLink(b, time.Millisecond)

@@ -29,7 +29,6 @@ func TestTrainOrderAcrossHorizon(t *testing.T) {
 	run := func(workers int) (uint64, []string, []string) {
 		const edge = time.Millisecond
 		x := NewExecutor(11, workers)
-		defer x.Shutdown()
 		a := x.NewDomain("a")
 		b := x.NewDomain("b")
 		b.ObserveInboundLink(a, edge)
@@ -101,7 +100,6 @@ func TestWorkStealDeterminism(t *testing.T) {
 	run := func(workers int) uint64 {
 		const n = 16
 		x := NewExecutor(5, workers)
-		defer x.Shutdown()
 		doms := make([]*Domain, n)
 		for i := range doms {
 			doms[i] = x.NewDomain(fmt.Sprintf("n%d", i))
@@ -152,7 +150,6 @@ func TestWorkStealDeterminism(t *testing.T) {
 func TestZeroLookaheadCycleFallback(t *testing.T) {
 	run := func(workers int) (int, uint64, uint64) {
 		x := NewExecutor(13, workers)
-		defer x.Shutdown()
 		a := x.NewDomain("a")
 		b := x.NewDomain("b")
 		c := x.NewDomain("c")
@@ -198,7 +195,6 @@ func (f handlerFunc) Invoke(arg any) { f(arg) }
 func TestCrossDomainSendSteadyStateAllocs(t *testing.T) {
 	const edge = time.Millisecond
 	x := NewExecutor(17, 1)
-	defer x.Shutdown()
 	a := x.NewDomain("a")
 	b := x.NewDomain("b")
 	b.ObserveInboundLink(a, edge)

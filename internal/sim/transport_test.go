@@ -105,7 +105,6 @@ func runRelayShard(seed int64, n, workers, shard, shards int, tr DomainTransport
 	if shards > 1 {
 		x.Distribute(tr, shard, shards)
 	}
-	defer x.Shutdown()
 	seedRelays(doms, ring, chord)
 	if err := x.Run(200 * time.Millisecond); err != nil {
 		return shardOutcome{err: err}
@@ -375,7 +374,6 @@ func TestNonWireHandlerAcrossShardsIsTypedError(t *testing.T) {
 		a.ObserveInboundLink(b, time.Millisecond)
 		b.ObserveInboundLink(a, time.Millisecond)
 		x.Distribute(w, 1, 2)
-		defer x.Shutdown()
 		b.Schedule(time.Millisecond, func() {
 			b.Send(a, time.Millisecond, handlerFunc(func(any) {}), nil)
 		})
@@ -392,7 +390,6 @@ func TestNonWireHandlerAcrossShardsIsTypedError(t *testing.T) {
 	a.ObserveInboundLink(b, time.Millisecond)
 	b.ObserveInboundLink(a, time.Millisecond)
 	x.Distribute(coord, 0, 2)
-	defer x.Shutdown()
 	b.Schedule(time.Millisecond, func() {
 		b.Send(a, time.Millisecond, handlerFunc(func(any) {}), nil)
 	})
@@ -437,7 +434,6 @@ func TestReplicaSendReleasesPooledPayload(t *testing.T) {
 	a.ObserveInboundLink(b, time.Millisecond)
 	b.ObserveInboundLink(a, time.Millisecond)
 	x.Distribute(nil, 1, 2)
-	defer x.Shutdown()
 	base := packet.Stats()
 	sink := &pooledSink{}
 	a.Send(a, time.Millisecond, sink, packet.Get()) // replica, same-domain

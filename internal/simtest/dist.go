@@ -47,9 +47,6 @@ func (p *DistParams) normalize() {
 	if p.Duration <= 0 {
 		p.Duration = 4 * time.Second
 	}
-	if p.Workers < 1 {
-		p.Workers = 1
-	}
 }
 
 // DistResult is one process's fingerprint of the scenario. For a shard
@@ -79,7 +76,6 @@ func RunDist(p DistParams, tr sim.DomainTransport, shard, shards int) (*DistResu
 	res := &DistResult{}
 	w := newWorld("dist", &res.Outcome, p.Seed, p.Workers)
 	v := w.vini
-	defer v.Close() // error paths; finish already closed on success
 
 	// Ring plus stride-2 chords: every node has degree 4, failures leave
 	// the graph connected, and shortest paths cross shard boundaries for

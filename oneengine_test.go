@@ -88,7 +88,6 @@ func TestOneEngine(t *testing.T) {
 				tel := v.EnableTelemetry()
 				w.run(t, v)
 				got := [3]uint64{v.Executor().ScheduleDigest(), tel.Reg.Digest(), tel.Rec.Digest()}
-				v.Close()
 				if i == 0 {
 					want = got
 				} else if got != want {

@@ -68,7 +68,8 @@ type (
 	Spec = experiment.Spec
 )
 
-// New creates an infrastructure on a deterministic event loop.
+// New creates an infrastructure whose event schedule is a function of
+// seed alone (core.New: one worker of the time-domain executor).
 func New(seed int64) *VINI { return core.New(seed) }
 
 // DETERProfile is the dedicated-testbed host model (2.8 GHz Xeon).
