@@ -23,11 +23,10 @@ type HogConfig struct {
 
 // Hog is a running background slice.
 type Hog struct {
-	task  *Task
-	clock sim.Clock
-	cfg   HogConfig
-	busy  bool
-	stop  bool
+	task *Task
+	cfg  HogConfig
+	busy bool
+	stop bool
 }
 
 // StartHog registers and starts a background slice on cpu, timed by
@@ -36,7 +35,7 @@ func StartHog(cpu *CPU, cfg HogConfig) *Hog {
 	if cfg.RNG == nil {
 		cfg.RNG = sim.NewRNG(1)
 	}
-	h := &Hog{clock: cpu.clock, cfg: cfg}
+	h := &Hog{cfg: cfg}
 	h.task = cpu.NewTask(TaskConfig{
 		Name:  cfg.Name,
 		Share: cfg.Share,
@@ -65,14 +64,15 @@ func (h *Hog) scheduleBusy() {
 		return
 	}
 	idle := h.draw(h.cfg.MeanIdle)
-	h.clock.Schedule(idle, func() {
+	clock := h.task.cpu.clock
+	clock.Schedule(idle, func() {
 		if h.stop {
 			return
 		}
 		h.busy = true
 		h.task.Wake()
 		busy := h.draw(h.cfg.MeanBusy)
-		h.clock.Schedule(busy, func() {
+		clock.Schedule(busy, func() {
 			h.busy = false
 			h.scheduleBusy()
 		})

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"time"
 )
 
@@ -132,14 +133,7 @@ func (d *Domain) trainFor(dst *Domain) *train {
 	}
 	t := d.trains[dst.id]
 	if t == nil {
-		registered := false
-		for _, e := range dst.ins {
-			if e.src == d {
-				registered = true
-				break
-			}
-		}
-		if !registered {
+		if !slices.ContainsFunc(dst.ins, func(e inEdge) bool { return e.src == d }) {
 			panic("sim: Send to domain " + dst.label + " from unregistered source " +
 				d.label + " (missing ObserveInboundLink)")
 		}

@@ -91,9 +91,9 @@ var beforeAuditForTest func(*world)
 // parity properties also pin the registry and flight recorder
 // byte-for-byte). workers <= 1 is one worker.
 func newWorld(regime string, out *Outcome, seed int64, workers int) *world {
-	out.regime, out.Seed, out.Workers = regime, seed, max(workers, 1)
 	w := &world{out: out, digest: fnv.New64a(), mark: time.Now()}
 	w.vini = core.NewParallel(seed, workers)
+	out.regime, out.Seed, out.Workers = regime, seed, w.vini.Executor().Workers()
 	w.vini.EnableTelemetry()
 	w.loop = w.vini.Loop()
 	return w
