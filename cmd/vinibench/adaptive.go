@@ -37,10 +37,10 @@ type adaptiveReport struct {
 // workers. Every leg must produce byte-identical digests, a same-seed
 // one-worker rerun must reproduce its digests exactly (the replay
 // cross-check every benchmark here applies), and every leg must satisfy
-// the convergence
-// and teardown invariants. The per-phase estimate-vs-actual table is
-// the paper-style readout; BENCH_adaptive.json is the committed
-// artifact the CI baseline gate compares against.
+// the convergence and teardown invariants. The per-phase
+// estimate-vs-actual table is the paper-style readout;
+// BENCH_adaptive.json is the committed artifact the CI baseline gate
+// compares against.
 func adaptiveExp() error {
 	rep := adaptiveReport{benchHeader: newHeader()}
 	columns := fmt.Sprintf("%-14s %12s %14s %10s %8s", "engine", "events", "events/sec", "updates", "wall")

@@ -126,12 +126,15 @@ func TestTable5Shape(t *testing.T) {
 }
 
 func TestFigure6Shape(t *testing.T) {
+	// 10 s per rate, the window `vinibench -exp fig6` runs: over 5 s the
+	// 45 Mb/s loss is 2.6-6.9 % and straddles the 4 % floor from seed to
+	// seed; over 10 s it is 9.2-13.8 % on seeds 0-12.
 	rates := []float64{5, 25, 45}
-	def, err := Figure6(10, ModeDefaultShare, rates, 5*time.Second)
+	def, err := Figure6(2, ModeDefaultShare, rates, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plv, err := Figure6(10, ModePLVINI, rates, 5*time.Second)
+	plv, err := Figure6(2, ModePLVINI, rates, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

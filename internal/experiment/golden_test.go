@@ -56,8 +56,11 @@ func TestTable2Golden(t *testing.T) {
 // through the Abilene overlay across the Denver–Kansas City failure at
 // t=10s and restoration at t=34s. Any change to OSPF timing, the
 // forwarding path, or the scheduler shows up as a diff in this series.
+// Seed 1 draws the hello phases seed 2 drew when this series was first
+// pinned (core.NewParallel forks its network stream one step further
+// down the control stream than the deleted classic constructor did).
 func TestFigure8Golden(t *testing.T) {
-	e, err := NewAbilene(2)
+	e, err := NewAbilene(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,6 +85,7 @@ func (w *Network) AddNode(name string, addr netip.Addr, prof Profile, schedOpt s
 		addrs:    map[netip.Addr]bool{addr: true},
 		routes:   fib.New(),
 		CPU:      sched.New(dom, schedOpt),
+		wheel:    sim.NewTickWheel(dom, 100*time.Millisecond),
 		udpPorts: make(map[uint16]*Socket),
 		stackUDP: make(map[uint16]StackHandler),
 		stackTCP: make(map[uint16]StackHandler),

@@ -116,12 +116,7 @@ func (n *Node) Domain() *sim.Domain { return n.dom }
 // Many ticks share one heap event per 100 ms slot, so timer housekeeping
 // neither multiplies events nor pins the domain's published execution
 // promise to the next hello.
-func (n *Node) Ticks() sim.Clock {
-	if n.wheel == nil {
-		n.wheel = sim.NewTickWheel(n.dom, 100*time.Millisecond)
-	}
-	return n.wheel
-}
+func (n *Node) Ticks() sim.Clock { return n.wheel }
 
 // Profile returns the node's host cost model.
 func (n *Node) Profile() Profile { return n.prof }

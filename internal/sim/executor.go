@@ -184,8 +184,8 @@ func NewExecutor(seed int64, workers int) *Executor {
 	return x
 }
 
-// Loop returns the control-domain façade (Run, RunAll, Step, Schedule
-// on the control timeline).
+// Loop returns the control-domain façade (Run, RunAll, Schedule on the
+// control timeline).
 func (x *Executor) Loop() *Loop { return x.loop }
 
 // Workers returns the configured worker budget.
@@ -353,16 +353,6 @@ func (x *Executor) RunAll() {
 	x.run(maxTime, false)
 }
 
-// step runs the single globally earliest event (Loop.Step façade).
-func (x *Executor) step() bool {
-	if len(x.domains) == 1 {
-		return x.domains[0].step()
-	}
-	x.flushAllTrains()
-	x.deliverAll()
-	return x.stepGlobalMin()
-}
-
 // startWorkers launches the worker goroutines for one run, sizing the
 // work queues on first use (domains are fixed before the first Run).
 func (x *Executor) startWorkers() {
@@ -377,7 +367,6 @@ func (x *Executor) startWorkers() {
 		x.deques = make([]*deque, n)
 		x.workerFns = make([]func(), n)
 		for i := range x.deques {
-			i := i
 			x.deques[i] = &deque{}
 			x.workerFns[i] = func() {
 				x.worker(i)
@@ -451,25 +440,6 @@ func (x *Executor) nodeNext() time.Duration {
 		}
 	}
 	return min
-}
-
-// stepGlobalMin runs the single event with the globally smallest merge
-// key — the sequential fallback. Inboxes must already be drained.
-func (x *Executor) stepGlobalMin() bool {
-	var best *Domain
-	for _, d := range x.domains {
-		if d.remote || len(d.heap) == 0 {
-			continue
-		}
-		if best == nil || less(d.heap[0], best.heap[0]) {
-			best = d
-		}
-	}
-	if best == nil {
-		return false
-	}
-	best.step()
-	return true
 }
 
 // satAdd adds durations with saturation at maxTime.

@@ -144,10 +144,6 @@ func (l *Loop) Stop() { l.exec.Stop() }
 // single domain this is exact.
 func (l *Loop) Pending() int { return l.exec.Pending() }
 
-// Step runs the single globally earliest event. It reports false when
-// every queue is empty.
-func (l *Loop) Step() bool { return l.exec.step() }
-
 // Run executes events until every queue is empty, Stop is called, or the
 // next event lies beyond until. Virtual time is left at min(until, time of
 // last event run); it advances to until when the queue drains first.

@@ -124,7 +124,7 @@ func TestScheduleNegativeDelay(t *testing.T) {
 	l.Run(time.Second)
 	ran := false
 	l.Schedule(-time.Hour, func() { ran = true })
-	l.Step()
+	l.Run(l.Now())
 	if !ran {
 		t.Fatal("negative-delay event did not run")
 	}
