@@ -113,3 +113,51 @@ func TestCommittedReportsStillLoad(t *testing.T) {
 		}
 	}
 }
+
+// TestCommittedReportsReproduce: vinibench reads no host clock and no
+// host shape, so every committed BENCH_*.json is a golden — regenerating
+// it at default flags must give the same bytes. scale takes minutes (CI
+// regenerates it in the regimes matrix), and parallel is skipped under
+// -short; those two are decoded strictly and re-encoded instead, which
+// still catches a renamed, missing or left-over key.
+func TestCommittedReportsReproduce(t *testing.T) {
+	for _, c := range []struct {
+		exp   string
+		regen bool
+		into  any
+	}{
+		{"adaptive", true, nil}, {"churn", true, nil}, {"migrate", true, nil},
+		{"parallel", !testing.Short(), &parallelReport{}}, {"scale", false, &scaleReport{}},
+	} {
+		t.Run(c.exp, func(t *testing.T) {
+			file := "BENCH_" + c.exp + ".json"
+			want, err := os.ReadFile(filepath.Join("..", "..", file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []byte
+			if c.regen {
+				code, stderr, dir := vinibench(t, "-exp", c.exp)
+				if code != 0 {
+					t.Fatalf("exit code %d: %s", code, stderr)
+				}
+				got, err = os.ReadFile(filepath.Join(dir, file))
+			} else {
+				dec := json.NewDecoder(bytes.NewReader(want))
+				dec.DisallowUnknownFields()
+				if err := dec.Decode(c.into); err != nil {
+					t.Fatal(err)
+				}
+				got, err = json.MarshalIndent(c.into, "", "  ")
+				got = append(got, '\n')
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s is not reproduced (run `go run ./cmd/vinibench -exp %s` from the repo root and read the diff):\n--- got ---\n%s--- committed ---\n%s",
+					file, c.exp, got, want)
+			}
+		})
+	}
+}
