@@ -12,17 +12,16 @@ import (
 // churnRow is one create/run/pause/reembed/destroy cycle in the
 // BENCH_churn.json report.
 type churnRow struct {
-	Cycle       int     `json:"cycle"`
-	SliceID     int     `json:"slice_id"`
-	BasePort    uint16  `json:"base_port"`
-	Moved       int     `json:"reembed_moved"`
-	WallSeconds float64 `json:"wall_seconds"`
-	Events      uint64  `json:"events"`
-	InFlight    int64   `json:"pool_in_flight_after_teardown"`
+	Cycle    int    `json:"cycle"`
+	SliceID  int    `json:"slice_id"`
+	BasePort uint16 `json:"base_port"`
+	Moved    int    `json:"reembed_moved"`
+	Events   uint64 `json:"events"`
+	InFlight int64  `json:"pool_in_flight_after_teardown"`
 }
 
 type churnReport struct {
-	benchHeader
+	Seed        int64      `json:"seed"`
 	Topology    string     `json:"topology"`
 	Cycles      int        `json:"cycles"`
 	Rows        []churnRow `json:"rows"`
@@ -46,17 +45,16 @@ func churnExp() error {
 	}
 	baseline := packet.Stats()
 	loop := v.Loop()
-	rep := churnReport{benchHeader: newHeader(), Topology: "abilene",
+	rep := churnReport{Seed: *seedFlag, Topology: "abilene",
 		Cycles: cycles, IDsRecycled: true, LedgerClean: true}
 	fmt.Printf("slice churn on Abilene (11 PoPs), %d cycles\n", cycles)
-	fmt.Printf("%-6s %8s %10s %8s %10s %12s %10s\n",
-		"cycle", "id", "baseport", "moved", "wall", "events", "inflight")
+	fmt.Printf("%-6s %8s %10s %8s %12s %10s\n",
+		"cycle", "id", "baseport", "moved", "events", "inflight")
 	firstID := 0
 	var firstPrefix, firstPorts string
 	links := topology.Abilene().Links()
 	var prevFired uint64
 	for c := 0; c < cycles; c++ {
-		start := time.Now()
 		s, err := mirrorAbilene(v, core.SliceConfig{
 			Name: fmt.Sprintf("churn%d", c), CPUShare: 0.25, RT: true,
 			ExposePhysicalFailures: true})
@@ -108,23 +106,20 @@ func churnExp() error {
 		inFlight := settlePool(v, baseline)
 		fired := v.Executor().TotalFired()
 		row := churnRow{Cycle: c, SliceID: s.ID(), BasePort: s.BasePort(),
-			Moved: moved, WallSeconds: time.Since(start).Seconds(),
-			Events: fired - prevFired, InFlight: inFlight}
+			Moved: moved, Events: fired - prevFired, InFlight: inFlight}
 		prevFired = fired
 		if row.InFlight != 0 {
 			rep.LedgerClean = false
 		}
 		rep.Rows = append(rep.Rows, row)
-		fmt.Printf("%-6d %8d %10d %8d %9.2fs %12d %10d\n",
-			row.Cycle, row.SliceID, row.BasePort, row.Moved,
-			row.WallSeconds, row.Events, row.InFlight)
+		fmt.Printf("%-6d %8d %10d %8d %12d %10d\n",
+			row.Cycle, row.SliceID, row.BasePort, row.Moved, row.Events, row.InFlight)
 	}
 	if rep.IDsRecycled {
 		fmt.Printf("slice id %d, port block %s, prefix %s recycled across all %d cycles\n",
 			firstID, firstPorts, firstPrefix, cycles)
 	} else {
-		rep.Note = "recycling failed: destroyed slice id/prefix/ports were not reissued"
-		fmt.Println("WARNING: " + rep.Note)
+		fmt.Println("WARNING: recycling failed: destroyed slice id/prefix/ports were not reissued")
 	}
 	if !rep.LedgerClean {
 		fmt.Println("WARNING: pool ledger did not balance after teardown")

@@ -55,62 +55,20 @@ func TestTopoWithoutDemandsIsUsageError(t *testing.T) {
 	}
 }
 
-// TestExperimentsWriteReports smokes the three fast report-writing
-// experiments end to end: each must pass its own checks and leave a
-// report that names the seed it ran.
-func TestExperimentsWriteReports(t *testing.T) {
-	for _, exp := range []string{"churn", "migrate", "adaptive"} {
-		t.Run(exp, func(t *testing.T) {
-			code, stderr, dir := vinibench(t, "-exp", exp, "-short", "-parallel", "2", "-seed", "3")
-			if code != 0 {
-				t.Fatalf("exit code %d: %s", code, stderr)
-			}
-			data, err := os.ReadFile(filepath.Join(dir, "BENCH_"+exp+".json"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var h benchHeader
-			if err := json.Unmarshal(data, &h); err != nil || h.Seed != 3 || h.GoVersion == "" {
-				t.Fatalf("report header %+v (err %v), want seed 3 and a Go version", h, err)
-			}
-		})
+// TestShortKeepsExplicitSlices: -short shrinks the default slice count
+// of the scale experiment, never one given on the command line.
+func TestShortKeepsExplicitSlices(t *testing.T) {
+	code, stderr, dir := vinibench(t, "-exp", "scale", "-short", "-slices", "20", "-nodes", "16", "-parallel", "1")
+	if code != 0 {
+		t.Fatalf("exit code %d: %s", code, stderr)
 	}
-}
-
-// TestCommittedReportsStillLoad: every committed BENCH_*.json must
-// decode into today's report type with no key left over (so no key was
-// renamed), and the three engine reports must work as -baseline files:
-// a healthy leg passes the floor, a collapsed one trips it.
-func TestCommittedReportsStillLoad(t *testing.T) {
-	root := filepath.Join("..", "..")
-	for name, into := range map[string]any{
-		"parallel": &parallelReport{}, "scale": &scaleReport{}, "adaptive": &adaptiveReport{},
-		"churn": &churnReport{}, "migrate": &migrateReport{},
-	} {
-		f, err := os.Open(filepath.Join(root, "BENCH_"+name+".json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec := json.NewDecoder(f)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(into); err != nil {
-			t.Errorf("BENCH_%s.json: %v", name, err)
-		}
-		f.Close()
+	data, err := os.ReadFile(filepath.Join(dir, "BENCH_scale.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, name := range []string{"parallel", "scale", "adaptive"} {
-		path := filepath.Join(root, "BENCH_"+name+".json")
-		fast := &engineRow{Workers: 4, EventsPerSec: 1e12}
-		if err := checkBaseline(path, fast, nil); err != nil {
-			t.Errorf("%s: healthy leg failed the gate: %v", name, err)
-		}
-		slow := &engineRow{Workers: 4, EventsPerSec: 1}
-		if err := checkBaseline(path, slow, nil); err == nil {
-			t.Errorf("%s: collapsed leg passed the gate", name)
-		}
-		if err := checkBaseline(path, slow, func(baseline) bool { return false }); err != nil {
-			t.Errorf("%s: incomparable baseline must skip the gate, got %v", name, err)
-		}
+	var rep scaleReport
+	if err := json.Unmarshal(data, &rep); err != nil || rep.Slices != 20 {
+		t.Fatalf("report has %d slices (err %v), want the 20 asked for", rep.Slices, err)
 	}
 }
 
@@ -148,8 +106,7 @@ func TestCommittedReportsReproduce(t *testing.T) {
 				if err := dec.Decode(c.into); err != nil {
 					t.Fatal(err)
 				}
-				got, err = json.MarshalIndent(c.into, "", "  ")
-				got = append(got, '\n')
+				got, err = encodeReport(c.into)
 			}
 			if err != nil {
 				t.Fatal(err)

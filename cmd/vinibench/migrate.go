@@ -23,23 +23,22 @@ const migProbeInterval = time.Millisecond
 
 // migrateRow is one measured migration arm in BENCH_migrate.json.
 type migrateRow struct {
-	Mode           string  `json:"mode"`
-	Sent           int     `json:"probes_sent"`
-	Delivered      int     `json:"probes_delivered"`
-	Lost           int     `json:"probes_lost"`
-	Duplicates     int     `json:"duplicate_deliveries"`
-	BlackoutUs     int64   `json:"blackout_us"`
-	MaxGapUs       int64   `json:"max_gap_us"`
-	Clones         uint64  `json:"window_clones_sent"`
-	CloneDrops     uint64  `json:"window_clones_suppressed"`
-	NeighborEvents int     `json:"ospf_neighbor_events"`
-	MetricsDigest  string  `json:"metrics_digest"`
-	FlightDigest   string  `json:"flight_digest"`
-	WallSeconds    float64 `json:"wall_seconds"`
+	Mode           string `json:"mode"`
+	Sent           int    `json:"probes_sent"`
+	Delivered      int    `json:"probes_delivered"`
+	Lost           int    `json:"probes_lost"`
+	Duplicates     int    `json:"duplicate_deliveries"`
+	BlackoutUs     int64  `json:"blackout_us"`
+	MaxGapUs       int64  `json:"max_gap_us"`
+	Clones         uint64 `json:"window_clones_sent"`
+	CloneDrops     uint64 `json:"window_clones_suppressed"`
+	NeighborEvents int    `json:"ospf_neighbor_events"`
+	MetricsDigest  string `json:"metrics_digest"`
+	FlightDigest   string `json:"flight_digest"`
 }
 
 type migrateReport struct {
-	benchHeader
+	Seed               int64      `json:"seed"`
 	ProbeIntervalUs    int64      `json:"probe_interval_us"`
 	MBB                migrateRow `json:"make_before_break"`
 	Naive              migrateRow `json:"naive_reembed"`
@@ -78,14 +77,11 @@ func migrateExp() error {
 		return err
 	}
 	rep := migrateReport{
-		benchHeader:     newHeader(),
+		Seed:            *seedFlag,
 		ProbeIntervalUs: migProbeInterval.Microseconds(),
 		MBB:             mbb, Naive: naive,
-		ReplayDigestsMatch: mbb.MetricsDigest == mbbReplay.MetricsDigest &&
-			mbb.FlightDigest == mbbReplay.FlightDigest &&
-			naive.MetricsDigest == naiveReplay.MetricsDigest &&
-			naive.FlightDigest == naiveReplay.FlightDigest,
-		StrictlySmaller: mbb.BlackoutUs < naive.BlackoutUs,
+		ReplayDigestsMatch: mbb == mbbReplay && naive == naiveReplay,
+		StrictlySmaller:    mbb.BlackoutUs < naive.BlackoutUs,
 	}
 	fmt.Printf("live migration blackout: west->east probes every %v through a migrating transit vnode\n", migProbeInterval)
 	fmt.Printf("%-18s %8s %10s %6s %5s %12s %12s %8s %10s\n",
@@ -98,8 +94,7 @@ func migrateExp() error {
 	if rep.ReplayDigestsMatch {
 		fmt.Println("replay cross-check: both arms reproduced their telemetry digests on a second seeded run")
 	} else {
-		rep.Note = "replay digest mismatch: seeded reruns diverged"
-		fmt.Println("WARNING: " + rep.Note)
+		fmt.Println("WARNING: replay digest mismatch: seeded reruns diverged")
 	}
 	fmt.Printf("blackout: make-before-break %dus vs naive re-embed %dus\n", mbb.BlackoutUs, naive.BlackoutUs)
 	if err := writeReport("migrate", rep); err != nil {
@@ -131,7 +126,6 @@ func migrateArm(naive bool, warm, total int) (migrateRow, error) {
 		mode = "naive-reembed"
 	}
 	row := migrateRow{Mode: mode, Sent: total}
-	start := time.Now()
 	v := core.New(*seedFlag)
 	for i, n := range []string{"west", "mid", "east", "spare"} {
 		a := netip.AddrFrom4([4]byte{198, 51, 100, byte(i + 1)})
@@ -248,6 +242,5 @@ func migrateArm(naive bool, warm, total int) (migrateRow, error) {
 	if f := settlePool(v, base); f != 0 {
 		return row, fmt.Errorf("%s: pool ledger unbalanced: %d in flight", mode, f)
 	}
-	row.WallSeconds = time.Since(start).Seconds()
 	return row, nil
 }

@@ -12,8 +12,10 @@ import (
 	"vini/internal/traffic"
 )
 
-// parallelRow is one engine configuration's measurement in the
-// BENCH_parallel.json report.
+// parallelRow is the executor's account of the run in the
+// BENCH_parallel.json report: the counters every worker count must
+// reproduce. Windows, trains and steals depend on how the host
+// interleaves workers, so they are not behaviour and are not reported.
 type parallelRow struct {
 	engineRow
 	// Deliveries is reported separately: cross-domain typed messages
@@ -21,24 +23,19 @@ type parallelRow struct {
 	Deliveries uint64 `json:"deliveries"`
 	// Rounds counts coordinator quiescence epochs.
 	Rounds    uint64 `json:"rounds"`
-	Windows   uint64 `json:"windows"`
 	Fallbacks uint64 `json:"fallbacks"`
-	Trains    uint64 `json:"trains"`
 	TrainMsgs uint64 `json:"train_msgs"`
-	// Steals is wall-clock/interleaving dependent (diagnostic only).
-	Steals uint64 `json:"steals"`
 	// PerDomain maps domain label -> fired event count; the full
 	// counter set prints under -v.
 	PerDomain map[string]uint64 `json:"per_domain_fired,omitempty"`
 }
 
 type parallelReport struct {
-	benchHeader
+	Seed        int64   `json:"seed"`
 	Topology    string  `json:"topology"`
 	Slices      int     `json:"slices"`
 	VirtualSecs float64 `json:"virtual_seconds"`
 	engineLegs[*parallelRow]
-	Speedup float64 `json:"speedup_4w_over_1w"`
 }
 
 // cbrPairs are the per-slice cross-country flows; each slice gets one,
@@ -118,39 +115,30 @@ func buildParallelWorld(seed int64, workers int) (*core.VINI, error) {
 	return v, nil
 }
 
-// parallelExp benchmarks the conservative executor on the 4-slice
-// Abilene scenario, checks that every worker count executes the
-// byte-identical event schedule, and writes BENCH_parallel.json.
+// parallelExp runs the 4-slice Abilene scenario on 1, 2 and 4 workers,
+// checks that every worker count executes the byte-identical event
+// schedule, and writes BENCH_parallel.json.
 func parallelExp() error {
 	window := dur(60*time.Second, 20*time.Second)
 	fmt.Printf("4-slice Abilene (11 PoPs, min link delay 2.25ms), %v virtual time\n", window)
-	columns := fmt.Sprintf("%-14s %10s %12s %14s %12s %8s %10s %10s %10s",
-		"engine", "wall", "events", "events/sec", "deliveries", "rounds", "trains", "steals", "fallbacks")
-	rep := parallelReport{benchHeader: newHeader(),
+	columns := fmt.Sprintf("%-14s %12s %12s %8s %12s %10s %18s",
+		"engine", "events", "deliveries", "rounds", "train-msgs", "fallbacks", "schedule")
+	rep := parallelReport{Seed: *seedFlag,
 		Topology: "abilene", Slices: len(cbrPairs), VirtualSecs: window.Seconds()}
 	var err error
-	rep.engineLegs, err = forEngines(&rep.benchHeader, columns, func(leg engineRow) (*parallelRow, error) {
-		row := &parallelRow{engineRow: leg}
-		v, err := buildParallelWorld(*seedFlag, leg.Workers)
+	rep.engineLegs, err = forEngines(columns, func(workers int) (*parallelRow, error) {
+		v, err := buildParallelWorld(*seedFlag, workers)
 		if err != nil {
-			return row, err
+			return nil, err
 		}
-		start := time.Now()
 		v.Run(window)
-		row.WallSeconds = time.Since(start).Seconds()
 		x := v.Executor()
+		row := &parallelRow{Deliveries: x.Deliveries(), Rounds: x.Rounds(), Fallbacks: x.Fallbacks()}
 		row.Events = x.TotalFired()
-		row.EventsPerSec = float64(row.Events) / row.WallSeconds
-		row.Deliveries = x.Deliveries()
-		row.Rounds = x.Rounds()
-		row.Windows = x.Windows()
-		row.Fallbacks = x.Fallbacks()
-		row.Trains, row.TrainMsgs = x.TrainStats()
-		row.Steals = x.Steals()
+		_, row.TrainMsgs = x.TrainStats()
 		row.Schedule = fmt.Sprintf("%016x", x.ScheduleDigest())
-		fmt.Printf("%-14s %9.2fs %12d %14.0f %12d %8d %10d %10d %10d\n",
-			row.Name, row.WallSeconds, row.Events, row.EventsPerSec,
-			row.Deliveries, row.Rounds, row.Trains, row.Steals, row.Fallbacks)
+		fmt.Printf("domains x%-5d %12d %12d %8d %12d %10d %18s\n", workers,
+			row.Events, row.Deliveries, row.Rounds, row.TrainMsgs, row.Fallbacks, row.Schedule)
 		stats := x.Stats()
 		row.PerDomain = make(map[string]uint64, len(stats))
 		for _, s := range stats {
@@ -169,18 +157,5 @@ func parallelExp() error {
 	if err != nil {
 		return err
 	}
-	var wall1, wallMax float64
-	for _, r := range rep.Rows {
-		if r.Workers == 1 {
-			wall1 = r.WallSeconds
-		}
-		if r.Workers == maxWorkers() {
-			wallMax = r.WallSeconds
-		}
-	}
-	if wall1 > 0 && wallMax > 0 {
-		rep.Speedup = wall1 / wallMax
-		fmt.Printf("speedup (%d workers vs 1): %.2fx\n", maxWorkers(), rep.Speedup)
-	}
-	return rep.gate("parallel", rep, nil)
+	return rep.gate("parallel", rep)
 }

@@ -7,18 +7,15 @@ import (
 	"vini/internal/simtest"
 )
 
-// scaleRow is one engine configuration's measurement in the
-// BENCH_scale.json report.
+// scaleRow is the run's outcome in the BENCH_scale.json report.
 type scaleRow struct {
 	engineRow
-	BuildSeconds float64 `json:"build_seconds"`
-	RunSeconds   float64 `json:"run_seconds"`
-	Sent         uint64  `json:"sent"`
-	Delivered    uint64  `json:"delivered"`
+	Sent      uint64 `json:"sent"`
+	Delivered uint64 `json:"delivered"`
 }
 
 type scaleReport struct {
-	benchHeader
+	Seed       int64   `json:"seed"`
 	Topology   string  `json:"topology"`
 	Nodes      int     `json:"nodes"`
 	Links      int     `json:"links"`
@@ -37,7 +34,10 @@ func scaleExp() error {
 	opts := simtest.ScaleOptions{
 		Seed:   *seedFlag,
 		Nodes:  *scaleNodes,
-		Slices: count(*scaleSlices, 150),
+		Slices: *scaleSlices,
+	}
+	if opts.Slices == 0 {
+		opts.Slices = count(500, 150)
 	}
 	if *topoFlag != "" {
 		g, err := os.ReadFile(*topoFlag)
@@ -51,17 +51,17 @@ func scaleExp() error {
 		}
 		opts.DemandsText = string(d)
 	}
-	rep := scaleReport{benchHeader: newHeader(), Topology: "synthetic"}
+	rep := scaleReport{Seed: *seedFlag, Topology: "synthetic"}
 	if *topoFlag != "" {
 		rep.Topology = *topoFlag
 	}
 	fmt.Printf("scale regime: %d slices, seed %d\n", opts.Slices, opts.Seed)
-	columns := fmt.Sprintf("%-14s %8s %8s %12s %14s %10s %12s",
-		"engine", "build", "run", "events", "events/sec", "sent", "delivered")
+	columns := fmt.Sprintf("%-14s %12s %10s %12s %18s %18s",
+		"engine", "events", "sent", "delivered", "digest", "schedule")
 	var err error
-	rep.engineLegs, err = forEngines(&rep.benchHeader, columns, func(leg engineRow) (*scaleRow, error) {
+	rep.engineLegs, err = forEngines(columns, func(workers int) (*scaleRow, error) {
 		o := opts
-		o.Workers = leg.Workers
+		o.Workers = workers
 		r, err := simtest.RunScale(o)
 		if err != nil {
 			return nil, err
@@ -70,12 +70,9 @@ func scaleExp() error {
 			fmt.Printf("%s\n", r)
 			return nil, fmt.Errorf("%d invariant violations", len(r.Violations))
 		}
-		row := &scaleRow{engineRow: leg.measured(&r.Outcome),
-			BuildSeconds: r.BuildSeconds, RunSeconds: r.RunSeconds,
-			Sent: r.Sent, Delivered: r.Delivered}
-		fmt.Printf("%-14s %7.2fs %7.2fs %12d %14.0f %10d %12d\n",
-			row.Name, row.BuildSeconds, row.RunSeconds, row.Events,
-			row.EventsPerSec, row.Sent, row.Delivered)
+		row := &scaleRow{engineRow: measured(&r.Outcome), Sent: r.Sent, Delivered: r.Delivered}
+		fmt.Printf("domains x%-5d %12d %10d %12d %18s %18s\n", workers,
+			row.Events, row.Sent, row.Delivered, row.Digest, row.Schedule)
 		rep.Nodes, rep.Links, rep.Slices = r.Nodes, r.Links, r.Slices
 		rep.VNodes, rep.Flows, rep.OfferedBps = r.VNodes, r.Flows, r.OfferedBps
 		return row, nil
@@ -83,7 +80,5 @@ func scaleExp() error {
 	if err != nil {
 		return err
 	}
-	return rep.gate("scale", rep, func(base baseline) bool {
-		return base.Slices == rep.Slices && base.Nodes == rep.Nodes
-	})
+	return rep.gate("scale", rep)
 }

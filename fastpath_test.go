@@ -35,6 +35,10 @@ func (t *tunnelRelease) SendTunnel(e fib.EncapEntry, p *packet.Packet) {
 	p.Release()
 }
 
+type tapDiscard struct{}
+
+func (tapDiscard) DeliverTap(*packet.Packet) {}
+
 func buildFastPath(tb testing.TB) (*click.Router, *tunnelRelease, []byte) {
 	tb.Helper()
 	loop := sim.NewLoop(1)

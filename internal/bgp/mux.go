@@ -100,25 +100,6 @@ func (m *Mux) Announce(experiment string, p netip.Prefix, attrs PathAttrs) error
 	return nil
 }
 
-// WithdrawAnnounced removes an experiment's prefix upstream (also rate
-// limited: withdrawal storms are updates too).
-func (m *Mux) WithdrawAnnounced(experiment string, p netip.Prefix) error {
-	e, ok := m.experiments[experiment]
-	if !ok {
-		return fmt.Errorf("bgp: unknown experiment %q", experiment)
-	}
-	if !prefixWithin(e.block, p) {
-		m.Rejected++
-		return fmt.Errorf("bgp: %s does not own %v", experiment, p)
-	}
-	if !e.takeToken(m.clock.Now()) {
-		m.RateDropped++
-		return fmt.Errorf("bgp: %s exceeded its update rate", experiment)
-	}
-	m.speaker.Withdraw(p)
-	return nil
-}
-
 // ExternalRoutes returns the routes learned from the shared external
 // adjacency, which the mux redistributes to every experiment's routing
 // table (the experiments see the full external view).

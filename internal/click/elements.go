@@ -975,10 +975,6 @@ func (e *linkFail) Initialize(ctx *Context) error {
 	return nil
 }
 
-// SetActive flips the failure state programmatically (the experiment
-// harness uses this; the handler interface offers the same via strings).
-func (e *linkFail) SetActive(v bool) { e.active = v }
-
 func (e *linkFail) Instrument(sc *telemetry.Scope) { e.mDrops = sc.Counter("drops") }
 
 func (e *linkFail) Push(port int, p *packet.Packet) {

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"vini/internal/sim"
-	"vini/internal/telemetry"
 )
 
 // Distribute splits this infrastructure's node domains across process
@@ -30,12 +29,6 @@ func (v *VINI) Distribute(tr sim.DomainTransport, shard, shards int) {
 // discarding it.
 func (v *VINI) RunE(until time.Duration) error {
 	return v.Executor().Run(until)
-}
-
-// NodeOwner returns the shard that executes the named physical node's
-// domain under an s-way split.
-func (v *VINI) NodeOwner(name string, shards int) int {
-	return sim.OwnerShard(v.Net.MustNode(name).Domain().ID(), shards)
 }
 
 // TelemetryOwner returns the owner function telemetry.MergeSnapshots
@@ -71,20 +64,4 @@ func MergeShardDigests(byShard [][]uint64, shards int) (uint64, error) {
 		merged[dom] = byShard[s][dom]
 	}
 	return sim.FoldDigests(merged), nil
-}
-
-// MergeShardTelemetry substitutes owner-shard values into the
-// coordinator's snapshot and returns the merged snapshot plus its
-// digest, which must equal a single-process Registry.Digest for the
-// same scenario.
-func (v *VINI) MergeShardTelemetry(byShard [][]telemetry.MetricValue, shards int) ([]telemetry.MetricValue, uint64, error) {
-	tel := v.Telemetry()
-	if tel == nil {
-		return nil, 0, fmt.Errorf("core: telemetry not enabled")
-	}
-	merged, err := telemetry.MergeSnapshots(tel.Reg.Snapshot(), v.TelemetryOwner(shards), byShard)
-	if err != nil {
-		return nil, 0, err
-	}
-	return merged, telemetry.DigestOf(merged), nil
 }

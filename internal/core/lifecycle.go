@@ -181,10 +181,6 @@ func (s *Slice) PortRange() PortRange { return s.ports }
 // until the first EnableEgress allocates one.
 func (s *Slice) NATPortRange() PortRange { return s.natPorts }
 
-// Resources lists the slice's live resource acquisitions, for tests
-// and operator inspection.
-func (s *Slice) Resources() []string { return s.res.holdings() }
-
 // Audit checks the slice's resource accounting: a destroyed slice must
 // hold nothing and have no timer pending in any domain, a live one must
 // hold a consistent ledger. It returns the first inconsistency.

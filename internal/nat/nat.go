@@ -191,15 +191,6 @@ func (t *Table) TranslateInbound(dgram []byte) (bool, error) {
 	return true, translate(dgram, false, b.Inside.Src, b.Inside.SrcPort)
 }
 
-// Bindings returns a snapshot of active sessions, for diagnostics.
-func (t *Table) Bindings() []Binding {
-	out := make([]Binding, 0, len(t.out))
-	for _, b := range t.out {
-		out = append(out, *b)
-	}
-	return out
-}
-
 // rewrite changes the source (outbound=true) address and port of dgram,
 // re-serializing with correct checksums.
 func rewrite(dgram []byte, _ bool, newAddr netip.Addr, newPort uint16) ([]byte, error) {

@@ -19,9 +19,7 @@ import (
 // guard on the forwarding fabric alone; TestWholePathZeroAlloc (root
 // package) covers the path through sockets, Click and local delivery.
 func TestCrossDomainPacketPathAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool sheds Puts under the race detector")
-	}
+	base := packet.Stats()
 	x := sim.NewExecutor(21, 1)
 	loop := x.Loop()
 	w := New(loop)
@@ -69,7 +67,14 @@ func TestCrossDomainPacketPathAllocs(t *testing.T) {
 	if got := w.MustNode("b").Drops; got == dropsBefore {
 		t.Fatal("probe packets never reached b's drop path")
 	}
-	if perPkt := avg / burst; perPkt > 0.02 {
+	// Each cycle runs 19 ms past its burst's last arrival, so every
+	// packet taken from the pool has reached b's drop by now.
+	if d := packet.Stats().Sub(base); d.InFlight() != 0 {
+		t.Fatalf("pool ledger unbalanced: %d gets, %d releases", d.Gets, d.Releases)
+	}
+	// sync.Pool sheds Puts under the race detector, so only the ledger
+	// is checked there.
+	if perPkt := avg / burst; !raceEnabled && perPkt > 0.02 {
 		t.Fatalf("cross-domain packet path allocates %.3f allocs/packet (%.1f per %d-packet burst), want 0",
 			perPkt, avg, burst)
 	}

@@ -4,5 +4,6 @@ package netem
 
 // raceEnabled reports that the race detector is on. Under it sync.Pool
 // drops a quarter of all Puts on purpose, so a pooled path cannot be
-// allocation-free and the packet-path guard skips.
+// allocation-free and the packet-path guard checks the pool ledger
+// instead of the allocation count.
 const raceEnabled = true

@@ -126,13 +126,6 @@ func (t *Task) Name() string { return t.cfg.Name }
 // Used returns total CPU time consumed.
 func (t *Task) Used() time.Duration { return t.used }
 
-// SetRT changes the task's real-time flag at runtime (PL-VINI toggles
-// this per experiment).
-func (t *Task) SetRT(rt bool) { t.cfg.RT = rt }
-
-// SetShare changes the token fill rate (fair share vs 25% reservation).
-func (t *Task) SetShare(s float64) { t.cfg.Share = s }
-
 // SetSuspended parks or resumes the task. A suspended task is never
 // selected (its class is ineligible) and never preempts; if it is
 // mid-quantum the current grain completes and the rotation parks it.

@@ -1,7 +1,6 @@
 package simtest
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -145,48 +144,5 @@ func TestRegimeDigestsGolden(t *testing.T) {
 	if got := b.String(); got != string(want) {
 		t.Fatalf("regime digests diverged from %s (re-run with -update only if intentional):\n--- got ---\n%s\n--- want ---\n%s",
 			path, got, want)
-	}
-}
-
-// TestAdaptiveMatchesCommittedBench: seed 2 must reproduce the digest
-// rows committed in BENCH_adaptive.json, so the bench baseline and the
-// simtest golden can never drift apart.
-func TestAdaptiveMatchesCommittedBench(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_adaptive.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		Seed int64 `json:"seed"`
-		Rows []struct {
-			Workers   int    `json:"workers"`
-			Digest    string `json:"digest"`
-			Schedule  string `json:"schedule_digest"`
-			Telemetry string `json:"telemetry_digest"`
-			Flight    string `json:"flight_digest"`
-		} `json:"rows"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Seed != 2 || len(rep.Rows) == 0 {
-		t.Fatalf("BENCH_adaptive.json: seed %d with %d rows, want seed 2", rep.Seed, len(rep.Rows))
-	}
-	for _, row := range rep.Rows {
-		if row.Workers < 1 {
-			t.Fatalf("BENCH_adaptive.json has a workers=%d row; legs start at one worker", row.Workers)
-		}
-		if row.Workers > 1 && testing.Short() {
-			continue
-		}
-		r, err := RunAdaptive(AdaptiveOptions{Seed: rep.Seed, Workers: row.Workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := fmt.Sprintf("%016x %016x %016x %016x", r.Digest, r.ScheduleDigest, r.TelemetryDigest, r.FlightDigest)
-		want := row.Digest + " " + row.Schedule + " " + row.Telemetry + " " + row.Flight
-		if got != want {
-			t.Errorf("workers=%d: digests %s, BENCH_adaptive.json has %s", row.Workers, got, want)
-		}
 	}
 }

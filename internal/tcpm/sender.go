@@ -62,9 +62,6 @@ func NewSender(clock sim.Clock, cfg Config, local netip.Addr, port uint16,
 	return s
 }
 
-// SetCongestion swaps the congestion controller (before Start).
-func (s *Sender) SetCongestion(c Congestion) { s.cc = c }
-
 // OnDone registers a completion callback for bounded transfers.
 func (s *Sender) OnDone(fn func()) { s.onDone = fn }
 

@@ -151,6 +151,3 @@ func (t *IperfTCP) Retransmits() uint64 {
 
 // Receivers exposes the stream receivers (arrival logs for Figure 9).
 func (t *IperfTCP) Receivers() []*tcpm.Receiver { return t.receivers }
-
-// Senders exposes the stream senders.
-func (t *IperfTCP) Senders() []*tcpm.Sender { return t.senders }

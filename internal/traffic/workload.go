@@ -85,17 +85,6 @@ func (e *Endpoint) ListenTCP(port uint16, h netem.StackHandler) error {
 	return nil
 }
 
-// UnlistenTCP releases one recorded TCP endpoint early.
-func (e *Endpoint) UnlistenTCP(port uint16) {
-	for i, p := range e.tcp {
-		if p == port {
-			e.tcp = append(e.tcp[:i], e.tcp[i+1:]...)
-			e.node.StackUnlistenTCP(port)
-			return
-		}
-	}
-}
-
 // ICMP returns the node's ICMP dispatcher, attaching it on first use.
 // The endpoint owns the attachment and releases it on Close.
 func (e *Endpoint) ICMP() *ICMPHost {
