@@ -54,8 +54,8 @@ type migrateReport struct {
 // reconverge). A probe leaves west for east through the migrating
 // transit hop every simulated millisecond; the blackout window is the
 // probes that never arrive. Each arm runs twice with the same seed and
-// must reproduce its telemetry digests byte-for-byte, the same
-// replay-determinism cross-check the parallel and scale benchmarks
+// must reproduce its whole row, telemetry digests included, the same
+// replay-determinism cross-check the parallel and scale experiments
 // apply. The experiment fails unless the make-before-break blackout is
 // strictly smaller than the naive one (and, concretely, zero).
 func migrateExp() error {

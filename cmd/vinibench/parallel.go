@@ -133,10 +133,10 @@ func parallelExp() error {
 		}
 		v.Run(window)
 		x := v.Executor()
-		row := &parallelRow{Deliveries: x.Deliveries(), Rounds: x.Rounds(), Fallbacks: x.Fallbacks()}
-		row.Events = x.TotalFired()
+		row := &parallelRow{
+			engineRow:  engineRow{Events: x.TotalFired(), Schedule: fmt.Sprintf("%016x", x.ScheduleDigest())},
+			Deliveries: x.Deliveries(), Rounds: x.Rounds(), Fallbacks: x.Fallbacks()}
 		_, row.TrainMsgs = x.TrainStats()
-		row.Schedule = fmt.Sprintf("%016x", x.ScheduleDigest())
 		fmt.Printf("domains x%-5d %12d %12d %8d %12d %10d %18s\n", workers,
 			row.Events, row.Deliveries, row.Rounds, row.TrainMsgs, row.Fallbacks, row.Schedule)
 		stats := x.Stats()
