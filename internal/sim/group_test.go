@@ -111,3 +111,27 @@ func TestTimerGroupSweep(t *testing.T) {
 		t.Fatalf("Live = %d, want 0", g.Live())
 	}
 }
+
+// TestTimerGroupScheduleFireZeroAlloc: a tracked timer costs what an
+// untracked one does — nothing, once the event free list and the
+// group's handle slice are warm.
+func TestTimerGroupScheduleFireZeroAlloc(t *testing.T) {
+	l := NewLoop(1)
+	g := NewTimerGroup(l)
+	fired := 0
+	fn := func() { fired++ }
+	step := func() {
+		g.Schedule(time.Millisecond, fn)
+		g.Schedule(time.Hour, fn).Stop() // the dead-timer pattern: armed, then cancelled by its holder
+		l.Run(l.Now() + time.Millisecond)
+	}
+	for i := 0; i < 300; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+		t.Errorf("TimerGroup.Schedule + fire: %.0f allocs, want 0", allocs)
+	}
+	if fired != 501 || g.Live() != 0 {
+		t.Fatalf("fired %d of 501, %d live", fired, g.Live())
+	}
+}

@@ -102,3 +102,27 @@ func TestTickWheelPeriodicRearm(t *testing.T) {
 		}
 	}
 }
+
+// TestTickWheelScheduleFireZeroAlloc: a periodic tick re-armed from its
+// own callback — every hello — recycles its entry and its slot.
+func TestTickWheelScheduleFireZeroAlloc(t *testing.T) {
+	l := NewLoop(1)
+	w := NewTickWheel(l, 100*time.Millisecond)
+	fired := 0
+	var tick func()
+	tick = func() {
+		fired++
+		w.Schedule(time.Second, tick)
+	}
+	w.Schedule(time.Second, tick)
+	step := func() { l.Run(l.Now() + time.Second) }
+	for i := 0; i < 300; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+		t.Errorf("TickWheel.Schedule + fire: %.0f allocs, want 0", allocs)
+	}
+	if fired != 501 || w.Pending() != 1 {
+		t.Fatalf("fired %d of 501, %d pending", fired, w.Pending())
+	}
+}

@@ -63,7 +63,7 @@ func TestOneEngine(t *testing.T) {
 		run  func(t *testing.T, v *core.VINI)
 	}{
 		{"line", func(t *testing.T, v *core.VINI) {
-			src, sink, srcTap, sinkTap := lineWorld(t, v)
+			src, sink, srcTap, sinkTap := lineWorld(t, v, 10*time.Second)
 			if _, err := traffic.StartUDPCBR(v.Net, src, sink, traffic.UDPCBRConfig{
 				RateBps: 10e6, SrcAddr: srcTap, DstAddr: sinkTap}); err != nil {
 				t.Fatal(err)

@@ -27,8 +27,9 @@ import (
 
 // lineWorld is the DETER Figure 4 shape on PlanetLab hosts: src, fwdr,
 // sink in a line, one slice with a Click forwarder on each, OSPF
-// converged. Hellos are slow so the measured second sees at most one.
-func lineWorld(t *testing.T, v *core.VINI) (src, sink *netem.Node, srcTap, sinkTap netip.Addr) {
+// converged. The data-path guard passes slow hellos so the measured
+// second sees at most one; the control-path guard passes fast ones.
+func lineWorld(t *testing.T, v *core.VINI, hello time.Duration) (src, sink *netem.Node, srcTap, sinkTap netip.Addr) {
 	t.Helper()
 	prof := netem.PlanetLabProfile()
 	names := []string{"src", "fwdr", "sink"}
@@ -61,7 +62,7 @@ func lineWorld(t *testing.T, v *core.VINI) (src, sink *netem.Node, srcTap, sinkT
 			t.Fatal(err)
 		}
 	}
-	s.StartOSPF(10*time.Second, 40*time.Second)
+	s.StartOSPF(hello, 4*hello)
 	v.Run(25 * time.Second)
 	a, _ := s.VirtualNode("src")
 	b, _ := s.VirtualNode("sink")
@@ -94,7 +95,7 @@ func TestWholePathZeroAlloc(t *testing.T) {
 		t.Run(w.name, func(t *testing.T) {
 			base := packet.Stats()
 			v := core.New(2)
-			src, sink, srcTap, sinkTap := lineWorld(t, v)
+			src, sink, srcTap, sinkTap := lineWorld(t, v, 10*time.Second)
 			delivered, stop, err := w.start(v, src, sink, srcTap, sinkTap)
 			if err != nil {
 				t.Fatal(err)
@@ -134,5 +135,43 @@ func TestWholePathZeroAlloc(t *testing.T) {
 				t.Errorf("pool ledger unbalanced after the path drained: %d gets, %d releases", d.Gets, d.Releases)
 			}
 		})
+	}
+}
+
+// TestControlPathTwoObjectsPerMessage is the same guard for the control
+// plane: on a converged line a routing message costs its packet and the
+// packet's buffer — control packets are not pooled, see DESIGN.md
+// "Routing-message lifetime" — and nothing else: not the encoder, not
+// the decoder at the far end, not the hello and dead timers it re-arms.
+// With no data traffic every packet a link carries is a routing message.
+func TestControlPathTwoObjectsPerMessage(t *testing.T) {
+	base := packet.Stats()
+	v := core.New(2)
+	lineWorld(t, v, time.Second)
+	msgs := func() (n uint64) {
+		for _, l := range v.Net.Links() {
+			for dir := 0; dir < 2; dir++ {
+				pkts, _, _ := l.Stats(dir)
+				n += pkts
+			}
+		}
+		return n
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var m0, m1 runtime.MemStats
+	sent := msgs()
+	runtime.ReadMemStats(&m0)
+	v.Run(v.Loop().Now() + 10*time.Second)
+	runtime.ReadMemStats(&m1)
+	sent = msgs() - sent
+	if sent < 40 {
+		t.Fatalf("%d routing messages in 10 s of 1 s hellos on 4 interfaces", sent)
+	}
+	if objs := m1.Mallocs - m0.Mallocs; objs > 2*sent && !raceEnabled {
+		t.Errorf("%d objects for %d routing messages (%.1f each), want <= 2 each",
+			objs, sent, float64(objs)/float64(sent))
+	}
+	if d := packet.Stats().Sub(base); d.InFlight() != 0 {
+		t.Errorf("pool ledger unbalanced: %d gets, %d releases", d.Gets, d.Releases)
 	}
 }
