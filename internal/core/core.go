@@ -23,6 +23,12 @@ type VINI struct {
 	Net    *netem.Network
 	loop   *sim.Loop
 	graph  *topology.Graph // physical topology mirror, for embeddings
+	// paths caches physPath's shortest-path tree per source node. It is
+	// valid for the graph as it stands (AddNode and AddLink drop it) and
+	// for the set of down physical links it was computed under,
+	// pathsDown, which physPath rebuilds and compares on every call.
+	paths     map[string]map[string]topology.Path
+	pathsDown map[int]bool
 	slices map[string]*Slice
 	order  []string
 	nextID int
@@ -80,6 +86,7 @@ func (v *VINI) AddNode(name string, addr netip.Addr, prof netem.Profile, opt sch
 		return nil, err
 	}
 	v.graph.AddNode(name)
+	v.paths = nil
 	if v.tel != nil {
 		v.instrumentNode(n)
 	}
@@ -95,6 +102,7 @@ func (v *VINI) AddLink(cfg netem.LinkConfig) (*netem.Link, error) {
 	v.graph.AddLink(topology.Link{A: cfg.A, B: cfg.B,
 		CostAB: uint32(cfg.Delay/time.Microsecond) + 1,
 		Delay:  cfg.Delay, Bandwidth: cfg.Bandwidth})
+	v.paths = nil
 	if v.tel != nil {
 		v.instrumentLink(l)
 	}

@@ -14,7 +14,12 @@ package core
 // timer survives in any domain heap (timer groups), and the packet-pool
 // ledger balances.
 
-import "fmt"
+import (
+	"fmt"
+	"maps"
+
+	"vini/internal/topology"
+)
 
 // SliceState is the lifecycle position of a slice.
 type SliceState int
@@ -322,7 +327,13 @@ func (s *Slice) Destroy() error {
 // nodes, routing around links that are down right now; when the live
 // topology is partitioned it falls back to the all-links-up path (the
 // embedding is then pinned to a path that will work once the substrate
-// heals). Returns nil only if the nodes are disconnected outright.
+// heals). Returns nil only if the nodes are disconnected outright. The
+// returned slice is shared with other callers and must not be modified.
+//
+// Building a slice asks for one path per virtual link from a handful of
+// sources, so the tree is computed once per source and kept while the
+// down set stays what it was computed under. The set is rebuilt per
+// call — a lookup per link — rather than tracked through link events.
 func (v *VINI) physPath(from, to string) []string {
 	down := map[int]bool{}
 	for i, l := range v.graph.Links() {
@@ -330,7 +341,15 @@ func (v *VINI) physPath(from, to string) []string {
 			down[i] = true
 		}
 	}
-	if p, ok := v.graph.ShortestPaths(from, down)[to]; ok {
+	if v.paths == nil || !maps.Equal(down, v.pathsDown) {
+		v.paths, v.pathsDown = make(map[string]map[string]topology.Path), down
+	}
+	tree, ok := v.paths[from]
+	if !ok {
+		tree = v.graph.ShortestPaths(from, down)
+		v.paths[from] = tree
+	}
+	if p, ok := tree[to]; ok {
 		return p.Hops
 	}
 	if p, ok := v.graph.ShortestPaths(from, nil)[to]; ok {

@@ -86,6 +86,8 @@ type VirtualNode struct {
 	// bgpAttached distinguishes "no routes" from "no BGP".
 	bgpRaw      []fib.Route
 	bgpAttached bool
+	// adapted is installProtocolRoutes' working storage.
+	adapted []fib.Route
 	// vpn holds per-client ingress sessions on designated nodes.
 	vpn *vpnServer
 	// egress marks a node that NATs traffic out of the overlay; its
@@ -323,13 +325,14 @@ func (vn *VirtualNode) setTunnelFailed(idx int, v bool) {
 
 // installProtocolRoutes adapts protocol routes (OutPort = interface
 // index) to the IIAS Click port convention before the RIB merge: any
-// route with a next hop forwards via the encapsulation table.
+// route with a next hop forwards via the encapsulation table. routes is
+// lent by the protocol for the call, as adapted is to the RIB.
 func (vn *VirtualNode) installProtocolRoutes(proto string, routes []fib.Route) {
 	dist := fea.DistOSPF
 	if proto == "rip" {
 		dist = fea.DistRIP
 	}
-	adapted := make([]fib.Route, 0, len(routes))
+	adapted := vn.adapted[:0]
 	for _, r := range routes {
 		if r.NextHop.IsValid() {
 			r.OutPort = portEncap
@@ -338,6 +341,7 @@ func (vn *VirtualNode) installProtocolRoutes(proto string, routes []fib.Route) {
 		}
 		adapted = append(adapted, r)
 	}
+	vn.adapted = adapted
 	vn.rib.SetRoutes(proto, dist, adapted)
 	// IGP changes move BGP next hops: re-resolve (recursive resolution).
 	vn.resolveBGP()
@@ -400,10 +404,14 @@ func (vn *VirtualNode) tunnelReceive(p *packet.Packet) {
 	vn.fromTun.Push(0, p)
 }
 
-// sendControl pushes a routing-protocol packet into the per-tunnel Click
+// sendControl pushes a routing-protocol message into the per-tunnel Click
 // chain so failure injection cuts routing adjacencies exactly as it cuts
-// data traffic.
-func (vn *VirtualNode) sendControl(ifIndex int, dgram []byte) {
+// data traffic. payload is lent by the protocol for the call: it is
+// copied once into a packet of its own whose buffer has DefaultHeadroom
+// in front, so the inner headers here (IPv4, under it UDP 520 when proto
+// is UDP: RIP) and the tunnel's later are written in place. The packet
+// is not pooled; see DESIGN.md "Routing-message lifetime".
+func (vn *VirtualNode) sendControl(ifIndex int, proto uint8, payload []byte) {
 	if vn.suspended {
 		// Paused slice: control output bypasses the (parked) CPU
 		// scheduler, so it is gated here; the peer's dead timer expires
@@ -413,35 +421,30 @@ func (vn *VirtualNode) sendControl(ifIndex int, dgram []byte) {
 	if ifIndex < 0 || ifIndex >= len(vn.ifaces) {
 		return
 	}
-	p := packet.New(dgram)
+	ifc := vn.ifaces[ifIndex]
+	p := packet.New(nil)
+	copy(p.Extend(len(payload)), payload)
+	if proto == packet.ProtoUDP {
+		packet.EncapUDP(p, ifc.Addr, ifc.PeerAddr, 520, 520)
+	}
+	packet.EncapIPv4(p, &packet.IPv4{TTL: 1, Proto: proto, Src: ifc.Addr, Dst: ifc.PeerAddr})
 	p.Anno.Timestamp = vn.clock.Now()
-	p.Anno.NextHop = vn.ifaces[ifIndex].PeerAddr
-	vn.ifaces[ifIndex].fail.Push(0, p)
+	p.Anno.NextHop = ifc.PeerAddr
+	ifc.fail.Push(0, p)
 }
 
 // ospfTransport adapts the OSPF Transport interface onto the vnode.
 type ospfTransport struct{ vn *VirtualNode }
 
 func (t ospfTransport) SendRouting(ifIndex int, payload []byte) {
-	vn := t.vn
-	if ifIndex < 0 || ifIndex >= len(vn.ifaces) {
-		return
-	}
-	ifc := vn.ifaces[ifIndex]
-	hdr := packet.IPv4{TTL: 1, Proto: packet.ProtoOSPF, Src: ifc.Addr, Dst: ifc.PeerAddr}
-	vn.sendControl(ifIndex, hdr.Marshal(payload))
+	t.vn.sendControl(ifIndex, packet.ProtoOSPF, payload)
 }
 
 // ripTransport wraps RIP messages in inner UDP port 520.
 type ripTransport struct{ vn *VirtualNode }
 
 func (t ripTransport) SendRouting(ifIndex int, payload []byte) {
-	vn := t.vn
-	if ifIndex < 0 || ifIndex >= len(vn.ifaces) {
-		return
-	}
-	ifc := vn.ifaces[ifIndex]
-	vn.sendControl(ifIndex, packet.BuildUDP(ifc.Addr, ifc.PeerAddr, 520, 520, 1, payload))
+	t.vn.sendControl(ifIndex, packet.ProtoUDP, payload)
 }
 
 // tunnelTransport implements click.TunnelTransport: wrap the overlay

@@ -9,7 +9,7 @@ package fea
 import (
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 	"sync"
 
 	"vini/internal/fib"
@@ -45,6 +45,10 @@ type RIB struct {
 	// that triggered the recompute and the number of routes now
 	// installed. Fired outside the mutex.
 	onInstall func(proto string, n int)
+	// best and routes are recompute's working storage; routes stays the
+	// set last handed to the FIB.
+	best   map[netip.Prefix]protoRoute
+	routes []fib.Route
 }
 
 // OnInstall registers an observer called after every FIB recompute with
@@ -54,21 +58,34 @@ func (r *RIB) OnInstall(fn func(proto string, n int)) { r.onInstall = fn }
 
 // NewRIB returns a RIB feeding target.
 func NewRIB(target *fib.Table) *RIB {
-	return &RIB{target: target, byProto: make(map[string][]protoRoute)}
+	return &RIB{target: target, byProto: make(map[string][]protoRoute), best: make(map[netip.Prefix]protoRoute)}
 }
 
 // SetRoutes replaces proto's entire route set (protocols recompute whole
 // tables — OSPF after SPF, RIP after a periodic update) and recomputes
-// the FIB. dist is the protocol's administrative distance.
+// the FIB. dist is the protocol's administrative distance. routes is
+// lent for the call. A set equal to the one proto already holds leaves
+// the merge and the FIB alone; the install observer hears of it all the
+// same.
 func (r *RIB) SetRoutes(proto string, dist int, routes []fib.Route) {
 	r.mu.Lock()
-	prs := make([]protoRoute, 0, len(routes))
-	for _, rt := range routes {
+	prs := r.byProto[proto]
+	same := len(prs) == len(routes)
+	for i := 0; same && i < len(prs); i++ {
+		rt := routes[i]
 		rt.Proto = proto
-		prs = append(prs, protoRoute{Route: rt, dist: dist})
+		same = prs[i].Route == rt && prs[i].dist == dist
 	}
-	r.byProto[proto] = prs
-	n := r.recompute()
+	if !same {
+		prs = prs[:0]
+		for _, rt := range routes {
+			rt.Proto = proto
+			prs = append(prs, protoRoute{Route: rt, dist: dist})
+		}
+		r.byProto[proto] = prs
+		r.recompute()
+	}
+	n := len(r.routes)
 	fn := r.onInstall
 	r.mu.Unlock()
 	if fn != nil {
@@ -103,7 +120,8 @@ func (r *RIB) RemoveProtocol(proto string) {
 // atomically replaces the FIB contents. It returns the number of routes
 // installed.
 func (r *RIB) recompute() int {
-	best := make(map[netip.Prefix]protoRoute)
+	best := r.best
+	clear(best)
 	for _, prs := range r.byProto {
 		for _, pr := range prs {
 			key := pr.Prefix.Masked()
@@ -113,13 +131,12 @@ func (r *RIB) recompute() int {
 			}
 		}
 	}
-	routes := make([]fib.Route, 0, len(best))
+	routes := r.routes[:0]
 	for _, pr := range best {
 		routes = append(routes, pr.Route)
 	}
-	sort.Slice(routes, func(i, j int) bool {
-		return fib.PrefixTextLess(routes[i].Prefix, routes[j].Prefix)
-	})
+	slices.SortFunc(routes, func(a, b fib.Route) int { return fib.PrefixTextCompare(a.Prefix, b.Prefix) })
+	r.routes = routes
 	r.target.Replace("rib", routes)
 	return len(routes)
 }

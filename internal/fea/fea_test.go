@@ -2,6 +2,7 @@ package fea
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 
 	"vini/internal/fib"
@@ -113,5 +114,43 @@ func TestPreferOverridesDistance(t *testing.T) {
 	r, _ = tbl.Lookup(addr("10.1.0.1"))
 	if r.Proto != "ospf" {
 		t.Fatalf("normal selection failed: %+v", r)
+	}
+}
+
+// TestUnchangedSetLeavesTheFIBAlone: a protocol re-announcing the set it
+// already holds (an SPF run that changed nothing) touches neither the
+// merge nor the FIB version — no recompile, no cache flush on the data
+// plane — yet the install observer still hears one event per call, and
+// the caller's slice is only borrowed.
+func TestUnchangedSetLeavesTheFIBAlone(t *testing.T) {
+	tbl := fib.New()
+	rib := NewRIB(tbl)
+	var seen []int
+	rib.OnInstall(func(proto string, n int) { seen = append(seen, n) })
+	rib.SetRoutes("connected", DistConnected, []fib.Route{{Prefix: pfx("10.0.0.1/32"), OutPort: 1}})
+	set := []fib.Route{
+		{Prefix: pfx("10.1.0.0/16"), Metric: 5, OutPort: 2},
+		{Prefix: pfx("10.2.0.0/16"), Metric: 7, OutPort: 2},
+	}
+	rib.SetRoutes("ospf", DistOSPF, set)
+	v := tbl.Version()
+	rib.SetRoutes("ospf", DistOSPF, set)
+	if tbl.Version() != v {
+		t.Fatal("an unchanged announcement moved the FIB version")
+	}
+	set[1].Metric = 8 // the RIB kept its own copy
+	if got := rib.ProtoRoutes("ospf")[1].Metric; got != 7 {
+		t.Fatalf("RIB aliases the caller's slice: metric %d", got)
+	}
+	rib.SetRoutes("ospf", DistOSPF, set)
+	if tbl.Version() == v {
+		t.Fatal("a changed announcement did not reach the FIB")
+	}
+	rib.SetRoutes("ospf", DistRIP, set) // same routes, new distance: a change
+	if want := []int{1, 3, 3, 3, 3}; !slices.Equal(seen, want) {
+		t.Fatalf("install events = %v, want %v", seen, want)
+	}
+	if err := rib.Verify(); err != nil {
+		t.Fatal(err)
 	}
 }

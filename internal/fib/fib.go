@@ -37,20 +37,32 @@ func (r Route) String() string {
 		r.Prefix, r.NextHop, r.OutPort, r.Metric, r.Owner)
 }
 
-// PrefixTextLess orders prefixes by their text form, the order in which
-// the routing protocols and the RIB have always handed route sets on
-// (install order is observable, so it is not Prefix.Compare's numeric
-// order). It equals a.String() < b.String() for every non-zero prefix
-// but renders into stack buffers, so a sort comparator costs no heap.
-func PrefixTextLess(a, b netip.Prefix) bool {
+// PrefixTextCompare orders prefixes by their text form, the order in
+// which the routing protocols and the RIB have always handed route sets
+// on (install order is observable, so it is not Prefix.Compare's numeric
+// order). It equals strings.Compare(a.String(), b.String()) for every
+// non-zero prefix but renders into stack buffers, so a sort comparator
+// costs no heap.
+func PrefixTextCompare(a, b netip.Prefix) int {
 	var ab, bb [24]byte // "255.255.255.255/32" is 18 bytes
-	return bytes.Compare(a.AppendTo(ab[:0]), b.AppendTo(bb[:0])) < 0
+	return bytes.Compare(a.AppendTo(ab[:0]), b.AppendTo(bb[:0]))
 }
+
+// PrefixTextLess is PrefixTextCompare(a, b) < 0.
+func PrefixTextLess(a, b netip.Prefix) bool { return PrefixTextCompare(a, b) < 0 }
 
 // node is a binary-trie node keyed on successive destination-address bits.
 type node struct {
 	children [2]*node
-	route    *Route
+	route    *entry
+}
+
+// entry is an installed route and the stamp of the last Replace that
+// named it, which is how Replace tells the routes to withdraw from the
+// ones it just confirmed without building a set.
+type entry struct {
+	Route
+	seen uint64
 }
 
 // Table is a longest-prefix-match IPv4 forwarding table. It is safe for
@@ -69,6 +81,8 @@ type Table struct {
 	// version increments on every mutation; Click's LookupIPRoute element
 	// and per-consumer Caches invalidate against it.
 	version atomic.Uint64
+	// epoch numbers Replace calls (see entry.seen).
+	epoch uint64
 	// compiled is the stride-8 lookup structure for version
 	// compiled.version; nil or stale until the next Lookup rebuilds it.
 	compiled atomic.Pointer[ctable]
@@ -102,22 +116,28 @@ func (t *Table) Add(r Route) error {
 	r.Prefix = r.Prefix.Masked()
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	n := t.nodeFor(r.Prefix)
+	if n.route == nil {
+		t.n++
+	}
+	n.route = &entry{Route: r}
+	t.version.Add(1)
+	return nil
+}
+
+// nodeFor descends to the trie node of a masked IPv4 prefix, creating
+// the path. The caller holds the write lock.
+func (t *Table) nodeFor(p netip.Prefix) *node {
 	n := &t.root
-	a := r.Prefix.Addr().As4()
-	for i := 0; i < r.Prefix.Bits(); i++ {
+	a := p.Addr().As4()
+	for i := 0; i < p.Bits(); i++ {
 		b := addrBit(a, i)
 		if n.children[b] == nil {
 			n.children[b] = &node{}
 		}
 		n = n.children[b]
 	}
-	if n.route == nil {
-		t.n++
-	}
-	rc := r
-	n.route = &rc
-	t.version.Add(1)
-	return nil
+	return n
 }
 
 // Remove deletes the route for prefix, reporting whether it existed.
@@ -178,7 +198,7 @@ func (t *Table) LookupReference(dst netip.Addr) (Route, bool) {
 	a := dst.As4()
 	for i := 0; ; i++ {
 		if n.route != nil {
-			best = n.route
+			best = &n.route.Route
 		}
 		if i == 32 {
 			break
@@ -293,7 +313,7 @@ func (t *Table) recompile() *ctable {
 			return
 		}
 		if n.route != nil {
-			rc := *n.route
+			rc := n.route.Route
 			c.insert(&rc)
 		}
 		walk(n.children[0])
@@ -383,7 +403,7 @@ func (t *Table) Routes() []Route {
 			return
 		}
 		if n.route != nil {
-			out = append(out, *n.route)
+			out = append(out, n.route.Route)
 		}
 		walk(n.children[0])
 		walk(n.children[1])
@@ -402,31 +422,50 @@ func (t *Table) Routes() []Route {
 // Replace atomically swaps in a whole new route set for owner: routes not
 // in rs are withdrawn, others added/updated. This is the "atomic
 // switchover between virtual networks" primitive from the paper's
-// conclusion.
+// conclusion. It is one pass under one lock, so a concurrent Lookup
+// compiles the table before or after the swap and never between; routes
+// that already stand as given are left alone, and the version moves
+// once, and only if something did.
 func (t *Table) Replace(owner string, rs []Route) {
 	t.mu.Lock()
-	keep := make(map[netip.Prefix]bool, len(rs))
+	defer t.mu.Unlock()
+	t.epoch++
+	changed := false
 	for _, r := range rs {
-		keep[r.Prefix.Masked()] = true
+		if !r.Prefix.IsValid() || !r.Prefix.Addr().Is4() {
+			continue
+		}
+		r.Prefix = r.Prefix.Masked()
+		r.Owner = owner
+		n := t.nodeFor(r.Prefix)
+		switch {
+		case n.route == nil:
+			n.route = &entry{Route: r}
+			t.n++
+			changed = true
+		case n.route.Route != r:
+			// Readers hold copies (the compiled trie) or the read lock.
+			n.route.Route = r
+			changed = true
+		}
+		n.route.seen = t.epoch
 	}
 	var walk func(n *node)
 	walk = func(n *node) {
 		if n == nil {
 			return
 		}
-		if n.route != nil && n.route.Owner == owner && !keep[n.route.Prefix] {
+		if n.route != nil && n.route.Owner == owner && n.route.seen != t.epoch {
 			n.route = nil
 			t.n--
+			changed = true
 		}
 		walk(n.children[0])
 		walk(n.children[1])
 	}
 	walk(&t.root)
-	t.version.Add(1)
-	t.mu.Unlock()
-	for _, r := range rs {
-		r.Owner = owner
-		t.Add(r)
+	if changed {
+		t.version.Add(1)
 	}
 }
 

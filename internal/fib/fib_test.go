@@ -127,6 +127,85 @@ func TestReplaceAtomicSwitchover(t *testing.T) {
 	}
 }
 
+// TestReplaceIsAtomicToReaders: a Lookup racing a stream of Replaces
+// between two full route sets sees one set or the other, never the
+// table between the withdrawal of one and the installation of the other.
+// The sets cover the same addresses with different prefix lengths, so a
+// half-installed table is a lookup that misses, or that matches the
+// wrong generation's length.
+func TestReplaceIsAtomicToReaders(t *testing.T) {
+	var sets [2][]Route
+	var dsts []netip.Addr
+	for i := 0; i < 32; i++ {
+		base := netip.AddrFrom4([4]byte{10, 7, byte(i), 0})
+		sets[0] = append(sets[0], Route{Prefix: netip.PrefixFrom(base, 24), OutPort: 24})
+		sets[1] = append(sets[1], Route{Prefix: netip.PrefixFrom(base, 25), OutPort: 25})
+		dsts = append(dsts, base.Next())
+	}
+	tb := New()
+	tb.Replace("rib", sets[0])
+	stop := make(chan struct{})
+	done := make(chan string, 1)
+	go func() {
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				done <- ""
+				return
+			default:
+			}
+			r, ok := tb.Lookup(dsts[i%len(dsts)])
+			if !ok || r.OutPort != r.Prefix.Bits() {
+				done <- "lookup saw a table that is neither route set: " + r.String()
+				return
+			}
+		}
+	}()
+	for i := 1; i <= 1000; i++ {
+		tb.Replace("rib", sets[i&1])
+	}
+	close(stop)
+	if msg := <-done; msg != "" {
+		t.Fatal(msg)
+	}
+}
+
+// TestReplaceOnlyMovesWhatDiffers: a Replace with the standing set is
+// invisible (version, and so every compiled trie and route cache,
+// untouched); one changed route moves the version once.
+func TestReplaceOnlyMovesWhatDiffers(t *testing.T) {
+	tb := New()
+	tb.Add(Route{Prefix: pfx("10.9.0.0/16"), Owner: "static"})
+	set := []Route{
+		{Prefix: pfx("10.1.0.0/16"), Metric: 5},
+		{Prefix: pfx("10.4.0.7/16"), Metric: 5}, // unmasked on purpose
+		{Prefix: netip.Prefix{}},                // invalid: skipped, as Add refuses it
+	}
+	tb.Replace("rib", set)
+	v := tb.Version()
+	tb.Replace("rib", set)
+	if tb.Version() != v {
+		t.Fatal("replacing a set with itself moved the version")
+	}
+	set[0].Metric = 6
+	tb.Replace("rib", set)
+	if tb.Version() != v+1 {
+		t.Fatalf("one changed route moved the version by %d, want 1", tb.Version()-v)
+	}
+	if r, _ := tb.Lookup(addr("10.1.2.3")); r.Metric != 6 {
+		t.Fatalf("changed route not installed: %v", r)
+	}
+	tb.Replace("rib", nil)
+	if tb.Version() != v+2 || tb.Len() != 1 {
+		t.Fatalf("withdrawing the set: version +%d, %d routes left", tb.Version()-v, tb.Len())
+	}
+	// Taking over another owner's prefix is a change.
+	tb.Replace("rib", []Route{{Prefix: pfx("10.9.0.0/16")}})
+	if r, _ := tb.Lookup(addr("10.9.1.1")); r.Owner != "rib" || tb.Len() != 1 {
+		t.Fatalf("prefix not taken over: %v", r)
+	}
+}
+
 func TestRoutesSorted(t *testing.T) {
 	tb := New()
 	for _, p := range []string{"10.2.0.0/16", "10.0.0.0/8", "10.1.0.0/16", "10.1.0.0/24"} {

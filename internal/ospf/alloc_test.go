@@ -140,3 +140,48 @@ func TestIdleSPFZeroAlloc(t *testing.T) {
 		t.Fatalf("an idle SPF must still count and report: %d installs, %d runs", installs, r.SPFRuns)
 	}
 }
+
+// retainingTransport breaks the lend contract: it keeps the payload it
+// was handed instead of copying it.
+type retainingTransport struct{ kept [][]byte }
+
+func (r *retainingTransport) SendRouting(_ int, payload []byte) { r.kept = append(r.kept, payload) }
+
+// TestRetainingTransportIsCaught: with send-time poisoning on (as the
+// simtest and experiment packages run), what a retaining transport holds
+// is not a routing message any more — a receiver rejects every byte of
+// it, so the adjacency such a transport carries never forms and the
+// regime tests that depend on it fail loudly instead of passing on
+// stale-but-plausible bytes.
+func TestRetainingTransportIsCaught(t *testing.T) {
+	defer PoisonAfterSendForTest(PoisonAfterSendForTest(true))
+	loop := sim.NewLoop(1)
+	bad := &retainingTransport{}
+	a := New(loop, Config{RouterID: 1, Hello: time.Second}, bad)
+	if err := a.AddInterface(Interface{Index: 0, Addr: netip.MustParseAddr("10.1.0.1"),
+		Prefix: netip.MustParsePrefix("10.1.0.0/30"), Cost: 1}); err != nil {
+		t.Fatal(err)
+	}
+	a.Start()
+	loop.Run(3 * time.Second)
+	if len(bad.kept) < 3 {
+		t.Fatalf("%d messages sent", len(bad.kept))
+	}
+	b := New(loop, Config{RouterID: 2, Hello: time.Second}, discardTransport{})
+	b.AddInterface(Interface{Index: 0, Addr: netip.MustParseAddr("10.1.0.2"),
+		Prefix: netip.MustParsePrefix("10.1.0.0/30"), Cost: 1})
+	b.Start()
+	for i, msg := range bad.kept {
+		if err := b.Receive(0, netip.MustParseAddr("10.1.0.1"), msg); err == nil {
+			t.Fatalf("retained message %d still parses: % x", i, msg)
+		}
+	}
+	if len(b.Neighbors()) != 0 {
+		t.Fatal("an adjacency formed over retained payloads")
+	}
+	// The same transport, copying as the contract says, works.
+	good := MarshalHello(1, Hello{HelloInterval: 1, DeadInterval: 2})
+	if err := b.Receive(0, netip.MustParseAddr("10.1.0.1"), good); err != nil || len(b.Neighbors()) != 1 {
+		t.Fatalf("control: a copied hello was refused: %v", err)
+	}
+}

@@ -1,10 +1,16 @@
 package ospf
 
 import (
+	"bytes"
 	"net/netip"
 	"reflect"
 	"testing"
 )
+
+// rawPacket puts a valid header in front of an arbitrary body.
+func rawPacket(typ uint8, routerID uint32, body []byte) []byte {
+	return seal(append(begin(nil), body...), 0, typ, routerID)
+}
 
 // FuzzOSPFDecode throws arbitrary bytes at the OSPF wire decoders the
 // way Router.Receive does: common header first, then the body parser
@@ -20,8 +26,8 @@ func FuzzOSPFDecode(f *testing.F) {
 		Stubs: []StubDesc{{Prefix: netip.MustParsePrefix("10.1.0.1/32")}, {Prefix: netip.MustParsePrefix("10.1.128.0/30"), Cost: 10}},
 	}}}))
 	f.Add(MarshalLSAck(0x0a010001, LSAck{Keys: []Key{{Origin: 0x0a010002, Seq: 3}}}))
-	f.Add(marshalHeader(TypeLSU, 1, []byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff}))
-	f.Add(marshalHeader(TypeLSU, 1, []byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 10, 0, 0, 0, 33, 0, 0, 0, 0, 0, 0, 1}))
+	f.Add(rawPacket(TypeLSU, 1, []byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff}))
+	f.Add(rawPacket(TypeLSU, 1, []byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 10, 0, 0, 0, 33, 0, 0, 0, 0, 0, 0, 1}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, body, err := ParseHeader(data)
@@ -71,5 +77,50 @@ func FuzzOSPFDecode(f *testing.F) {
 		if err != nil || !reflect.DeepEqual(msg, msg2) {
 			t.Fatalf("round trip changed the message (err %v):\n got %+v\nwant %+v", err, msg2, msg)
 		}
+		// The path Receive takes: decode into a router's reused storage,
+		// copy out what is installed. The storage is dirtied first and
+		// overwritten after, so the decode must neither read what an
+		// earlier message left there nor keep the installed copy tied to
+		// what a later one puts there.
+		var d decoder
+		d.lsu(dirt)
+		d.hello(helloDirt)
+		d.lsack(dirt)
+		var viaStorage []byte
+		var installed LSU
+		switch h.Type {
+		case TypeHello:
+			m, _ := d.hello(body)
+			viaStorage = appendHello(nil, h.RouterID, m)
+		case TypeLSU:
+			m, _ := d.lsu(body)
+			viaStorage = appendLSU(nil, h.RouterID, m.LSAs)
+			for _, l := range m.LSAs {
+				installed.LSAs = append(installed.LSAs, l.clone())
+			}
+		case TypeLSAck:
+			m, _ := d.lsack(body)
+			viaStorage = appendLSAck(nil, h.RouterID, m.Keys)
+		}
+		if !bytes.Equal(viaStorage, again) {
+			t.Fatalf("decoding into used storage gave a different message:\n got %x\nwant %x", viaStorage, again)
+		}
+		d.lsu(dirt)
+		if h.Type == TypeLSU && !bytes.Equal(MarshalLSU(h.RouterID, installed), again) {
+			t.Fatalf("an installed LSA still aliases the decoder: %+v", installed)
+		}
 	})
 }
+
+// dirt is an LSU body (which also parses as an ack of three keys), and
+// helloDirt a hello body, that fill a decoder with values no seed uses.
+var helloDirt = append([]byte{0, 5, 0, 10, 0, 40}, bytes.Repeat([]byte{0xde}, 4*40)...)
+
+var dirt = func() []byte {
+	l := LSA{Origin: 0xdededede, Seq: 0xdededede}
+	for i := 0; i < 40; i++ {
+		l.Links = append(l.Links, LinkDesc{NeighborID: 0xdededede, Cost: 0xdededede})
+		l.Stubs = append(l.Stubs, StubDesc{Prefix: netip.MustParsePrefix("222.222.222.222/30"), Cost: 0xdededede})
+	}
+	return MarshalLSU(1, LSU{LSAs: []LSA{l, l, l}})[headerLen:]
+}()

@@ -2,7 +2,9 @@ package ospf
 
 import (
 	"fmt"
+	"math/rand"
 	"net/netip"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -45,7 +47,7 @@ func (m *mesh) addRouter(name string, id uint32, cfg Config) *meshNode {
 	cfg.RouterID = id
 	n := &meshNode{m: m, name: name, pipes: make(map[int]*pipe)}
 	n.r = New(m.loop, cfg, n)
-	n.r.OnRoutes(func(rs []fib.Route) { n.routes = rs })
+	n.r.OnRoutes(func(rs []fib.Route) { n.routes = append([]fib.Route(nil), rs...) }) // rs is lent
 	m.routers[name] = n
 	return n
 }
@@ -462,7 +464,7 @@ func TestStateTransferPreservesAdjacencies(t *testing.T) {
 	b2 := &meshNode{m: m, name: "b", pipes: b.pipes}
 	b2.r = New(loop, fastCfg(stub("10.0.0.2/32")), b2)
 	b2.r.cfg.RouterID = 2
-	b2.r.OnRoutes(func(rs []fib.Route) { b2.routes = rs })
+	b2.r.OnRoutes(func(rs []fib.Route) { b2.routes = append([]fib.Route(nil), rs...) })
 	for _, ifc := range b.r.ifaces {
 		b2.r.AddInterface(*ifc)
 	}
@@ -528,5 +530,262 @@ func TestImportStateRejectsMisuse(t *testing.T) {
 	st.Neighbors = append(st.Neighbors, NeighborSnapshot{Iface: 99, ID: 7, Full: true})
 	if err := fresh.ImportState(st); err == nil {
 		t.Fatal("ImportState with unknown interface accepted")
+	}
+}
+
+// referenceSPF is runSPF as it stood before it moved onto reusable dense
+// arrays — three maps, a sorted id slice and a sort.Slice per iteration,
+// a map to deduplicate — kept as the oracle the rewrite is compared
+// against. Only the neighbor lookup differs: the adjacencies are a slice
+// in interface order now, not a map whose keys had to be sorted first.
+func referenceSPF(r *Router) []fib.Route {
+	neighborByID := func(id uint32) *neighbor {
+		for _, nb := range r.neighbors {
+			if nb.id == id && nb.state == nFull {
+				return nb
+			}
+		}
+		return nil
+	}
+	type nodeDist struct {
+		id   uint32
+		dist uint64
+	}
+	const inf = ^uint64(0)
+	dist := map[uint32]uint64{r.cfg.RouterID: 0}
+	firstHop := map[uint32]*neighbor{} // dest -> first-hop neighbor
+	visited := map[uint32]bool{}
+	// cost returns the bidirectional-checked edge cost u->v.
+	cost := func(u, v uint32) (uint32, bool) {
+		lu, ok := r.lsdb[u]
+		if !ok {
+			return 0, false
+		}
+		lv, ok := r.lsdb[v]
+		if !ok {
+			return 0, false
+		}
+		var cuv uint32
+		found := false
+		for _, l := range lu.Links {
+			if l.NeighborID == v && (!found || l.Cost < cuv) {
+				cuv, found = l.Cost, true
+			}
+		}
+		if !found {
+			return 0, false
+		}
+		back := false
+		for _, l := range lv.Links {
+			if l.NeighborID == u {
+				back = true
+				break
+			}
+		}
+		if !back {
+			return 0, false
+		}
+		return cuv, true
+	}
+	for {
+		// Extract min unvisited.
+		best := nodeDist{dist: inf}
+		ids := make([]uint32, 0, len(dist))
+		for id := range dist {
+			ids = append(ids, id)
+		}
+		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		for _, id := range ids {
+			if !visited[id] && dist[id] < best.dist {
+				best = nodeDist{id: id, dist: dist[id]}
+			}
+		}
+		if best.dist == inf {
+			break
+		}
+		u := best.id
+		visited[u] = true
+		// Relax u's edges.
+		lu := r.lsdb[u]
+		for _, l := range lu.Links {
+			v := l.NeighborID
+			c, ok := cost(u, v)
+			if !ok {
+				continue
+			}
+			nd := dist[u] + uint64(c)
+			cur, have := dist[v]
+			if !have || nd < cur {
+				dist[v] = nd
+				// Propagate first hop.
+				if u == r.cfg.RouterID {
+					firstHop[v] = neighborByID(v)
+				} else {
+					firstHop[v] = firstHop[u]
+				}
+			}
+		}
+	}
+	var routes []fib.Route
+	for dst, d := range dist {
+		if dst == r.cfg.RouterID {
+			continue
+		}
+		nb := firstHop[dst]
+		if nb == nil {
+			continue
+		}
+		lsa := r.lsdb[dst]
+		for _, s := range lsa.Stubs {
+			routes = append(routes, fib.Route{
+				Prefix:  s.Prefix,
+				NextHop: nb.addr,
+				OutPort: nb.ifc.Index,
+				Metric:  uint32(d) + s.Cost,
+			})
+		}
+	}
+	bestRoute := map[netip.Prefix]fib.Route{}
+	for _, rt := range routes {
+		cur, ok := bestRoute[rt.Prefix]
+		if !ok || rt.Metric < cur.Metric ||
+			(rt.Metric == cur.Metric && rt.NextHop.Less(cur.NextHop)) {
+			bestRoute[rt.Prefix] = rt
+		}
+	}
+	routes = routes[:0]
+	for _, rt := range bestRoute {
+		routes = append(routes, rt)
+	}
+	sort.Slice(routes, func(i, j int) bool {
+		return fib.PrefixTextLess(routes[i].Prefix, routes[j].Prefix)
+	})
+	return routes
+}
+
+// randomLSDB fills a router (id 1) with a random link-state database and
+// adjacency table built to hit every branch of SPF: asymmetric costs,
+// one-way links (the bidirectional check), parallel links (the cheapest
+// counts; toward a neighbor, the lowest Full interface carries it),
+// costs from a small set (equal-cost ties on distance and on metric),
+// both ends of a /30 advertising it at different costs, neighbors that
+// are not Full, links to routers nobody has an LSA for, and islands no
+// path reaches.
+func randomLSDB(rng *rand.Rand) *Router {
+	r := New(sim.NewLoop(1), Config{RouterID: 1}, discardTransport{})
+	n := 2 + rng.Intn(12)
+	lsas := make([]LSA, n+1) // by router id; 0 unused
+	for id := 1; id <= n; id++ {
+		lsas[id] = LSA{Origin: uint32(id), Seq: 1, Stubs: []StubDesc{
+			{Prefix: netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 0, 0, byte(id)}), 32), Cost: uint32(rng.Intn(2))}}}
+	}
+	island := n + 1
+	if n > 4 && rng.Intn(3) == 0 {
+		island = n - 1 - rng.Intn(2) // routers from here up only link among themselves
+	}
+	subnet := 0
+	link := func(a, b int) {
+		subnet++
+		p := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 1, byte(subnet), byte(rng.Intn(2))}), 30) // sometimes unmasked
+		ca, cb := uint32(1+rng.Intn(3)), uint32(1+rng.Intn(3))
+		if rng.Intn(8) != 0 { // else one-way: b never lists a
+			lsas[b].Links = append(lsas[b].Links, LinkDesc{NeighborID: uint32(a), Cost: cb})
+		}
+		lsas[a].Links = append(lsas[a].Links, LinkDesc{NeighborID: uint32(b), Cost: ca})
+		lsas[a].Stubs = append(lsas[a].Stubs, StubDesc{Prefix: p, Cost: ca})
+		lsas[b].Stubs = append(lsas[b].Stubs, StubDesc{Prefix: p, Cost: cb})
+		if a == 1 || b == 1 {
+			peer := a + b - 1
+			ifc := &Interface{Index: len(r.ifaces), Cost: ca}
+			r.ifaces = append(r.ifaces, ifc)
+			nb := r.newNeighbor(uint32(peer), netip.AddrFrom4([4]byte{10, 1, byte(subnet), 2}), ifc)
+			if nb.state = nFull; rng.Intn(6) == 0 {
+				nb.state = nInit
+			}
+			r.setNeighbor(nb)
+		}
+	}
+	for a := 1; a <= n; a++ {
+		for b := a + 1; b <= n; b++ {
+			if (a < island) != (b < island) {
+				continue
+			}
+			for k := rng.Intn(4) - 1; k > 0; k-- { // 0, 0, 1 or 2 (parallel) links
+				link(a, b)
+			}
+		}
+	}
+	if id := 1 + rng.Intn(n); rng.Intn(4) == 0 {
+		lsas[id].Links = append(lsas[id].Links, LinkDesc{NeighborID: 99, Cost: 1}) // no such LSA
+	}
+	for id := 1; id <= n; id++ {
+		if id != 1 && rng.Intn(10) == 0 {
+			continue // an LSA that never arrived
+		}
+		rng.Shuffle(len(lsas[id].Links), func(i, j int) {
+			lsas[id].Links[i], lsas[id].Links[j] = lsas[id].Links[j], lsas[id].Links[i]
+		})
+		r.lsdb[uint32(id)] = lsas[id]
+	}
+	return r
+}
+
+// TestSPFMatchesReference compares the dense-array SPF with the original
+// over seeded random databases, route for route and in order, then runs
+// every database a second time: the working arrays are reused, and what
+// the last run left in them must not leak into the next.
+func TestSPFMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(20060911))
+	var prev *Router
+	routed := 0
+	for i := 0; i < 400; i++ {
+		r := randomLSDB(rng)
+		if prev != nil && i%3 == 0 {
+			// Reuse the previous router's working storage on a new database.
+			r.spf, r.lastRoutes = prev.spf, prev.lastRoutes
+		}
+		var got []fib.Route
+		r.OnRoutes(func(rs []fib.Route) { got = rs })
+		for run := 0; run < 2; run++ {
+			want := referenceSPF(r)
+			r.runSPF()
+			if !slices.Equal(got, want) {
+				t.Fatalf("database %d, run %d (%d LSAs, %d neighbors):\n got %v\nwant %v",
+					i, run, len(r.lsdb), len(r.neighbors), got, want)
+			}
+		}
+		routed += len(got)
+		prev = r
+	}
+	if routed < 2000 {
+		t.Fatalf("only %d routes over 400 databases: the generator stopped producing connected ones", routed)
+	}
+}
+
+// TestSPFMatchesReferenceOnAbilene does the same on every router of a
+// converged Abilene area, where the databases are the protocol's own.
+func TestSPFMatchesReferenceOnAbilene(t *testing.T) {
+	loop := sim.NewLoop(1)
+	m := newMesh(loop)
+	g := topology.Abilene()
+	nodes := map[string]*meshNode{}
+	for i, name := range g.Nodes() {
+		id := uint32(i + 1)
+		nodes[name] = m.addRouter(name, id, fastCfg(StubDesc{
+			Prefix: netip.PrefixFrom(AddrFromRouterID(0x0a000000+id), 32)}))
+	}
+	for _, l := range g.Links() {
+		m.connect(nodes[l.A], nodes[l.B], l.CostAB, l.Delay)
+	}
+	m.startAll()
+	loop.Run(30 * time.Second)
+	for name, n := range nodes {
+		want := referenceSPF(n.r)
+		if len(want) < len(g.Nodes())-1 {
+			t.Fatalf("%s: area not converged, %d routes", name, len(want))
+		}
+		if got := n.r.Routes(); !slices.Equal(got, want) {
+			t.Fatalf("%s:\n got %v\nwant %v", name, got, want)
+		}
 	}
 }

@@ -1,9 +1,12 @@
 package ospf
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"vini/internal/fib"
@@ -15,6 +18,12 @@ import (
 // the payload in IP protocol 89 and pushing it through the Click graph,
 // so routing traffic traverses (and is cut by failures of) the same
 // tunnels as data traffic.
+//
+// payload is lent: it is the router's encode buffer, valid until
+// SendRouting returns and overwritten by the next message. A transport
+// that queues the message copies it (as it must copy what Receive is
+// handed, which is lent the other way). SendRouting must not call back
+// into the sending router's Receive.
 type Transport interface {
 	SendRouting(ifIndex int, payload []byte)
 }
@@ -106,6 +115,16 @@ type neighbor struct {
 	// pendingAcks maps LSA keys awaiting this neighbor's ack.
 	pendingAcks map[Key]LSA
 	rxmtTimer   sim.Timer
+	// deadFn and rxmtFn are the two timers' callbacks, bound once so
+	// that re-arming them (every hello, every flood) allocates nothing.
+	deadFn, rxmtFn func()
+}
+
+func (r *Router) newNeighbor(id uint32, addr netip.Addr, ifc *Interface) *neighbor {
+	nb := &neighbor{id: id, addr: addr, ifc: ifc, pendingAcks: make(map[Key]LSA)}
+	nb.deadFn = func() { r.neighborDead(nb) }
+	nb.rxmtFn = func() { r.retransmit(nb) }
+	return nb
 }
 
 // NeighborInfo is the externally visible adjacency state.
@@ -125,8 +144,10 @@ type Router struct {
 	ticks  sim.Clock
 	tr     Transport
 	ifaces []*Interface
-	// neighbors keyed by interface index (point-to-point: one each).
-	neighbors map[int]*neighbor
+	// neighbors holds at most one adjacency per interface (they are
+	// point-to-point), ordered by interface index: the order every flood
+	// and every LSA lists them in.
+	neighbors []*neighbor
 	// lsdb holds the latest LSA per origin; lsdbAt tracks when each
 	// instance was installed, for MaxAge purging.
 	lsdb   map[uint32]LSA
@@ -142,8 +163,40 @@ type Router struct {
 	spfPending bool
 	started    bool
 	helloTimer sim.Timer
+	// helloFn, refreshFn, ageFn and spfFn are the periodic and SPF-delay
+	// callbacks, bound once (see neighbor.deadFn).
+	helloFn, refreshFn, ageFn, spfFn func()
+	// enc is the encode buffer every outgoing message is built in and
+	// lent to the Transport from; dec is where incoming ones decode to.
+	// seen, acks and spf are working storage for sendHellos, handleLSU
+	// and runSPF. None of it outlives the call that fills it.
+	enc  []byte
+	dec  decoder
+	seen [1]uint32
+	acks []Key
+	spf  []spfNode
 	// SPFRuns counts SPF executions, for convergence diagnostics.
 	SPFRuns int
+}
+
+// poisonAfterSend makes the router overwrite its encode buffer with 0xDE
+// as soon as SendRouting returns, so a Transport that kept the lent
+// payload delivers garbage (which the checksum rejects), not a plausible
+// stale message. Test binaries switch it on in TestMain.
+var poisonAfterSend atomic.Bool
+
+// PoisonAfterSendForTest sets send-time poisoning; it returns the
+// previous setting.
+func PoisonAfterSendForTest(on bool) (was bool) { return poisonAfterSend.Swap(on) }
+
+// send lends the encoded message in r.enc to the transport.
+func (r *Router) send(ifIndex int) {
+	r.tr.SendRouting(ifIndex, r.enc)
+	if poisonAfterSend.Load() {
+		for i := range r.enc {
+			r.enc[i] = 0xDE
+		}
+	}
 }
 
 // New creates a router; call AddInterface then Start.
@@ -153,15 +206,20 @@ func New(clock sim.Clock, cfg Config, tr Transport) *Router {
 	if ticks == nil {
 		ticks = clock
 	}
-	return &Router{
-		cfg:       cfg,
-		clock:     clock,
-		ticks:     ticks,
-		tr:        tr,
-		neighbors: make(map[int]*neighbor),
-		lsdb:      make(map[uint32]LSA),
-		lsdbAt:    make(map[uint32]time.Duration),
+	r := &Router{
+		cfg:    cfg,
+		clock:  clock,
+		ticks:  ticks,
+		tr:     tr,
+		lsdb:   make(map[uint32]LSA),
+		lsdbAt: make(map[uint32]time.Duration),
 	}
+	r.helloFn, r.refreshFn, r.ageFn = r.sendHellos, r.refresh, r.ageSweep
+	r.spfFn = func() {
+		r.spfPending = false
+		r.runSPF()
+	}
+	return r
 }
 
 // AddInterface registers a point-to-point interface before Start.
@@ -198,8 +256,8 @@ func (r *Router) Start() {
 	r.started = true
 	r.originate()
 	r.sendHellos()
-	r.ticks.Schedule(r.cfg.Refresh, r.refresh)
-	r.ticks.Schedule(r.cfg.MaxAge/4, r.ageSweep)
+	r.ticks.Schedule(r.cfg.Refresh, r.refreshFn)
+	r.ticks.Schedule(r.cfg.MaxAge/4, r.ageFn)
 }
 
 // refresh periodically re-originates our LSA (LSRefreshTime) so it never
@@ -209,7 +267,7 @@ func (r *Router) refresh() {
 		return
 	}
 	r.originate()
-	r.ticks.Schedule(r.cfg.Refresh, r.refresh)
+	r.ticks.Schedule(r.cfg.Refresh, r.refreshFn)
 }
 
 // ageSweep purges LSAs that have not been refreshed within MaxAge — the
@@ -233,7 +291,7 @@ func (r *Router) ageSweep() {
 	if changed {
 		r.scheduleSPF()
 	}
-	r.ticks.Schedule(r.cfg.MaxAge/4, r.ageSweep)
+	r.ticks.Schedule(r.cfg.MaxAge/4, r.ageFn)
 }
 
 // Stop cancels timers; the router stops speaking.
@@ -254,14 +312,8 @@ func (r *Router) Stop() {
 
 // Neighbors reports adjacency state sorted by interface index.
 func (r *Router) Neighbors() []NeighborInfo {
-	idxs := make([]int, 0, len(r.neighbors))
-	for i := range r.neighbors {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	out := make([]NeighborInfo, 0, len(idxs))
-	for _, i := range idxs {
-		nb := r.neighbors[i]
+	out := make([]NeighborInfo, 0, len(r.neighbors))
+	for _, nb := range r.neighbors {
 		out = append(out, NeighborInfo{ID: nb.id, Addr: nb.addr, Iface: nb.ifc.Name, State: nb.state.String()})
 	}
 	return out
@@ -282,23 +334,25 @@ func (r *Router) sendHellos() {
 		return
 	}
 	for _, ifc := range r.ifaces {
-		var seen []uint32
-		if nb, ok := r.neighbors[ifc.Index]; ok && nb.state >= nInit {
+		seen := r.seen[:0]
+		if nb := r.neighbor(ifc.Index); nb != nil && nb.state >= nInit {
 			seen = append(seen, nb.id)
 		}
-		pkt := MarshalHello(r.cfg.RouterID, Hello{
+		r.enc = appendHello(r.enc[:0], r.cfg.RouterID, Hello{
 			HelloInterval: uint16(r.cfg.Hello / time.Second),
 			DeadInterval:  uint16(r.cfg.Dead / time.Second),
 			Neighbors:     seen,
 		})
-		r.tr.SendRouting(ifc.Index, pkt)
+		r.send(ifc.Index)
 	}
-	r.helloTimer = r.ticks.Schedule(r.cfg.Hello, r.sendHellos)
+	r.helloTimer = r.ticks.Schedule(r.cfg.Hello, r.helloFn)
 }
 
 // Receive processes an OSPF packet arriving on interface ifIndex from
 // the neighbor address src. Malformed packets are dropped with an error
-// for the caller's logs.
+// for the caller's logs. payload is lent for the call; the message
+// decodes into the router's own storage and only an LSA that is
+// installed is copied out of it.
 func (r *Router) Receive(ifIndex int, src netip.Addr, payload []byte) error {
 	if !r.started {
 		return nil
@@ -312,19 +366,19 @@ func (r *Router) Receive(ifIndex int, src netip.Addr, payload []byte) error {
 	}
 	switch h.Type {
 	case TypeHello:
-		hello, err := ParseHello(body)
+		hello, err := r.dec.hello(body)
 		if err != nil {
 			return err
 		}
 		r.handleHello(ifIndex, src, h.RouterID, hello)
 	case TypeLSU:
-		u, err := ParseLSU(body)
+		u, err := r.dec.lsu(body)
 		if err != nil {
 			return err
 		}
-		r.handleLSU(ifIndex, h.RouterID, u)
+		r.handleLSU(ifIndex, u)
 	case TypeLSAck:
-		a, err := ParseLSAck(body)
+		a, err := r.dec.lsack(body)
 		if err != nil {
 			return err
 		}
@@ -344,22 +398,47 @@ func (r *Router) iface(idx int) *Interface {
 	return nil
 }
 
+// neighbor returns the adjacency on interface idx, or nil.
+func (r *Router) neighbor(idx int) *neighbor {
+	for _, nb := range r.neighbors {
+		if nb.ifc.Index == idx {
+			return nb
+		}
+	}
+	return nil
+}
+
+// setNeighbor installs nb as its interface's adjacency, in index order,
+// in place of any other.
+func (r *Router) setNeighbor(nb *neighbor) {
+	i, found := slices.BinarySearchFunc(r.neighbors, nb.ifc.Index,
+		func(o *neighbor, idx int) int { return cmp.Compare(o.ifc.Index, idx) })
+	switch {
+	case found:
+		r.neighbors[i] = nb
+	case r.neighbors == nil: // the interfaces are fixed by now
+		r.neighbors = append(make([]*neighbor, 0, len(r.ifaces)), nb)
+	default:
+		r.neighbors = slices.Insert(r.neighbors, i, nb)
+	}
+}
+
 func (r *Router) handleHello(ifIndex int, src netip.Addr, id uint32, h Hello) {
 	ifc := r.iface(ifIndex)
 	if ifc == nil {
 		return
 	}
-	nb := r.neighbors[ifIndex]
+	nb := r.neighbor(ifIndex)
 	if nb == nil || nb.id != id {
-		nb = &neighbor{id: id, addr: src, ifc: ifc, pendingAcks: make(map[Key]LSA)}
-		r.neighbors[ifIndex] = nb
+		nb = r.newNeighbor(id, src, ifc)
+		r.setNeighbor(nb)
 	}
 	nb.addr = src
 	// Reset the dead timer.
 	if !nb.deadTimer.IsZero() {
 		nb.deadTimer.Stop()
 	}
-	nb.deadTimer = r.clock.Schedule(r.cfg.Dead, func() { r.neighborDead(ifIndex, nb) })
+	nb.deadTimer = r.clock.Schedule(r.cfg.Dead, nb.deadFn)
 	// Two-way check: do they list us?
 	twoWay := false
 	for _, n := range h.Neighbors {
@@ -390,26 +469,22 @@ func (r *Router) adjacencyUp(nb *neighbor) {
 	nb.state = nFull
 	r.originate()
 	// Database exchange: send everything we have.
-	var all []LSA
-	for _, l := range r.lsdb {
-		all = append(all, l)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Origin < all[j].Origin })
-	if len(all) > 0 {
+	if all := r.LSDB(); len(all) > 0 {
 		r.sendLSU(nb, all)
 	}
 }
 
-func (r *Router) neighborDead(ifIndex int, nb *neighbor) {
-	if r.neighbors[ifIndex] != nb {
-		return
+func (r *Router) neighborDead(nb *neighbor) {
+	i := slices.Index(r.neighbors, nb)
+	if i < 0 {
+		return // replaced by another router on the same interface
 	}
-	delete(r.neighbors, ifIndex)
+	r.neighbors = slices.Delete(r.neighbors, i, i+1)
 	if !nb.rxmtTimer.IsZero() {
 		nb.rxmtTimer.Stop()
 	}
 	r.originate()
-	r.neighborEvent(ifIndex, nb.id, "Down")
+	r.neighborEvent(nb.ifc.Index, nb.id, "Down")
 }
 
 // originate rebuilds and floods our router LSA.
@@ -417,13 +492,7 @@ func (r *Router) originate() {
 	r.mySeq++
 	lsa := LSA{Origin: r.cfg.RouterID, Seq: r.mySeq, Stubs: append([]StubDesc(nil), r.cfg.Stubs...)}
 	// Advertise interface subnets as stubs plus links to Full neighbors.
-	idxs := make([]int, 0, len(r.neighbors))
-	for i := range r.neighbors {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	for _, i := range idxs {
-		nb := r.neighbors[i]
+	for _, nb := range r.neighbors {
 		if nb.state == nFull {
 			lsa.Links = append(lsa.Links, LinkDesc{NeighborID: nb.id, Cost: nb.ifc.Cost})
 		}
@@ -438,18 +507,12 @@ func (r *Router) originate() {
 }
 
 // flood sends the LSA to every Full neighbor except the one on exceptIf,
-// tracking acknowledgements for retransmission. Interface order is
-// sorted so runs are bit-reproducible (map order would perturb the
-// shared simulation RNG).
+// tracking acknowledgements for retransmission, in interface order so
+// runs are bit-reproducible. lsa is retained (pending its acks): it must
+// own its lists.
 func (r *Router) flood(lsa LSA, exceptIf int) {
-	idxs := make([]int, 0, len(r.neighbors))
-	for i := range r.neighbors {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	for _, i := range idxs {
-		nb := r.neighbors[i]
-		if i == exceptIf || nb.state != nFull {
+	for _, nb := range r.neighbors {
+		if nb.ifc.Index == exceptIf || nb.state != nFull {
 			continue
 		}
 		r.sendLSU(nb, []LSA{lsa})
@@ -466,9 +529,10 @@ func (r *Router) sendLSU(nb *neighbor, lsas []LSA) {
 		}
 		nb.pendingAcks[l.Key()] = l
 	}
-	r.tr.SendRouting(nb.ifc.Index, MarshalLSU(r.cfg.RouterID, LSU{LSAs: lsas}))
+	r.enc = appendLSU(r.enc[:0], r.cfg.RouterID, lsas)
+	r.send(nb.ifc.Index)
 	if nb.rxmtTimer.IsZero() {
-		nb.rxmtTimer = r.clock.Schedule(r.cfg.Rxmt, func() { r.retransmit(nb) })
+		nb.rxmtTimer = r.clock.Schedule(r.cfg.Rxmt, nb.rxmtFn)
 	}
 }
 
@@ -482,13 +546,14 @@ func (r *Router) retransmit(nb *neighbor) {
 		lsas = append(lsas, l)
 	}
 	sort.Slice(lsas, func(i, j int) bool { return lsas[i].Origin < lsas[j].Origin })
-	r.tr.SendRouting(nb.ifc.Index, MarshalLSU(r.cfg.RouterID, LSU{LSAs: lsas}))
-	nb.rxmtTimer = r.clock.Schedule(r.cfg.Rxmt, func() { r.retransmit(nb) })
+	r.enc = appendLSU(r.enc[:0], r.cfg.RouterID, lsas)
+	r.send(nb.ifc.Index)
+	nb.rxmtTimer = r.clock.Schedule(r.cfg.Rxmt, nb.rxmtFn)
 }
 
-func (r *Router) handleLSU(ifIndex int, from uint32, u LSU) {
-	nb := r.neighbors[ifIndex]
-	var acks []Key
+func (r *Router) handleLSU(ifIndex int, u LSU) {
+	nb := r.neighbor(ifIndex)
+	acks := r.acks[:0]
 	changed := false
 	for _, lsa := range u.LSAs {
 		acks = append(acks, lsa.Key())
@@ -504,13 +569,16 @@ func (r *Router) handleLSU(ifIndex int, from uint32, u LSU) {
 		if have && cur.Seq >= lsa.Seq {
 			continue // old news
 		}
+		lsa = lsa.clone() // out of the decoder: the LSDB and the floods keep it
 		r.lsdb[lsa.Origin] = lsa
 		r.lsdbAt[lsa.Origin] = r.clock.Now()
 		changed = true
 		r.flood(lsa, ifIndex)
 	}
+	r.acks = acks
 	if nb != nil && len(acks) > 0 {
-		r.tr.SendRouting(ifIndex, MarshalLSAck(r.cfg.RouterID, LSAck{Keys: acks}))
+		r.enc = appendLSAck(r.enc[:0], r.cfg.RouterID, acks)
+		r.send(ifIndex)
 	}
 	if changed {
 		r.scheduleSPF()
@@ -518,7 +586,7 @@ func (r *Router) handleLSU(ifIndex int, from uint32, u LSU) {
 }
 
 func (r *Router) handleAck(ifIndex int, a LSAck) {
-	nb := r.neighbors[ifIndex]
+	nb := r.neighbor(ifIndex)
 	if nb == nil {
 		return
 	}
@@ -532,140 +600,117 @@ func (r *Router) scheduleSPF() {
 		return
 	}
 	r.spfPending = true
-	r.clock.Schedule(r.cfg.SPFDelay, func() {
-		r.spfPending = false
-		r.runSPF()
-	})
+	r.clock.Schedule(r.cfg.SPFDelay, r.spfFn)
+}
+
+// spfNode is one LSDB entry in runSPF's working array, which is ordered
+// by origin: Dijkstra's state lives in it, not in maps.
+type spfNode struct {
+	lsa  LSA
+	dist uint64    // spfInf until reached
+	hop  *neighbor // first hop from this router; nil if none is Full
+	done bool
+}
+
+const spfInf = ^uint64(0)
+
+// linkCost returns the cost of the edge from u to v: the cheapest of u's
+// links to v, usable only if v lists u as well.
+func linkCost(u, v LSA) (cost uint32, ok bool) {
+	if !slices.ContainsFunc(v.Links, func(l LinkDesc) bool { return l.NeighborID == u.Origin }) {
+		return 0, false
+	}
+	for _, l := range u.Links {
+		if l.NeighborID == v.Origin && (!ok || l.Cost < cost) {
+			cost, ok = l.Cost, true
+		}
+	}
+	return cost, ok
 }
 
 // runSPF computes shortest paths over the LSDB and emits routes. An edge
 // u→v is used only if both u and v advertise it (the bidirectional
 // check), which is what makes half-propagated failures produce the
-// transient paths Figure 8 shows rather than loops.
+// transient paths Figure 8 shows rather than loops. The route set is
+// lent to the sink for the call.
 func (r *Router) runSPF() {
 	r.SPFRuns++
 	if r.onRoutes == nil {
 		return
 	}
-	type nodeDist struct {
-		id   uint32
-		dist uint64
+	nodes := r.spf[:0]
+	for _, lsa := range r.lsdb {
+		nodes = append(nodes, spfNode{lsa: lsa, dist: spfInf})
 	}
-	const inf = ^uint64(0)
-	dist := map[uint32]uint64{r.cfg.RouterID: 0}
-	firstHop := map[uint32]*neighbor{} // dest -> first-hop neighbor
-	visited := map[uint32]bool{}
-	// cost returns the bidirectional-checked edge cost u->v.
-	cost := func(u, v uint32) (uint32, bool) {
-		lu, ok := r.lsdb[u]
-		if !ok {
-			return 0, false
-		}
-		lv, ok := r.lsdb[v]
-		if !ok {
-			return 0, false
-		}
-		var cuv uint32
-		found := false
-		for _, l := range lu.Links {
-			if l.NeighborID == v && (!found || l.Cost < cuv) {
-				cuv, found = l.Cost, true
-			}
-		}
-		if !found {
-			return 0, false
-		}
-		back := false
-		for _, l := range lv.Links {
-			if l.NeighborID == u {
-				back = true
-				break
-			}
-		}
-		if !back {
-			return 0, false
-		}
-		return cuv, true
+	r.spf = nodes
+	slices.SortFunc(nodes, func(a, b spfNode) int { return cmp.Compare(a.lsa.Origin, b.lsa.Origin) })
+	find := func(id uint32) (int, bool) {
+		return slices.BinarySearchFunc(nodes, id, func(n spfNode, id uint32) int { return cmp.Compare(n.lsa.Origin, id) })
+	}
+	self, ok := find(r.cfg.RouterID)
+	if ok {
+		nodes[self].dist = 0
 	}
 	for {
-		// Extract min unvisited.
-		best := nodeDist{dist: inf}
-		ids := make([]uint32, 0, len(dist))
-		for id := range dist {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			if !visited[id] && dist[id] < best.dist {
-				best = nodeDist{id: id, dist: dist[id]}
+		// Extract the nearest unvisited node, the lowest router id among
+		// equals.
+		u, best := -1, spfInf
+		for i := range nodes {
+			if !nodes[i].done && nodes[i].dist < best {
+				u, best = i, nodes[i].dist
 			}
 		}
-		if best.dist == inf {
+		if u < 0 {
 			break
 		}
-		u := best.id
-		visited[u] = true
-		// Relax u's edges.
-		lu := r.lsdb[u]
-		for _, l := range lu.Links {
-			v := l.NeighborID
-			c, ok := cost(u, v)
+		nu := &nodes[u]
+		nu.done = true
+		for _, l := range nu.lsa.Links {
+			v, ok := find(l.NeighborID)
 			if !ok {
 				continue
 			}
-			nd := dist[u] + uint64(c)
-			cur, have := dist[v]
-			if !have || nd < cur {
-				dist[v] = nd
+			nv := &nodes[v]
+			c, ok := linkCost(nu.lsa, nv.lsa)
+			if !ok {
+				continue
+			}
+			if nd := nu.dist + uint64(c); nd < nv.dist {
+				nv.dist = nd
 				// Propagate first hop.
-				if u == r.cfg.RouterID {
-					firstHop[v] = r.neighborByID(v)
+				if u == self {
+					nv.hop = r.neighborByID(l.NeighborID)
 				} else {
-					firstHop[v] = firstHop[u]
+					nv.hop = nu.hop
 				}
 			}
 		}
 	}
-	var routes []fib.Route
-	for dst, d := range dist {
-		if dst == r.cfg.RouterID {
-			continue
+	routes := r.lastRoutes[:0]
+	for i := range nodes {
+		n := &nodes[i]
+		if n.hop == nil {
+			continue // this router, an island, or behind a neighbor not Full
 		}
-		nb := firstHop[dst]
-		if nb == nil {
-			continue
-		}
-		lsa := r.lsdb[dst]
-		for _, s := range lsa.Stubs {
+		for _, s := range n.lsa.Stubs {
 			routes = append(routes, fib.Route{
 				Prefix:  s.Prefix,
-				NextHop: nb.addr,
-				OutPort: nb.ifc.Index,
-				Metric:  uint32(d) + s.Cost,
+				NextHop: n.hop.addr,
+				OutPort: n.hop.ifc.Index,
+				Metric:  uint32(n.dist) + s.Cost,
 			})
 		}
 	}
 	// Deduplicate: several routers may advertise the same subnet (both
-	// ends of a /30); keep the lowest metric. Equal-metric ties break on
-	// next-hop address — `routes` was accumulated in map-range order, so
-	// without a total order here the winner would vary run to run and
-	// replay determinism would be lost.
-	bestRoute := map[netip.Prefix]fib.Route{}
-	for _, rt := range routes {
-		cur, ok := bestRoute[rt.Prefix]
-		if !ok || rt.Metric < cur.Metric ||
-			(rt.Metric == cur.Metric && rt.NextHop.Less(cur.NextHop)) {
-			bestRoute[rt.Prefix] = rt
-		}
-	}
-	routes = routes[:0]
-	for _, rt := range bestRoute {
-		routes = append(routes, rt)
-	}
-	sort.Slice(routes, func(i, j int) bool {
-		return fib.PrefixTextLess(routes[i].Prefix, routes[j].Prefix)
+	// ends of a /30); keep the lowest metric, equal metrics broken on
+	// next-hop address. Sorted that way the winner is the first of each
+	// prefix, and the set comes out in the order it is handed on in.
+	slices.SortFunc(routes, func(a, b fib.Route) int {
+		return cmp.Or(fib.PrefixTextCompare(a.Prefix, b.Prefix),
+			cmp.Compare(a.Metric, b.Metric), a.NextHop.Compare(b.NextHop))
 	})
-	r.lastRoutes = append(r.lastRoutes[:0], routes...)
+	routes = slices.CompactFunc(routes, func(a, b fib.Route) bool { return a.Prefix == b.Prefix })
+	r.lastRoutes = routes
 	r.onRoutes(routes)
 }
 
@@ -705,15 +750,9 @@ type State struct {
 // barrier.
 func (r *Router) ExportState() State {
 	st := State{Seq: r.mySeq, LSAs: r.LSDB()}
-	idxs := make([]int, 0, len(r.neighbors))
-	for i := range r.neighbors {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	for _, i := range idxs {
-		nb := r.neighbors[i]
+	for _, nb := range r.neighbors {
 		st.Neighbors = append(st.Neighbors, NeighborSnapshot{
-			Iface: i, ID: nb.id, Addr: nb.addr, Full: nb.state == nFull})
+			Iface: nb.ifc.Index, ID: nb.id, Addr: nb.addr, Full: nb.state == nFull})
 	}
 	return st
 }
@@ -740,27 +779,23 @@ func (r *Router) ImportState(st State) error {
 		if ifc == nil {
 			return fmt.Errorf("ospf: ImportState: no interface with index %d", ns.Iface)
 		}
-		nb := &neighbor{id: ns.ID, addr: ns.Addr, ifc: ifc, pendingAcks: make(map[Key]LSA)}
+		nb := r.newNeighbor(ns.ID, ns.Addr, ifc)
 		if ns.Full {
 			nb.state = nFull
 		} else {
 			nb.state = nInit
 		}
-		idx := ns.Iface
-		nb.deadTimer = r.clock.Schedule(r.cfg.Dead, func() { r.neighborDead(idx, nb) })
-		r.neighbors[idx] = nb
+		nb.deadTimer = r.clock.Schedule(r.cfg.Dead, nb.deadFn)
+		r.setNeighbor(nb)
 	}
 	return nil
 }
 
+// neighborByID returns the Full adjacency with router id on the lowest
+// interface index.
 func (r *Router) neighborByID(id uint32) *neighbor {
-	idxs := make([]int, 0, len(r.neighbors))
-	for i := range r.neighbors {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	for _, i := range idxs {
-		if nb := r.neighbors[i]; nb.id == id && nb.state == nFull {
+	for _, nb := range r.neighbors {
+		if nb.id == id && nb.state == nFull {
 			return nb
 		}
 	}

@@ -90,16 +90,21 @@ func AddrFromRouterID(id uint32) netip.Addr {
 	return netip.AddrFrom4(b)
 }
 
-func marshalHeader(typ uint8, routerID uint32, body []byte) []byte {
-	out := make([]byte, headerLen+len(body))
-	out[0] = 2 // version
-	out[1] = typ
-	binary.BigEndian.PutUint16(out[2:4], uint16(len(out)))
-	binary.BigEndian.PutUint32(out[4:8], routerID)
+// begin appends a blank common header to dst; seal fills it in once the
+// body stands behind it. Every encoder is begin, body, seal on one
+// buffer, so a message is encoded where it will be sent from.
+func begin(dst []byte) []byte { return append(dst, make([]byte, headerLen)...) }
+
+// seal completes the packet that starts at dst[start:].
+func seal(dst []byte, start int, typ uint8, routerID uint32) []byte {
+	pkt := dst[start:]
+	pkt[0] = 2 // version
+	pkt[1] = typ
+	binary.BigEndian.PutUint16(pkt[2:4], uint16(len(pkt)))
+	binary.BigEndian.PutUint32(pkt[4:8], routerID)
 	// bytes 8-11: area 0; 14-15 reserved
-	copy(out[headerLen:], body)
-	binary.BigEndian.PutUint16(out[12:14], ipChecksum(out))
-	return out
+	binary.BigEndian.PutUint16(pkt[12:14], ipChecksum(pkt))
+	return dst
 }
 
 func ipChecksum(b []byte) uint16 {
@@ -142,19 +147,39 @@ func ParseHeader(b []byte) (Header, []byte, error) {
 }
 
 // MarshalHello encodes a hello packet.
-func MarshalHello(routerID uint32, h Hello) []byte {
-	body := make([]byte, 6+4*len(h.Neighbors))
-	binary.BigEndian.PutUint16(body[0:2], h.HelloInterval)
-	binary.BigEndian.PutUint16(body[2:4], h.DeadInterval)
-	binary.BigEndian.PutUint16(body[4:6], uint16(len(h.Neighbors)))
-	for i, n := range h.Neighbors {
-		binary.BigEndian.PutUint32(body[6+4*i:], n)
+func MarshalHello(routerID uint32, h Hello) []byte { return appendHello(nil, routerID, h) }
+
+func appendHello(dst []byte, routerID uint32, h Hello) []byte {
+	start := len(dst)
+	dst = begin(dst)
+	dst = binary.BigEndian.AppendUint16(dst, h.HelloInterval)
+	dst = binary.BigEndian.AppendUint16(dst, h.DeadInterval)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(h.Neighbors)))
+	for _, n := range h.Neighbors {
+		dst = binary.BigEndian.AppendUint32(dst, n)
 	}
-	return marshalHeader(TypeHello, routerID, body)
+	return seal(dst, start, TypeHello, routerID)
+}
+
+// decoder is the storage message bodies decode into. A Router keeps one
+// and every Receive overwrites it, so a decoded message is only good
+// until the next one arrives and whatever outlives that is copied out
+// (LSA.clone); the exported Parse functions decode into a fresh one.
+type decoder struct {
+	nbrs  []uint32
+	lsas  []LSA
+	links []LinkDesc
+	stubs []StubDesc
+	keys  []Key
 }
 
 // ParseHello decodes a hello body.
 func ParseHello(body []byte) (Hello, error) {
+	var d decoder
+	return d.hello(body)
+}
+
+func (d *decoder) hello(body []byte) (Hello, error) {
 	var h Hello
 	if len(body) < 6 {
 		return h, fmt.Errorf("ospf: hello too short")
@@ -165,13 +190,15 @@ func ParseHello(body []byte) (Hello, error) {
 	if len(body) < 6+4*n {
 		return h, fmt.Errorf("ospf: hello neighbor list truncated")
 	}
+	d.nbrs = d.nbrs[:0]
 	for i := 0; i < n; i++ {
-		h.Neighbors = append(h.Neighbors, binary.BigEndian.Uint32(body[6+4*i:]))
+		d.nbrs = append(d.nbrs, binary.BigEndian.Uint32(body[6+4*i:]))
 	}
+	h.Neighbors = d.nbrs
 	return h, nil
 }
 
-func marshalLSA(out []byte, l LSA) []byte {
+func appendLSA(out []byte, l LSA) []byte {
 	out = binary.BigEndian.AppendUint32(out, l.Origin)
 	out = binary.BigEndian.AppendUint32(out, l.Seq)
 	out = binary.BigEndian.AppendUint16(out, uint16(len(l.Links)))
@@ -189,22 +216,22 @@ func marshalLSA(out []byte, l LSA) []byte {
 	return out
 }
 
-func parseLSA(b []byte) (LSA, []byte, error) {
-	var l LSA
+// lsa decodes one LSA from the front of b onto d.lsas, its links and
+// stubs onto the shared d.links and d.stubs, and returns the rest of b.
+func (d *decoder) lsa(b []byte) ([]byte, error) {
 	if len(b) < 12 {
-		return l, nil, fmt.Errorf("ospf: LSA truncated")
+		return nil, fmt.Errorf("ospf: LSA truncated")
 	}
-	l.Origin = binary.BigEndian.Uint32(b[0:4])
-	l.Seq = binary.BigEndian.Uint32(b[4:8])
+	l := LSA{Origin: binary.BigEndian.Uint32(b[0:4]), Seq: binary.BigEndian.Uint32(b[4:8])}
 	nl := int(binary.BigEndian.Uint16(b[8:10]))
 	ns := int(binary.BigEndian.Uint16(b[10:12]))
 	b = b[12:]
-	need := 8*nl + 12*ns
-	if len(b) < need {
-		return l, nil, fmt.Errorf("ospf: LSA body truncated")
+	if len(b) < 8*nl+12*ns {
+		return nil, fmt.Errorf("ospf: LSA body truncated")
 	}
+	links, stubs := len(d.links), len(d.stubs)
 	for i := 0; i < nl; i++ {
-		l.Links = append(l.Links, LinkDesc{
+		d.links = append(d.links, LinkDesc{
 			NeighborID: binary.BigEndian.Uint32(b[0:4]),
 			Cost:       binary.BigEndian.Uint32(b[4:8]),
 		})
@@ -214,70 +241,98 @@ func parseLSA(b []byte) (LSA, []byte, error) {
 		addr := netip.AddrFrom4([4]byte(b[0:4]))
 		bits := int(b[4])
 		if bits > 32 {
-			return l, nil, fmt.Errorf("ospf: bad stub prefix length %d", bits)
+			return nil, fmt.Errorf("ospf: bad stub prefix length %d", bits)
 		}
-		l.Stubs = append(l.Stubs, StubDesc{
+		d.stubs = append(d.stubs, StubDesc{
 			Prefix: netip.PrefixFrom(addr, bits),
 			Cost:   binary.BigEndian.Uint32(b[8:12]),
 		})
 		b = b[12:]
 	}
-	return l, b, nil
+	// Full slice expressions: an append to one LSA's list can never run
+	// into its neighbour's. A later growth of d.links moves the array but
+	// leaves the lists already cut from the old one intact.
+	l.Links = d.links[links:len(d.links):len(d.links)]
+	l.Stubs = d.stubs[stubs:len(d.stubs):len(d.stubs)]
+	d.lsas = append(d.lsas, l)
+	return b, nil
+}
+
+// clone returns a copy of l that shares no storage with it (nil, not
+// empty, lists for none, as a parse into fresh storage gives).
+func (l LSA) clone() LSA {
+	l.Links = append([]LinkDesc(nil), l.Links...)
+	l.Stubs = append([]StubDesc(nil), l.Stubs...)
+	return l
 }
 
 // MarshalLSU encodes a link-state update.
-func MarshalLSU(routerID uint32, u LSU) []byte {
-	body := binary.BigEndian.AppendUint16(nil, uint16(len(u.LSAs)))
-	for _, l := range u.LSAs {
-		body = marshalLSA(body, l)
+func MarshalLSU(routerID uint32, u LSU) []byte { return appendLSU(nil, routerID, u.LSAs) }
+
+func appendLSU(dst []byte, routerID uint32, lsas []LSA) []byte {
+	start := len(dst)
+	dst = binary.BigEndian.AppendUint16(begin(dst), uint16(len(lsas)))
+	for _, l := range lsas {
+		dst = appendLSA(dst, l)
 	}
-	return marshalHeader(TypeLSU, routerID, body)
+	return seal(dst, start, TypeLSU, routerID)
 }
 
 // ParseLSU decodes an LSU body.
 func ParseLSU(body []byte) (LSU, error) {
-	var u LSU
+	var d decoder
+	return d.lsu(body)
+}
+
+func (d *decoder) lsu(body []byte) (LSU, error) {
 	if len(body) < 2 {
-		return u, fmt.Errorf("ospf: LSU too short")
+		return LSU{}, fmt.Errorf("ospf: LSU too short")
 	}
 	n := int(binary.BigEndian.Uint16(body[0:2]))
 	b := body[2:]
+	d.lsas, d.links, d.stubs = d.lsas[:0], d.links[:0], d.stubs[:0]
 	for i := 0; i < n; i++ {
-		l, rest, err := parseLSA(b)
-		if err != nil {
-			return u, err
+		var err error
+		if b, err = d.lsa(b); err != nil {
+			return LSU{}, err
 		}
-		u.LSAs = append(u.LSAs, l)
-		b = rest
 	}
-	return u, nil
+	return LSU{LSAs: d.lsas}, nil
 }
 
 // MarshalLSAck encodes an acknowledgement.
-func MarshalLSAck(routerID uint32, a LSAck) []byte {
-	body := binary.BigEndian.AppendUint16(nil, uint16(len(a.Keys)))
-	for _, k := range a.Keys {
-		body = binary.BigEndian.AppendUint32(body, k.Origin)
-		body = binary.BigEndian.AppendUint32(body, k.Seq)
+func MarshalLSAck(routerID uint32, a LSAck) []byte { return appendLSAck(nil, routerID, a.Keys) }
+
+func appendLSAck(dst []byte, routerID uint32, keys []Key) []byte {
+	start := len(dst)
+	dst = binary.BigEndian.AppendUint16(begin(dst), uint16(len(keys)))
+	for _, k := range keys {
+		dst = binary.BigEndian.AppendUint32(dst, k.Origin)
+		dst = binary.BigEndian.AppendUint32(dst, k.Seq)
 	}
-	return marshalHeader(TypeLSAck, routerID, body)
+	return seal(dst, start, TypeLSAck, routerID)
 }
 
 // ParseLSAck decodes an acknowledgement body.
 func ParseLSAck(body []byte) (LSAck, error) {
-	var a LSAck
+	var d decoder
+	return d.lsack(body)
+}
+
+func (d *decoder) lsack(body []byte) (LSAck, error) {
 	if len(body) < 2 {
-		return a, fmt.Errorf("ospf: LSAck too short")
+		return LSAck{}, fmt.Errorf("ospf: LSAck too short")
 	}
 	n := int(binary.BigEndian.Uint16(body[0:2]))
 	if len(body) < 2+8*n {
-		return a, fmt.Errorf("ospf: LSAck truncated")
+		return LSAck{}, fmt.Errorf("ospf: LSAck truncated")
 	}
+	d.keys = d.keys[:0]
 	for i := 0; i < n; i++ {
-		a.Keys = append(a.Keys, Key{
+		d.keys = append(d.keys, Key{
 			Origin: binary.BigEndian.Uint32(body[2+8*i:]),
 			Seq:    binary.BigEndian.Uint32(body[6+8*i:]),
 		})
 	}
-	return a, nil
+	return LSAck{Keys: d.keys}, nil
 }

@@ -13,7 +13,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 	"time"
 
 	"vini/internal/fib"
@@ -24,7 +24,7 @@ import (
 const Infinity = 16
 
 // Transport sends a RIP packet out a virtual interface (same contract as
-// ospf.Transport).
+// ospf.Transport: payload is lent until SendRouting returns).
 type Transport interface {
 	SendRouting(ifIndex int, payload []byte)
 }
@@ -94,6 +94,8 @@ type Router struct {
 	lastRoutes []fib.Route
 	started    bool
 	timer      sim.Timer
+	// periodicFn is the update timer's callback, bound once.
+	periodicFn func()
 }
 
 // New creates a router; call AddInterface then Start.
@@ -103,7 +105,9 @@ func New(clock sim.Clock, cfg Config, tr Transport) *Router {
 	if ticks == nil {
 		ticks = clock
 	}
-	return &Router{cfg: cfg, clock: clock, ticks: ticks, tr: tr, table: make(map[netip.Prefix]*entry)}
+	r := &Router{cfg: cfg, clock: clock, ticks: ticks, tr: tr, table: make(map[netip.Prefix]*entry)}
+	r.periodicFn = r.periodic
+	return r
 }
 
 // AddInterface registers an interface before Start.
@@ -154,7 +158,7 @@ func (r *Router) periodic() {
 	}
 	r.expire()
 	r.sendUpdates(false)
-	r.timer = r.ticks.Schedule(r.cfg.Update, r.periodic)
+	r.timer = r.ticks.Schedule(r.cfg.Update, r.periodicFn)
 }
 
 func (r *Router) expire() {
@@ -193,7 +197,7 @@ func (r *Router) sendUpdates(_ bool) {
 		for p := range r.table {
 			prefixes = append(prefixes, p)
 		}
-		sort.Slice(prefixes, func(i, j int) bool { return fib.PrefixTextLess(prefixes[i], prefixes[j]) })
+		slices.SortFunc(prefixes, fib.PrefixTextCompare)
 		for _, p := range prefixes {
 			e := r.table[p]
 			m := e.metric + 1
@@ -279,9 +283,7 @@ func (r *Router) emit() {
 			Metric:  e.metric,
 		})
 	}
-	sort.Slice(routes, func(i, j int) bool {
-		return fib.PrefixTextLess(routes[i].Prefix, routes[j].Prefix)
-	})
+	slices.SortFunc(routes, byPrefixText)
 	r.lastRoutes = append(r.lastRoutes[:0], routes...)
 	r.onRoutes(routes)
 }
@@ -301,9 +303,11 @@ func (r *Router) Table() []fib.Route {
 		out = append(out, fib.Route{Prefix: e.prefix, NextHop: e.nextHop,
 			OutPort: e.ifIndex, Metric: e.metric})
 	}
-	sort.Slice(out, func(i, j int) bool { return fib.PrefixTextLess(out[i].Prefix, out[j].Prefix) })
+	slices.SortFunc(out, byPrefixText)
 	return out
 }
+
+func byPrefixText(a, b fib.Route) int { return fib.PrefixTextCompare(a.Prefix, b.Prefix) }
 
 // advert is one route in an update.
 type advert struct {

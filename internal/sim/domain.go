@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// Tick-wheel timer states (Timer.cancel). A wheel entry shares its
+// Tick-wheel timer states (wheelEntry.cancel). A wheel entry shares its
 // slot's heap event with its neighbours, so it cannot be removed on
 // Stop: cancellation is lazy — Stop flips the flag and the slot skips
 // the entry when it fires. Exactly one side wins the CAS.

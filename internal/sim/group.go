@@ -18,18 +18,24 @@ import "time"
 type TimerGroup struct {
 	clock   Clock
 	stopped bool
-	nextID  uint64
-	timers  map[uint64]Timer
-	// sweepAt triggers a compaction sweep of entries whose timers are
-	// no longer pending (fired entries self-delete, but individually
-	// Stopped ones linger until swept).
+	// timers holds the handle of every timer scheduled through the
+	// group; handles whose timers fired or were stopped linger until the
+	// next sweep (a stale handle is inert: Pending and Stop answer from
+	// its generation stamp).
+	timers []Timer
+	// sweepAt triggers the compaction sweep, at twice the live count so
+	// its cost stays constant per Schedule.
 	sweepAt int
 }
 
-// NewTimerGroup wraps clock. The zero threshold starts sweeps at 64
-// outstanding entries.
+// minSweep is the smallest sweep threshold, and the handle slice's first
+// capacity: a virtual node keeps a handful of timers pending per group,
+// and there are thousands of groups.
+const minSweep = 16
+
+// NewTimerGroup wraps clock.
 func NewTimerGroup(clock Clock) *TimerGroup {
-	return &TimerGroup{clock: clock, timers: make(map[uint64]Timer), sweepAt: 64}
+	return &TimerGroup{clock: clock, sweepAt: minSweep}
 }
 
 // Now implements Clock.
@@ -44,32 +50,29 @@ func (g *TimerGroup) Schedule(d time.Duration, fn func()) Timer {
 	if g.stopped {
 		return Timer{}
 	}
-	id := g.nextID
-	g.nextID++
-	t := g.clock.Schedule(d, func() {
-		delete(g.timers, id)
-		fn()
-	})
-	g.timers[id] = t
+	t := g.clock.Schedule(d, fn)
+	if g.timers == nil {
+		g.timers = make([]Timer, 0, minSweep)
+	}
+	g.timers = append(g.timers, t)
 	if len(g.timers) >= g.sweepAt {
 		g.sweep()
 	}
 	return t
 }
 
-// sweep drops entries whose timers already fired or were stopped
-// through their own handles, and raises the next sweep threshold so the
-// amortized cost stays constant per Schedule.
+// sweep drops the handles of timers that already fired or were stopped
+// and sets the next threshold.
 func (g *TimerGroup) sweep() {
-	for id, t := range g.timers {
-		if !t.Pending() {
-			delete(g.timers, id)
+	live := g.timers[:0]
+	for _, t := range g.timers {
+		if t.Pending() {
+			live = append(live, t)
 		}
 	}
-	g.sweepAt = 2 * len(g.timers)
-	if g.sweepAt < 64 {
-		g.sweepAt = 64
-	}
+	clear(g.timers[len(live):])
+	g.timers = live
+	g.sweepAt = max(minSweep, 2*len(live))
 }
 
 // Live returns the number of tracked timers still pending — zero after
@@ -89,18 +92,16 @@ func (g *TimerGroup) Live() int {
 // stopped. In-domain timers leave their heap immediately (Timer.Stop
 // removes the event eagerly), so after StopAll none of the group's
 // work remains in any domain heap. It returns how many timers were
-// actually cancelled. Cancellation order is map order, which is fine:
-// removing a set of events from a heap yields the same remaining heap
-// contents regardless of removal order, so determinism is unaffected.
+// actually cancelled.
 func (g *TimerGroup) StopAll() int {
 	g.stopped = true
 	n := 0
-	for id, t := range g.timers {
+	for _, t := range g.timers {
 		if t.Stop() {
 			n++
 		}
-		delete(g.timers, id)
 	}
+	g.timers = nil
 	return n
 }
 

@@ -135,3 +135,28 @@ func TestTimerGroupScheduleFireZeroAlloc(t *testing.T) {
 		t.Fatalf("fired %d of 501, %d live", fired, g.Live())
 	}
 }
+
+// TestTimerGroupsShareAWheel: virtual nodes of different slices share
+// their physical node's tick wheel, each through its own group. A group
+// keeps the handles of fired ticks until its next sweep, and the wheel
+// recycles entries, so tearing one slice down must not cancel a tick of
+// another that now occupies a recycled entry.
+func TestTimerGroupsShareAWheel(t *testing.T) {
+	l := NewLoop(1)
+	w := NewTickWheel(l, 100*time.Millisecond)
+	a, b := NewTimerGroup(w), NewTimerGroup(w)
+	a.Schedule(10*time.Millisecond, func() {})
+	l.Run(200 * time.Millisecond) // a's tick fired; its entry is on the wheel's free list
+	ran := false
+	b.Schedule(10*time.Millisecond, func() { ran = true })
+	if a.Live() != 0 || b.Live() != 1 {
+		t.Fatalf("Live = %d, %d, want 0, 1", a.Live(), b.Live())
+	}
+	if n := a.StopAll(); n != 0 {
+		t.Fatalf("StopAll cancelled %d timers through stale handles", n)
+	}
+	l.Run(400 * time.Millisecond)
+	if !ran {
+		t.Fatal("tearing down one group cancelled another group's tick")
+	}
+}

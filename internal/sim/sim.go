@@ -24,7 +24,6 @@ package sim
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 )
 
@@ -43,16 +42,15 @@ type Clock interface {
 // zero Timer is valid and Stop on it is a no-op. Because events recycle
 // through a free list, the handle carries a generation stamp — a Timer
 // whose event has fired (and possibly been reused) safely does nothing.
-// TickWheel timers carry their entry's cancellation flag instead of a
-// heap reference, since one heap event backs a whole slot of entries.
+// TickWheel timers point at their wheel entry instead of a heap event
+// (one heap event backs a whole slot of entries); entries recycle too,
+// under the same stamp.
 type Timer struct {
 	ev  *event
 	gen uint32
-	// cancel and wentry back TickWheel timers: the entry's lazy
-	// cancellation flag, and the entry itself so Stop can route through
-	// the wheel and release the slot's heap event when its last entry
-	// is cancelled.
-	cancel *atomic.Uint32
+	// wentry backs TickWheel timers: the entry holds the lazy
+	// cancellation flag, and Stop routes through it so the wheel can
+	// release the slot's heap event when its last entry is cancelled.
 	wentry *wheelEntry
 	// real backs RealClock timers.
 	real *time.Timer
@@ -70,7 +68,7 @@ func (t Timer) Stop() bool {
 		return t.real.Stop()
 	}
 	if t.wentry != nil {
-		return t.wentry.stop()
+		return t.wentry.stop(t.gen)
 	}
 	if t.ev == nil || t.ev.gen != t.gen {
 		return false
@@ -81,20 +79,20 @@ func (t Timer) Stop() bool {
 
 // IsZero reports whether the timer was never set (the zero value).
 // Callers use it where a nil *Timer check would have appeared.
-func (t Timer) IsZero() bool { return t.ev == nil && t.cancel == nil && t.real == nil }
+func (t Timer) IsZero() bool { return t.ev == nil && t.wentry == nil && t.real == nil }
 
 // Pending reports whether the timer's callback is still scheduled: not
 // yet fired and not stopped. For in-domain timers the generation stamp
-// answers exactly; for TickWheel timers the entry's cancellation flag
-// does. RealClock timers report false — the wall clock offers no
+// answers exactly; for TickWheel timers the stamp and the entry's
+// cancellation flag do. RealClock timers report false — the wall clock offers no
 // portable way to inspect a time.Timer, and the lifecycle audits that
 // need Pending only run in simulation.
 func (t Timer) Pending() bool {
 	if t.real != nil {
 		return false
 	}
-	if t.cancel != nil {
-		return t.cancel.Load() == timerPending
+	if e := t.wentry; e != nil {
+		return e.gen == t.gen && e.cancel.Load() == timerPending
 	}
 	return t.ev != nil && t.ev.gen == t.gen
 }

@@ -26,10 +26,12 @@ type TickWheel struct {
 	clock   Clock
 	quantum time.Duration
 	slots   map[int64]*wheelSlot
-	// spare recycles slot containers (entries are not pooled: a Timer
-	// handle holds a pointer to its entry, and reusing the entry would
-	// let a stale Stop cancel an unrelated tick).
-	spare *wheelSlot
+	// spareSlots and spareEntries recycle fired slots and entries. A
+	// Timer handle carries its entry's generation stamp, as heap event
+	// handles do, so a stale Stop cannot cancel the tick that reuses the
+	// entry.
+	spareSlots   *wheelSlot
+	spareEntries *wheelEntry
 	// scheduled and fired count entries and slot events, for the
 	// coalescing ratio in executor profiles.
 	scheduled, fired uint64
@@ -38,7 +40,9 @@ type TickWheel struct {
 type wheelEntry struct {
 	fn     func()
 	cancel atomic.Uint32
+	gen    uint32 // incremented on recycle; stale Timers compare unequal
 	slot   *wheelSlot
+	next   *wheelEntry // free-list link
 }
 
 type wheelSlot struct {
@@ -52,12 +56,15 @@ type wheelSlot struct {
 	// barrier — the same contract as Schedule itself.
 	live  int
 	timer Timer
+	// fire is the slot's heap callback, bound once for the slot's life.
+	fire func()
+	next *wheelSlot // free-list link
 }
 
 // stop cancels one entry (Timer.Stop delegates here). It reports
 // whether the entry was still pending.
-func (e *wheelEntry) stop() bool {
-	if !e.cancel.CompareAndSwap(timerPending, timerStopped) {
+func (e *wheelEntry) stop(gen uint32) bool {
+	if e.gen != gen || !e.cancel.CompareAndSwap(timerPending, timerStopped) {
 		return false
 	}
 	s := e.slot
@@ -104,38 +111,52 @@ func (w *TickWheel) Schedule(d time.Duration, fn func()) Timer {
 	idx := int64((at + w.quantum - 1) / w.quantum)
 	s, ok := w.slots[idx]
 	if !ok {
-		if w.spare != nil {
-			s, w.spare = w.spare, nil
+		if s = w.spareSlots; s != nil {
+			w.spareSlots, s.next = s.next, nil
 		} else {
 			s = &wheelSlot{}
+			s.fire = func() { w.fire(s) }
 		}
 		s.wheel, s.idx, s.live = w, idx, 0
 		w.slots[idx] = s
-		s.timer = w.clock.Schedule(time.Duration(idx)*w.quantum-now, func() { w.fire(idx) })
+		s.timer = w.clock.Schedule(time.Duration(idx)*w.quantum-now, s.fire)
 	}
-	e := &wheelEntry{fn: fn, slot: s}
+	e := w.spareEntries
+	if e != nil {
+		w.spareEntries, e.next = e.next, nil
+		e.cancel.Store(timerPending)
+	} else {
+		e = &wheelEntry{}
+	}
+	e.fn, e.slot = fn, s
 	s.entries = append(s.entries, e)
 	s.live++
 	w.scheduled++
-	return Timer{cancel: &e.cancel, wentry: e}
+	return Timer{wentry: e, gen: e.gen}
 }
 
 // fire runs every live entry of one slot in Schedule order. The slot is
 // detached first so callbacks that re-arm (periodic ticks) land in a
-// fresh future slot rather than the one being drained.
-func (w *TickWheel) fire(idx int64) {
-	s := w.slots[idx]
-	delete(w.slots, idx)
+// fresh future slot rather than the one being drained; each entry is
+// recycled before its callback runs, so a periodic tick re-arms into
+// the entry it fired from.
+func (w *TickWheel) fire(s *wheelSlot) {
+	delete(w.slots, s.idx)
 	s.wheel = nil
 	w.fired++
 	for i, e := range s.entries {
 		s.entries[i] = nil
-		if e.cancel.CompareAndSwap(timerPending, timerFired) {
-			e.fn()
+		fn := e.fn
+		run := e.cancel.CompareAndSwap(timerPending, timerFired)
+		e.gen++
+		e.fn, e.slot = nil, nil
+		e.next, w.spareEntries = w.spareEntries, e
+		if run {
+			fn()
 		}
 	}
 	s.entries = s.entries[:0]
-	w.spare = s
+	s.next, w.spareSlots = w.spareSlots, s
 }
 
 // Pending returns the number of live (unfired, unstopped) entries, for

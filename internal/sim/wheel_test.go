@@ -126,3 +126,42 @@ func TestTickWheelScheduleFireZeroAlloc(t *testing.T) {
 		t.Fatalf("fired %d of 501, %d pending", fired, w.Pending())
 	}
 }
+
+// TestTickWheelStaleHandleIsInert: entries recycle, so the handle of a
+// tick that already fired must not be able to stop, or report as
+// pending, the unrelated tick that now occupies its entry.
+func TestTickWheelStaleHandleIsInert(t *testing.T) {
+	l := NewLoop(1)
+	w := NewTickWheel(l, 100*time.Millisecond)
+	stale := w.Schedule(10*time.Millisecond, func() {})
+	l.Run(200 * time.Millisecond)
+	ran := false
+	fresh := w.Schedule(10*time.Millisecond, func() { ran = true })
+	if fresh.wentry != stale.wentry {
+		t.Fatal("the fired entry was not reused; the test no longer covers recycling")
+	}
+	if stale.Pending() || stale.Stop() {
+		t.Fatal("stale handle acted on a recycled entry")
+	}
+	if !fresh.Pending() {
+		t.Fatal("fresh tick not pending")
+	}
+	l.Run(400 * time.Millisecond)
+	if !ran {
+		t.Fatal("stale Stop cancelled the tick that reused the entry")
+	}
+	// A stopped entry is recycled when its slot fires; its handle is
+	// stale from then on as well.
+	keep := w.Schedule(10*time.Millisecond, func() {})
+	stopped := w.Schedule(10*time.Millisecond, func() { t.Error("stopped tick ran") })
+	stopped.Stop()
+	l.Run(600 * time.Millisecond)
+	again := w.Schedule(10*time.Millisecond, func() {})
+	again2 := w.Schedule(10*time.Millisecond, func() {})
+	if stopped.Stop() || stopped.Pending() || keep.Pending() || !again.Pending() || !again2.Pending() {
+		t.Fatal("handles of recycled entries are not inert")
+	}
+	if w.Pending() != 2 {
+		t.Fatalf("Pending = %d, want 2", w.Pending())
+	}
+}

@@ -148,6 +148,8 @@ func TestControlPathTwoObjectsPerMessage(t *testing.T) {
 	base := packet.Stats()
 	v := core.New(2)
 	lineWorld(t, v, time.Second)
+	// Every timer group's handle slice reaches its working size.
+	v.Run(v.Loop().Now() + 30*time.Second)
 	msgs := func() (n uint64) {
 		for _, l := range v.Net.Links() {
 			for dir := 0; dir < 2; dir++ {
@@ -167,7 +169,9 @@ func TestControlPathTwoObjectsPerMessage(t *testing.T) {
 	if sent < 40 {
 		t.Fatalf("%d routing messages in 10 s of 1 s hellos on 4 interfaces", sent)
 	}
-	if objs := m1.Mallocs - m0.Mallocs; objs > 2*sent && !raceEnabled {
+	objs := m1.Mallocs - m0.Mallocs
+	t.Logf("%d objects for %d routing messages", objs, sent)
+	if objs > 2*sent && !raceEnabled {
 		t.Errorf("%d objects for %d routing messages (%.1f each), want <= 2 each",
 			objs, sent, float64(objs)/float64(sent))
 	}
