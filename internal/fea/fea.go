@@ -107,7 +107,8 @@ func (r *RIB) Prefer(proto string) {
 func (r *RIB) RemoveProtocol(proto string) {
 	r.mu.Lock()
 	delete(r.byProto, proto)
-	n := r.recompute()
+	r.recompute()
+	n := len(r.routes)
 	fn := r.onInstall
 	r.mu.Unlock()
 	if fn != nil {
@@ -117,9 +118,8 @@ func (r *RIB) RemoveProtocol(proto string) {
 
 // recompute picks, per prefix, the route with the lowest administrative
 // distance (metric breaks ties, then protocol name for determinism) and
-// atomically replaces the FIB contents. It returns the number of routes
-// installed.
-func (r *RIB) recompute() int {
+// atomically replaces the FIB contents with them (r.routes).
+func (r *RIB) recompute() {
 	best := r.best
 	clear(best)
 	for _, prs := range r.byProto {
@@ -138,7 +138,6 @@ func (r *RIB) recompute() int {
 	slices.SortFunc(routes, func(a, b fib.Route) int { return fib.PrefixTextCompare(a.Prefix, b.Prefix) })
 	r.routes = routes
 	r.target.Replace("rib", routes)
-	return len(routes)
 }
 
 func (r *RIB) better(pr, other protoRoute) bool {

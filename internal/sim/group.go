@@ -35,7 +35,7 @@ const minSweep = 16
 
 // NewTimerGroup wraps clock.
 func NewTimerGroup(clock Clock) *TimerGroup {
-	return &TimerGroup{clock: clock, sweepAt: minSweep}
+	return &TimerGroup{clock: clock, timers: make([]Timer, 0, minSweep), sweepAt: minSweep}
 }
 
 // Now implements Clock.
@@ -51,9 +51,6 @@ func (g *TimerGroup) Schedule(d time.Duration, fn func()) Timer {
 		return Timer{}
 	}
 	t := g.clock.Schedule(d, fn)
-	if g.timers == nil {
-		g.timers = make([]Timer, 0, minSweep)
-	}
 	g.timers = append(g.timers, t)
 	if len(g.timers) >= g.sweepAt {
 		g.sweep()
