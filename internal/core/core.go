@@ -20,18 +20,18 @@ import (
 
 // VINI is one deployment of the infrastructure.
 type VINI struct {
-	Net    *netem.Network
-	loop   *sim.Loop
-	graph  *topology.Graph // physical topology mirror, for embeddings
+	Net   *netem.Network
+	loop  *sim.Loop
+	graph *topology.Graph // physical topology mirror, for embeddings
 	// paths caches physPath's shortest-path tree per source node. It is
 	// valid for the graph as it stands (AddNode and AddLink drop it) and
 	// for the set of down physical links it was computed under,
 	// pathsDown, which physPath rebuilds and compares on every call.
 	paths     map[string]map[string]topology.Path
 	pathsDown map[int]bool
-	slices map[string]*Slice
-	order  []string
-	nextID int
+	slices    map[string]*Slice
+	order     []string
+	nextID    int
 	// freeIDs recycles slice ids released by Destroy, LIFO.
 	freeIDs []int
 	// plan allocates slice prefix blocks and port spans (addrplan.go);
