@@ -175,6 +175,10 @@ func (n *Node) LocalAddr() string { return n.conn.LocalAddr().String() }
 // TapAddr returns the node's overlay address.
 func (n *Node) TapAddr() netip.Addr { return n.cfg.TapAddr }
 
+// Router returns the node's Click graph for inspection. Only the actor
+// drives it: do not push packets or write handlers through this.
+func (n *Node) Router() *click.Router { return n.router }
+
 // OnDeliver registers the tap read callback (packets addressed to this
 // node). Call before Start.
 func (n *Node) OnDeliver(fn func(dgram []byte)) { n.onDeliver = fn }
