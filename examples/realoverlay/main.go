@@ -9,6 +9,7 @@ package main
 import (
 	"fmt"
 	"net/netip"
+	"os"
 	"time"
 
 	"vini/internal/overlay"
@@ -81,6 +82,8 @@ func main() {
 	}
 	waitRoute(a, "10.99.0.2/32", "a's route to b (direct, metric 1)")
 
+	// failed collects what went wrong; any entry makes the run exit 1.
+	var failed []string
 	send := func(tag string) {
 		d := packet.BuildUDP(a.TapAddr(), b.TapAddr(), 1000, 2000, 64, []byte(tag))
 		a.Send(d)
@@ -89,6 +92,7 @@ func main() {
 			fmt.Printf("b received %s\n", msg)
 		case <-time.After(5 * time.Second):
 			fmt.Println("b received nothing within 5s")
+			failed = append(failed, "datagram lost "+tag)
 		}
 	}
 	send("over the direct a-b tunnel")
@@ -98,20 +102,24 @@ func main() {
 	b.FailTunnel(0, true)
 	// Wait for OSPF to reroute via c (metric 20).
 	deadline := time.Now().Add(20 * time.Second)
-	for time.Now().Before(deadline) {
-		rerouted := false
+	rerouted := false
+	for !rerouted && time.Now().Before(deadline) {
 		for _, r := range a.Routes() {
 			if r.Prefix == netip.MustParsePrefix("10.99.0.2/32") && r.Metric == 20 {
 				rerouted = true
 				fmt.Printf("a rerouted: %s\n", r)
 			}
 		}
-		if rerouted {
-			break
-		}
 		time.Sleep(100 * time.Millisecond)
 	}
+	if !rerouted {
+		failed = append(failed, "no reroute via c within 20s")
+	}
 	send("after live reroute via c")
+	if len(failed) > 0 {
+		fmt.Println("FAILED:", failed)
+		os.Exit(1)
+	}
 	fmt.Println("done: live OSPF rerouted around a failure injected in the data plane")
 }
 

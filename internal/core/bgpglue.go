@@ -7,6 +7,7 @@ import (
 	"vini/internal/bgp"
 	"vini/internal/fea"
 	"vini/internal/fib"
+	"vini/internal/iias"
 	"vini/internal/telemetry"
 )
 
@@ -58,7 +59,7 @@ func (s *Slice) ConnectBGP(mux *bgp.Mux, egress string, publicPrefix netip.Prefi
 			var raw []fib.Route
 			for _, r := range external {
 				if vn == evn {
-					raw = append(raw, fib.Route{Prefix: r.Prefix, OutPort: portNAPT, Metric: r.Metric})
+					raw = append(raw, fib.Route{Prefix: r.Prefix, OutPort: iias.PortNAPT, Metric: r.Metric})
 				} else {
 					raw = append(raw, fib.Route{Prefix: r.Prefix, NextHop: evn.TapAddr, Metric: r.Metric})
 				}
@@ -102,5 +103,5 @@ func (vn *VirtualNode) resolveBGP() {
 			Metric:  r.Metric,
 		})
 	}
-	vn.rib.SetRoutes("bgp", fea.DistEBGP, resolved)
+	vn.RIB().SetRoutes("bgp", fea.DistEBGP, resolved)
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"vini/internal/bgp"
+	"vini/internal/iias"
 	"vini/internal/topology"
 )
 
@@ -66,7 +67,7 @@ func TestConnectBGPDistributesExternalRoutes(t *testing.T) {
 	ext := netip.MustParseAddr("12.9.9.9")
 	// At the egress, the external route exits through NAT.
 	r, ok := ny.FIB.Lookup(ext)
-	if !ok || r.Proto != "bgp" || r.OutPort != portNAPT {
+	if !ok || r.Proto != "bgp" || r.OutPort != iias.PortNAPT {
 		t.Fatalf("egress external route = %+v ok=%v", r, ok)
 	}
 	// At Seattle, the BGP route is recursively resolved: its forwarding
@@ -123,7 +124,7 @@ func TestConnectBGPDistributesExternalRoutes(t *testing.T) {
 
 // hasIfaceAddr reports whether the node owns the interface address.
 func (vn *VirtualNode) hasIfaceAddr(a netip.Addr) bool {
-	for _, ifc := range vn.ifaces {
+	for _, ifc := range vn.Interfaces() {
 		if ifc.Addr == a {
 			return true
 		}

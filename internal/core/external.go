@@ -7,6 +7,7 @@ import (
 	"vini/internal/click"
 	"vini/internal/fea"
 	"vini/internal/fib"
+	"vini/internal/iias"
 	"vini/internal/netem"
 	"vini/internal/packet"
 	"vini/internal/vpn"
@@ -43,7 +44,7 @@ func (vn *VirtualNode) EnableEgress() error {
 		rt[%d] -> napt;
 		napt[0] -> ext;
 		napt[1] -> [0]rt;
-	`, vn.phys.Addr(), lo, hi, portNAPT)
+	`, vn.phys.Addr(), lo, hi, iias.PortNAPT)
 	if err := click.ParseInto(vn.Router, cfg); err != nil {
 		return err
 	}
@@ -57,10 +58,10 @@ func (vn *VirtualNode) EnableEgress() error {
 		return err
 	}
 	// Local default: out through NAT. Advertised default: via the IGP.
-	vn.rib.SetRoutes("static", fea.DistStatic, []fib.Route{
-		{Prefix: netip.MustParsePrefix("0.0.0.0/0"), OutPort: portNAPT},
+	vn.RIB().SetRoutes("static", fea.DistStatic, []fib.Route{
+		{Prefix: netip.MustParsePrefix("0.0.0.0/0"), OutPort: iias.PortNAPT},
 	})
-	vn.extraStubs = append(vn.extraStubs, netip.MustParsePrefix("0.0.0.0/0"))
+	vn.Stubs = append(vn.Stubs, netip.MustParsePrefix("0.0.0.0/0"))
 	vn.egress = true
 	return nil
 }
@@ -98,7 +99,7 @@ func (vn *VirtualNode) EnableVPNServer(port uint16) error {
 		tovpn :: ToVPN;
 		fromvpn -> rt;
 		rt[%d] -> tovpn;
-	`, portVPN)
+	`, iias.PortVPN)
 	if err := click.ParseInto(vn.Router, cfg); err != nil {
 		return err
 	}
@@ -126,15 +127,15 @@ func (vn *VirtualNode) RegisterVPNClient(clientAddr netip.Addr, key []byte) erro
 	vn.vpn.sessions[clientAddr] = &vpnSession{clientAddr: clientAddr, codec: codec}
 	var routes []fib.Route
 	for a := range vn.vpn.sessions {
-		routes = append(routes, fib.Route{Prefix: netip.PrefixFrom(a, 32), OutPort: portVPN})
+		routes = append(routes, fib.Route{Prefix: netip.PrefixFrom(a, 32), OutPort: iias.PortVPN})
 	}
-	routes = append(routes, fib.Route{Prefix: netip.MustParsePrefix("0.0.0.0/0"), OutPort: portNAPT, Metric: 1})
+	routes = append(routes, fib.Route{Prefix: netip.MustParsePrefix("0.0.0.0/0"), OutPort: iias.PortNAPT, Metric: 1})
 	// Keep any egress default this node already has.
-	if len(vn.extraStubs) == 0 || vn.extraStubs[0] != netip.MustParsePrefix("0.0.0.0/0") {
+	if len(vn.Stubs) == 0 || vn.Stubs[0] != netip.MustParsePrefix("0.0.0.0/0") {
 		routes = routes[:len(routes)-1]
 	}
-	vn.rib.SetRoutes("static", fea.DistStatic, routes)
-	vn.extraStubs = append(vn.extraStubs, netip.PrefixFrom(clientAddr, 32))
+	vn.RIB().SetRoutes("static", fea.DistStatic, routes)
+	vn.Stubs = append(vn.Stubs, netip.PrefixFrom(clientAddr, 32))
 	return nil
 }
 

@@ -241,7 +241,7 @@ func (s *Slice) Pause() error {
 	s.prevState = s.state
 	for _, name := range s.vorder {
 		vn := s.vnodes[name]
-		vn.suspended = true
+		vn.SetSuspended(true)
 		vn.proc.SetPaused(true)
 	}
 	s.state = StatePaused
@@ -256,7 +256,7 @@ func (s *Slice) Resume() error {
 	}
 	for _, name := range s.vorder {
 		vn := s.vnodes[name]
-		vn.suspended = false
+		vn.SetSuspended(false)
 		vn.proc.SetPaused(false)
 	}
 	s.state = s.prevState

@@ -32,6 +32,7 @@ package core
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -243,27 +244,23 @@ func (s *Slice) buildShadow(old *VirtualNode, target *netem.Node, preinstall boo
 	// Replay the interface plan in index order so tunnel indices line up
 	// with the old instance's (OSPF interface indices, encap entries,
 	// and per-tunnel Click chains all key on them).
-	for _, ifc := range old.ifaces {
-		if _, err := shadow.addInterface(ifc.Prefix, ifc.Addr, ifc.PeerAddr, ifc.Peer, ifc.Cost); err != nil {
+	for i, ifc := range old.Interfaces() {
+		if _, err := shadow.addInterface(ifc.Prefix, ifc.Addr, ifc.PeerAddr, old.peers[i], ifc.Cost); err != nil {
 			return shadow, err
 		}
 	}
 	// Replicate link configuration: effective fail bits and shaper caps.
 	for _, vl := range s.vlinks {
 		if vl.A == old {
-			shadow.setTunnelFailed(vl.AIf, vl.applied)
-			if vl.bw > 0 {
-				shadow.Router.Handler(fmt.Sprintf("shape%d.rate", vl.AIf), fmt.Sprintf("%f", vl.bw))
-			}
+			shadow.SetTunnelFailed(vl.AIf, vl.applied)
+			shadow.SetTunnelRate(vl.AIf, vl.bw)
 		}
 		if vl.B == old {
-			shadow.setTunnelFailed(vl.BIf, vl.applied)
-			if vl.bw > 0 {
-				shadow.Router.Handler(fmt.Sprintf("shape%d.rate", vl.BIf), fmt.Sprintf("%f", vl.bw))
-			}
+			shadow.SetTunnelFailed(vl.BIf, vl.applied)
+			shadow.SetTunnelRate(vl.BIf, vl.bw)
 		}
 	}
-	shadow.extraStubs = append([]netip.Prefix(nil), old.extraStubs...)
+	shadow.Stubs = append([]netip.Prefix(nil), old.Stubs...)
 	if preinstall {
 		// Pre-install the FIB: the old RIB's protocol routes copy over
 		// as data; the shadow's own routing process takes over at
@@ -272,8 +269,8 @@ func (s *Slice) buildShadow(old *VirtualNode, target *netem.Node, preinstall boo
 			proto string
 			dist  int
 		}{{"static", fea.DistStatic}, {"ospf", fea.DistOSPF}, {"rip", fea.DistRIP}} {
-			if rts := old.rib.ProtoRoutes(pr.proto); len(rts) > 0 {
-				shadow.rib.SetRoutes(pr.proto, pr.dist, rts)
+			if rts := old.RIB().ProtoRoutes(pr.proto); len(rts) > 0 {
+				shadow.RIB().SetRoutes(pr.proto, pr.dist, rts)
 			}
 		}
 		shadow.bgpRaw = append([]fib.Route(nil), old.bgpRaw...)
@@ -297,8 +294,8 @@ func (m *Migration) cutover() {
 	// 2. Repoint every neighbor at the shadow's physical address, with a
 	// drain alias so the old instance's in-flight traffic (outer source
 	// = old address) still demultiplexes to the right ingress tunnel.
-	for _, ifc := range old.ifaces {
-		peer := ifc.Peer
+	for i, ifc := range old.Interfaces() {
+		peer := old.peers[i]
 		if e, ok := peer.Encap.Lookup(ifc.Addr); ok {
 			peer.Encap.SetRemoteAlias(m.fromAddr, m.toAddr)
 			e.Remote = m.toAddr
@@ -326,47 +323,51 @@ func (m *Migration) cutover() {
 		old.RIP.Stop()
 		shadow.startRIP(old.ripUpdate)
 	}
-	// 4. Swap identity: the slice's vnode on fromName becomes the shadow
-	// on toName; virtual links, their pinned paths, and peer interface
-	// pointers follow.
-	delete(s.vnodes, m.fromName)
-	s.vnodes[m.toName] = shadow
-	for i, n := range s.vorder {
-		if n == m.fromName {
-			s.vorder[i] = m.toName
-			break
-		}
-	}
-	for _, vl := range s.vlinks {
-		touched := false
-		if vl.A == old {
-			vl.A = shadow
-			touched = true
-		}
-		if vl.B == old {
-			vl.B = shadow
-			touched = true
-		}
-		if touched {
-			a, b := vl.A.phys.Name(), vl.B.phys.Name()
-			vl.name = a + "-" + b
-			vl.path = s.vini.physPath(a, b)
-			if s.cfg.ExposePhysicalFailures {
+	// 4. Swap identity, and let the re-pinned links see the substrate's
+	// failures along their new paths.
+	s.swapIdentity(old, shadow, m.fromName, m.toName)
+	if s.cfg.ExposePhysicalFailures {
+		for _, vl := range s.vlinks {
+			if vl.A == shadow || vl.B == shadow {
 				vl.physFailed = s.anyPathDown(vl.path)
 				vl.applyFailState()
-			}
-		}
-	}
-	for _, n := range s.vorder {
-		for _, ifc := range s.vnodes[n].ifaces {
-			if ifc.Peer == old {
-				ifc.Peer = shadow
 			}
 		}
 	}
 	m.phase = MigDraining
 	m.event("cutover", m.toName)
 	s.ctl.Schedule(m.drain, m.retire)
+}
+
+// swapIdentity makes shadow the slice's virtual node on toName in place
+// of old on fromName: the name maps, the virtual links (re-pinned to the
+// physical path between their new endpoints) and every neighbor's peer
+// pointer follow.
+func (s *Slice) swapIdentity(old, shadow *VirtualNode, fromName, toName string) {
+	delete(s.vnodes, fromName)
+	s.vnodes[toName] = shadow
+	s.vorder[slices.Index(s.vorder, fromName)] = toName
+	for _, vl := range s.vlinks {
+		if vl.A != old && vl.B != old {
+			continue
+		}
+		if vl.A == old {
+			vl.A = shadow
+		}
+		if vl.B == old {
+			vl.B = shadow
+		}
+		a, b := vl.A.phys.Name(), vl.B.phys.Name()
+		vl.name = a + "-" + b
+		vl.path = s.vini.physPath(a, b)
+	}
+	for _, n := range s.vorder {
+		for i, peer := range s.vnodes[n].peers {
+			if peer == old {
+				s.vnodes[n].peers[i] = shadow
+			}
+		}
+	}
 }
 
 // retire finishes the migration: the old incarnation's timers cancel,
@@ -382,8 +383,8 @@ func (m *Migration) retire() {
 	old.ticks.StopAll()
 	old.Router.Flush()
 	s.dropVnodeHandles(old)
-	for _, ifc := range m.shadow.ifaces {
-		ifc.Peer.Encap.ClearRemoteAlias(m.fromAddr)
+	for _, peer := range m.shadow.peers {
+		peer.Encap.ClearRemoteAlias(m.fromAddr)
 	}
 	m.phase = MigDone
 	s.mig = nil
@@ -476,44 +477,15 @@ func (s *Slice) migrateNaive(old *VirtualNode, target *netem.Node, fromName, toN
 	shadow.handles = append([]*handle{cpu}, shadow.handles...)
 	m.shadow = shadow
 	// 3. Repoint neighbors (no drain alias: the old address is gone).
-	for _, ifc := range shadow.ifaces {
-		peer := ifc.Peer
+	for i, ifc := range shadow.Interfaces() {
+		peer := shadow.peers[i]
 		if e, ok := peer.Encap.Lookup(ifc.Addr); ok {
 			e.Remote = m.toAddr
 			peer.Encap.Set(e)
 		}
 	}
 	// 4. Swap identity and restart routing from scratch.
-	s.vnodes[toName] = shadow
-	for i, n := range s.vorder {
-		if n == fromName {
-			s.vorder[i] = toName
-			break
-		}
-	}
-	for _, vl := range s.vlinks {
-		touched := false
-		if vl.A == old {
-			vl.A = shadow
-			touched = true
-		}
-		if vl.B == old {
-			vl.B = shadow
-			touched = true
-		}
-		if touched {
-			a, b := vl.A.phys.Name(), vl.B.phys.Name()
-			vl.name = a + "-" + b
-			vl.path = s.vini.physPath(a, b)
-		}
-	}
-	for _, n := range s.vorder {
-		for _, ifc := range s.vnodes[n].ifaces {
-			if ifc.Peer == old {
-				ifc.Peer = shadow
-			}
-		}
-	}
+	s.swapIdentity(old, shadow, fromName, toName)
 	if hadOSPF {
 		shadow.startOSPF(hello, dead)
 	}

@@ -5,10 +5,8 @@ import (
 	"net/netip"
 	"time"
 
-	"vini/internal/fib"
 	"vini/internal/netem"
 	"vini/internal/ospf"
-	"vini/internal/rip"
 	"vini/internal/sim"
 	"vini/internal/telemetry"
 )
@@ -260,8 +258,8 @@ func (vl *VirtualLink) applyFailState() {
 		return
 	}
 	vl.applied = eff
-	vl.A.setTunnelFailed(vl.AIf, eff)
-	vl.B.setTunnelFailed(vl.BIf, eff)
+	vl.A.SetTunnelFailed(vl.AIf, eff)
+	vl.B.SetTunnelFailed(vl.BIf, eff)
 	s := vl.A.slice
 	if tel := s.vini.tel; tel != nil {
 		detail := "up"
@@ -296,12 +294,8 @@ func (vl *VirtualLink) SetBandwidth(bps float64) {
 		bps = 0
 	}
 	vl.bw = bps
-	v := "0"
-	if bps > 0 {
-		v = fmt.Sprintf("%f", bps)
-	}
-	vl.A.Router.Handler(fmt.Sprintf("shape%d.rate", vl.AIf), v)
-	vl.B.Router.Handler(fmt.Sprintf("shape%d.rate", vl.BIf), v)
+	vl.A.SetTunnelRate(vl.AIf, bps)
+	vl.B.SetTunnelRate(vl.BIf, bps)
 }
 
 // StartOSPF launches an OSPF process on every virtual node with the
@@ -345,7 +339,7 @@ func (s *Slice) SwitchProtocol(proto string) error {
 		return fmt.Errorf("core: unknown protocol %q", proto)
 	}
 	for _, name := range s.vorder {
-		s.vnodes[name].rib.Prefer(proto)
+		s.vnodes[name].RIB().Prefer(proto)
 	}
 	return nil
 }
@@ -375,35 +369,11 @@ func (s *Slice) physicalEvent(ev netem.LinkEvent) {
 	}
 }
 
-// buildOSPF constructs and wires the per-node OSPF process without
-// starting it, so a migration shadow can import the old instance's
-// exported state between construction and Start.
+// buildOSPF builds the node's OSPF process (not started: a migration
+// shadow imports state first) and remembers its timers.
 func (vn *VirtualNode) buildOSPF(hello, dead time.Duration) *ospf.Router {
 	vn.ospfHello, vn.ospfDead = hello, dead
-	stubs := []ospf.StubDesc{{Prefix: netip.PrefixFrom(vn.TapAddr, 32)}}
-	for _, p := range vn.extraStubs {
-		stubs = append(stubs, ospf.StubDesc{Prefix: p})
-	}
-	cfg := ospf.Config{
-		RouterID: ospf.RouterIDFromAddr(vn.TapAddr),
-		Hello:    hello,
-		Dead:     dead,
-		SPFDelay: vn.slice.SPFDelay,
-		Stubs:    stubs,
-		Ticks:    vn.ticks,
-	}
-	r := ospf.New(vn.clock, cfg, ospfTransport{vn})
-	for _, ifc := range vn.ifaces {
-		r.AddInterface(ospf.Interface{
-			Name:   fmt.Sprintf("tun%d", ifc.Index),
-			Index:  ifc.Index,
-			Addr:   ifc.Addr,
-			Prefix: ifc.Prefix,
-			Cost:   ifc.Cost,
-		})
-	}
-	vn.OSPF = r
-	r.OnRoutes(func(routes []fib.Route) { vn.installProtocolRoutes("ospf", routes) })
+	r := vn.BuildOSPF(hello, dead, vn.slice.SPFDelay)
 	if tel := vn.slice.vini.tel; tel != nil {
 		r.OnNeighborEvent(func(iface int, id uint32, state string) {
 			tel.Rec.Record(vn.phys.Domain(), telemetry.Event{
@@ -425,19 +395,7 @@ func (vn *VirtualNode) startOSPF(hello, dead time.Duration) {
 
 func (vn *VirtualNode) startRIP(update time.Duration) {
 	vn.ripUpdate = update
-	stubs := []netip.Prefix{netip.PrefixFrom(vn.TapAddr, 32)}
-	stubs = append(stubs, vn.extraStubs...)
-	r := rip.New(vn.clock, rip.Config{Update: update, Stubs: stubs, Ticks: vn.ticks}, ripTransport{vn})
-	for _, ifc := range vn.ifaces {
-		r.AddInterface(rip.Interface{
-			Name:   fmt.Sprintf("tun%d", ifc.Index),
-			Index:  ifc.Index,
-			Addr:   ifc.Addr,
-			Prefix: ifc.Prefix,
-		})
-	}
-	vn.RIP = r
-	r.OnRoutes(func(routes []fib.Route) { vn.installProtocolRoutes("rip", routes) })
+	r := vn.BuildRIP(update)
 	if tel := vn.slice.vini.tel; tel != nil {
 		r.OnEvent(func(event string, n int) {
 			tel.Rec.Record(vn.phys.Domain(), telemetry.Event{

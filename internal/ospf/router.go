@@ -294,6 +294,9 @@ func (r *Router) ageSweep() {
 	r.ticks.Schedule(r.cfg.MaxAge/4, r.ageFn)
 }
 
+// Started reports whether the router is speaking: after Start, until Stop.
+func (r *Router) Started() bool { return r.started }
+
 // Stop cancels timers; the router stops speaking.
 func (r *Router) Stop() {
 	r.started = false

@@ -1,9 +1,8 @@
-// Package overlay runs the IIAS router live: the same Click element
-// graph, forwarding tables, and OSPF implementation as the simulated
-// virtual nodes, but over real UDP sockets on a real network. A Node is
-// a single-goroutine actor: socket readers and timers post events to its
-// loop, so the protocol code runs single-threaded exactly as it does on
-// the simulator's event loop. cmd/iiasd wraps a Node as a daemon;
+// Package overlay runs the IIAS router live: the iias.Forwarder the
+// simulated virtual nodes run, but over real UDP sockets on a real
+// network. A Node is a single-goroutine actor: socket readers and timers
+// post events to its loop, so the router runs single-threaded exactly as
+// it does on the simulator's event loop. cmd/iiasd wraps a Node as a daemon;
 // examples/realoverlay runs three of them over loopback and fails a
 // tunnel live.
 package overlay
@@ -18,8 +17,8 @@ import (
 	"time"
 
 	"vini/internal/click"
-	"vini/internal/fea"
 	"vini/internal/fib"
+	"vini/internal/iias"
 	"vini/internal/ospf"
 	"vini/internal/packet"
 	"vini/internal/sim"
@@ -61,12 +60,8 @@ type Node struct {
 	done   chan struct{}
 	closed sync.Once
 
-	router  *click.Router
-	table   *fib.Table
-	encap   *fib.EncapTable
-	rib     *fea.RIB
-	ospf    *ospf.Router
-	peers   []PeerConfig
+	// fw is the IIAS router; only the actor touches it once started.
+	fw      *iias.Forwarder
 	remotes map[string]int // remote addr string -> tunnel index
 
 	// Live telemetry: the same registry the simulator uses, under the
@@ -107,33 +102,29 @@ func NewNode(cfg Config) (*Node, error) {
 		clock:   sim.NewRealClock(),
 		events:  make(chan func(), 1024),
 		done:    make(chan struct{}),
-		table:   fib.New(),
-		encap:   fib.NewEncapTable(),
 		remotes: make(map[string]int),
 	}
-	n.rib = fea.NewRIB(n.table)
 	n.reg = telemetry.NewRegistry()
 	scope := n.reg.Scope("live", cfg.Name)
 	n.mRoutes = scope.Gauge("fib/routes")
 	n.mNeighbors = scope.Gauge("ospf/neighbors")
 	n.mFull = scope.Gauge("ospf/neighbors_full")
 	n.mDelivered = scope.Counter("tap/delivered")
-	ctx := &click.Context{
-		Clock:     n.actorClock(),
+	n.fw, err = iias.New(&click.Context{
+		Clock:     (*actorClock)(n),
 		RNG:       sim.NewRNG(time.Now().UnixNano()),
-		FIB:       n.table,
-		Encap:     n.encap,
 		Tunnels:   (*liveTunnels)(n),
 		Tap:       (*liveTap)(n),
 		LocalAddr: packet.Flow{Src: cfg.TapAddr},
 		Metrics:   scope,
+	}, nil)
+	if err == nil {
+		err = n.fw.Initialize()
 	}
-	r, err := click.ParseConfig(ctx, liveConfig)
 	if err != nil {
 		conn.Close()
 		return nil, err
 	}
-	n.router = r
 	for _, p := range cfg.Peers {
 		if err := n.AddPeer(p); err != nil {
 			conn.Close()
@@ -143,32 +134,6 @@ func NewNode(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// liveConfig is the IIAS data plane, identical in shape to the simulated
-// one (per-tunnel chains appended by AddPeer).
-const liveConfig = `
-fromtap :: FromTap;
-fromtun :: FromTunnel;
-chk :: CheckIPHeader;
-dec :: DecIPTTL;
-rt :: LookupIPRoute(NOROUTE 2);
-encap :: EncapTunnel;
-ttlerr :: ICMPError(11, 0);
-unreach :: ICMPError(3, 0);
-totap :: ToTap;
-bad :: Discard;
-fromtap -> rt;
-fromtun -> chk;
-chk[0] -> dec;
-chk[1] -> bad;
-dec[0] -> rt;
-dec[1] -> ttlerr;
-ttlerr -> rt;
-rt[0] -> encap;
-rt[1] -> totap;
-rt[2] -> unreach;
-unreach -> rt;
-`
-
 // LocalAddr returns the bound UDP tunnel address.
 func (n *Node) LocalAddr() string { return n.conn.LocalAddr().String() }
 
@@ -177,10 +142,10 @@ func (n *Node) TapAddr() netip.Addr { return n.cfg.TapAddr }
 
 // Router returns the node's Click graph for inspection. Only the actor
 // drives it: do not push packets or write handlers through this.
-func (n *Node) Router() *click.Router { return n.router }
+func (n *Node) Router() *click.Router { return n.fw.Router }
 
 // OnDeliver registers the tap read callback (packets addressed to this
-// node). Call before Start.
+// node); dgram is lent for the call. Call before Start.
 func (n *Node) OnDeliver(fn func(dgram []byte)) { n.onDeliver = fn }
 
 // AddPeer wires one virtual link. Call before Start.
@@ -192,18 +157,13 @@ func (n *Node) AddPeer(p PeerConfig) error {
 	if err != nil {
 		return fmt.Errorf("overlay: peer address %q: %w", p.Remote, err)
 	}
-	idx := len(n.peers)
-	n.peers = append(n.peers, p)
-	n.remotes[raddr.String()] = idx
-	rip, _ := netip.AddrFromSlice(raddr.IP.To4())
-	n.encap.Set(fib.EncapEntry{
-		NextHop: p.PeerIf, Remote: rip, Port: uint16(raddr.Port), Tunnel: idx,
-	})
-	cfgText := fmt.Sprintf("fail%d :: LinkFail;\ntun%d :: ToTunnel(%d);\nencap[%d] -> fail%d;\nfail%d -> tun%d;",
-		idx, idx, idx, idx, idx, idx, idx)
-	if err := click.ParseInto(n.router, cfgText); err != nil {
+	ap := raddr.AddrPort()
+	idx, err := n.fw.AddInterface(iias.Iface{Addr: p.LocalIf, Prefix: p.Prefix, PeerAddr: p.PeerIf, Cost: p.Cost},
+		netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port()))
+	if err != nil {
 		return err
 	}
+	n.remotes[raddr.String()] = idx
 	return nil
 }
 
@@ -213,59 +173,26 @@ func (n *Node) Start() error {
 		return fmt.Errorf("overlay: already started")
 	}
 	n.started = true
-	// Connected routes.
-	var connected []fib.Route
-	connected = append(connected, fib.Route{Prefix: netip.PrefixFrom(n.cfg.TapAddr, 32), OutPort: 1})
-	for i, p := range n.peers {
-		connected = append(connected,
-			fib.Route{Prefix: netip.PrefixFrom(p.LocalIf, 32), OutPort: 1},
-			fib.Route{Prefix: p.Prefix.Masked(), NextHop: p.PeerIf, OutPort: 0, Metric: 1})
-		_ = i
-	}
-	n.rib.SetRoutes("connected", fea.DistConnected, connected)
-	// OSPF over the tunnels.
-	r := ospf.New(n.actorClock(), ospf.Config{
-		RouterID: ospf.RouterIDFromAddr(n.cfg.TapAddr),
-		Hello:    n.cfg.Hello,
-		Dead:     n.cfg.Dead,
-		Stubs:    []ospf.StubDesc{{Prefix: netip.PrefixFrom(n.cfg.TapAddr, 32)}},
-	}, (*liveOSPFTransport)(n))
-	for i, p := range n.peers {
-		r.AddInterface(ospf.Interface{
-			Name: fmt.Sprintf("tun%d", i), Index: i,
-			Addr: p.LocalIf, Prefix: p.Prefix, Cost: p.Cost,
-		})
-	}
-	n.ospf = r
-	r.OnRoutes(func(routes []fib.Route) {
-		adapted := make([]fib.Route, 0, len(routes))
-		for _, rt := range routes {
-			if rt.NextHop.IsValid() {
-				rt.OutPort = 0
-			} else {
-				rt.OutPort = 1
-			}
-			adapted = append(adapted, rt)
-		}
-		n.rib.SetRoutes("ospf", fea.DistOSPF, adapted)
-	})
-	if err := n.router.Initialize(); err != nil {
-		return err
-	}
+	r := n.fw.BuildOSPF(n.cfg.Hello, n.cfg.Dead, 0)
 	go n.actorLoop()
 	go n.readLoop()
-	n.post(func() { r.Start() })
+	n.post(r.Start)
 	return nil
 }
 
-// Close stops the node.
+// Close stops the node: OSPF first, on the actor, then the actor and
+// the socket. Not to be called from an OnDeliver callback (it waits for
+// the actor).
 func (n *Node) Close() {
 	n.closed.Do(func() {
-		n.post(func() {
-			if n.ospf != nil {
-				n.ospf.Stop()
-			}
-		})
+		if n.started {
+			stopped := make(chan struct{})
+			n.post(func() {
+				n.fw.OSPF.Stop()
+				close(stopped)
+			})
+			<-stopped
+		}
 		close(n.done)
 		n.conn.Close()
 	})
@@ -297,52 +224,36 @@ func (n *Node) readLoop() {
 		if err != nil {
 			return // socket closed
 		}
-		data := append([]byte(nil), buf[:sz]...)
+		// A packet of its own with DefaultHeadroom in front, as a
+		// simulated tunnel delivers: the graph writes headers in place.
+		p := packet.New(nil)
+		copy(p.Extend(sz), buf[:sz])
 		src := from.String()
-		n.post(func() { n.receive(src, data) })
+		n.post(func() { n.receive(src, p) })
 	}
 }
 
-// receive demultiplexes an incoming tunnel packet (actor context).
-func (n *Node) receive(from string, inner []byte) {
-	idx, ok := n.remotes[from]
-	if !ok {
-		return // not a configured neighbor
+// receive hands an incoming tunnel packet to the router (actor context).
+func (n *Node) receive(from string, p *packet.Packet) {
+	if idx, ok := n.remotes[from]; ok { // else not a configured neighbor
+		n.fw.Receive(idx, p)
 	}
-	var iip packet.IPv4
-	payload, err := iip.Parse(inner)
-	if err != nil {
-		return
-	}
-	if iip.Proto == packet.ProtoOSPF && n.ospf != nil {
-		n.ospf.Receive(idx, iip.Src, payload)
-		return
-	}
-	p := packet.New(inner)
-	p.Anno.InPort = idx
-	n.router.Push("fromtun", 0, p)
 }
 
 // Send injects a locally originated IP datagram into the overlay (a tap
 // write). Safe to call from any goroutine.
 func (n *Node) Send(dgram []byte) {
 	buf := append([]byte(nil), dgram...)
-	n.post(func() { n.router.Push("fromtap", 0, packet.New(buf)) })
+	n.post(func() { n.fw.Router.Push("fromtap", 0, packet.New(buf)) })
 }
 
 // Routes returns a snapshot of the node's FIB.
-func (n *Node) Routes() []fib.Route { return n.table.Routes() }
+func (n *Node) Routes() []fib.Route { return n.fw.FIB.Routes() }
 
 // Neighbors returns OSPF adjacency state (actor-safe snapshot).
 func (n *Node) Neighbors() []ospf.NeighborInfo {
 	ch := make(chan []ospf.NeighborInfo, 1)
-	n.post(func() {
-		if n.ospf == nil {
-			ch <- nil
-			return
-		}
-		ch <- n.ospf.Neighbors()
-	})
+	n.post(func() { ch <- n.fw.OSPF.Neighbors() })
 	select {
 	case nb := <-ch:
 		return nb
@@ -361,17 +272,15 @@ func (n *Node) refreshGauges() {
 	done := make(chan struct{})
 	n.post(func() {
 		defer close(done)
-		n.mRoutes.Set(int64(len(n.table.Routes())))
-		var full, total int
-		if n.ospf != nil {
-			for _, nb := range n.ospf.Neighbors() {
-				total++
-				if nb.State == "Full" {
-					full++
-				}
+		n.mRoutes.Set(int64(n.fw.FIB.Len()))
+		nbs := n.fw.OSPF.Neighbors()
+		full := 0
+		for _, nb := range nbs {
+			if nb.State == "Full" {
+				full++
 			}
 		}
-		n.mNeighbors.Set(int64(total))
+		n.mNeighbors.Set(int64(len(nbs)))
 		n.mFull.Set(int64(full))
 	})
 	select {
@@ -404,39 +313,15 @@ func (n *Node) MetricsHandler() http.Handler {
 // FailTunnel injects or clears a failure on tunnel idx (the Click
 // LinkFail element, as in the simulated §5.2 experiment).
 func (n *Node) FailTunnel(idx int, failed bool) {
-	v := "false"
-	if failed {
-		v = "true"
-	}
-	n.post(func() { n.router.Handler(fmt.Sprintf("fail%d.active", idx), v) })
+	n.post(func() { n.fw.SetTunnelFailed(idx, failed) })
 }
 
 // actorClock adapts the real clock so timer callbacks run on the actor.
-func (n *Node) actorClock() sim.Clock {
-	return &actorClock{n: n}
-}
+type actorClock Node
 
-type actorClock struct{ n *Node }
-
-func (c *actorClock) Now() time.Duration { return c.n.clock.Now() }
+func (c *actorClock) Now() time.Duration { return c.clock.Now() }
 func (c *actorClock) Schedule(d time.Duration, fn func()) sim.Timer {
-	return c.n.clock.Schedule(d, func() { c.n.post(fn) })
-}
-
-// liveOSPFTransport pushes OSPF packets into the per-tunnel Click chain
-// so live failure injection cuts adjacencies too.
-type liveOSPFTransport Node
-
-func (t *liveOSPFTransport) SendRouting(ifIndex int, payload []byte) {
-	n := (*Node)(t)
-	if ifIndex < 0 || ifIndex >= len(n.peers) {
-		return
-	}
-	p := n.peers[ifIndex]
-	hdr := packet.IPv4{TTL: 1, Proto: packet.ProtoOSPF, Src: p.LocalIf, Dst: p.PeerIf}
-	pkt := packet.New(hdr.Marshal(payload))
-	pkt.Anno.NextHop = p.PeerIf
-	n.router.Push(fmt.Sprintf("fail%d", ifIndex), 0, pkt)
+	return c.clock.Schedule(d, func() { (*Node)(c).post(fn) })
 }
 
 // liveTunnels sends overlay packets over the real socket.
@@ -444,8 +329,8 @@ type liveTunnels Node
 
 func (t *liveTunnels) SendTunnel(e fib.EncapEntry, p *packet.Packet) {
 	n := (*Node)(t)
-	dst := &net.UDPAddr{IP: e.Remote.AsSlice(), Port: int(e.Port)}
-	n.conn.WriteToUDP(p.Data, dst)
+	n.conn.WriteToUDPAddrPort(p.Data, netip.AddrPortFrom(e.Remote, e.Port))
+	p.Release()
 }
 
 // liveTap delivers local packets to the registered callback.
@@ -457,4 +342,5 @@ func (t *liveTap) DeliverTap(p *packet.Packet) {
 	if n.onDeliver != nil {
 		n.onDeliver(p.Data)
 	}
+	p.Release()
 }

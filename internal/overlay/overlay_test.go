@@ -3,6 +3,7 @@ package overlay
 import (
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
@@ -236,5 +237,52 @@ func TestNodeValidation(t *testing.T) {
 	}
 	if err := n.AddPeer(PeerConfig{Remote: "127.0.0.1:9"}); err == nil {
 		t.Fatal("AddPeer after Start accepted")
+	}
+}
+
+// TestCloseStopsRouting: Close runs the OSPF stop on the actor before the
+// actor exits. (It used to post the stop and signal exit in the same
+// breath, and the actor's select took the exit first about every other
+// time: run with -count=20.) After Close the router reports stopped and
+// the peer's socket hears nothing more.
+func TestCloseStopsRouting(t *testing.T) {
+	peer, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	const hello = 50 * time.Millisecond
+	n, err := NewNode(Config{
+		Name: "a", Listen: "127.0.0.1:0", TapAddr: netip.MustParseAddr("10.99.0.1"),
+		Hello: hello, Dead: 4 * hello,
+		Peers: []PeerConfig{{
+			Remote:  peer.LocalAddr().String(),
+			LocalIf: netip.MustParseAddr("10.99.10.1"), PeerIf: netip.MustParseAddr("10.99.10.2"),
+			Prefix: netip.MustParsePrefix("10.99.10.0/30"), Cost: 1,
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Start(); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 2048)
+	peer.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, _, err := peer.ReadFrom(buf); err != nil {
+		t.Fatalf("no hello from a started node: %v", err)
+	}
+	n.Close()
+	if n.fw.OSPF.Started() {
+		t.Error("Close returned with the OSPF process still started")
+	}
+	// Drain what was already in the socket at Close, then listen.
+	peer.SetReadDeadline(time.Now().Add(10 * time.Millisecond))
+	for err == nil {
+		_, _, err = peer.ReadFrom(buf)
+	}
+	peer.SetReadDeadline(time.Now().Add(2 * hello))
+	if sz, _, err := peer.ReadFrom(buf); err == nil {
+		t.Errorf("a %d-byte datagram arrived after Close", sz)
 	}
 }
