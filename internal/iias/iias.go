@@ -174,10 +174,10 @@ func (f *Forwarder) AddInterface(ifc Iface, remote netip.AddrPort) (int, error) 
 	ifc.fail, _ = f.Router.Element(fail)
 	ifc.shape, _ = f.Router.Element(shape)
 	f.ifaces = append(f.ifaces, ifc)
-	// Twice, because the code this came from installed the set once per
-	// connected route, and each install is an event in the flight
-	// recorder that the pinned telemetry digests count. The second one
-	// leaves the FIB alone. ROADMAP item 1's re-pin drops it.
+	// Twice: each install is an EvRoute event in the flight recorder, and
+	// the pinned telemetry digests count two per interface. The second
+	// finds the set unchanged and leaves the FIB alone. ROADMAP item 1's
+	// re-pin drops it.
 	all := f.connected()
 	f.rib.SetRoutes("connected", fea.DistConnected, all)
 	f.rib.SetRoutes("connected", fea.DistConnected, all)
