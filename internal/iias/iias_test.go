@@ -51,7 +51,7 @@ func (s *sinks) DeliverTap(p *packet.Packet) {
 
 var tap = netip.MustParseAddr("10.1.0.1")
 
-// plan is a two-interface plan: subnet k is 10.1.128.4k/30, we are .1,
+// plan is interface k of the test plan: subnet 10.1.128.4k/30, we are .1,
 // the peer .2, reached at 192.0.2.k:4000+k.
 func plan(k int) (Iface, netip.AddrPort) {
 	base := byte(4 * k)
@@ -96,8 +96,7 @@ func arrive(f *Forwarder, idx int, dgram []byte) {
 
 func TestDataForwardZeroAlloc(t *testing.T) {
 	f, out, _ := newForwarder(t, 2)
-	_, remote1 := plan(1)
-	ifc1, _ := plan(1)
+	ifc1, remote1 := plan(1)
 	// In on tunnel 0, out on tunnel 1 by its connected /30.
 	dgram := packet.BuildUDP(netip.MustParseAddr("10.1.0.9"), ifc1.PeerAddr, 1, 2, 64, []byte("payload"))
 	base := packet.Stats()

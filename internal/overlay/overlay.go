@@ -229,14 +229,11 @@ func (n *Node) readLoop() {
 		p := packet.New(nil)
 		copy(p.Extend(sz), buf[:sz])
 		src := from.String()
-		n.post(func() { n.receive(src, p) })
-	}
-}
-
-// receive hands an incoming tunnel packet to the router (actor context).
-func (n *Node) receive(from string, p *packet.Packet) {
-	if idx, ok := n.remotes[from]; ok { // else not a configured neighbor
-		n.fw.Receive(idx, p)
+		n.post(func() {
+			if idx, ok := n.remotes[src]; ok { // else not a configured neighbor
+				n.fw.Receive(idx, p)
+			}
+		})
 	}
 }
 

@@ -241,9 +241,9 @@ func TestNodeValidation(t *testing.T) {
 }
 
 // TestCloseStopsRouting: Close runs the OSPF stop on the actor before the
-// actor exits. (It used to post the stop and signal exit in the same
-// breath, and the actor's select took the exit first about every other
-// time: run with -count=20.) After Close the router reports stopped and
+// actor exits, whichever of the two its select would have picked (a stop
+// merely posted alongside the exit signal is skipped about every other
+// time: run with -count=20). After Close the router reports stopped and
 // the peer's socket hears nothing more.
 func TestCloseStopsRouting(t *testing.T) {
 	peer, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
