@@ -237,6 +237,10 @@ func (s *Slice) Migrate(vnodeName, targetPhys string, opt MigrateOptions) (*Migr
 // packet. A partially built shadow is returned alongside the error so
 // the caller can drop its handles.
 func (s *Slice) buildShadow(old *VirtualNode, target *netem.Node, preinstall bool) (*VirtualNode, error) {
+	if len(old.peers) != len(old.Interfaces()) {
+		return nil, fmt.Errorf("core: %s has %d interfaces but %d peers: one was added past addInterface",
+			old.phys.Name(), len(old.Interfaces()), len(old.peers))
+	}
 	shadow, err := newVirtualNode(s, target, old.TapAddr)
 	if err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"vini/internal/iias"
 	"vini/internal/netem"
 	"vini/internal/packet"
 	"vini/internal/sched"
@@ -260,6 +261,30 @@ func TestMigrateValidation(t *testing.T) {
 	}
 	if err := m.Abort(); err != nil {
 		t.Fatal(err)
+	}
+	if err := s.Audit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMigrateRejectsInterfaceAddedPastPeers: the embedded Forwarder
+// promotes AddInterface onto VirtualNode, and an interface added through
+// it has no peers[i]; migration must refuse such a node up front and
+// leave the ledger clean, not index past peers mid-rebuild.
+func TestMigrateRejectsInterfaceAddedPastPeers(t *testing.T) {
+	v := buildQuad(t)
+	s := quadSlice(t, v, SliceConfig{Name: "mp", CPUShare: 0.2})
+	s.StartOSPF(time.Second, 3*time.Second)
+	v.Run(10 * time.Second)
+	west, _ := s.VirtualNode("west")
+	if _, err := west.AddInterface(iias.Iface{
+		Addr: netip.MustParseAddr("10.250.0.1"), PeerAddr: netip.MustParseAddr("10.250.0.2"),
+		Prefix: netip.MustParsePrefix("10.250.0.0/30"), Cost: 1,
+	}, netip.MustParseAddrPort("198.51.100.3:33000")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Migrate("west", "spare", MigrateOptions{}); err == nil {
+		t.Fatal("migrate of a node with an interface that has no peer accepted")
 	}
 	if err := s.Audit(); err != nil {
 		t.Fatal(err)

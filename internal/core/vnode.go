@@ -35,7 +35,11 @@ type VirtualNode struct {
 	// teardown cancels them the same way as the main group's.
 	ticks *sim.TimerGroup
 	proc  *netem.Process
-	// peers[i] is the virtual node at the far end of interface i.
+	// peers[i] is the virtual node at the far end of interface i, so
+	// len(peers) == len(Interfaces()) always: interfaces are added
+	// through addInterface only, never through the embedded Forwarder's
+	// promoted AddInterface, which would leave peers one short
+	// (buildShadow checks).
 	peers []*VirtualNode
 	// bgpRaw holds unresolved BGP routes (next hop = egress overlay
 	// address), re-resolved against the IGP on every route change;

@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"vini/internal/click"
@@ -74,7 +75,7 @@ type Node struct {
 	mDelivered *telemetry.Counter
 
 	onDeliver func(dgram []byte)
-	started   bool
+	started   atomic.Bool
 }
 
 // NewNode builds (but does not start) a node.
@@ -150,7 +151,7 @@ func (n *Node) OnDeliver(fn func(dgram []byte)) { n.onDeliver = fn }
 
 // AddPeer wires one virtual link. Call before Start.
 func (n *Node) AddPeer(p PeerConfig) error {
-	if n.started {
+	if n.started.Load() {
 		return fmt.Errorf("overlay: AddPeer after Start")
 	}
 	raddr, err := net.ResolveUDPAddr("udp4", p.Remote)
@@ -169,10 +170,9 @@ func (n *Node) AddPeer(p PeerConfig) error {
 
 // Start launches the actor loop, socket reader, and OSPF.
 func (n *Node) Start() error {
-	if n.started {
+	if !n.started.CompareAndSwap(false, true) {
 		return fmt.Errorf("overlay: already started")
 	}
-	n.started = true
 	r := n.fw.BuildOSPF(n.cfg.Hello, n.cfg.Dead, 0)
 	go n.actorLoop()
 	go n.readLoop()
@@ -181,17 +181,21 @@ func (n *Node) Start() error {
 }
 
 // Close stops the node: OSPF first, on the actor, then the actor and
-// the socket. Not to be called from an OnDeliver callback (it waits for
-// the actor).
+// the socket. The wait for the actor is bounded like every other round
+// trip to it, so a Close from an OnDeliver callback, or while one
+// blocks, returns after the timeout instead of deadlocking.
 func (n *Node) Close() {
 	n.closed.Do(func() {
-		if n.started {
+		if n.started.Load() {
 			stopped := make(chan struct{})
 			n.post(func() {
 				n.fw.OSPF.Stop()
 				close(stopped)
 			})
-			<-stopped
+			select {
+			case <-stopped:
+			case <-time.After(2 * time.Second):
+			}
 		}
 		close(n.done)
 		n.conn.Close()

@@ -286,3 +286,26 @@ func TestCloseStopsRouting(t *testing.T) {
 		t.Errorf("a %d-byte datagram arrived after Close", sz)
 	}
 }
+
+// TestCloseFromActorReturns: Close called on the actor (what an
+// OnDeliver callback runs on) cannot wait for itself; it must give up
+// like every other actor round trip and not deadlock.
+func TestCloseFromActorReturns(t *testing.T) {
+	n, err := NewNode(Config{Name: "a", Listen: "127.0.0.1:0", TapAddr: netip.MustParseAddr("10.99.0.1")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Start(); err != nil {
+		t.Fatal(err)
+	}
+	returned := make(chan struct{})
+	n.post(func() {
+		n.Close()
+		close(returned)
+	})
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close called on the actor never returned")
+	}
+}
