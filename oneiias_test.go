@@ -71,24 +71,31 @@ func TestOneIIASRouter(t *testing.T) {
 	// One assembly: the base configuration and the per-tunnel element
 	// names are each written down in exactly one source file.
 	for _, needle := range []string{"LookupIPRoute(NOROUTE", "fail%d", "shape%d", "tun%d"} {
-		var files []string
-		for _, root := range []string{"internal", "cmd"} {
-			err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-				if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-					return err
-				}
-				src, err := os.ReadFile(path)
-				if err == nil && strings.Contains(string(src), needle) {
-					files = append(files, path)
-				}
-				return err
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		if len(files) != 1 {
+		if files := sourceFilesContaining(t, needle, "internal", "cmd"); len(files) != 1 {
 			t.Errorf("%q is written in %d non-test source files, want exactly 1: %v", needle, len(files), files)
 		}
 	}
+}
+
+// sourceFilesContaining lists the non-test .go files under roots whose
+// text contains needle.
+func sourceFilesContaining(t *testing.T, needle string, roots ...string) []string {
+	t.Helper()
+	var files []string
+	for _, root := range roots {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			src, err := os.ReadFile(path)
+			if err == nil && strings.Contains(string(src), needle) {
+				files = append(files, path)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return files
 }
