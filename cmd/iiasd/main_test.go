@@ -35,11 +35,11 @@ func TestPeerListSet(t *testing.T) {
 	}
 
 	bad := []string{
-		"",                                    // empty
-		"127.0.0.1:7002,10.99.1.1,10.99.1.2",  // too few fields
-		"r,x,10.99.1.2,10.99.1.0/30,10",       // bad localIf
-		"r,10.99.1.1,x,10.99.1.0/30,10",       // bad peerIf
-		"r,10.99.1.1,10.99.1.2,not/prefix,10", // bad prefix
+		"",                                     // empty
+		"127.0.0.1:7002,10.99.1.1,10.99.1.2",   // too few fields
+		"r,x,10.99.1.2,10.99.1.0/30,10",        // bad localIf
+		"r,10.99.1.1,x,10.99.1.0/30,10",        // bad peerIf
+		"r,10.99.1.1,10.99.1.2,not/prefix,10",  // bad prefix
 		"r,10.99.1.1,10.99.1.2,10.99.1.0/30,x", // bad cost
 	}
 	for _, s := range bad {

@@ -72,7 +72,7 @@ func newDiscard(name string, args []string) (Element, error) {
 	return &discard{base: base{name: name}}, nil
 }
 
-func (e *discard) Class() string { return "Discard" }
+func (e *discard) Class() string                  { return "Discard" }
 func (e *discard) Instrument(sc *telemetry.Scope) { e.mDrop = sc.Counter("drops") }
 func (e *discard) Push(port int, p *packet.Packet) {
 	e.count++
@@ -329,7 +329,7 @@ func newCheckIPHeader(name string, args []string) (Element, error) {
 	return &checkIPHeader{base: base{name: name}}, nil
 }
 
-func (e *checkIPHeader) Class() string { return "CheckIPHeader" }
+func (e *checkIPHeader) Class() string                  { return "CheckIPHeader" }
 func (e *checkIPHeader) Instrument(sc *telemetry.Scope) { e.mBad = sc.Counter("bad") }
 func (e *checkIPHeader) Push(port int, p *packet.Packet) {
 	var ip packet.IPv4
@@ -363,7 +363,7 @@ func newDecIPTTL(name string, args []string) (Element, error) {
 	return &decIPTTL{base: base{name: name}}, nil
 }
 
-func (e *decIPTTL) Class() string { return "DecIPTTL" }
+func (e *decIPTTL) Class() string                  { return "DecIPTTL" }
 func (e *decIPTTL) Instrument(sc *telemetry.Scope) { e.mExpired = sc.Counter("expired") }
 func (e *decIPTTL) Push(port int, p *packet.Packet) {
 	if len(p.Data) < packet.IPv4HeaderLen {
@@ -699,7 +699,7 @@ func newIPNAPT(name string, args []string) (Element, error) {
 	return e, nil
 }
 
-func (e *ipNAPT) Class() string { return "IPNAPT" }
+func (e *ipNAPT) Class() string                  { return "IPNAPT" }
 func (e *ipNAPT) Instrument(sc *telemetry.Scope) { e.mDrops = sc.Counter("drops") }
 func (e *ipNAPT) Initialize(ctx *Context) error {
 	now := func() time.Duration { return 0 }
@@ -779,7 +779,7 @@ func newQueue(name string, args []string) (Element, error) {
 	return &queue{base: base{name: name}, cap: c}, nil
 }
 
-func (e *queue) Class() string { return "Queue" }
+func (e *queue) Class() string                  { return "Queue" }
 func (e *queue) Instrument(sc *telemetry.Scope) { e.mDrops = sc.Counter("drops") }
 func (e *queue) Push(port int, p *packet.Packet) {
 	if len(e.buf) >= e.cap {
@@ -860,7 +860,7 @@ func newBandwidthShaper(name string, args []string) (Element, error) {
 	return &bandwidthShaper{base: base{name: name}, rateBps: r, cap: c}, nil
 }
 
-func (e *bandwidthShaper) Class() string { return "BandwidthShaper" }
+func (e *bandwidthShaper) Class() string                  { return "BandwidthShaper" }
 func (e *bandwidthShaper) Instrument(sc *telemetry.Scope) { e.mDrops = sc.Counter("drops") }
 func (e *bandwidthShaper) Initialize(ctx *Context) error {
 	if ctx.Clock == nil {

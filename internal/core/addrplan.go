@@ -180,12 +180,12 @@ const (
 	// 10.255.255.255; 10.0/16 stays reserved for the substrate (the old
 	// scheme never issued id 0 either).
 	planAddrLo = uint32(10)<<24 | uint32(1)<<16 // 10.1.0.0
-	planAddrHi = uint32(11) << 24              // 11.0.0.0 (exclusive)
+	planAddrHi = uint32(11) << 24               // 11.0.0.0 (exclusive)
 	// planPortLo..planPortHi is the slice port space: the historical
 	// id-1 tunnel block through the end of the id-126 block. 8064
 	// minimum-size (4-port) spans fit — the new concurrency bound when
 	// slices declare their size.
-	planPortLo = 33000 + 256    // 33256
+	planPortLo = 33000 + 256     // 33256
 	planPortHi = 33000 + 127*256 // 65512 (exclusive; last usable port 65511)
 	// defaultPortSpan is the legacy 256-port tunnel block for unsized
 	// slices; sizedPortSpan is the minimum span for slices that declare

@@ -17,9 +17,9 @@ import (
 // the just-released blocks (LIFO).
 func TestAddrPlanProperties(t *testing.T) {
 	shapes := []SliceConfig{
-		{},                          // legacy /16 + 256 ports
-		{MaxNodes: 3, MaxLinks: 3},  // /27 + 4 ports
-		{MaxNodes: 6, MaxLinks: 6},  // /26
+		{},                         // legacy /16 + 256 ports
+		{MaxNodes: 3, MaxLinks: 3}, // /27 + 4 ports
+		{MaxNodes: 6, MaxLinks: 6}, // /26
 		{MaxNodes: 12, MaxLinks: 20},
 		{MaxNodes: 40, MaxLinks: 64},
 	}
@@ -189,10 +189,10 @@ func TestBlockSizeFor(t *testing.T) {
 		nodes, links int
 		want         uint32
 	}{
-		{0, 0, 1 << 16},  // unsized: legacy /16
-		{3, 3, 32},       // /27
-		{6, 6, 64},       // /26
-		{14, 3, 32},      // node-bound half
+		{0, 0, 1 << 16}, // unsized: legacy /16
+		{3, 3, 32},      // /27
+		{6, 6, 64},      // /26
+		{14, 3, 32},     // node-bound half
 		{250, 8000, 1 << 16},
 		{1000, 100000, 1 << 16}, // clamped at /16
 	}

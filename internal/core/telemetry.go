@@ -54,11 +54,11 @@ func (v *VINI) EnableTelemetry() *telemetry.Telemetry {
 			return
 		}
 		v.tel.Rec.Record(n.Domain(), telemetry.Event{
-			Kind:   telemetry.EvPacket,
-			Slice:  "phys",
-			Node:   n.Name(),
-			Elem:   event,
-			Value:  int64(p.Len()),
+			Kind:  telemetry.EvPacket,
+			Slice: "phys",
+			Node:  n.Name(),
+			Elem:  event,
+			Value: int64(p.Len()),
 		})
 	})
 	return v.tel

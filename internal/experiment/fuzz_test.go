@@ -22,12 +22,12 @@ seed 7
 `)
 	f.Add("topology line a b c\nrip update 10s\n")
 	f.Add("topology star hub leaf1 leaf2\nslice s expose-failures\n")
-	f.Add("duration")                // bare directives used to panic
+	f.Add("duration") // bare directives used to panic
 	f.Add("warmup")
 	f.Add("seed")
 	f.Add("spare")
-	f.Add("at 10s fail-virtual a")   // wrong arity
-	f.Add("ping a")                  // missing dst
+	f.Add("at 10s fail-virtual a") // wrong arity
+	f.Add("ping a")                // missing dst
 	f.Add("slice s share nope\n")
 	f.Add("udp-cbr a b rate 10Q\n")
 	// Migration action arity and argument malformations: each must

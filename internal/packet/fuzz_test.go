@@ -16,8 +16,8 @@ func FuzzIPv4RoundTrip(f *testing.F) {
 		Src: netip.MustParseAddr("10.0.0.1"), Dst: netip.MustParseAddr("10.0.0.2")}
 	f.Add(h.Marshal([]byte("payload")))
 	f.Add(h.Marshal(nil))
-	f.Add([]byte{0x45})                  // truncated header
-	f.Add(make([]byte, IPv4HeaderLen))   // zero header (bad version)
+	f.Add([]byte{0x45})                // truncated header
+	f.Add(make([]byte, IPv4HeaderLen)) // zero header (bad version)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var h1 IPv4
 		payload, err := h1.Parse(b)

@@ -17,8 +17,8 @@ func FuzzParse(f *testing.F) {
 	f.Add("hostname r2\nrouter ospf\n hello-interval 5\n dead-interval 20\n")
 	f.Add("hostname r3\ninterface xe-0\n description \"to CHIC\"\n delay 5ms\n bandwidth 1e9\n")
 	f.Add("! comment only\n# another\n")
-	f.Add("hostname")           // missing argument
-	f.Add("description naked")  // outside interface
+	f.Add("hostname")            // missing argument
+	f.Add("description naked")   // outside interface
 	f.Add("ip address 10.0.0.1") // not a prefix
 	f.Add("interface a\ninterface b\nhostname h\n")
 	f.Fuzz(func(t *testing.T, text string) {

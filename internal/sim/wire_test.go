@@ -133,8 +133,8 @@ func TestWireDecodeRejectsMalformed(t *testing.T) {
 	}
 	// Train count larger than the payload can hold must not allocate or
 	// crash.
-	tb := binary.LittleEndian.AppendUint64(nil, 1)                 // step
-	tb = binary.LittleEndian.AppendUint32(tb, 0xffffffff)          // count
+	tb := binary.LittleEndian.AppendUint64(nil, 1)        // step
+	tb = binary.LittleEndian.AppendUint32(tb, 0xffffffff) // count
 	if _, _, err := decodeTrains(tb); err == nil {
 		t.Fatal("absurd train count accepted")
 	}
