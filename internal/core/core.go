@@ -15,23 +15,15 @@ import (
 	"vini/internal/sched"
 	"vini/internal/sim"
 	"vini/internal/telemetry"
-	"vini/internal/topology"
 )
 
 // VINI is one deployment of the infrastructure.
 type VINI struct {
-	Net   *netem.Network
-	loop  *sim.Loop
-	graph *topology.Graph // physical topology mirror, for embeddings
-	// paths caches physPath's shortest-path tree per source node. It is
-	// valid for the graph as it stands (AddNode and AddLink drop it) and
-	// for the set of down physical links it was computed under,
-	// pathsDown, which physPath rebuilds and compares on every call.
-	paths     map[string]map[string]topology.Path
-	pathsDown map[int]bool
-	slices    map[string]*Slice
-	order     []string
-	nextID    int
+	Net    *netem.Network
+	loop   *sim.Loop
+	slices map[string]*Slice
+	order  []string
+	nextID int
 	// freeIDs recycles slice ids released by Destroy, LIFO.
 	freeIDs []int
 	// plan allocates slice prefix blocks and port spans (addrplan.go);
@@ -60,7 +52,6 @@ func NewParallel(seed int64, workers int) *VINI {
 	return &VINI{
 		Net:      netem.New(loop),
 		loop:     loop,
-		graph:    topology.New(),
 		slices:   make(map[string]*Slice),
 		nextID:   1,
 		plan:     newAddrPlan(),
@@ -85,8 +76,6 @@ func (v *VINI) AddNode(name string, addr netip.Addr, prof netem.Profile, opt sch
 	if err != nil {
 		return nil, err
 	}
-	v.graph.AddNode(name)
-	v.paths = nil
 	if v.tel != nil {
 		v.instrumentNode(n)
 	}
@@ -99,10 +88,6 @@ func (v *VINI) AddLink(cfg netem.LinkConfig) (*netem.Link, error) {
 	if err != nil {
 		return nil, err
 	}
-	v.graph.AddLink(topology.Link{A: cfg.A, B: cfg.B,
-		CostAB: uint32(cfg.Delay/time.Microsecond) + 1,
-		Delay:  cfg.Delay, Bandwidth: cfg.Bandwidth})
-	v.paths = nil
 	if v.tel != nil {
 		v.instrumentLink(l)
 	}

@@ -16,9 +16,7 @@ package core
 
 import (
 	"fmt"
-	"maps"
-
-	"vini/internal/topology"
+	"slices"
 )
 
 // SliceState is the lifecycle position of a slice.
@@ -100,8 +98,6 @@ type handle struct {
 	refs       int
 	free       func()
 }
-
-func (h *handle) retain() { h.refs++ }
 
 func (h *handle) release() {
 	if h.refs <= 0 {
@@ -323,41 +319,6 @@ func (s *Slice) Destroy() error {
 	return nil
 }
 
-// physPath returns the current shortest physical path between two
-// nodes, routing around links that are down right now; when the live
-// topology is partitioned it falls back to the all-links-up path (the
-// embedding is then pinned to a path that will work once the substrate
-// heals). Returns nil only if the nodes are disconnected outright. The
-// returned slice is shared with other callers and must not be modified.
-//
-// Building a slice asks for one path per virtual link from a handful of
-// sources, so the tree is computed once per source and kept while the
-// down set stays what it was computed under. The set is rebuilt per
-// call — a lookup per link — rather than tracked through link events.
-func (v *VINI) physPath(from, to string) []string {
-	down := map[int]bool{}
-	for i, l := range v.graph.Links() {
-		if phys, ok := v.Net.FindLink(l.A, l.B); ok && phys.Down() {
-			down[i] = true
-		}
-	}
-	if v.paths == nil || !maps.Equal(down, v.pathsDown) {
-		v.paths, v.pathsDown = make(map[string]map[string]topology.Path), down
-	}
-	tree, ok := v.paths[from]
-	if !ok {
-		tree = v.graph.ShortestPaths(from, down)
-		v.paths[from] = tree
-	}
-	if p, ok := tree[to]; ok {
-		return p.Hops
-	}
-	if p, ok := v.graph.ShortestPaths(from, nil)[to]; ok {
-		return p.Hops
-	}
-	return nil
-}
-
 // ReEmbed re-pins every virtual link onto the current shortest physical
 // path — the embedding step run again against live topology. Virtual
 // links whose old path crossed a dead physical link move onto a live
@@ -371,11 +332,11 @@ func (s *Slice) ReEmbed() (int, error) {
 	changed := 0
 	for _, vl := range s.vlinks {
 		from, to := vl.A.phys.Name(), vl.B.phys.Name()
-		path := s.vini.physPath(from, to)
+		path := s.vini.Net.Path(from, to)
 		if path == nil {
 			continue // endpoints disconnected: keep the stale pin
 		}
-		if !samePath(path, vl.path) {
+		if !slices.Equal(path, vl.path) {
 			vl.path = path
 			changed++
 		}
@@ -387,23 +348,11 @@ func (s *Slice) ReEmbed() (int, error) {
 	return changed, nil
 }
 
-func samePath(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// anyPathDown reports whether any physical link along the pinned path
-// is currently down.
+// anyPathDown reports whether any hop of the pinned path has lost every
+// physical link that carries it.
 func (s *Slice) anyPathDown(path []string) bool {
 	for i := 0; i+1 < len(path); i++ {
-		if l, ok := s.vini.Net.FindLink(path[i], path[i+1]); ok && l.Down() {
+		if s.vini.Net.Severed(path[i], path[i+1]) {
 			return true
 		}
 	}

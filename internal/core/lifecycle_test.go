@@ -470,103 +470,3 @@ func TestReEmbedMovesVirtualLinkOffDeadPath(t *testing.T) {
 		t.Fatal("ReEmbed cleared an injected failure")
 	}
 }
-
-// TestPhysPathCacheFollowsTheSubstrate: physPath keeps one shortest-path
-// tree per source for as long as the substrate stands as it was computed
-// on. A link failure, a repair, and a new link must each be seen by the
-// very next call, and a ReEmbed after a failure must pin exactly the
-// paths a from-scratch computation gives.
-func TestPhysPathCacheFollowsTheSubstrate(t *testing.T) {
-	v := New(1)
-	ring := []string{"a", "b", "c", "d", "e"}
-	for i, n := range ring {
-		addr := netip.AddrFrom4([4]byte{198, 51, 100, byte(i + 1)})
-		if _, err := v.AddNode(n, addr, netem.DETERProfile(), sched.Options{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, n := range ring {
-		if _, err := v.AddLink(netem.LinkConfig{A: n, B: ring[(i+1)%len(ring)],
-			Bandwidth: 1e9, Delay: time.Duration(i+1) * time.Millisecond}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	v.ComputeRoutes()
-	// uncached is physPath as it was: the down set and a fresh Dijkstra.
-	uncached := func(from, to string) []string {
-		down := map[int]bool{}
-		for i, l := range v.graph.Links() {
-			if phys, ok := v.Net.FindLink(l.A, l.B); ok && phys.Down() {
-				down[i] = true
-			}
-		}
-		return v.graph.ShortestPaths(from, down)[to].Hops
-	}
-	checkAll := func(when string) {
-		t.Helper()
-		for _, from := range ring {
-			for _, to := range ring {
-				if got, want := v.physPath(from, to), uncached(from, to); !samePath(got, want) {
-					t.Fatalf("%s: physPath(%s, %s) = %v, uncached %v", when, from, to, got, want)
-				}
-			}
-		}
-	}
-	checkAll("all links up")
-	if len(v.paths) != len(ring) {
-		t.Fatalf("%d trees cached for %d sources", len(v.paths), len(ring))
-	}
-	if p, q := v.physPath("a", "c"), v.physPath("a", "c"); &p[0] != &q[0] {
-		t.Fatal("a repeated query was recomputed")
-	}
-
-	s, err := v.CreateSlice(SliceConfig{Name: "ring", CPUShare: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range ring {
-		if _, err := s.AddVirtualNode(n); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var vls []*VirtualLink
-	for i, n := range ring {
-		vl, err := s.ConnectVirtual(n, ring[(i+1)%len(ring)], 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vls = append(vls, vl)
-	}
-
-	if err := v.FailLink("a", "b", 0); err != nil {
-		t.Fatal(err)
-	}
-	if got := v.physPath("a", "b"); len(got) != 5 {
-		t.Fatalf("after the failure physPath(a, b) = %v, want the long way round", got)
-	}
-	checkAll("a-b down")
-	if changed, err := s.ReEmbed(); err != nil || changed != 1 {
-		t.Fatalf("ReEmbed after the failure: %d changed, %v", changed, err)
-	}
-	for i, vl := range vls {
-		if want := uncached(ring[i], ring[(i+1)%len(ring)]); !samePath(vl.Path(), want) {
-			t.Fatalf("ReEmbed pinned %v, an uncached run gives %v", vl.Path(), want)
-		}
-	}
-
-	if err := v.RestoreLink("a", "b", 0); err != nil {
-		t.Fatal(err)
-	}
-	if got := v.physPath("a", "b"); len(got) != 2 {
-		t.Fatalf("after the repair physPath(a, b) = %v, want [a b]", got)
-	}
-	checkAll("repaired")
-
-	if _, err := v.AddLink(netem.LinkConfig{A: "a", B: "c", Bandwidth: 1e9, Delay: time.Microsecond}); err != nil {
-		t.Fatal(err)
-	}
-	if got := v.physPath("a", "c"); len(got) != 2 {
-		t.Fatalf("after the new link physPath(a, c) = %v, want [a c]", got)
-	}
-	checkAll("chord added")
-}

@@ -363,7 +363,7 @@ func (s *Slice) swapIdentity(old, shadow *VirtualNode, fromName, toName string) 
 		}
 		a, b := vl.A.phys.Name(), vl.B.phys.Name()
 		vl.name = a + "-" + b
-		vl.path = s.vini.physPath(a, b)
+		vl.path = s.vini.Net.Path(a, b)
 	}
 	for _, n := range s.vorder {
 		for i, peer := range s.vnodes[n].peers {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -578,7 +579,7 @@ func TestReEmbedNoLivePathKeepsStalePin(t *testing.T) {
 	if changed != 0 {
 		t.Fatalf("ReEmbed changed %d links with no live path, want 0", changed)
 	}
-	if got := vl.Path(); !samePath(got, pinned) {
+	if got := vl.Path(); !slices.Equal(got, pinned) {
 		t.Fatalf("stale pin rewritten: %v, want %v", got, pinned)
 	}
 	if !vl.Failed() {
@@ -654,7 +655,7 @@ func TestReEmbedMidRepinLinkDeath(t *testing.T) {
 	if changed != 1 {
 		t.Fatalf("partitioned ReEmbed changed %d links, want 1 (best-effort direct pin)", changed)
 	}
-	if got := vl.Path(); !samePath(got, []string{"a", "b"}) {
+	if got := vl.Path(); !slices.Equal(got, []string{"a", "b"}) {
 		t.Fatalf("partitioned ReEmbed pinned %v, want the direct [a b]", got)
 	}
 	if !vl.Failed() {
@@ -667,7 +668,7 @@ func TestReEmbedMidRepinLinkDeath(t *testing.T) {
 	if changed, _ := s.ReEmbed(); changed != 1 {
 		t.Fatalf("healing ReEmbed changed %d, want 1", changed)
 	}
-	if got := vl.Path(); !samePath(got, detour) {
+	if got := vl.Path(); !slices.Equal(got, detour) {
 		t.Fatalf("healed ReEmbed pinned %v, want the detour via c", got)
 	}
 	if vl.Failed() {

@@ -224,7 +224,7 @@ func (s *Slice) ConnectVirtual(a, b string, cost uint32) (*VirtualLink, error) {
 	vl := &VirtualLink{A: va, B: vb, AIf: ifA, BIf: ifB, Cost: cost, name: a + "-" + b,
 		// Pin the embedding to the current shortest physical path —
 		// upcall matching and ReEmbed work against this pin.
-		path: s.vini.physPath(a, b)}
+		path: s.vini.Net.Path(a, b)}
 	s.vlinks = append(s.vlinks, vl)
 	return vl, nil
 }

@@ -27,11 +27,13 @@ type LinkConfig struct {
 // Link is an instantiated bidirectional link. Each direction has its own
 // transmitter state.
 type Link struct {
-	cfg  LinkConfig
-	net  *Network
-	a, b *Node
-	down bool
-	dir  [2]*linkDir // 0: a->b, 1: b->a
+	cfg LinkConfig
+	net *Network
+	// index is the link's position in net.links and in net.graph.
+	index int
+	a, b  *Node
+	down  bool
+	dir   [2]*linkDir // 0: a->b, 1: b->a
 }
 
 type linkDir struct {
@@ -154,8 +156,22 @@ func (l *Link) Config() LinkConfig { return l.cfg }
 func (l *Link) Down() bool { return l.down }
 
 // SetDown fails or restores the physical link. In-flight packets are not
-// recalled (they were already on the wire).
-func (l *Link) SetDown(v bool) { l.down = v }
+// recalled (they were already on the wire). It is the one place a link
+// changes state, so the network's down set and shortest-path trees
+// follow here. Like every topology change it must run at a barrier or on
+// the control domain.
+func (l *Link) SetDown(v bool) {
+	if l.down == v {
+		return
+	}
+	l.down = v
+	if v {
+		l.net.down[l.index] = true
+	} else {
+		delete(l.net.down, l.index)
+	}
+	l.net.trees = nil
+}
 
 // Stats returns per-direction counters (0: A->B, 1: B->A).
 func (l *Link) Stats(dir int) (packets, bytes, drops uint64) {

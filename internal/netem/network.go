@@ -27,6 +27,14 @@ type Network struct {
 	nodes map[string]*Node
 	order []string
 	links []*Link
+	// graph is the physical topology, the only copy: AddNode and AddLink
+	// append to it, and link i of the graph is links[i].
+	graph *topology.Graph
+	// down is the set of failed link indices, kept by Link.SetDown.
+	down map[int]bool
+	// trees caches one shortest-path tree per source over graph minus
+	// down. AddNode, AddLink and Link.SetDown drop it.
+	trees map[string]map[string]topology.Path
 	// alarms receive physical-topology-change upcalls (Section 3.1's
 	// "exposure of underlying topology changes").
 	alarms []func(ev LinkEvent)
@@ -64,6 +72,8 @@ func New(loop *sim.Loop) *Network {
 		loop:  loop,
 		rng:   loop.RNG().Fork(),
 		nodes: make(map[string]*Node),
+		graph: topology.New(),
+		down:  make(map[int]bool),
 	}
 }
 
@@ -92,6 +102,8 @@ func (w *Network) AddNode(name string, addr netip.Addr, prof Profile, schedOpt s
 	}
 	w.nodes[name] = n
 	w.order = append(w.order, name)
+	w.graph.AddNode(name)
+	w.trees = nil
 	return n, nil
 }
 
@@ -132,7 +144,14 @@ func (w *Network) AddLink(cfg LinkConfig) (*Link, error) {
 	if cfg.QueueBytes <= 0 {
 		cfg.QueueBytes = 256 << 10
 	}
-	l := &Link{cfg: cfg, net: w, a: a, b: b}
+	// The IGP metric: hop count first, propagation delay as the tie-break.
+	if err := w.graph.AddLink(topology.Link{A: cfg.A, B: cfg.B,
+		CostAB: uint32(cfg.Delay/time.Microsecond) + 1,
+		Delay:  cfg.Delay, Bandwidth: cfg.Bandwidth}); err != nil {
+		return nil, err
+	}
+	w.trees = nil
+	l := &Link{cfg: cfg, net: w, index: len(w.links), a: a, b: b}
 	// Each direction draws jitter from its own stream (forked at
 	// construction, so deterministic) — transmit runs inside the source
 	// node's domain and must not touch a shared RNG.
@@ -211,28 +230,67 @@ func (w *Network) setLink(a, b string, down bool, igpDelay time.Duration) error 
 	return nil
 }
 
+// tree returns the shortest-path tree from src over the links that are
+// up right now, computing it on first use.
+func (w *Network) tree(src string) map[string]topology.Path {
+	t, ok := w.trees[src]
+	if !ok {
+		if w.trees == nil {
+			w.trees = make(map[string]map[string]topology.Path)
+		}
+		t = w.graph.ShortestPaths(src, w.down)
+		w.trees[src] = t
+	}
+	return t
+}
+
+// Path returns the shortest physical path between two nodes over the
+// links that are up right now: the hops ComputeRoutes makes the kernels
+// forward along, and so the path a tunnel between the two rides. When
+// the live topology is partitioned it falls back to the all-links-up
+// path (an embedding is then pinned to a path that will work once the
+// substrate heals); it returns nil only if no links join the nodes at
+// all. The returned slice is shared with other callers and must not be
+// modified.
+func (w *Network) Path(from, to string) []string {
+	if p, ok := w.tree(from)[to]; ok {
+		return p.Hops
+	}
+	if p, ok := w.graph.ShortestPaths(from, nil)[to]; ok {
+		return p.Hops
+	}
+	return nil
+}
+
+// Severed reports whether a and b are joined by physical links and every
+// one of them is down: parallel links fail one by one, and the hop is
+// lost only with the last.
+func (w *Network) Severed(a, b string) bool {
+	n, ok := w.nodes[a]
+	if !ok {
+		return false
+	}
+	severed := false
+	for _, l := range n.links {
+		if l.a.name == b || l.b.name == b {
+			if !l.down {
+				return false
+			}
+			severed = true
+		}
+	}
+	return severed
+}
+
 // ComputeRoutes fills every node's kernel routing table with shortest
 // paths over the current physical topology (hop count metric, delay as
 // tie-break via cost scaling). Host routes are installed for every node
 // address (/32), modelling the substrate's IGP.
 func (w *Network) ComputeRoutes() {
-	g := topology.New()
-	down := map[int]bool{}
-	for i, l := range w.links {
-		g.AddLink(topology.Link{
-			A: l.a.name, B: l.b.name,
-			CostAB: uint32(l.cfg.Delay/time.Microsecond) + 1,
-			Delay:  l.cfg.Delay,
-		})
-		if l.down {
-			down[i] = true
-		}
-	}
 	for _, name := range w.order {
 		n := w.nodes[name]
-		paths := g.ShortestPaths(name, down)
 		var routes []fib.Route
-		for dst, p := range paths {
+		for dst, p := range w.tree(name) {
 			if dst == name || len(p.Hops) < 2 {
 				continue
 			}
