@@ -31,20 +31,6 @@ func (v *VINI) RunE(until time.Duration) error {
 	return v.Executor().Run(until)
 }
 
-// TelemetryOwner returns the owner function telemetry.MergeSnapshots
-// needs: series labeled with a physical node name belong to the shard
-// executing that node; anything else (global or control-side series) is
-// replicated and the coordinator's own value stands.
-func (v *VINI) TelemetryOwner(shards int) func(node string) int {
-	return func(node string) int {
-		n, ok := v.Net.Node(node)
-		if !ok {
-			return 0
-		}
-		return sim.OwnerShard(n.Domain().ID(), shards)
-	}
-}
-
 // MergeShardDigests reassembles the whole-world schedule digest from
 // per-shard sim.Executor.DomainDigests reports: each domain's digest is
 // taken from its owning shard, then folded exactly as a single

@@ -427,21 +427,6 @@ func (x *Executor) advanceAll(t time.Duration) {
 	}
 }
 
-// nodeNext returns the earliest pending timestamp over owned node
-// domains.
-func (x *Executor) nodeNext() time.Duration {
-	min := maxTime
-	for _, d := range x.domains[1:] {
-		if d.remote {
-			continue
-		}
-		if n := d.next(); n < min {
-			min = n
-		}
-	}
-	return min
-}
-
 // satAdd adds durations with saturation at maxTime.
 func satAdd(a, b time.Duration) time.Duration {
 	s := a + b

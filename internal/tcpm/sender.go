@@ -21,7 +21,7 @@ type Sender struct {
 	isn         uint32
 	sndUna      uint32 // oldest unacknowledged
 	sndNxt      uint32 // next to send
-	cc          Congestion
+	cc          *Reno
 	rwnd        int
 	dupAcks     int
 	inRecovery  bool

@@ -135,48 +135,6 @@ func (e *Endpoint) Close() {
 	e.closed = true
 }
 
-// Runtime hands out one Endpoint per node within a world, so workloads
-// sharing a node also share its ICMP dispatcher and teardown ledger.
-// It replaces the package-global state older revisions kept (the
-// cross-world nextPingID counter): all sharing is scoped to the Runtime
-// the caller created.
-type Runtime struct {
-	eps   map[*netem.Node]*Endpoint
-	order []*Endpoint
-}
-
-// NewRuntime creates an empty endpoint registry.
-func NewRuntime() *Runtime {
-	return &Runtime{eps: make(map[*netem.Node]*Endpoint)}
-}
-
-// At returns the node's endpoint, creating it on first use.
-func (r *Runtime) At(node *netem.Node) *Endpoint {
-	if e, ok := r.eps[node]; ok {
-		return e
-	}
-	e := NewEndpoint(node)
-	r.eps[node] = e
-	r.order = append(r.order, e)
-	return e
-}
-
-// Open totals live registrations across every endpoint.
-func (r *Runtime) Open() int {
-	n := 0
-	for _, e := range r.order {
-		n += e.Open()
-	}
-	return n
-}
-
-// Close releases every endpoint in reverse creation order.
-func (r *Runtime) Close() {
-	for i := len(r.order) - 1; i >= 0; i-- {
-		r.order[i].Close()
-	}
-}
-
 // FrameHeaderLen is the datagram preamble shared by the CBR and
 // adaptive workloads: payload[0:4] holds a big-endian sequence number
 // and payload[4:12] the sender clock's nanoseconds at transmission —
@@ -213,7 +171,7 @@ func parseFrame(payload []byte) (seq uint32, sentAt time.Duration, ok bool) {
 }
 
 // RateController is the datagram half of the runtime's rate seam (the
-// window half is tcpm.Congestion): the paced sender asks it for the
+// window half is tcpm.Reno): the paced sender asks it for the
 // current target rate before every datagram. Implementations must be
 // deterministic and must only be driven from the sender's domain.
 type RateController interface {

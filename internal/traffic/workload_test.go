@@ -152,40 +152,6 @@ func TestEndpointLedger(t *testing.T) {
 	f.Close()
 }
 
-// TestRuntimeSharesEndpoints: a Runtime hands each node exactly one
-// endpoint (so workloads share the node's ICMP dispatcher), totals the
-// ledgers, and releases everything on Close.
-func TestRuntimeSharesEndpoints(t *testing.T) {
-	_, src, dst := gigChain(t)
-	rt := NewRuntime()
-	if rt.At(src) != rt.At(src) {
-		t.Fatal("Runtime.At built two endpoints for one node")
-	}
-	if rt.At(src) == rt.At(dst) {
-		t.Fatal("Runtime.At shared an endpoint across nodes")
-	}
-	if rt.At(src).ICMP() != rt.At(src).ICMP() {
-		t.Fatal("shared endpoint rebuilt its ICMP dispatcher")
-	}
-	sink := func([]byte) {}
-	if err := rt.At(src).ListenUDP(7000, sink); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.At(dst).ListenUDP(7000, sink); err != nil {
-		t.Fatal(err)
-	}
-	if rt.Open() != 3 { // two UDP ports + src's ICMP dispatcher
-		t.Fatalf("runtime ledger = %d, want 3", rt.Open())
-	}
-	rt.Close()
-	if rt.Open() != 0 {
-		t.Fatalf("runtime ledger = %d after Close", rt.Open())
-	}
-	if got := src.StackListeners() + dst.StackListeners(); got != 0 {
-		t.Fatalf("%d registrations survived runtime Close", got)
-	}
-}
-
 func TestFrameRoundTrip(t *testing.T) {
 	buf := make([]byte, FrameHeaderLen)
 	putFrame(buf, 0xdeadbeef, 1234567891011)
