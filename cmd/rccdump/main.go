@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"vini/internal/rcc"
 )
@@ -28,24 +27,15 @@ func main() {
 	flag.Parse()
 	var configs []*rcc.RouterConfig
 	if *abilene {
-		files := rcc.AbileneConfigs()
-		names := make([]string, 0, len(files))
-		for n := range files {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			if *emit {
-				fmt.Printf("### %s.conf\n%s\n", n, files[n])
-				continue
-			}
-			c, err := rcc.Parse(files[n])
-			if err != nil {
-				fatal(err)
-			}
-			configs = append(configs, c)
+		var err error
+		if configs, err = rcc.ParseAbilene(); err != nil {
+			fatal(err)
 		}
 		if *emit {
+			files := rcc.AbileneConfigs()
+			for _, c := range configs {
+				fmt.Printf("### %s.conf\n%s\n", c.Hostname, files[c.Hostname])
+			}
 			return
 		}
 	} else {

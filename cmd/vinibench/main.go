@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -373,19 +372,9 @@ func bar(pct float64) string {
 
 func fig7() error {
 	fmt.Println("Abilene topology as extracted from router configurations (Figure 7)")
-	files := rcc.AbileneConfigs()
-	codes := make([]string, 0, len(files))
-	for code := range files {
-		codes = append(codes, code)
-	}
-	sort.Strings(codes)
-	var configs []*rcc.RouterConfig
-	for _, code := range codes {
-		c, err := rcc.Parse(files[code])
-		if err != nil {
-			return err
-		}
-		configs = append(configs, c)
+	configs, err := rcc.ParseAbilene()
+	if err != nil {
+		return err
 	}
 	if probs := rcc.Check(configs); len(probs) > 0 {
 		return fmt.Errorf("configuration faults: %v", probs)

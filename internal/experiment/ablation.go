@@ -6,16 +6,11 @@ import (
 	"time"
 
 	"vini/internal/bgp"
-	"vini/internal/core"
 	"vini/internal/netem"
 	"vini/internal/sim"
 	"vini/internal/topology"
 	"vini/internal/traffic"
 )
-
-func mustA(s string) netip.Addr { return netip.MustParseAddr(s) }
-
-func netemPlanetLabProfile() netem.Profile { return netem.PlanetLabProfile() }
 
 // The ablations isolate the design choices DESIGN.md calls out: which
 // of PL-VINI's two scheduler knobs buys what (Section 4.1.2), how the
@@ -29,28 +24,6 @@ type IsolationRow struct {
 	Mbps     float64
 	PingMdev float64
 	PingMax  float64
-}
-
-// planetlabSliceCustom embeds the 3-node overlay with explicit knobs.
-func planetlabSliceCustom(v *core.VINI, share float64, rt bool) (*core.Slice, error) {
-	s, err := v.CreateSlice(core.SliceConfig{Name: "iias", CPUShare: share, RT: rt})
-	if err != nil {
-		return nil, err
-	}
-	for _, n := range []string{topology.Chicago, topology.NewYork, topology.Washington} {
-		if _, err := s.AddVirtualNode(n); err != nil {
-			return nil, err
-		}
-	}
-	if _, err := s.ConnectVirtual(topology.Chicago, topology.NewYork, 1); err != nil {
-		return nil, err
-	}
-	if _, err := s.ConnectVirtual(topology.NewYork, topology.Washington, 1); err != nil {
-		return nil, err
-	}
-	s.StartOSPF(time.Second, 3*time.Second)
-	v.Run(v.Loop().Now() + 15*time.Second)
-	return s, nil
 }
 
 // CPUIsolationAblation decomposes PL-VINI's gain over the default share
@@ -73,7 +46,7 @@ func CPUIsolationAblation(seed int64, duration time.Duration, pings int) ([]Isol
 	for _, cfg := range configs {
 		// Throughput leg.
 		v, chi, was := planetlabNet(seed)
-		s, err := planetlabSliceCustom(v, cfg.share, cfg.rt)
+		s, err := planetlabSliceWith(v, cfg.share, cfg.rt)
 		if err != nil {
 			return nil, err
 		}
@@ -89,7 +62,7 @@ func CPUIsolationAblation(seed int64, duration time.Duration, pings int) ([]Isol
 		row := IsolationRow{Name: cfg.name, Mbps: test.Mbps()}
 		// Latency leg (fresh deployment so the iperf load does not skew it).
 		v2, chi2, was2 := planetlabNet(seed + 1)
-		s2, err := planetlabSliceCustom(v2, cfg.share, cfg.rt)
+		s2, err := planetlabSliceWith(v2, cfg.share, cfg.rt)
 		if err != nil {
 			return nil, err
 		}
@@ -120,10 +93,10 @@ type BufferRow struct {
 func SocketBufferAblation(seed int64, bufsKB []int, duration time.Duration) ([]BufferRow, error) {
 	var out []BufferRow
 	for i, kb := range bufsKB {
-		prof := netemPlanetLabProfile()
+		prof := netem.PlanetLabProfile()
 		prof.SocketBuf = kb << 10
 		v, chi, was := planetlabNetProf(seed+int64(i)*13, prof)
-		s, err := planetlabSliceCustom(v, 1.0/40, false)
+		s, err := planetlabSliceWith(v, 1.0/40, false)
 		if err != nil {
 			return nil, err
 		}
@@ -200,7 +173,7 @@ type MuxRow struct {
 func BGPMuxAblation(nExperiments int) (MuxRow, error) {
 	loop := sim.NewLoop(1)
 	mux := bgp.NewMux(loop, bgp.MuxConfig{ASN: 64600, RouterID: 1,
-		NextHopSelf: mustA("198.32.154.1"), HoldTime: 30 * time.Second})
+		NextHopSelf: netip.MustParseAddr("198.32.154.1"), HoldTime: 30 * time.Second})
 	for i := 0; i < nExperiments; i++ {
 		block := netip.PrefixFrom(netip.AddrFrom4([4]byte{198, 32, byte(i * 16), 0}), 20)
 		if err := mux.Register(fmt.Sprintf("exp%d", i), block, 1, 2); err != nil {

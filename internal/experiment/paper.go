@@ -244,12 +244,16 @@ func planetlabNetProf(seed int64, prof netem.Profile) (*core.VINI, *netem.Node, 
 // planetlabSlice embeds the 3-node IIAS overlay with the mode's CPU
 // configuration and waits for OSPF to converge.
 func planetlabSlice(v *core.VINI, mode Mode) (*core.Slice, error) {
-	cfg := core.SliceConfig{Name: "iias"}
 	if mode == ModePLVINI {
-		cfg.CPUShare = 0.25
-		cfg.RT = true
+		return planetlabSliceWith(v, 0.25, true)
 	}
-	s, err := v.CreateSlice(cfg)
+	return planetlabSliceWith(v, 0, false)
+}
+
+// planetlabSliceWith is planetlabSlice with the two CPU knobs explicit
+// (share 0 is the default fair share).
+func planetlabSliceWith(v *core.VINI, share float64, rt bool) (*core.Slice, error) {
+	s, err := v.CreateSlice(core.SliceConfig{Name: "iias", CPUShare: share, RT: rt})
 	if err != nil {
 		return nil, err
 	}
@@ -424,22 +428,9 @@ type AbileneExperiment struct {
 // NewAbilene builds the experiment from the embedded Abilene router
 // configurations and runs until the overlay's OSPF converges.
 func NewAbilene(seed int64) (*AbileneExperiment, error) {
-	// Parse in sorted key order: BuildTopology numbers nodes (and so the
-	// executor numbers domains) in config order, and map iteration order
-	// would make same-seed runs diverge.
-	files := rcc.AbileneConfigs()
-	codes := make([]string, 0, len(files))
-	for code := range files {
-		codes = append(codes, code)
-	}
-	sort.Strings(codes)
-	var configs []*rcc.RouterConfig
-	for _, code := range codes {
-		rc, err := rcc.Parse(files[code])
-		if err != nil {
-			return nil, fmt.Errorf("config %s: %w", code, err)
-		}
-		configs = append(configs, rc)
+	configs, err := rcc.ParseAbilene()
+	if err != nil {
+		return nil, err
 	}
 	g, err := rcc.BuildTopology(configs)
 	if err != nil {

@@ -394,7 +394,7 @@ func (sp *Spec) Run() (*Result, error) {
 		if !ok {
 			addr = fmt.Sprintf("198.51.100.%d", i+1)
 		}
-		if _, err := v.AddNode(n, mustAddr(addr), netem.PlanetLabProfile(), sched.Options{}); err != nil {
+		if _, err := v.AddNode(n, netip.MustParseAddr(addr), netem.PlanetLabProfile(), sched.Options{}); err != nil {
 			return nil, err
 		}
 	}
@@ -623,5 +623,3 @@ func (sp *Spec) Run() (*Result, error) {
 	}
 	return res, nil
 }
-
-func mustAddr(s string) netip.Addr { return netip.MustParseAddr(s) }

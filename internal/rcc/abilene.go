@@ -62,6 +62,28 @@ func AbileneConfigs() map[string]string {
 	return out
 }
 
+// ParseAbilene parses the AbileneConfigs in sorted router-code order.
+// The order is part of the result: BuildTopology numbers nodes (and so
+// the executor numbers domains) in config order, and map iteration order
+// would make same-seed runs diverge.
+func ParseAbilene() ([]*RouterConfig, error) {
+	files := AbileneConfigs()
+	codes := make([]string, 0, len(files))
+	for code := range files {
+		codes = append(codes, code)
+	}
+	sort.Strings(codes)
+	configs := make([]*RouterConfig, 0, len(codes))
+	for _, code := range codes {
+		rc, err := Parse(files[code])
+		if err != nil {
+			return nil, fmt.Errorf("config %s: %w", code, err)
+		}
+		configs = append(configs, rc)
+	}
+	return configs, nil
+}
+
 // PopForCode inverts topology.AbileneRouterCode.
 func PopForCode(code string) (string, bool) {
 	for pop, c := range topology.AbileneRouterCode {
