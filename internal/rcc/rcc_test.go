@@ -106,19 +106,20 @@ func TestCheckFindsFaults(t *testing.T) {
 
 func TestAbileneConfigsRoundTrip(t *testing.T) {
 	files := AbileneConfigs()
-	if len(files) != 11 {
-		t.Fatalf("configs = %d, want 11", len(files))
+	configs, err := ParseAbilene()
+	if err != nil {
+		t.Fatal(err)
 	}
-	var configs []*RouterConfig
-	for code, text := range files {
-		rc, err := Parse(text)
-		if err != nil {
-			t.Fatalf("%s: %v", code, err)
+	if len(files) != 11 || len(configs) != 11 {
+		t.Fatalf("%d files parsed into %d configs, want 11 of each", len(files), len(configs))
+	}
+	for i, rc := range configs {
+		if _, ok := files[rc.Hostname]; !ok {
+			t.Fatalf("hostname %q names no config file", rc.Hostname)
 		}
-		if rc.Hostname != code {
-			t.Fatalf("hostname %q for file %q", rc.Hostname, code)
+		if i > 0 && configs[i-1].Hostname >= rc.Hostname {
+			t.Fatalf("configs out of router-code order: %q before %q", configs[i-1].Hostname, rc.Hostname)
 		}
-		configs = append(configs, rc)
 	}
 	if probs := Check(configs); len(probs) != 0 {
 		t.Fatalf("generated configs have faults: %v", probs)
