@@ -144,7 +144,8 @@ func (w *Network) AddLink(cfg LinkConfig) (*Link, error) {
 	if cfg.QueueBytes <= 0 {
 		cfg.QueueBytes = 256 << 10
 	}
-	// The IGP metric: hop count first, propagation delay as the tie-break.
+	// The IGP metric: propagation delay in microseconds, plus one so that
+	// hop count breaks ties and a zero-delay link still costs something.
 	if err := w.graph.AddLink(topology.Link{A: cfg.A, B: cfg.B,
 		CostAB: uint32(cfg.Delay/time.Microsecond) + 1,
 		Delay:  cfg.Delay, Bandwidth: cfg.Bandwidth}); err != nil {
@@ -283,9 +284,9 @@ func (w *Network) Severed(a, b string) bool {
 }
 
 // ComputeRoutes fills every node's kernel routing table with shortest
-// paths over the current physical topology (hop count metric, delay as
-// tie-break via cost scaling). Host routes are installed for every node
-// address (/32), modelling the substrate's IGP.
+// paths over the current physical topology (AddLink sets the metric).
+// Host routes are installed for every node address (/32), modelling the
+// substrate's IGP.
 func (w *Network) ComputeRoutes() {
 	for _, name := range w.order {
 		n := w.nodes[name]

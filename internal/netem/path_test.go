@@ -15,7 +15,8 @@ import (
 
 // reference rebuilds the substrate graph and its down set from the
 // network's public view alone: what Path must agree with.
-func reference(w *Network) (*topology.Graph, map[int]bool) {
+func reference(t *testing.T, w *Network) (*topology.Graph, map[int]bool) {
+	t.Helper()
 	g := topology.New()
 	for _, n := range w.Nodes() {
 		g.AddNode(n)
@@ -23,7 +24,9 @@ func reference(w *Network) (*topology.Graph, map[int]bool) {
 	down := map[int]bool{}
 	for i, l := range w.Links() {
 		cfg := l.Config()
-		g.AddLink(topology.Link{A: cfg.A, B: cfg.B, CostAB: uint32(cfg.Delay/time.Microsecond) + 1, Delay: cfg.Delay})
+		if err := g.AddLink(topology.Link{A: cfg.A, B: cfg.B, CostAB: uint32(cfg.Delay/time.Microsecond) + 1, Delay: cfg.Delay}); err != nil {
+			t.Fatal(err)
+		}
 		if l.Down() {
 			down[i] = true
 		}
@@ -51,7 +54,7 @@ func TestPathFollowsTheSubstrate(t *testing.T) {
 	}
 	checkAll := func(when string) {
 		t.Helper()
-		g, down := reference(w)
+		g, down := reference(t, w)
 		for _, from := range ring {
 			for _, to := range ring {
 				if got, want := w.Path(from, to), g.ShortestPaths(from, down)[to].Hops; !slices.Equal(got, want) {
@@ -149,7 +152,7 @@ func TestKernelsWalkPath(t *testing.T) {
 			}
 		}
 		w.ComputeRoutes()
-		g, down := reference(w)
+		g, down := reference(t, w)
 		for _, a := range names {
 			live := g.ShortestPaths(a, down)
 			for _, b := range names {
