@@ -3,6 +3,7 @@ package fib
 import (
 	"encoding/binary"
 	"net/netip"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -387,5 +388,52 @@ func TestPrefixTextLessMatchesStringOrder(t *testing.T) {
 	p, q := pfx("10.1.2.0/24"), pfx("10.1.128.0/17")
 	if n := testing.AllocsPerRun(100, func() { PrefixTextLess(p, q) }); n != 0 {
 		t.Fatalf("PrefixTextLess allocates %.0f objects per comparison, want 0", n)
+	}
+}
+
+// TestRecompileIsFourObjects pins what one real route change costs the
+// next Lookup: the compiled table (its header and three flat arrays),
+// whatever the table holds. The small table is shaped like a scale-world
+// vnode FIB, the large one is the table the benchmark's fib.install_ns
+// probe flips a route of.
+func TestRecompileIsFourObjects(t *testing.T) {
+	vnode := []Route{
+		{Prefix: pfx("10.0.0.0/8"), NextHop: addr("10.7.1.2"), OutPort: 1},
+		{Prefix: pfx("10.7.1.1/32"), OutPort: 0}, // our end of the first link, to the tap
+	}
+	for i := 1; i <= 18; i++ { // one /30 per virtual link, each under its own third byte
+		vnode = append(vnode, Route{Prefix: netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 7, byte(i), 0}), 30),
+			NextHop: addr("10.7.1.2"), OutPort: 1, Metric: uint32(i)})
+	}
+	probe := []Route{{Prefix: pfx("10.200.0.0/16")}}
+	for i := 0; i < 1024; i++ {
+		probe = append(probe, Route{Prefix: netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 4), byte(i << 4), 0}), 20)})
+	}
+	for _, set := range [][]Route{vnode, probe} {
+		tb := New()
+		tb.Replace("rib", set)
+		dst, hops := addr("10.1.2.3"), [2]netip.Addr{addr("10.7.1.2"), addr("10.7.1.6")}
+		i := 0
+		flip := func() {
+			i++
+			set[len(set)-1].NextHop = hops[i&1]
+			tb.Replace("rib", set)
+			tb.Lookup(dst)
+		}
+		if n := testing.AllocsPerRun(50, flip); n > 5 {
+			t.Errorf("%d routes: a route flip and the lookup after it allocate %.0f objects, want at most 5", len(set), n)
+		}
+		const flips = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for j := 0; j < flips; j++ {
+			flip()
+		}
+		runtime.ReadMemStats(&after)
+		// 4 KB for the 20-route table, scaled by the route count.
+		got, max := (after.TotalAlloc-before.TotalAlloc)/flips, uint64(len(set))*(4<<10)/20
+		if got > max {
+			t.Errorf("%d routes: a route flip and the lookup after it allocate %d bytes, want at most %d", len(set), got, max)
+		}
 	}
 }
