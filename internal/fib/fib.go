@@ -8,6 +8,7 @@ package fib
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"net/netip"
 	"sort"
 	"strings"
@@ -69,11 +70,18 @@ type entry struct {
 // concurrent use: the live overlay looks up from socket readers while the
 // routing process updates routes.
 //
-// Mutations go to an exact binary trie under the mutex; lookups go to an
-// immutable stride-8 multibit trie compiled lazily from it (lock-free via
-// atomic pointer, rebuilt when the version counter moves). Updates are
-// control-plane rare, lookups are per-packet, so the data plane never
-// contends with XORP installing routes.
+// Mutations go to an exact binary trie under the mutex, which holds no
+// node without a route on or under it; lookups go to an immutable
+// stride-8 multibit trie compiled lazily from it (lock-free via atomic
+// pointer, rebuilt when the version counter moves), so the data plane
+// never contends with XORP installing routes. A virtual router's table is
+// ten to thirty routes and is recompiled after every real route change, of
+// which a flapping world has thousands per second across its routers, so
+// the compiled form is sized for the rebuild, not only the lookup: three
+// flat arrays (see ctable) whose per-node child and slot arrays are
+// bitmaps ranked by popcount. A recompile is four objects whatever the
+// table holds, and nothing in them but the Route strings is a pointer the
+// collector has to follow.
 type Table struct {
 	mu   sync.RWMutex
 	root node
@@ -148,21 +156,55 @@ func (t *Table) Remove(prefix netip.Prefix) bool {
 	prefix = prefix.Masked()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := &t.root
-	a := prefix.Addr().As4()
-	for i := 0; i < prefix.Bits(); i++ {
-		n = n.children[addrBit(a, i)]
-		if n == nil {
-			return false
-		}
-	}
-	if n.route == nil {
+	if !t.root.remove(prefix.Addr().As4(), 0, prefix.Bits()) {
 		return false
 	}
-	n.route = nil
 	t.n--
 	t.version.Add(1)
 	return true
+}
+
+// remove withdraws the route bits-i levels under n along a, unlinking the
+// nodes that leaves empty on the way back up.
+func (n *node) remove(a [4]byte, i, bits int) bool {
+	if i == bits {
+		had := n.route != nil
+		n.route = nil
+		return had
+	}
+	b := addrBit(a, i)
+	ch := n.children[b]
+	if ch == nil || !ch.remove(a, i+1, bits) {
+		return false
+	}
+	if ch.empty() {
+		n.children[b] = nil
+	}
+	return true
+}
+
+func (n *node) empty() bool {
+	return n.route == nil && n.children[0] == nil && n.children[1] == nil
+}
+
+// withdraw removes every route under n that drop names and unlinks the
+// nodes that leaves empty, returning the number of routes removed.
+func (n *node) withdraw(drop func(*entry) bool) int {
+	removed := 0
+	if n.route != nil && drop(n.route) {
+		n.route = nil
+		removed++
+	}
+	for b, ch := range n.children {
+		if ch == nil {
+			continue
+		}
+		removed += ch.withdraw(drop)
+		if ch.empty() {
+			n.children[b] = nil
+		}
+	}
+	return removed
 }
 
 // Lookup returns the longest-prefix-match route for dst. The hot path is
@@ -230,98 +272,148 @@ func (t *Table) VerifyCompiled(addrs []netip.Addr) error {
 	return nil
 }
 
-// ctable is an immutable stride-8 multibit trie: one level per address
-// byte, with prefixes whose length is not a multiple of 8 expanded across
-// the covered slots at build time (controlled prefix expansion).
+// ctable is an immutable stride-8 multibit trie in three flat arrays: one
+// level per address byte, with the prefixes that end 1 to 8 bits under a
+// node expanded across the byte values they cover at build time
+// (controlled prefix expansion) over the best match from the levels
+// above, so the answer is one slot of the last node a lookup reaches. The
+// 256 child pointers and 256 expanded slots of a level are not stored: a
+// node keeps a bitmap of each and ranks into an array of only the entries
+// present, after Poptrie (Asai & Ohara, SIGCOMM 2015).
 type ctable struct {
 	version uint64
-	root    cnode
+	nodes   []cnode  // nodes[0] is the root; a node's children are contiguous
+	runs    []uint32 // index+1 into routes, 0 for no route
+	routes  []Route
 }
 
 type cnode struct {
-	// def is the route whose prefix ends exactly at this node's depth
-	// (length ≡ 0 mod 8), the fallback for every slot.
-	def *Route
-	// routes[i] is the longest expanded route with 1–8 more bits matching
-	// byte value i at this level.
-	routes [256]*Route
-	// children[i] descends to the next byte's level.
-	children [256]*cnode
-}
-
-func (c *ctable) insert(r *Route) {
-	a := r.Prefix.Addr().As4()
-	bits := r.Prefix.Bits()
-	n := &c.root
-	d := 0
-	for ; (d+1)*8 <= bits; d++ {
-		b := a[d]
-		if n.children[b] == nil {
-			n.children[b] = &cnode{}
-		}
-		n = n.children[b]
-	}
-	rem := bits - d*8
-	if rem == 0 {
-		n.def = r
-		return
-	}
-	// Expand the partial byte: every slot sharing the top rem bits.
-	base := int(a[d] & (0xff << (8 - rem)))
-	for i := 0; i < 1<<(8-rem); i++ {
-		if ex := n.routes[base+i]; ex == nil || ex.Prefix.Bits() < bits {
-			n.routes[base+i] = r
-		}
-	}
+	// kids has bit b set when byte value b descends to the next level, to
+	// nodes[kid0 + number of kids bits below b].
+	kids [4]uint64
+	// starts has bit b set where the expanded slot array changes value
+	// (bit 0 always): slot b reads runs[run0 + number of starts bits
+	// through b - 1].
+	starts     [4]uint64
+	kid0, run0 uint32
 }
 
 func (c *ctable) lookup(a [4]byte) *Route {
-	var best *Route
-	n := &c.root
-	for i := 0; i < 4; i++ {
-		if n.def != nil {
-			best = n.def
+	n := &c.nodes[0]
+	for _, b := range a {
+		// Shifted so that bit b is the top one and the bits above it are gone.
+		w, up := int(b>>6), 63-uint(b&63)
+		kids := n.kids[w] << up
+		if kids>>63 == 0 {
+			if r := c.runs[int(n.run0)+rank(&n.starts, w, n.starts[w]<<up)-1]; r != 0 {
+				return &c.routes[r-1]
+			}
+			break
 		}
-		b := a[i]
-		if r := n.routes[b]; r != nil {
-			best = r
-		}
-		if n.children[b] == nil {
-			return best
-		}
-		n = n.children[b]
+		n = &c.nodes[int(n.kid0)+rank(&n.kids, w, kids<<1)]
 	}
-	if n.def != nil { // /32 routes live at depth 4
-		best = n.def
+	return nil // a fourth-level node has no children: the loop ends in the break
+}
+
+// rank counts the bits of top and of the words of bm before w.
+func rank(bm *[4]uint64, w int, top uint64) int {
+	n := bits.OnesCount64(top)
+	for w--; w >= 0; w-- {
+		n += bits.OnesCount64(bm[w&3]) // w&3 is w, without the bounds check
 	}
-	return best
+	return n
 }
 
 // recompile rebuilds the stride-8 trie from the binary trie under the
-// write lock (double-checked, so concurrent lookups build it once).
+// write lock (double-checked, so concurrent lookups build it once). The
+// arrays are sized from the table they replace, so a rebuild after a
+// route flip is exactly four allocations.
 func (t *Table) recompile() *ctable {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	v := t.version.Load()
-	if c := t.compiled.Load(); c != nil && c.version == v {
-		return c
+	old := t.compiled.Load()
+	if old != nil && old.version == v {
+		return old
 	}
-	c := &ctable{version: v}
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n == nil {
-			return
-		}
-		if n.route != nil {
-			rc := n.route.Route
-			c.insert(&rc)
-		}
-		walk(n.children[0])
-		walk(n.children[1])
+	nodes, runs := 1, 0
+	if old != nil {
+		nodes, runs = len(old.nodes), len(old.runs)
 	}
-	walk(&t.root)
+	c := &ctable{
+		version: v,
+		nodes:   make([]cnode, 1, nodes),
+		runs:    make([]uint32, 0, runs),
+		routes:  make([]Route, 0, t.n),
+	}
+	fill := uint32(0)
+	if t.root.route != nil {
+		c.routes = append(c.routes, t.root.route.Route)
+		fill = 1
+	}
+	c.compile(0, &t.root, fill)
 	t.compiled.Store(c)
 	return c
+}
+
+// compile fills nodes[at] from n, a binary-trie node on a byte boundary,
+// and then the nodes under it. fill is the best match down to n, n's own
+// route included.
+func (c *ctable) compile(at int, n *node, fill uint32) {
+	var slot [256]uint32
+	var kid [256]*node
+	for b := range slot {
+		slot[b] = fill
+	}
+	for b, ch := range n.children {
+		if ch != nil {
+			c.expand(ch, 1, b<<7, &slot, &kid)
+		}
+	}
+	cn := cnode{kid0: uint32(len(c.nodes)), run0: uint32(len(c.runs))}
+	for b, r := range slot {
+		if b == 0 || r != slot[b-1] {
+			cn.starts[b>>6] |= 1 << (b & 63)
+			c.runs = append(c.runs, r)
+		}
+		if kid[b] != nil {
+			cn.kids[b>>6] |= 1 << (b & 63)
+			c.nodes = append(c.nodes, cnode{})
+		}
+	}
+	c.nodes[at] = cn
+	at = int(cn.kid0)
+	for b, k := range kid {
+		if k != nil {
+			c.compile(at, k, slot[b])
+			at++
+		}
+	}
+}
+
+// expand writes n, depth bits under a byte boundary and first of the byte
+// values from lo, and what is under it into slot: a route covers
+// 256>>depth values, and a longer one, reached later, overwrites it. The
+// nodes a whole byte down that have anything under them go into kid.
+func (c *ctable) expand(n *node, depth, lo int, slot *[256]uint32, kid *[256]*node) {
+	span := 256 >> depth
+	if n.route != nil {
+		c.routes = append(c.routes, n.route.Route)
+		for i := lo; i < lo+span; i++ {
+			slot[i] = uint32(len(c.routes))
+		}
+	}
+	if depth == 8 {
+		if n.children[0] != nil || n.children[1] != nil {
+			kid[lo] = n
+		}
+		return
+	}
+	for b, ch := range n.children {
+		if ch != nil {
+			c.expand(ch, depth+1, lo+b*span/2, slot, kid)
+		}
+	}
 }
 
 // CorruptCompiledForTest flips the output port of every route in the
@@ -334,34 +426,10 @@ func (t *Table) recompile() *ctable {
 func (t *Table) CorruptCompiledForTest() int {
 	t.Lookup(netip.AddrFrom4([4]byte{0, 0, 0, 0})) // force compilation at the current version
 	c := t.compiled.Load()
-	if c == nil {
-		return 0
+	for i := range c.routes {
+		c.routes[i].OutPort ^= 0x40
 	}
-	var corrupt func(n *cnode) int
-	corrupt = func(n *cnode) int {
-		cnt := 0
-		if n.def != nil {
-			bad := *n.def
-			bad.OutPort ^= 0x40
-			n.def = &bad
-			cnt++
-		}
-		for i, r := range n.routes {
-			if r != nil {
-				bad := *r
-				bad.OutPort ^= 0x40
-				n.routes[i] = &bad
-				cnt++
-			}
-		}
-		for _, ch := range n.children {
-			if ch != nil {
-				cnt += corrupt(ch)
-			}
-		}
-		return cnt
-	}
-	return corrupt(&c.root)
+	return len(c.routes)
 }
 
 // RemoveOwner deletes every route installed by owner, returning the count.
@@ -370,22 +438,9 @@ func (t *Table) CorruptCompiledForTest() int {
 func (t *Table) RemoveOwner(owner string) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	removed := 0
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n == nil {
-			return
-		}
-		if n.route != nil && n.route.Owner == owner {
-			n.route = nil
-			t.n--
-			removed++
-		}
-		walk(n.children[0])
-		walk(n.children[1])
-	}
-	walk(&t.root)
+	removed := t.root.withdraw(func(e *entry) bool { return e.Owner == owner })
 	if removed > 0 {
+		t.n -= removed
 		t.version.Add(1)
 	}
 	return removed
@@ -450,20 +505,10 @@ func (t *Table) Replace(owner string, rs []Route) {
 		}
 		n.route.seen = t.epoch
 	}
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n == nil {
-			return
-		}
-		if n.route != nil && n.route.Owner == owner && n.route.seen != t.epoch {
-			n.route = nil
-			t.n--
-			changed = true
-		}
-		walk(n.children[0])
-		walk(n.children[1])
+	if removed := t.root.withdraw(func(e *entry) bool { return e.Owner == owner && e.seen != t.epoch }); removed > 0 {
+		t.n -= removed
+		changed = true
 	}
-	walk(&t.root)
 	if changed {
 		t.version.Add(1)
 	}
