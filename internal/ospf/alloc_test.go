@@ -118,6 +118,37 @@ func TestHelloTickZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestOriginateTwoListAllocations: a router's own LSA is built at its
+// final size, a stub per interface and a link per Full neighbour, so an
+// origination allocates its two lists and nothing for growing them.
+func TestOriginateTwoListAllocations(t *testing.T) {
+	loop := sim.NewLoop(1)
+	r := New(sim.NewTimerGroup(loop), Config{RouterID: 1, Hello: time.Second, Dead: time.Hour,
+		Stubs: []StubDesc{stub("10.0.0.1/32")}}, discardTransport{})
+	const ifaces = 6
+	for i := 0; i < ifaces; i++ {
+		if err := r.AddInterface(Interface{Index: i, Addr: netip.AddrFrom4([4]byte{10, 1, byte(i), 1}),
+			Prefix: netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 1, byte(i), 0}), 30), Cost: 5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.Start()
+	for i := 0; i < ifaces; i++ {
+		hello := MarshalHello(uint32(2+i), Hello{HelloInterval: 1, DeadInterval: 3600, Neighbors: []uint32{1}})
+		for j := 0; j < 2; j++ { // Down -> Init -> Full
+			if err := r.Receive(i, netip.AddrFrom4([4]byte{10, 1, byte(i), 2}), hello); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, r.originate); allocs != 2 {
+		t.Errorf("originate on %d Full interfaces: %.0f allocs, want 2 (Stubs and Links)", ifaces, allocs)
+	}
+	if own := r.lsdb[1]; len(own.Links) != ifaces || len(own.Stubs) != 1+ifaces {
+		t.Fatalf("own LSA has %d links and %d stubs", len(own.Links), len(own.Stubs))
+	}
+}
+
 type countTransport struct{ n *int }
 
 func (c countTransport) SendRouting(int, []byte) { *c.n++ }

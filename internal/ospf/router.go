@@ -493,10 +493,16 @@ func (r *Router) neighborDead(nb *neighbor) {
 // originate rebuilds and floods our router LSA.
 func (r *Router) originate() {
 	r.mySeq++
-	lsa := LSA{Origin: r.cfg.RouterID, Seq: r.mySeq, Stubs: append([]StubDesc(nil), r.cfg.Stubs...)}
+	// Both lists at their final size: one allocation each, not one per
+	// doubling on the way to the interface count.
+	lsa := LSA{Origin: r.cfg.RouterID, Seq: r.mySeq,
+		Stubs: append(make([]StubDesc, 0, len(r.cfg.Stubs)+len(r.ifaces)), r.cfg.Stubs...)}
 	// Advertise interface subnets as stubs plus links to Full neighbors.
 	for _, nb := range r.neighbors {
 		if nb.state == nFull {
+			if lsa.Links == nil {
+				lsa.Links = make([]LinkDesc, 0, len(r.ifaces))
+			}
 			lsa.Links = append(lsa.Links, LinkDesc{NeighborID: nb.id, Cost: nb.ifc.Cost})
 		}
 	}
