@@ -99,13 +99,11 @@ func runTableOps(t *testing.T, data []byte) {
 			first := binary.BigEndian.Uint32(p.Addr().AsSlice())
 			last := first | uint32(1<<(32-p.Bits())-1)
 			for _, u := range [...]uint32{first, last, first - 1, last + 1} {
-				probes = append(probes, netip.AddrFrom4([4]byte{byte(u >> 24), byte(u >> 16), byte(u >> 8), byte(u)}))
+				probes = append(probes, addrOf(u))
 			}
 		}
 		for i := 0; i < 64; i++ {
-			var a [4]byte
-			binary.BigEndian.PutUint32(a[:], rng.Uint32())
-			probes = append(probes, netip.AddrFrom4(a))
+			probes = append(probes, addrOf(rng.Uint32()))
 		}
 		if err := tb.VerifyCompiled(probes); err != nil {
 			t.Fatalf("step %d: %v", step, err)
@@ -123,6 +121,12 @@ func runTableOps(t *testing.T, data []byte) {
 			}
 		}
 	}
+}
+
+func addrOf(u uint32) netip.Addr {
+	var a [4]byte
+	binary.BigEndian.PutUint32(a[:], u)
+	return netip.AddrFrom4(a)
 }
 
 // checkPruned fails if any node under n has neither a route nor children.
@@ -176,9 +180,7 @@ func TestEmptiedTrieIsPruned(t *testing.T) {
 	owners := [...]string{"static", "ospf", "rip"}
 	var static []netip.Prefix
 	for i := 0; i < 1000; i++ {
-		var a [4]byte
-		binary.BigEndian.PutUint32(a[:], rng.Uint32())
-		r := Route{Prefix: netip.PrefixFrom(netip.AddrFrom4(a), rng.Intn(33)).Masked(), Owner: owners[i%3]}
+		r := Route{Prefix: netip.PrefixFrom(addrOf(rng.Uint32()), rng.Intn(33)).Masked(), Owner: owners[i%3]}
 		tb.Add(r)
 		if r.Owner == "static" {
 			static = append(static, r.Prefix)

@@ -304,15 +304,16 @@ func (c *ctable) lookup(a [4]byte) *Route {
 		// Shifted so that bit b is the top one and the bits above it are gone.
 		w, up := int(b>>6), 63-uint(b&63)
 		kids := n.kids[w] << up
-		if kids>>63 == 0 {
-			if r := c.runs[int(n.run0)+rank(&n.starts, w, n.starts[w]<<up)-1]; r != 0 {
-				return &c.routes[r-1]
+		if kids>>63 == 0 { // b does not descend: its slot here is the answer
+			r := c.runs[int(n.run0)+rank(&n.starts, w, n.starts[w]<<up)-1]
+			if r == 0 {
+				return nil
 			}
-			break
+			return &c.routes[r-1]
 		}
 		n = &c.nodes[int(n.kid0)+rank(&n.kids, w, kids<<1)]
 	}
-	return nil // a fourth-level node has no children: the loop ends in the break
+	return nil // not reached: a fourth-level node has no children
 }
 
 // rank counts the bits of top and of the words of bm before w.
