@@ -15,6 +15,7 @@ import (
 	"vini/internal/sched"
 	"vini/internal/sim"
 	"vini/internal/telemetry"
+	"vini/internal/topology"
 )
 
 // VINI is one deployment of the infrastructure.
@@ -96,6 +97,28 @@ func (v *VINI) AddLink(cfg netem.LinkConfig) (*netem.Link, error) {
 
 // ComputeRoutes converges the substrate's own IP routing.
 func (v *VINI) ComputeRoutes() { v.Net.ComputeRoutes() }
+
+// AddTopology builds a physical substrate in one call: a node per name
+// at addrOf(i, name) on profile prof with the default scheduler, a link
+// per entry of links (its Bandwidth and Delay; costs belong to the
+// overlay), then the substrate's routes. Nodes are created in the order
+// of nodes and links in slice order, because that order — and the RNG
+// pair each link forks — is what every schedule digest pins: a caller
+// whose order is not Graph.Nodes()'s sorted one hands over its own.
+func (v *VINI) AddTopology(nodes []string, links []topology.Link, prof netem.Profile, addrOf func(i int, name string) netip.Addr) error {
+	for i, name := range nodes {
+		if _, err := v.AddNode(name, addrOf(i, name), prof, sched.Options{}); err != nil {
+			return err
+		}
+	}
+	for _, l := range links {
+		if _, err := v.AddLink(netem.LinkConfig{A: l.A, B: l.B, Bandwidth: l.Bandwidth, Delay: l.Delay}); err != nil {
+			return err
+		}
+	}
+	v.ComputeRoutes()
+	return nil
+}
 
 // Run advances virtual time.
 func (v *VINI) Run(until time.Duration) { v.Net.Run(until) }

@@ -8,8 +8,10 @@ import (
 	"time"
 
 	"vini/internal/netem"
+	"vini/internal/ospf"
 	"vini/internal/packet"
 	"vini/internal/sched"
+	"vini/internal/telemetry"
 )
 
 // buildLine stands up a minimal west -- mid -- east substrate.
@@ -468,5 +470,90 @@ func TestReEmbedMovesVirtualLinkOffDeadPath(t *testing.T) {
 	}
 	if !vl.Failed() {
 		t.Fatal("ReEmbed cleared an injected failure")
+	}
+}
+
+// TestRestartOSPFReplacesRouters: a second StartOSPF replaces each
+// virtual node's router instead of leaving the first one speaking under
+// the same router ID with no neighbours, which flaps every adjacency.
+func TestRestartOSPFReplacesRouters(t *testing.T) {
+	const hello = time.Second
+	// run returns the neighbour events and route installs of 60 virtual
+	// seconds, and the hellos heard on the wire over the last 40.
+	run := func(starts int) (neighbor, route, hellos int) {
+		v := buildLine(t, 5)
+		tel := v.EnableTelemetry()
+		s, err := v.CreateSlice(SliceConfig{Name: "twice", CPUShare: 0.25})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []string{"west", "mid", "east"} {
+			if _, err := s.AddVirtualNode(n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, l := range [][2]string{{"west", "mid"}, {"mid", "east"}} {
+			if _, err := s.ConnectVirtual(l[0], l[1], 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		v.Net.OnPacket(func(n *netem.Node, event string, p *packet.Packet) {
+			if event != "recv" || n.Clock().Now() < 20*time.Second {
+				return
+			}
+			// Tunnel datagram: outer IPv4 and UDP around the inner IPv4.
+			var outer, inner packet.IPv4
+			seg, err := outer.Parse(p.Data)
+			if err != nil || outer.Proto != packet.ProtoUDP {
+				return
+			}
+			var u packet.UDP
+			body, err := u.Parse(seg)
+			if err != nil {
+				return
+			}
+			msg, err := inner.Parse(body)
+			if err != nil || inner.Proto != packet.ProtoOSPF {
+				return
+			}
+			if h, _, err := ospf.ParseHeader(msg); err == nil && h.Type == ospf.TypeHello {
+				hellos++
+			}
+		})
+		for i := 0; i < starts; i++ {
+			s.StartOSPF(hello, 3*hello)
+		}
+		v.Run(60 * time.Second)
+		for _, ev := range tel.Rec.Events() {
+			switch ev.Kind {
+			case telemetry.EvNeighbor:
+				neighbor++
+			case telemetry.EvRoute:
+				route++
+			}
+		}
+		for _, from := range s.VirtualNodes() {
+			for _, to := range s.VirtualNodes() {
+				a, _ := s.VirtualNode(from)
+				b, _ := s.VirtualNode(to)
+				if _, ok := a.FIB.Lookup(b.TapAddr); !ok {
+					t.Errorf("%d starts: %s has no route to %s's tap", starts, from, to)
+				}
+			}
+		}
+		return neighbor, route, hellos
+	}
+	n1, r1, h1 := run(1)
+	n2, r2, h2 := run(2)
+	if n1 == 0 || r1 == 0 {
+		t.Fatalf("the single-start run recorded %d neighbour events and %d route installs", n1, r1)
+	}
+	if n2 > 2*n1 || r2 > 2*r1 {
+		t.Errorf("started twice: %d neighbour events and %d route installs, started once %d and %d; a restart may at most double them",
+			n2, r2, n1, r1)
+	}
+	// Four interfaces, one hello each per interval, 40 intervals.
+	if want := 4 * 40; h1 < want-4 || h1 > want+4 || h2 < want-4 || h2 > want+4 {
+		t.Errorf("hellos heard in 40 s on four interfaces: %d started once, %d started twice, want %d of each", h1, h2, want)
 	}
 }

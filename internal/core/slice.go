@@ -9,6 +9,7 @@ import (
 	"vini/internal/ospf"
 	"vini/internal/sim"
 	"vini/internal/telemetry"
+	"vini/internal/topology"
 )
 
 // Slice is one experiment: a set of virtual nodes joined by virtual
@@ -227,6 +228,32 @@ func (s *Slice) ConnectVirtual(a, b string, cost uint32) (*VirtualLink, error) {
 		path: s.vini.Net.Path(a, b)}
 	s.vlinks = append(s.vlinks, vl)
 	return vl, nil
+}
+
+// Mirror embeds the slice one-to-one on a topology: a virtual node on
+// each of nodes and a virtual link at CostAB along each of links, both
+// in the order given, leaving out the nodes in skip and the links that
+// touch them (a spec's spares; nil skips nothing). It starts no routing
+// protocol: the caller does, once, after whatever it configures on the
+// virtual nodes first (EnableEgress, SPFDelay).
+func (s *Slice) Mirror(nodes []string, links []topology.Link, skip map[string]bool) error {
+	for _, n := range nodes {
+		if skip[n] {
+			continue
+		}
+		if _, err := s.AddVirtualNode(n); err != nil {
+			return err
+		}
+	}
+	for _, l := range links {
+		if skip[l.A] || skip[l.B] {
+			continue
+		}
+		if _, err := s.ConnectVirtual(l.A, l.B, l.CostAB); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // FindVirtualLink locates the virtual link between two virtual nodes.
