@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"vini"
 	"vini/internal/core"
 	"vini/internal/packet"
 	"vini/internal/topology"
@@ -55,9 +56,9 @@ func churnExp() error {
 	links := topology.Abilene().Links()
 	var prevFired uint64
 	for c := 0; c < cycles; c++ {
-		s, err := mirrorAbilene(v, core.SliceConfig{
+		s, err := vini.MirrorAbilene(v, core.SliceConfig{
 			Name: fmt.Sprintf("churn%d", c), CPUShare: 0.25, RT: true,
-			ExposePhysicalFailures: true})
+			ExposePhysicalFailures: true}, 5*time.Second, 10*time.Second)
 		if err != nil {
 			return err
 		}

@@ -9,8 +9,8 @@ import (
 	"vini/internal/core"
 	"vini/internal/netem"
 	"vini/internal/packet"
-	"vini/internal/sched"
 	"vini/internal/telemetry"
+	"vini/internal/topology"
 )
 
 // migBenchPort carries the fixed-rate probe stream the blackout
@@ -127,34 +127,25 @@ func migrateArm(naive bool, warm, total int) (migrateRow, error) {
 	}
 	row := migrateRow{Mode: mode, Sent: total}
 	v := core.New(*seedFlag)
-	for i, n := range []string{"west", "mid", "east", "spare"} {
-		a := netip.AddrFrom4([4]byte{198, 51, 100, byte(i + 1)})
-		if _, err := v.AddNode(n, a, netem.DETERProfile(), sched.Options{}); err != nil {
-			return row, err
-		}
-	}
+	nodes := []string{"west", "mid", "east", "spare"}
+	var links []topology.Link
 	for _, l := range [][2]string{{"west", "mid"}, {"mid", "east"}, {"west", "spare"}, {"spare", "east"}} {
-		if _, err := v.AddLink(netem.LinkConfig{A: l[0], B: l[1],
-			Bandwidth: 1e9, Delay: time.Millisecond}); err != nil {
-			return row, err
-		}
+		links = append(links, topology.Link{A: l[0], B: l[1], CostAB: 1, Bandwidth: 1e9, Delay: time.Millisecond})
 	}
-	v.ComputeRoutes()
+	if err := v.AddTopology(nodes, links, netem.DETERProfile(), func(i int, _ string) netip.Addr {
+		return netip.AddrFrom4([4]byte{198, 51, 100, byte(i + 1)})
+	}); err != nil {
+		return row, err
+	}
 	tel := v.EnableTelemetry()
 	base := packet.Stats()
 	s, err := v.CreateSlice(core.SliceConfig{Name: "mig", CPUShare: 0.25, RT: true})
 	if err != nil {
 		return row, err
 	}
-	for _, n := range []string{"west", "mid", "east"} {
-		if _, err := s.AddVirtualNode(n); err != nil {
-			return row, err
-		}
-	}
-	for _, l := range [][2]string{{"west", "mid"}, {"mid", "east"}} {
-		if _, err := s.ConnectVirtual(l[0], l[1], 1); err != nil {
-			return row, err
-		}
+	// The spare stays out of the overlay: the migration's target.
+	if err := s.Mirror(nodes, links, map[string]bool{"spare": true}); err != nil {
+		return row, err
 	}
 	s.StartOSPF(time.Second, 3*time.Second)
 	loop := v.Loop()
@@ -165,7 +156,7 @@ func migrateArm(naive bool, warm, total int) (migrateRow, error) {
 	// core.New runs every domain on one worker, so a plain slice
 	// indexed by sequence number is race-free here.
 	delivered := make([]int, total)
-	for _, n := range []string{"west", "mid", "east", "spare"} {
+	for _, n := range nodes {
 		node, ok := v.Net.Node(n)
 		if !ok {
 			return row, fmt.Errorf("no node %s", n)

@@ -5,9 +5,9 @@ import (
 	"net/netip"
 	"time"
 
+	"vini"
 	"vini/internal/core"
 	"vini/internal/netem"
-	"vini/internal/sched"
 	"vini/internal/topology"
 	"vini/internal/traffic"
 )
@@ -53,43 +53,11 @@ var cbrPairs = [][2]string{
 func abileneWorld(seed int64, workers int) (*core.VINI, error) {
 	v := core.NewParallel(seed, workers)
 	g := topology.Abilene()
-	for _, pop := range g.Nodes() {
+	err := v.AddTopology(g.Nodes(), g.Links(), netem.PlanetLabProfile(), func(_ int, pop string) netip.Addr {
 		addr, _ := topology.AbilenePublicAddr(pop)
-		if _, err := v.AddNode(pop, netip.MustParseAddr(addr),
-			netem.PlanetLabProfile(), sched.Options{}); err != nil {
-			return nil, err
-		}
-	}
-	for _, l := range g.Links() {
-		if _, err := v.AddLink(netem.LinkConfig{A: l.A, B: l.B,
-			Bandwidth: l.Bandwidth, Delay: l.Delay}); err != nil {
-			return nil, err
-		}
-	}
-	v.ComputeRoutes()
-	return v, nil
-}
-
-// mirrorAbilene admits an IIAS slice that mirrors the physical topology
-// and runs its own OSPF instance (5s hello, 10s dead).
-func mirrorAbilene(v *core.VINI, cfg core.SliceConfig) (*core.Slice, error) {
-	s, err := v.CreateSlice(cfg)
-	if err != nil {
-		return nil, err
-	}
-	g := topology.Abilene()
-	for _, pop := range g.Nodes() {
-		if _, err := s.AddVirtualNode(pop); err != nil {
-			return nil, err
-		}
-	}
-	for _, l := range g.Links() {
-		if _, err := s.ConnectVirtual(l.A, l.B, l.CostAB); err != nil {
-			return nil, err
-		}
-	}
-	s.StartOSPF(5*time.Second, 10*time.Second)
-	return s, nil
+		return netip.MustParseAddr(addr)
+	})
+	return v, err
 }
 
 // buildParallelWorld assembles the benchmark scenario: Abilene carrying
@@ -100,7 +68,8 @@ func buildParallelWorld(seed int64, workers int) (*core.VINI, error) {
 		return nil, err
 	}
 	for i := 0; i < len(cbrPairs); i++ {
-		s, err := mirrorAbilene(v, core.SliceConfig{Name: fmt.Sprintf("slice%d", i), CPUShare: 0.2})
+		s, err := vini.MirrorAbilene(v, core.SliceConfig{Name: fmt.Sprintf("slice%d", i), CPUShare: 0.2},
+			5*time.Second, 10*time.Second)
 		if err != nil {
 			return nil, err
 		}

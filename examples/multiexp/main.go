@@ -29,15 +29,8 @@ func main() {
 			panic(err)
 		}
 		g := vini.Abilene()
-		for _, n := range g.Nodes() {
-			if _, err := s.AddVirtualNode(n); err != nil {
-				panic(err)
-			}
-		}
-		for _, l := range g.Links() {
-			if _, err := s.ConnectVirtual(l.A, l.B, l.CostAB); err != nil {
-				panic(err)
-			}
+		if err := s.Mirror(g.Nodes(), g.Links(), nil); err != nil {
+			panic(err)
 		}
 		return s
 	}

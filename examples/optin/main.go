@@ -32,8 +32,12 @@ func main() {
 	mustLink(v, "webserver", topology.NewYork, 2*time.Millisecond)
 	v.ComputeRoutes()
 
-	s, err := vini.MirrorAbilene(v, vini.SliceConfig{Name: "iias", CPUShare: 0.25, RT: true}, time.Second, 3*time.Second)
+	s, err := v.CreateSlice(vini.SliceConfig{Name: "iias", CPUShare: 0.25, RT: true})
 	if err != nil {
+		panic(err)
+	}
+	g := vini.Abilene()
+	if err := s.Mirror(g.Nodes(), g.Links(), nil); err != nil {
 		panic(err)
 	}
 	wash, _ := s.VirtualNode(topology.Washington)

@@ -9,21 +9,24 @@ import (
 	"time"
 
 	"vini"
+	"vini/internal/topology"
 	"vini/internal/traffic"
 )
 
 func main() {
-	// Physical substrate: three hosts in a line, gigabit links.
-	v := vini.New(42)
-	for i, name := range []string{"left", "middle", "right"} {
-		addr := netip.MustParseAddr(fmt.Sprintf("198.51.100.%d", i+1))
-		if _, err := v.AddNode(name, addr, vini.PlanetLabProfile(), vini.SchedOptions{}); err != nil {
-			panic(err)
-		}
+	// Physical substrate: three hosts in a line, gigabit links. CostAB is
+	// the OSPF weight of the virtual link that will ride each one.
+	nodes := []string{"left", "middle", "right"}
+	links := []topology.Link{
+		{A: "left", B: "middle", CostAB: 10, Bandwidth: 1e9, Delay: 5 * time.Millisecond},
+		{A: "middle", B: "right", CostAB: 20, Bandwidth: 1e9, Delay: 7 * time.Millisecond},
 	}
-	mustLink(v, "left", "middle", 5*time.Millisecond)
-	mustLink(v, "middle", "right", 7*time.Millisecond)
-	v.ComputeRoutes()
+	v := vini.New(42)
+	if err := v.AddTopology(nodes, links, vini.PlanetLabProfile(), func(i int, _ string) netip.Addr {
+		return netip.AddrFrom4([4]byte{198, 51, 100, byte(i + 1)})
+	}); err != nil {
+		panic(err)
+	}
 
 	// One slice with a CPU reservation and real-time priority (the
 	// PL-VINI configuration), mirroring the physical topology.
@@ -31,15 +34,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	for _, n := range []string{"left", "middle", "right"} {
-		if _, err := s.AddVirtualNode(n); err != nil {
-			panic(err)
-		}
-	}
-	if _, err := s.ConnectVirtual("left", "middle", 10); err != nil {
-		panic(err)
-	}
-	if _, err := s.ConnectVirtual("middle", "right", 20); err != nil {
+	if err := s.Mirror(nodes, links, nil); err != nil {
 		panic(err)
 	}
 	s.StartOSPF(time.Second, 3*time.Second)
@@ -78,11 +73,5 @@ func main() {
 	v.Run(v.Loop().Now() + 10*time.Second)
 	if _, ok := left.FIB.Lookup(right.TapAddr); !ok {
 		fmt.Println("after failure injection: left has no route to right (as expected: no alternate path)")
-	}
-}
-
-func mustLink(v *vini.VINI, a, b string, delay time.Duration) {
-	if _, err := v.AddLink(vini.LinkConfig{A: a, B: b, Bandwidth: 1e9, Delay: delay}); err != nil {
-		panic(err)
 	}
 }

@@ -416,11 +416,20 @@ func (vn *VirtualNode) buildOSPF(hello, dead time.Duration) *ospf.Router {
 	return r
 }
 
+// startOSPF and startRIP replace the protocol's router: one left
+// running would go on speaking under the same identity with no
+// neighbours behind it.
 func (vn *VirtualNode) startOSPF(hello, dead time.Duration) {
+	if vn.OSPF != nil {
+		vn.OSPF.Stop()
+	}
 	vn.buildOSPF(hello, dead).Start()
 }
 
 func (vn *VirtualNode) startRIP(update time.Duration) {
+	if vn.RIP != nil {
+		vn.RIP.Stop()
+	}
 	vn.ripUpdate = update
 	r := vn.BuildRIP(update)
 	if tel := vn.slice.vini.tel; tel != nil {

@@ -1,10 +1,15 @@
 package experiment
 
 import (
+	"maps"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"vini/internal/rcc"
+	"vini/internal/topology"
 )
 
 // The experiment tests verify the paper's qualitative results — who
@@ -563,5 +568,97 @@ duration 10s
 	}
 	if !sawMiss {
 		t.Fatalf("missing-flow rate action not logged: %v", res.Log)
+	}
+}
+
+// TestShippedSpecIsSection52: specs/abilene-figure8.spec and NewAbilene +
+// Figure8 are two descriptions of the paper's §5.2 experiment, and they
+// agree on everything that is not a clock: the PoPs, the links with
+// their costs, delays and bandwidths, the OSPF timers, the slice's
+// reservation, the failure script and the ping. Three things still
+// differ, which is why figure8.golden cannot pin the spec yet (ROADMAP
+// item 1's re-pin inherits them): the seed (spec 2, golden 1), the node
+// creation order (the spec's sorted PoP names, NewAbilene's sorted
+// router codes) and the SPF delay (NewAbilene sets 1 s, the spec
+// language has no spf-delay).
+func TestShippedSpecIsSection52(t *testing.T) {
+	text, err := os.ReadFile("../../specs/abilene-figure8.spec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := ParseSpec(string(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp.Topology != "abilene" {
+		t.Fatalf("the spec's topology is %q, want abilene", sp.Topology)
+	}
+	configs, err := rcc.ParseAbilene()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromConfigs, err := rcc.BuildTopology(configs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hello, dead, err := rcc.Timers(configs)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Links keyed by their endpoints in sorted order, costs turned to match.
+	canon := func(links []topology.Link, name func(string) string) map[[2]string]topology.Link {
+		out := make(map[[2]string]topology.Link, len(links))
+		for _, l := range links {
+			l.A, l.B = name(l.A), name(l.B)
+			if l.A > l.B {
+				l.A, l.B, l.CostAB, l.CostBA = l.B, l.A, l.CostBA, l.CostAB
+			}
+			out[[2]string{l.A, l.B}] = l
+		}
+		return out
+	}
+	popOf := func(code string) string {
+		pop, ok := rcc.PopForCode(code)
+		if !ok {
+			t.Fatalf("router code %q names no PoP", code)
+		}
+		return pop
+	}
+	spec := topology.Abilene()
+	pops := fromConfigs.Nodes()
+	for i, code := range pops {
+		pops[i] = popOf(code)
+	}
+	slices.Sort(pops)
+	if !slices.Equal(spec.Nodes(), pops) {
+		t.Errorf("PoPs: the spec builds %v, the router configurations %v", spec.Nodes(), pops)
+	}
+	if a, b := canon(spec.Links(), func(n string) string { return n }), canon(fromConfigs.Links(), popOf); !maps.Equal(a, b) {
+		t.Errorf("links: the spec builds\n%v\nthe router configurations\n%v", a, b)
+	}
+
+	if sp.Protocol != "ospf" || sp.Hello != hello || sp.Dead != dead || hello != 5*time.Second || dead != 10*time.Second {
+		t.Errorf("the spec runs %s hello %v dead %v, the router configurations say hello %v dead %v, the paper 5 s and 10 s",
+			sp.Protocol, sp.Hello, sp.Dead, hello, dead)
+	}
+	// NewAbilene's SliceConfig.
+	if sp.Slice.CPUShare != 0.25 || !sp.Slice.RT {
+		t.Errorf("the spec's slice reserves %v (rt %v), NewAbilene's 0.25 with RT", sp.Slice.CPUShare, sp.Slice.RT)
+	}
+	// Figure8's script and ping.
+	wantEvents := []Event{
+		{At: 10 * time.Second, Action: "fail-virtual", A: topology.Denver, B: topology.KansasCity},
+		{At: 34 * time.Second, Action: "restore-virtual", A: topology.Denver, B: topology.KansasCity},
+	}
+	if !slices.Equal(sp.Events, wantEvents) {
+		t.Errorf("the spec schedules %+v, Figure8 %+v", sp.Events, wantEvents)
+	}
+	ping := slices.IndexFunc(sp.Traffic, func(ts TrafficSpec) bool { return ts.Kind == "ping" })
+	if ping < 0 {
+		t.Fatal("the spec has no ping")
+	}
+	if p := sp.Traffic[ping]; p.Src != topology.Washington || p.Dst != topology.Seattle || p.Interval != 200*time.Millisecond {
+		t.Errorf("the spec pings %s -> %s every %v, Figure8 washington -> seattle every 200ms", p.Src, p.Dst, p.Interval)
 	}
 }

@@ -440,25 +440,21 @@ func NewAbilene(seed int64) (*AbileneExperiment, error) {
 	if err != nil {
 		return nil, err
 	}
+	// rcc names routers by code; the substrate and the slice name them
+	// by PoP, created in sorted-code order (what figure8.golden pins).
+	pops, links := g.Nodes(), g.Links()
+	for i, code := range pops {
+		pops[i], _ = rcc.PopForCode(code)
+	}
+	for i := range links {
+		links[i].A, _ = rcc.PopForCode(links[i].A)
+		links[i].B, _ = rcc.PopForCode(links[i].B)
+	}
 	v := core.New(seed)
 	v.EnableTelemetry()
-	for _, code := range g.Nodes() {
-		pop, _ := rcc.PopForCode(code)
-		addr, _ := topology.AbilenePublicAddr(pop)
-		if _, err := v.AddNode(pop, netip.MustParseAddr(addr),
-			netem.PlanetLabProfile(), sched.Options{}); err != nil {
-			return nil, err
-		}
+	if err := v.AddTopology(pops, links, netem.PlanetLabProfile(), nodeAddr); err != nil {
+		return nil, err
 	}
-	for _, l := range g.Links() {
-		a, _ := rcc.PopForCode(l.A)
-		b, _ := rcc.PopForCode(l.B)
-		if _, err := v.AddLink(netem.LinkConfig{A: a, B: b,
-			Bandwidth: l.Bandwidth, Delay: l.Delay}); err != nil {
-			return nil, err
-		}
-	}
-	v.ComputeRoutes()
 	// The experiment slice mirrors the physical topology one-to-one,
 	// with the real OSPF costs (§5.2: "each virtual link maps directly
 	// to a single physical link between two Abilene routers").
@@ -466,18 +462,8 @@ func NewAbilene(seed int64) (*AbileneExperiment, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, code := range g.Nodes() {
-		pop, _ := rcc.PopForCode(code)
-		if _, err := s.AddVirtualNode(pop); err != nil {
-			return nil, err
-		}
-	}
-	for _, l := range g.Links() {
-		a, _ := rcc.PopForCode(l.A)
-		b, _ := rcc.PopForCode(l.B)
-		if _, err := s.ConnectVirtual(a, b, l.CostAB); err != nil {
-			return nil, err
-		}
+	if err := s.Mirror(pops, links, nil); err != nil {
+		return nil, err
 	}
 	// Production-router SPF batching: transient forwarding states last
 	// long enough for the paper's one-ping 110ms and 87ms samples.

@@ -10,7 +10,6 @@ import (
 
 	"vini/internal/core"
 	"vini/internal/netem"
-	"vini/internal/sched"
 	"vini/internal/topology"
 	"vini/internal/traffic"
 )
@@ -360,6 +359,16 @@ type RateTracePoint struct {
 	ActualBps   float64
 }
 
+// nodeAddr is the public address of the i-th substrate node: an Abilene
+// PoP's published one, 198.51.100.<i+1> for any other name.
+func nodeAddr(i int, name string) netip.Addr {
+	addr, ok := topology.AbilenePublicAddr(name)
+	if !ok {
+		addr = fmt.Sprintf("198.51.100.%d", i+1)
+	}
+	return netip.MustParseAddr(addr)
+}
+
 // Run executes the specification and returns its measurements.
 func (sp *Spec) Run() (*Result, error) {
 	v := core.New(sp.Seed)
@@ -387,27 +396,10 @@ func (sp *Spec) Run() (*Result, error) {
 	default:
 		return nil, fmt.Errorf("spec: unknown topology %q", sp.Topology)
 	}
-	nodes := g.Nodes()
-	sort.Strings(nodes)
-	for i, n := range nodes {
-		addr, ok := topology.AbilenePublicAddr(n)
-		if !ok {
-			addr = fmt.Sprintf("198.51.100.%d", i+1)
-		}
-		if _, err := v.AddNode(n, netip.MustParseAddr(addr), netem.PlanetLabProfile(), sched.Options{}); err != nil {
-			return nil, err
-		}
+	nodes, links := g.Nodes(), g.Links()
+	if err := v.AddTopology(nodes, links, netem.PlanetLabProfile(), nodeAddr); err != nil {
+		return nil, err
 	}
-	for _, l := range g.Links() {
-		bw := l.Bandwidth
-		if bw == 0 {
-			bw = 1e9
-		}
-		if _, err := v.AddLink(netem.LinkConfig{A: l.A, B: l.B, Bandwidth: bw, Delay: l.Delay}); err != nil {
-			return nil, err
-		}
-	}
-	v.ComputeRoutes()
 	s, err := v.CreateSlice(sp.Slice)
 	if err != nil {
 		return nil, err
@@ -418,21 +410,8 @@ func (sp *Spec) Run() (*Result, error) {
 	for _, n := range sp.Spares {
 		spare[n] = true
 	}
-	for _, n := range nodes {
-		if spare[n] {
-			continue
-		}
-		if _, err := s.AddVirtualNode(n); err != nil {
-			return nil, err
-		}
-	}
-	for _, l := range g.Links() {
-		if spare[l.A] || spare[l.B] {
-			continue
-		}
-		if _, err := s.ConnectVirtual(l.A, l.B, l.CostAB); err != nil {
-			return nil, err
-		}
+	if err := s.Mirror(nodes, links, spare); err != nil {
+		return nil, err
 	}
 	switch sp.Protocol {
 	case "ospf":

@@ -19,8 +19,8 @@ import (
 	"vini/internal/core"
 	"vini/internal/netem"
 	"vini/internal/packet"
-	"vini/internal/sched"
 	"vini/internal/sim"
+	"vini/internal/topology"
 	"vini/internal/traffic"
 )
 
@@ -83,33 +83,18 @@ func RunAdaptive(opts AdaptiveOptions) (*AdaptiveResult, error) {
 	cross := 0.4 * bottleneck
 	res.BottleneckBps, res.AltBps, res.CrossBps = bottleneck, alt, cross
 
-	prof := netem.DETERProfile()
-	names := []string{"a", "b", "c", "d", "e"}
-	for i, name := range names {
-		addr := netip.AddrFrom4([4]byte{192, 168, 3, byte(1 + i)})
-		if _, err := w.vini.AddNode(name, addr, prof, sched.Options{}); err != nil {
-			return nil, err
-		}
+	ms := time.Millisecond
+	if err := w.vini.AddTopology([]string{"a", "b", "c", "d", "e"}, []topology.Link{
+		{A: "a", B: "b", Bandwidth: 100e6, Delay: ms},
+		{A: "b", B: "c", Bandwidth: bottleneck, Delay: 5 * ms},
+		{A: "c", B: "d", Bandwidth: 100e6, Delay: ms},
+		{A: "b", B: "e", Bandwidth: 10e6, Delay: 10 * ms},
+		{A: "e", B: "c", Bandwidth: alt, Delay: 10 * ms},
+	}, netem.DETERProfile(), func(i int, _ string) netip.Addr {
+		return netip.AddrFrom4([4]byte{192, 168, 3, byte(1 + i)})
+	}); err != nil {
+		return nil, err
 	}
-	type linkSpec struct {
-		a, b  string
-		bw    float64
-		delay time.Duration
-	}
-	for _, l := range []linkSpec{
-		{"a", "b", 100e6, time.Millisecond},
-		{"b", "c", bottleneck, 5 * time.Millisecond},
-		{"c", "d", 100e6, time.Millisecond},
-		{"b", "e", 10e6, 10 * time.Millisecond},
-		{"e", "c", alt, 10 * time.Millisecond},
-	} {
-		if _, err := w.vini.AddLink(netem.LinkConfig{
-			A: l.a, B: l.b, Bandwidth: l.bw, Delay: l.delay,
-		}); err != nil {
-			return nil, err
-		}
-	}
-	w.vini.ComputeRoutes()
 
 	nodeA, nodeB := w.vini.Net.MustNode("a"), w.vini.Net.MustNode("b")
 	nodeC, nodeD := w.vini.Net.MustNode("c"), w.vini.Net.MustNode("d")

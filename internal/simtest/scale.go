@@ -16,7 +16,6 @@ import (
 
 	"vini/internal/core"
 	"vini/internal/netem"
-	"vini/internal/sched"
 	"vini/internal/sim"
 	"vini/internal/topology"
 	"vini/internal/traffic"
@@ -93,6 +92,19 @@ func (ss *scaleSlice) walk(failed func(s, d int, r walkResult, path string)) {
 // forwarding plenty.
 const maxScaleHops = 6
 
+// maxScaleNodes is the largest substrate RunScale builds: scaleAddr
+// numbers 200 rows of 200 hosts.
+const maxScaleNodes = 200 * 200
+
+// scaleAddr is the address of the i-th substrate node,
+// 198.18.(1+i/200).(1+i%200). For 0 <= i < maxScaleNodes the addresses
+// are distinct, none is a .0 or .255 host, and all sit in the
+// benchmarking block 198.18.0.0/16; RunScale refuses a larger topology
+// rather than number past it.
+func scaleAddr(i int, _ string) netip.Addr {
+	return netip.AddrFrom4([4]byte{198, 18, byte(1 + i/200), byte(1 + i%200)})
+}
+
 // RunScale executes one seeded scale scenario end to end.
 func RunScale(opts ScaleOptions) (*ScaleResult, error) {
 	if opts.Nodes == 0 {
@@ -119,15 +131,15 @@ func RunScale(opts ScaleOptions) (*ScaleResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	if len(names) > maxScaleNodes {
+		return nil, fmt.Errorf("simtest: scale topology has %d nodes, scaleAddr numbers at most %d", len(names), maxScaleNodes)
+	}
 	mat, err := topology.ParseRepetitaDemands(demandsText, names)
 	if err != nil {
 		return nil, err
 	}
 	if !g.Connected(nil) {
 		return nil, fmt.Errorf("simtest: scale topology not connected")
-	}
-	if len(names) > 40000 {
-		return nil, fmt.Errorf("simtest: scale topology too large (%d nodes)", len(names))
 	}
 	if len(mat.Demands) == 0 {
 		return nil, fmt.Errorf("simtest: scale demand matrix empty")
@@ -136,22 +148,11 @@ func RunScale(opts ScaleOptions) (*ScaleResult, error) {
 	res := &ScaleResult{Nodes: len(names), Links: len(g.Links()), Slices: opts.Slices}
 	w := newWorld("scale", &res.Outcome, opts.Seed, opts.Workers)
 
-	// Substrate: one physical node per topology node, REPETITA link
-	// parameters verbatim.
-	prof := netem.DETERProfile()
-	for i, name := range names {
-		addr := netip.AddrFrom4([4]byte{198, byte(18 + i/40000), byte(1 + (i/200)%200), byte(1 + i%200)})
-		if _, err := w.vini.AddNode(name, addr, prof, sched.Options{}); err != nil {
-			return nil, err
-		}
+	// Substrate: one physical node per topology node in REPETITA file
+	// order, link parameters verbatim.
+	if err := w.vini.AddTopology(names, g.Links(), netem.DETERProfile(), scaleAddr); err != nil {
+		return nil, err
 	}
-	for _, l := range g.Links() {
-		if _, err := w.vini.AddLink(netem.LinkConfig{A: l.A, B: l.B,
-			Bandwidth: l.Bandwidth, Delay: l.Delay}); err != nil {
-			return nil, err
-		}
-	}
-	w.vini.ComputeRoutes()
 
 	// Embed one slice per demand (cycling if the matrix is short): the
 	// demand's shortest path, capped at maxScaleHops, with a redundant

@@ -10,8 +10,8 @@ import (
 	"vini/internal/core"
 	"vini/internal/netem"
 	"vini/internal/packet"
-	"vini/internal/sched"
 	"vini/internal/sim"
+	"vini/internal/topology"
 )
 
 // Outcome is the result header every regime's Result embeds: who ran
@@ -125,22 +125,17 @@ func (w *world) genSubstrate(rng *sim.RNG, n int, subnet byte, maxDelayMs int) (
 	nodes := make([]string, n)
 	for i := range nodes {
 		nodes[i] = fmt.Sprintf("n%d", i)
-		addr := netip.AddrFrom4([4]byte{192, 168, subnet, byte(1 + i)})
-		if _, err := w.vini.AddNode(nodes[i], addr, netem.DETERProfile(), sched.Options{}); err != nil {
-			return nil, nil, err
-		}
 	}
 	links := genTopology(rng, n)
-	for _, l := range links {
-		if _, err := w.vini.AddLink(netem.LinkConfig{
-			A: nodes[l.a], B: nodes[l.b],
-			Bandwidth: 1e9, Delay: time.Duration(1+rng.Intn(maxDelayMs)) * time.Millisecond,
-		}); err != nil {
-			return nil, nil, err
-		}
+	wires := make([]topology.Link, len(links))
+	for i, l := range links {
+		wires[i] = topology.Link{A: nodes[l.a], B: nodes[l.b],
+			Bandwidth: 1e9, Delay: time.Duration(1+rng.Intn(maxDelayMs)) * time.Millisecond}
 	}
-	w.vini.ComputeRoutes()
-	return nodes, links, nil
+	err := w.vini.AddTopology(nodes, wires, netem.DETERProfile(), func(i int, _ string) netip.Addr {
+		return netip.AddrFrom4([4]byte{192, 168, subnet, byte(1 + i)})
+	})
+	return nodes, links, err
 }
 
 // createSlice admits a slice and enrols it in the audit's universe.

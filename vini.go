@@ -14,15 +14,14 @@
 //
 // Quick start:
 //
+//	nodes := []string{"a", "b"}
+//	links := []topology.Link{{A: "a", B: "b", CostAB: 10, Bandwidth: 1e9, Delay: 5 * time.Millisecond}}
 //	v := vini.New(1)
-//	v.AddNode("a", netip.MustParseAddr("198.51.100.1"), vini.PlanetLabProfile(), vini.SchedOptions{})
-//	v.AddNode("b", netip.MustParseAddr("198.51.100.2"), vini.PlanetLabProfile(), vini.SchedOptions{})
-//	v.AddLink(vini.LinkConfig{A: "a", B: "b", Bandwidth: 1e9, Delay: 5 * time.Millisecond})
-//	v.ComputeRoutes()
+//	v.AddTopology(nodes, links, vini.PlanetLabProfile(), func(i int, _ string) netip.Addr {
+//		return netip.AddrFrom4([4]byte{198, 51, 100, byte(i + 1)})
+//	})
 //	s, _ := v.CreateSlice(vini.SliceConfig{Name: "demo", CPUShare: 0.25, RT: true})
-//	s.AddVirtualNode("a")
-//	s.AddVirtualNode("b")
-//	s.ConnectVirtual("a", "b", 10)
+//	s.Mirror(nodes, links, nil)
 //	s.StartOSPF(5*time.Second, 10*time.Second)
 //	v.Run(60 * time.Second)
 //
@@ -103,20 +102,11 @@ func ParseSpec(text string) (*Spec, error) { return experiment.ParseSpec(text) }
 func BuildAbilene(seed int64, prof Profile) (*VINI, error) {
 	v := New(seed)
 	g := topology.Abilene()
-	for _, n := range g.Nodes() {
-		addr, _ := topology.AbilenePublicAddr(n)
-		if _, err := v.AddNode(n, netip.MustParseAddr(addr), prof, sched.Options{}); err != nil {
-			return nil, err
-		}
-	}
-	for _, l := range g.Links() {
-		if _, err := v.AddLink(netem.LinkConfig{A: l.A, B: l.B,
-			Bandwidth: l.Bandwidth, Delay: l.Delay}); err != nil {
-			return nil, err
-		}
-	}
-	v.ComputeRoutes()
-	return v, nil
+	err := v.AddTopology(g.Nodes(), g.Links(), prof, func(_ int, pop string) netip.Addr {
+		addr, _ := topology.AbilenePublicAddr(pop)
+		return netip.MustParseAddr(addr)
+	})
+	return v, err
 }
 
 // MirrorAbilene embeds a slice that mirrors the Abilene topology
@@ -128,15 +118,8 @@ func MirrorAbilene(v *VINI, cfg SliceConfig, hello, dead time.Duration) (*Slice,
 		return nil, err
 	}
 	g := topology.Abilene()
-	for _, n := range g.Nodes() {
-		if _, err := s.AddVirtualNode(n); err != nil {
-			return nil, err
-		}
-	}
-	for _, l := range g.Links() {
-		if _, err := s.ConnectVirtual(l.A, l.B, l.CostAB); err != nil {
-			return nil, err
-		}
+	if err := s.Mirror(g.Nodes(), g.Links(), nil); err != nil {
+		return nil, err
 	}
 	s.StartOSPF(hello, dead)
 	return s, nil
