@@ -5,10 +5,7 @@ package vini_test
 // by the same code from the same configuration text.
 
 import (
-	"io/fs"
 	"net/netip"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -75,27 +72,4 @@ func TestOneIIASRouter(t *testing.T) {
 			t.Errorf("%q is written in %d non-test source files, want exactly 1: %v", needle, len(files), files)
 		}
 	}
-}
-
-// sourceFilesContaining lists the non-test .go files under roots whose
-// text contains needle.
-func sourceFilesContaining(t *testing.T, needle string, roots ...string) []string {
-	t.Helper()
-	var files []string
-	for _, root := range roots {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return err
-			}
-			src, err := os.ReadFile(path)
-			if err == nil && strings.Contains(string(src), needle) {
-				files = append(files, path)
-			}
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	return files
 }

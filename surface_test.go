@@ -1,0 +1,654 @@
+package vini_test
+
+// Nothing unreachable: what no front door (cmd/, examples/, the root
+// facade, benchmark/) can reach is not part of what this repository
+// reproduces, measures or pins, so it is not kept. Two rules, both
+// computed from the type-checked source:
+//
+//	(a) every exported func, method, type, const and var declared under
+//	    internal/ is used from a non-test file of another package, or
+//	    named by benchmark/, or reached structurally: a type in the
+//	    signature or an exported field of something reached, a method
+//	    that makes its receiver satisfy an interface that is in use;
+//	(b) every class internal/click registers is instantiated by a
+//	    configuration written in a non-test file.
+//
+// testdata/surface_allow.txt holds what only tests reach and why; an
+// entry that is reached again, or that names nothing, fails the guard,
+// so the file can only shrink. A failure lists what a PR has to answer:
+// unexport what the identifier's own package uses, delete what nothing
+// does.
+
+import (
+	"fmt"
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
+	"os"
+	"path"
+	"path/filepath"
+	"regexp"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// sourceTree is Go source text by slash-separated path from the module
+// root.
+type sourceTree map[string]string
+
+// readSource is the one file walk of the root guards: every .go file
+// under roots, test files included, hidden and testdata directories
+// skipped.
+func readSource(t *testing.T, roots ...string) sourceTree {
+	t.Helper()
+	src := sourceTree{}
+	for _, root := range roots {
+		err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if name := d.Name(); d.IsDir() {
+				if p != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+					return filepath.SkipDir
+				}
+				return nil
+			} else if !strings.HasSuffix(name, ".go") {
+				return nil
+			}
+			text, err := os.ReadFile(p)
+			src[filepath.ToSlash(p)] = string(text)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return src
+}
+
+func isTest(file string) bool { return strings.HasSuffix(file, "_test.go") }
+
+// sourceFilesContaining lists the non-test .go files under roots whose
+// text contains needle.
+func sourceFilesContaining(t *testing.T, needle string, roots ...string) []string {
+	t.Helper()
+	var files []string
+	for file, text := range readSource(t, roots...) {
+		if !isTest(file) && strings.Contains(text, needle) {
+			files = append(files, file)
+		}
+	}
+	sort.Strings(files)
+	return files
+}
+
+func TestSurface(t *testing.T) {
+	src := readSource(t, ".")
+	allow, err := os.ReadFile("testdata/surface_allow.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := auditSurface(src, string(allow))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := 0
+	for file, text := range src {
+		if !isTest(file) && !strings.HasPrefix(file, "benchmark/") {
+			lines += strings.Count(text, "\n")
+		}
+	}
+	t.Logf("exported declarations under internal/: %d (%d allowlisted, %d reached only by benchmark/: %s)",
+		s.declared, s.allowed, len(s.benchOnly), strings.Join(s.benchOnly, " "))
+	t.Logf("registered Click classes: %d", len(s.classes))
+	t.Logf("root-module non-test Go lines: %d", lines)
+	if s.allowed > 40 {
+		t.Errorf("the allowlist holds %d identifiers, want at most 40", s.allowed)
+	}
+	for _, line := range s.stale {
+		t.Errorf("testdata/surface_allow.txt: %s", line)
+	}
+	if len(s.unreached) != 0 {
+		t.Errorf("%d of %d exported declarations under internal/ are reached by no non-test file of another package:\n  %s",
+			len(s.unreached), s.declared, strings.Join(s.unreached, "\n  "))
+	}
+	if len(s.unbuilt) != 0 {
+		t.Errorf("%d of %d registered Click classes are instantiated by no non-test configuration (delete the class, its constructor, its handlers and the tests of it alone): %s",
+			len(s.unbuilt), len(s.classes), strings.Join(s.unbuilt, " "))
+	}
+}
+
+// surface is what auditSurface found.
+type surface struct {
+	declared  int      // exported declarations under internal/
+	allowed   int      // of those, named by the allowlist
+	unreached []string // "pkg.Ident: what to do with it", sorted
+	benchOnly []string // reached, but only because benchmark/ names them
+	stale     []string // allowlist lines that must go
+	classes   []string // registered Click classes
+	unbuilt   []string // of those, instantiated by no non-test configuration
+}
+
+const modulePath = "vini"
+
+// stdlib type-checks the standard library from source, once for every
+// tree audited by this test binary.
+var stdlib = importer.ForCompiler(token.NewFileSet(), "source", nil)
+
+// loader type-checks the packages of a sourceTree, each once, so an
+// object is the same value wherever it is used.
+type loader struct {
+	fset  *token.FileSet
+	dirs  map[string][]*ast.File // package directory -> its files
+	pkgs  map[string]*types.Package
+	info  *types.Info
+	errs  []error
+	tests map[string]bool // every identifier the tree's test files spell
+}
+
+func load(src sourceTree) (*loader, error) {
+	l := &loader{
+		fset: token.NewFileSet(), dirs: map[string][]*ast.File{}, pkgs: map[string]*types.Package{},
+		info: &types.Info{
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+		},
+		tests: map[string]bool{},
+	}
+	files := make([]string, 0, len(src))
+	for file := range src {
+		files = append(files, file)
+	}
+	sort.Strings(files)
+	for _, file := range files {
+		f, err := parser.ParseFile(l.fset, file, src[file], parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		// benchmark/ is one frozen package, tests and all: whatever any of
+		// its files names has to keep compiling.
+		if dir := path.Dir(file); !isTest(file) || dir == "benchmark" {
+			l.dirs[dir] = append(l.dirs[dir], f)
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				l.tests[id.Name] = true
+			}
+			return true
+		})
+	}
+	for dir := range l.dirs {
+		if _, err := l.Import(importPath(dir)); err != nil {
+			return nil, err
+		}
+	}
+	if len(l.errs) != 0 {
+		return nil, fmt.Errorf("the tree does not type-check: %v", l.errs)
+	}
+	return l, nil
+}
+
+func importPath(dir string) string {
+	if dir == "." {
+		return modulePath
+	}
+	return modulePath + "/" + dir
+}
+
+func isInternal(pkg *types.Package) bool {
+	return pkg != nil && strings.HasPrefix(pkg.Path(), modulePath+"/internal/")
+}
+
+// Import makes loader the types.Importer of its own packages.
+func (l *loader) Import(ipath string) (*types.Package, error) {
+	if ipath != modulePath && !strings.HasPrefix(ipath, modulePath+"/") {
+		return stdlib.Import(ipath)
+	}
+	if pkg, ok := l.pkgs[ipath]; ok {
+		return pkg, nil
+	}
+	dir := strings.TrimPrefix(strings.TrimPrefix(ipath, modulePath), "/")
+	if dir == "" {
+		dir = "."
+	}
+	if len(l.dirs[dir]) == 0 {
+		return nil, fmt.Errorf("no source for package %s", ipath)
+	}
+	conf := types.Config{Importer: l, Error: func(err error) { l.errs = append(l.errs, err) }}
+	pkg, _ := conf.Check(ipath, l.fset, l.dirs[dir], l.info)
+	l.pkgs[ipath] = pkg
+	return pkg, nil
+}
+
+// origin undoes generic instantiation, so a use of List[int].Push counts
+// for the declared List[T].Push.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+// objectName is how failures and the allowlist spell an object:
+// pkg.Ident, or pkg.Type.Method.
+func objectName(obj types.Object) string {
+	if f, ok := obj.(*types.Func); ok {
+		if recv := f.Type().(*types.Signature).Recv(); recv != nil {
+			if n := namedOf(recv.Type()); n != nil {
+				return obj.Pkg().Name() + "." + n.Obj().Name() + "." + obj.Name()
+			}
+		}
+	}
+	return obj.Pkg().Name() + "." + obj.Name()
+}
+
+func namedOf(t types.Type) *types.Named {
+	if p, ok := types.Unalias(t).(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, _ := types.Unalias(t).(*types.Named)
+	return n
+}
+
+// reach is one closure over "reached": the seeds, every internal/ type
+// their signatures and exported fields mention, and every method that
+// makes its receiver satisfy an interface in use.
+type reach struct {
+	l    *loader
+	seen map[types.Object]bool
+	work []types.Object
+}
+
+func (r *reach) object(obj types.Object) {
+	if obj = origin(obj); isInternal(obj.Pkg()) && !r.seen[obj] {
+		r.seen[obj] = true
+		r.work = append(r.work, obj)
+	}
+}
+
+// mentions reaches the internal/ named types t is made of. It stops at a
+// named type: what that one is made of follows when it is taken off the
+// work list.
+func (r *reach) mentions(t types.Type) {
+	switch t := t.(type) {
+	case *types.Alias:
+		r.object(t.Obj())
+		r.mentions(types.Unalias(t))
+	case *types.Named:
+		r.object(t.Obj())
+		for i := 0; i < t.TypeArgs().Len(); i++ {
+			r.mentions(t.TypeArgs().At(i))
+		}
+	case *types.Pointer:
+		r.mentions(t.Elem())
+	case *types.Slice:
+		r.mentions(t.Elem())
+	case *types.Array:
+		r.mentions(t.Elem())
+	case *types.Chan:
+		r.mentions(t.Elem())
+	case *types.Map:
+		r.mentions(t.Key())
+		r.mentions(t.Elem())
+	case *types.Tuple:
+		for i := 0; i < t.Len(); i++ {
+			r.mentions(t.At(i).Type())
+		}
+	case *types.Signature:
+		r.mentions(t.Params())
+		r.mentions(t.Results())
+	case *types.Struct:
+		for i := 0; i < t.NumFields(); i++ {
+			if f := t.Field(i); f.Exported() || f.Embedded() {
+				r.mentions(f.Type())
+			}
+		}
+	case *types.Interface:
+		for i := 0; i < t.NumMethods(); i++ {
+			r.mentions(t.Method(i).Type())
+		}
+	}
+}
+
+// close drains the work list, then lets every interface in use reach the
+// methods that satisfy it, until neither adds anything.
+func (r *reach) close() {
+	for {
+		for len(r.work) > 0 {
+			obj := r.work[len(r.work)-1]
+			r.work = r.work[:len(r.work)-1]
+			switch o := obj.(type) {
+			case *types.TypeName:
+				if o.IsAlias() {
+					r.mentions(types.Unalias(o.Type()))
+				} else {
+					r.mentions(o.Type().Underlying())
+				}
+			default:
+				r.mentions(o.Type())
+			}
+		}
+		for _, iface := range r.interfacesInUse() {
+			for _, pkg := range r.l.pkgs {
+				if !isInternal(pkg) {
+					continue
+				}
+				for _, name := range pkg.Scope().Names() {
+					tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+					if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
+						continue
+					}
+					ptr := types.NewPointer(tn.Type())
+					if !types.Implements(ptr, iface) {
+						continue
+					}
+					for i := 0; i < iface.NumMethods(); i++ {
+						m, _, _ := types.LookupFieldOrMethod(ptr, true, pkg, iface.Method(i).Name())
+						if m != nil {
+							r.object(m)
+						}
+					}
+				}
+			}
+		}
+		if len(r.work) == 0 {
+			return
+		}
+	}
+}
+
+// interfacesInUse lists the interface types a value of this tree can be
+// asked to satisfy: every interface written in non-test source (literals,
+// unexported ones, exported ones once reached), every interface in the
+// signature of something used from outside the module, error and
+// fmt.Stringer.
+func (r *reach) interfacesInUse() []*types.Interface {
+	var out []*types.Interface
+	add := func(t types.Type) {
+		iface, ok := t.Underlying().(*types.Interface)
+		if !ok || iface.NumMethods() == 0 {
+			return
+		}
+		if n, ok := types.Unalias(t).(*types.Named); ok && isInternal(n.Obj().Pkg()) && n.Obj().Exported() && !r.seen[n.Obj()] {
+			return
+		}
+		out = append(out, iface)
+	}
+	add(types.Universe.Lookup("error").Type())
+	str := types.NewFunc(token.NoPos, nil, "String", types.NewSignatureType(nil, nil, nil, nil,
+		types.NewTuple(types.NewVar(token.NoPos, nil, "", types.Typ[types.String])), false))
+	add(types.NewInterfaceType([]*types.Func{str}, nil).Complete())
+	for _, tv := range r.l.info.Types {
+		if tv.IsType() {
+			add(tv.Type)
+		}
+	}
+	for _, obj := range r.l.info.Uses {
+		if pkg := obj.Pkg(); pkg == nil || pkg.Path() == modulePath || strings.HasPrefix(pkg.Path(), modulePath+"/") {
+			continue
+		}
+		if sig, ok := obj.Type().(*types.Signature); ok {
+			for _, tuple := range []*types.Tuple{sig.Params(), sig.Results()} {
+				for i := 0; i < tuple.Len(); i++ {
+					add(tuple.At(i).Type())
+				}
+			}
+		}
+	}
+	return out
+}
+
+var declaresClass = regexp.MustCompile(`::\s*([A-Za-z_][A-Za-z0-9_]*)`)
+
+// auditSurface applies both rules to src. allowlist is the text of
+// testdata/surface_allow.txt: one "ident<TAB>reason" per line, # comments.
+func auditSurface(src sourceTree, allowlist string) (*surface, error) {
+	l, err := load(src)
+	if err != nil {
+		return nil, err
+	}
+	s := &surface{}
+
+	// Rule (a). What is declared:
+	declared := map[string]types.Object{}
+	for _, pkg := range l.pkgs {
+		if !isInternal(pkg) {
+			continue
+		}
+		for _, name := range pkg.Scope().Names() {
+			obj := pkg.Scope().Lookup(name)
+			if obj.Exported() {
+				declared[objectName(obj)] = obj
+			}
+			if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
+				if n, ok := tn.Type().(*types.Named); ok {
+					for i := 0; i < n.NumMethods(); i++ {
+						if m := n.Method(i); m.Exported() {
+							declared[objectName(m)] = m
+						}
+					}
+				}
+			}
+		}
+	}
+	s.declared = len(declared)
+
+	// Who uses it: another package of the root module, benchmark/, or only
+	// its own package.
+	var cross, bench []types.Object
+	own := map[types.Object]bool{}
+	for id, obj := range l.info.Uses {
+		if !isInternal(obj.Pkg()) {
+			continue
+		}
+		switch dir := path.Dir(l.fset.File(id.Pos()).Name()); {
+		case importPath(dir) == obj.Pkg().Path():
+			own[origin(obj)] = true
+		case dir == "benchmark":
+			bench = append(bench, obj)
+		default:
+			cross = append(cross, obj)
+		}
+	}
+	closure := func(seeds ...[]types.Object) map[types.Object]bool {
+		r := &reach{l: l, seen: map[types.Object]bool{}}
+		for _, objs := range seeds {
+			for _, obj := range objs {
+				r.object(obj)
+			}
+		}
+		r.close()
+		return r.seen
+	}
+	var allowed []types.Object
+	reasons := map[string]string{}
+	for i, line := range strings.Split(allowlist, "\n") {
+		if strings.TrimSpace(line) == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, reason, _ := strings.Cut(line, "\t")
+		if strings.TrimSpace(reason) == "" {
+			s.stale = append(s.stale, fmt.Sprintf("line %d: %q gives no reason (ident<TAB>reason)", i+1, name))
+		}
+		if _, dup := reasons[name]; dup {
+			s.stale = append(s.stale, fmt.Sprintf("line %d: %s is listed twice", i+1, name))
+		}
+		reasons[name] = reason
+		if obj, ok := declared[name]; ok {
+			allowed = append(allowed, obj)
+		} else {
+			s.stale = append(s.stale, fmt.Sprintf("line %d: %s is not an exported declaration under internal/ any more: delete the line", i+1, name))
+		}
+	}
+	s.allowed = len(reasons)
+	byRoot, byFrontDoors, withAllowed := closure(cross), closure(cross, bench), closure(cross, bench, allowed)
+	for name, obj := range declared {
+		switch _, listed := reasons[name]; {
+		case byFrontDoors[obj] && listed:
+			s.stale = append(s.stale, name+" is reached without the allowlist now: delete the line")
+		case byFrontDoors[obj] && !byRoot[obj]:
+			s.benchOnly = append(s.benchOnly, name)
+		case withAllowed[obj]:
+		case own[obj]:
+			s.unreached = append(s.unreached, name+": its own package uses it, unexport")
+		case l.tests[obj.Name()]:
+			s.unreached = append(s.unreached, name+": only tests name it, delete it with them or allowlist it with the reason")
+		default:
+			s.unreached = append(s.unreached, name+": nothing names it, delete")
+		}
+	}
+	sort.Strings(s.unreached)
+	sort.Strings(s.benchOnly)
+	sort.Strings(s.stale)
+
+	// Rule (b). Classes are registered by internal/click's non-test files
+	// and instantiated by "name :: Class" in any non-test string literal.
+	registered, built := map[string]bool{}, map[string]bool{}
+	for dir, files := range l.dirs {
+		for _, f := range files {
+			if isTest(l.fset.File(f.Pos()).Name()) {
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					if fn, ok := n.Fun.(*ast.Ident); ok && dir == "internal/click" && strings.EqualFold(fn.Name, "register") && len(n.Args) == 2 {
+						if lit, ok := n.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+							class, _ := strconv.Unquote(lit.Value)
+							registered[class] = true
+						}
+					}
+				case *ast.BasicLit:
+					if n.Kind == token.STRING {
+						text, _ := strconv.Unquote(n.Value)
+						for _, m := range declaresClass.FindAllStringSubmatch(text, -1) {
+							built[m[1]] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	for class := range registered {
+		s.classes = append(s.classes, class)
+		if !built[class] {
+			s.unbuilt = append(s.unbuilt, class)
+		}
+	}
+	sort.Strings(s.classes)
+	sort.Strings(s.unbuilt)
+	return s, nil
+}
+
+// guardTree is a module small enough to read: a library with one
+// function nobody calls, one method only a test calls and one method
+// reached only through an interface, a command that is its front door,
+// and a click package with one class the command's configuration
+// instantiates and one it does not.
+var guardTree = sourceTree{
+	"internal/lib/lib.go": `package lib
+
+type Shape interface{ Area() int }
+
+type Square struct{ Side int }
+
+func (s Square) Area() int      { return s.Side * s.Side }
+func (s Square) Perimeter() int { return 4 * s.Side }
+
+func Total(shapes ...Shape) (n int) {
+	for _, s := range shapes {
+		n += s.Area()
+	}
+	return n
+}
+
+func Unit() Square { return Square{Side: 1} }
+
+func Orphan() {}
+`,
+	"internal/lib/lib_test.go": `package lib
+
+import "testing"
+
+func TestPerimeter(t *testing.T) {
+	if Unit().Perimeter() != 4 {
+		t.Fail()
+	}
+}
+`,
+	"internal/click/click.go": `package click
+
+func register(class string, build func() any) {}
+
+func init() {
+	register("Wired", nil)
+	register("Spare", nil)
+}
+
+func Parse(config string) {}
+`,
+	"cmd/tool/main.go": `package main
+
+import (
+	"vini/internal/click"
+	"vini/internal/lib"
+)
+
+func main() {
+	click.Parse("in :: Wired; in -> in;")
+	println(lib.Total(lib.Unit()))
+}
+`,
+}
+
+func TestSurfaceGuardOnASmallTree(t *testing.T) {
+	audit := func(allowlist string) *surface {
+		t.Helper()
+		s, err := auditSurface(guardTree, allowlist)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	same := func(what string, got []string, want ...string) {
+		t.Helper()
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%s:\n  %s\nwant:\n  %s", what, strings.Join(got, "\n  "), strings.Join(want, "\n  "))
+		}
+	}
+
+	// A caller-less function and a method only a test reaches are named;
+	// Square.Area, which main reaches only as Shape.Area, is not.
+	s := audit("")
+	if s.declared != 8 {
+		t.Errorf("%d exported declarations, want 8", s.declared)
+	}
+	same("unreached", s.unreached,
+		"lib.Orphan: nothing names it, delete",
+		"lib.Square.Perimeter: only tests name it, delete it with them or allowlist it with the reason")
+	same("stale", s.stale)
+	same("classes", s.classes, "Spare", "Wired")
+	same("unbuilt classes", s.unbuilt, "Spare")
+
+	// The allowlist answers for an identifier, and only with a reason.
+	s = audit("# comment\nlib.Square.Perimeter\tthe test's oracle\nlib.Orphan\t \n")
+	same("unreached with both allowlisted", s.unreached)
+	same("stale", s.stale, `line 3: "lib.Orphan" gives no reason (ident<TAB>reason)`)
+
+	// A line outlives its identifier, or its identifier is reached again.
+	s = audit("lib.Gone\tdeleted last year\nlib.Unit\tmain calls it now\n")
+	same("stale", s.stale,
+		"lib.Unit is reached without the allowlist now: delete the line",
+		"line 1: lib.Gone is not an exported declaration under internal/ any more: delete the line")
+}
