@@ -107,8 +107,8 @@ func TestInstrumentedFastPathZeroAlloc(t *testing.T) {
 	loop := sim.NewLoop(1)
 	local := netip.MustParseAddr("198.32.154.40")
 	tun := &tunnelRelease{local: local}
-	reg := telemetry.NewRegistry()
-	rec := telemetry.NewRecorder(0)
+	tel := telemetry.New(0)
+	reg, rec := tel.Reg, tel.Rec
 	rec.EnsureDomain(loop.Domain.ID())
 	scope := reg.Scope("iias", "fwdr")
 	ctx := &click.Context{

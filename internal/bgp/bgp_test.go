@@ -58,8 +58,8 @@ func TestSessionEstablishAndAnnounce(t *testing.T) {
 	connect(loop, a, b, "a", "b", PeerConfig{EBGP: true}, PeerConfig{EBGP: true}, 10*time.Millisecond)
 	a.Originate(pfx("198.32.154.0/24"), PathAttrs{})
 	loop.Run(time.Second)
-	if a.PeerState("b") != "Established" || b.PeerState("a") != "Established" {
-		t.Fatalf("states: a->b=%s b->a=%s", a.PeerState("b"), b.PeerState("a"))
+	if a.peers["b"].state != "Established" || b.peers["a"].state != "Established" {
+		t.Fatalf("states: a->b=%s b->a=%s", a.peers["b"].state, b.peers["a"].state)
 	}
 	rib := b.LocRIB()
 	if len(rib) != 1 || rib[0].Prefix != pfx("198.32.154.0/24") {
@@ -153,7 +153,7 @@ func TestHoldTimerExpiryWithdrawsRoutes(t *testing.T) {
 	}
 	pipe.down = true
 	loop.Run(30 * time.Second)
-	if b.PeerState("a") == "Established" {
+	if b.peers["a"].state == "Established" {
 		t.Fatal("session survived silent peer")
 	}
 	if len(b.LocRIB()) != 0 {
@@ -181,17 +181,17 @@ func TestWireRoundTripProperty(t *testing.T) {
 		if len(asns) > 20 {
 			asns = asns[:20]
 		}
-		u := Update{
+		u := updateMsg{
 			Withdrawn: []netip.Prefix{netip.PrefixFrom(netip.AddrFrom4([4]byte{a, b, c, d}), int(bits8)%33)},
 			Attrs: PathAttrs{ASPath: asns, NextHop: ip("192.0.2.1"),
 				LocalPref: lp, MED: med},
 			NLRI: []netip.Prefix{pfx("10.0.0.0/8")},
 		}
-		typ, body, err := ParseType(MarshalUpdate(u))
-		if err != nil || typ != MsgUpdate {
+		typ, body, err := parseType(marshalUpdate(u))
+		if err != nil || typ != msgUpdate {
 			return false
 		}
-		got, err := ParseUpdate(body)
+		got, err := parseUpdate(body)
 		if err != nil {
 			return false
 		}
@@ -216,14 +216,14 @@ func TestWireRoundTripProperty(t *testing.T) {
 
 func TestWireFuzzNoPanic(t *testing.T) {
 	f := func(b []byte) bool {
-		if typ, body, err := ParseType(b); err == nil {
+		if typ, body, err := parseType(b); err == nil {
 			switch typ {
-			case MsgOpen:
-				ParseOpen(body)
-			case MsgUpdate:
-				ParseUpdate(body)
-			case MsgNotification:
-				ParseNotification(body)
+			case msgOpen:
+				parseOpen(body)
+			case msgUpdate:
+				parseUpdate(body)
+			case msgNotification:
+				parseNotification(body)
 			}
 		}
 		return true

@@ -33,7 +33,7 @@ type peer struct {
 	cfg        PeerConfig
 	conn       Conn
 	state      string // Idle, OpenSent, Established
-	remote     Open
+	remote     openMsg
 	adjIn      map[netip.Prefix]PathAttrs
 	advertised map[netip.Prefix]bool
 	holdTimer  sim.Timer
@@ -105,17 +105,9 @@ func (s *Speaker) AddPeer(cfg PeerConfig, conn Conn) error {
 	p := &peer{cfg: cfg, conn: conn, state: "OpenSent",
 		adjIn: make(map[netip.Prefix]PathAttrs), advertised: make(map[netip.Prefix]bool)}
 	s.peers[cfg.Name] = p
-	conn.Send(MarshalOpen(Open{ASN: s.cfg.ASN, RouterID: s.cfg.RouterID,
+	conn.Send(marshalOpen(openMsg{ASN: s.cfg.ASN, RouterID: s.cfg.RouterID,
 		HoldTime: uint16(s.cfg.HoldTime / time.Second)}))
 	return nil
-}
-
-// PeerState reports a session's state ("", "OpenSent", "Established").
-func (s *Speaker) PeerState(name string) string {
-	if p, ok := s.peers[name]; ok {
-		return p.state
-	}
-	return ""
 }
 
 // Originate announces a locally owned prefix.
@@ -139,13 +131,13 @@ func (s *Speaker) Deliver(peerName string, msg []byte) error {
 	if !ok {
 		return fmt.Errorf("bgp: message from unknown peer %q", peerName)
 	}
-	typ, body, err := ParseType(msg)
+	typ, body, err := parseType(msg)
 	if err != nil {
 		return err
 	}
 	switch typ {
-	case MsgOpen:
-		o, err := ParseOpen(body)
+	case msgOpen:
+		o, err := parseOpen(body)
 		if err != nil {
 			return err
 		}
@@ -153,22 +145,22 @@ func (s *Speaker) Deliver(peerName string, msg []byte) error {
 		if p.state == "OpenSent" {
 			p.state = "Established"
 			s.event(peerName, "established")
-			p.conn.Send(MarshalKeepalive())
+			p.conn.Send(marshalKeepalive())
 			s.resetHold(p, peerName)
 			s.startKeepalives(p)
 			s.advertiseAll(p)
 		}
-	case MsgKeepalive:
+	case msgKeepalive:
 		s.resetHold(p, peerName)
-	case MsgUpdate:
+	case msgUpdate:
 		s.resetHold(p, peerName)
-		u, err := ParseUpdate(body)
+		u, err := parseUpdate(body)
 		if err != nil {
 			return err
 		}
 		s.handleUpdate(p, u)
-	case MsgNotification:
-		n, _ := ParseNotification(body)
+	case msgNotification:
+		n, _ := parseNotification(body)
 		s.event(peerName, fmt.Sprintf("notification code %d", n.Code))
 		s.sessionDown(peerName, p)
 	default:
@@ -186,7 +178,7 @@ func (s *Speaker) resetHold(p *peer, name string) {
 		hold = s.cfg.HoldTime
 	}
 	p.holdTimer = s.clock.Schedule(hold, func() {
-		p.conn.Send(MarshalNotification(Notification{Code: NoteHoldExpired}))
+		p.conn.Send(marshalNotification(notification{Code: noteHoldExpired}))
 		s.event(name, "hold expired")
 		s.sessionDown(name, p)
 	})
@@ -199,7 +191,7 @@ func (s *Speaker) startKeepalives(p *peer) {
 		if p.state != "Established" {
 			return
 		}
-		p.conn.Send(MarshalKeepalive())
+		p.conn.Send(marshalKeepalive())
 		p.kaTimer = s.clock.Schedule(interval, tick)
 	}
 	p.kaTimer = s.clock.Schedule(interval, tick)
@@ -219,7 +211,7 @@ func (s *Speaker) sessionDown(name string, p *peer) {
 	s.decide()
 }
 
-func (s *Speaker) handleUpdate(p *peer, u Update) {
+func (s *Speaker) handleUpdate(p *peer, u updateMsg) {
 	for _, w := range u.Withdrawn {
 		delete(p.adjIn, w.Masked())
 	}
@@ -342,7 +334,7 @@ func (s *Speaker) advertiseAll(pr *peer) {
 			continue
 		}
 		pr.advertised[r.Prefix] = true
-		pr.conn.Send(MarshalUpdate(Update{NLRI: []netip.Prefix{r.Prefix},
+		pr.conn.Send(marshalUpdate(updateMsg{NLRI: []netip.Prefix{r.Prefix},
 			Attrs: s.exportAttrs(pr, r)}))
 	}
 }
@@ -355,7 +347,7 @@ func (s *Speaker) advertiseDelta(pr *peer, old, new_ map[netip.Prefix]Route) {
 			continue
 		}
 		delete(pr.advertised, p)
-		pr.conn.Send(MarshalUpdate(Update{Withdrawn: []netip.Prefix{p}}))
+		pr.conn.Send(marshalUpdate(updateMsg{Withdrawn: []netip.Prefix{p}}))
 	}
 	// Announcements: new or changed best routes.
 	for _, r := range sortRoutes(new_) {
@@ -366,7 +358,7 @@ func (s *Speaker) advertiseDelta(pr *peer, old, new_ map[netip.Prefix]Route) {
 			continue
 		}
 		pr.advertised[r.Prefix] = true
-		pr.conn.Send(MarshalUpdate(Update{NLRI: []netip.Prefix{r.Prefix},
+		pr.conn.Send(marshalUpdate(updateMsg{NLRI: []netip.Prefix{r.Prefix},
 			Attrs: s.exportAttrs(pr, r)}))
 	}
 }

@@ -14,14 +14,14 @@ import (
 
 // Message types.
 const (
-	MsgOpen         = 1
-	MsgUpdate       = 2
-	MsgNotification = 3
-	MsgKeepalive    = 4
+	msgOpen         = 1
+	msgUpdate       = 2
+	msgNotification = 3
+	msgKeepalive    = 4
 )
 
-// Open announces speaker identity when a session starts.
-type Open struct {
+// openMsg announces speaker identity when a session starts.
+type openMsg struct {
 	ASN      uint32
 	RouterID uint32
 	HoldTime uint16 // seconds
@@ -35,24 +35,20 @@ type PathAttrs struct {
 	MED       uint32
 }
 
-// Update announces and withdraws prefixes.
-type Update struct {
+// updateMsg announces and withdraws prefixes.
+type updateMsg struct {
 	Withdrawn []netip.Prefix
 	Attrs     PathAttrs
 	NLRI      []netip.Prefix
 }
 
-// Notification reports a fatal session error.
-type Notification struct {
+// notification reports a fatal session error.
+type notification struct {
 	Code uint8
 }
 
-// Notification codes.
-const (
-	NoteHoldExpired  = 4
-	NoteCease        = 6
-	NotePolicyReject = 7 // mux: announcement outside allocated block
-)
+// noteHoldExpired is the notification code of a hold-timer expiry.
+const noteHoldExpired = 4
 
 // Marshal encodes a message with the 19-byte-style header (marker
 // omitted; 3-byte length + type as in RFC 4271, simplified).
@@ -65,8 +61,8 @@ func marshal(typ byte, body []byte) []byte {
 	return out
 }
 
-// ParseType splits a raw message into type and body.
-func ParseType(b []byte) (byte, []byte, error) {
+// parseType splits a raw message into type and body.
+func parseType(b []byte) (byte, []byte, error) {
 	if len(b) < 4 {
 		return 0, nil, fmt.Errorf("bgp: message too short")
 	}
@@ -77,18 +73,18 @@ func ParseType(b []byte) (byte, []byte, error) {
 	return b[3], b[4:l], nil
 }
 
-// MarshalOpen encodes an OPEN.
-func MarshalOpen(o Open) []byte {
+// marshalOpen encodes an OPEN.
+func marshalOpen(o openMsg) []byte {
 	body := make([]byte, 10)
 	binary.BigEndian.PutUint32(body[0:4], o.ASN)
 	binary.BigEndian.PutUint32(body[4:8], o.RouterID)
 	binary.BigEndian.PutUint16(body[8:10], o.HoldTime)
-	return marshal(MsgOpen, body)
+	return marshal(msgOpen, body)
 }
 
-// ParseOpen decodes an OPEN body.
-func ParseOpen(body []byte) (Open, error) {
-	var o Open
+// parseOpen decodes an OPEN body.
+func parseOpen(body []byte) (openMsg, error) {
+	var o openMsg
 	if len(body) < 10 {
 		return o, fmt.Errorf("bgp: OPEN too short")
 	}
@@ -98,20 +94,20 @@ func ParseOpen(body []byte) (Open, error) {
 	return o, nil
 }
 
-// MarshalKeepalive encodes a KEEPALIVE.
-func MarshalKeepalive() []byte { return marshal(MsgKeepalive, nil) }
+// marshalKeepalive encodes a KEEPALIVE.
+func marshalKeepalive() []byte { return marshal(msgKeepalive, nil) }
 
-// MarshalNotification encodes a NOTIFICATION.
-func MarshalNotification(n Notification) []byte {
-	return marshal(MsgNotification, []byte{n.Code})
+// marshalNotification encodes a NOTIFICATION.
+func marshalNotification(n notification) []byte {
+	return marshal(msgNotification, []byte{n.Code})
 }
 
-// ParseNotification decodes a NOTIFICATION body.
-func ParseNotification(body []byte) (Notification, error) {
+// parseNotification decodes a NOTIFICATION body.
+func parseNotification(body []byte) (notification, error) {
 	if len(body) < 1 {
-		return Notification{}, fmt.Errorf("bgp: NOTIFICATION too short")
+		return notification{}, fmt.Errorf("bgp: NOTIFICATION too short")
 	}
-	return Notification{Code: body[0]}, nil
+	return notification{Code: body[0]}, nil
 }
 
 func appendPrefix(out []byte, p netip.Prefix) []byte {
@@ -132,8 +128,8 @@ func parsePrefix(b []byte) (netip.Prefix, []byte, error) {
 	return netip.PrefixFrom(addr, bits), b[5:], nil
 }
 
-// MarshalUpdate encodes an UPDATE.
-func MarshalUpdate(u Update) []byte {
+// marshalUpdate encodes an UPDATE.
+func marshalUpdate(u updateMsg) []byte {
 	var body []byte
 	body = binary.BigEndian.AppendUint16(body, uint16(len(u.Withdrawn)))
 	for _, p := range u.Withdrawn {
@@ -157,12 +153,12 @@ func MarshalUpdate(u Update) []byte {
 	for _, p := range u.NLRI {
 		body = appendPrefix(body, p)
 	}
-	return marshal(MsgUpdate, body)
+	return marshal(msgUpdate, body)
 }
 
-// ParseUpdate decodes an UPDATE body.
-func ParseUpdate(body []byte) (Update, error) {
-	var u Update
+// parseUpdate decodes an UPDATE body.
+func parseUpdate(body []byte) (updateMsg, error) {
+	var u updateMsg
 	if len(body) < 2 {
 		return u, fmt.Errorf("bgp: UPDATE too short")
 	}

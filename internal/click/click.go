@@ -5,14 +5,13 @@
 // includes a parser for the subset of the Click configuration language
 // IIAS needs (declarations, connections, chains) and the IIAS element
 // library: UDP tunnels, the tap0 local interface, the forwarding and
-// encapsulation table lookups, NAPT, queues, shapers, counters, and the
+// encapsulation table lookups, NAPT, the shaper, and the
 // failure-injection element the paper's Section 5.2 uses to "fail" a
 // virtual link by dropping packets inside Click.
 package click
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -25,16 +24,16 @@ import (
 // Element is a Click element: it receives packets on numbered input ports
 // and emits them on numbered output ports via the router.
 type Element interface {
-	// Class returns the element's class name (e.g. "Classifier").
+	// Class returns the element's class name (e.g. "LookupIPRoute").
 	Class() string
 	// Push delivers a packet on input port. Elements emit downstream by
-	// calling their PortSet.
+	// calling their portSet.
 	Push(port int, p *packet.Packet)
 }
 
-// Initializer is implemented by elements that need resources from the
+// initializer is implemented by elements that need resources from the
 // router context after construction and wiring.
-type Initializer interface {
+type initializer interface {
 	Initialize(ctx *Context) error
 }
 
@@ -45,8 +44,8 @@ type HandlerElement interface {
 	Handler(name, value string) (string, error)
 }
 
-// PortSet is the owned output side of an element; the router wires it.
-type PortSet struct {
+// portSet is the owned output side of an element; the router wires it.
+type portSet struct {
 	name  string
 	conns [][]edge // per output port: fan-out edges
 }
@@ -56,13 +55,13 @@ type edge struct {
 	port int
 }
 
-// Output emits p on output port, transferring ownership. Fan-out sends
+// output emits p on output port, transferring ownership. Fan-out sends
 // deep clones to all edges but the last, which receives the original
 // (Click's Tee discipline). Unconnected ports discard — and Release —
 // the packet, as Click does for push outputs wired to Discard implicitly.
 // Pushing a packet that was already released panics: it means an element
 // kept emitting a packet it no longer owned.
-func (ps *PortSet) Output(port int, p *packet.Packet) {
+func (ps *portSet) output(port int, p *packet.Packet) {
 	if p.Released() {
 		panic("click: " + ps.name + ": output of a released packet")
 	}
@@ -80,12 +79,12 @@ func (ps *PortSet) Output(port int, p *packet.Packet) {
 	}
 }
 
-// Connected reports whether output port has at least one edge.
-func (ps *PortSet) Connected(port int) bool {
+// connected reports whether output port has at least one edge.
+func (ps *portSet) connected(port int) bool {
 	return port >= 0 && port < len(ps.conns) && len(ps.conns[port]) > 0
 }
 
-func (ps *PortSet) ensure(port int) {
+func (ps *portSet) ensure(port int) {
 	for len(ps.conns) <= port {
 		ps.conns = append(ps.conns, nil)
 	}
@@ -139,17 +138,17 @@ type VPNSink interface {
 	SendVPN(p *packet.Packet)
 }
 
-// Constructor builds an element from its configuration arguments.
-type Constructor func(name string, args []string) (Element, error)
+// constructor builds an element from its configuration arguments.
+type constructor func(name string, args []string) (Element, error)
 
 var (
 	registryMu sync.RWMutex
-	registry   = map[string]Constructor{}
+	registry   = map[string]constructor{}
 )
 
-// Register installs a constructor for class. It panics on duplicates,
+// register installs a constructor for class. It panics on duplicates,
 // matching Click's element registration discipline.
-func Register(class string, c Constructor) {
+func register(class string, c constructor) {
 	registryMu.Lock()
 	defer registryMu.Unlock()
 	if _, dup := registry[class]; dup {
@@ -158,43 +157,28 @@ func Register(class string, c Constructor) {
 	registry[class] = c
 }
 
-// Classes returns all registered element classes, sorted.
-func Classes() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for c := range registry {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Router is a wired element graph.
 type Router struct {
 	ctx      *Context
 	elements map[string]Element
-	ports    map[string]*PortSet
+	ports    map[string]*portSet
 	order    []string // declaration order, for deterministic init
 }
 
-// NewRouter returns an empty router bound to ctx.
-func NewRouter(ctx *Context) *Router {
+// newRouter returns an empty router bound to ctx.
+func newRouter(ctx *Context) *Router {
 	if ctx == nil {
 		ctx = &Context{}
 	}
 	return &Router{
 		ctx:      ctx,
 		elements: make(map[string]Element),
-		ports:    make(map[string]*PortSet),
+		ports:    make(map[string]*portSet),
 	}
 }
 
-// Context returns the router's shared context.
-func (r *Router) Context() *Context { return r.ctx }
-
-// AddElement declares a named element instance of class with args.
-func (r *Router) AddElement(name, class string, args []string) error {
+// addElement declares a named element instance of class with args.
+func (r *Router) addElement(name, class string, args []string) error {
 	if _, dup := r.elements[name]; dup {
 		return fmt.Errorf("click: duplicate element name %q", name)
 	}
@@ -209,16 +193,16 @@ func (r *Router) AddElement(name, class string, args []string) error {
 		return fmt.Errorf("click: %s :: %s: %w", name, class, err)
 	}
 	r.elements[name] = e
-	r.ports[name] = &PortSet{name: name}
+	r.ports[name] = &portSet{name: name}
 	r.order = append(r.order, name)
-	if b, ok := e.(interface{ bind(*Router, *PortSet) }); ok {
+	if b, ok := e.(interface{ bind(*Router, *portSet) }); ok {
 		b.bind(r, r.ports[name])
 	}
 	return nil
 }
 
-// Connect wires from[fromPort] -> [toPort]to.
-func (r *Router) Connect(from string, fromPort int, to string, toPort int) error {
+// connect wires from[fromPort] -> [toPort]to.
+func (r *Router) connect(from string, fromPort int, to string, toPort int) error {
 	fp, ok := r.ports[from]
 	if !ok {
 		return fmt.Errorf("click: connect from unknown element %q", from)
@@ -235,22 +219,22 @@ func (r *Router) Connect(from string, fromPort int, to string, toPort int) error
 	return nil
 }
 
-// Instrumentable is implemented by elements that publish counters into
+// instrumentable is implemented by elements that publish counters into
 // a telemetry scope. Instrument is called once, after Initialize, with
 // a scope prefixed by the element's instance name; handles grabbed
 // there are nil-safe, so uninstrumented routers pay one nil check per
 // counter update.
-type Instrumentable interface {
+type instrumentable interface {
 	Instrument(sc *telemetry.Scope)
 }
 
 // Initialize runs element initializers in declaration order, then (when
-// the context carries a telemetry scope) hands every Instrumentable
+// the context carries a telemetry scope) hands every instrumentable
 // element its per-element scope. Declaration order makes metric
 // registration order — and therefore snapshot order — deterministic.
 func (r *Router) Initialize() error {
 	for _, name := range r.order {
-		if init, ok := r.elements[name].(Initializer); ok {
+		if init, ok := r.elements[name].(initializer); ok {
 			if err := init.Initialize(r.ctx); err != nil {
 				return fmt.Errorf("click: initialize %s: %w", name, err)
 			}
@@ -258,7 +242,7 @@ func (r *Router) Initialize() error {
 	}
 	if r.ctx.Metrics != nil {
 		for _, name := range r.order {
-			if ins, ok := r.elements[name].(Instrumentable); ok {
+			if ins, ok := r.elements[name].(instrumentable); ok {
 				ins.Instrument(r.ctx.Metrics.With("click/" + name + "/"))
 			}
 		}
@@ -266,19 +250,19 @@ func (r *Router) Initialize() error {
 	return nil
 }
 
-// Auditor is implemented by elements that keep derived per-element
+// auditor is implemented by elements that keep derived per-element
 // state (version-stamped route or encap caches). Audit checks that
 // state against the authoritative shared tables and returns a
 // description of the first inconsistency. The simulation invariant
 // engine audits every element at each quiescent point.
-type Auditor interface {
+type auditor interface {
 	Audit() error
 }
 
-// Audit runs every Auditor element's self-check in declaration order.
+// Audit runs every auditor element's self-check in declaration order.
 func (r *Router) Audit() error {
 	for _, name := range r.order {
-		if a, ok := r.elements[name].(Auditor); ok {
+		if a, ok := r.elements[name].(auditor); ok {
 			if err := a.Audit(); err != nil {
 				return fmt.Errorf("click: element %s: %w", name, err)
 			}
@@ -287,20 +271,20 @@ func (r *Router) Audit() error {
 	return nil
 }
 
-// Flusher is implemented by elements that buffer packets (queues,
-// shapers). Flush releases everything buffered back to the pool and
+// flusher is implemented by elements that buffer packets (the shaper).
+// Flush releases everything buffered back to the pool and
 // returns the number of packets dropped; slice teardown flushes every
 // element so the pool ledger balances.
-type Flusher interface {
+type flusher interface {
 	Flush() int
 }
 
-// Flush releases all buffered packets in every Flusher element, in
+// Flush releases all buffered packets in every flusher element, in
 // declaration order, returning the total released.
 func (r *Router) Flush() int {
 	n := 0
 	for _, name := range r.order {
-		if f, ok := r.elements[name].(Flusher); ok {
+		if f, ok := r.elements[name].(flusher); ok {
 			n += f.Flush()
 		}
 	}
@@ -352,17 +336,14 @@ func cutLast(s string, sep byte) (before, after string, ok bool) {
 	return s, "", false
 }
 
-// base provides the PortSet plumbing elements embed.
+// base provides the portSet plumbing elements embed.
 type base struct {
 	name   string
 	router *Router
-	out    *PortSet
+	out    *portSet
 }
 
-func (b *base) bind(r *Router, ps *PortSet) { b.router = r; b.out = ps }
-
-// Name returns the element instance name.
-func (b *base) Name() string { return b.name }
+func (b *base) bind(r *Router, ps *portSet) { b.router = r; b.out = ps }
 
 func (b *base) trace(event string, p *packet.Packet) {
 	if b.router != nil && b.router.ctx.Trace != nil {

@@ -1,6 +1,7 @@
 package click
 
 import (
+	"net/netip"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -36,11 +37,11 @@ func (c *capture) SendTunnel(e fib.EncapEntry, p *packet.Packet) {
 }
 func (c *capture) DeliverTap(p *packet.Packet) { c.tapped = append(c.tapped, p) }
 
-func init() { Register("TestSink", newSink) }
+func init() { register("TestSink", newSink) }
 
 var (
-	src10 = packet.MustAddr("10.1.1.2")
-	dst10 = packet.MustAddr("10.1.2.3")
+	src10 = netip.MustParseAddr("10.1.1.2")
+	dst10 = netip.MustParseAddr("10.1.2.3")
 )
 
 func testCtx() (*Context, *capture, *sim.Loop) {
@@ -53,7 +54,7 @@ func testCtx() (*Context, *capture, *sim.Loop) {
 		Encap:     fib.NewEncapTable(),
 		Tunnels:   cap,
 		Tap:       cap,
-		LocalAddr: packet.Flow{Src: packet.MustAddr("10.1.1.1")},
+		LocalAddr: packet.Flow{Src: netip.MustParseAddr("10.1.1.1")},
 	}
 	return ctx, cap, loop
 }
@@ -75,9 +76,9 @@ func TestParseDeclarationAndChain(t *testing.T) {
 	r := mustParse(t, ctx, `
 		// IIAS-style graph
 		in :: FromTunnel;
-		cnt :: Counter;
+		dup :: DupSuppress;
 		out :: TestSink;
-		in -> cnt -> out;
+		in -> dup -> out;
 	`)
 	p := packet.New([]byte{1, 2, 3})
 	r.Push("in", 0, p)
@@ -85,29 +86,26 @@ func TestParseDeclarationAndChain(t *testing.T) {
 	if len(s.(*sink).got) != 1 {
 		t.Fatal("packet did not traverse chain")
 	}
-	if v, err := r.Handler("cnt.count", ""); err != nil || v != "1" {
-		t.Fatalf("counter = %q err=%v", v, err)
-	}
-	if v, err := r.Handler("cnt.byte_count", ""); err != nil || v != "3" {
-		t.Fatalf("byte count = %q err=%v", v, err)
+	if v, err := r.Handler("dup.drops", ""); err != nil || v != "0" {
+		t.Fatalf("drops = %q err=%v", v, err)
 	}
 }
 
 func TestParseExplicitPorts(t *testing.T) {
 	ctx, _, _ := testCtx()
 	r := mustParse(t, ctx, `
-		cl :: Classifier(0/01, -);
+		dec :: DecIPTTL;
 		a :: TestSink;
 		b :: TestSink;
-		cl[0] -> a;
-		cl[1] -> [0]b;
+		dec[0] -> a;
+		dec[1] -> [0]b;
 	`)
-	r.Push("cl", 0, packet.New([]byte{0x01, 0xff}))
-	r.Push("cl", 0, packet.New([]byte{0x02, 0xff}))
+	r.Push("dec", 0, packet.New(packet.BuildUDP(src10, dst10, 1, 2, 64, nil)))
+	r.Push("dec", 0, packet.New(packet.BuildUDP(src10, dst10, 1, 2, 1, nil)))
 	ea, _ := r.Element("a")
 	eb, _ := r.Element("b")
 	if len(ea.(*sink).got) != 1 || len(eb.(*sink).got) != 1 {
-		t.Fatalf("classifier misrouted: a=%d b=%d",
+		t.Fatalf("ports misrouted: a=%d b=%d",
 			len(ea.(*sink).got), len(eb.(*sink).got))
 	}
 }
@@ -115,9 +113,9 @@ func TestParseExplicitPorts(t *testing.T) {
 func TestParseMultiDeclarationAndComments(t *testing.T) {
 	ctx, _, _ := testCtx()
 	r := mustParse(t, ctx, `
-		/* two counters
+		/* two elements
 		   at once */
-		c1, c2 :: Counter;
+		c1, c2 :: FromTunnel;
 		c1 -> c2; // chained
 	`)
 	if len(r.Elements()) != 2 {
@@ -128,15 +126,15 @@ func TestParseMultiDeclarationAndComments(t *testing.T) {
 func TestParseErrors(t *testing.T) {
 	cases := []string{
 		"x :: NoSuchClass;",
-		"x :: Counter; x :: Counter;", // duplicate
-		"x -> y;",                     // undeclared
-		"x :: Counter( ;",             // unbalanced
-		"x :: Counter; x[z] -> x;",    // bad port
-		"frob grob;",                  // not a statement
-		"x :: Tee(0);",                // bad arg
-		"x :: Classifier();",          // missing pattern
-		"x :: Classifier(zz/qq);",     // bad hex
-		"c :: Classifier(0/00%ffff);", // mask length mismatch
+		"x :: Discard; x :: Discard;",       // duplicate
+		"x -> y;",                           // undeclared
+		"x :: Discard( ;",                   // unbalanced
+		"x :: Discard; x[z] -> x;",          // bad port
+		"frob grob;",                        // not a statement
+		"x :: ToTunnel(-1);",                // bad arg
+		"x :: ICMPError();",                 // missing type and code
+		"x :: IPNAPT(zz);",                  // bad address
+		"x :: LinkFail(DROP_PROB 0.5 0.5);", // wrong argument count
 	}
 	for _, c := range cases {
 		ctx, _, _ := testCtx()
@@ -147,7 +145,7 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestSplitArgs(t *testing.T) {
-	args, err := SplitArgs(`a, b(c, d), "e, f", g`)
+	args, err := splitArgs(`a, b(c, d), "e, f", g`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +178,7 @@ func TestSplitArgsProperty(t *testing.T) {
 			}
 		}
 		joined := strings.Join(clean, ", ")
-		got, err := SplitArgs(joined)
+		got, err := splitArgs(joined)
 		if err != nil {
 			return false
 		}
@@ -196,41 +194,6 @@ func TestSplitArgsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestClassifierIPProto(t *testing.T) {
-	ctx, _, _ := testCtx()
-	// Protocol field at offset 9: UDP=17 (0x11), ICMP=1, rest.
-	r := mustParse(t, ctx, `
-		cl :: Classifier(9/11, 9/01, -);
-		udp :: TestSink; icmp :: TestSink; other :: TestSink;
-		cl[0] -> udp; cl[1] -> icmp; cl[2] -> other;
-	`)
-	r.Push("cl", 0, packet.New(packet.BuildUDP(src10, dst10, 1, 2, 64, nil)))
-	r.Push("cl", 0, packet.New(packet.BuildICMPEcho(src10, dst10, false, 1, 1, 64, nil)))
-	r.Push("cl", 0, packet.New(packet.BuildTCP(src10, dst10, packet.TCP{}, 64, nil)))
-	for name, want := range map[string]int{"udp": 1, "icmp": 1, "other": 1} {
-		e, _ := r.Element(name)
-		if got := len(e.(*sink).got); got != want {
-			t.Errorf("%s got %d packets, want %d", name, got, want)
-		}
-	}
-}
-
-func TestClassifierMask(t *testing.T) {
-	ctx, _, _ := testCtx()
-	r := mustParse(t, ctx, `
-		cl :: Classifier(0/40%f0, -);
-		v4 :: TestSink; rest :: TestSink;
-		cl[0] -> v4; cl[1] -> rest;
-	`)
-	r.Push("cl", 0, packet.New([]byte{0x45, 0x00}))
-	r.Push("cl", 0, packet.New([]byte{0x60, 0x00}))
-	e1, _ := r.Element("v4")
-	e2, _ := r.Element("rest")
-	if len(e1.(*sink).got) != 1 || len(e2.(*sink).got) != 1 {
-		t.Fatal("masked classification wrong")
 	}
 }
 
@@ -281,10 +244,10 @@ func TestDecIPTTLExpiry(t *testing.T) {
 
 func TestLookupRouteAndEncap(t *testing.T) {
 	ctx, cap, _ := testCtx()
-	nh := packet.MustAddr("10.1.1.3")
-	ctx.FIB.Add(fib.Route{Prefix: packet.MustPrefix("10.1.2.0/24"), NextHop: nh, OutPort: 0, Owner: "static"})
-	ctx.FIB.Add(fib.Route{Prefix: packet.MustPrefix("10.1.1.1/32"), OutPort: 1, Owner: "connected"})
-	ctx.Encap.Set(fib.EncapEntry{NextHop: nh, Remote: packet.MustAddr("198.32.154.250"), Port: 33000, Tunnel: 1})
+	nh := netip.MustParseAddr("10.1.1.3")
+	ctx.FIB.Add(fib.Route{Prefix: netip.MustParsePrefix("10.1.2.0/24"), NextHop: nh, OutPort: 0, Owner: "static"})
+	ctx.FIB.Add(fib.Route{Prefix: netip.MustParsePrefix("10.1.1.1/32"), OutPort: 1, Owner: "connected"})
+	ctx.Encap.Set(fib.EncapEntry{NextHop: nh, Remote: netip.MustParseAddr("198.32.154.250"), Port: 33000, Tunnel: 1})
 	r := mustParse(t, ctx, `
 		rt :: LookupIPRoute(NOROUTE 2);
 		encap :: EncapTunnel;
@@ -296,16 +259,16 @@ func TestLookupRouteAndEncap(t *testing.T) {
 	`)
 	// Forwarded packet goes to the tunnel transport.
 	r.Push("rt", 0, packet.New(packet.BuildUDP(src10, dst10, 1, 2, 64, nil)))
-	if len(cap.tunneled) != 1 || cap.tunneled[0].Remote != packet.MustAddr("198.32.154.250") {
+	if len(cap.tunneled) != 1 || cap.tunneled[0].Remote != netip.MustParseAddr("198.32.154.250") {
 		t.Fatalf("tunneled = %+v", cap.tunneled)
 	}
 	// Local packet goes to tap.
-	r.Push("rt", 0, packet.New(packet.BuildUDP(src10, packet.MustAddr("10.1.1.1"), 1, 2, 64, nil)))
+	r.Push("rt", 0, packet.New(packet.BuildUDP(src10, netip.MustParseAddr("10.1.1.1"), 1, 2, 64, nil)))
 	if len(cap.tapped) != 1 {
 		t.Fatal("local packet not delivered to tap")
 	}
 	// Unroutable packet exits the NOROUTE port.
-	r.Push("rt", 0, packet.New(packet.BuildUDP(src10, packet.MustAddr("203.0.113.9"), 1, 2, 64, nil)))
+	r.Push("rt", 0, packet.New(packet.BuildUDP(src10, netip.MustParseAddr("203.0.113.9"), 1, 2, 64, nil)))
 	u, _ := r.Element("unreach")
 	if len(u.(*sink).got) != 1 {
 		t.Fatal("unroutable packet lost")
@@ -358,30 +321,6 @@ func TestLinkFailDropProb(t *testing.T) {
 	}
 }
 
-func TestQueueTailDrop(t *testing.T) {
-	ctx, _, _ := testCtx()
-	r := mustParse(t, ctx, `q :: Queue(3);`)
-	e, _ := r.Element("q")
-	q := e.(*queue)
-	for i := 0; i < 5; i++ {
-		r.Push("q", 0, packet.New([]byte{byte(i)}))
-	}
-	if q.Len() != 3 {
-		t.Fatalf("queue length = %d, want 3", q.Len())
-	}
-	if v, _ := r.Handler("q.drops", ""); v != "2" {
-		t.Fatalf("drops = %s", v)
-	}
-	if p := q.Pull(); p == nil || p.Data[0] != 0 {
-		t.Fatalf("FIFO violated: %v", p)
-	}
-	q.Pull()
-	q.Pull()
-	if q.Pull() != nil {
-		t.Fatal("empty queue returned a packet")
-	}
-}
-
 func TestBandwidthShaper(t *testing.T) {
 	ctx, _, loop := testCtx()
 	// 8000 bits/s with 100-byte packets -> one packet per 100 ms.
@@ -416,18 +355,18 @@ func TestIPNAPTElement(t *testing.T) {
 		napt[0] -> out;
 		napt[1] -> [0]in;
 	`)
-	ext := packet.MustAddr("64.236.16.20")
+	ext := netip.MustParseAddr("64.236.16.20")
 	r.Push("napt", 0, packet.New(packet.BuildUDP(src10, ext, 5555, 80, 62, []byte("GET"))))
 	o, _ := r.Element("out")
 	if len(o.(*sink).got) != 1 {
 		t.Fatal("outbound not translated")
 	}
 	f, _ := packet.FlowOf(o.(*sink).got[0].Data)
-	if f.Src != packet.MustAddr("198.32.154.226") {
+	if f.Src != netip.MustParseAddr("198.32.154.226") {
 		t.Fatalf("source = %v", f.Src)
 	}
 	// Return path.
-	ret := packet.BuildUDP(ext, packet.MustAddr("198.32.154.226"), 80, f.SrcPort, 60, []byte("OK"))
+	ret := packet.BuildUDP(ext, netip.MustParseAddr("198.32.154.226"), 80, f.SrcPort, 60, []byte("OK"))
 	r.Push("napt", 1, packet.New(ret))
 	i, _ := r.Element("in")
 	if len(i.(*sink).got) != 1 {
@@ -438,7 +377,7 @@ func TestIPNAPTElement(t *testing.T) {
 		t.Fatalf("restored = %v", bf)
 	}
 	// Unsolicited inbound is dropped.
-	r.Push("napt", 1, packet.New(packet.BuildUDP(ext, packet.MustAddr("198.32.154.226"), 80, 9999, 60, nil)))
+	r.Push("napt", 1, packet.New(packet.BuildUDP(ext, netip.MustParseAddr("198.32.154.226"), 80, 9999, 60, nil)))
 	if len(i.(*sink).got) != 1 {
 		t.Fatal("unsolicited inbound passed")
 	}
@@ -461,7 +400,7 @@ func TestICMPErrorElement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ip.Dst != src10 || ip.Src != packet.MustAddr("10.1.1.1") {
+	if ip.Dst != src10 || ip.Src != netip.MustParseAddr("10.1.1.1") {
 		t.Fatalf("error addressed wrong: %v -> %v", ip.Src, ip.Dst)
 	}
 	var ic packet.ICMP
@@ -470,66 +409,9 @@ func TestICMPErrorElement(t *testing.T) {
 	}
 }
 
-func TestStripAndEtherEncap(t *testing.T) {
-	ctx, _, _ := testCtx()
-	r := mustParse(t, ctx, `
-		enc :: EtherEncap(0x0800, 02:00:00:00:00:01, 02:00:00:00:00:02);
-		str :: Strip(14);
-		out :: TestSink;
-		enc -> str -> out;
-	`)
-	r.Push("enc", 0, packet.New([]byte{0xde, 0xad}))
-	o, _ := r.Element("out")
-	if len(o.(*sink).got) != 1 || len(o.(*sink).got[0].Data) != 2 {
-		t.Fatal("encap/strip not inverse")
-	}
-}
-
-func TestTeeDuplicates(t *testing.T) {
-	ctx, _, _ := testCtx()
-	r := mustParse(t, ctx, `
-		t :: Tee(3);
-		a :: TestSink; b :: TestSink; c :: TestSink;
-		t[0] -> a; t[1] -> b; t[2] -> c;
-	`)
-	p := packet.New([]byte{9})
-	r.Push("t", 0, p)
-	for _, n := range []string{"a", "b", "c"} {
-		e, _ := r.Element(n)
-		if len(e.(*sink).got) != 1 {
-			t.Fatalf("tee output %s missing packet", n)
-		}
-	}
-	// The copies must not alias.
-	ea, _ := r.Element("a")
-	eb, _ := r.Element("b")
-	ea.(*sink).got[0].Data[0] = 1
-	if eb.(*sink).got[0].Data[0] != 9 {
-		t.Fatal("tee outputs alias one buffer")
-	}
-}
-
-func TestPaintCheckPaint(t *testing.T) {
-	ctx, _, _ := testCtx()
-	r := mustParse(t, ctx, `
-		p :: Paint(7);
-		cp :: CheckPaint(7);
-		hit :: TestSink; miss :: TestSink;
-		p -> cp;
-		cp[0] -> hit; cp[1] -> miss;
-	`)
-	r.Push("p", 0, packet.New([]byte{1}))
-	r.Push("cp", 0, packet.New([]byte{2})) // unpainted
-	h, _ := r.Element("hit")
-	m, _ := r.Element("miss")
-	if len(h.(*sink).got) != 1 || len(m.(*sink).got) != 1 {
-		t.Fatal("paint routing wrong")
-	}
-}
-
 func TestHandlersErrors(t *testing.T) {
 	ctx, _, _ := testCtx()
-	r := mustParse(t, ctx, `c :: Counter;`)
+	r := mustParse(t, ctx, `c :: Discard;`)
 	if _, err := r.Handler("nosuch.count", ""); err == nil {
 		t.Fatal("unknown element accepted")
 	}
@@ -542,8 +424,8 @@ func TestHandlersErrors(t *testing.T) {
 }
 
 func TestInitializeFailsWithoutResources(t *testing.T) {
-	r := NewRouter(&Context{})
-	if err := r.AddElement("rt", "LookupIPRoute", nil); err != nil {
+	r := newRouter(&Context{})
+	if err := r.addElement("rt", "LookupIPRoute", nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Initialize(); err == nil {
@@ -551,58 +433,23 @@ func TestInitializeFailsWithoutResources(t *testing.T) {
 	}
 }
 
-func TestSetTimestamp(t *testing.T) {
-	ctx, _, loop := testCtx()
-	r := mustParse(t, ctx, `
-		ts :: SetTimestamp;
-		out :: TestSink;
-		ts -> out;
-	`)
-	loop.Schedule(5*time.Millisecond, func() {
-		r.Push("ts", 0, packet.New([]byte{1}))
-	})
-	loop.RunAll()
-	o, _ := r.Element("out")
-	if got := o.(*sink).got[0].Anno.Timestamp; got != 5*time.Millisecond {
-		t.Fatalf("timestamp = %v", got)
-	}
-}
-
-func TestClassesListsRegistrations(t *testing.T) {
-	cs := Classes()
-	want := map[string]bool{"Classifier": true, "LookupIPRoute": true, "IPNAPT": true}
-	found := 0
-	for _, c := range cs {
-		if want[c] {
-			found++
-		}
-	}
-	if found != len(want) {
-		t.Fatalf("registry missing classes: %v", cs)
-	}
-}
-
 func TestRouterFlushReleasesBufferedPackets(t *testing.T) {
 	ctx, _, _ := testCtx()
 	base := packet.Stats()
 	r := mustParse(t, ctx, `
-		q :: Queue(10);
 		sh :: BandwidthShaper(1000, 10);
 		out :: TestSink;
 		sh -> out;
 	`)
-	// Fill the queue (no puller attached) and the shaper's backlog: the
-	// 1 kbit/s rate keeps all but the first packet buffered.
+	// Fill the shaper's backlog: the 1 kbit/s rate keeps all but the first
+	// packet buffered.
 	for i := 0; i < 4; i++ {
-		pq := packet.Get()
-		pq.SetData([]byte{1, 2, 3, 4})
-		r.Push("q", 0, pq)
 		ps := packet.Get()
 		ps.SetData([]byte{1, 2, 3, 4})
 		r.Push("sh", 0, ps)
 	}
-	if n := r.Flush(); n != 4+3 {
-		t.Fatalf("Flush released %d, want 7", n)
+	if n := r.Flush(); n != 3 {
+		t.Fatalf("Flush released %d, want 3", n)
 	}
 	if n := r.Flush(); n != 0 {
 		t.Fatalf("second Flush released %d, want 0", n)

@@ -1,7 +1,6 @@
 package click
 
 import (
-	"encoding/hex"
 	"fmt"
 	"net/netip"
 	"strconv"
@@ -15,33 +14,23 @@ import (
 )
 
 func init() {
-	Register("FromTap", newPassthrough)
-	Register("FromTunnel", newPassthrough)
-	Register("FromVPN", newPassthrough)
-	Register("Null", newPassthrough)
-	Register("Discard", newDiscard)
-	Register("Counter", newCounter)
-	Register("Tee", newTee)
-	Register("Paint", newPaint)
-	Register("CheckPaint", newCheckPaint)
-	Register("Classifier", newClassifier)
-	Register("CheckIPHeader", newCheckIPHeader)
-	Register("DecIPTTL", newDecIPTTL)
-	Register("LookupIPRoute", newLookupIPRoute)
-	Register("EncapTunnel", newEncapTunnel)
-	Register("ToTap", newToTap)
-	Register("IPNAPT", newIPNAPT)
-	Register("Queue", newQueue)
-	Register("BandwidthShaper", newBandwidthShaper)
-	Register("LinkFail", newLinkFail)
-	Register("DupSuppress", newDupSuppress)
-	Register("ToTunnel", newToTunnel)
-	Register("ICMPError", newICMPError)
-	Register("Strip", newStrip)
-	Register("ToExternal", newToExternal)
-	Register("ToVPN", newToVPN)
-	Register("EtherEncap", newEtherEncap)
-	Register("SetTimestamp", newSetTimestamp)
+	register("FromTap", newPassthrough("FromTap"))
+	register("FromTunnel", newPassthrough("FromTunnel"))
+	register("FromVPN", newPassthrough("FromVPN"))
+	register("Discard", newDiscard)
+	register("CheckIPHeader", newCheckIPHeader)
+	register("DecIPTTL", newDecIPTTL)
+	register("LookupIPRoute", newLookupIPRoute)
+	register("EncapTunnel", newEncapTunnel)
+	register("ToTap", newToTap)
+	register("IPNAPT", newIPNAPT)
+	register("BandwidthShaper", newBandwidthShaper)
+	register("LinkFail", newLinkFail)
+	register("DupSuppress", newDupSuppress)
+	register("ToTunnel", newToTunnel)
+	register("ICMPError", newICMPError)
+	register("ToExternal", newToExternal)
+	register("ToVPN", newToVPN)
 }
 
 // passthrough forwards input 0 to output 0. It names the graph entry
@@ -51,14 +40,16 @@ type passthrough struct {
 	class string
 }
 
-func newPassthrough(name string, args []string) (Element, error) {
-	return &passthrough{base: base{name: name}, class: "Null"}, nil
+func newPassthrough(class string) constructor {
+	return func(name string, args []string) (Element, error) {
+		return &passthrough{base: base{name: name}, class: class}, nil
+	}
 }
 
 func (e *passthrough) Class() string { return e.class }
 func (e *passthrough) Push(port int, p *packet.Packet) {
 	e.trace("pass", p)
-	e.out.Output(0, p)
+	e.out.output(0, p)
 }
 
 // discard drops everything, counting.
@@ -88,235 +79,6 @@ func (e *discard) Handler(name, value string) (string, error) {
 	return "", fmt.Errorf("discard: no handler %q", name)
 }
 
-// counter counts packets and bytes, passing them through.
-type counter struct {
-	base
-	packets, bytes uint64
-	mPkts, mBytes  *telemetry.Counter
-}
-
-func newCounter(name string, args []string) (Element, error) {
-	return &counter{base: base{name: name}}, nil
-}
-
-func (e *counter) Class() string { return "Counter" }
-func (e *counter) Instrument(sc *telemetry.Scope) {
-	e.mPkts = sc.Counter("packets")
-	e.mBytes = sc.Counter("bytes")
-}
-func (e *counter) Push(port int, p *packet.Packet) {
-	e.packets++
-	e.bytes += uint64(p.Len())
-	e.mPkts.Inc()
-	e.mBytes.Add(uint64(p.Len()))
-	e.out.Output(0, p)
-}
-
-func (e *counter) Handler(name, value string) (string, error) {
-	switch {
-	case name == "count" && value == "":
-		return strconv.FormatUint(e.packets, 10), nil
-	case name == "byte_count" && value == "":
-		return strconv.FormatUint(e.bytes, 10), nil
-	case name == "reset":
-		e.packets, e.bytes = 0, 0
-		return "", nil
-	}
-	return "", fmt.Errorf("counter: no handler %q", name)
-}
-
-// tee duplicates input to n outputs.
-type tee struct {
-	base
-	n int
-}
-
-func newTee(name string, args []string) (Element, error) {
-	n := 2
-	if len(args) == 1 {
-		v, err := strconv.Atoi(args[0])
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("tee: bad fan-out %q", args[0])
-		}
-		n = v
-	} else if len(args) > 1 {
-		return nil, fmt.Errorf("tee: want at most 1 arg")
-	}
-	return &tee{base: base{name: name}, n: n}, nil
-}
-
-func (e *tee) Class() string { return "Tee" }
-func (e *tee) Push(port int, p *packet.Packet) {
-	for i := 0; i < e.n; i++ {
-		q := p
-		if i < e.n-1 {
-			q = p.Clone()
-		}
-		e.out.Output(i, q)
-	}
-}
-
-// paint marks the packet's Paint annotation.
-type paint struct {
-	base
-	color int
-}
-
-func newPaint(name string, args []string) (Element, error) {
-	if len(args) != 1 {
-		return nil, fmt.Errorf("paint: want 1 arg")
-	}
-	c, err := strconv.Atoi(args[0])
-	if err != nil {
-		return nil, fmt.Errorf("paint: bad color %q", args[0])
-	}
-	return &paint{base: base{name: name}, color: c}, nil
-}
-
-func (e *paint) Class() string { return "Paint" }
-func (e *paint) Push(port int, p *packet.Packet) {
-	p.Anno.Paint = e.color
-	e.out.Output(0, p)
-}
-
-// checkPaint sends matching paint to output 0, others to output 1.
-type checkPaint struct {
-	base
-	color int
-}
-
-func newCheckPaint(name string, args []string) (Element, error) {
-	if len(args) != 1 {
-		return nil, fmt.Errorf("checkpaint: want 1 arg")
-	}
-	c, err := strconv.Atoi(args[0])
-	if err != nil {
-		return nil, fmt.Errorf("checkpaint: bad color %q", args[0])
-	}
-	return &checkPaint{base: base{name: name}, color: c}, nil
-}
-
-func (e *checkPaint) Class() string { return "CheckPaint" }
-func (e *checkPaint) Push(port int, p *packet.Packet) {
-	if p.Anno.Paint == e.color {
-		e.out.Output(0, p)
-	} else {
-		e.out.Output(1, p)
-	}
-}
-
-// clause is one offset/value%mask match within a classifier pattern.
-type clause struct {
-	offset int
-	value  []byte
-	mask   []byte
-}
-
-// classifier implements Click's Classifier: each argument is a pattern of
-// space-separated "offset/hexvalue[%hexmask]" clauses, or "-" matching
-// everything; packets exit on the port of the first matching pattern and
-// are dropped when none matches.
-type classifier struct {
-	base
-	patterns [][]clause // nil slice = match-all ("-")
-}
-
-func newClassifier(name string, args []string) (Element, error) {
-	if len(args) == 0 {
-		return nil, fmt.Errorf("classifier: want at least 1 pattern")
-	}
-	e := &classifier{base: base{name: name}}
-	for _, a := range args {
-		if a == "-" {
-			e.patterns = append(e.patterns, nil)
-			continue
-		}
-		var cs []clause
-		for _, part := range strings.Fields(a) {
-			c, err := parseClause(part)
-			if err != nil {
-				return nil, err
-			}
-			cs = append(cs, c)
-		}
-		if len(cs) == 0 {
-			return nil, fmt.Errorf("classifier: empty pattern %q", a)
-		}
-		e.patterns = append(e.patterns, cs)
-	}
-	return e, nil
-}
-
-func parseClause(s string) (clause, error) {
-	var c clause
-	slash := strings.IndexByte(s, '/')
-	if slash < 0 {
-		return c, fmt.Errorf("classifier: clause %q missing '/'", s)
-	}
-	off, err := strconv.Atoi(s[:slash])
-	if err != nil || off < 0 {
-		return c, fmt.Errorf("classifier: bad offset in %q", s)
-	}
-	c.offset = off
-	rest := s[slash+1:]
-	var maskHex string
-	if pct := strings.IndexByte(rest, '%'); pct >= 0 {
-		maskHex = rest[pct+1:]
-		rest = rest[:pct]
-	}
-	if len(rest)%2 == 1 {
-		rest = "0" + rest
-	}
-	c.value, err = hex.DecodeString(rest)
-	if err != nil {
-		return c, fmt.Errorf("classifier: bad hex in %q", s)
-	}
-	if maskHex != "" {
-		if len(maskHex)%2 == 1 {
-			maskHex = "0" + maskHex
-		}
-		c.mask, err = hex.DecodeString(maskHex)
-		if err != nil || len(c.mask) != len(c.value) {
-			return c, fmt.Errorf("classifier: bad mask in %q", s)
-		}
-	} else {
-		c.mask = make([]byte, len(c.value))
-		for i := range c.mask {
-			c.mask[i] = 0xff
-		}
-	}
-	for i := range c.value {
-		c.value[i] &= c.mask[i]
-	}
-	return c, nil
-}
-
-func (e *classifier) Class() string { return "Classifier" }
-func (e *classifier) Push(port int, p *packet.Packet) {
-	for i, cs := range e.patterns {
-		if matchClauses(cs, p.Data) {
-			e.out.Output(i, p)
-			return
-		}
-	}
-	e.trace("no-match", p)
-	p.Release()
-}
-
-func matchClauses(cs []clause, b []byte) bool {
-	for _, c := range cs {
-		if c.offset+len(c.value) > len(b) {
-			return false
-		}
-		for i := range c.value {
-			if b[c.offset+i]&c.mask[i] != c.value[i] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // checkIPHeader validates IPv4 headers; valid packets exit port 0, bad
 // ones exit port 1 (or are dropped if port 1 is unconnected).
 type checkIPHeader struct {
@@ -337,10 +99,10 @@ func (e *checkIPHeader) Push(port int, p *packet.Packet) {
 		e.bad++
 		e.mBad.Inc()
 		e.trace("bad-ip", p)
-		e.out.Output(1, p)
+		e.out.output(1, p)
 		return
 	}
-	e.out.Output(0, p)
+	e.out.output(0, p)
 }
 
 func (e *checkIPHeader) Handler(name, value string) (string, error) {
@@ -375,11 +137,11 @@ func (e *decIPTTL) Push(port int, p *packet.Packet) {
 		e.expired++
 		e.mExpired.Inc()
 		e.trace("ttl-expired", p)
-		e.out.Output(1, p)
+		e.out.output(1, p)
 		return
 	}
 	packet.SetTTL(p.Data, ttl-1)
-	e.out.Output(0, p)
+	e.out.output(0, p)
 }
 
 func (e *decIPTTL) Handler(name, value string) (string, error) {
@@ -451,7 +213,7 @@ func (e *lookupIPRoute) Push(port int, p *packet.Packet) {
 		e.mNoroute.Inc()
 		e.trace("no-route", p)
 		if e.norouteOut >= 0 {
-			e.out.Output(e.norouteOut, p)
+			e.out.output(e.norouteOut, p)
 			return
 		}
 		p.Release()
@@ -459,7 +221,7 @@ func (e *lookupIPRoute) Push(port int, p *packet.Packet) {
 	}
 	p.Anno.NextHop = r.NextHop
 	e.trace("route", p)
-	e.out.Output(r.OutPort, p)
+	e.out.output(r.OutPort, p)
 }
 
 // Audit checks the per-element route cache against the FIB's reference
@@ -598,8 +360,8 @@ func (e *encapTunnel) Push(port int, p *packet.Packet) {
 	}
 	e.sent++
 	e.mSent.Inc()
-	if e.out.Connected(ent.Tunnel) {
-		e.out.Output(ent.Tunnel, p)
+	if e.out.connected(ent.Tunnel) {
+		e.out.output(ent.Tunnel, p)
 		return
 	}
 	e.trace("tunnel", p)
@@ -725,7 +487,7 @@ func (e *ipNAPT) Push(port int, p *packet.Packet) {
 			return
 		}
 		e.trace("napt-out", p)
-		e.out.Output(0, p)
+		e.out.output(0, p)
 	case 1:
 		ok, err := e.tbl.TranslateInbound(p.Data)
 		if err != nil || !ok {
@@ -736,7 +498,7 @@ func (e *ipNAPT) Push(port int, p *packet.Packet) {
 			return
 		}
 		e.trace("napt-in", p)
-		e.out.Output(1, p)
+		e.out.output(1, p)
 	}
 }
 
@@ -748,83 +510,6 @@ func (e *ipNAPT) Handler(name, value string) (string, error) {
 		return strconv.FormatUint(e.drops, 10), nil
 	}
 	return "", fmt.Errorf("ipnapt: no handler %q", name)
-}
-
-// queue is a tail-drop FIFO. Push enqueues; a downstream drain (the
-// netem device model or a BandwidthShaper) calls Pull.
-type queue struct {
-	base
-	cap    int
-	buf    []*packet.Packet
-	drops  uint64
-	mDrops *telemetry.Counter
-}
-
-// Puller is the pull side of Queue, consumed by device drains.
-type Puller interface {
-	Pull() *packet.Packet
-}
-
-func newQueue(name string, args []string) (Element, error) {
-	c := 1000
-	if len(args) == 1 {
-		v, err := strconv.Atoi(args[0])
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("queue: bad capacity %q", args[0])
-		}
-		c = v
-	} else if len(args) > 1 {
-		return nil, fmt.Errorf("queue: want at most 1 arg")
-	}
-	return &queue{base: base{name: name}, cap: c}, nil
-}
-
-func (e *queue) Class() string                  { return "Queue" }
-func (e *queue) Instrument(sc *telemetry.Scope) { e.mDrops = sc.Counter("drops") }
-func (e *queue) Push(port int, p *packet.Packet) {
-	if len(e.buf) >= e.cap {
-		e.drops++
-		e.mDrops.Inc()
-		e.trace("tail-drop", p)
-		p.Release()
-		return
-	}
-	e.buf = append(e.buf, p)
-}
-
-// Pull dequeues the head, or nil when empty.
-func (e *queue) Pull() *packet.Packet {
-	if len(e.buf) == 0 {
-		return nil
-	}
-	p := e.buf[0]
-	e.buf = e.buf[1:]
-	return p
-}
-
-// Len reports the queue occupancy.
-func (e *queue) Len() int { return len(e.buf) }
-
-// Flush implements Flusher: buffered packets return to the pool.
-func (e *queue) Flush() int {
-	n := len(e.buf)
-	for _, p := range e.buf {
-		p.Release()
-	}
-	e.buf = nil
-	return n
-}
-
-func (e *queue) Handler(name, value string) (string, error) {
-	switch {
-	case name == "length" && value == "":
-		return strconv.Itoa(len(e.buf)), nil
-	case name == "drops" && value == "":
-		return strconv.FormatUint(e.drops, 10), nil
-	case name == "capacity" && value == "":
-		return strconv.Itoa(e.cap), nil
-	}
-	return "", fmt.Errorf("queue: no handler %q", name)
 }
 
 // bandwidthShaper releases packets at a configured bit rate using the
@@ -873,7 +558,7 @@ func (e *bandwidthShaper) Initialize(ctx *Context) error {
 func (e *bandwidthShaper) Push(port int, p *packet.Packet) {
 	if e.rateBps <= 0 && !e.busy {
 		// Unlimited: pass through (the §6.2 link-bandwidth knob is off).
-		e.out.Output(0, p)
+		e.out.output(0, p)
 		return
 	}
 	if len(e.buf) >= e.cap {
@@ -901,11 +586,11 @@ func (e *bandwidthShaper) release() {
 	if e.rateBps > 0 {
 		txTime = time.Duration(float64(p.Len()*8) / e.rateBps * float64(time.Second))
 	}
-	e.out.Output(0, p)
+	e.out.output(0, p)
 	e.ctx.Clock.Schedule(txTime, e.release)
 }
 
-// Flush implements Flusher. The release chain's pending timer finds an
+// Flush implements flusher. The release chain's pending timer finds an
 // empty buffer and clears busy on its own; clearing busy here too lets
 // teardown (which also cancels that timer via the slice's timer group)
 // leave the element reusable.
@@ -992,7 +677,7 @@ func (e *linkFail) Push(port int, p *packet.Packet) {
 		p.Release()
 		return
 	}
-	e.out.Output(0, p)
+	e.out.output(0, p)
 }
 
 func (e *linkFail) Handler(name, value string) (string, error) {
@@ -1052,7 +737,7 @@ func (e *dupSuppress) Push(port int, p *packet.Packet) {
 		p.Release()
 		return
 	}
-	e.out.Output(0, p)
+	e.out.output(0, p)
 }
 
 func (e *dupSuppress) Handler(name, value string) (string, error) {
@@ -1119,7 +804,7 @@ func (e *icmpError) Push(port int, p *packet.Packet) {
 	q.SetData(msg)
 	q.Anno.Timestamp = ts
 	e.trace("icmp-error", q)
-	e.out.Output(0, q)
+	e.out.output(0, q)
 }
 
 // toExternal hands post-NAT packets to the node's real network stack so
@@ -1169,108 +854,4 @@ func (e *toVPN) Initialize(ctx *Context) error {
 func (e *toVPN) Push(port int, p *packet.Packet) {
 	e.trace("to-vpn", p)
 	e.ctx.VPN.SendVPN(p)
-}
-
-// strip removes n bytes from the packet head (e.g. an Ethernet header).
-type strip struct {
-	base
-	n int
-}
-
-func newStrip(name string, args []string) (Element, error) {
-	if len(args) != 1 {
-		return nil, fmt.Errorf("strip: want 1 arg")
-	}
-	n, err := strconv.Atoi(args[0])
-	if err != nil || n < 0 {
-		return nil, fmt.Errorf("strip: bad length %q", args[0])
-	}
-	return &strip{base: base{name: name}, n: n}, nil
-}
-
-func (e *strip) Class() string { return "Strip" }
-func (e *strip) Push(port int, p *packet.Packet) {
-	if p.Len() < e.n {
-		p.Release()
-		return
-	}
-	p.Pull(e.n)
-	e.out.Output(0, p)
-}
-
-// etherEncap prepends an Ethernet header, for the uml_switch path that
-// exchanges Ethernet frames with the routing process's virtual machine.
-type etherEncap struct {
-	base
-	hdr packet.Ethernet
-	raw [packet.EthernetHeaderLen]byte // pre-serialized, pushed per packet
-}
-
-func newEtherEncap(name string, args []string) (Element, error) {
-	if len(args) != 3 {
-		return nil, fmt.Errorf("etherencap: want TYPE, SRC, DST args")
-	}
-	t, err := strconv.ParseUint(strings.TrimPrefix(args[0], "0x"), 16, 16)
-	if err != nil {
-		return nil, fmt.Errorf("etherencap: bad ethertype %q", args[0])
-	}
-	src, err := parseMAC(args[1])
-	if err != nil {
-		return nil, err
-	}
-	dst, err := parseMAC(args[2])
-	if err != nil {
-		return nil, err
-	}
-	e := &etherEncap{base: base{name: name},
-		hdr: packet.Ethernet{Type: uint16(t), Src: src, Dst: dst}}
-	copy(e.raw[:], e.hdr.AppendTo(nil))
-	return e, nil
-}
-
-func parseMAC(s string) (packet.MAC, error) {
-	var m packet.MAC
-	parts := strings.Split(s, ":")
-	if len(parts) != 6 {
-		return m, fmt.Errorf("etherencap: bad MAC %q", s)
-	}
-	for i, p := range parts {
-		v, err := strconv.ParseUint(p, 16, 8)
-		if err != nil {
-			return m, fmt.Errorf("etherencap: bad MAC %q", s)
-		}
-		m[i] = byte(v)
-	}
-	return m, nil
-}
-
-func (e *etherEncap) Class() string { return "EtherEncap" }
-func (e *etherEncap) Push(port int, p *packet.Packet) {
-	p.Push(e.raw[:])
-	e.out.Output(0, p)
-}
-
-// setTimestamp stamps packets with the current clock, used at ingress so
-// latency is measured from entry.
-type setTimestamp struct {
-	base
-	ctx *Context
-}
-
-func newSetTimestamp(name string, args []string) (Element, error) {
-	return &setTimestamp{base: base{name: name}}, nil
-}
-
-func (e *setTimestamp) Class() string { return "SetTimestamp" }
-func (e *setTimestamp) Initialize(ctx *Context) error {
-	if ctx.Clock == nil {
-		return fmt.Errorf("settimestamp: no clock in context")
-	}
-	e.ctx = ctx
-	return nil
-}
-
-func (e *setTimestamp) Push(port int, p *packet.Packet) {
-	p.Anno.Timestamp = e.ctx.Clock.Now()
-	e.out.Output(0, p)
 }

@@ -19,7 +19,7 @@ import (
 //
 // Elements must be declared before they are referenced in a connection.
 func ParseConfig(ctx *Context, config string) (*Router, error) {
-	r := NewRouter(ctx)
+	r := newRouter(ctx)
 	if err := ParseInto(r, config); err != nil {
 		return nil, err
 	}
@@ -129,7 +129,7 @@ func parseDeclaration(r *Router, stmt string, sep int) error {
 		}
 		class = strings.TrimSpace(rest[:p])
 		var err error
-		args, err = SplitArgs(rest[p+1 : len(rest)-1])
+		args, err = splitArgs(rest[p+1 : len(rest)-1])
 		if err != nil {
 			return err
 		}
@@ -142,16 +142,16 @@ func parseDeclaration(r *Router, stmt string, sep int) error {
 		if !validIdent(n) {
 			return fmt.Errorf("click: bad element name %q", n)
 		}
-		if err := r.AddElement(n, class, args); err != nil {
+		if err := r.addElement(n, class, args); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// SplitArgs splits a Click argument string on top-level commas, trimming
+// splitArgs splits a Click argument string on top-level commas, trimming
 // whitespace. Nested parentheses and double-quoted strings are preserved.
-func SplitArgs(s string) ([]string, error) {
+func splitArgs(s string) ([]string, error) {
 	var out []string
 	var cur strings.Builder
 	depth := 0
@@ -214,7 +214,7 @@ func parseChain(r *Router, stmt string) error {
 		eps[i] = ep
 	}
 	for i := 0; i+1 < len(eps); i++ {
-		if err := r.Connect(eps[i].name, eps[i].outPort, eps[i+1].name, eps[i+1].inPort); err != nil {
+		if err := r.connect(eps[i].name, eps[i].outPort, eps[i+1].name, eps[i+1].inPort); err != nil {
 			return err
 		}
 	}

@@ -2,6 +2,7 @@ package click
 
 import (
 	"bytes"
+	"net/netip"
 	"strings"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 func TestOutputFanOutPooledOwnership(t *testing.T) {
 	ctx, _, _ := testCtx()
 	r := mustParse(t, ctx, `
-		c :: Counter;
+		c :: FromTunnel;
 		s0 :: TestSink; s1 :: TestSink; s2 :: TestSink;
 		c[0] -> s0; c[0] -> s1; c[0] -> s2;
 	`)
@@ -57,7 +58,7 @@ func TestOutputFanOutPooledOwnership(t *testing.T) {
 
 func TestOutputUnconnectedReleases(t *testing.T) {
 	ctx, _, _ := testCtx()
-	r := mustParse(t, ctx, `c :: Counter;`)
+	r := mustParse(t, ctx, `c :: FromTunnel;`)
 	p := packet.Get()
 	copy(p.Extend(2), []byte{5, 6})
 	if err := r.Push("c", 0, p); err != nil {
@@ -70,7 +71,7 @@ func TestOutputUnconnectedReleases(t *testing.T) {
 
 func TestOutputReleasedPacketPanics(t *testing.T) {
 	ctx, _, _ := testCtx()
-	r := mustParse(t, ctx, `c :: Counter; s :: TestSink; c[0] -> s;`)
+	r := mustParse(t, ctx, `c :: FromTunnel; s :: TestSink; c[0] -> s;`)
 	p := packet.Get()
 	p.Release()
 	defer func() {
@@ -90,13 +91,13 @@ func TestOutputReleasedPacketPanics(t *testing.T) {
 // last one, as in Click's /click/<element>/<handler> paths).
 func TestHandlerPathParsing(t *testing.T) {
 	ctx, _, _ := testCtx()
-	r := mustParse(t, ctx, `c0 :: Counter; s :: TestSink; c0[0] -> s;`)
+	r := mustParse(t, ctx, `c0 :: Discard;`)
 	r.Push("c0", 0, packet.New([]byte{1}))
 	if v, err := r.Handler("c0.count", ""); err != nil || v != "1" {
 		t.Fatalf("c0.count = %q, %v", v, err)
 	}
 	// An element registered under a dotted name resolves via the last dot.
-	r.elements["slice0.counter"] = &counter{base: base{name: "slice0.counter"}}
+	r.elements["slice0.counter"] = &discard{base: base{name: "slice0.counter"}}
 	if v, err := r.Handler("slice0.counter.count", ""); err != nil || v != "0" {
 		t.Fatalf("dotted element handler = %q, %v", v, err)
 	}
@@ -116,9 +117,9 @@ func TestHandlerPathParsing(t *testing.T) {
 // next hop across Add, Remove, and Replace.
 func TestLookupRouteCacheInvalidationMidStream(t *testing.T) {
 	ctx, _, _ := testCtx()
-	nhA := packet.MustAddr("10.9.9.1")
-	nhB := packet.MustAddr("10.9.9.2")
-	ctx.FIB.Add(fib.Route{Prefix: packet.MustPrefix("10.1.0.0/16"), NextHop: nhA, OutPort: 0, Owner: "rib"})
+	nhA := netip.MustParseAddr("10.9.9.1")
+	nhB := netip.MustParseAddr("10.9.9.2")
+	ctx.FIB.Add(fib.Route{Prefix: netip.MustParsePrefix("10.1.0.0/16"), NextHop: nhA, OutPort: 0, Owner: "rib"})
 	r := mustParse(t, ctx, `rt :: LookupIPRoute; s :: TestSink; rt[0] -> s;`)
 	e, _ := r.Element("s")
 	s := e.(*sink)
@@ -130,16 +131,16 @@ func TestLookupRouteCacheInvalidationMidStream(t *testing.T) {
 		t.Fatalf("initial next hop %v, want %v", q.Anno.NextHop, nhA)
 	}
 	// A more specific route added mid-stream must win immediately.
-	ctx.FIB.Add(fib.Route{Prefix: packet.MustPrefix("10.1.2.0/24"), NextHop: nhB, OutPort: 0, Owner: "rib"})
+	ctx.FIB.Add(fib.Route{Prefix: netip.MustParsePrefix("10.1.2.0/24"), NextHop: nhB, OutPort: 0, Owner: "rib"})
 	if q := push(); q.Anno.NextHop != nhB {
 		t.Fatalf("after add: next hop %v, want %v", q.Anno.NextHop, nhB)
 	}
-	ctx.FIB.Remove(packet.MustPrefix("10.1.2.0/24"))
+	ctx.FIB.Remove(netip.MustParsePrefix("10.1.2.0/24"))
 	if q := push(); q.Anno.NextHop != nhA {
 		t.Fatalf("after remove: next hop %v, want %v", q.Anno.NextHop, nhA)
 	}
 	ctx.FIB.Replace("rib", []fib.Route{
-		{Prefix: packet.MustPrefix("10.1.0.0/16"), NextHop: nhB, OutPort: 0, Owner: "rib"},
+		{Prefix: netip.MustParsePrefix("10.1.0.0/16"), NextHop: nhB, OutPort: 0, Owner: "rib"},
 	})
 	if q := push(); q.Anno.NextHop != nhB {
 		t.Fatalf("after replace: next hop %v, want %v", q.Anno.NextHop, nhB)

@@ -21,21 +21,21 @@ import (
 	"sort"
 )
 
-// ErrExhausted is wrapped by every allocation failure in the address
+// errExhausted is wrapped by every allocation failure in the address
 // plan (prefix blocks, tunnel-port spans, NAT ranges); callers branch
 // with errors.Is.
-var ErrExhausted = errors.New("resource space exhausted")
+var errExhausted = errors.New("resource space exhausted")
 
 // PortRange is an inclusive UDP port span.
 type PortRange struct {
 	Lo, Hi uint16
 }
 
-// Valid reports whether the range has been allocated.
-func (r PortRange) Valid() bool { return r.Hi != 0 }
+// valid reports whether the range has been allocated.
+func (r PortRange) valid() bool { return r.Hi != 0 }
 
-// Size returns the number of ports in the span.
-func (r PortRange) Size() int { return int(r.Hi) - int(r.Lo) + 1 }
+// size returns the number of ports in the span.
+func (r PortRange) size() int { return int(r.Hi) - int(r.Lo) + 1 }
 
 func (r PortRange) String() string { return fmt.Sprintf("%d-%d", r.Lo, r.Hi) }
 
@@ -107,7 +107,7 @@ func (a *spanAlloc) acquire(size uint32) (uint32, error) {
 		for next%size != 0 {
 			s := next & -next
 			if next+s > a.hi {
-				return 0, fmt.Errorf("core: %s allocator: no %d-wide block free: %w", a.name, size, ErrExhausted)
+				return 0, fmt.Errorf("core: %s allocator: no %d-wide block free: %w", a.name, size, errExhausted)
 			}
 			a.free[s] = append(a.free[s], next)
 			next += s
@@ -115,7 +115,7 @@ func (a *spanAlloc) acquire(size uint32) (uint32, error) {
 		a.next = next
 	}
 	if next+size > a.hi || next+size < next {
-		return 0, fmt.Errorf("core: %s allocator: no %d-wide block free: %w", a.name, size, ErrExhausted)
+		return 0, fmt.Errorf("core: %s allocator: no %d-wide block free: %w", a.name, size, errExhausted)
 	}
 	a.next = next + size
 	a.live[next] = size
@@ -264,7 +264,7 @@ func (p *addrPlan) acquirePorts(span uint32) (PortRange, error) {
 }
 
 func (p *addrPlan) releasePorts(r PortRange) {
-	p.ports.release(uint32(r.Lo), uint32(r.Size()))
+	p.ports.release(uint32(r.Lo), uint32(r.size()))
 }
 
 // audit checks both allocators' books.

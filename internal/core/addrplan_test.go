@@ -11,7 +11,7 @@ import (
 // TestAddrPlanProperties drives randomized acquire/release/re-acquire
 // sequences through CreateSlice/Destroy and asserts the allocator
 // invariants after every step: no prefix or port-range overlap among
-// live slices, exhaustion surfaces as the typed ErrExhausted (never a
+// live slices, exhaustion surfaces as the typed errExhausted (never a
 // panic), the per-slice ledger Audit and the substrate-wide address
 // plan audit stay balanced, and destroy/create of the same shape reuses
 // the just-released blocks (LIFO).
@@ -51,13 +51,13 @@ func TestAddrPlanProperties(t *testing.T) {
 					cfg.Name = fmt.Sprintf("s%d", step)
 					s, err := v.CreateSlice(cfg)
 					if err != nil {
-						if !errors.Is(err, ErrExhausted) {
+						if !errors.Is(err, errExhausted) {
 							t.Fatalf("step %d: create failed with untyped error: %v", step, err)
 						}
 						// Exhausted: fall through to the invariant checks;
 						// a later destroy frees room.
 					} else {
-						if !s.Prefix().IsValid() || !s.PortRange().Valid() {
+						if !s.Prefix().IsValid() || !s.PortRange().valid() {
 							t.Fatalf("step %d: slice admitted with invalid blocks", step)
 						}
 						live = append(live, s)
@@ -166,7 +166,7 @@ func TestSpanAllocSplitsAndAligns(t *testing.T) {
 	}
 	a.release(big, 256)
 	// Exhaustion is typed.
-	if _, err := a.acquire(2048); !errors.Is(err, ErrExhausted) {
+	if _, err := a.acquire(2048); !errors.Is(err, errExhausted) {
 		t.Fatalf("oversized acquire: %v, want ErrExhausted", err)
 	}
 	// Non-power-of-two sizes are rejected without panicking.

@@ -26,7 +26,7 @@ func (vn *VirtualNode) EnableEgress() error {
 	// (the old arithmetic 40000+512*id windows overlapped the tunnel
 	// blocks of ids >= 28); the first egress node acquires it into the
 	// ledger, later egress nodes on the same slice share it.
-	if !s.natPorts.Valid() {
+	if !s.natPorts.valid() {
 		r, err := s.vini.plan.acquirePorts(natPortSpan)
 		if err != nil {
 			return fmt.Errorf("core: slice %s egress: %w", s.cfg.Name, err)
@@ -52,8 +52,9 @@ func (vn *VirtualNode) EnableEgress() error {
 		return err
 	}
 	// Return traffic from the Internet re-enters Click's NAT input.
+	napt, _ := vn.Router.Element("napt")
 	if _, err := vn.proc.OpenPortRange(lo, hi, func(p *packet.Packet) {
-		vn.Router.Push("napt", 1, p)
+		napt.Push(1, p)
 	}); err != nil {
 		return err
 	}
@@ -85,6 +86,7 @@ type vpnSession struct {
 type vpnServer struct {
 	port     uint16
 	sessions map[netip.Addr]*vpnSession
+	fromVPN  click.Element // where decrypted client packets enter the graph
 }
 
 // EnableVPNServer makes this virtual node an OpenVPN-style ingress on
@@ -107,6 +109,7 @@ func (vn *VirtualNode) EnableVPNServer(port uint16) error {
 		return err
 	}
 	vn.vpn = &vpnServer{port: port, sessions: make(map[netip.Addr]*vpnSession)}
+	vn.vpn.fromVPN, _ = vn.Router.Element("fromvpn")
 	if _, err := vn.proc.OpenUDP(port, vn.vpnReceive); err != nil {
 		return err
 	}
@@ -170,7 +173,7 @@ func (vn *VirtualNode) vpnReceive(p *packet.Packet) {
 		q := packet.Get()
 		q.SetData(inner) // Open returned a fresh buffer; adopt it
 		q.Anno.Timestamp = p.Anno.Timestamp
-		vn.Router.Push("fromvpn", 0, q)
+		vn.vpn.fromVPN.Push(0, q)
 		return
 	}
 }

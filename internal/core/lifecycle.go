@@ -23,25 +23,25 @@ import (
 type SliceState int
 
 const (
-	// StateAdmitted: resources reserved (id, ports, address block), no
+	// stateAdmitted: resources reserved (id, ports, address block), no
 	// presence on any physical node yet.
-	StateAdmitted SliceState = iota
-	// StateEmbedded: virtual nodes and links instantiated on the
+	stateAdmitted SliceState = iota
+	// stateEmbedded: virtual nodes and links instantiated on the
 	// substrate, routing not started.
-	StateEmbedded
-	// StateRunning: routing processes live.
-	StateRunning
-	// StatePaused: forwarders parked, inbound traffic dropped at the
+	stateEmbedded
+	// stateRunning: routing processes live.
+	stateRunning
+	// statePaused: forwarders parked, inbound traffic dropped at the
 	// sockets; resources stay held.
-	StatePaused
-	// StateMigrating: a make-before-break migration is in flight — one
+	statePaused
+	// stateMigrating: a make-before-break migration is in flight — one
 	// virtual node exists twice (old instance plus shadow) until the
 	// cutover retires the old one. The slice keeps forwarding
 	// throughout; Running resumes when the migration completes or
 	// aborts.
-	StateMigrating
-	// StateDraining: teardown in progress (transient within Destroy).
-	StateDraining
+	stateMigrating
+	// stateDraining: teardown in progress (transient within Destroy).
+	stateDraining
 	// StateDestroyed: every resource released; the slice object remains
 	// only for inspection.
 	StateDestroyed
@@ -49,17 +49,17 @@ const (
 
 func (st SliceState) String() string {
 	switch st {
-	case StateAdmitted:
+	case stateAdmitted:
 		return "Admitted"
-	case StateEmbedded:
+	case stateEmbedded:
 		return "Embedded"
-	case StateRunning:
+	case stateRunning:
 		return "Running"
-	case StatePaused:
+	case statePaused:
 		return "Paused"
-	case StateMigrating:
+	case stateMigrating:
 		return "Migrating"
-	case StateDraining:
+	case stateDraining:
 		return "Draining"
 	case StateDestroyed:
 		return "Destroyed"
@@ -178,10 +178,6 @@ func (s *Slice) BasePort() uint16 { return s.basePort }
 // PortRange returns the slice's allocated tunnel port span.
 func (s *Slice) PortRange() PortRange { return s.ports }
 
-// NATPortRange returns the slice's NAT egress span; the zero range
-// until the first EnableEgress allocates one.
-func (s *Slice) NATPortRange() PortRange { return s.natPorts }
-
 // Audit checks the slice's resource accounting: a destroyed slice must
 // hold nothing and have no timer pending in any domain, a live one must
 // hold a consistent ledger. It returns the first inconsistency.
@@ -221,9 +217,9 @@ func (s *Slice) Audit() error {
 // Resources stay held. Must run at a barrier or on the control domain.
 func (s *Slice) Pause() error {
 	switch s.state {
-	case StatePaused:
+	case statePaused:
 		return nil
-	case StateDraining, StateDestroyed:
+	case stateDraining, StateDestroyed:
 		return fmt.Errorf("core: cannot pause slice %s in state %s", s.cfg.Name, s.state)
 	}
 	if s.mig != nil {
@@ -240,14 +236,14 @@ func (s *Slice) Pause() error {
 		vn.SetSuspended(true)
 		vn.proc.SetPaused(true)
 	}
-	s.state = StatePaused
+	s.state = statePaused
 	return nil
 }
 
 // Resume reverses Pause. Routing adjacencies re-form on the protocols'
 // own timers; convergence after resume is the experiment's observable.
 func (s *Slice) Resume() error {
-	if s.state != StatePaused {
+	if s.state != statePaused {
 		return fmt.Errorf("core: cannot resume slice %s in state %s", s.cfg.Name, s.state)
 	}
 	for _, name := range s.vorder {
@@ -278,7 +274,7 @@ func (s *Slice) Destroy() error {
 		// aborts, post-cutover the old instance retires now.
 		s.mig.finish()
 	}
-	s.state = StateDraining
+	s.state = stateDraining
 	v := s.vini
 	// 1. Stop routing processes (their saved timers stop eagerly).
 	for _, name := range s.vorder {
@@ -326,7 +322,7 @@ func (s *Slice) Destroy() error {
 // the number of virtual links whose path changed. Must run at a barrier
 // or on the control domain.
 func (s *Slice) ReEmbed() (int, error) {
-	if s.state == StateDraining || s.state == StateDestroyed {
+	if s.state == stateDraining || s.state == StateDestroyed {
 		return 0, fmt.Errorf("core: cannot re-embed slice %s in state %s", s.cfg.Name, s.state)
 	}
 	changed := 0
@@ -391,6 +387,3 @@ func (v *VINI) releaseCPU(node string, share float64) {
 		v.reserved[node] = 0
 	}
 }
-
-// ReservedCPU reports the admitted CPU reservation total on a node.
-func (v *VINI) ReservedCPU(node string) float64 { return v.reserved[node] }

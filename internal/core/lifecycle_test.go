@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"vini/internal/netem"
-	"vini/internal/ospf"
 	"vini/internal/packet"
 	"vini/internal/sched"
 	"vini/internal/telemetry"
@@ -71,14 +70,14 @@ func TestAdmissionRejectsCPUOversubscription(t *testing.T) {
 	if _, err := b.AddVirtualNode("east"); err != nil {
 		t.Fatalf("admission rejected a free node: %v", err)
 	}
-	if got := v.ReservedCPU("west"); got != 0.75 {
+	if got := v.reserved["west"]; got != 0.75 {
 		t.Fatalf("ReservedCPU(west) = %v after rejection, want 0.75", got)
 	}
 	// Destroying the first slice returns its reservation.
 	if err := a.Destroy(); err != nil {
 		t.Fatal(err)
 	}
-	if got := v.ReservedCPU("west"); got != 0 {
+	if got := v.reserved["west"]; got != 0 {
 		t.Fatalf("ReservedCPU(west) = %v after destroy, want 0", got)
 	}
 	if _, err := b.AddVirtualNode("west"); err != nil {
@@ -107,7 +106,7 @@ func TestSliceIDBoundAndRecycling(t *testing.T) {
 	}
 	if _, err := v.CreateSlice(SliceConfig{Name: "overflow"}); err == nil {
 		t.Fatal("unsized slice past the port space admitted")
-	} else if !errors.Is(err, ErrExhausted) {
+	} else if !errors.Is(err, errExhausted) {
 		t.Fatalf("exhaustion error not typed: %v", err)
 	}
 	// Sized slices break the ceiling: destroying one unsized slice
@@ -131,7 +130,7 @@ func TestSliceIDBoundAndRecycling(t *testing.T) {
 	if len(v.order) != 125+64 {
 		t.Fatalf("%d concurrent slices, want 189 (past the old 126 ceiling)", len(v.order))
 	}
-	if _, err := v.CreateSlice(SliceConfig{Name: "sizedover", MaxNodes: 3}); !errors.Is(err, ErrExhausted) {
+	if _, err := v.CreateSlice(SliceConfig{Name: "sizedover", MaxNodes: 3}); !errors.Is(err, errExhausted) {
 		t.Fatalf("sized slice past the port space: %v, want ErrExhausted", err)
 	}
 	for _, s := range sized {
@@ -180,8 +179,8 @@ func TestEgressPortSpace(t *testing.T) {
 	if err := vn.EnableEgress(); err != nil {
 		t.Fatalf("egress at id %d: %v", s.id, err)
 	}
-	nat := s.NATPortRange()
-	if !nat.Valid() || nat.Size() != 512 {
+	nat := s.natPorts
+	if !nat.valid() || nat.size() != 512 {
 		t.Fatalf("NAT range %v, want a valid 512-port span", nat)
 	}
 	// The NAT range must not overlap any slice's tunnel block — the
@@ -200,7 +199,7 @@ func TestEgressPortSpace(t *testing.T) {
 	if err := vn2.EnableEgress(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.NATPortRange(); got != nat {
+	if got := s.natPorts; got != nat {
 		t.Fatalf("second egress reallocated the NAT range: %v then %v", nat, got)
 	}
 	// Destroy returns the range; the next slice's egress reuses it.
@@ -218,7 +217,7 @@ func TestEgressPortSpace(t *testing.T) {
 	if err := vn3.EnableEgress(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s2.NATPortRange(); got != nat {
+	if got := s2.natPorts; got != nat {
 		t.Fatalf("NAT range not recycled LIFO: %v, want %v", got, nat)
 	}
 	if err := v.AuditAddressPlan(); err != nil {
@@ -258,29 +257,29 @@ func TestSliceStateMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.State() != StateAdmitted {
+	if s.State() != stateAdmitted {
 		t.Fatalf("state = %v, want Admitted", s.State())
 	}
 	if _, err := s.AddVirtualNode("west"); err != nil {
 		t.Fatal(err)
 	}
-	if s.State() != StateEmbedded {
+	if s.State() != stateEmbedded {
 		t.Fatalf("state = %v, want Embedded", s.State())
 	}
 	s.StartOSPF(time.Second, 3*time.Second)
-	if s.State() != StateRunning {
+	if s.State() != stateRunning {
 		t.Fatalf("state = %v, want Running", s.State())
 	}
 	if err := s.Pause(); err != nil {
 		t.Fatal(err)
 	}
-	if s.State() != StatePaused {
+	if s.State() != statePaused {
 		t.Fatalf("state = %v, want Paused", s.State())
 	}
 	if err := s.Resume(); err != nil {
 		t.Fatal(err)
 	}
-	if s.State() != StateRunning {
+	if s.State() != stateRunning {
 		t.Fatalf("state = %v, want Running after resume", s.State())
 	}
 	if err := s.Destroy(); err != nil {
@@ -382,7 +381,7 @@ func TestDestroyReleasesEverything(t *testing.T) {
 	if phys.HasAddr(tap) {
 		t.Fatal("tap address still on the physical node")
 	}
-	if _, ok := v.Slice("doomed"); ok {
+	if _, ok := v.slices["doomed"]; ok {
 		t.Fatal("destroyed slice still registered")
 	}
 	// The whole identity recycles: same id, ports, prefix, and the
@@ -516,7 +515,7 @@ func TestRestartOSPFReplacesRouters(t *testing.T) {
 			if err != nil || inner.Proto != packet.ProtoOSPF {
 				return
 			}
-			if h, _, err := ospf.ParseHeader(msg); err == nil && h.Type == ospf.TypeHello {
+			if len(msg) > 1 && msg[0] == 2 && msg[1] == 1 { // OSPFv2, type hello
 				hellos++
 			}
 		})

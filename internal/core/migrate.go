@@ -62,12 +62,12 @@ type MigrateOptions struct {
 type MigrationPhase int
 
 const (
-	// MigWindow: shadow built and warming, double-delivery active, old
+	// migWindow: shadow built and warming, double-delivery active, old
 	// instance still authoritative. Abort is possible.
-	MigWindow MigrationPhase = iota
-	// MigDraining: cutover done (commit point passed), shadow
+	migWindow MigrationPhase = iota
+	// migDraining: cutover done (commit point passed), shadow
 	// authoritative, old instance draining in-flight packets.
-	MigDraining
+	migDraining
 	// MigDone: old instance retired, every handle released.
 	MigDone
 	// MigAborted: shadow torn down before cutover; the old instance
@@ -77,9 +77,9 @@ const (
 
 func (p MigrationPhase) String() string {
 	switch p {
-	case MigWindow:
+	case migWindow:
 		return "Window"
-	case MigDraining:
+	case migDraining:
 		return "Draining"
 	case MigDone:
 		return "Done"
@@ -140,16 +140,13 @@ func (m *Migration) CloneDrops() uint64 {
 // stays authoritative. Past the commit point the migration can only
 // run forward.
 func (m *Migration) Abort() error {
-	if m.phase != MigWindow {
+	if m.phase != migWindow {
 		return fmt.Errorf("core: migration %s->%s is past the commit point (%s)",
 			m.fromName, m.toName, m.phase)
 	}
 	m.abort()
 	return nil
 }
-
-// ActiveMigration returns the slice's in-flight migration, nil if none.
-func (s *Slice) ActiveMigration() *Migration { return s.mig }
 
 // Shadow returns the target-side clone. Mutation tests reach through it
 // to sabotage the shadow's duplicate suppression and prove the
@@ -170,7 +167,7 @@ func (vn *VirtualNode) BreakDupSuppressionForTest() {
 // control timers: cutover after opt.Window, retirement opt.Drain
 // later). Must run at a barrier or on the control domain.
 func (s *Slice) Migrate(vnodeName, targetPhys string, opt MigrateOptions) (*Migration, error) {
-	if s.state != StateRunning {
+	if s.state != stateRunning {
 		return nil, fmt.Errorf("core: cannot migrate slice %s in state %s", s.cfg.Name, s.state)
 	}
 	if s.mig != nil {
@@ -220,11 +217,11 @@ func (s *Slice) Migrate(vnodeName, targetPhys string, opt MigrateOptions) (*Migr
 		s: s, old: old, shadow: shadow,
 		fromName: vnodeName, toName: targetPhys,
 		fromAddr: old.phys.Addr(), toAddr: target.Addr(),
-		drain: opt.Drain, phase: MigWindow,
+		drain: opt.Drain, phase: migWindow,
 	}
 	s.mig = m
 	m.dup = true
-	s.state = StateMigrating
+	s.state = stateMigrating
 	m.event("window", m.fromName)
 	s.ctl.Schedule(opt.Window, m.cutover)
 	return m, nil
@@ -289,7 +286,7 @@ func (s *Slice) buildShadow(old *VirtualNode, target *netem.Node, preinstall boo
 // cutover is the commit point, one atomic control-domain event: from
 // this barrier on the shadow is the slice's presence on the target.
 func (m *Migration) cutover() {
-	if m.phase != MigWindow {
+	if m.phase != migWindow {
 		return // aborted before the window elapsed
 	}
 	s, old, shadow := m.s, m.old, m.shadow
@@ -338,7 +335,7 @@ func (m *Migration) cutover() {
 			}
 		}
 	}
-	m.phase = MigDraining
+	m.phase = migDraining
 	m.event("cutover", m.toName)
 	s.ctl.Schedule(m.drain, m.retire)
 }
@@ -379,7 +376,7 @@ func (s *Slice) swapIdentity(old, shadow *VirtualNode, fromName, toName string) 
 // drop newest-first (interface addresses, tap address, process, CPU
 // reservation). The drain aliases clear — the old address is dead.
 func (m *Migration) retire() {
-	if m.phase != MigDraining {
+	if m.phase != migDraining {
 		return
 	}
 	s, old := m.s, m.old
@@ -392,8 +389,8 @@ func (m *Migration) retire() {
 	}
 	m.phase = MigDone
 	s.mig = nil
-	if s.state == StateMigrating {
-		s.state = StateRunning
+	if s.state == stateMigrating {
+		s.state = stateRunning
 	}
 	m.event("retired", m.fromName)
 }
@@ -409,8 +406,8 @@ func (m *Migration) abort() {
 	s.dropVnodeHandles(shadow)
 	m.phase = MigAborted
 	s.mig = nil
-	if s.state == StateMigrating {
-		s.state = StateRunning
+	if s.state == stateMigrating {
+		s.state = stateRunning
 	}
 	m.event("aborted", m.toName)
 }
@@ -421,9 +418,9 @@ func (m *Migration) abort() {
 // the cutover is the commit point.
 func (m *Migration) finish() {
 	switch m.phase {
-	case MigWindow:
+	case migWindow:
 		m.abort()
-	case MigDraining:
+	case migDraining:
 		m.retire()
 	}
 }

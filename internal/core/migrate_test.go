@@ -132,7 +132,7 @@ func TestMigrateMakeBeforeBreakLossless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.State() != StateMigrating || m.Phase() != MigWindow {
+	if s.State() != stateMigrating || m.Phase() != migWindow {
 		t.Fatalf("state %v phase %v after Migrate, want Migrating/Window", s.State(), m.Phase())
 	}
 	burst(40) // 4s of traffic spanning window, cutover, drain, retire
@@ -140,7 +140,7 @@ func TestMigrateMakeBeforeBreakLossless(t *testing.T) {
 	if m.Phase() != MigDone {
 		t.Fatalf("phase = %v, want Done", m.Phase())
 	}
-	if s.State() != StateRunning {
+	if s.State() != stateRunning {
 		t.Fatalf("state = %v, want Running", s.State())
 	}
 	burst(10) // post-migration traffic
@@ -191,10 +191,10 @@ func TestMigrateMakeBeforeBreakLossless(t *testing.T) {
 	}
 	// The transient double reservation resolved: mid's budget freed,
 	// spare carries the slice's share.
-	if got := v.ReservedCPU("mid"); got != 0 {
+	if got := v.reserved["mid"]; got != 0 {
 		t.Fatalf("ReservedCPU(mid) = %v after retire, want 0", got)
 	}
-	if got := v.ReservedCPU("spare"); got != 0.2 {
+	if got := v.reserved["spare"]; got != 0.2 {
 		t.Fatalf("ReservedCPU(spare) = %v, want 0.2", got)
 	}
 	if err := s.Audit(); err != nil {
@@ -310,10 +310,10 @@ func TestMigrateAdmissionReject(t *testing.T) {
 	if _, err := s.Migrate("mid", "spare", MigrateOptions{}); err == nil {
 		t.Fatal("migration onto an oversubscribed node admitted")
 	}
-	if s.State() != StateRunning || s.ActiveMigration() != nil {
-		t.Fatalf("rejected migration left state %v, mig %v", s.State(), s.ActiveMigration())
+	if s.State() != stateRunning || s.mig != nil {
+		t.Fatalf("rejected migration left state %v, mig %v", s.State(), s.mig)
 	}
-	if got := v.ReservedCPU("spare"); got != 0.9 {
+	if got := v.reserved["spare"]; got != 0.9 {
 		t.Fatalf("ReservedCPU(spare) = %v after rejection, want 0.9", got)
 	}
 	if err := s.Audit(); err != nil {
@@ -352,14 +352,14 @@ func TestMigratePauseAborts(t *testing.T) {
 	if m.Phase() != MigAborted {
 		t.Fatalf("phase = %v after pause, want Aborted", m.Phase())
 	}
-	if s.State() != StatePaused {
+	if s.State() != statePaused {
 		t.Fatalf("state = %v, want Paused", s.State())
 	}
 	sparePhys, _ := v.Net.Node("spare")
 	if sparePhys.HasAddr(midTap) {
 		t.Fatal("aborted shadow still answers for the tap address")
 	}
-	if got := v.ReservedCPU("spare"); got != 0 {
+	if got := v.reserved["spare"]; got != 0 {
 		t.Fatalf("ReservedCPU(spare) = %v after abort, want 0", got)
 	}
 	if err := s.Audit(); err != nil {
@@ -370,7 +370,7 @@ func TestMigratePauseAborts(t *testing.T) {
 	if err := s.Resume(); err != nil {
 		t.Fatal(err)
 	}
-	if s.State() != StateRunning {
+	if s.State() != stateRunning {
 		t.Fatalf("state = %v after resume, want Running", s.State())
 	}
 	v.Run(v.loop.Now() + 30*time.Second)
@@ -397,7 +397,7 @@ func TestMigratePausePastCommitRetiresEarly(t *testing.T) {
 		t.Fatal(err)
 	}
 	v.Run(v.loop.Now() + 2*time.Second) // past cutover, deep in drain
-	if m.Phase() != MigDraining {
+	if m.Phase() != migDraining {
 		t.Fatalf("phase = %v, want Draining", m.Phase())
 	}
 	if err := s.Pause(); err != nil {
@@ -410,7 +410,7 @@ func TestMigratePausePastCommitRetiresEarly(t *testing.T) {
 	if midPhys.HasAddr(midTap) {
 		t.Fatal("old instance still holds the tap address after early retire")
 	}
-	if got := v.ReservedCPU("mid"); got != 0 {
+	if got := v.reserved["mid"]; got != 0 {
 		t.Fatalf("ReservedCPU(mid) = %v, want 0", got)
 	}
 	if err := s.Audit(); err != nil {
@@ -468,7 +468,7 @@ func TestDestroyMidMigration(t *testing.T) {
 				t.Fatalf("%d events still pending after destroy", n)
 			}
 			for _, n := range []string{"mid", "spare"} {
-				if got := v.ReservedCPU(n); got != 0 {
+				if got := v.reserved[n]; got != 0 {
 					t.Fatalf("ReservedCPU(%s) = %v after destroy, want 0", n, got)
 				}
 			}

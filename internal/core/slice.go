@@ -127,7 +127,7 @@ func (s *Slice) VirtualNode(name string) (*VirtualNode, bool) {
 // Click forwarder process with the IIAS element graph, a tap0 address
 // out of the slice's block, and (lazily) routing processes.
 func (s *Slice) AddVirtualNode(physName string) (*VirtualNode, error) {
-	if s.state >= StateDraining {
+	if s.state >= stateDraining {
 		return nil, fmt.Errorf("core: cannot embed slice %s in state %s", s.cfg.Name, s.state)
 	}
 	if s.mig != nil {
@@ -150,7 +150,7 @@ func (s *Slice) AddVirtualNode(physName string) (*VirtualNode, error) {
 	if s.nextHost > s.hostCap() {
 		cpu.release()
 		return nil, fmt.Errorf("core: slice %s out of tap addresses (block %s holds %d): %w",
-			s.cfg.Name, s.prefix, s.hostCap(), ErrExhausted)
+			s.cfg.Name, s.prefix, s.hostCap(), errExhausted)
 	}
 	tap := s.addrAt(uint32(s.nextHost))
 	vn, err := newVirtualNode(s, phys, tap)
@@ -164,8 +164,8 @@ func (s *Slice) AddVirtualNode(physName string) (*VirtualNode, error) {
 	vn.handles = append([]*handle{cpu}, vn.handles...)
 	s.vnodes[physName] = vn
 	s.vorder = append(s.vorder, physName)
-	if s.state == StateAdmitted {
-		s.state = StateEmbedded
+	if s.state == stateAdmitted {
+		s.state = stateEmbedded
 	}
 	return vn, nil
 }
@@ -177,7 +177,7 @@ func (s *Slice) allocSubnet() (netip.Prefix, netip.Addr, netip.Addr, error) {
 	if s.nextNet > s.subnetCap() {
 		return netip.Prefix{}, netip.Addr{}, netip.Addr{},
 			fmt.Errorf("core: slice %s out of /30 subnets (block %s holds %d): %w",
-				s.cfg.Name, s.prefix, s.subnetCap(), ErrExhausted)
+				s.cfg.Name, s.prefix, s.subnetCap(), errExhausted)
 	}
 	// Subnets live in the upper half of the block (10.<x>.128.0/17 for
 	// the legacy /16 shape).
@@ -193,7 +193,7 @@ func (s *Slice) allocSubnet() (netip.Prefix, netip.Addr, netip.Addr, error) {
 // (with the Click LinkFail → ToTunnel chain), and encapsulation-table
 // entries pointing at the peer's physical node.
 func (s *Slice) ConnectVirtual(a, b string, cost uint32) (*VirtualLink, error) {
-	if s.state >= StateDraining {
+	if s.state >= stateDraining {
 		return nil, fmt.Errorf("core: cannot embed slice %s in state %s", s.cfg.Name, s.state)
 	}
 	if s.mig != nil {
@@ -339,8 +339,8 @@ func (s *Slice) StartOSPF(hello, dead time.Duration) {
 		// cancels the ones that have not fired yet through the group.
 		s.ctl.Schedule(offset, func() { vn.startOSPF(hello, dead) })
 	}
-	if s.state == StateEmbedded {
-		s.state = StateRunning
+	if s.state == stateEmbedded {
+		s.state = stateRunning
 	}
 }
 
@@ -350,8 +350,8 @@ func (s *Slice) StartRIP(update time.Duration) {
 	for _, name := range s.vorder {
 		s.vnodes[name].startRIP(update)
 	}
-	if s.state == StateEmbedded {
-		s.state = StateRunning
+	if s.state == stateEmbedded {
+		s.state = stateRunning
 	}
 }
 
@@ -377,7 +377,7 @@ func (s *Slice) SwitchProtocol(proto string) error {
 // substrate IGP re-routes around the failure and would mask it, which
 // is exactly what Section 3.1's upcalls exist to counteract.
 func (s *Slice) physicalEvent(ev netem.LinkEvent) {
-	if s.state == StateDraining || s.state == StateDestroyed {
+	if s.state == stateDraining || s.state == StateDestroyed {
 		return
 	}
 	for _, vl := range s.vlinks {

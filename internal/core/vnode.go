@@ -134,9 +134,7 @@ func newVirtualNode(s *Slice, phys *netem.Node, tap netip.Addr) (*VirtualNode, e
 	// paper routes all of 10/8 to tap0 with per-slice demux in the
 	// modified TUN/TAP driver; scoping each slice's tap to its own /16
 	// achieves the same isolation here.)
-	vn.proc.OpenTap(s.Prefix(), func(p *packet.Packet) {
-		vn.Router.Push("fromtap", 0, p)
-	})
+	vn.proc.OpenTap(s.Prefix(), vn.FromTap)
 	// One tunnel socket per virtual node; peers are distinguished by
 	// source address (the encapsulation table in reverse).
 	if _, err := vn.proc.OpenUDP(s.basePort, vn.tunnelReceive); err != nil {
@@ -163,9 +161,7 @@ func (vn *VirtualNode) Phys() *netem.Node { return vn.phys }
 // IIAS to the egress NAT (Section 4.2.3's "tap0 provides another
 // ingress/egress mechanism for applications running in the same slice").
 func (vn *VirtualNode) DivertPrefix(p netip.Prefix) {
-	vn.proc.OpenTap(p, func(pkt *packet.Packet) {
-		vn.Router.Push("fromtap", 0, pkt)
-	})
+	vn.proc.OpenTap(p, vn.FromTap)
 }
 
 // Proc returns the Click forwarder process (for scheduler statistics).

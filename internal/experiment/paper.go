@@ -15,6 +15,7 @@ import (
 	"vini/internal/netem"
 	"vini/internal/rcc"
 	"vini/internal/sched"
+	"vini/internal/sim"
 	"vini/internal/telemetry"
 	"vini/internal/topology"
 	"vini/internal/traffic"
@@ -339,7 +340,7 @@ func Table5(seed int64, mode Mode, count int) (PingResult, error) {
 // jitter pooled across stream rates as the paper reports.
 func Table6(seed int64, mode Mode) (JitterResult, error) {
 	rates := []float64{1e6, 5e6, 10e6, 20e6, 50e6}
-	var pooled []float64
+	var pooled sim.Stats
 	for i, rate := range rates {
 		v, chi, was := planetlabNet(seed + int64(i))
 		var s *core.Slice
@@ -357,31 +358,9 @@ func Table6(seed int64, mode Mode) (JitterResult, error) {
 		}
 		v.Run(v.Loop().Now() + 10*time.Second)
 		test.Stop()
-		pooled = append(pooled, test.Jitter())
+		pooled.Add(test.Jitter())
 	}
-	var mean, ss float64
-	for _, j := range pooled {
-		mean += j
-	}
-	mean /= float64(len(pooled))
-	for _, j := range pooled {
-		ss += (j - mean) * (j - mean)
-	}
-	return JitterResult{Name: mode.String(), Mean: mean,
-		Stddev: sqrt(ss / float64(len(pooled)))}, nil
-}
-
-func sqrt(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	// Newton's method is plenty here and avoids importing math for one
-	// call... but clarity wins: use the obvious loop.
-	z := x
-	for i := 0; i < 40; i++ {
-		z = (z + x/z) / 2
-	}
-	return z
+	return JitterResult{Name: mode.String(), Mean: pooled.Mean(), Stddev: pooled.Stddev()}, nil
 }
 
 // Figure6 reproduces the packet-loss-versus-rate curves: UDP CBR at each

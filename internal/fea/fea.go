@@ -22,7 +22,6 @@ const (
 	DistEBGP      = 20
 	DistOSPF      = 110
 	DistRIP       = 120
-	DistIBGP      = 200
 )
 
 // protoRoute is a route candidate contributed by one protocol.
@@ -103,19 +102,6 @@ func (r *RIB) Prefer(proto string) {
 	r.recompute()
 }
 
-// RemoveProtocol withdraws everything a protocol contributed.
-func (r *RIB) RemoveProtocol(proto string) {
-	r.mu.Lock()
-	delete(r.byProto, proto)
-	r.recompute()
-	n := len(r.routes)
-	fn := r.onInstall
-	r.mu.Unlock()
-	if fn != nil {
-		fn(proto, n)
-	}
-}
-
 // recompute picks, per prefix, the route with the lowest administrative
 // distance (metric breaks ties, then protocol name for determinism) and
 // atomically replaces the FIB contents with them (r.routes).
@@ -158,11 +144,6 @@ func (r *RIB) better(pr, other protoRoute) bool {
 		return pr.Metric < other.Metric
 	}
 	return pr.Proto < other.Proto
-}
-
-// Routes returns the current merged route set (from the target FIB).
-func (r *RIB) Routes() []fib.Route {
-	return r.target.Routes()
 }
 
 // ProtoRoutes returns a copy of proto's latest full announcement as

@@ -60,7 +60,7 @@ func TestRemoveProtocolFallsBack(t *testing.T) {
 	rib := NewRIB(tbl)
 	rib.SetRoutes("ospf", DistOSPF, []fib.Route{{Prefix: pfx("10.1.0.0/16"), OutPort: 1}})
 	rib.SetRoutes("rip", DistRIP, []fib.Route{{Prefix: pfx("10.1.0.0/16"), OutPort: 2}})
-	rib.RemoveProtocol("ospf")
+	rib.SetRoutes("ospf", DistOSPF, nil)
 	r, ok := tbl.Lookup(addr("10.1.0.1"))
 	if !ok || r.Proto != "rip" {
 		t.Fatalf("fallback = %+v ok=%v", r, ok)
@@ -83,8 +83,8 @@ func TestDistinctPrefixesCoexist(t *testing.T) {
 	rib := NewRIB(tbl)
 	rib.SetRoutes("ospf", DistOSPF, []fib.Route{{Prefix: pfx("10.1.0.0/16")}})
 	rib.SetRoutes("bgp", DistEBGP, []fib.Route{{Prefix: pfx("192.0.2.0/24")}})
-	if len(rib.Routes()) != 2 {
-		t.Fatalf("routes = %v", rib.Routes())
+	if len(tbl.Routes()) != 2 {
+		t.Fatalf("routes = %v", tbl.Routes())
 	}
 }
 

@@ -35,10 +35,7 @@ type cacheSlot struct {
 // NewCache returns a cache over t.
 func NewCache(t *Table) *Cache { return &Cache{t: t} }
 
-// Table returns the underlying table.
-func (c *Cache) Table() *Table { return c.t }
-
-// Lookup is equivalent to c.Table().Lookup(dst) but serves repeated
+// Lookup is equivalent to the table's Lookup(dst) but serves repeated
 // destinations from the cache while the table version is unchanged.
 func (c *Cache) Lookup(dst netip.Addr) (Route, bool) {
 	if !dst.Is4() {
@@ -74,7 +71,7 @@ func (c *Cache) Verify() error {
 		if !s.set {
 			continue
 		}
-		ref, ok := c.t.LookupReference(s.dst)
+		ref, ok := c.t.lookupReference(s.dst)
 		if s.ok != ok || (ok && s.route != ref) {
 			return fmt.Errorf("fib: cache slot %d stale for %v: cached=%v,%v reference=%v,%v",
 				i, s.dst, s.route, s.ok, ref, ok)

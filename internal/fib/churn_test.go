@@ -79,16 +79,13 @@ func runTableOps(t *testing.T, data []byte) {
 			}
 			tb.Replace(owner, set)
 		case 7:
-			owner, n := o.owner(), 0
+			owner := o.owner()
 			for p, r := range model {
 				if r.Owner == owner {
 					delete(model, p)
-					n++
 				}
 			}
-			if got := tb.RemoveOwner(owner); got != n {
-				t.Fatalf("step %d: RemoveOwner(%s) = %d, want %d", step, owner, got, n)
-			}
+			tb.Replace(owner, nil)
 		}
 		if tb.Len() != len(model) {
 			t.Fatalf("step %d: Len = %d, want %d", step, tb.Len(), len(model))
@@ -116,8 +113,8 @@ func runTableOps(t *testing.T, data []byte) {
 					want, found = r, true
 				}
 			}
-			if got, ok := tb.LookupReference(dst); ok != found || got != want {
-				t.Fatalf("step %d: LookupReference(%v) = %v,%v, linear scan says %v,%v", step, dst, got, ok, want, found)
+			if got, ok := tb.lookupReference(dst); ok != found || got != want {
+				t.Fatalf("step %d: lookupReference(%v) = %v,%v, linear scan says %v,%v", step, dst, got, ok, want, found)
 			}
 		}
 	}
@@ -193,7 +190,7 @@ func TestEmptiedTrieIsPruned(t *testing.T) {
 	for _, p := range static {
 		tb.Remove(p) // false for a prefix drawn twice, or re-added under another owner
 	}
-	tb.RemoveOwner("ospf")
+	tb.Replace("ospf", nil)
 	tb.Replace("rip", nil)
 	if tb.Len() != 0 || !tb.root.empty() {
 		t.Fatalf("%d routes left, root %+v", tb.Len(), tb.root)

@@ -3,7 +3,6 @@ package fib
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -66,22 +65,9 @@ func (t *EncapTable) Set(e EncapEntry) {
 	t.version.Add(1)
 }
 
-// Remove deletes the mapping for nextHop.
-func (t *EncapTable) Remove(nextHop netip.Addr) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if old, ok := t.entries[nextHop]; ok {
-		delete(t.byTunnel, old.Tunnel)
-	}
-	delete(t.entries, nextHop)
-	t.reindexRemoteLocked()
-	t.version.Add(1)
-}
-
 // reindexRemoteLocked rebuilds the reverse index. When several tunnels
 // share a remote (two virtual links to neighbors on one physical node),
-// the lowest next hop wins — the same entry a sorted Entries() scan finds
-// first. Mutations are control-plane rare, so a full rebuild is fine.
+// the lowest next hop wins. Mutations are control-plane rare, so a full rebuild is fine.
 func (t *EncapTable) reindexRemoteLocked() {
 	clear(t.byRemote)
 	for _, e := range t.entries {
@@ -146,25 +132,6 @@ func (t *EncapTable) Lookup(nextHop netip.Addr) (EncapEntry, bool) {
 	defer t.mu.RUnlock()
 	e, ok := t.entries[nextHop]
 	return e, ok
-}
-
-// Len reports the number of mappings.
-func (t *EncapTable) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.entries)
-}
-
-// Entries returns all mappings sorted by next hop.
-func (t *EncapTable) Entries() []EncapEntry {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]EncapEntry, 0, len(t.entries))
-	for _, e := range t.entries {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].NextHop.Less(out[j].NextHop) })
-	return out
 }
 
 func (e EncapEntry) String() string {

@@ -49,9 +49,6 @@ func PrefixTextCompare(a, b netip.Prefix) int {
 	return bytes.Compare(a.AppendTo(ab[:0]), b.AppendTo(bb[:0]))
 }
 
-// PrefixTextLess is PrefixTextCompare(a, b) < 0.
-func PrefixTextLess(a, b netip.Prefix) bool { return PrefixTextCompare(a, b) < 0 }
-
 // node is a binary-trie node keyed on successive destination-address bits.
 type node struct {
 	children [2]*node
@@ -224,12 +221,12 @@ func (t *Table) Lookup(dst netip.Addr) (Route, bool) {
 	return Route{}, false
 }
 
-// LookupReference returns the longest-prefix-match route for dst by
+// lookupReference returns the longest-prefix-match route for dst by
 // walking the exact binary trie under the read lock, bypassing the
 // compiled stride-8 structure entirely. It is deliberately the dumbest
 // correct implementation: the differential oracle simulation tests
 // check the fast path against, packet by packet.
-func (t *Table) LookupReference(dst netip.Addr) (Route, bool) {
+func (t *Table) lookupReference(dst netip.Addr) (Route, bool) {
 	if !dst.Is4() {
 		return Route{}, false
 	}
@@ -263,7 +260,7 @@ func (t *Table) LookupReference(dst netip.Addr) (Route, bool) {
 func (t *Table) VerifyCompiled(addrs []netip.Addr) error {
 	for _, a := range addrs {
 		fast, fok := t.Lookup(a)
-		ref, rok := t.LookupReference(a)
+		ref, rok := t.lookupReference(a)
 		if fok != rok || (fok && fast != ref) {
 			return fmt.Errorf("fib: compiled lookup diverges for %v: fast=%v,%v reference=%v,%v",
 				a, fast, fok, ref, rok)
@@ -431,20 +428,6 @@ func (t *Table) CorruptCompiledForTest() int {
 		c.routes[i].OutPort ^= 0x40
 	}
 	return len(c.routes)
-}
-
-// RemoveOwner deletes every route installed by owner, returning the count.
-// The FEA uses this when a routing process disconnects or a slice is torn
-// down.
-func (t *Table) RemoveOwner(owner string) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	removed := t.root.withdraw(func(e *entry) bool { return e.Owner == owner })
-	if removed > 0 {
-		t.n -= removed
-		t.version.Add(1)
-	}
-	return removed
 }
 
 // Routes returns all routes sorted by prefix (address then length), the

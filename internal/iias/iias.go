@@ -24,11 +24,11 @@ import (
 // Output ports of rt, the LookupIPRoute element: what a route's OutPort
 // means to the IIAS graph.
 const (
-	PortEncap   = 0 // forward via the encapsulation table
-	PortTap     = 1 // deliver to the local tap0
-	PortUnreach = 2 // no route: ICMP unreachable
-	PortNAPT    = 3 // leave the overlay via NAT (egress nodes)
-	PortVPN     = 4 // return to an opted-in VPN client (ingress nodes)
+	portEncap = 0 // forward via the encapsulation table
+	portTap   = 1 // deliver to the local tap0
+	// 2 is rt's NOROUTE port: no route, ICMP unreachable
+	PortNAPT = 3 // leave the overlay via NAT (egress nodes)
+	PortVPN  = 4 // return to an opted-in VPN client (ingress nodes)
 )
 
 // config is the Click-language configuration of every IIAS router, the
@@ -98,10 +98,10 @@ type Forwarder struct {
 
 	rib          *fea.RIB
 	clock, ticks sim.Clock
-	// fromTun is the graph's tunnel entry, resolved once: the per-packet
-	// path does no lookup by name.
-	fromTun click.Element
-	ifaces  []Iface
+	// fromTun and fromTap are the graph's entries, resolved once: the
+	// per-packet path does no lookup by name.
+	fromTun, fromTap click.Element
+	ifaces           []Iface
 	// suspended silences control-plane output (see SetSuspended).
 	suspended bool
 	// adapted is installProtocolRoutes' working storage.
@@ -131,6 +131,7 @@ func New(ctx *click.Context, ticks sim.Clock) (*Forwarder, error) {
 	}
 	f.Router = r
 	f.fromTun, _ = r.Element("fromtun")
+	f.fromTap, _ = r.Element("fromtap")
 	return f, nil
 }
 
@@ -189,12 +190,12 @@ func (f *Forwarder) AddInterface(ifc Iface, remote netip.AddrPort) (int, error) 
 // protocol's set whole, so every change re-issues all of it.
 func (f *Forwarder) connected() []fib.Route {
 	all := make([]fib.Route, 0, 1+2*len(f.ifaces))
-	all = append(all, fib.Route{Prefix: netip.PrefixFrom(f.TapAddr, 32), OutPort: PortTap})
+	all = append(all, fib.Route{Prefix: netip.PrefixFrom(f.TapAddr, 32), OutPort: portTap})
 	for i := range f.ifaces {
 		ifc := &f.ifaces[i]
 		all = append(all,
-			fib.Route{Prefix: netip.PrefixFrom(ifc.Addr, 32), OutPort: PortTap},
-			fib.Route{Prefix: ifc.Prefix.Masked(), NextHop: ifc.PeerAddr, OutPort: PortEncap, Metric: 1})
+			fib.Route{Prefix: netip.PrefixFrom(ifc.Addr, 32), OutPort: portTap},
+			fib.Route{Prefix: ifc.Prefix.Masked(), NextHop: ifc.PeerAddr, OutPort: portEncap, Metric: 1})
 	}
 	return all
 }
@@ -270,9 +271,9 @@ func (f *Forwarder) BuildRIP(update time.Duration) *rip.Router {
 func (f *Forwarder) installProtocolRoutes(proto string, dist int, routes []fib.Route) {
 	adapted := f.adapted[:0]
 	for _, r := range routes {
-		r.OutPort = PortTap
+		r.OutPort = portTap
 		if r.NextHop.IsValid() {
-			r.OutPort = PortEncap
+			r.OutPort = portEncap
 		}
 		adapted = append(adapted, r)
 	}
@@ -315,10 +316,14 @@ func (f *Forwarder) Receive(idx int, p *packet.Packet) {
 	f.fromTun.Push(0, p)
 }
 
+// FromTap takes a datagram the local host wrote to tap0 into the Click
+// graph, which owns p from then on.
+func (f *Forwarder) FromTap(p *packet.Packet) { f.fromTap.Push(0, p) }
+
 // sendControl pushes a routing-protocol message into the per-tunnel Click
 // chain so failure injection cuts routing adjacencies exactly as it cuts
 // data traffic. payload is lent by the protocol for the call: it is
-// copied once into a packet of its own whose buffer has DefaultHeadroom
+// copied once into a packet of its own whose buffer has 64 bytes of headroom
 // in front, so the inner headers here (IPv4, under it UDP 520 when proto
 // is UDP: RIP) and the tunnel's later are written in place. The packet
 // is not pooled; see DESIGN.md "Routing-message lifetime".

@@ -38,7 +38,7 @@ func TestTranslateDifferential(t *testing.T) {
 			// Outbound: the reference allocates a fresh datagram, the
 			// fast path rewrites a copy in place; the flow is identical
 			// so both hit the same binding.
-			want, err := tbl.Outbound(dgram)
+			want, err := tbl.outbound(dgram)
 			if err != nil {
 				t.Fatalf("reference Outbound: %v", err)
 			}
@@ -58,7 +58,7 @@ func TestTranslateDifferential(t *testing.T) {
 			// Inbound: build the external host's reply by swapping the
 			// translated flow, then compare both return paths.
 			reply := buildReply(t, got)
-			wantBack, ok, err := tbl.Inbound(reply)
+			wantBack, ok, err := tbl.inbound(reply)
 			if err != nil || !ok {
 				t.Fatalf("reference Inbound: ok=%v err=%v", ok, err)
 			}
@@ -85,7 +85,7 @@ func TestTranslateUDPZeroChecksum(t *testing.T) {
 	// Zero the UDP checksum and fix the IP header untouched (UDP csum
 	// is not covered by the IP header checksum).
 	dgram[26], dgram[27] = 0, 0
-	want, err := tbl.Outbound(dgram)
+	want, err := tbl.outbound(dgram)
 	if err != nil {
 		t.Fatal(err)
 	}

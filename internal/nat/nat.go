@@ -14,8 +14,8 @@ import (
 	"vini/internal/packet"
 )
 
-// Binding is one NAPT session.
-type Binding struct {
+// binding is one NAPT session.
+type binding struct {
 	Inside   packet.Flow // original 5-tuple (overlay side)
 	External uint16      // allocated public port (or ICMP ID)
 	LastUsed time.Duration
@@ -36,8 +36,8 @@ type Config struct {
 type Table struct {
 	cfg      Config
 	now      func() time.Duration
-	out      map[packet.Flow]*Binding // inside flow -> binding
-	back     map[uint16]*Binding      // external port -> binding
+	out      map[packet.Flow]*binding // inside flow -> binding
+	back     map[uint16]*binding      // external port -> binding
 	nextPort uint16
 }
 
@@ -55,8 +55,8 @@ func New(cfg Config, now func() time.Duration) *Table {
 	return &Table{
 		cfg:      cfg,
 		now:      now,
-		out:      make(map[packet.Flow]*Binding),
-		back:     make(map[uint16]*Binding),
+		out:      make(map[packet.Flow]*binding),
+		back:     make(map[uint16]*binding),
 		nextPort: cfg.PortLow,
 	}
 }
@@ -94,14 +94,14 @@ func (t *Table) expire() {
 }
 
 // bindOutbound finds or creates the binding for an outbound flow.
-func (t *Table) bindOutbound(flow packet.Flow) (*Binding, error) {
+func (t *Table) bindOutbound(flow packet.Flow) (*binding, error) {
 	b := t.out[flow]
 	if b == nil {
 		port, err := t.allocPort()
 		if err != nil {
 			return nil, err
 		}
-		b = &Binding{Inside: flow, External: port}
+		b = &binding{Inside: flow, External: port}
 		t.out[flow] = b
 		t.back[port] = b
 	}
@@ -110,7 +110,7 @@ func (t *Table) bindOutbound(flow packet.Flow) (*Binding, error) {
 }
 
 // matchInbound returns the binding for a return flow, or nil.
-func (t *Table) matchInbound(flow packet.Flow) *Binding {
+func (t *Table) matchInbound(flow packet.Flow) *binding {
 	// For return traffic the external port is the destination port,
 	// except ICMP echo replies where it is the echo ID (in SrcPort).
 	key := flow.DstPort
@@ -125,11 +125,11 @@ func (t *Table) matchInbound(flow packet.Flow) *Binding {
 	return b
 }
 
-// Outbound translates a datagram leaving the overlay: it returns a new
+// outbound translates a datagram leaving the overlay: it returns a new
 // serialized datagram with source address/port rewritten, creating a
 // binding if needed. This is the allocating reference implementation
 // the in-place TranslateOutbound is differentially tested against.
-func (t *Table) Outbound(dgram []byte) ([]byte, error) {
+func (t *Table) outbound(dgram []byte) ([]byte, error) {
 	t.expire()
 	flow, ok := packet.FlowOf(dgram)
 	if !ok {
@@ -142,10 +142,10 @@ func (t *Table) Outbound(dgram []byte) ([]byte, error) {
 	return rewrite(dgram, true, t.cfg.External, b.External)
 }
 
-// Inbound translates a datagram returning from the external Internet. It
+// inbound translates a datagram returning from the external Internet. It
 // returns the datagram rewritten back to the inside flow, or ok=false if
 // no binding matches (the packet is not ours; Click drops it).
-func (t *Table) Inbound(dgram []byte) ([]byte, bool, error) {
+func (t *Table) inbound(dgram []byte) ([]byte, bool, error) {
 	t.expire()
 	flow, ok := packet.FlowOf(dgram)
 	if !ok {

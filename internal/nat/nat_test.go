@@ -1,6 +1,7 @@
 package nat
 
 import (
+	"net/netip"
 	"testing"
 	"testing/quick"
 	"time"
@@ -9,9 +10,9 @@ import (
 )
 
 var (
-	insideA = packet.MustAddr("10.1.87.2")    // OpenVPN client inside the overlay
-	cnn     = packet.MustAddr("64.236.16.20") // external web server (Fig 2)
-	egress  = packet.MustAddr("198.32.154.226")
+	insideA = netip.MustParseAddr("10.1.87.2")    // OpenVPN client inside the overlay
+	cnn     = netip.MustParseAddr("64.236.16.20") // external web server (Fig 2)
+	egress  = netip.MustParseAddr("198.32.154.226")
 )
 
 func newTable(now *time.Duration) *Table {
@@ -23,7 +24,7 @@ func TestOutboundInboundRoundTrip(t *testing.T) {
 	var now time.Duration
 	nt := newTable(&now)
 	orig := packet.BuildUDP(insideA, cnn, 5555, 80, 62, []byte("GET /"))
-	out, err := nt.Outbound(orig)
+	out, err := nt.outbound(orig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestOutboundInboundRoundTrip(t *testing.T) {
 	}
 	// Return packet from CNN to the egress node.
 	ret := packet.BuildUDP(cnn, egress, 80, f.SrcPort, 60, []byte("200 OK"))
-	back, ok, err := nt.Inbound(ret)
+	back, ok, err := nt.inbound(ret)
 	if err != nil || !ok {
 		t.Fatalf("inbound: ok=%v err=%v", ok, err)
 	}
@@ -66,8 +67,8 @@ func TestStableBindingReuse(t *testing.T) {
 	var now time.Duration
 	nt := newTable(&now)
 	d := packet.BuildUDP(insideA, cnn, 5555, 80, 62, []byte("a"))
-	o1, _ := nt.Outbound(d)
-	o2, _ := nt.Outbound(d)
+	o1, _ := nt.outbound(d)
+	o2, _ := nt.outbound(d)
 	f1, _ := packet.FlowOf(o1)
 	f2, _ := packet.FlowOf(o2)
 	if f1 != f2 {
@@ -81,8 +82,8 @@ func TestStableBindingReuse(t *testing.T) {
 func TestDistinctFlowsGetDistinctPorts(t *testing.T) {
 	var now time.Duration
 	nt := newTable(&now)
-	o1, _ := nt.Outbound(packet.BuildUDP(insideA, cnn, 5555, 80, 62, nil))
-	o2, _ := nt.Outbound(packet.BuildUDP(insideA, cnn, 5556, 80, 62, nil))
+	o1, _ := nt.outbound(packet.BuildUDP(insideA, cnn, 5555, 80, 62, nil))
+	o2, _ := nt.outbound(packet.BuildUDP(insideA, cnn, 5556, 80, 62, nil))
 	f1, _ := packet.FlowOf(o1)
 	f2, _ := packet.FlowOf(o2)
 	if f1.SrcPort == f2.SrcPort {
@@ -94,11 +95,11 @@ func TestPortExhaustion(t *testing.T) {
 	var now time.Duration
 	nt := newTable(&now) // range 2000-2010: 11 ports
 	for i := 0; i < 11; i++ {
-		if _, err := nt.Outbound(packet.BuildUDP(insideA, cnn, uint16(6000+i), 80, 62, nil)); err != nil {
+		if _, err := nt.outbound(packet.BuildUDP(insideA, cnn, uint16(6000+i), 80, 62, nil)); err != nil {
 			t.Fatalf("alloc %d failed: %v", i, err)
 		}
 	}
-	if _, err := nt.Outbound(packet.BuildUDP(insideA, cnn, 7000, 80, 62, nil)); err == nil {
+	if _, err := nt.outbound(packet.BuildUDP(insideA, cnn, 7000, 80, 62, nil)); err == nil {
 		t.Fatal("exhausted range still allocated")
 	}
 }
@@ -107,10 +108,10 @@ func TestTimeoutFreesPorts(t *testing.T) {
 	var now time.Duration
 	nt := newTable(&now)
 	for i := 0; i < 11; i++ {
-		nt.Outbound(packet.BuildUDP(insideA, cnn, uint16(6000+i), 80, 62, nil))
+		nt.outbound(packet.BuildUDP(insideA, cnn, uint16(6000+i), 80, 62, nil))
 	}
 	now = 2 * time.Minute
-	if _, err := nt.Outbound(packet.BuildUDP(insideA, cnn, 7000, 80, 62, nil)); err != nil {
+	if _, err := nt.outbound(packet.BuildUDP(insideA, cnn, 7000, 80, 62, nil)); err != nil {
 		t.Fatalf("expired bindings not reclaimed: %v", err)
 	}
 	if nt.Len() != 1 {
@@ -122,7 +123,7 @@ func TestInboundUnknownDropped(t *testing.T) {
 	var now time.Duration
 	nt := newTable(&now)
 	ret := packet.BuildUDP(cnn, egress, 80, 2003, 60, nil)
-	_, ok, err := nt.Inbound(ret)
+	_, ok, err := nt.inbound(ret)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,12 +135,12 @@ func TestInboundUnknownDropped(t *testing.T) {
 func TestInboundWrongPeerDropped(t *testing.T) {
 	var now time.Duration
 	nt := newTable(&now)
-	o, _ := nt.Outbound(packet.BuildUDP(insideA, cnn, 5555, 80, 62, nil))
+	o, _ := nt.outbound(packet.BuildUDP(insideA, cnn, 5555, 80, 62, nil))
 	f, _ := packet.FlowOf(o)
 	// Same external port but from a different remote host: reject (an
 	// address-dependent filtering NAT, which is what Click's element does).
-	ret := packet.BuildUDP(packet.MustAddr("198.51.100.1"), egress, 80, f.SrcPort, 60, nil)
-	_, ok, _ := nt.Inbound(ret)
+	ret := packet.BuildUDP(netip.MustParseAddr("198.51.100.1"), egress, 80, f.SrcPort, 60, nil)
+	_, ok, _ := nt.inbound(ret)
 	if ok {
 		t.Fatal("inbound from wrong peer accepted")
 	}
@@ -149,7 +150,7 @@ func TestICMPEchoTranslation(t *testing.T) {
 	var now time.Duration
 	nt := newTable(&now)
 	echo := packet.BuildICMPEcho(insideA, cnn, false, 777, 1, 62, []byte("ping"))
-	out, err := nt.Outbound(echo)
+	out, err := nt.outbound(echo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestICMPEchoTranslation(t *testing.T) {
 		t.Fatalf("echo not translated: %v", f)
 	}
 	reply := packet.BuildICMPEcho(cnn, egress, true, f.SrcPort, 1, 60, []byte("ping"))
-	back, ok, err := nt.Inbound(reply)
+	back, ok, err := nt.inbound(reply)
 	if err != nil || !ok {
 		t.Fatalf("echo reply: ok=%v err=%v", ok, err)
 	}
@@ -172,7 +173,7 @@ func TestTCPTranslationChecksums(t *testing.T) {
 	var now time.Duration
 	nt := newTable(&now)
 	syn := packet.BuildTCP(insideA, cnn, packet.TCP{SrcPort: 4000, DstPort: 80, Seq: 9, Flags: packet.TCPSyn, Window: 16384}, 62, nil)
-	out, err := nt.Outbound(syn)
+	out, err := nt.outbound(syn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,13 +209,13 @@ func TestRoundTripProperty(t *testing.T) {
 		var now time.Duration
 		nt := New(Config{External: egress}, func() time.Duration { return now })
 		d := packet.BuildUDP(insideA, cnn, sport, 80, 62, body)
-		out, err := nt.Outbound(d)
+		out, err := nt.outbound(d)
 		if err != nil {
 			return false
 		}
 		fo, _ := packet.FlowOf(out)
 		ret := packet.BuildUDP(cnn, egress, 80, fo.SrcPort, 60, body)
-		back, ok, err := nt.Inbound(ret)
+		back, ok, err := nt.inbound(ret)
 		if err != nil || !ok {
 			return false
 		}

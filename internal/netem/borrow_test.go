@@ -159,7 +159,7 @@ func TestReplicaNodeSendsReleaseTheirPackets(t *testing.T) {
 	if d := packet.Stats().Sub(base); d.Gets != 2 || d.InFlight() != 0 {
 		t.Fatalf("replica sends stranded packets: %+v", d)
 	}
-	if handled != 0 || x.Pending() != 0 {
-		t.Fatalf("replica domain ran or queued work: handled=%d pending=%d", handled, x.Pending())
+	if handled != 0 || x.Loop().Pending() != 0 {
+		t.Fatalf("replica domain ran or queued work: handled=%d pending=%d", handled, x.Loop().Pending())
 	}
 }

@@ -30,7 +30,7 @@ func TestProcessCloseReleasesEverything(t *testing.T) {
 		t.Fatalf("delivered = %d, want 1", delivered)
 	}
 	proc.Close()
-	if !proc.Closed() {
+	if !proc.closed {
 		t.Fatal("Closed() false after Close")
 	}
 	// The port is free again and packets to it no longer reach the

@@ -152,9 +152,6 @@ func (l *Link) Instrument(dir int, pkts, bytes, drops *telemetry.Counter) {
 // Config returns the link's configuration.
 func (l *Link) Config() LinkConfig { return l.cfg }
 
-// Down reports the failure state.
-func (l *Link) Down() bool { return l.down }
-
 // SetDown fails or restores the physical link. In-flight packets are not
 // recalled (they were already on the wire). It is the one place a link
 // changes state, so the network's down set and shortest-path trees

@@ -167,7 +167,7 @@ func TestUtilizationWindows(t *testing.T) {
 	loop := sim.NewLoop(1)
 	w := New(loop)
 	n, _ := w.AddNode("n", addr("10.0.0.1"), DETERProfile(), sched.Options{})
-	if u := n.KernelUtilization(); u != 0 {
+	if u := n.kernelUsed; u != 0 {
 		t.Fatalf("fresh node utilization = %v", u)
 	}
 	_ = loop

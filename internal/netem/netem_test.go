@@ -107,7 +107,7 @@ func TestLinkDownBlocksTraffic(t *testing.T) {
 	w, src, _, dst := threeNodeNet(t, DETERProfile(), 1e9, 100*time.Microsecond)
 	got := 0
 	dst.StackListenUDP(7, func([]byte) { got++ })
-	l, _ := w.FindLink("src", "fwdr")
+	l, _ := w.findLink("src", "fwdr")
 	l.SetDown(true)
 	src.StackSend(packet.BuildUDP(src.Addr(), dst.Addr(), 1, 7, 64, nil))
 	w.Run(10 * time.Millisecond)
@@ -180,7 +180,7 @@ func TestProcessSocketAndCost(t *testing.T) {
 		t.Fatalf("handled = %d", len(handled))
 	}
 	// The handler runs only after the profile's per-packet CPU cost.
-	cost := DETERProfile().UserPacketCost(1400 + packet.UDPHeaderLen + packet.IPv4HeaderLen)
+	cost := DETERProfile().userPacketCost(1400 + packet.UDPHeaderLen + packet.IPv4HeaderLen)
 	if cost < 30*time.Microsecond {
 		t.Fatalf("per-packet cost suspiciously low: %v", cost)
 	}
@@ -264,24 +264,24 @@ func TestKernelUtilizationAccounting(t *testing.T) {
 		src.StackSend(packet.BuildUDP(src.Addr(), dst.Addr(), 1, 7, 64, make([]byte, 1000)))
 	}
 	w.Run(100 * time.Millisecond)
-	if fwd.KernelUtilization() <= 0 {
+	if fwd.kernelUsed <= 0 {
 		t.Fatal("kernel forwarding not accounted")
 	}
 	fwd.ResetAccounting()
-	if fwd.KernelUtilization() != 0 {
+	if fwd.kernelUsed != 0 {
 		t.Fatal("accounting not reset")
 	}
 }
 
 func TestUserPacketCostFormula(t *testing.T) {
 	p := DETERProfile()
-	got := p.UserPacketCost(1500)
+	got := p.userPacketCost(1500)
 	want := 6*5*time.Microsecond + 1500*10*time.Nanosecond + 1*time.Microsecond
 	if got != want {
 		t.Fatalf("cost = %v, want %v", got, want)
 	}
 	pl := PlanetLabProfile()
-	if pl.UserPacketCost(1500) >= got {
+	if pl.userPacketCost(1500) >= got {
 		t.Fatal("PlanetLab profile should be slightly cheaper (P-III vs NetBurst)")
 	}
 }

@@ -175,7 +175,7 @@ func (w *Network) AddLink(cfg LinkConfig) (*Link, error) {
 }
 
 // FindLink locates the link between two nodes.
-func (w *Network) FindLink(a, b string) (*Link, bool) {
+func (w *Network) findLink(a, b string) (*Link, bool) {
 	for _, l := range w.links {
 		if (l.a.name == a && l.b.name == b) || (l.a.name == b && l.b.name == a) {
 			return l, true
@@ -214,7 +214,7 @@ func (w *Network) RestoreLink(a, b string, igpDelay time.Duration) error {
 }
 
 func (w *Network) setLink(a, b string, down bool, igpDelay time.Duration) error {
-	l, ok := w.FindLink(a, b)
+	l, ok := w.findLink(a, b)
 	if !ok {
 		return fmt.Errorf("netem: no link %s-%s", a, b)
 	}

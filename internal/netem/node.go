@@ -51,8 +51,7 @@ type Node struct {
 	// portRanges capture local UDP/TCP delivery for NAT return traffic.
 	portRanges []portRange
 	// kernelUsed accounts kernel CPU for the utilization columns.
-	kernelUsed   time.Duration
-	kernAcctFrom time.Duration
+	kernelUsed time.Duration
 	// Drops counts packets dropped for lack of any local consumer/route.
 	Drops uint64
 	// Telemetry mirrors (nil-safe): cumulative kernel CPU nanoseconds
@@ -118,12 +117,6 @@ func (n *Node) Domain() *sim.Domain { return n.dom }
 // promise to the next hello.
 func (n *Node) Ticks() sim.Clock { return n.wheel }
 
-// Profile returns the node's host cost model.
-func (n *Node) Profile() Profile { return n.prof }
-
-// Routes exposes the kernel routing table (the "underlying IP network").
-func (n *Node) Routes() *fib.Table { return n.routes }
-
 // AddAddr adds a local alias address.
 func (n *Node) AddAddr(a netip.Addr) { n.addrs[a] = true }
 
@@ -162,9 +155,6 @@ func (n *Node) StackUnlistenUDP(port uint16) { delete(n.stackUDP, port) }
 
 // StackListenICMP registers the local ICMP consumer.
 func (n *Node) StackListenICMP(h StackHandler) { n.icmpTap = h }
-
-// StackUnlistenICMP detaches the local ICMP consumer.
-func (n *Node) StackUnlistenICMP() { n.icmpTap = nil }
 
 // StackListeners counts live kernel-resident registrations (UDP and TCP
 // ports, plus one for an attached ICMP tap). Workload-teardown audits
@@ -207,10 +197,10 @@ func (n *Node) InjectLocalPacket(p *packet.Packet) {
 	n.deliverLocal(ip, p)
 }
 
-// AddTapRoute directs kernel packets for prefix into sock's process —
+// addTapRoute directs kernel packets for prefix into sock's process —
 // the modified TUN/TAP driver of Section 4.1.3 (each slice sees its own
 // tap0; the kernel routes 10.0.0.0/8 there).
-func (n *Node) AddTapRoute(prefix netip.Prefix, sock *Socket) {
+func (n *Node) addTapRoute(prefix netip.Prefix, sock *Socket) {
 	n.taps = append(n.taps, tapRoute{prefix: prefix, sock: sock})
 }
 
@@ -220,19 +210,9 @@ func (n *Node) kernelCharge(d time.Duration) {
 	n.mKernel.Add(uint64(d))
 }
 
-// KernelUtilization reports the kernel CPU fraction since the last reset.
-func (n *Node) KernelUtilization() float64 {
-	elapsed := n.dom.Now() - n.kernAcctFrom
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(n.kernelUsed) / float64(elapsed)
-}
-
 // ResetAccounting clears CPU accounting on the node and its processes.
 func (n *Node) ResetAccounting() {
 	n.kernelUsed = 0
-	n.kernAcctFrom = n.dom.Now()
 	n.CPU.ResetAccounting()
 	for _, p := range n.procs {
 		for _, s := range p.socks {

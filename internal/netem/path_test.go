@@ -27,7 +27,7 @@ func reference(t *testing.T, w *Network) (*topology.Graph, map[int]bool) {
 		if err := g.AddLink(topology.Link{A: cfg.A, B: cfg.B, CostAB: uint32(cfg.Delay/time.Microsecond) + 1, Delay: cfg.Delay}); err != nil {
 			t.Fatal(err)
 		}
-		if l.Down() {
+		if l.down {
 			down[i] = true
 		}
 	}

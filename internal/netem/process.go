@@ -81,9 +81,6 @@ func (n *Node) NewProcess(cfg ProcessConfig) *Process {
 // Task exposes the scheduler task (for wake-latency statistics).
 func (p *Process) Task() *sched.Task { return p.task }
 
-// Node returns the hosting node.
-func (p *Process) Node() *Node { return p.node }
-
 // OpenUDP binds port and registers handler, called in process context
 // (i.e. after scheduling) for each received packet.
 func (p *Process) OpenUDP(port uint16, handler func(pkt *packet.Packet)) (*Socket, error) {
@@ -118,7 +115,7 @@ func (p *Process) OpenPortRange(lo, hi uint16, handler func(pkt *packet.Packet))
 func (p *Process) OpenTap(prefix netip.Prefix, handler func(pkt *packet.Packet)) *Socket {
 	s := &Socket{proc: p, handler: handler}
 	p.socks = append(p.socks, s)
-	p.node.AddTapRoute(prefix, s)
+	p.node.addTapRoute(prefix, s)
 	return s
 }
 
@@ -166,7 +163,7 @@ func (p *Process) SendUDP(srcPort uint16, dst netip.AddrPort, payload []byte, tt
 
 // SendUDPPacket is SendUDP for a packet the caller owns: the UDP and IPv4
 // headers are written into the packet's headroom in place (no copy when
-// the packet has DefaultHeadroom available, as tunnel-decapsulated
+// the packet has its headroom available, as tunnel-decapsulated
 // packets do). Ownership transfers to the substrate.
 func (p *Process) SendUDPPacket(srcPort uint16, dst netip.AddrPort, pkt *packet.Packet, ttl uint8) {
 	src := p.node.addr
@@ -193,7 +190,7 @@ func (p *Process) work(budget time.Duration) (time.Duration, bool) {
 		return 0, false
 	}
 	pkt := s.pop()
-	cost := p.node.prof.UserPacketCost(pkt.Len())
+	cost := p.node.prof.userPacketCost(pkt.Len())
 	if cost > budget {
 		cost = budget // a grain is the scheduler's accounting floor
 	}
@@ -283,9 +280,6 @@ func (p *Process) Close() {
 	}
 	n.CPU.RemoveTask(p.task)
 }
-
-// Closed reports whether Close has run.
-func (p *Process) Closed() bool { return p.closed }
 
 // nextReady returns the socket with the oldest waiting packet, so service
 // order matches arrival order across sockets (what poll gives Click).

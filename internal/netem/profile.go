@@ -51,9 +51,9 @@ func (p Profile) scaled(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * p.Speed)
 }
 
-// UserPacketCost is the CPU consumed by the user-space forwarder to
+// userPacketCost is the CPU consumed by the user-space forwarder to
 // receive, process, and retransmit one packet of n bytes.
-func (p Profile) UserPacketCost(n int) time.Duration {
+func (p Profile) userPacketCost(n int) time.Duration {
 	c := time.Duration(p.SyscallsPerPacket)*p.SyscallCost +
 		time.Duration(n)*p.CopyCostPerByte +
 		p.PerPacketOverhead

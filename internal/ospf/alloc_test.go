@@ -55,13 +55,13 @@ func steadyRouter(t *testing.T) (r *Router, loop *sim.Loop, src netip.Addr, hell
 	if err := r.Receive(0, src, MarshalLSU(2, LSU{LSAs: []LSA{lsa2, lsa3}})); err != nil {
 		t.Fatal(err)
 	}
-	var ack LSAck
+	var ack lsAck
 	for _, l := range r.LSDB() {
 		for seq := uint32(1); seq <= l.Seq; seq++ {
-			ack.Keys = append(ack.Keys, Key{Origin: l.Origin, Seq: seq})
+			ack.Keys = append(ack.Keys, lsaKey{Origin: l.Origin, Seq: seq})
 		}
 	}
-	if err := r.Receive(0, src, MarshalLSAck(2, ack)); err != nil {
+	if err := r.Receive(0, src, appendLSAck(nil, 2, ack.Keys)); err != nil {
 		t.Fatal(err)
 	}
 	loop.Run(loop.Now() + 5*time.Second) // SPF, a few hello ticks, no retransmission left

@@ -25,40 +25,40 @@ func FuzzOSPFDecode(f *testing.F) {
 		Links: []LinkDesc{{NeighborID: 0x0a010002, Cost: 10}},
 		Stubs: []StubDesc{{Prefix: netip.MustParsePrefix("10.1.0.1/32")}, {Prefix: netip.MustParsePrefix("10.1.128.0/30"), Cost: 10}},
 	}}}))
-	f.Add(MarshalLSAck(0x0a010001, LSAck{Keys: []Key{{Origin: 0x0a010002, Seq: 3}}}))
-	f.Add(rawPacket(TypeLSU, 1, []byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff}))
-	f.Add(rawPacket(TypeLSU, 1, []byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 10, 0, 0, 0, 33, 0, 0, 0, 0, 0, 0, 1}))
+	f.Add(appendLSAck(nil, 0x0a010001, []lsaKey{{Origin: 0x0a010002, Seq: 3}}))
+	f.Add(rawPacket(typeLSU, 1, []byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff}))
+	f.Add(rawPacket(typeLSU, 1, []byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 10, 0, 0, 0, 33, 0, 0, 0, 0, 0, 0, 1}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h, body, err := ParseHeader(data)
+		h, body, err := parseHeader(data)
 		if err != nil {
 			return
 		}
 		var msg any
 		var again []byte
 		switch h.Type {
-		case TypeHello:
-			m, err := ParseHello(body)
+		case typeHello:
+			m, err := new(decoder).hello(body)
 			if err != nil {
 				return
 			}
 			msg, again = m, MarshalHello(h.RouterID, m)
-		case TypeLSU:
-			m, err := ParseLSU(body)
+		case typeLSU:
+			m, err := new(decoder).lsu(body)
 			if err != nil {
 				return
 			}
 			msg, again = m, MarshalLSU(h.RouterID, m)
-		case TypeLSAck:
-			m, err := ParseLSAck(body)
+		case typeLSAck:
+			m, err := new(decoder).lsack(body)
 			if err != nil {
 				return
 			}
-			msg, again = m, MarshalLSAck(h.RouterID, m)
+			msg, again = m, appendLSAck(nil, h.RouterID, m.Keys)
 		default:
 			return
 		}
-		h2, body2, err := ParseHeader(again)
+		h2, body2, err := parseHeader(again)
 		if err != nil {
 			t.Fatalf("re-marshaled %T does not parse: %v", msg, err)
 		}
@@ -67,12 +67,12 @@ func FuzzOSPFDecode(f *testing.F) {
 		}
 		var msg2 any
 		switch h.Type {
-		case TypeHello:
-			msg2, err = ParseHello(body2)
-		case TypeLSU:
-			msg2, err = ParseLSU(body2)
-		case TypeLSAck:
-			msg2, err = ParseLSAck(body2)
+		case typeHello:
+			msg2, err = new(decoder).hello(body2)
+		case typeLSU:
+			msg2, err = new(decoder).lsu(body2)
+		case typeLSAck:
+			msg2, err = new(decoder).lsack(body2)
 		}
 		if err != nil || !reflect.DeepEqual(msg, msg2) {
 			t.Fatalf("round trip changed the message (err %v):\n got %+v\nwant %+v", err, msg2, msg)
@@ -89,16 +89,16 @@ func FuzzOSPFDecode(f *testing.F) {
 		var viaStorage []byte
 		var installed LSU
 		switch h.Type {
-		case TypeHello:
+		case typeHello:
 			m, _ := d.hello(body)
 			viaStorage = appendHello(nil, h.RouterID, m)
-		case TypeLSU:
+		case typeLSU:
 			m, _ := d.lsu(body)
 			viaStorage = appendLSU(nil, h.RouterID, m.LSAs)
 			for _, l := range m.LSAs {
 				installed.LSAs = append(installed.LSAs, l.clone())
 			}
-		case TypeLSAck:
+		case typeLSAck:
 			m, _ := d.lsack(body)
 			viaStorage = appendLSAck(nil, h.RouterID, m.Keys)
 		}
@@ -106,7 +106,7 @@ func FuzzOSPFDecode(f *testing.F) {
 			t.Fatalf("decoding into used storage gave a different message:\n got %x\nwant %x", viaStorage, again)
 		}
 		d.lsu(dirt)
-		if h.Type == TypeLSU && !bytes.Equal(MarshalLSU(h.RouterID, installed), again) {
+		if h.Type == typeLSU && !bytes.Equal(MarshalLSU(h.RouterID, installed), again) {
 			t.Fatalf("an installed LSA still aliases the decoder: %+v", installed)
 		}
 	})

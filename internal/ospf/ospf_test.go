@@ -1,6 +1,7 @@
 package ospf
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -137,14 +138,14 @@ func fastCfg(stubs ...StubDesc) Config {
 func TestWireRoundTrips(t *testing.T) {
 	h := Hello{HelloInterval: 5, DeadInterval: 10, Neighbors: []uint32{7, 9}}
 	pkt := MarshalHello(42, h)
-	hdr, body, err := ParseHeader(pkt)
+	hdr, body, err := parseHeader(pkt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hdr.Type != TypeHello || hdr.RouterID != 42 {
+	if hdr.Type != typeHello || hdr.RouterID != 42 {
 		t.Fatalf("header = %+v", hdr)
 	}
-	h2, err := ParseHello(body)
+	h2, err := new(decoder).hello(body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +158,11 @@ func TestWireRoundTrips(t *testing.T) {
 		Stubs: []StubDesc{{Prefix: netip.MustParsePrefix("10.0.0.1/32"), Cost: 0}}}
 	u := LSU{LSAs: []LSA{lsa}}
 	pkt = MarshalLSU(1, u)
-	_, body, err = ParseHeader(pkt)
+	_, body, err = parseHeader(pkt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	u2, err := ParseLSU(body)
+	u2, err := new(decoder).lsu(body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,14 +171,14 @@ func TestWireRoundTrips(t *testing.T) {
 		t.Fatalf("lsu = %+v", u2)
 	}
 
-	a := LSAck{Keys: []Key{{Origin: 1, Seq: 3}}}
-	pkt = MarshalLSAck(2, a)
-	_, body, err = ParseHeader(pkt)
+	a := lsAck{Keys: []lsaKey{{Origin: 1, Seq: 3}}}
+	pkt = appendLSAck(nil, 2, a.Keys)
+	_, body, err = parseHeader(pkt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := ParseLSAck(body)
-	if err != nil || len(a2.Keys) != 1 || a2.Keys[0] != (Key{1, 3}) {
+	a2, err := new(decoder).lsack(body)
+	if err != nil || len(a2.Keys) != 1 || a2.Keys[0] != (lsaKey{1, 3}) {
 		t.Fatalf("ack = %+v err=%v", a2, err)
 	}
 }
@@ -187,26 +188,26 @@ func TestWireRejectsCorruption(t *testing.T) {
 	for i := range pkt {
 		bad := append([]byte(nil), pkt...)
 		bad[i] ^= 0x5a
-		if _, _, err := ParseHeader(bad); err == nil {
+		if _, _, err := parseHeader(bad); err == nil {
 			// Flipping the checksum field itself must also fail.
 			t.Fatalf("corruption at byte %d accepted", i)
 		}
 	}
-	if _, _, err := ParseHeader([]byte{2, 1}); err == nil {
+	if _, _, err := parseHeader([]byte{2, 1}); err == nil {
 		t.Fatal("truncated packet accepted")
 	}
 }
 
 func TestWireFuzzNoPanic(t *testing.T) {
 	f := func(b []byte) bool {
-		if h, body, err := ParseHeader(b); err == nil {
+		if h, body, err := parseHeader(b); err == nil {
 			switch h.Type {
-			case TypeHello:
-				ParseHello(body)
-			case TypeLSU:
-				ParseLSU(body)
-			case TypeLSAck:
-				ParseLSAck(body)
+			case typeHello:
+				new(decoder).hello(body)
+			case typeLSU:
+				new(decoder).lsu(body)
+			case typeLSAck:
+				new(decoder).lsack(body)
 			}
 		}
 		return true
@@ -331,7 +332,7 @@ func TestAbileneMatchesReference(t *testing.T) {
 		id := uint32(i + 1)
 		ids[name] = id
 		nodes[name] = m.addRouter(name, id, fastCfg(StubDesc{
-			Prefix: netip.PrefixFrom(AddrFromRouterID(0x0a000000+id), 32)}))
+			Prefix: netip.PrefixFrom(addrFromRouterID(0x0a000000+id), 32)}))
 	}
 	for _, l := range g.Links() {
 		m.connect(nodes[l.A], nodes[l.B], l.CostAB, l.Delay)
@@ -345,7 +346,7 @@ func TestAbileneMatchesReference(t *testing.T) {
 				continue
 			}
 			want := ref[dst].Cost
-			pfx := netip.PrefixFrom(AddrFromRouterID(0x0a000000+ids[dst]), 32)
+			pfx := netip.PrefixFrom(addrFromRouterID(0x0a000000+ids[dst]), 32)
 			var got fib.Route
 			found := false
 			for _, r := range nodes[src].routes {
@@ -383,7 +384,7 @@ func TestStopSilencesRouter(t *testing.T) {
 func TestRouterIDAddrRoundTrip(t *testing.T) {
 	f := func(a, b, c, d byte) bool {
 		addr := netip.AddrFrom4([4]byte{a, b, c, d})
-		return AddrFromRouterID(RouterIDFromAddr(addr)) == addr
+		return addrFromRouterID(RouterIDFromAddr(addr)) == addr
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -658,7 +659,7 @@ func referenceSPF(r *Router) []fib.Route {
 		routes = append(routes, rt)
 	}
 	sort.Slice(routes, func(i, j int) bool {
-		return fib.PrefixTextLess(routes[i].Prefix, routes[j].Prefix)
+		return fib.PrefixTextCompare(routes[i].Prefix, routes[j].Prefix) < 0
 	})
 	return routes
 }
@@ -772,7 +773,7 @@ func TestSPFMatchesReferenceOnAbilene(t *testing.T) {
 	for i, name := range g.Nodes() {
 		id := uint32(i + 1)
 		nodes[name] = m.addRouter(name, id, fastCfg(StubDesc{
-			Prefix: netip.PrefixFrom(AddrFromRouterID(0x0a000000+id), 32)}))
+			Prefix: netip.PrefixFrom(addrFromRouterID(0x0a000000+id), 32)}))
 	}
 	for _, l := range g.Links() {
 		m.connect(nodes[l.A], nodes[l.B], l.CostAB, l.Delay)
@@ -788,4 +789,11 @@ func TestSPFMatchesReferenceOnAbilene(t *testing.T) {
 			t.Fatalf("%s:\n got %v\nwant %v", name, got, want)
 		}
 	}
+}
+
+// addrFromRouterID is the inverse of RouterIDFromAddr.
+func addrFromRouterID(id uint32) netip.Addr {
+	var b [4]byte
+	binary.BigEndian.PutUint32(b[:], id)
+	return netip.AddrFrom4(b)
 }

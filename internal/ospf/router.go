@@ -113,7 +113,7 @@ type neighbor struct {
 	state     neighborState
 	deadTimer sim.Timer
 	// pendingAcks maps LSA keys awaiting this neighbor's ack.
-	pendingAcks map[Key]LSA
+	pendingAcks map[lsaKey]LSA
 	rxmtTimer   sim.Timer
 	// deadFn and rxmtFn are the two timers' callbacks, bound once so
 	// that re-arming them (every hello, every flood) allocates nothing.
@@ -121,7 +121,7 @@ type neighbor struct {
 }
 
 func (r *Router) newNeighbor(id uint32, addr netip.Addr, ifc *Interface) *neighbor {
-	nb := &neighbor{id: id, addr: addr, ifc: ifc, pendingAcks: make(map[Key]LSA)}
+	nb := &neighbor{id: id, addr: addr, ifc: ifc, pendingAcks: make(map[lsaKey]LSA)}
 	nb.deadFn = func() { r.neighborDead(nb) }
 	nb.rxmtFn = func() { r.retransmit(nb) }
 	return nb
@@ -173,7 +173,7 @@ type Router struct {
 	enc  []byte
 	dec  decoder
 	seen [1]uint32
-	acks []Key
+	acks []lsaKey
 	spf  []spfNode
 	// SPFRuns counts SPF executions, for convergence diagnostics.
 	SPFRuns int
@@ -360,7 +360,7 @@ func (r *Router) Receive(ifIndex int, src netip.Addr, payload []byte) error {
 	if !r.started {
 		return nil
 	}
-	h, body, err := ParseHeader(payload)
+	h, body, err := parseHeader(payload)
 	if err != nil {
 		return err
 	}
@@ -368,19 +368,19 @@ func (r *Router) Receive(ifIndex int, src netip.Addr, payload []byte) error {
 		return nil // our own packet reflected
 	}
 	switch h.Type {
-	case TypeHello:
+	case typeHello:
 		hello, err := r.dec.hello(body)
 		if err != nil {
 			return err
 		}
 		r.handleHello(ifIndex, src, h.RouterID, hello)
-	case TypeLSU:
+	case typeLSU:
 		u, err := r.dec.lsu(body)
 		if err != nil {
 			return err
 		}
 		r.handleLSU(ifIndex, u)
-	case TypeLSAck:
+	case typeLSAck:
 		a, err := r.dec.lsack(body)
 		if err != nil {
 			return err
@@ -536,7 +536,7 @@ func (r *Router) sendLSU(nb *neighbor, lsas []LSA) {
 				delete(nb.pendingAcks, k)
 			}
 		}
-		nb.pendingAcks[l.Key()] = l
+		nb.pendingAcks[l.key()] = l
 	}
 	r.enc = appendLSU(r.enc[:0], r.cfg.RouterID, lsas)
 	r.send(nb.ifc.Index)
@@ -565,7 +565,7 @@ func (r *Router) handleLSU(ifIndex int, u LSU) {
 	acks := r.acks[:0]
 	changed := false
 	for _, lsa := range u.LSAs {
-		acks = append(acks, lsa.Key())
+		acks = append(acks, lsa.key())
 		if lsa.Origin == r.cfg.RouterID {
 			// Someone floods a stale copy of our own LSA: outrace it.
 			if lsa.Seq >= r.mySeq {
@@ -594,7 +594,7 @@ func (r *Router) handleLSU(ifIndex int, u LSU) {
 	}
 }
 
-func (r *Router) handleAck(ifIndex int, a LSAck) {
+func (r *Router) handleAck(ifIndex int, a lsAck) {
 	nb := r.neighbor(ifIndex)
 	if nb == nil {
 		return

@@ -15,15 +15,15 @@ import (
 
 // Message types.
 const (
-	TypeHello = 1
-	TypeLSU   = 4
-	TypeLSAck = 5
+	typeHello = 1
+	typeLSU   = 4
+	typeLSAck = 5
 )
 
 const headerLen = 16
 
-// Header is the common OSPF packet header (version 2, area 0 only).
-type Header struct {
+// header is the common OSPF packet header (version 2, area 0 only).
+type header struct {
 	Type     uint8
 	RouterID uint32
 	Length   uint16
@@ -50,14 +50,14 @@ type LSA struct {
 	Stubs  []StubDesc
 }
 
-// Key identifies the LSA instance for flooding/acks.
-type Key struct {
+// lsaKey identifies the LSA instance for flooding/acks.
+type lsaKey struct {
 	Origin uint32
 	Seq    uint32
 }
 
-// Key returns the LSA's identity.
-func (l LSA) Key() Key { return Key{Origin: l.Origin, Seq: l.Seq} }
+// lsaKey returns the LSA's identity.
+func (l LSA) key() lsaKey { return lsaKey{Origin: l.Origin, Seq: l.Seq} }
 
 // Hello is the neighbor-discovery message.
 type Hello struct {
@@ -71,9 +71,9 @@ type LSU struct {
 	LSAs []LSA
 }
 
-// LSAck acknowledges received LSAs.
-type LSAck struct {
-	Keys []Key
+// lsAck acknowledges received LSAs.
+type lsAck struct {
+	Keys []lsaKey
 }
 
 // RouterIDFromAddr derives the 32-bit router ID from an IPv4 address
@@ -81,13 +81,6 @@ type LSAck struct {
 func RouterIDFromAddr(a netip.Addr) uint32 {
 	b := a.As4()
 	return binary.BigEndian.Uint32(b[:])
-}
-
-// AddrFromRouterID is the inverse of RouterIDFromAddr.
-func AddrFromRouterID(id uint32) netip.Addr {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], id)
-	return netip.AddrFrom4(b)
 }
 
 // begin appends a blank common header to dst; seal fills it in once the
@@ -124,9 +117,9 @@ func ipChecksum(b []byte) uint16 {
 	return ^uint16(sum)
 }
 
-// ParseHeader validates and decodes the common header, returning the body.
-func ParseHeader(b []byte) (Header, []byte, error) {
-	var h Header
+// parseHeader validates and decodes the common header, returning the body.
+func parseHeader(b []byte) (header, []byte, error) {
+	var h header
 	if len(b) < headerLen {
 		return h, nil, fmt.Errorf("ospf: packet too short (%d)", len(b))
 	}
@@ -158,25 +151,19 @@ func appendHello(dst []byte, routerID uint32, h Hello) []byte {
 	for _, n := range h.Neighbors {
 		dst = binary.BigEndian.AppendUint32(dst, n)
 	}
-	return seal(dst, start, TypeHello, routerID)
+	return seal(dst, start, typeHello, routerID)
 }
 
 // decoder is the storage message bodies decode into. A Router keeps one
 // and every Receive overwrites it, so a decoded message is only good
 // until the next one arrives and whatever outlives that is copied out
-// (LSA.clone); the exported Parse functions decode into a fresh one.
+// (LSA.clone).
 type decoder struct {
 	nbrs  []uint32
 	lsas  []LSA
 	links []LinkDesc
 	stubs []StubDesc
-	keys  []Key
-}
-
-// ParseHello decodes a hello body.
-func ParseHello(body []byte) (Hello, error) {
-	var d decoder
-	return d.hello(body)
+	keys  []lsaKey
 }
 
 func (d *decoder) hello(body []byte) (Hello, error) {
@@ -275,13 +262,7 @@ func appendLSU(dst []byte, routerID uint32, lsas []LSA) []byte {
 	for _, l := range lsas {
 		dst = appendLSA(dst, l)
 	}
-	return seal(dst, start, TypeLSU, routerID)
-}
-
-// ParseLSU decodes an LSU body.
-func ParseLSU(body []byte) (LSU, error) {
-	var d decoder
-	return d.lsu(body)
+	return seal(dst, start, typeLSU, routerID)
 }
 
 func (d *decoder) lsu(body []byte) (LSU, error) {
@@ -300,39 +281,30 @@ func (d *decoder) lsu(body []byte) (LSU, error) {
 	return LSU{LSAs: d.lsas}, nil
 }
 
-// MarshalLSAck encodes an acknowledgement.
-func MarshalLSAck(routerID uint32, a LSAck) []byte { return appendLSAck(nil, routerID, a.Keys) }
-
-func appendLSAck(dst []byte, routerID uint32, keys []Key) []byte {
+func appendLSAck(dst []byte, routerID uint32, keys []lsaKey) []byte {
 	start := len(dst)
 	dst = binary.BigEndian.AppendUint16(begin(dst), uint16(len(keys)))
 	for _, k := range keys {
 		dst = binary.BigEndian.AppendUint32(dst, k.Origin)
 		dst = binary.BigEndian.AppendUint32(dst, k.Seq)
 	}
-	return seal(dst, start, TypeLSAck, routerID)
+	return seal(dst, start, typeLSAck, routerID)
 }
 
-// ParseLSAck decodes an acknowledgement body.
-func ParseLSAck(body []byte) (LSAck, error) {
-	var d decoder
-	return d.lsack(body)
-}
-
-func (d *decoder) lsack(body []byte) (LSAck, error) {
+func (d *decoder) lsack(body []byte) (lsAck, error) {
 	if len(body) < 2 {
-		return LSAck{}, fmt.Errorf("ospf: LSAck too short")
+		return lsAck{}, fmt.Errorf("ospf: LSAck too short")
 	}
 	n := int(binary.BigEndian.Uint16(body[0:2]))
 	if len(body) < 2+8*n {
-		return LSAck{}, fmt.Errorf("ospf: LSAck truncated")
+		return lsAck{}, fmt.Errorf("ospf: LSAck truncated")
 	}
 	d.keys = d.keys[:0]
 	for i := 0; i < n; i++ {
-		d.keys = append(d.keys, Key{
+		d.keys = append(d.keys, lsaKey{
 			Origin: binary.BigEndian.Uint32(body[2+8*i:]),
 			Seq:    binary.BigEndian.Uint32(body[6+8*i:]),
 		})
 	}
-	return LSAck{Keys: d.keys}, nil
+	return lsAck{Keys: d.keys}, nil
 }

@@ -228,7 +228,7 @@ func (n *Node) readLoop() {
 		if err != nil {
 			return // socket closed
 		}
-		// A packet of its own with DefaultHeadroom in front, as a
+		// A packet of its own with 64 bytes of headroom in front, as a
 		// simulated tunnel delivers: the graph writes headers in place.
 		p := packet.New(nil)
 		copy(p.Extend(sz), buf[:sz])
@@ -245,7 +245,7 @@ func (n *Node) readLoop() {
 // write). Safe to call from any goroutine.
 func (n *Node) Send(dgram []byte) {
 	buf := append([]byte(nil), dgram...)
-	n.post(func() { n.fw.Router.Push("fromtap", 0, packet.New(buf)) })
+	n.post(func() { n.fw.FromTap(packet.New(buf)) })
 }
 
 // Routes returns a snapshot of the node's FIB.
@@ -262,10 +262,6 @@ func (n *Node) Neighbors() []ospf.NeighborInfo {
 		return nil
 	}
 }
-
-// Metrics returns the node's telemetry registry (Click element counters
-// under the "live" slice, plus the scrape-time gauges).
-func (n *Node) Metrics() *telemetry.Registry { return n.reg }
 
 // refreshGauges recomputes the adjacency and route gauges on the actor
 // loop, so a scrape never races protocol state.

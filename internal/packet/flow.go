@@ -14,11 +14,6 @@ type Flow struct {
 	DstPort  uint16
 }
 
-// Reverse returns the flow with endpoints swapped.
-func (f Flow) Reverse() Flow {
-	return Flow{Proto: f.Proto, Src: f.Dst, Dst: f.Src, SrcPort: f.DstPort, DstPort: f.SrcPort}
-}
-
 // String renders "proto src:sport>dst:dport".
 func (f Flow) String() string {
 	return fmt.Sprintf("%d %s:%d>%s:%d", f.Proto, f.Src, f.SrcPort, f.Dst, f.DstPort)
@@ -105,10 +100,3 @@ func BuildICMPError(routerAddr netip.Addr, icmpType, code uint8, offending []byt
 	ip := IPv4{TTL: 64, Proto: ProtoICMP, Src: routerAddr, Dst: oip.Src}
 	return ip.Marshal(msg)
 }
-
-// MustAddr parses a as a netip.Addr, panicking on error. For tests and
-// static configuration tables.
-func MustAddr(a string) netip.Addr { return netip.MustParseAddr(a) }
-
-// MustPrefix parses p as a netip.Prefix, panicking on error.
-func MustPrefix(p string) netip.Prefix { return netip.MustParsePrefix(p) }

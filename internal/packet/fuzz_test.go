@@ -29,7 +29,7 @@ func FuzzIPv4RoundTrip(f *testing.F) {
 		}
 		dgram := make([]byte, IPv4HeaderLen+len(payload))
 		copy(dgram[IPv4HeaderLen:], payload)
-		h1.Put(dgram)
+		h1.put(dgram)
 		var h2 IPv4
 		payload2, err := h2.Parse(dgram)
 		if err != nil {
@@ -68,7 +68,7 @@ func FuzzUDPRoundTrip(f *testing.F) {
 		out := make([]byte, UDPHeaderLen+len(payload))
 		copy(out[UDPHeaderLen:], payload)
 		h2 := UDP{SrcPort: h1.SrcPort, DstPort: h1.DstPort}
-		h2.Put(sa, da, out)
+		h2.put(sa, da, out)
 		var h3 UDP
 		payload2, err := h3.Parse(out)
 		if err != nil {

@@ -5,49 +5,6 @@ import (
 	"net/netip"
 )
 
-// MAC is a 48-bit Ethernet address.
-type MAC [6]byte
-
-// String renders the conventional colon-hex form.
-func (m MAC) String() string {
-	const hex = "0123456789abcdef"
-	b := make([]byte, 0, 17)
-	for i, x := range m {
-		if i > 0 {
-			b = append(b, ':')
-		}
-		b = append(b, hex[x>>4], hex[x&0xf])
-	}
-	return string(b)
-}
-
-// BroadcastMAC is ff:ff:ff:ff:ff:ff.
-var BroadcastMAC = MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
-
-// Ethernet is an Ethernet II frame header.
-type Ethernet struct {
-	Dst, Src MAC
-	Type     uint16
-}
-
-// Parse decodes the header from b and returns the payload.
-func (h *Ethernet) Parse(b []byte) ([]byte, error) {
-	if len(b) < EthernetHeaderLen {
-		return nil, parseErr("ethernet", "frame too short: %d bytes", len(b))
-	}
-	copy(h.Dst[:], b[0:6])
-	copy(h.Src[:], b[6:12])
-	h.Type = binary.BigEndian.Uint16(b[12:14])
-	return b[EthernetHeaderLen:], nil
-}
-
-// AppendTo appends the serialized header to b.
-func (h *Ethernet) AppendTo(b []byte) []byte {
-	b = append(b, h.Dst[:]...)
-	b = append(b, h.Src[:]...)
-	return binary.BigEndian.AppendUint16(b, h.Type)
-}
-
 // IPv4 is an IPv4 header without options (IHL=5), which is the only form
 // IIAS emits; packets with options are accepted and options preserved via
 // the HeaderLen field.
@@ -63,12 +20,6 @@ type IPv4 struct {
 	Src, Dst  netip.Addr
 	HeaderLen int // bytes, >= 20
 }
-
-// IPv4 flag bits.
-const (
-	IPFlagDF = 0x2
-	IPFlagMF = 0x1
-)
 
 // Parse decodes the header from b and returns the payload (bounded by
 // TotalLen). The checksum is verified.
@@ -109,15 +60,15 @@ func (h *IPv4) Parse(b []byte) ([]byte, error) {
 func (h *IPv4) Marshal(payload []byte) []byte {
 	b := make([]byte, IPv4HeaderLen+len(payload))
 	copy(b[IPv4HeaderLen:], payload)
-	h.Put(b)
+	h.put(b)
 	return b
 }
 
-// Put serializes the header (IHL=5) into the first IPv4HeaderLen bytes of
+// put serializes the header (IHL=5) into the first IPv4HeaderLen bytes of
 // dgram, which must already hold the payload at dgram[IPv4HeaderLen:].
 // TotalLen covers all of dgram; the checksum is computed in place. This is
 // the zero-allocation path behind Marshal and EncapIPv4.
-func (h *IPv4) Put(dgram []byte) {
+func (h *IPv4) put(dgram []byte) {
 	b := dgram[:IPv4HeaderLen]
 	b[0] = 4<<4 | 5
 	b[1] = h.TOS
@@ -136,7 +87,7 @@ func (h *IPv4) Put(dgram []byte) {
 // EncapIPv4 prepends an IPv4 header to p in place, using headroom when
 // available. The packet's current contents become the payload.
 func EncapIPv4(p *Packet, h *IPv4) {
-	h.Put(p.Extend(IPv4HeaderLen))
+	h.put(p.Extend(IPv4HeaderLen))
 }
 
 // SetTTL rewrites the TTL in a serialized IPv4 datagram in place and
@@ -190,14 +141,14 @@ func (h *UDP) Parse(b []byte) ([]byte, error) {
 func (h *UDP) Marshal(src, dst netip.Addr, payload []byte) []byte {
 	b := make([]byte, UDPHeaderLen+len(payload))
 	copy(b[UDPHeaderLen:], payload)
-	h.Put(src, dst, b)
+	h.put(src, dst, b)
 	return b
 }
 
-// Put serializes the header into the first UDPHeaderLen bytes of seg,
+// put serializes the header into the first UDPHeaderLen bytes of seg,
 // which must already hold the payload at seg[UDPHeaderLen:]. Length covers
 // all of seg; the pseudo-header checksum is computed in place.
-func (h *UDP) Put(src, dst netip.Addr, seg []byte) {
+func (h *UDP) put(src, dst netip.Addr, seg []byte) {
 	binary.BigEndian.PutUint16(seg[0:2], h.SrcPort)
 	binary.BigEndian.PutUint16(seg[2:4], h.DstPort)
 	binary.BigEndian.PutUint16(seg[4:6], uint16(len(seg)))
@@ -213,7 +164,7 @@ func (h *UDP) Put(src, dst netip.Addr, seg []byte) {
 // become the UDP payload. Wire bytes match UDP.Marshal exactly.
 func EncapUDP(p *Packet, src, dst netip.Addr, sport, dport uint16) {
 	h := UDP{SrcPort: sport, DstPort: dport}
-	h.Put(src, dst, p.Extend(UDPHeaderLen))
+	h.put(src, dst, p.Extend(UDPHeaderLen))
 }
 
 // VerifyChecksum checks a parsed UDP segment against the pseudo-header.
@@ -229,8 +180,6 @@ func (h *UDP) VerifyChecksum(src, dst netip.Addr, segment []byte) bool {
 const (
 	TCPFin = 1 << 0
 	TCPSyn = 1 << 1
-	TCPRst = 1 << 2
-	TCPPsh = 1 << 3
 	TCPAck = 1 << 4
 )
 
@@ -268,14 +217,14 @@ func (h *TCP) Parse(b []byte) ([]byte, error) {
 func (h *TCP) Marshal(src, dst netip.Addr, payload []byte) []byte {
 	b := make([]byte, TCPHeaderLen+len(payload))
 	copy(b[TCPHeaderLen:], payload)
-	h.Put(src, dst, b)
+	h.put(src, dst, b)
 	return b
 }
 
-// Put serializes the header (no options) into the first TCPHeaderLen
+// put serializes the header (no options) into the first TCPHeaderLen
 // bytes of seg, which must already hold the payload at
 // seg[TCPHeaderLen:]; the pseudo-header checksum is computed in place.
-func (h *TCP) Put(src, dst netip.Addr, seg []byte) {
+func (h *TCP) put(src, dst netip.Addr, seg []byte) {
 	binary.BigEndian.PutUint16(seg[0:2], h.SrcPort)
 	binary.BigEndian.PutUint16(seg[2:4], h.DstPort)
 	binary.BigEndian.PutUint32(seg[4:8], h.Seq)
@@ -290,17 +239,15 @@ func (h *TCP) Put(src, dst netip.Addr, seg []byte) {
 // EncapTCP prepends a TCP header to p in place; the current contents
 // become the segment payload. Wire bytes match TCP.Marshal exactly.
 func EncapTCP(p *Packet, src, dst netip.Addr, h *TCP) {
-	h.Put(src, dst, p.Extend(TCPHeaderLen))
+	h.put(src, dst, p.Extend(TCPHeaderLen))
 }
 
 // ICMP message types used here.
 const (
-	ICMPEchoReply      = 0
-	ICMPUnreachable    = 3
-	ICMPEcho           = 8
-	ICMPTimeExceeded   = 11
-	ICMPCodeNetUnreach = 0
-	ICMPCodeTTL        = 0
+	ICMPEchoReply    = 0
+	ICMPUnreachable  = 3
+	ICMPEcho         = 8
+	ICMPTimeExceeded = 11
 )
 
 // ICMP is an ICMP header (echo layout: ID and Seq valid for echo types).

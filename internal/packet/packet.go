@@ -1,12 +1,12 @@
-// Package packet implements the wire formats VINI forwards: Ethernet,
-// IPv4, UDP, TCP, ICMP, plus the IIAS UDP-tunnel encapsulation. Headers
+// Package packet implements the wire formats VINI forwards: IPv4, UDP,
+// TCP, ICMP, plus the IIAS UDP-tunnel encapsulation. Headers
 // decode from and serialize to byte slices in the gopacket style — decode
 // into caller-owned structs, no hidden allocation — because the data plane
 // (internal/click) handles every packet as raw bytes exactly as the Click
 // software router does.
 //
 // Packets use a Click-style headroom layout: Data is a window into a
-// larger backing buffer, so encapsulation (Push) and decapsulation (Pull)
+// larger backing buffer, so encapsulation (Extend) and decapsulation (Pull)
 // on the forwarding fast path are pointer arithmetic, not copy-allocate.
 // A sync.Pool (Get/Release) recycles packet buffers so the steady-state
 // IIAS forwarding path runs at zero allocations per packet.
@@ -29,38 +29,27 @@ const (
 	ProtoOSPF = 89
 )
 
-// EtherType values.
-const (
-	EtherTypeIPv4 = 0x0800
-	EtherTypeARP  = 0x0806
-)
-
 // Header sizes in bytes.
 const (
-	EthernetHeaderLen = 14
-	IPv4HeaderLen     = 20 // without options; IIAS never emits options
-	UDPHeaderLen      = 8
-	TCPHeaderLen      = 20 // without options
-	ICMPHeaderLen     = 8
+	IPv4HeaderLen = 20 // without options; IIAS never emits options
+	UDPHeaderLen  = 8
+	TCPHeaderLen  = 20 // without options
+	ICMPHeaderLen = 8
 )
 
-// MTU is the Ethernet payload limit the substrate enforces.
-const MTU = 1500
-
-// DefaultHeadroom is the front reserve on owned buffers: two rounds of
-// IPv4+UDP tunnel encapsulation (2×28) plus an Ethernet header fit
-// without sliding the payload.
-const DefaultHeadroom = 64
+// defaultHeadroom is the front reserve on owned buffers: two rounds of
+// IPv4+UDP tunnel encapsulation (2×28) fit without sliding the payload.
+const defaultHeadroom = 64
 
 // poolBufSize is the backing-array size for pooled packets: headroom plus
 // an encapsulated MTU-sized datagram with slack.
-const poolBufSize = DefaultHeadroom + 2048
+const poolBufSize = defaultHeadroom + 2048
 
 // Packet is the unit every data-plane component exchanges: a byte buffer
 // plus out-of-band annotations, mirroring Click's packet annotations.
 // Data begins at the outermost header currently meaningful to the holder
-// (an Ethernet frame at a tap device, an IPv4 datagram inside the
-// forwarder, a UDP-encapsulated datagram on a tunnel).
+// (an IPv4 datagram inside the forwarder, a UDP-encapsulated datagram on
+// a tunnel).
 //
 // Ownership: a packet has exactly one owner at a time. Pushing a packet
 // into an element or transport transfers ownership; an owner that drops a
@@ -76,7 +65,7 @@ type Packet struct {
 	// off is the index of Data[0] within buf (valid only when own).
 	off int
 	// own records that Data == buf[off:off+len(Data)], enabling the
-	// headroom fast path in Push/Extend/Pull.
+	// headroom fast path in Extend/Pull.
 	own bool
 	// pooled marks packets obtained from Get; only these return to the
 	// pool on Release.
@@ -95,7 +84,8 @@ type Annotations struct {
 	// SliceID identifies the experiment slice owning the packet, used by
 	// the VNET-style demultiplexer to isolate simultaneous experiments.
 	SliceID int
-	// Paint is a free-form mark used by Paint/CheckPaint elements.
+	// Paint is a free-form mark; telemetry.TracePaint marks a packet for
+	// the life-of-a-packet timeline.
 	Paint int
 	// NextHop is the virtual next-hop address selected by the FIB lookup,
 	// consumed by the encapsulation-table lookup (Click's dst_ip
@@ -112,7 +102,7 @@ type Annotations struct {
 }
 
 // New returns a packet wrapping data (not copied). The packet does not
-// own headroom; the first Push migrates it onto an owned buffer.
+// own headroom; the first Extend migrates it onto an owned buffer.
 func New(data []byte) *Packet { return &Packet{Data: data} }
 
 var pktPool = sync.Pool{
@@ -162,11 +152,11 @@ var poisonOnRelease atomic.Bool
 // previous setting.
 func PoisonOnReleaseForTest(on bool) (was bool) { return poisonOnRelease.Swap(on) }
 
-// Get returns an empty pooled packet with DefaultHeadroom reserved.
+// Get returns an empty pooled packet with defaultHeadroom reserved.
 // The caller owns it until it is handed off or Released.
 func Get() *Packet {
 	p := pktPool.Get().(*Packet)
-	p.off = DefaultHeadroom
+	p.off = defaultHeadroom
 	p.Data = p.buf[p.off:p.off]
 	p.own = true
 	p.pooled = true
@@ -207,10 +197,10 @@ func (p *Packet) Released() bool { return p.released }
 func (p *Packet) Clone() *Packet {
 	q := Get()
 	n := len(p.Data)
-	if cap(q.buf) < DefaultHeadroom+n {
-		q.buf = make([]byte, DefaultHeadroom+n)
+	if cap(q.buf) < defaultHeadroom+n {
+		q.buf = make([]byte, defaultHeadroom+n)
 	}
-	q.off = DefaultHeadroom
+	q.off = defaultHeadroom
 	q.Data = q.buf[q.off : q.off+n]
 	copy(q.Data, p.Data)
 	q.Anno = p.Anno
@@ -220,16 +210,8 @@ func (p *Packet) Clone() *Packet {
 // Len returns the current buffer length.
 func (p *Packet) Len() int { return len(p.Data) }
 
-// Headroom reports the bytes available for Push without copying.
-func (p *Packet) Headroom() int {
-	if !p.own {
-		return 0
-	}
-	return p.off
-}
-
 // Pull removes n bytes from the front (decapsulation). On owned buffers
-// the removed region becomes headroom for a later Push. It panics if the
+// the removed region becomes headroom for a later Extend. It panics if the
 // buffer is shorter than n; callers validate with header parsing first.
 func (p *Packet) Pull(n int) {
 	p.Data = p.Data[n:]
@@ -255,14 +237,8 @@ func (p *Packet) Extend(n int) []byte {
 	return p.Data
 }
 
-// Push prepends hdr to the buffer (encapsulation).
-func (p *Packet) Push(hdr []byte) {
-	p.Extend(len(hdr))
-	copy(p.Data, hdr)
-}
-
 // SetData replaces the packet's contents with b (not copied). Ownership
-// of the backing buffer's layout is dropped; a later Push re-establishes
+// of the backing buffer's layout is dropped; a later Extend re-establishes
 // it by migrating the data into the owned buffer with fresh headroom.
 func (p *Packet) SetData(b []byte) {
 	p.Data = b
@@ -270,11 +246,11 @@ func (p *Packet) SetData(b []byte) {
 }
 
 // grow re-homes the data into the owned buffer (reused when large
-// enough, reallocated otherwise) leaving DefaultHeadroom plus n bytes of
+// enough, reallocated otherwise) leaving defaultHeadroom plus n bytes of
 // front space, with the first n exposed in Data.
 func (p *Packet) grow(n int) {
 	old := len(p.Data)
-	need := DefaultHeadroom + n + old
+	need := defaultHeadroom + n + old
 	buf := p.buf
 	if cap(buf) < need {
 		c := 2 * cap(buf)
@@ -284,10 +260,10 @@ func (p *Packet) grow(n int) {
 		buf = make([]byte, c)
 	}
 	buf = buf[:cap(buf)]
-	copy(buf[DefaultHeadroom+n:], p.Data) // memmove: may overlap p.buf
+	copy(buf[defaultHeadroom+n:], p.Data) // memmove: may overlap p.buf
 	p.buf = buf
-	p.off = DefaultHeadroom
-	p.Data = buf[DefaultHeadroom : DefaultHeadroom+n+old]
+	p.off = defaultHeadroom
+	p.Data = buf[defaultHeadroom : defaultHeadroom+n+old]
 	p.own = true
 }
 
@@ -356,14 +332,14 @@ func transportChecksum(src, dst netip.Addr, proto uint8, segment []byte) uint16 
 	return ^csumFold(csumWords(sum, segment))
 }
 
-// ParseError describes a malformed header.
-type ParseError struct {
+// parseError describes a malformed header.
+type parseError struct {
 	Layer string
 	Msg   string
 }
 
-func (e *ParseError) Error() string { return fmt.Sprintf("packet: bad %s: %s", e.Layer, e.Msg) }
+func (e *parseError) Error() string { return fmt.Sprintf("packet: bad %s: %s", e.Layer, e.Msg) }
 
 func parseErr(layer, format string, args ...any) error {
-	return &ParseError{Layer: layer, Msg: fmt.Sprintf(format, args...)}
+	return &parseError{Layer: layer, Msg: fmt.Sprintf(format, args...)}
 }

@@ -75,13 +75,21 @@ func TestTransportChecksumMatchesReference(t *testing.T) {
 	}
 }
 
+// headroom is how many bytes Extend can prepend to p without copying.
+func headroom(p *Packet) int {
+	if !p.own {
+		return 0
+	}
+	return p.off
+}
+
 func TestGetReleaseLifecycle(t *testing.T) {
 	p := Get()
 	if p.Len() != 0 {
 		t.Fatalf("fresh pooled packet has %d bytes", p.Len())
 	}
-	if p.Headroom() != DefaultHeadroom {
-		t.Fatalf("fresh headroom = %d, want %d", p.Headroom(), DefaultHeadroom)
+	if headroom(p) != defaultHeadroom {
+		t.Fatalf("fresh headroom = %d, want %d", headroom(p), defaultHeadroom)
 	}
 	copy(p.Extend(4), []byte{1, 2, 3, 4})
 	if p.Released() {
@@ -113,17 +121,17 @@ func TestPooledPushPullUsesHeadroom(t *testing.T) {
 	payload := []byte{0xaa, 0xbb, 0xcc, 0xdd}
 	copy(p.Extend(len(payload)), payload)
 	hdr := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	before := p.Headroom()
-	p.Push(hdr)
-	if p.Headroom() != before-len(hdr) {
-		t.Fatalf("push did not consume headroom: %d -> %d", before, p.Headroom())
+	before := headroom(p)
+	copy(p.Extend(len(hdr)), hdr)
+	if headroom(p) != before-len(hdr) {
+		t.Fatalf("push did not consume headroom: %d -> %d", before, headroom(p))
 	}
 	if !bytes.Equal(p.Data[:8], hdr) || !bytes.Equal(p.Data[8:], payload) {
 		t.Fatalf("push result %x", p.Data)
 	}
 	p.Pull(len(hdr))
-	if p.Headroom() != before {
-		t.Fatalf("pull did not restore headroom: want %d got %d", before, p.Headroom())
+	if headroom(p) != before {
+		t.Fatalf("pull did not restore headroom: want %d got %d", before, headroom(p))
 	}
 	if !bytes.Equal(p.Data, payload) {
 		t.Fatalf("pull result %x", p.Data)
@@ -135,15 +143,15 @@ func TestSetDataRehomesOnPush(t *testing.T) {
 	foreign := []byte{9, 8, 7}
 	p := Get()
 	p.SetData(foreign)
-	if p.Headroom() != 0 {
+	if headroom(p) != 0 {
 		t.Fatal("foreign buffer should report no headroom")
 	}
-	p.Push([]byte{1, 2})
+	copy(p.Extend(2), []byte{1, 2})
 	if !bytes.Equal(p.Data, []byte{1, 2, 9, 8, 7}) {
 		t.Fatalf("rehomed data %x", p.Data)
 	}
-	if p.Headroom() != DefaultHeadroom {
-		t.Fatalf("rehomed headroom = %d", p.Headroom())
+	if headroom(p) != defaultHeadroom {
+		t.Fatalf("rehomed headroom = %d", headroom(p))
 	}
 	if &p.Data[2] == &foreign[0] {
 		t.Fatal("rehome still aliases the foreign buffer")
@@ -172,8 +180,8 @@ func TestExtendLargerThanPoolBufferGrows(t *testing.T) {
 	}
 	b[0], b[n-1] = 1, 2
 	// Headroom is re-established so encapsulation still works in place.
-	if p.Headroom() != DefaultHeadroom {
-		t.Fatalf("grown headroom = %d", p.Headroom())
+	if headroom(p) != defaultHeadroom {
+		t.Fatalf("grown headroom = %d", headroom(p))
 	}
 	p.Release()
 }

@@ -57,7 +57,7 @@ func AppendWire(dst []byte, p *Packet) []byte {
 
 // DecodeWire decodes one packet from b, which must contain exactly one
 // encoded packet (trailing bytes are an error). The result is a pooled
-// packet with fresh DefaultHeadroom; the caller owns it and must Release
+// packet with fresh defaultHeadroom; the caller owns it and must Release
 // it back to the pool.
 func DecodeWire(b []byte) (*Packet, error) {
 	if len(b) < 4 {
@@ -74,10 +74,10 @@ func DecodeWire(b []byte) (*Packet, error) {
 	data, rest := b[:n], b[n:]
 
 	q := Get()
-	if cap(q.buf) < DefaultHeadroom+n {
-		q.buf = make([]byte, DefaultHeadroom+n)
+	if cap(q.buf) < defaultHeadroom+n {
+		q.buf = make([]byte, defaultHeadroom+n)
 	}
-	q.off = DefaultHeadroom
+	q.off = defaultHeadroom
 	q.Data = q.buf[q.off : q.off+n]
 	copy(q.Data, data)
 

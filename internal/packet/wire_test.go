@@ -64,8 +64,8 @@ func TestPacketWireRoundTrip(t *testing.T) {
 				t.Fatal("re-encode not byte-identical")
 			}
 			// The decoded packet owns headroom for later encapsulation.
-			if q.Headroom() != DefaultHeadroom {
-				t.Fatalf("decoded headroom %d, want %d", q.Headroom(), DefaultHeadroom)
+			if headroom(q) != defaultHeadroom {
+				t.Fatalf("decoded headroom %d, want %d", headroom(q), defaultHeadroom)
 			}
 		})
 	}

@@ -12,7 +12,7 @@ import (
 func FuzzRIPUpdate(f *testing.F) {
 	f.Add(marshalUpdate([]advert{
 		{prefix: netip.MustParsePrefix("10.1.0.1/32"), metric: 1},
-		{prefix: netip.MustParsePrefix("10.1.128.0/30"), metric: Infinity},
+		{prefix: netip.MustParsePrefix("10.1.128.0/30"), metric: infinity},
 	}))
 	f.Add(marshalUpdate(nil))
 	f.Add([]byte{2, 2, 0xff, 0xff, 10, 0, 0, 0, 33})

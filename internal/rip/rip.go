@@ -20,8 +20,8 @@ import (
 	"vini/internal/sim"
 )
 
-// Infinity is the RIP unreachable metric.
-const Infinity = 16
+// infinity is the RIP unreachable metric.
+const infinity = 16
 
 // Transport sends a RIP packet out a virtual interface (same contract as
 // ospf.Transport: payload is lent until SendRouting returns).
@@ -168,12 +168,12 @@ func (r *Router) expire() {
 		if e.local {
 			continue
 		}
-		if e.metric < Infinity && now-e.learned > r.cfg.Timeout {
-			e.metric = Infinity
+		if e.metric < infinity && now-e.learned > r.cfg.Timeout {
+			e.metric = infinity
 			e.deadAt = now
 			expired++
 		}
-		if e.metric >= Infinity && e.deadAt != 0 && now-e.deadAt > r.cfg.GC {
+		if e.metric >= infinity && e.deadAt != 0 && now-e.deadAt > r.cfg.GC {
 			delete(r.table, p)
 		}
 	}
@@ -201,11 +201,11 @@ func (r *Router) sendUpdates(_ bool) {
 		for _, p := range prefixes {
 			e := r.table[p]
 			m := e.metric + 1
-			if m > Infinity {
-				m = Infinity
+			if m > infinity {
+				m = infinity
 			}
 			if !e.local && e.ifIndex == ifc.Index {
-				m = Infinity // poisoned reverse
+				m = infinity // poisoned reverse
 			}
 			ads = append(ads, advert{prefix: p, metric: m})
 		}
@@ -229,14 +229,14 @@ func (r *Router) Receive(ifIndex int, src netip.Addr, payload []byte) error {
 	for _, ad := range ads {
 		p := ad.prefix.Masked()
 		m := ad.metric
-		if m > Infinity {
-			m = Infinity
+		if m > infinity {
+			m = infinity
 		}
 		cur, have := r.table[p]
 		switch {
 		case have && cur.local:
 			// Never override local routes.
-		case !have && m < Infinity:
+		case !have && m < infinity:
 			r.table[p] = &entry{prefix: p, metric: m, nextHop: src, ifIndex: ifIndex, learned: now}
 			changed = true
 		case have && cur.nextHop == src && cur.ifIndex == ifIndex:
@@ -244,11 +244,11 @@ func (r *Router) Receive(ifIndex int, src netip.Addr, payload []byte) error {
 			if m != cur.metric {
 				cur.metric = m
 				changed = true
-				if m >= Infinity {
+				if m >= infinity {
 					cur.deadAt = now
 				}
 			}
-			if m < Infinity {
+			if m < infinity {
 				cur.learned = now
 			}
 		case have && m < cur.metric:
@@ -273,7 +273,7 @@ func (r *Router) emit() {
 	}
 	var routes []fib.Route
 	for _, e := range r.table {
-		if e.local || e.metric >= Infinity {
+		if e.local || e.metric >= infinity {
 			continue
 		}
 		routes = append(routes, fib.Route{
@@ -293,17 +293,6 @@ func (r *Router) emit() {
 func (r *Router) Routes() []fib.Route {
 	out := make([]fib.Route, len(r.lastRoutes))
 	copy(out, r.lastRoutes)
-	return out
-}
-
-// Table returns a snapshot of all entries, for diagnostics.
-func (r *Router) Table() []fib.Route {
-	var out []fib.Route
-	for _, e := range r.table {
-		out = append(out, fib.Route{Prefix: e.prefix, NextHop: e.nextHop,
-			OutPort: e.ifIndex, Metric: e.metric})
-	}
-	slices.SortFunc(out, byPrefixText)
 	return out
 }
 

@@ -187,7 +187,7 @@ func TestPoisonedReverseInUpdates(t *testing.T) {
 	for _, ad := range captured {
 		if ad.prefix.String() == "10.0.0.2/32" {
 			found = true
-			if ad.metric != Infinity {
+			if ad.metric != infinity {
 				t.Fatalf("b's stub advertised back at metric %d, want Infinity", ad.metric)
 			}
 		}

@@ -26,7 +26,6 @@ type Hog struct {
 	task *Task
 	cfg  HogConfig
 	busy bool
-	stop bool
 }
 
 // StartHog registers and starts a background slice on cpu, timed by
@@ -50,25 +49,10 @@ func StartHog(cpu *CPU, cfg HogConfig) *Hog {
 	return h
 }
 
-// Task exposes the underlying scheduler task, for utilization queries.
-func (h *Hog) Task() *Task { return h.task }
-
-// Stop permanently idles the hog.
-func (h *Hog) Stop() {
-	h.stop = true
-	h.busy = false
-}
-
 func (h *Hog) scheduleBusy() {
-	if h.stop {
-		return
-	}
 	idle := h.draw(h.cfg.MeanIdle)
 	clock := h.task.cpu.clock
 	clock.Schedule(idle, func() {
-		if h.stop {
-			return
-		}
 		h.busy = true
 		h.task.Wake()
 		busy := h.draw(h.cfg.MeanBusy)

@@ -120,9 +120,6 @@ func (t *Task) Instrument(usedNS *telemetry.Counter, wake *telemetry.Histogram) 
 	t.mUsed, t.mWake = usedNS, wake
 }
 
-// Name returns the task's configured name.
-func (t *Task) Name() string { return t.cfg.Name }
-
 // Used returns total CPU time consumed.
 func (t *Task) Used() time.Duration { return t.used }
 
@@ -145,9 +142,6 @@ func (t *Task) SetSuspended(v bool) {
 	}
 	c.kick()
 }
-
-// Suspended reports whether the task is parked.
-func (t *Task) Suspended() bool { return t.suspended }
 
 // CPU is one simulated processor.
 type CPU struct {
@@ -230,8 +224,8 @@ func (c *CPU) RemoveTask(t *Task) {
 	}
 }
 
-// Utilization returns the busy fraction of the CPU since accounting start.
-func (c *CPU) Utilization() float64 {
+// utilization returns the busy fraction of the CPU since accounting start.
+func (c *CPU) utilization() float64 {
 	elapsed := c.clock.Now() - c.started
 	if elapsed <= 0 {
 		return 0
@@ -455,5 +449,5 @@ func (c *CPU) String() string {
 	if c.current != nil {
 		cur = c.current.cfg.Name
 	}
-	return fmt.Sprintf("cpu{current=%s queued=%d util=%.1f%%}", cur, len(c.queue), 100*c.Utilization())
+	return fmt.Sprintf("cpu{current=%s queued=%d util=%.1f%%}", cur, len(c.queue), 100*c.utilization())
 }

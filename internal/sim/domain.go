@@ -123,10 +123,6 @@ type Domain struct {
 // lower ids run first.
 func (d *Domain) ID() int32 { return d.id }
 
-// Label returns the name given at NewDomain time ("control" for the
-// control domain).
-func (d *Domain) Label() string { return d.label }
-
 // Now returns the domain's current virtual time.
 func (d *Domain) Now() time.Duration { return d.now }
 
@@ -145,9 +141,6 @@ func (d *Domain) Stats() DomainStats {
 	s.ID, s.Label = d.id, d.label
 	return s
 }
-
-// ScheduleDigest returns the domain's fired-event digest.
-func (d *Domain) ScheduleDigest() uint64 { return d.digest }
 
 // Lookahead returns the domain's conservative inbound lookahead — the
 // minimum latency of any cross-domain edge into it (maxTime when

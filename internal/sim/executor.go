@@ -184,7 +184,7 @@ func NewExecutor(seed int64, workers int) *Executor {
 	return x
 }
 
-// Loop returns the control-domain façade (Run, RunAll, Schedule on the
+// Loop returns the control-domain façade (Run, runAll, Schedule on the
 // control timeline).
 func (x *Executor) Loop() *Loop { return x.loop }
 
@@ -284,15 +284,11 @@ func (x *Executor) ScheduleDigest() uint64 {
 	return h
 }
 
-// Stop makes the current Run/RunAll return after events currently
-// executing complete. Safe to call from event callbacks.
-func (x *Executor) Stop() { x.stopped.Store(true) }
-
-// Pending reports scheduled events across all owned domains, including
+// pending reports scheduled events across all owned domains, including
 // not-yet-delivered cross-domain messages and unflushed trains.
 // Replica domains are excluded: their pending input belongs to their
 // owning shard.
-func (x *Executor) Pending() int {
+func (x *Executor) pending() int {
 	n := 0
 	for _, d := range x.domains {
 		if d.remote {
@@ -337,12 +333,12 @@ func (x *Executor) Run(until time.Duration) error {
 	return x.run(until, true)
 }
 
-// RunAll executes events until every queue is empty or Stop is called,
+// runAll executes events until every queue is empty or Stop is called,
 // leaving each domain's clock at its last event. Under multi-domain
-// execution prefer Run(until): RunAll leaves domain clocks ragged,
+// execution prefer Run(until): runAll leaves domain clocks ragged,
 // which is fine for draining but makes "schedule more work afterwards"
 // ambiguous.
-func (x *Executor) RunAll() {
+func (x *Executor) runAll() {
 	x.stopped.Store(false)
 	if len(x.domains) == 1 {
 		d := x.domains[0]

@@ -90,7 +90,7 @@ func TestExecutorRunAdvancesClocks(t *testing.T) {
 	x.Run(10 * time.Millisecond)
 	for _, d := range x.Domains() {
 		if d.Now() != 10*time.Millisecond {
-			t.Fatalf("domain %s clock %v, want 10ms", d.Label(), d.Now())
+			t.Fatalf("domain %s clock %v, want 10ms", d.label, d.Now())
 		}
 	}
 }

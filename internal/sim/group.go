@@ -63,7 +63,7 @@ func (g *TimerGroup) Schedule(d time.Duration, fn func()) Timer {
 func (g *TimerGroup) sweep() {
 	live := g.timers[:0]
 	for _, t := range g.timers {
-		if t.Pending() {
+		if t.pending() {
 			live = append(live, t)
 		}
 	}
@@ -78,7 +78,7 @@ func (g *TimerGroup) sweep() {
 func (g *TimerGroup) Live() int {
 	n := 0
 	for _, t := range g.timers {
-		if t.Pending() {
+		if t.pending() {
 			n++
 		}
 	}

@@ -9,23 +9,23 @@ func TestTimerPending(t *testing.T) {
 	l := NewLoop(1)
 	fired := false
 	tm := l.Schedule(10*time.Millisecond, func() { fired = true })
-	if !tm.Pending() {
+	if !tm.pending() {
 		t.Fatal("fresh timer should be pending")
 	}
 	l.Run(20 * time.Millisecond)
 	if !fired {
 		t.Fatal("timer did not fire")
 	}
-	if tm.Pending() {
+	if tm.pending() {
 		t.Fatal("fired timer still pending")
 	}
 	tm2 := l.Schedule(10*time.Millisecond, func() {})
 	tm2.Stop()
-	if tm2.Pending() {
+	if tm2.pending() {
 		t.Fatal("stopped timer still pending")
 	}
 	var zero Timer
-	if zero.Pending() {
+	if zero.pending() {
 		t.Fatal("zero timer pending")
 	}
 }

@@ -15,8 +15,8 @@ type RNG struct {
 func NewRNG(seed int64) *RNG {
 	r := &RNG{state: uint64(seed)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D}
 	// Warm up so small seeds do not produce correlated first outputs.
-	r.Uint64()
-	r.Uint64()
+	r.next()
+	r.next()
 	return r
 }
 
@@ -24,11 +24,11 @@ func NewRNG(seed int64) *RNG {
 // this generator once. Useful to give each simulated component its own
 // stream so adding components does not perturb others.
 func (r *RNG) Fork() *RNG {
-	return &RNG{state: r.Uint64() ^ 0xD1B54A32D192ED03}
+	return &RNG{state: r.next() ^ 0xD1B54A32D192ED03}
 }
 
-// Uint64 returns the next 64 random bits.
-func (r *RNG) Uint64() uint64 {
+// next returns the next 64 random bits.
+func (r *RNG) next() uint64 {
 	r.state += 0x9E3779B97F4A7C15
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
@@ -38,7 +38,7 @@ func (r *RNG) Uint64() uint64 {
 
 // Float64 returns a uniform value in [0,1).
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(r.next()>>11) / (1 << 53)
 }
 
 // Intn returns a uniform value in [0,n). It panics if n <= 0.
@@ -46,27 +46,7 @@ func (r *RNG) Intn(n int) int {
 	if n <= 0 {
 		panic("sim: Intn with non-positive n")
 	}
-	return int(r.Uint64() % uint64(n))
-}
-
-// Exp returns an exponentially distributed value with the given mean.
-func (r *RNG) Exp(mean float64) float64 {
-	u := r.Float64()
-	if u >= 1 {
-		u = math.Nextafter(1, 0)
-	}
-	return -mean * math.Log(1-u)
-}
-
-// Normal returns a normally distributed value (Box–Muller).
-func (r *RNG) Normal(mean, stddev float64) float64 {
-	u1 := r.Float64()
-	if u1 <= 0 {
-		u1 = math.SmallestNonzeroFloat64
-	}
-	u2 := r.Float64()
-	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return mean + stddev*z
+	return int(r.next() % uint64(n))
 }
 
 // Pareto returns a bounded Pareto sample in [min,max] with shape alpha.

@@ -23,7 +23,6 @@
 package sim
 
 import (
-	"fmt"
 	"time"
 )
 
@@ -81,13 +80,13 @@ func (t Timer) Stop() bool {
 // Callers use it where a nil *Timer check would have appeared.
 func (t Timer) IsZero() bool { return t.ev == nil && t.wentry == nil && t.real == nil }
 
-// Pending reports whether the timer's callback is still scheduled: not
+// pending reports whether the timer's callback is still scheduled: not
 // yet fired and not stopped. For in-domain timers the generation stamp
 // answers exactly; for TickWheel timers the stamp and the entry's
 // cancellation flag do. RealClock timers report false — the wall clock offers no
 // portable way to inspect a time.Timer, and the lifecycle audits that
 // need Pending only run in simulation.
-func (t Timer) Pending() bool {
+func (t Timer) pending() bool {
 	if t.real != nil {
 		return false
 	}
@@ -134,22 +133,19 @@ func NewLoop(seed int64) *Loop {
 // domains and reading parallel-run statistics).
 func (l *Loop) Executor() *Executor { return l.exec }
 
-// Stop makes Run return after the event currently executing completes.
-func (l *Loop) Stop() { l.exec.Stop() }
-
-// Pending reports the number of scheduled events across all domains.
+// pending reports the number of scheduled events across all domains.
 // Cancelled in-domain events leave the queue immediately, so with a
 // single domain this is exact.
-func (l *Loop) Pending() int { return l.exec.Pending() }
+func (l *Loop) Pending() int { return l.exec.pending() }
 
 // Run executes events until every queue is empty, Stop is called, or the
 // next event lies beyond until. Virtual time is left at min(until, time of
 // last event run); it advances to until when the queue drains first.
 func (l *Loop) Run(until time.Duration) { l.exec.Run(until) }
 
-// RunAll executes events until the queue is empty or Stop is called.
+// runAll executes events until the queue is empty or Stop is called.
 // Unlike Run, it leaves virtual time at the time of the last event run.
-func (l *Loop) RunAll() { l.exec.RunAll() }
+func (l *Loop) RunAll() { l.exec.runAll() }
 
 // RunUntilStable advances the loop in increments of step until the
 // system fingerprint stays unchanged for settle consecutive steps, or
@@ -208,10 +204,4 @@ func (c *RealClock) Schedule(d time.Duration, fn func()) Timer {
 		d = 0
 	}
 	return Timer{real: time.AfterFunc(d, fn)}
-}
-
-// String renders a duration as seconds with millisecond precision, the
-// format used throughout experiment logs.
-func Seconds(d time.Duration) string {
-	return fmt.Sprintf("%.3f", d.Seconds())
 }

@@ -109,7 +109,7 @@ func TestLoopStop(t *testing.T) {
 		l.Schedule(time.Duration(i)*time.Second, func() {
 			count++
 			if count == 2 {
-				l.Stop()
+				l.exec.stopped.Store(true) // what a transport failure does
 			}
 		})
 	}
@@ -136,14 +136,14 @@ func TestScheduleNegativeDelay(t *testing.T) {
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
 	for i := 0; i < 1000; i++ {
-		if a.Uint64() != b.Uint64() {
+		if a.next() != b.next() {
 			t.Fatal("same-seed RNGs diverged")
 		}
 	}
 	c := NewRNG(43)
 	same := 0
 	for i := 0; i < 1000; i++ {
-		if NewRNG(42).Uint64() == c.Uint64() {
+		if NewRNG(42).next() == c.next() {
 			same++
 		}
 	}
@@ -185,35 +185,6 @@ func TestRNGIntnRange(t *testing.T) {
 	}
 }
 
-func TestRNGExpMean(t *testing.T) {
-	r := NewRNG(7)
-	var sum float64
-	const n = 200000
-	for i := 0; i < n; i++ {
-		sum += r.Exp(3.0)
-	}
-	mean := sum / n
-	if math.Abs(mean-3.0) > 0.05 {
-		t.Fatalf("Exp mean = %v, want ~3.0", mean)
-	}
-}
-
-func TestRNGNormalMoments(t *testing.T) {
-	r := NewRNG(9)
-	var sum, ss float64
-	const n = 200000
-	for i := 0; i < n; i++ {
-		v := r.Normal(10, 2)
-		sum += v
-		ss += v * v
-	}
-	mean := sum / n
-	std := math.Sqrt(ss/n - mean*mean)
-	if math.Abs(mean-10) > 0.05 || math.Abs(std-2) > 0.05 {
-		t.Fatalf("Normal mean/std = %v/%v, want 10/2", mean, std)
-	}
-}
-
 func TestRNGParetoBounds(t *testing.T) {
 	f := func(seed int64) bool {
 		r := NewRNG(seed)
@@ -234,7 +205,7 @@ func TestRNGFork(t *testing.T) {
 	r := NewRNG(5)
 	f1 := r.Fork()
 	f2 := r.Fork()
-	if f1.Uint64() == f2.Uint64() {
+	if f1.next() == f2.next() {
 		t.Fatal("forked streams identical")
 	}
 }
@@ -255,25 +226,9 @@ func TestStatsBasics(t *testing.T) {
 	}
 }
 
-func TestStatsPercentile(t *testing.T) {
-	var s Stats
-	for i := 1; i <= 100; i++ {
-		s.Add(float64(i))
-	}
-	if p := s.Percentile(50); p != 50 {
-		t.Fatalf("p50 = %v", p)
-	}
-	if p := s.Percentile(99); p != 99 {
-		t.Fatalf("p99 = %v", p)
-	}
-	if p := s.Percentile(100); p != 100 {
-		t.Fatalf("p100 = %v", p)
-	}
-}
-
 func TestStatsEmpty(t *testing.T) {
 	var s Stats
-	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 || s.Stddev() != 0 || s.Mdev() != 0 || s.Percentile(50) != 0 {
+	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 || s.Stddev() != 0 || s.Mdev() != 0 {
 		t.Fatal("empty stats should be all-zero")
 	}
 }

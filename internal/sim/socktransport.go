@@ -8,11 +8,11 @@ import (
 	"time"
 )
 
-// DefaultWireTimeout bounds every blocking socket operation in the
+// defaultWireTimeout bounds every blocking socket operation in the
 // shard protocol (handshake, superstep reads and writes, shutdown).
 // A peer that dies mid-epoch surfaces as a typed TransportError within
 // this deadline instead of a hang.
-const DefaultWireTimeout = 30 * time.Second
+const defaultWireTimeout = 30 * time.Second
 
 // shardConn is one framed peer connection with per-connection reuse
 // buffers (frames alias rbuf until the next read on the same
@@ -86,7 +86,7 @@ type SockWorker struct {
 	timeout time.Duration
 	conn    *shardConn
 	step    uint64
-	scratch []WireMsg
+	scratch []wireMsg
 	payload []byte
 }
 
@@ -94,23 +94,14 @@ type SockWorker struct {
 // HELLO/WELCOME handshake claiming the given shard id, and returns the
 // transport plus the coordinator's opaque application payload (the
 // scenario the worker must replicate). timeout <= 0 selects
-// DefaultWireTimeout.
+// defaultWireTimeout.
 func DialCoordinator(addr string, shard int, timeout time.Duration) (*SockWorker, []byte, error) {
 	if timeout <= 0 {
-		timeout = DefaultWireTimeout
+		timeout = defaultWireTimeout
 	}
 	c, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, nil, &TransportError{Shard: 0, Op: "dial", Err: err}
-	}
-	return attachWorker(c, shard, timeout)
-}
-
-// AttachWorker runs the worker side of the handshake over an existing
-// connection (tests use in-process pipes and pre-dialed sockets).
-func AttachWorker(c net.Conn, shard int, timeout time.Duration) (*SockWorker, []byte, error) {
-	if timeout <= 0 {
-		timeout = DefaultWireTimeout
 	}
 	return attachWorker(c, shard, timeout)
 }
@@ -266,25 +257,25 @@ type SockCoordinator struct {
 	timeout time.Duration
 	peers   []*shardConn // index by shard id; [0] is nil
 	step    uint64
-	outbox  [][]WireMsg
-	scratch []WireMsg
+	outbox  [][]wireMsg
+	scratch []wireMsg
 }
 
 // AcceptWorkers accepts shards-1 worker connections on ln, validates
 // each HELLO (protocol version, unique claimed shard in
 // [1, shards-1]), and replies with WELCOME frames carrying payload.
-// timeout <= 0 selects DefaultWireTimeout; it bounds the whole
+// timeout <= 0 selects defaultWireTimeout; it bounds the whole
 // handshake as well as every later superstep operation.
 func AcceptWorkers(ln net.Listener, shards int, payload []byte, timeout time.Duration) (*SockCoordinator, error) {
 	if shards < 2 {
 		return nil, errors.New("sim: AcceptWorkers needs at least 2 shards")
 	}
 	if timeout <= 0 {
-		timeout = DefaultWireTimeout
+		timeout = defaultWireTimeout
 	}
 	t := &SockCoordinator{shards: shards, timeout: timeout,
 		peers:  make([]*shardConn, shards),
-		outbox: make([][]WireMsg, shards)}
+		outbox: make([][]wireMsg, shards)}
 	type deadliner interface{ SetDeadline(time.Time) error }
 	if dl, ok := ln.(deadliner); ok {
 		_ = dl.SetDeadline(time.Now().Add(timeout))
@@ -295,29 +286,6 @@ func AcceptWorkers(ln net.Listener, shards int, payload []byte, timeout time.Dur
 			t.Close()
 			return nil, &TransportError{Shard: -1, Op: "accept", Err: err}
 		}
-		if err := t.admit(newShardConn(c), payload); err != nil {
-			t.Close()
-			return nil, err
-		}
-	}
-	return t, nil
-}
-
-// AttachCoordinator builds a coordinator transport over pre-established
-// connections (tests use in-process pipes): conns[i] must be the
-// connection to shard i+1.
-func AttachCoordinator(conns []net.Conn, payload []byte, timeout time.Duration) (*SockCoordinator, error) {
-	if timeout <= 0 {
-		timeout = DefaultWireTimeout
-	}
-	shards := len(conns) + 1
-	if shards < 2 {
-		return nil, errors.New("sim: AttachCoordinator needs at least 1 worker")
-	}
-	t := &SockCoordinator{shards: shards, timeout: timeout,
-		peers:  make([]*shardConn, shards),
-		outbox: make([][]WireMsg, shards)}
-	for _, c := range conns {
 		if err := t.admit(newShardConn(c), payload); err != nil {
 			t.Close()
 			return nil, err
@@ -382,7 +350,7 @@ func (t *SockCoordinator) abort(shard int, op string, err error) error {
 // route delivers one in-transit message to its owner: locally via
 // injectWire for shard 0, or into the outbox staged for the owning
 // worker.
-func (t *SockCoordinator) route(x *Executor, m WireMsg) error {
+func (t *SockCoordinator) route(x *Executor, m wireMsg) error {
 	owner := OwnerShard(m.DstDom, t.shards)
 	if owner == 0 {
 		return x.injectWire(m)

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 )
 
@@ -94,24 +93,6 @@ func (s *Stats) Mdev() float64 {
 		ad += math.Abs(v - mean)
 	}
 	return ad / float64(n)
-}
-
-// Percentile returns the p-th percentile (0..100) using nearest-rank.
-func (s *Stats) Percentile(p float64) float64 {
-	n := len(s.samples)
-	if n == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), s.samples...)
-	sort.Float64s(sorted)
-	idx := int(math.Ceil(p/100*float64(n))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return sorted[idx]
 }
 
 // String summarises in ping's min/avg/max/mdev format.

@@ -111,10 +111,10 @@ type WireHandler interface {
 	DropArg(arg any)
 }
 
-// WireMsg is one typed cross-shard message in transit: the destination
+// wireMsg is one typed cross-shard message in transit: the destination
 // domain, the full merge key assigned by the sender, the bound handler
 // id, and the encoded argument.
-type WireMsg struct {
+type wireMsg struct {
 	DstDom int32
 	At     time.Duration
 	Dom    int32
@@ -173,13 +173,6 @@ func (x *Executor) Distribute(t DomainTransport, shard, shards int) {
 	}
 }
 
-// Shard returns this executor's shard index and the total shard count
-// (0, 1 when not distributed).
-func (x *Executor) Shard() (shard, shards int) { return x.shard, x.shards }
-
-// Err returns the sticky transport error that aborted a Run, if any.
-func (x *Executor) Err() error { return x.terr }
-
 // BindWire registers h for cross-shard transit and returns its handler
 // id. Ids are assigned sequentially in registration order; replicated
 // world construction guarantees every shard assigns the same id to the
@@ -208,7 +201,7 @@ func (x *Executor) BindWire(h WireHandler) uint32 {
 //     locally; drop ours (releasing the argument).
 //
 // Barrier context only (called from the transport's Exchange).
-func (x *Executor) collectRemote(out []WireMsg) ([]WireMsg, error) {
+func (x *Executor) collectRemote(out []wireMsg) ([]wireMsg, error) {
 	for _, d := range x.domains {
 		if !d.remote {
 			continue
@@ -233,7 +226,7 @@ func (x *Executor) collectRemote(out []WireMsg) ([]WireMsg, error) {
 				if !bound {
 					return out, fmt.Errorf("sim: handler %T into remote domain %d (%s) not registered with BindWire", m.h, d.id, d.label)
 				}
-				out = append(out, WireMsg{
+				out = append(out, wireMsg{
 					DstDom: d.id, At: m.at, Dom: m.dom, Seq: m.seq,
 					HID: id, Arg: wh.EncodeArg(nil, m.arg),
 				})
@@ -248,7 +241,7 @@ func (x *Executor) collectRemote(out []WireMsg) ([]WireMsg, error) {
 
 // injectWire materializes a message received from another shard into
 // its owned destination domain's typed inbox. Barrier context only.
-func (x *Executor) injectWire(m WireMsg) error {
+func (x *Executor) injectWire(m wireMsg) error {
 	if int(m.HID) >= len(x.wireHandlers) {
 		return fmt.Errorf("sim: wire message with unknown handler id %d", m.HID)
 	}

@@ -266,7 +266,7 @@ func TestWorkerDeathSurfacesTypedError(t *testing.T) {
 	cc, wc := net.Pipe()
 	done := make(chan shardOutcome, 1)
 	go func() {
-		w, _, err := AttachWorker(wc, 1, timeout)
+		w, _, err := attachWorker(wc, 1, timeout)
 		if err != nil {
 			done <- shardOutcome{err: err}
 			return
@@ -274,7 +274,7 @@ func TestWorkerDeathSurfacesTypedError(t *testing.T) {
 		dt := &dyingTransport{SockWorker: w, after: 4}
 		done <- runRelayShard(seed, n, 1, 1, shards, dt)
 	}()
-	coord, err := AttachCoordinator([]net.Conn{cc}, nil, timeout)
+	coord, err := attachCoordinator([]net.Conn{cc}, nil, timeout)
 	if err != nil {
 		t.Fatalf("attach: %v", err)
 	}
@@ -310,14 +310,14 @@ func TestSilentPeerTimesOut(t *testing.T) {
 	defer wc.Close()
 	go func() {
 		// Handshake, then say nothing.
-		w, _, err := AttachWorker(wc, 1, 5*time.Second)
+		w, _, err := attachWorker(wc, 1, 5*time.Second)
 		if err == nil {
 			defer w.Close()
 			// Keep the connection open past the coordinator's deadline.
 			time.Sleep(5 * timeout)
 		}
 	}()
-	coord, err := AttachCoordinator([]net.Conn{cc}, nil, timeout)
+	coord, err := attachCoordinator([]net.Conn{cc}, nil, timeout)
 	if err != nil {
 		t.Fatalf("attach: %v", err)
 	}
@@ -362,7 +362,7 @@ func TestNonWireHandlerAcrossShardsIsTypedError(t *testing.T) {
 	cc, wc := net.Pipe()
 	workerErr := make(chan error, 1)
 	go func() {
-		w, _, err := AttachWorker(wc, 1, timeout)
+		w, _, err := attachWorker(wc, 1, timeout)
 		if err != nil {
 			workerErr <- err
 			return
@@ -379,7 +379,7 @@ func TestNonWireHandlerAcrossShardsIsTypedError(t *testing.T) {
 		})
 		workerErr <- x.Run(100 * time.Millisecond)
 	}()
-	coord, err := AttachCoordinator([]net.Conn{cc}, nil, timeout)
+	coord, err := attachCoordinator([]net.Conn{cc}, nil, timeout)
 	if err != nil {
 		t.Fatalf("attach: %v", err)
 	}
@@ -410,8 +410,8 @@ func TestNonWireHandlerAcrossShardsIsTypedError(t *testing.T) {
 	if cerr == nil {
 		t.Fatal("coordinator Run succeeded despite worker abort")
 	}
-	if x.Err() == nil {
-		t.Fatal("Executor.Err() not sticky after transport failure")
+	if x.terr == nil {
+		t.Fatal("Executor.terr not sticky after transport failure")
 	}
 }
 
@@ -441,8 +441,8 @@ func TestReplicaSendReleasesPooledPayload(t *testing.T) {
 	if d := packet.Stats().Sub(base); d.Gets != 2 || d.InFlight() != 0 {
 		t.Fatalf("replica sends stranded their payloads: %+v", d)
 	}
-	if x.Pending() != 0 {
-		t.Fatalf("replica sends left %d events pending", x.Pending())
+	if x.pending() != 0 {
+		t.Fatalf("replica sends left %d events pending", x.pending())
 	}
 	// The owner's copy of the same code is the authentic one.
 	b.Send(b, time.Millisecond, sink, packet.Get())
@@ -469,4 +469,27 @@ func TestOwnerShard(t *testing.T) {
 	if counts[0] != 4 || counts[1] != 4 || counts[2] != 4 {
 		t.Fatalf("round-robin dealing unbalanced: %v", counts)
 	}
+}
+
+// attachCoordinator builds a coordinator transport over pre-established
+// connections (in-process pipes here): conns[i] must be the connection to
+// shard i+1.
+func attachCoordinator(conns []net.Conn, payload []byte, timeout time.Duration) (*SockCoordinator, error) {
+	if timeout <= 0 {
+		timeout = defaultWireTimeout
+	}
+	shards := len(conns) + 1
+	if shards < 2 {
+		return nil, errors.New("sim: attachCoordinator needs at least 1 worker")
+	}
+	t := &SockCoordinator{shards: shards, timeout: timeout,
+		peers:  make([]*shardConn, shards),
+		outbox: make([][]wireMsg, shards)}
+	for _, c := range conns {
+		if err := t.admit(newShardConn(c), payload); err != nil {
+			t.Close()
+			return nil, err
+		}
+	}
+	return t, nil
 }

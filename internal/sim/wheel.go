@@ -91,13 +91,6 @@ func NewTickWheel(clock Clock, quantum time.Duration) *TickWheel {
 // Now implements Clock.
 func (w *TickWheel) Now() time.Duration { return w.clock.Now() }
 
-// Quantum returns the slot width.
-func (w *TickWheel) Quantum() time.Duration { return w.quantum }
-
-// Stats returns (entries scheduled, slot events fired); their ratio is
-// the coalescing factor.
-func (w *TickWheel) Stats() (scheduled, fired uint64) { return w.scheduled, w.fired }
-
 // Schedule implements Clock: fn runs at Now()+d rounded up to the next
 // slot boundary. The returned Timer cancels through a shared flag (the
 // slot event is not removed — it may carry other entries — the entry is
@@ -157,18 +150,4 @@ func (w *TickWheel) fire(s *wheelSlot) {
 	}
 	s.entries = s.entries[:0]
 	s.next, w.spareSlots = w.spareSlots, s
-}
-
-// Pending returns the number of live (unfired, unstopped) entries, for
-// lifecycle audits.
-func (w *TickWheel) Pending() int {
-	n := 0
-	for _, s := range w.slots {
-		for _, e := range s.entries {
-			if e.cancel.Load() == timerPending {
-				n++
-			}
-		}
-	}
-	return n
 }

@@ -217,7 +217,7 @@ func decodeWelcome(p []byte) (shards, shard int32, payload []byte, err error) {
 	return shards, shard, payload, c.done()
 }
 
-func appendTrains(dst []byte, step uint64, msgs []WireMsg) []byte {
+func appendTrains(dst []byte, step uint64, msgs []wireMsg) []byte {
 	dst, start := appendFrameHeader(dst, frameTrains)
 	dst = binary.LittleEndian.AppendUint64(dst, step)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(msgs)))
@@ -234,7 +234,7 @@ func appendTrains(dst []byte, step uint64, msgs []WireMsg) []byte {
 	return finishFrame(dst, start)
 }
 
-func decodeTrains(p []byte) (step uint64, msgs []WireMsg, err error) {
+func decodeTrains(p []byte) (step uint64, msgs []wireMsg, err error) {
 	c := wireCursor{b: p}
 	step = c.u64()
 	n := c.u32()
@@ -244,10 +244,10 @@ func decodeTrains(p []byte) (step uint64, msgs []WireMsg, err error) {
 		return step, nil, errWireShort
 	}
 	if n > 0 && c.err == nil {
-		msgs = make([]WireMsg, 0, n)
+		msgs = make([]wireMsg, 0, n)
 	}
 	for i := uint32(0); i < n && c.err == nil; i++ {
-		var m WireMsg
+		var m wireMsg
 		m.DstDom = int32(c.u32())
 		m.At = time.Duration(c.u64())
 		m.Dom = int32(c.u32())

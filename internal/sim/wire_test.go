@@ -33,7 +33,7 @@ func TestWireFrameRoundTrips(t *testing.T) {
 	})
 
 	t.Run("trains", func(t *testing.T) {
-		msgs := []WireMsg{
+		msgs := []wireMsg{
 			{DstDom: 5, At: 123 * time.Millisecond, Dom: 2, Seq: 99, HID: 7, Arg: []byte{1, 2, 3}},
 			{DstDom: 1, At: time.Second, Dom: 9, Seq: 1 << 40, HID: 0, Arg: nil},
 		}
@@ -148,7 +148,7 @@ func FuzzWireCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(appendHello(nil, 1))
 	f.Add(appendWelcome(nil, 3, 1, []byte("spec")))
-	f.Add(appendTrains(nil, 2, []WireMsg{{DstDom: 1, At: time.Millisecond, Dom: 2, Seq: 3, HID: 0, Arg: []byte{9}}}))
+	f.Add(appendTrains(nil, 2, []wireMsg{{DstDom: 1, At: time.Millisecond, Dom: 2, Seq: 3, HID: 0, Arg: []byte{9}}}))
 	f.Add(appendMark(nil, 5))
 	f.Add(appendVote(nil, 5, Vote{Key: EventKey{At: 1, Dom: 2, Seq: 3}, Delta: 4, EpochRan: true}))
 	f.Add(appendGrant(nil, 5, Decision{NodeNext: 9, Fallback: true, FallbackKey: EventKey{At: 9, Dom: 1, Seq: 1}}))
@@ -172,14 +172,14 @@ func FuzzWireCodec(f *testing.F) {
 
 		// Property 2: canonical round-trip for structured frames derived
 		// from the fuzz input.
-		var msgs []WireMsg
+		var msgs []wireMsg
 		for i := 0; i+8 <= len(b) && len(msgs) < 16; i += 8 {
 			argN := int(b[i]) % 9
 			end := i + 8 + argN
 			if end > len(b) {
 				end = len(b)
 			}
-			msgs = append(msgs, WireMsg{
+			msgs = append(msgs, wireMsg{
 				DstDom: int32(b[i+1]),
 				At:     time.Duration(binary.LittleEndian.Uint32(b[i : i+4])),
 				Dom:    int32(b[i+5]),

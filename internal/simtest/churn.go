@@ -8,7 +8,7 @@ import (
 	"vini/internal/sim"
 )
 
-// ChurnOptions configures a slice-churn scenario: one long-lived
+// churnOptions configures a slice-churn scenario: one long-lived
 // substrate over which slices are repeatedly created, run, paused,
 // re-embedded, and destroyed. The churn property is the lifecycle
 // counterpart of the steady-state invariants in Run: after every
@@ -16,7 +16,7 @@ import (
 // existed — pool ledger balanced, no timers left in any domain heap,
 // no telemetry series under the dead slice's label — and the whole
 // schedule must replay byte-identically for any worker count.
-type ChurnOptions struct {
+type churnOptions struct {
 	Seed int64
 	// Rounds is the number of create/run/pause/reembed/destroy cycles
 	// (default 4).
@@ -25,10 +25,10 @@ type ChurnOptions struct {
 	Workers int
 }
 
-// ChurnResult is everything one churn scenario produced. Digest folds
+// churnResult is everything one churn scenario produced. Digest folds
 // every per-round observation: slice identities, quiescent FIB
 // fingerprints, re-embedding outcomes.
-type ChurnResult struct {
+type churnResult struct {
 	Outcome
 	Rounds int
 	Nodes  int
@@ -39,14 +39,14 @@ type ChurnResult struct {
 // never grows past the concurrency high-water mark.
 const churnSlices = 2
 
-// RunChurn executes one seeded churn scenario end to end.
-func RunChurn(opts ChurnOptions) (*ChurnResult, error) {
+// runChurn executes one seeded churn scenario end to end.
+func runChurn(opts churnOptions) (*churnResult, error) {
 	if opts.Rounds == 0 {
 		opts.Rounds = 4
 	}
 	rng := sim.NewRNG(opts.Seed)
 	n := 4 + rng.Intn(3)
-	res := &ChurnResult{Rounds: opts.Rounds, Nodes: n}
+	res := &churnResult{Rounds: opts.Rounds, Nodes: n}
 	w := newWorld("churn", &res.Outcome, opts.Seed, opts.Workers)
 	nodes, links, err := w.genSubstrate(rng, n, 2, 5)
 	if err != nil {

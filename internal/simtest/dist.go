@@ -164,11 +164,11 @@ func RunDist(p DistParams, tr sim.DomainTransport, shard, shards int) (*DistResu
 	return res, nil
 }
 
-// DistOwner maps a telemetry node label to its executing shard for the
+// distOwner maps a telemetry node label to its executing shard for the
 // RunDist world: node p<i> is created i-th, so its domain id is i+1
 // (domain 0 is the replicated control timeline). Non-node labels
 // (global series) stay with the coordinator.
-func DistOwner(shards int) func(node string) int {
+func distOwner(shards int) func(node string) int {
 	return func(node string) int {
 		var i int
 		if _, err := fmt.Sscanf(node, "p%d", &i); err != nil {
@@ -196,7 +196,7 @@ func MergeDistResults(results []*DistResult, shards int) (schedule, tel uint64, 
 	if err != nil {
 		return 0, 0, err
 	}
-	merged, err := telemetry.MergeSnapshots(results[0].Snapshot, DistOwner(shards), snaps)
+	merged, err := telemetry.MergeSnapshots(results[0].Snapshot, distOwner(shards), snaps)
 	if err != nil {
 		return 0, 0, err
 	}

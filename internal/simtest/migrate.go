@@ -17,11 +17,11 @@ import (
 // regimes can never cross-count).
 const migProbePort = 40001
 
-// MigrateOptions configures one migration scenario: a seeded substrate
+// migrateOptions configures one migration scenario: a seeded substrate
 // with one spare node, a slice embedded on the rest, and repeated live
 // migrations under continuous traffic, substrate link flaps, and
 // Pause/Resume/Destroy churn.
-type MigrateOptions struct {
+type migrateOptions struct {
 	Seed int64
 	// Rounds is the number of migration rounds (default 4).
 	Rounds int
@@ -33,13 +33,13 @@ type MigrateOptions struct {
 	Sabotage bool
 }
 
-// MigrateResult is everything one migration scenario produced. Every
+// migrateResult is everything one migration scenario produced. Every
 // probe is painted with its round number and tracked per (destination,
 // sequence), so loss and duplication are attributable to the exact
 // in-flight packet, not just aggregate counters. Digest folds every
 // per-round observation (op, migration phase, clone counts, probe
 // ledger, FIB fingerprints).
-type MigrateResult struct {
+type migrateResult struct {
 	Outcome
 	Rounds int
 	Nodes  int
@@ -54,7 +54,7 @@ type MigrateResult struct {
 // delivery ledger.
 type migWorld struct {
 	*world
-	opts     MigrateOptions
+	opts     migrateOptions
 	rng      *sim.RNG
 	slice    *core.Slice
 	nodes    []string
@@ -72,19 +72,19 @@ type migWorld struct {
 	// the same single-writer discipline as scenario.delivered.
 	delivered []map[string]uint32
 	seq       uint32
-	res       *MigrateResult
+	res       *migrateResult
 }
 
-// RunMigrate executes one seeded migration scenario end to end. Like
+// runMigrate executes one seeded migration scenario end to end. Like
 // Run, it returns an error only for harness bugs; every system-under-
 // test failure lands in Result.Violations.
-func RunMigrate(opts MigrateOptions) (*MigrateResult, error) {
+func runMigrate(opts migrateOptions) (*migrateResult, error) {
 	if opts.Rounds == 0 {
 		opts.Rounds = 4
 	}
 	rng := sim.NewRNG(opts.Seed)
 	n := 4 + rng.Intn(3)
-	res := &MigrateResult{Rounds: opts.Rounds, Nodes: n}
+	res := &migrateResult{Rounds: opts.Rounds, Nodes: n}
 	w := &migWorld{
 		world: newWorld("migrate", &res.Outcome, opts.Seed, opts.Workers),
 		opts:  opts, rng: rng, res: res,

@@ -54,7 +54,7 @@ func (r *ScaleResult) findings() (f []string) {
 	return f
 }
 
-func (r *MigrateResult) findings() (f []string) {
+func (r *migrateResult) findings() (f []string) {
 	if r.Sent == 0 || r.Delivered == 0 {
 		f = append(f, fmt.Sprintf("vacuous run (sent=%d delivered=%d)", r.Sent, r.Delivered))
 	}
@@ -94,7 +94,7 @@ var regimes = []struct {
 	{"base", 1, seedCount{25, 25}, seedCount{25, 6}, seedCount{5, 5}, false,
 		func(s int64, w int) (result, error) { return Run(Options{Seed: s, Workers: w}) }},
 	{"churn", 1, seedCount{8, 3}, seedCount{15, 4}, seedCount{3, 3}, false,
-		func(s int64, w int) (result, error) { return RunChurn(ChurnOptions{Seed: s, Workers: w}) }},
+		func(s int64, w int) (result, error) { return runChurn(churnOptions{Seed: s, Workers: w}) }},
 	// One pinned seed: 200 slices — well past the old 126-slice ceiling —
 	// on a 64-node synthetic REPETITA substrate, byte-identical at 1, 2
 	// and 4 workers. The parity arm's 1-worker leg is the sweep of that
@@ -102,7 +102,7 @@ var regimes = []struct {
 	{"scale", 2, seedCount{}, seedCount{1, 1}, seedCount{}, true,
 		func(s int64, w int) (result, error) { return RunScale(ScaleOptions{Seed: s, Workers: w}) }},
 	{"migrate", 1, seedCount{6, 2}, seedCount{15, 4}, seedCount{3, 3}, true,
-		func(s int64, w int) (result, error) { return RunMigrate(MigrateOptions{Seed: s, Workers: w}) }},
+		func(s int64, w int) (result, error) { return runMigrate(migrateOptions{Seed: s, Workers: w}) }},
 	{"adaptive", 1, seedCount{5, 2}, seedCount{10, 3}, seedCount{3, 3}, true,
 		func(s int64, w int) (result, error) { return RunAdaptive(AdaptiveOptions{Seed: s, Workers: w}) }},
 }
@@ -239,10 +239,10 @@ func mutation(t *testing.T, run func(sabotage bool) (result, error), wants ...st
 // window clones as duplicate deliveries and fail the run. (The same
 // mutation discipline PR 2 applied to the original invariant checkers.)
 func TestMigrateMutationSuppressionChecker(t *testing.T) {
-	var r *MigrateResult
+	var r *migrateResult
 	mutation(t, func(sabotage bool) (result, error) {
 		var err error
-		r, err = RunMigrate(MigrateOptions{Seed: 1, Sabotage: sabotage})
+		r, err = runMigrate(migrateOptions{Seed: 1, Sabotage: sabotage})
 		return r, err
 	}, "times (duplicate leaked past cutover)")
 	if r.Duplicates == 0 {

@@ -21,7 +21,7 @@ type Sender struct {
 	isn         uint32
 	sndUna      uint32 // oldest unacknowledged
 	sndNxt      uint32 // next to send
-	cc          *Reno
+	cc          *reno
 	rwnd        int
 	dupAcks     int
 	inRecovery  bool
@@ -41,8 +41,6 @@ type Sender struct {
 	// Stats.
 	Retransmits uint64
 	Timeouts    uint64
-	// onDone fires when totalBytes are acknowledged.
-	onDone func()
 }
 
 // NewSender creates a connected sender; wire Deliver to the node's TCP
@@ -56,14 +54,11 @@ func NewSender(clock sim.Clock, cfg Config, local netip.Addr, port uint16,
 		state: "idle",
 		rto:   time.Second,
 		rwnd:  cfg.RcvWnd,
-		cc:    NewReno(cfg),
+		cc:    newReno(cfg),
 	}
 	s.onRTOTimer = s.onRTO
 	return s
 }
-
-// OnDone registers a completion callback for bounded transfers.
-func (s *Sender) OnDone(fn func()) { s.onDone = fn }
 
 // Start begins a transfer of total bytes (0 = unbounded).
 func (s *Sender) Start(total uint64) {
@@ -72,7 +67,7 @@ func (s *Sender) Start(total uint64) {
 	s.isn = 0
 	s.sndUna = s.isn
 	s.sndNxt = s.isn
-	s.cc.Open()
+	s.cc.open()
 	s.sendSeg(packet.TCPSyn, s.sndNxt, 0)
 	s.sndNxt++
 	s.armRTO()
@@ -86,16 +81,13 @@ func (s *Sender) Stop() {
 	}
 }
 
-// Acked returns the number of payload bytes acknowledged so far.
-func (s *Sender) Acked() uint64 {
+// acked returns the number of payload bytes acknowledged so far.
+func (s *Sender) acked() uint64 {
 	if s.state == "idle" || s.state == "syn-sent" {
 		return 0
 	}
 	return uint64(s.sndUna - s.isn - 1)
 }
-
-// Cwnd returns the current congestion window in bytes.
-func (s *Sender) Cwnd() int { return int(s.cc.Window()) }
 
 // Deliver feeds an incoming IP datagram (ACKs from the receiver).
 func (s *Sender) Deliver(dgram []byte) {
@@ -145,23 +137,20 @@ func (s *Sender) handleAck(ack uint32) {
 			if !seqAfter(s.recoverSeq, ack) {
 				// Full recovery: deflate.
 				s.inRecovery = false
-				s.cc.ExitRecovery()
+				s.cc.exitRecovery()
 				s.dupAcks = 0
 			} else {
 				// Partial ACK: retransmit next hole immediately.
 				s.retransmitFirst()
-				s.cc.OnPartialAck(float64(acked))
+				s.cc.onPartialAck(float64(acked))
 			}
 		} else {
 			s.dupAcks = 0
-			s.cc.OnNewAck()
+			s.cc.onNewAck()
 		}
 		if s.done() {
 			s.state = "done"
 			s.clearRTO()
-			if s.onDone != nil {
-				s.onDone()
-			}
 			return
 		}
 		s.armRTO()
@@ -170,11 +159,11 @@ func (s *Sender) handleAck(ack uint32) {
 		s.dupAcks++
 		if s.inRecovery {
 			// Window inflation during recovery.
-			s.cc.OnDupAckInRecovery()
+			s.cc.onDupAckInRecovery()
 			s.pump()
 		} else if s.dupAcks == 3 {
 			// Fast retransmit.
-			s.cc.EnterRecovery(s.inflightF())
+			s.cc.enterRecovery(s.inflightF())
 			s.inRecovery = true
 			s.recoverSeq = s.sndNxt
 			s.retransmitFirst()
@@ -194,7 +183,7 @@ func (s *Sender) inflightF() float64 { return float64(s.sndNxt - s.sndUna) }
 
 // done reports whether every payload byte is acknowledged.
 func (s *Sender) done() bool {
-	return s.totalBytes > 0 && s.Acked() >= s.totalBytes
+	return s.totalBytes > 0 && s.acked() >= s.totalBytes
 }
 
 // pump sends new segments while the congestion and receive windows
@@ -207,10 +196,10 @@ func (s *Sender) pump() {
 	if s.inflight() == 0 && s.lastSend != 0 && now-s.lastSend > s.rto {
 		// Slow-start restart (Figure 9(b)): the connection idled through
 		// the outage; restart from a small window.
-		s.cc.OnIdleRestart()
+		s.cc.onIdleRestart()
 	}
 	for {
-		wnd := int(s.cc.Window())
+		wnd := int(s.cc.window())
 		if s.rwnd < wnd {
 			wnd = s.rwnd
 		}
@@ -315,7 +304,7 @@ func (s *Sender) onRTO() {
 		return // nothing outstanding; timer was stale
 	}
 	// Timeout: collapse to one segment and re-enter slow start.
-	s.cc.OnTimeout(s.inflightF())
+	s.cc.onTimeout(s.inflightF())
 	s.inRecovery = false
 	s.dupAcks = 0
 	s.backoff++

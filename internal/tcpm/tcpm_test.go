@@ -63,12 +63,10 @@ func newPair(loop *sim.Loop, cfg Config, delay time.Duration, bps float64) (*Sen
 func TestBulkTransferCompletes(t *testing.T) {
 	loop := sim.NewLoop(1)
 	snd, rcv, _ := newPair(loop, Config{}, 5*time.Millisecond, 0)
-	done := false
-	snd.OnDone(func() { done = true })
 	snd.Start(1 << 20)
 	loop.Run(60 * time.Second)
-	if !done {
-		t.Fatalf("transfer incomplete: acked=%d", snd.Acked())
+	if snd.state != "done" {
+		t.Fatalf("transfer incomplete: acked=%d", snd.acked())
 	}
 	if rcv.Bytes != 1<<20 {
 		t.Fatalf("receiver got %d bytes, want %d", rcv.Bytes, 1<<20)
@@ -87,7 +85,7 @@ func TestWindowLimitedThroughput(t *testing.T) {
 	start := loop.Now()
 	loop.Run(20 * time.Second)
 	elapsed := (loop.Now() - start).Seconds()
-	mbps := float64(snd.Acked()) * 8 / elapsed / 1e6
+	mbps := float64(snd.acked()) * 8 / elapsed / 1e6
 	// rwnd/RTT = 16384*8/0.076 = 1.72 Mb/s; allow slack for slow start
 	// and delayed-ACK interactions.
 	if mbps < 1.0 || mbps > 2.0 {
@@ -101,7 +99,7 @@ func TestBandwidthLimitedThroughput(t *testing.T) {
 	snd, _, _ := newPair(loop, Config{RcvWnd: 1 << 20}, time.Millisecond, 10e6)
 	snd.Start(0)
 	loop.Run(10 * time.Second)
-	mbps := float64(snd.Acked()) * 8 / 10 / 1e6
+	mbps := float64(snd.acked()) * 8 / 10 / 1e6
 	if mbps < 8.5 || mbps > 10.1 {
 		t.Fatalf("throughput = %.2f Mb/s, want ~9.6 (link-limited)", mbps)
 	}
@@ -132,12 +130,10 @@ func TestFastRetransmitWithoutTimeout(t *testing.T) {
 		}
 		return false
 	}
-	done := false
-	snd.OnDone(func() { done = true })
 	snd.Start(1 << 20)
 	loop.Run(60 * time.Second)
-	if !done || rcv.Bytes != 1<<20 {
-		t.Fatalf("transfer incomplete: done=%v bytes=%d", done, rcv.Bytes)
+	if snd.state != "done" || rcv.Bytes != 1<<20 {
+		t.Fatalf("transfer incomplete: state=%s bytes=%d", snd.state, rcv.Bytes)
 	}
 	if !dropped {
 		t.Fatal("test never dropped a segment")
@@ -157,13 +153,11 @@ func TestRandomLossRecovers(t *testing.T) {
 	ch.drop = func(dir int, dgram []byte) bool {
 		return dir == 0 && len(dgram) > 100 && rng.Bool(0.02)
 	}
-	done := false
-	snd.OnDone(func() { done = true })
 	snd.Start(2 << 20)
 	loop.Run(10 * time.Minute)
-	if !done {
+	if snd.state != "done" {
 		t.Fatalf("transfer under 2%% loss incomplete: acked=%d retr=%d to=%d",
-			snd.Acked(), snd.Retransmits, snd.Timeouts)
+			snd.acked(), snd.Retransmits, snd.Timeouts)
 	}
 	if rcv.Bytes != 2<<20 {
 		t.Fatalf("receiver bytes = %d", rcv.Bytes)
@@ -196,8 +190,8 @@ func TestOutageStallAndSlowStartRestart(t *testing.T) {
 	}
 	outage = false
 	loop.Run(19 * time.Second)
-	if snd.Cwnd() > 8*1448 {
-		t.Fatalf("cwnd = %d right after restart, want slow-start-sized", snd.Cwnd())
+	if int(snd.cc.window()) > 8*1448 {
+		t.Fatalf("cwnd = %d right after restart, want slow-start-sized", int(snd.cc.window()))
 	}
 	loop.Run(30 * time.Second)
 	if rcv.Bytes <= duringBytes {
@@ -239,9 +233,9 @@ func TestStopAbandonsTransfer(t *testing.T) {
 	snd.Start(0)
 	loop.Run(time.Second)
 	snd.Stop()
-	acked := snd.Acked()
+	acked := snd.acked()
 	loop.Run(5 * time.Second)
-	if snd.Acked() != acked {
+	if snd.acked() != acked {
 		t.Fatal("sender kept transmitting after Stop")
 	}
 }
@@ -257,11 +251,9 @@ func TestHandshakeRetriesUnderLoss(t *testing.T) {
 		}
 		return false
 	}
-	done := false
-	snd.OnDone(func() { done = true })
 	snd.Start(10 << 10)
 	loop.Run(30 * time.Second)
-	if !done {
+	if snd.state != "done" {
 		t.Fatal("transfer never completed after SYN loss")
 	}
 	if snd.Timeouts == 0 {

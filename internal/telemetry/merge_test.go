@@ -9,7 +9,7 @@ func TestMergeSnapshots(t *testing.T) {
 		r := NewRegistry()
 		r.Counter("phys", "a", "pkts").Add(n0)
 		r.Counter("phys", "b", "pkts").Add(n1)
-		r.Gauge("phys", "b", "depth").Set(int64(n1))
+		r.gauge("phys", "b", "depth").Set(int64(n1))
 		return r
 	}
 	want := build(10, 20) // single-process truth

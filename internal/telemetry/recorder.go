@@ -16,7 +16,7 @@ const (
 	EvRoute                         // protocol route install into the RIB
 	EvLink                          // physical or virtual link state change
 	EvSession                       // BGP session event / RIP advertisement
-	EvMark                          // free-form experiment marker
+	evMark                          // free-form experiment marker
 	EvRate                          // adaptive-workload rate/detector update
 )
 
@@ -32,7 +32,7 @@ func (k EventKind) String() string {
 		return "link"
 	case EvSession:
 		return "session"
-	case EvMark:
+	case evMark:
 		return "mark"
 	case EvRate:
 		return "rate"
@@ -66,8 +66,8 @@ type ring struct {
 	next uint64 // total events ever recorded; seq source
 }
 
-// DefaultFlightCap is the per-domain ring capacity.
-const DefaultFlightCap = 4096
+// defaultFlightCap is the per-domain ring capacity.
+const defaultFlightCap = 4096
 
 // Recorder is the deterministic flight recorder: one bounded ring per
 // time domain. Callers pass the domain they are executing in; the
@@ -80,11 +80,11 @@ type Recorder struct {
 	rings []*ring
 }
 
-// NewRecorder returns a recorder whose rings hold capPerDomain events
-// each (DefaultFlightCap if <= 0). Rings are added via EnsureDomain.
-func NewRecorder(capPerDomain int) *Recorder {
+// newRecorder returns a recorder whose rings hold capPerDomain events
+// each (defaultFlightCap if <= 0). Rings are added via EnsureDomain.
+func newRecorder(capPerDomain int) *Recorder {
 	if capPerDomain <= 0 {
-		capPerDomain = DefaultFlightCap
+		capPerDomain = defaultFlightCap
 	}
 	return &Recorder{cap: capPerDomain}
 }
@@ -120,8 +120,8 @@ func (r *Recorder) Record(d *sim.Domain, ev Event) {
 	rg.next++
 }
 
-// Dropped reports how many events were overwritten across all rings.
-func (r *Recorder) Dropped() uint64 {
+// dropped reports how many events were overwritten across all rings.
+func (r *Recorder) dropped() uint64 {
 	if r == nil {
 		return 0
 	}

@@ -93,31 +93,23 @@ func (g *Gauge) Set(v int64) {
 	g.v.Store(v)
 }
 
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
-}
-
-// Value reads the gauge.
-func (g *Gauge) Value() int64 {
+// value reads the gauge.
+func (g *Gauge) value() int64 {
 	if g == nil {
 		return 0
 	}
 	return g.v.Load()
 }
 
-// HistBuckets is the fixed bucket count of every histogram: bucket i
+// histBuckets is the fixed bucket count of every histogram: bucket i
 // holds samples with value < 2^i microseconds (bucket 0: < 1us), the
 // last bucket is unbounded. Fixed power-of-two bounds keep Observe
 // allocation-free and snapshots comparable across runs.
-const HistBuckets = 28
+const histBuckets = 28
 
 // Histogram records duration samples into power-of-two buckets.
 type Histogram struct {
-	counts [HistBuckets]atomic.Uint64
+	counts [histBuckets]atomic.Uint64
 	sum    atomic.Uint64 // nanoseconds
 	n      atomic.Uint64
 }
@@ -131,8 +123,8 @@ func (h *Histogram) Observe(d time.Duration) {
 		d = 0
 	}
 	i := bits.Len64(uint64(d / time.Microsecond))
-	if i >= HistBuckets {
-		i = HistBuckets - 1
+	if i >= histBuckets {
+		i = histBuckets - 1
 	}
 	h.counts[i].Add(1)
 	h.sum.Add(uint64(d))
@@ -156,8 +148,8 @@ func (h *Histogram) Sum() uint64 {
 }
 
 // Buckets copies the non-cumulative bucket counts.
-func (h *Histogram) Buckets() [HistBuckets]uint64 {
-	var out [HistBuckets]uint64
+func (h *Histogram) Buckets() [histBuckets]uint64 {
+	var out [histBuckets]uint64
 	if h == nil {
 		return out
 	}
@@ -243,16 +235,16 @@ func (r *Registry) Counter(slice, node, name string) *Counter {
 	return r.lookup(slice, node, name, kindCounter).c
 }
 
-// Gauge returns the gauge for the key, creating it on first use.
-func (r *Registry) Gauge(slice, node, name string) *Gauge {
+// gauge returns the gauge for the key, creating it on first use.
+func (r *Registry) gauge(slice, node, name string) *Gauge {
 	if r == nil {
 		return nil
 	}
 	return r.lookup(slice, node, name, kindGauge).g
 }
 
-// Histogram returns the histogram for the key, creating it on first use.
-func (r *Registry) Histogram(slice, node, name string) *Histogram {
+// histogram returns the histogram for the key, creating it on first use.
+func (r *Registry) histogram(slice, node, name string) *Histogram {
 	if r == nil {
 		return nil
 	}
@@ -353,7 +345,7 @@ func (s *Scope) Gauge(name string) *Gauge {
 	if s == nil {
 		return nil
 	}
-	return s.reg.Gauge(s.slice, s.node, s.prefix+name)
+	return s.reg.gauge(s.slice, s.node, s.prefix+name)
 }
 
 // Histogram registers/fetches a histogram under the scope.
@@ -361,7 +353,7 @@ func (s *Scope) Histogram(name string) *Histogram {
 	if s == nil {
 		return nil
 	}
-	return s.reg.Histogram(s.slice, s.node, s.prefix+name)
+	return s.reg.histogram(s.slice, s.node, s.prefix+name)
 }
 
 // MetricValue is one snapshotted metric.
@@ -392,7 +384,7 @@ func (r *Registry) Snapshot() []MetricValue {
 		case kindCounter:
 			mv.Value = m.c.Value()
 		case kindGauge:
-			mv.Gauge = m.g.Value()
+			mv.Gauge = m.g.value()
 		case kindHistogram:
 			mv.Count = m.h.Count()
 			mv.Sum = m.h.Sum()

@@ -17,9 +17,8 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	c.Add(3)
 	c.Inc()
 	g.Set(7)
-	g.Add(1)
 	h.Observe(time.Second)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
+	if c.Value() != 0 || g.value() != 0 || h.Count() != 0 {
 		t.Fatal("nil handles must read zero")
 	}
 	var r *Registry
@@ -34,7 +33,7 @@ func TestRegistrySnapshotOrderIsRegistrationOrder(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("s1", "b", "z-last")
 	r.Counter("s1", "a", "a-first")
-	r.Gauge("", "", "global")
+	r.gauge("", "", "global")
 	r.Counter("s1", "b", "z-last").Add(5) // get-or-create: same handle
 	snap := r.Snapshot()
 	if len(snap) != 3 {
@@ -96,7 +95,7 @@ func recorderWorld(t *testing.T, flightCap int) (*sim.Executor, *Recorder, *sim.
 	x := sim.NewExecutor(1, 1)
 	d1 := x.NewDomain("d1")
 	d2 := x.NewDomain("d2")
-	rec := NewRecorder(flightCap)
+	rec := newRecorder(flightCap)
 	for _, d := range x.Domains() {
 		rec.EnsureDomain(d.ID())
 	}
@@ -107,12 +106,12 @@ func TestRecorderMergesByMergeKey(t *testing.T) {
 	x, rec, d1, d2 := recorderWorld(t, 0)
 	// Same timestamp in two domains plus a later event in d1: the merge
 	// order must be (at, dom, seq), independent of recording order.
-	d2.Schedule(10*time.Millisecond, func() { rec.Record(d2, Event{Kind: EvMark, Detail: "d2@10"}) })
+	d2.Schedule(10*time.Millisecond, func() { rec.Record(d2, Event{Kind: evMark, Detail: "d2@10"}) })
 	d1.Schedule(10*time.Millisecond, func() {
-		rec.Record(d1, Event{Kind: EvMark, Detail: "d1@10a"})
-		rec.Record(d1, Event{Kind: EvMark, Detail: "d1@10b"})
+		rec.Record(d1, Event{Kind: evMark, Detail: "d1@10a"})
+		rec.Record(d1, Event{Kind: evMark, Detail: "d1@10b"})
 	})
-	d1.Schedule(20*time.Millisecond, func() { rec.Record(d1, Event{Kind: EvMark, Detail: "d1@20"}) })
+	d1.Schedule(20*time.Millisecond, func() { rec.Record(d1, Event{Kind: evMark, Detail: "d1@20"}) })
 	x.Run(time.Second)
 	evs := rec.Events()
 	var got []string
@@ -135,7 +134,7 @@ func TestRecorderBoundOverwritesOldest(t *testing.T) {
 	x, rec, d1, _ := recorderWorld(t, 4)
 	d1.Schedule(time.Millisecond, func() {
 		for i := 0; i < 10; i++ {
-			rec.Record(d1, Event{Kind: EvMark, Value: int64(i)})
+			rec.Record(d1, Event{Kind: evMark, Value: int64(i)})
 		}
 	})
 	x.Run(time.Second)
@@ -148,8 +147,8 @@ func TestRecorderBoundOverwritesOldest(t *testing.T) {
 			t.Fatalf("event %d value %d, want %d (newest survive)", i, ev.Value, 6+i)
 		}
 	}
-	if rec.Dropped() != 6 {
-		t.Fatalf("dropped = %d, want 6", rec.Dropped())
+	if rec.dropped() != 6 {
+		t.Fatalf("dropped = %d, want 6", rec.dropped())
 	}
 }
 
@@ -158,7 +157,7 @@ func TestRecorderDigestIsOrderSensitive(t *testing.T) {
 		x, rec, d1, _ := recorderWorld(t, 0)
 		d1.Schedule(time.Millisecond, func() {
 			for _, v := range vals {
-				rec.Record(d1, Event{Kind: EvMark, Value: v})
+				rec.Record(d1, Event{Kind: evMark, Value: v})
 			}
 		})
 		x.Run(time.Second)
@@ -207,8 +206,8 @@ func TestPacketPathFilter(t *testing.T) {
 func TestPrometheusExposition(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("iias", "denver", "click/rt/noroute").Add(3)
-	r.Gauge("", "denver", "routes").Set(12)
-	r.Histogram("iias", "denver", "wake-latency").Observe(2 * time.Microsecond)
+	r.gauge("", "denver", "routes").Set(12)
+	r.histogram("iias", "denver", "wake-latency").Observe(2 * time.Microsecond)
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -249,7 +248,7 @@ func TestSnapshotJSONStable(t *testing.T) {
 func TestHotPathZeroAlloc(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("s", "n", "pkts")
-	h := r.Histogram("s", "n", "lat")
+	h := r.histogram("s", "n", "lat")
 	x, rec, d1, _ := recorderWorld(t, 0)
 	_ = x
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -274,7 +273,7 @@ func TestRegistryRetire(t *testing.T) {
 	r.Counter("s1", "n1", "pkts").Add(3)
 	r.Counter("s1", "n2", "pkts").Add(4)
 	r.Counter("s2", "n1", "pkts").Add(5)
-	r.Gauge("s1", "n1", "depth").Set(7)
+	r.gauge("s1", "n1", "depth").Set(7)
 	snapBefore := r.Snapshot()
 	if n := r.Retire("s1"); n != 3 {
 		t.Fatalf("Retire = %d, want 3", n)

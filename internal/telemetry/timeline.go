@@ -165,7 +165,7 @@ type Telemetry struct {
 // New returns a telemetry bundle with an empty registry and a flight
 // recorder of the given per-domain capacity (<= 0 for the default).
 func New(flightCap int) *Telemetry {
-	return &Telemetry{Reg: NewRegistry(), Rec: NewRecorder(flightCap)}
+	return &Telemetry{Reg: NewRegistry(), Rec: newRecorder(flightCap)}
 }
 
 // Snapshot captures the deterministic telemetry state. Call at a
@@ -178,7 +178,7 @@ func (t *Telemetry) Snapshot() Snapshot {
 	return Snapshot{
 		Metrics:       t.Reg.Snapshot(),
 		Events:        evs,
-		Dropped:       t.Rec.Dropped(),
+		Dropped:       t.Rec.dropped(),
 		MetricsDigest: t.Reg.Digest(),
 		FlightDigest:  t.Rec.Digest(),
 		Convergences:  Convergences(evs),

@@ -1,6 +1,9 @@
 package topology
 
-import "time"
+import (
+	"strconv"
+	"time"
+)
 
 // Abilene PoP names as used in the paper's Figure 7.
 const (
@@ -96,19 +99,5 @@ func AbilenePublicAddr(pop string) (string, bool) {
 	if !ok {
 		return "", false
 	}
-	return "198.32.154." + itoa(i), true
-}
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var b [8]byte
-	n := len(b)
-	for i > 0 {
-		n--
-		b[n] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(b[n:])
+	return "198.32.154." + strconv.Itoa(i), true
 }

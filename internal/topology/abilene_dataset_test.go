@@ -31,7 +31,7 @@ func TestAbileneDataset(t *testing.T) {
 		t.Fatalf("dataset has %d links, canonical %d", len(gl), len(wl))
 	}
 	for _, l := range wl {
-		got, ok := g.FindLink(l.A, l.B)
+		got, ok := g.findLink(l.A, l.B)
 		if !ok {
 			t.Fatalf("dataset missing link %s-%s", l.A, l.B)
 		}
@@ -71,11 +71,11 @@ func TestAbileneDataset(t *testing.T) {
 	if len(m.Demands) != 110 { // 11 PoPs, all ordered pairs
 		t.Fatalf("demand matrix has %d entries, want 110", len(m.Demands))
 	}
-	if m.TotalBps() <= 0 {
+	if totalBps(m) <= 0 {
 		t.Fatal("demand matrix carries no load")
 	}
 	for _, d := range m.Demands {
-		if !g.HasNode(d.Src) || !g.HasNode(d.Dst) {
+		if !g.nodes[d.Src] || !g.nodes[d.Dst] {
 			t.Fatalf("demand %s->%s references unknown node", d.Src, d.Dst)
 		}
 	}

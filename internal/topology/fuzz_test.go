@@ -28,7 +28,7 @@ func FuzzRepetitaParse(f *testing.F) {
 		}
 		seen := make(map[string]bool, len(names))
 		for _, n := range names {
-			if !g.HasNode(n) {
+			if !g.nodes[n] {
 				t.Fatalf("name %q not in graph", n)
 			}
 			if seen[n] {

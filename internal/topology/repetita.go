@@ -41,25 +41,6 @@ type DemandMatrix struct {
 	Demands []Demand
 }
 
-// TotalBps sums the offered load.
-func (m *DemandMatrix) TotalBps() float64 {
-	var t float64
-	for _, d := range m.Demands {
-		t += d.RateBps
-	}
-	return t
-}
-
-// Scaled returns a copy with every rate multiplied by f.
-func (m *DemandMatrix) Scaled(f float64) *DemandMatrix {
-	out := &DemandMatrix{Demands: make([]Demand, len(m.Demands))}
-	for i, d := range m.Demands {
-		d.RateBps *= f
-		out.Demands[i] = d
-	}
-	return out
-}
-
 // repScanner walks non-blank lines with position tracking for errors.
 type repScanner struct {
 	sc   *bufio.Scanner

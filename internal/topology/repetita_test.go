@@ -50,7 +50,7 @@ func TestParseRepetita(t *testing.T) {
 	if got := len(g.Links()); got != 4 {
 		t.Fatalf("%d undirected links, want 4 (8 directed halves)", got)
 	}
-	l, ok := g.FindLink("Vienna", "Paris")
+	l, ok := g.findLink("Vienna", "Paris")
 	if !ok {
 		t.Fatal("Vienna-Paris missing")
 	}
@@ -83,11 +83,8 @@ func TestParseRepetita(t *testing.T) {
 	if d := m.Demands[0]; d.Src != "Vienna" || d.Dst != "Rome" || d.RateBps != 128000 {
 		t.Fatalf("demand 0 = %+v", d)
 	}
-	if got, want := m.TotalBps(), float64((128+256+64)*1000); got != want {
-		t.Fatalf("TotalBps = %v, want %v", got, want)
-	}
-	if got := m.Scaled(0.5).TotalBps(); got != 224000 {
-		t.Fatalf("Scaled(0.5).TotalBps = %v, want 224000", got)
+	if got, want := totalBps(m), float64((128+256+64)*1000); got != want {
+		t.Fatalf("total = %v b/s, want %v", got, want)
 	}
 }
 
@@ -175,7 +172,7 @@ func TestSynthRepetitaParses(t *testing.T) {
 			t.Fatalf("n=%d: %d demands", n, len(m.Demands))
 		}
 		for _, d := range m.Demands {
-			if d.Src == d.Dst || !g.HasNode(d.Src) || !g.HasNode(d.Dst) {
+			if d.Src == d.Dst || !g.nodes[d.Src] || !g.nodes[d.Dst] {
 				t.Fatalf("n=%d: bad demand %+v", n, d)
 			}
 		}

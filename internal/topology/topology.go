@@ -57,9 +57,6 @@ func (g *Graph) AddLink(l Link) error {
 	return nil
 }
 
-// HasNode reports whether name exists.
-func (g *Graph) HasNode(name string) bool { return g.nodes[name] }
-
 // Nodes returns all node names, sorted.
 func (g *Graph) Nodes() []string {
 	out := make([]string, 0, len(g.nodes))
@@ -75,38 +72,28 @@ func (g *Graph) Links() []Link {
 	return append([]Link(nil), g.links...)
 }
 
-// FindLink returns the first link between a and b in either orientation.
-func (g *Graph) FindLink(a, b string) (Link, bool) {
-	for _, l := range g.links {
-		if (l.A == a && l.B == b) || (l.A == b && l.B == a) {
-			return l, true
-		}
-	}
-	return Link{}, false
-}
-
-// Neighbor describes one adjacency from a node's perspective.
-type Neighbor struct {
+// neighbor describes one adjacency from a node's perspective.
+type neighbor struct {
 	Node  string
 	Cost  uint32
 	Delay time.Duration
 	Index int // index into Links()
 }
 
-// Neighbors returns the adjacencies of node, sorted by neighbor name.
+// neighbors returns the adjacencies of node, sorted by neighbor name.
 // Links in down are skipped (set of link indices), which is how SPF
 // recomputation after failure is modelled at the graph level.
-func (g *Graph) Neighbors(node string, down map[int]bool) []Neighbor {
-	var out []Neighbor
+func (g *Graph) neighbors(node string, down map[int]bool) []neighbor {
+	var out []neighbor
 	for i, l := range g.links {
 		if down[i] {
 			continue
 		}
 		switch node {
 		case l.A:
-			out = append(out, Neighbor{Node: l.B, Cost: l.CostAB, Delay: l.Delay, Index: i})
+			out = append(out, neighbor{Node: l.B, Cost: l.CostAB, Delay: l.Delay, Index: i})
 		case l.B:
-			out = append(out, Neighbor{Node: l.A, Cost: l.CostBA, Delay: l.Delay, Index: i})
+			out = append(out, neighbor{Node: l.A, Cost: l.CostBA, Delay: l.Delay, Index: i})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
@@ -169,7 +156,7 @@ func (g *Graph) ShortestPaths(src string, down map[int]bool) map[string]Path {
 			continue
 		}
 		done[it.node] = true
-		for _, nb := range g.Neighbors(it.node, down) {
+		for _, nb := range g.neighbors(it.node, down) {
 			nd := it.dist + uint64(nb.Cost)
 			if nd < dist[nb.Node] || (nd == dist[nb.Node] && it.node < prev[nb.Node]) {
 				dist[nb.Node] = nd
@@ -217,10 +204,10 @@ func (g *Graph) activeLink(a, b string, down map[int]bool) (Link, bool) {
 	return Link{}, false
 }
 
-// BellmanFord computes shortest-path costs from src by relaxation; it is
+// bellmanFord computes shortest-path costs from src by relaxation; it is
 // the independent reference implementation the property tests compare
 // Dijkstra (and the OSPF SPF) against.
-func (g *Graph) BellmanFord(src string, down map[int]bool) map[string]uint64 {
+func (g *Graph) bellmanFord(src string, down map[int]bool) map[string]uint64 {
 	const inf = math.MaxUint64
 	dist := make(map[string]uint64, len(g.nodes))
 	for n := range g.nodes {

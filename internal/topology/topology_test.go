@@ -90,11 +90,11 @@ func TestNeighborsSortedAndFiltered(t *testing.T) {
 	g := New()
 	g.AddLink(Link{A: "m", B: "z", CostAB: 1})
 	g.AddLink(Link{A: "m", B: "a", CostAB: 2})
-	nb := g.Neighbors("m", nil)
+	nb := g.neighbors("m", nil)
 	if len(nb) != 2 || nb[0].Node != "a" || nb[1].Node != "z" {
 		t.Fatalf("neighbors = %+v", nb)
 	}
-	nb = g.Neighbors("m", map[int]bool{0: true})
+	nb = g.neighbors("m", map[int]bool{0: true})
 	if len(nb) != 1 || nb[0].Node != "a" {
 		t.Fatalf("filtered neighbors = %+v", nb)
 	}
@@ -120,7 +120,7 @@ func TestDijkstraMatchesBellmanFord(t *testing.T) {
 			g.AddLink(Link{A: a, B: b, CostAB: cost})
 		}
 		sp := g.ShortestPaths("n0", nil)
-		bf := g.BellmanFord("n0", nil)
+		bf := g.bellmanFord("n0", nil)
 		if len(sp) != len(bf) {
 			return false
 		}
@@ -282,13 +282,32 @@ func TestAbileneRouterCodes(t *testing.T) {
 
 func TestFindLink(t *testing.T) {
 	g := Abilene()
-	if _, ok := g.FindLink(Denver, KansasCity); !ok {
+	if _, ok := g.findLink(Denver, KansasCity); !ok {
 		t.Fatal("Denver-KC link missing")
 	}
-	if _, ok := g.FindLink(KansasCity, Denver); !ok {
+	if _, ok := g.findLink(KansasCity, Denver); !ok {
 		t.Fatal("FindLink not orientation-agnostic")
 	}
-	if _, ok := g.FindLink(Seattle, Washington); ok {
+	if _, ok := g.findLink(Seattle, Washington); ok {
 		t.Fatal("phantom link")
 	}
+}
+
+// findLink returns the first link between a and b in either orientation.
+func (g *Graph) findLink(a, b string) (Link, bool) {
+	for _, l := range g.links {
+		if (l.A == a && l.B == b) || (l.A == b && l.B == a) {
+			return l, true
+		}
+	}
+	return Link{}, false
+}
+
+// totalBps sums the offered load of m.
+func totalBps(m *DemandMatrix) float64 {
+	var t float64
+	for _, d := range m.Demands {
+		t += d.RateBps
+	}
+	return t
 }

@@ -81,7 +81,7 @@ func (c *AdaptiveConfig) setDefaults() {
 	if c.Port == 0 {
 		c.Port = 5201
 	}
-	if c.Payload < FrameHeaderLen {
+	if c.Payload < frameHeaderLen {
 		c.Payload = 1000
 	}
 	if c.InitBps <= 0 {
@@ -153,8 +153,8 @@ type Adaptive struct {
 
 	client   *netem.Node
 	server   *netem.Node
-	clientEP *Endpoint
-	serverEP *Endpoint
+	clientEP *endpoint
+	serverEP *endpoint
 	src, dst netip.Addr
 	dataPort uint16
 	fbPort   uint16
@@ -225,7 +225,7 @@ func StartAdaptive(w *netem.Network, client, server *netem.Node, cfg AdaptiveCon
 	a := &Adaptive{
 		send: client.Clock(), recv: server.Clock(), cfg: cfg,
 		client: client, server: server,
-		clientEP: NewEndpoint(client), serverEP: NewEndpoint(server),
+		clientEP: newEndpoint(client), serverEP: newEndpoint(server),
 		src: client.Addr(), dst: server.Addr(),
 		dataPort: cfg.Port, fbPort: cfg.Port + 1000,
 		rate: cfg.InitBps, est: cfg.InitBps,
@@ -250,20 +250,20 @@ func StartAdaptive(w *netem.Network, client, server *netem.Node, cfg AdaptiveCon
 		a.cOveruse = ss.Counter("overuse")
 		a.cUnderuse = ss.Counter("underuse")
 	}
-	if err := a.serverEP.ListenUDP(a.dataPort, a.receiveData); err != nil {
+	if err := a.serverEP.listenUDP(a.dataPort, a.receiveData); err != nil {
 		return nil, err
 	}
-	if err := a.clientEP.ListenUDP(a.fbPort, a.receiveFeedback); err != nil {
-		a.serverEP.Close()
+	if err := a.clientEP.listenUDP(a.fbPort, a.receiveFeedback); err != nil {
+		a.serverEP.close()
 		return nil, err
 	}
-	a.Start()
+	a.start()
 	return a, nil
 }
 
-// Start begins (or resumes) the paced sender, the receiver's feedback
+// start begins (or resumes) the paced sender, the receiver's feedback
 // loop, and the sender's no-feedback watchdog.
-func (a *Adaptive) Start() {
+func (a *Adaptive) start() {
 	if a.active || a.closed {
 		return
 	}
@@ -292,8 +292,8 @@ func (a *Adaptive) Close() {
 	a.Stop()
 	if !a.closed {
 		a.closed = true
-		a.clientEP.Close()
-		a.serverEP.Close()
+		a.clientEP.close()
+		a.serverEP.close()
 	}
 }
 

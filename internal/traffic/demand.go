@@ -100,13 +100,6 @@ func StartDemands(w *netem.Network, m *topology.DemandMatrix, ep DemandEndpoint,
 	return out, nil
 }
 
-// Start resumes every sender (the constructor already started them).
-func (s *DemandFlows) Start() {
-	for _, f := range s.Flows {
-		f.Start()
-	}
-}
-
 // Stop halts every sender.
 func (s *DemandFlows) Stop() {
 	for _, f := range s.Flows {

@@ -29,8 +29,8 @@ type IperfTCP struct {
 	loop      *sim.Loop
 	senders   []*tcpm.Sender
 	receivers []*tcpm.Receiver
-	clientEP  *Endpoint
-	serverEP  *Endpoint
+	clientEP  *endpoint
+	serverEP  *endpoint
 	running   bool
 	closed    bool
 	started   time.Duration
@@ -57,7 +57,7 @@ func StartIperfTCP(w *netem.Network, client, server *netem.Node, cfg IperfTCPCon
 	}
 	loop := w.Loop()
 	t := &IperfTCP{loop: loop, started: loop.Now(),
-		clientEP: NewEndpoint(client), serverEP: NewEndpoint(server)}
+		clientEP: newEndpoint(client), serverEP: newEndpoint(server)}
 	tcpCfg := tcpm.Config{MSS: cfg.MSS, RcvWnd: cfg.Window}
 	for i := 0; i < cfg.Streams; i++ {
 		sport := cfg.BasePort + uint16(i) + 1000
@@ -65,12 +65,12 @@ func StartIperfTCP(w *netem.Network, client, server *netem.Node, cfg IperfTCPCon
 		// Each endpoint's protocol machine runs on its own node's
 		// domain clock.
 		rcv := tcpm.NewReceiver(server.Clock(), tcpCfg, dst, dport, server.StackSendPacket)
-		if err := t.serverEP.ListenTCP(dport, rcv.Deliver); err != nil {
+		if err := t.serverEP.listenTCP(dport, rcv.Deliver); err != nil {
 			t.Close()
 			return nil, err
 		}
 		snd := tcpm.NewSender(client.Clock(), tcpCfg, src, sport, dst, dport, client.StackSendPacket)
-		if err := t.clientEP.ListenTCP(sport, snd.Deliver); err != nil {
+		if err := t.clientEP.listenTCP(sport, snd.Deliver); err != nil {
 			t.Close()
 			return nil, err
 		}
@@ -80,20 +80,6 @@ func StartIperfTCP(w *netem.Network, client, server *netem.Node, cfg IperfTCPCon
 	}
 	t.running = true
 	return t, nil
-}
-
-// Start begins unbounded transfers on every stream (the constructor
-// already did; after Stop it restarts the streams from scratch).
-func (t *IperfTCP) Start() {
-	if t.running || t.closed {
-		return
-	}
-	t.running = true
-	t.started = t.loop.Now()
-	t.stoppedAt = 0
-	for _, s := range t.senders {
-		s.Start(0)
-	}
 }
 
 // Stop ends the test (senders stop transmitting).
@@ -119,8 +105,8 @@ func (t *IperfTCP) Close() {
 	for _, r := range t.receivers {
 		r.Close()
 	}
-	t.clientEP.Close()
-	t.serverEP.Close()
+	t.clientEP.close()
+	t.serverEP.close()
 }
 
 // Mbps returns aggregate goodput over the test interval.

@@ -38,11 +38,9 @@ type Traceroute struct {
 	cfg     TracerouteConfig
 	Hops    []Hop
 	Done    bool
-	started bool
 	current int
 	sentAt  time.Duration
 	timer   sim.Timer
-	onDone  func()
 }
 
 // StartTraceroute begins a trace through the host's node, on its clock.
@@ -58,25 +56,12 @@ func (h *ICMPHost) StartTraceroute(cfg TracerouteConfig) *Traceroute {
 	}
 	tr := &Traceroute{host: h, clock: h.node.Clock(), cfg: cfg}
 	h.traces = append(h.traces, tr)
-	tr.started = true
 	tr.probe(1)
 	return tr
 }
 
-// OnDone registers a completion callback.
-func (tr *Traceroute) OnDone(fn func()) { tr.onDone = fn }
-
-// Start launches the first probe (the constructor already did).
-func (tr *Traceroute) Start() {
-	if tr.started || tr.Done {
-		return
-	}
-	tr.started = true
-	tr.probe(1)
-}
-
-// Stop abandons the trace, cancelling the pending probe timeout.
-func (tr *Traceroute) Stop() {
+// stop abandons the trace, cancelling the pending probe timeout.
+func (tr *Traceroute) stop() {
 	if tr.Done {
 		return
 	}
@@ -89,7 +74,7 @@ func (tr *Traceroute) Stop() {
 
 // Close abandons the trace and detaches it from the host dispatcher.
 func (tr *Traceroute) Close() {
-	tr.Stop()
+	tr.stop()
 	for i, t := range tr.host.traces {
 		if t == tr {
 			tr.host.traces = append(tr.host.traces[:i], tr.host.traces[i+1:]...)
@@ -152,7 +137,4 @@ func (tr *Traceroute) handleError(from netip.Addr, icmpType uint8, quote []byte)
 
 func (tr *Traceroute) finish() {
 	tr.Done = true
-	if tr.onDone != nil {
-		tr.onDone()
-	}
 }

@@ -8,12 +8,10 @@ import (
 func TestTracerouteDiscoversChain(t *testing.T) {
 	w, src, dst := gigChain(t)
 	h := NewICMPHost(src)
-	done := false
 	tr := h.StartTraceroute(TracerouteConfig{Src: src.Addr(), Dst: dst.Addr()})
-	tr.OnDone(func() { done = true })
 	w.Run(5 * time.Second)
-	if !tr.Done || !done {
-		t.Fatalf("trace did not finish: Done=%v callback=%v", tr.Done, done)
+	if !tr.Done {
+		t.Fatalf("trace did not finish: Done=%v", tr.Done)
 	}
 	if len(tr.Hops) != 2 {
 		t.Fatalf("hops = %d, want 2 for src--fwdr--dst", len(tr.Hops))
@@ -54,7 +52,7 @@ func TestTracerouteDemuxWithPing(t *testing.T) {
 
 func TestTracerouteTimeoutHops(t *testing.T) {
 	w, src, dst := gigChain(t)
-	l, _ := w.FindLink("src", "fwdr")
+	l := w.Links()[0] // src-fwdr
 	l.SetDown(true)
 	h := NewICMPHost(src)
 	tr := h.StartTraceroute(TracerouteConfig{Src: src.Addr(), Dst: dst.Addr(),
@@ -82,7 +80,7 @@ func TestTracerouteTimeoutHops(t *testing.T) {
 // trace from the host dispatcher.
 func TestTracerouteStopAndClose(t *testing.T) {
 	w, src, dst := gigChain(t)
-	l, _ := w.FindLink("src", "fwdr")
+	l := w.Links()[0] // src-fwdr
 	l.SetDown(true)
 	h := NewICMPHost(src)
 	tr := h.StartTraceroute(TracerouteConfig{Src: src.Addr(), Dst: dst.Addr(),
@@ -91,7 +89,7 @@ func TestTracerouteStopAndClose(t *testing.T) {
 	if tr.Done {
 		t.Fatal("trace finished with its probe still outstanding")
 	}
-	tr.Stop()
+	tr.stop()
 	if n := w.Loop().Pending(); n != 0 {
 		t.Fatalf("%d events still pending after Stop", n)
 	}

@@ -10,7 +10,6 @@ package traffic
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 	"time"
 
 	"vini/internal/netem"
@@ -29,7 +28,6 @@ type ICMPHost struct {
 	// nextID allocates ping identifiers per host (per world): a shared
 	// package counter here would be cross-world mutable state.
 	nextID uint16
-	closed bool
 }
 
 // NewICMPHost attaches the dispatcher to the node.
@@ -37,28 +35,6 @@ func NewICMPHost(node *netem.Node) *ICMPHost {
 	h := &ICMPHost{node: node, clients: make(map[uint16]*Ping), nextID: 0x1000}
 	node.StackListenICMP(h.deliver)
 	return h
-}
-
-// Close stops every attached client and trace and detaches the
-// dispatcher from the node's stack. Idempotent.
-func (h *ICMPHost) Close() {
-	if h.closed {
-		return
-	}
-	h.closed = true
-	ids := make([]int, 0, len(h.clients))
-	for id := range h.clients {
-		ids = append(ids, int(id))
-	}
-	sort.Ints(ids) // deterministic teardown order
-	for _, id := range ids {
-		h.clients[uint16(id)].Stop()
-	}
-	for _, tr := range h.traces {
-		tr.Stop()
-	}
-	h.traces = nil
-	h.node.StackUnlistenICMP()
 }
 
 func (h *ICMPHost) deliver(dgram []byte) {
@@ -150,16 +126,6 @@ func (h *ICMPHost) StartPing(cfg PingConfig) *Ping {
 	return p
 }
 
-// Start resumes a stopped client (the constructor already started it).
-func (p *Ping) Start() {
-	if !p.stopped {
-		return
-	}
-	p.stopped = false
-	p.host.clients[p.id] = p
-	p.tick()
-}
-
 // Stop halts the client, cancelling its pending echo-loss timeouts and
 // the interval tick so nothing of it stays live in the domain heap.
 func (p *Ping) Stop() {
@@ -173,10 +139,6 @@ func (p *Ping) Stop() {
 		p.tickTimer = sim.Timer{}
 	}
 }
-
-// Close halts the client; the ping's registrations live in its host
-// dispatcher, which Stop already releases.
-func (p *Ping) Close() { p.Stop() }
 
 func (p *Ping) tick() {
 	if p.stopped || (p.cfg.Count > 0 && p.Sent >= p.cfg.Count) {

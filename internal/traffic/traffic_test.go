@@ -62,7 +62,7 @@ func TestPingCountsLosses(t *testing.T) {
 	p := h.StartPing(PingConfig{Src: src.Addr(), Dst: dst.Addr(),
 		Interval: 50 * time.Millisecond, Count: 20, Timeout: 500 * time.Millisecond})
 	// Fail the path mid-test.
-	l, _ := w.FindLink("src", "fwdr")
+	l := w.Links()[0] // src-fwdr
 	w.Loop().Schedule(500*time.Millisecond, func() { l.SetDown(true) })
 	w.Run(10 * time.Second)
 	if p.Lost == 0 {

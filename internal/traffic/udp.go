@@ -40,7 +40,7 @@ type UDPCBR struct {
 	src       netip.Addr
 	dst       netip.Addr
 	ctrl      RateController
-	ep        *Endpoint
+	ep        *endpoint
 	seq       uint32
 	tickTimer sim.Timer
 	onTick    func() // t.tick bound once (no method value per datagram)
@@ -60,18 +60,18 @@ func StartUDPCBR(w *netem.Network, client, server *netem.Node, cfg UDPCBRConfig)
 	if cfg.Payload <= 0 {
 		cfg.Payload = 1430
 	}
-	if cfg.Payload < FrameHeaderLen {
-		cfg.Payload = FrameHeaderLen
+	if cfg.Payload < frameHeaderLen {
+		cfg.Payload = frameHeaderLen
 	}
 	if cfg.Port == 0 {
 		cfg.Port = 5001
 	}
 	t := &UDPCBR{send: client.Clock(), recv: server.Clock(), cfg: cfg,
 		client: client, src: client.Addr(), dst: server.Addr(),
-		ctrl: cfg.Controller, ep: NewEndpoint(server)}
+		ctrl: cfg.Controller, ep: newEndpoint(server)}
 	t.onTick = t.tick
 	if t.ctrl == nil {
-		t.ctrl = NewFixedRate(cfg.RateBps)
+		t.ctrl = newFixedRate(cfg.RateBps)
 	}
 	if cfg.SrcAddr.IsValid() {
 		t.src = cfg.SrcAddr
@@ -79,15 +79,15 @@ func StartUDPCBR(w *netem.Network, client, server *netem.Node, cfg UDPCBRConfig)
 	if cfg.DstAddr.IsValid() {
 		t.dst = cfg.DstAddr
 	}
-	if err := t.ep.ListenUDP(cfg.Port, t.receive); err != nil {
+	if err := t.ep.listenUDP(cfg.Port, t.receive); err != nil {
 		return nil, err
 	}
-	t.Start()
+	t.start()
 	return t, nil
 }
 
-// Start begins (or resumes) the paced sender.
-func (t *UDPCBR) Start() {
+// start begins (or resumes) the paced sender.
+func (t *UDPCBR) start() {
 	if t.active || t.closed {
 		return
 	}
@@ -110,7 +110,7 @@ func (t *UDPCBR) Close() {
 	t.Stop()
 	if !t.closed {
 		t.closed = true
-		t.ep.Close()
+		t.ep.close()
 	}
 }
 

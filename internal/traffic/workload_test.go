@@ -60,12 +60,6 @@ func TestPingStopCancelsIntervalTimer(t *testing.T) {
 	if n := w.Loop().Pending(); n != 0 {
 		t.Fatalf("%d events still pending after Stop", n)
 	}
-	// Start resumes from the same client state.
-	p.Start()
-	w.Run(5 * time.Second)
-	if p.Sent <= sent {
-		t.Fatal("restarted ping never resumed sending")
-	}
 }
 
 // TestPingIDsArePerHost: ping identifiers come from the host dispatcher,
@@ -94,72 +88,54 @@ func TestPingIDsArePerHost(t *testing.T) {
 	}
 }
 
-// TestEndpointLedger exercises the registration ledger: every Listen
-// raises Open, Unlisten lowers it, hooks run LIFO before release, and
-// Close is idempotent and complete.
+// TestEndpointLedger exercises the registration ledger: every listen is
+// recorded, a failed one is not, and close is idempotent and complete.
 func TestEndpointLedger(t *testing.T) {
-	w, src, _ := gigChain(t)
-	_ = w
+	_, src, _ := gigChain(t)
 	base := src.StackListeners()
-	e := NewEndpoint(src)
-	if e.Node() != src {
-		t.Fatal("endpoint lost its node")
-	}
+	e := newEndpoint(src)
+	open := func() int { return len(e.udp) + len(e.tcp) }
 	sink := func([]byte) {}
-	if err := e.ListenUDP(7000, sink); err != nil {
+	if err := e.listenUDP(7000, sink); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.ListenUDP(7001, sink); err != nil {
+	if err := e.listenUDP(7001, sink); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.ListenTCP(7002, sink); err != nil {
+	if err := e.listenTCP(7002, sink); err != nil {
 		t.Fatal(err)
 	}
-	e.ICMP()
-	if e.Open() != 4 || src.StackListeners() != base+4 {
-		t.Fatalf("ledger %d, stack %d: want 4 each", e.Open(), src.StackListeners()-base)
+	if open() != 3 || src.StackListeners() != base+3 {
+		t.Fatalf("ledger %d, stack %d: want 3 each", open(), src.StackListeners()-base)
 	}
 	// Registering a taken port fails without touching the ledger.
-	if err := e.ListenUDP(7000, sink); err == nil {
+	if err := e.listenUDP(7000, sink); err == nil {
 		t.Fatal("duplicate UDP registration succeeded")
 	}
-	if e.Open() != 4 {
-		t.Fatalf("failed Listen moved the ledger to %d", e.Open())
+	if open() != 3 {
+		t.Fatalf("failed listen moved the ledger to %d", open())
 	}
-	e.UnlistenUDP(7001)
-	if e.Open() != 3 || src.StackListeners() != base+3 {
-		t.Fatalf("after Unlisten: ledger %d, stack %d", e.Open(), src.StackListeners()-base)
+	e.close()
+	if open() != 0 || src.StackListeners() != base {
+		t.Fatalf("after close: ledger %d, stack %d", open(), src.StackListeners()-base)
 	}
-	var order []string
-	e.OnClose(func() { order = append(order, "first") })
-	e.OnClose(func() { order = append(order, "second") })
-	e.Close()
-	if len(order) != 2 || order[0] != "second" || order[1] != "first" {
-		t.Fatalf("teardown hooks ran %v, want LIFO", order)
-	}
-	if e.Open() != 0 || src.StackListeners() != base {
-		t.Fatalf("after Close: ledger %d, stack %d", e.Open(), src.StackListeners()-base)
-	}
-	e.Close() // idempotent
-	if len(order) != 2 {
-		t.Fatal("second Close re-ran the teardown hooks")
-	}
+	e.close() // idempotent
 	// The ports are free for a fresh endpoint.
-	f := NewEndpoint(src)
-	if err := f.ListenUDP(7000, sink); err != nil {
-		t.Fatalf("rebind after Close: %v", err)
+	f := newEndpoint(src)
+	if err := f.listenUDP(7000, sink); err != nil {
+		t.Fatalf("rebind after close: %v", err)
 	}
-	f.Close()
+	f.close()
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	buf := make([]byte, FrameHeaderLen)
+	buf := make([]byte, frameHeaderLen)
 	putFrame(buf, 0xdeadbeef, 1234567891011)
 	seq, at, ok := parseFrame(buf)
 	if !ok || seq != 0xdeadbeef || at != 1234567891011 {
 		t.Fatalf("round-trip gave seq=%#x at=%d ok=%v", seq, at, ok)
 	}
-	if _, _, ok := parseFrame(buf[:FrameHeaderLen-1]); ok {
+	if _, _, ok := parseFrame(buf[:frameHeaderLen-1]); ok {
 		t.Fatal("parseFrame accepted a short payload")
 	}
 }
@@ -167,7 +143,7 @@ func TestFrameRoundTrip(t *testing.T) {
 // TestFixedRateRetunes: the spec-level `rate` action retargets a running
 // CBR flow through its FixedRate controller; pacing must follow.
 func TestFixedRateRetunes(t *testing.T) {
-	fr := NewFixedRate(1e6)
+	fr := newFixedRate(1e6)
 	if fr.TargetBps() != 1e6 {
 		t.Fatalf("TargetBps = %f", fr.TargetBps())
 	}
@@ -182,7 +158,7 @@ func TestFixedRateRetunes(t *testing.T) {
 	// End to end: doubling the controller rate mid-run must speed the
 	// sender up by roughly the same factor.
 	w, src, dst := gigChain(t)
-	fr2 := NewFixedRate(1e6)
+	fr2 := newFixedRate(1e6)
 	test, err := StartUDPCBR(w, src, dst, UDPCBRConfig{RateBps: 1e6, Controller: fr2})
 	if err != nil {
 		t.Fatal(err)

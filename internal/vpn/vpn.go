@@ -13,11 +13,11 @@ import (
 	"fmt"
 )
 
-// KeySize is the pre-shared key length (AES-256).
-const KeySize = 32
+// keySize is the pre-shared key length (AES-256).
+const keySize = 32
 
-// Overhead is the per-packet expansion: 8-byte counter + GCM tag.
-const Overhead = 8 + 16
+// overhead is the per-packet expansion: 8-byte counter + GCM tag.
+const overhead = 8 + 16
 
 // Codec seals and opens VPN frames in one direction each. Use one Codec
 // per endpoint; the send counter and receive replay window are
@@ -32,8 +32,8 @@ type Codec struct {
 
 // NewCodec builds a codec from a 32-byte pre-shared key.
 func NewCodec(key []byte) (*Codec, error) {
-	if len(key) != KeySize {
-		return nil, fmt.Errorf("vpn: key must be %d bytes, got %d", KeySize, len(key))
+	if len(key) != keySize {
+		return nil, fmt.Errorf("vpn: key must be %d bytes, got %d", keySize, len(key))
 	}
 	block, err := aes.NewCipher(key)
 	if err != nil {
@@ -62,7 +62,7 @@ func (c *Codec) Seal(plain []byte) []byte {
 
 // Open decrypts a VPN frame, rejecting tampered and replayed packets.
 func (c *Codec) Open(frame []byte) ([]byte, error) {
-	if len(frame) < Overhead {
+	if len(frame) < overhead {
 		return nil, fmt.Errorf("vpn: frame too short")
 	}
 	ctr := binary.BigEndian.Uint64(frame[:8])

@@ -8,7 +8,7 @@ import (
 
 func pair(t *testing.T) (*Codec, *Codec) {
 	t.Helper()
-	key := bytes.Repeat([]byte{7}, KeySize)
+	key := bytes.Repeat([]byte{7}, keySize)
 	a, err := NewCodec(key)
 	if err != nil {
 		t.Fatal(err)
@@ -24,8 +24,8 @@ func TestSealOpenRoundTrip(t *testing.T) {
 	a, b := pair(t)
 	msg := []byte("inner ip datagram")
 	frame := a.Seal(msg)
-	if len(frame) != len(msg)+Overhead {
-		t.Fatalf("frame len = %d, want %d", len(frame), len(msg)+Overhead)
+	if len(frame) != len(msg)+overhead {
+		t.Fatalf("frame len = %d, want %d", len(frame), len(msg)+overhead)
 	}
 	got, err := b.Open(frame)
 	if err != nil {
@@ -98,7 +98,7 @@ func TestAncientFrameRejected(t *testing.T) {
 
 func TestWrongKeyFails(t *testing.T) {
 	a, _ := pair(t)
-	other, _ := NewCodec(bytes.Repeat([]byte{9}, KeySize))
+	other, _ := NewCodec(bytes.Repeat([]byte{9}, keySize))
 	if _, err := other.Open(a.Seal([]byte("x"))); err == nil {
 		t.Fatal("cross-key frame accepted")
 	}

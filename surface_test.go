@@ -353,9 +353,10 @@ func (r *reach) close() {
 						continue
 					}
 					for i := 0; i < iface.NumMethods(); i++ {
-						m, _, _ := types.LookupFieldOrMethod(ptr, true, pkg, iface.Method(i).Name())
-						if m != nil {
-							r.object(m)
+						// An unexported method shows its signature to nobody outside.
+						if m := iface.Method(i); m.Exported() {
+							impl, _, _ := types.LookupFieldOrMethod(ptr, true, pkg, m.Name())
+							r.object(impl)
 						}
 					}
 				}
@@ -367,11 +368,37 @@ func (r *reach) close() {
 	}
 }
 
+// implicitInterfaces are the ones the standard library asks for without
+// naming them in a signature this tree calls: error, fmt.Stringer and
+// the Unwrap of errors.Is and errors.As.
+var implicitInterfaces = func() []types.Type {
+	const src = `package p
+type (
+	E interface{ Error() string }
+	S interface{ String() string }
+	U interface{ Unwrap() error }
+)`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "implicit.go", src, 0)
+	if err != nil {
+		panic(err)
+	}
+	pkg, err := new(types.Config).Check("p", fset, []*ast.File{f}, nil)
+	if err != nil {
+		panic(err)
+	}
+	var out []types.Type
+	for _, name := range pkg.Scope().Names() {
+		out = append(out, pkg.Scope().Lookup(name).Type())
+	}
+	return out
+}()
+
 // interfacesInUse lists the interface types a value of this tree can be
 // asked to satisfy: every interface written in non-test source (literals,
 // unexported ones, exported ones once reached), every interface in the
-// signature of something used from outside the module, error and
-// fmt.Stringer.
+// signature of something used from outside the module, and the implicit
+// ones.
 func (r *reach) interfacesInUse() []*types.Interface {
 	var out []*types.Interface
 	add := func(t types.Type) {
@@ -384,10 +411,9 @@ func (r *reach) interfacesInUse() []*types.Interface {
 		}
 		out = append(out, iface)
 	}
-	add(types.Universe.Lookup("error").Type())
-	str := types.NewFunc(token.NoPos, nil, "String", types.NewSignatureType(nil, nil, nil, nil,
-		types.NewTuple(types.NewVar(token.NoPos, nil, "", types.Typ[types.String])), false))
-	add(types.NewInterfaceType([]*types.Func{str}, nil).Complete())
+	for _, iface := range implicitInterfaces {
+		add(iface)
+	}
 	for _, tv := range r.l.info.Types {
 		if tv.IsType() {
 			add(tv.Type)
