@@ -80,8 +80,8 @@ func run(stderr io.Writer) int {
 		fmt.Fprintf(stderr, "vinibench: unknown experiment %q; valid: %s\n", *expFlag, expNames())
 		return 2
 	}
-	if *topoFlag != "" && *demandsFlag == "" {
-		fmt.Fprintln(stderr, "vinibench: -topo requires -demands")
+	if (*topoFlag == "") != (*demandsFlag == "") {
+		fmt.Fprintln(stderr, "vinibench: -topo and -demands name one external topology: give both or neither")
 		return 2
 	}
 	for _, e := range selected {

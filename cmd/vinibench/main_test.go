@@ -49,9 +49,11 @@ func TestUnknownExperimentIsUsageError(t *testing.T) {
 }
 
 func TestTopoWithoutDemandsIsUsageError(t *testing.T) {
-	code, stderr, _ := vinibench(t, "-exp", "scale", "-topo", "x.graph")
-	if code != 2 || !strings.Contains(stderr, "-demands") {
-		t.Fatalf("exit code %d, stderr %q; want 2 and a -demands hint", code, stderr)
+	for _, args := range [][]string{{"-topo", "x.graph"}, {"-demands", "x.demands"}} {
+		code, stderr, _ := vinibench(t, append([]string{"-exp", "scale"}, args...)...)
+		if code != 2 || !strings.Contains(stderr, "-topo and -demands") {
+			t.Errorf("%v alone: exit code %d, stderr %q; want 2 and a hint naming both flags", args, code, stderr)
+		}
 	}
 }
 
