@@ -8,7 +8,7 @@ import (
 
 // Stats accumulates scalar samples and reports the summary statistics the
 // paper's tables use (mean, standard deviation, min/max, mdev as reported
-// by ping, percentiles).
+// by ping).
 type Stats struct {
 	samples []float64
 	sum     float64

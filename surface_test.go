@@ -155,7 +155,6 @@ func load(src sourceTree) (*loader, error) {
 	l := &loader{
 		fset: token.NewFileSet(), dirs: map[string][]*ast.File{}, pkgs: map[string]*types.Package{},
 		info: &types.Info{
-			Defs:  map[*ast.Ident]types.Object{},
 			Uses:  map[*ast.Ident]types.Object{},
 			Types: map[ast.Expr]types.TypeAndValue{},
 		},
