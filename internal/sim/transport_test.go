@@ -475,13 +475,7 @@ func TestOwnerShard(t *testing.T) {
 // connections (in-process pipes here): conns[i] must be the connection to
 // shard i+1.
 func attachCoordinator(conns []net.Conn, payload []byte, timeout time.Duration) (*SockCoordinator, error) {
-	if timeout <= 0 {
-		timeout = defaultWireTimeout
-	}
 	shards := len(conns) + 1
-	if shards < 2 {
-		return nil, errors.New("sim: attachCoordinator needs at least 1 worker")
-	}
 	t := &SockCoordinator{shards: shards, timeout: timeout,
 		peers:  make([]*shardConn, shards),
 		outbox: make([][]wireMsg, shards)}

@@ -85,7 +85,7 @@ func (tr *Traceroute) Close() {
 
 func (tr *Traceroute) probe(ttl int) {
 	if ttl > tr.cfg.MaxTTL {
-		tr.finish()
+		tr.Done = true
 		return
 	}
 	tr.current = ttl
@@ -128,13 +128,9 @@ func (tr *Traceroute) handleError(from netip.Addr, icmpType uint8, quote []byte)
 	}
 	tr.Hops = append(tr.Hops, Hop{TTL: tr.current, Addr: from, RTT: tr.clock.Now() - tr.sentAt})
 	if icmpType == packet.ICMPUnreachable || from == tr.cfg.Dst {
-		tr.finish()
+		tr.Done = true
 		return true
 	}
 	tr.probe(tr.current + 1)
 	return true
-}
-
-func (tr *Traceroute) finish() {
-	tr.Done = true
 }

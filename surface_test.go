@@ -226,18 +226,6 @@ func (l *loader) Import(ipath string) (*types.Package, error) {
 	return pkg, nil
 }
 
-// origin undoes generic instantiation, so a use of List[int].Push counts
-// for the declared List[T].Push.
-func origin(obj types.Object) types.Object {
-	switch o := obj.(type) {
-	case *types.Func:
-		return o.Origin()
-	case *types.Var:
-		return o.Origin()
-	}
-	return obj
-}
-
 // objectName is how failures and the allowlist spell an object:
 // pkg.Ident, or pkg.Type.Method.
 func objectName(obj types.Object) string {
@@ -252,10 +240,10 @@ func objectName(obj types.Object) string {
 }
 
 func namedOf(t types.Type) *types.Named {
-	if p, ok := types.Unalias(t).(*types.Pointer); ok {
+	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
-	n, _ := types.Unalias(t).(*types.Named)
+	n, _ := t.(*types.Named)
 	return n
 }
 
@@ -269,7 +257,7 @@ type reach struct {
 }
 
 func (r *reach) object(obj types.Object) {
-	if obj = origin(obj); isInternal(obj.Pkg()) && !r.seen[obj] {
+	if isInternal(obj.Pkg()) && !r.seen[obj] {
 		r.seen[obj] = true
 		r.work = append(r.work, obj)
 	}
@@ -280,14 +268,8 @@ func (r *reach) object(obj types.Object) {
 // work list.
 func (r *reach) mentions(t types.Type) {
 	switch t := t.(type) {
-	case *types.Alias:
-		r.object(t.Obj())
-		r.mentions(types.Unalias(t))
 	case *types.Named:
 		r.object(t.Obj())
-		for i := 0; i < t.TypeArgs().Len(); i++ {
-			r.mentions(t.TypeArgs().At(i))
-		}
 	case *types.Pointer:
 		r.mentions(t.Elem())
 	case *types.Slice:
@@ -326,15 +308,10 @@ func (r *reach) close() {
 		for len(r.work) > 0 {
 			obj := r.work[len(r.work)-1]
 			r.work = r.work[:len(r.work)-1]
-			switch o := obj.(type) {
-			case *types.TypeName:
-				if o.IsAlias() {
-					r.mentions(types.Unalias(o.Type()))
-				} else {
-					r.mentions(o.Type().Underlying())
-				}
-			default:
-				r.mentions(o.Type())
+			if _, ok := obj.(*types.TypeName); ok {
+				r.mentions(obj.Type().Underlying())
+			} else {
+				r.mentions(obj.Type())
 			}
 		}
 		for _, iface := range r.interfacesInUse() {
@@ -344,7 +321,7 @@ func (r *reach) close() {
 				}
 				for _, name := range pkg.Scope().Names() {
 					tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
-					if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
+					if !ok || types.IsInterface(tn.Type()) {
 						continue
 					}
 					ptr := types.NewPointer(tn.Type())
@@ -405,7 +382,7 @@ func (r *reach) interfacesInUse() []*types.Interface {
 		if !ok || iface.NumMethods() == 0 {
 			return
 		}
-		if n, ok := types.Unalias(t).(*types.Named); ok && isInternal(n.Obj().Pkg()) && n.Obj().Exported() && !r.seen[n.Obj()] {
+		if n, ok := t.(*types.Named); ok && isInternal(n.Obj().Pkg()) && n.Obj().Exported() && !r.seen[n.Obj()] {
 			return
 		}
 		out = append(out, iface)
@@ -455,12 +432,10 @@ func auditSurface(src sourceTree, allowlist string) (*surface, error) {
 			if obj.Exported() {
 				declared[objectName(obj)] = obj
 			}
-			if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
-				if n, ok := tn.Type().(*types.Named); ok {
-					for i := 0; i < n.NumMethods(); i++ {
-						if m := n.Method(i); m.Exported() {
-							declared[objectName(m)] = m
-						}
+			if n, ok := obj.Type().(*types.Named); ok && obj == n.Obj() {
+				for i := 0; i < n.NumMethods(); i++ {
+					if m := n.Method(i); m.Exported() {
+						declared[objectName(m)] = m
 					}
 				}
 			}
@@ -478,7 +453,7 @@ func auditSurface(src sourceTree, allowlist string) (*surface, error) {
 		}
 		switch dir := path.Dir(l.fset.File(id.Pos()).Name()); {
 		case importPath(dir) == obj.Pkg().Path():
-			own[origin(obj)] = true
+			own[obj] = true
 		case dir == "benchmark":
 			bench = append(bench, obj)
 		default:
