@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -56,25 +57,52 @@ func workload(t *testing.T, workers int) (uint64, [][]string) {
 }
 
 // TestExecutorWorkerParity: the same workload must produce byte-identical
-// schedule digests and per-domain traces for 1 and 4 workers.
+// schedule digests and per-domain traces for 1, 4 and 16 workers — the
+// last more workers than the workload has domains.
 func TestExecutorWorkerParity(t *testing.T) {
 	d1, t1 := workload(t, 1)
-	d4, t4 := workload(t, 4)
-	if d1 != d4 {
-		t.Fatalf("schedule digest diverged: 1 worker %016x, 4 workers %016x", d1, d4)
+	if d1 == fnvOffset {
+		t.Fatal("digest never folded any events")
 	}
-	for i := range t1 {
-		if len(t1[i]) != len(t4[i]) {
-			t.Fatalf("domain %d trace length: %d vs %d", i, len(t1[i]), len(t4[i]))
+	for _, workers := range []int{4, 16} {
+		dn, tn := workload(t, workers)
+		if d1 != dn {
+			t.Fatalf("schedule digest diverged: 1 worker %016x, %d workers %016x", d1, workers, dn)
 		}
-		for j := range t1[i] {
-			if t1[i][j] != t4[i][j] {
-				t.Fatalf("domain %d trace[%d]: %q vs %q", i, j, t1[i][j], t4[i][j])
+		for i := range t1 {
+			if len(t1[i]) != len(tn[i]) {
+				t.Fatalf("%d workers: domain %d trace length: %d vs %d", workers, i, len(t1[i]), len(tn[i]))
+			}
+			for j := range t1[i] {
+				if t1[i][j] != tn[i][j] {
+					t.Fatalf("%d workers: domain %d trace[%d]: %q vs %q", workers, i, j, t1[i][j], tn[i][j])
+				}
 			}
 		}
 	}
-	if d1 == fnvOffset {
-		t.Fatal("digest never folded any events")
+}
+
+// TestOneWorkerStartsNoGoroutine: with one worker the goroutine that
+// calls Run executes every node window itself. The count is read from
+// inside a node event; goroutines earlier tests left behind may exit in
+// the meantime, so only a rise is a failure.
+func TestOneWorkerStartsNoGoroutine(t *testing.T) {
+	x := NewExecutor(1, 1)
+	a := x.NewDomain("a")
+	b := x.NewDomain("b")
+	a.ObserveInboundLink(b, time.Millisecond)
+	b.ObserveInboundLink(a, time.Millisecond)
+	during := -1
+	a.Schedule(time.Millisecond, func() { during = runtime.NumGoroutine() })
+	before := runtime.NumGoroutine()
+	if err := x.Run(10 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if during < 0 {
+		t.Fatal("the node event never ran")
+	}
+	if during > before {
+		t.Fatalf("%d goroutines inside a one-worker Run, %d before it", during, before)
 	}
 }
 

@@ -92,11 +92,12 @@ func TestTrainOrderAcrossHorizon(t *testing.T) {
 	}
 }
 
-// TestWorkStealDeterminism: many domains with deliberately unbalanced
-// load on few workers force the work-stealing scheduler through
-// owner-pop, steal, and park paths — and the schedule must still replay
-// byte-identically against the sequential run, twice.
-func TestWorkStealDeterminism(t *testing.T) {
+// TestUnbalancedParkDeterminism: sixteen domains with deliberately
+// unbalanced load on four workers leave the run queue empty while some
+// domains are still running, so workers spin and park and are woken by
+// the next enqueue — and the schedule must still replay byte-identically
+// against the sequential run, twice.
+func TestUnbalancedParkDeterminism(t *testing.T) {
 	run := func(workers int) uint64 {
 		const n = 16
 		x := NewExecutor(5, workers)

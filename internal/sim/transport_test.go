@@ -454,6 +454,37 @@ func TestReplicaSendReleasesPooledPayload(t *testing.T) {
 	}
 }
 
+// peerOwnsAll stands in for the peer shard that owns every node domain:
+// it agrees on node work due within the window for busy supersteps,
+// then on none.
+type peerOwnsAll struct{ busy int }
+
+func (p *peerOwnsAll) Exchange(*Executor) error { return nil }
+
+func (p *peerOwnsAll) Agree(*Executor, Vote) (Decision, error) {
+	if p.busy == 0 {
+		return Decision{NodeNext: maxTime}, nil
+	}
+	p.busy--
+	return Decision{NodeNext: time.Millisecond}, nil
+}
+
+// TestShardOwningNoDomainFinishesEpochs: a shard whose node domains are
+// all replicas, with workers to spare, still takes part in every epoch
+// its peers agree on — with nothing to run — and returns at the end of
+// the window.
+func TestShardOwningNoDomainFinishesEpochs(t *testing.T) {
+	x := NewExecutor(1, 4)
+	x.NewDomain("a") // owned by shard 0
+	x.Distribute(&peerOwnsAll{busy: 3}, 1, 2)
+	if err := x.Run(10 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if x.Rounds() != 3 {
+		t.Fatalf("%d epochs, want the 3 the peer agreed on", x.Rounds())
+	}
+}
+
 // TestOwnerShard pins the domain->shard dealing.
 func TestOwnerShard(t *testing.T) {
 	if OwnerShard(0, 4) != 0 {
