@@ -142,8 +142,8 @@ func telemetryExp() error {
 	prof := e.V.ExecutorProfile()
 	fmt.Printf("executor: %d workers, %d rounds, %d windows, %d fallbacks\n",
 		prof.Workers, prof.Rounds, prof.Windows, prof.Fallbacks)
-	fmt.Printf("executor: %d trains carrying %d messages, %d deliveries, %d steals, %d parks\n",
-		prof.Trains, prof.TrainMsgs, prof.Deliveries, prof.Steals, prof.Parks)
+	fmt.Printf("executor: %d trains carrying %d messages, %d deliveries, %d parks\n",
+		prof.Trains, prof.TrainMsgs, prof.Deliveries, prof.Parks)
 	if *verbose {
 		for _, d := range prof.Domains {
 			fmt.Printf("  dom %2d %-14s now=%-10v lookahead=%-8v fired=%-7d scheduled=%-7d sent=%-6d delivered=%-6d stalls=%d\n",

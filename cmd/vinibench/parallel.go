@@ -14,7 +14,7 @@ import (
 
 // parallelRow is the executor's account of the run in the
 // BENCH_parallel.json report: the counters every worker count must
-// reproduce. Windows, trains and steals depend on how the host
+// reproduce. Windows, trains and parks depend on how the host
 // interleaves workers, so they are not behaviour and are not reported.
 type parallelRow struct {
 	engineRow

@@ -6,16 +6,6 @@ import (
 	"time"
 )
 
-// Tick-wheel timer states (wheelEntry.cancel). A wheel entry shares its
-// slot's heap event with its neighbours, so it cannot be removed on
-// Stop: cancellation is lazy — Stop flips the flag and the slot skips
-// the entry when it fires. Exactly one side wins the CAS.
-const (
-	timerPending = iota
-	timerStopped
-	timerFired
-)
-
 // maxTime is the "no event / no constraint" sentinel for horizon math.
 const maxTime = time.Duration(1<<63 - 1)
 
@@ -97,7 +87,7 @@ type Domain struct {
 	pub atomic.Int64
 
 	// state is the scheduler state machine (stateIdle/Queued/Running/
-	// RunningDirty) that keeps a domain on at most one work queue.
+	// Dirty) that keeps a domain in the run queue at most once.
 	state atomic.Int32
 
 	// trains accumulate outbound typed messages per destination domain;

@@ -7,7 +7,7 @@ import (
 )
 
 // Domain scheduler states (Domain.state). The state machine keeps each
-// domain on at most one work queue and lets message arrivals mark a
+// domain in the run queue at most once and lets message arrivals mark a
 // running domain dirty instead of double-queueing it:
 //
 //	idle -> queued        (enqueue: domain has potential work)
@@ -21,51 +21,6 @@ const (
 	stateRunning
 	stateDirty
 )
-
-// deque is one worker's run queue. The owner pushes and pops at the
-// bottom (LIFO, cache-warm); idle workers steal from the top (FIFO, the
-// oldest — least cache-relevant — entry). Queues hold at most one entry
-// per domain, so a plain mutex is cheaper than a lock-free deque at
-// these lengths.
-type deque struct {
-	mu    sync.Mutex
-	items []*Domain
-}
-
-func (q *deque) push(d *Domain) {
-	q.mu.Lock()
-	q.items = append(q.items, d)
-	q.mu.Unlock()
-}
-
-func (q *deque) popBottom() *Domain {
-	q.mu.Lock()
-	n := len(q.items)
-	if n == 0 {
-		q.mu.Unlock()
-		return nil
-	}
-	d := q.items[n-1]
-	q.items[n-1] = nil
-	q.items = q.items[:n-1]
-	q.mu.Unlock()
-	return d
-}
-
-func (q *deque) stealTop() *Domain {
-	q.mu.Lock()
-	n := len(q.items)
-	if n == 0 {
-		q.mu.Unlock()
-		return nil
-	}
-	d := q.items[0]
-	copy(q.items, q.items[1:])
-	q.items[n-1] = nil
-	q.items = q.items[:n-1]
-	q.mu.Unlock()
-	return d
-}
 
 // Executor coordinates a set of Domains under conservative
 // (lookahead-based) parallel discrete-event synchronization. Unlike the
@@ -89,16 +44,20 @@ func (q *deque) stealTop() *Domain {
 //   - Workers drain a domain's inbox, run it to its horizon, flush its
 //     outbound message trains, publish its new bound, and wake the
 //     domains that received messages or whose horizon the new bound
-//     widens. Wakes cascade through per-worker work-stealing queues
-//     until the promises reach their fixpoint and the system goes
-//     quiescent — the counting "epoch barrier": an atomic counter of
-//     live domains whose zero-crossing wakes the coordinator.
+//     widens. Wakes cascade through one shared LIFO run queue until the
+//     promises reach their fixpoint and the system goes quiescent — the
+//     counting "epoch barrier": the queue is empty and an atomic counter
+//     of live domains is zero.
 //
-//   - At quiescence the coordinator (the only context that touches the
-//     control domain) runs due control events at a true barrier,
-//     re-seeds the domains, and begins the next epoch. Rounds() counts
-//     these epochs: control barriers plus fallback steps, not
-//     per-lookahead round trips.
+//   - The coordinator — the goroutine that called Run, and the only
+//     context that touches the control domain — seeds each epoch and
+//     then drains the run queue as a worker itself, beside
+//     min(workers, owned domains)-1 helper goroutines that live for the
+//     Run. With one worker there is no helper: no goroutine, no park, no
+//     handoff. At quiescence the coordinator runs due control events at
+//     a true barrier, re-seeds the domains, and begins the next epoch.
+//     Rounds() counts these epochs: control barriers plus fallback
+//     steps, not per-lookahead round trips.
 //
 // Determinism does not depend on thread scheduling: per-domain event
 // order is fixed by the merge key (timestamp, origin domain id, origin
@@ -119,23 +78,25 @@ type Executor struct {
 	workers int
 	stopped atomic.Bool
 
-	// Worker goroutines live only inside run: startWorkers launches
-	// one per deque through its pre-bound entry in workerFns (a bare
-	// `go fn()` allocates nothing), stopWorkers raises quit and joins
-	// them on wg.
-	deques    []*deque
-	workerFns []func()
-	wg        sync.WaitGroup
-	quit      atomic.Bool
+	// mu guards the run queue (LIFO: the last domain woken is the most
+	// cache-warm), the count of parked workers and quit; cond, on mu,
+	// does all waiting. Helper goroutines live only inside run:
+	// startWorkers launches each through its pre-bound entry in helpers
+	// (a bare `go fn()` allocates nothing), stopWorkers raises quit and
+	// joins them on wg. started marks the first run, which fixes the
+	// helper count.
+	mu      sync.Mutex
+	cond    sync.Cond
+	queue   []*Domain
+	idle    int
+	quit    bool
+	started bool
+	helpers []func()
+	wg      sync.WaitGroup
 
-	parkMu   sync.Mutex
-	parkCond *sync.Cond
-	idle     int
-
-	// live counts domains in queued/running/dirty states plus the
-	// coordinator's seeding hold; its zero-crossing signals quiescence.
-	live    atomic.Int64
-	quietCh chan struct{}
+	// live counts domains in queued/running/dirty states; the epoch is
+	// quiescent when it is zero and the queue is empty.
+	live atomic.Int64
 
 	// untilA/ctrlGate publish the current run window and the next
 	// control-event time to the workers (read in horizon math).
@@ -162,11 +123,8 @@ type Executor struct {
 	// Diagnostic counters (scheduler-dependent, outside the parity
 	// contract).
 	windows atomic.Uint64
-	steals  atomic.Uint64
 	parks   atomic.Uint64
 	parkNS  atomic.Uint64
-
-	rr int // round-robin cursor for coordinator seeding
 }
 
 // NewExecutor returns an executor with the given worker budget (at
@@ -177,6 +135,7 @@ func NewExecutor(seed int64, workers int) *Executor {
 		workers = 1
 	}
 	x := &Executor{workers: workers, transport: inprocTransport{}, shards: 1}
+	x.cond.L = &x.mu
 	ctrl := &Domain{id: 0, label: "control", exec: x, rng: NewRNG(seed)}
 	ctrl.inboxMin.Store(int64(maxTime))
 	x.domains = []*Domain{ctrl}
@@ -184,7 +143,7 @@ func NewExecutor(seed int64, workers int) *Executor {
 	return x
 }
 
-// Loop returns the control-domain façade (Run, runAll, Schedule on the
+// Loop returns the control-domain façade (Run, RunAll, Schedule on the
 // control timeline).
 func (x *Executor) Loop() *Loop { return x.loop }
 
@@ -221,8 +180,7 @@ func (x *Executor) Stats() []DomainStats {
 
 // Rounds returns how many coordinator epochs have run: control barriers
 // and fallback steps, each separated by a full parallel quiescence
-// phase. (Under the pre-train engine this counted per-lookahead barrier
-// rounds; epochs are the comparable unit now.)
+// phase.
 func (x *Executor) Rounds() uint64 { return x.rounds }
 
 // Fallbacks returns how many events ran through the sequential
@@ -232,10 +190,6 @@ func (x *Executor) Fallbacks() uint64 { return x.fallbacks }
 // Windows returns how many per-domain execution windows workers ran
 // (drain/run/flush/publish cycles). Scheduler-dependent; diagnostic.
 func (x *Executor) Windows() uint64 { return x.windows.Load() }
-
-// Steals returns how many domains idle workers stole from another
-// worker's queue. Scheduler-dependent; diagnostic.
-func (x *Executor) Steals() uint64 { return x.steals.Load() }
 
 // Parks returns how many times workers parked for lack of work, and
 // ParkTime the wall-clock total spent parked. Scheduler-dependent.
@@ -349,45 +303,42 @@ func (x *Executor) runAll() {
 	x.run(maxTime, false)
 }
 
-// startWorkers launches the worker goroutines for one run, sizing the
-// work queues on first use (domains are fixed before the first Run).
+// startWorkers launches the helper goroutines for one run: one fewer
+// than the workers the owned domains can use, since the coordinator is
+// the other. The count is fixed on first use (domains are fixed before
+// the first Run).
 func (x *Executor) startWorkers() {
-	if x.deques == nil {
+	if !x.started {
+		x.started = true
 		owned := 0
 		for _, d := range x.domains[1:] {
 			if !d.remote {
 				owned++
 			}
 		}
-		n := max(1, min(x.workers, owned))
-		x.deques = make([]*deque, n)
-		x.workerFns = make([]func(), n)
-		for i := range x.deques {
-			x.deques[i] = &deque{}
-			x.workerFns[i] = func() {
-				x.worker(i)
+		for range min(x.workers, owned) - 1 {
+			x.helpers = append(x.helpers, func() {
+				x.work(false)
 				x.wg.Done()
-			}
+			})
 		}
-		x.parkCond = sync.NewCond(&x.parkMu)
-		x.quietCh = make(chan struct{}, 1)
 	}
-	x.wg.Add(len(x.workerFns))
-	for _, fn := range x.workerFns {
+	x.wg.Add(len(x.helpers))
+	for _, fn := range x.helpers {
 		go fn()
 	}
 }
 
-// stopWorkers makes every worker exit and waits for it, so no goroutine
-// outlives the run that started it. Workers are idle here: run only
+// stopWorkers makes every helper exit and waits for it, so no goroutine
+// outlives the run that started it. Helpers are idle here: run only
 // returns from a barrier.
 func (x *Executor) stopWorkers() {
-	x.quit.Store(true)
-	x.parkMu.Lock()
-	x.parkCond.Broadcast()
-	x.parkMu.Unlock()
+	x.mu.Lock()
+	x.quit = true
+	x.cond.Broadcast()
+	x.mu.Unlock()
 	x.wg.Wait()
-	x.quit.Store(false)
+	x.quit = false
 }
 
 // flushAllTrains flushes every domain's outbound trains into the
@@ -442,11 +393,9 @@ func (x *Executor) progress() uint64 {
 	return n
 }
 
-// enqueue marks d runnable and queues it if it was idle. wid is the
-// calling worker's queue (its own deque, keeping wake chains
-// cache-local), or -1 for coordinator round-robin seeding. The control
+// enqueue marks d runnable and queues it if it was idle. The control
 // domain is never enqueued: only the coordinator runs it, at barriers.
-func (x *Executor) enqueue(d *Domain, wid int) {
+func (x *Executor) enqueue(d *Domain) {
 	if d.id == 0 || d.remote {
 		return
 	}
@@ -455,7 +404,12 @@ func (x *Executor) enqueue(d *Domain, wid int) {
 		case stateIdle:
 			if d.state.CompareAndSwap(stateIdle, stateQueued) {
 				x.live.Add(1)
-				x.pushWork(d, wid)
+				x.mu.Lock()
+				x.queue = append(x.queue, d)
+				if x.idle > 0 {
+					x.cond.Signal()
+				}
+				x.mu.Unlock()
 				return
 			}
 		case stateQueued, stateDirty:
@@ -468,89 +422,40 @@ func (x *Executor) enqueue(d *Domain, wid int) {
 	}
 }
 
-func (x *Executor) pushWork(d *Domain, wid int) {
-	if wid < 0 {
-		wid = x.rr
-		x.rr++
-		if x.rr >= len(x.deques) {
-			x.rr = 0
-		}
-	}
-	x.deques[wid].push(d)
-	x.parkMu.Lock()
-	if x.idle > 0 {
-		x.parkCond.Signal()
-	}
-	x.parkMu.Unlock()
-}
-
-// released drops one unit of the live count; the zero-crossing signals
-// the coordinator that the epoch went quiescent.
-func (x *Executor) released() {
-	if x.live.Add(-1) == 0 {
-		select {
-		case x.quietCh <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// anyQueued reports whether any deque holds work (park double-check).
-func (x *Executor) anyQueued() bool {
-	for _, q := range x.deques {
-		q.mu.Lock()
-		n := len(q.items)
-		q.mu.Unlock()
-		if n > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-func (x *Executor) worker(id int) {
-	my := x.deques[id]
+// work runs queued domains until there are none left to run. A helper
+// (coord false) returns once stopWorkers raises quit; the coordinator
+// returns once the queue is empty and no domain is live, which is the
+// epoch's quiescence. A worker that finds the queue empty spins a few
+// times, then parks on cond: an enqueue wakes one parked worker, the
+// last domain to go idle wakes them all.
+func (x *Executor) work(coord bool) {
 	spins := 0
 	for {
-		if d := my.popBottom(); d != nil {
+		x.mu.Lock()
+		if n := len(x.queue); n > 0 {
+			d := x.queue[n-1]
+			x.queue[n-1] = nil
+			x.queue = x.queue[:n-1]
+			x.mu.Unlock()
 			spins = 0
-			x.runDomain(id, d)
+			x.runDomain(d)
 			continue
 		}
-		stolen := false
-		for i := 1; i < len(x.deques); i++ {
-			if d := x.deques[(id+i)%len(x.deques)].stealTop(); d != nil {
-				x.steals.Add(1)
-				stolen = true
-				spins = 0
-				x.runDomain(id, d)
-				break
-			}
-		}
-		if stolen {
-			continue
-		}
-		if x.quit.Load() {
+		if coord && x.live.Load() == 0 || !coord && x.quit {
+			x.mu.Unlock()
 			return
 		}
 		if spins++; spins < 8 {
-			continue
-		}
-		// Park: recheck under the lock so a push+signal racing this
-		// decision cannot be lost, then wait.
-		x.parkMu.Lock()
-		if x.anyQueued() || x.quit.Load() {
-			x.parkMu.Unlock()
-			spins = 0
+			x.mu.Unlock()
 			continue
 		}
 		x.idle++
 		x.parks.Add(1)
 		t0 := time.Now()
-		x.parkCond.Wait()
+		x.cond.Wait()
 		x.idle--
 		x.parkNS.Add(uint64(time.Since(t0)))
-		x.parkMu.Unlock()
+		x.mu.Unlock()
 		spins = 0
 	}
 }
@@ -573,11 +478,11 @@ func (x *Executor) horizonOf(d *Domain, until time.Duration) time.Duration {
 
 // runDomain is the worker-side execution window loop for one claimed
 // domain: snapshot the safe horizon, drain the inbox, run the window,
-// flush trains,
-// publish the new bound, wake dependents, and loop while new input
-// keeps arriving (dirty state). Exits through running->idle, releasing
-// the domain's live count.
-func (x *Executor) runDomain(wid int, d *Domain) {
+// flush trains, publish the new bound, wake dependents, and loop while
+// new input keeps arriving (dirty state). Exits through running->idle,
+// releasing the domain's live count; the release that brings it to zero
+// wakes every parked worker, the coordinator among them.
+func (x *Executor) runDomain(d *Domain) {
 	if !d.state.CompareAndSwap(stateQueued, stateRunning) {
 		d.state.Store(stateRunning)
 	}
@@ -615,16 +520,20 @@ func (x *Executor) runDomain(wid int, d *Domain) {
 		// Wake message receivers first (they have concrete work), then
 		// — if the bound rose — the domains whose horizons it widens.
 		for _, dst := range d.flushed {
-			x.enqueue(dst, wid)
+			x.enqueue(dst)
 		}
 		d.flushed = d.flushed[:0]
 		if raised {
 			for _, o := range d.outs {
-				x.enqueue(o, wid)
+				x.enqueue(o)
 			}
 		}
 		if d.state.CompareAndSwap(stateRunning, stateIdle) {
-			x.released()
+			if x.live.Add(-1) == 0 {
+				x.mu.Lock()
+				x.cond.Broadcast()
+				x.mu.Unlock()
+			}
 			return
 		}
 		// Marked dirty while running: new input arrived; go again.
@@ -729,14 +638,9 @@ func (x *Executor) run(until time.Duration, advance bool) error {
 		}
 
 		// Epoch: seed every owned node domain (idle ones still relay
-		// promise updates), hold the live latch until seeding completes
-		// so a fast cascade cannot signal quiescence mid-seed, then wait
-		// for the zero-crossing.
+		// promise updates), then drain the queue beside the helpers
+		// until the epoch is quiescent.
 		before := x.progress()
-		select {
-		case <-x.quietCh:
-		default:
-		}
 		// Sync promises up from the clocks BEFORE the first enqueue: the
 		// moment one domain is queued, worker cascades are live and
 		// now/pub belong to the workers. Interleaving the sync with the
@@ -758,12 +662,10 @@ func (x *Executor) run(until time.Duration, advance bool) error {
 				d.pub.Store(p)
 			}
 		}
-		x.live.Add(1)
 		for _, d := range x.domains[1:] {
-			x.enqueue(d, -1)
+			x.enqueue(d)
 		}
-		x.released()
-		<-x.quietCh
+		x.work(true)
 		x.rounds++
 		lastDelta = x.progress() - before
 		lastEpochRan = true

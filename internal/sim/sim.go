@@ -91,7 +91,7 @@ func (t Timer) pending() bool {
 		return false
 	}
 	if e := t.wentry; e != nil {
-		return e.gen == t.gen && e.cancel.Load() == timerPending
+		return e.gen == t.gen && !e.stopped
 	}
 	return t.ev != nil && t.ev.gen == t.gen
 }
@@ -133,7 +133,7 @@ func NewLoop(seed int64) *Loop {
 // domains and reading parallel-run statistics).
 func (l *Loop) Executor() *Executor { return l.exec }
 
-// pending reports the number of scheduled events across all domains.
+// Pending reports the number of scheduled events across all domains.
 // Cancelled in-domain events leave the queue immediately, so with a
 // single domain this is exact.
 func (l *Loop) Pending() int { return l.exec.pending() }
@@ -143,7 +143,7 @@ func (l *Loop) Pending() int { return l.exec.pending() }
 // last event run); it advances to until when the queue drains first.
 func (l *Loop) Run(until time.Duration) { l.exec.Run(until) }
 
-// runAll executes events until the queue is empty or Stop is called.
+// RunAll executes events until the queue is empty or Stop is called.
 // Unlike Run, it leaves virtual time at the time of the last event run.
 func (l *Loop) RunAll() { l.exec.runAll() }
 

@@ -157,7 +157,7 @@ func OwnerShard(dom int32, shards int) int {
 // called before the first Run. Domains created afterwards inherit the
 // sharding.
 func (x *Executor) Distribute(t DomainTransport, shard, shards int) {
-	if x.deques != nil {
+	if x.started {
 		panic("sim: Distribute after Run")
 	}
 	if shards < 1 || shard < 0 || shard >= shards {

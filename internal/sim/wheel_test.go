@@ -171,7 +171,7 @@ func livePending(w *TickWheel) int {
 	n := 0
 	for _, s := range w.slots {
 		for _, e := range s.entries {
-			if e.cancel.Load() == timerPending {
+			if !e.stopped {
 				n++
 			}
 		}

@@ -94,14 +94,13 @@ type ExecutorProfile struct {
 	// Windows counts domain execution windows (a domain picked up by a
 	// worker and run to its horizon); Trains/TrainMsgs the flushed
 	// cross-domain message batches; Deliveries the typed messages
-	// delivered. Steals, Parks, and ParkTime describe the work-stealing
-	// scheduler and are wall-clock/interleaving dependent — diagnostic
-	// only, never part of any parity digest.
+	// delivered. Parks and ParkTime describe how often and how long
+	// workers waited on an empty run queue and are wall-clock/interleaving
+	// dependent — diagnostic only, never part of any parity digest.
 	Windows    uint64          `json:"windows"`
 	Trains     uint64          `json:"trains"`
 	TrainMsgs  uint64          `json:"train_msgs"`
 	Deliveries uint64          `json:"deliveries"`
-	Steals     uint64          `json:"steals"`
 	Parks      uint64          `json:"parks"`
 	ParkTime   time.Duration   `json:"park_time"`
 	Domains    []DomainProfile `json:"domains"`
@@ -119,7 +118,6 @@ func ProfileExecutor(x *sim.Executor) ExecutorProfile {
 		Fallbacks:  x.Fallbacks(),
 		Windows:    x.Windows(),
 		Deliveries: x.Deliveries(),
-		Steals:     x.Steals(),
 		Parks:      x.Parks(),
 		ParkTime:   x.ParkTime(),
 	}

@@ -15,7 +15,6 @@ import (
 	"net/netip"
 	"runtime"
 	"runtime/debug"
-	"sync"
 	"testing"
 	"time"
 
@@ -161,7 +160,6 @@ func TestControlPathTwoObjectsPerMessage(t *testing.T) {
 		return n
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	primeRuntimeCaches()
 	var m0, m1 runtime.MemStats
 	sent := msgs()
 	runtime.ReadMemStats(&m0)
@@ -180,26 +178,4 @@ func TestControlPathTwoObjectsPerMessage(t *testing.T) {
 	if d := packet.Stats().Sub(base); d.InFlight() != 0 {
 		t.Errorf("pool ledger unbalanced: %d gets, %d releases", d.Gets, d.Releases)
 	}
-}
-
-// primeRuntimeCaches parks a batch of goroutines and lets them go, which
-// leaves every P's free-sudog and free-g lists stocked. MemStats.Mallocs
-// counts the whole process, the runtime's own objects included: the
-// executor's worker takes a sudog each time it parks on its cond and a g
-// each Run, and when the P it happens to be on has none cached the
-// runtime allocates one — object 81 of 80 in one process in four. Those
-// are not routing-message objects; with the lists stocked the window
-// counts only what the control path allocates, and the bound stays exact.
-func primeRuntimeCaches() {
-	gate := make(chan struct{})
-	var parked, woke sync.WaitGroup
-	for i := 0; i < 64; i++ {
-		parked.Add(1)
-		woke.Add(1)
-		go func() { parked.Done(); <-gate; woke.Done() }()
-	}
-	parked.Wait()
-	time.Sleep(time.Millisecond)
-	close(gate)
-	woke.Wait()
 }
