@@ -116,7 +116,7 @@ func (m *Mux) ExternalRoutes() []Route {
 func (e *muxExperiment) takeToken(now time.Duration) bool {
 	dt := (now - e.last).Seconds()
 	e.last = now
-	e.tokens += dt * e.rate
+	e.tokens += float64(dt * e.rate) // rounded: no fused multiply-add
 	if e.tokens > e.burst {
 		e.tokens = e.burst
 	}

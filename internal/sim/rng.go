@@ -59,7 +59,9 @@ func (r *RNG) Pareto(alpha, min, max float64) float64 {
 	u := r.Float64()
 	la := math.Pow(min, alpha)
 	ha := math.Pow(max, alpha)
-	return math.Pow((ha*la)/(ha-u*(ha-la)), 1/alpha)
+	// The conversion rounds the product, so no architecture fuses it with
+	// the subtraction (see DESIGN.md "Determinism").
+	return math.Pow((ha*la)/(ha-float64(u*(ha-la))), 1/alpha)
 }
 
 // Bool returns true with probability p.

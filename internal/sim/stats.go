@@ -75,7 +75,7 @@ func (s *Stats) Stddev() float64 {
 	var ss float64
 	for _, v := range s.samples {
 		d := v - mean
-		ss += d * d
+		ss += float64(d * d) // rounded: no fused multiply-add
 	}
 	return math.Sqrt(ss / float64(n))
 }

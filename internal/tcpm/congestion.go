@@ -47,7 +47,7 @@ func (c *reno) onDupAckInRecovery() { c.cwnd += c.mss }
 // the bytes in flight and set the inflated recovery window.
 func (c *reno) enterRecovery(inflight float64) {
 	c.ssthresh = max64(inflight/2, 2*c.mss)
-	c.cwnd = c.ssthresh + 3*c.mss
+	c.cwnd = c.ssthresh + float64(3*c.mss) // rounded: no fused multiply-add
 }
 
 // onPartialAck deflates the window by the newly-acked bytes during

@@ -413,8 +413,10 @@ func (a *Adaptive) receiveData(dgram []byte) {
 		// slope, positive while the bottleneck queue builds. Published
 		// as telemetry; the detector itself classifies on windowed
 		// statistics, which are robust to cross-traffic interleaving.
+		// The division compiles to a multiply by 1/8; the conversion
+		// rounds it so no architecture fuses it with the addition.
 		g := float64(owd - a.prevOWD)
-		a.gradNs += (g - a.gradNs) / 8
+		a.gradNs += float64((g - a.gradNs) / 8)
 	}
 	a.havePrev = true
 	a.prevOWD = owd
@@ -516,7 +518,7 @@ func (a *Adaptive) feedbackTick() {
 		// Normal: additive increase, capped against the measured
 		// delivery rate so the estimate cannot detach from reality.
 		a.state = 0
-		a.est = clamp(min2(a.est+a.cfg.IncBps, 1.25*delivered+a.cfg.IncBps),
+		a.est = clamp(min2(a.est+a.cfg.IncBps, float64(1.25*delivered)+a.cfg.IncBps),
 			a.cfg.MinBps, a.cfg.MaxBps)
 	}
 	a.gGradient.Set(int64(wg))

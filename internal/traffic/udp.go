@@ -155,8 +155,9 @@ func (t *UDPCBR) receive(dgram []byte) {
 		if d < 0 {
 			d = -d
 		}
-		// RFC 1889: J += (|D| - J) / 16.
-		t.jitter += (d.Seconds() - t.jitter) / 16
+		// RFC 1889: J += (|D| - J) / 16. The division compiles to a
+		// multiply; the conversion rounds it so it is never fused.
+		t.jitter += float64((d.Seconds() - t.jitter) / 16)
 	}
 	t.haveTrans = true
 	t.lastTrans = transit
@@ -183,4 +184,4 @@ func (t *UDPCBR) Received() uint32 { return t.received }
 func (t *UDPCBR) Sent() uint32 { return t.seq }
 
 // Jitter returns the final smoothed jitter estimate in milliseconds.
-func (t *UDPCBR) Jitter() float64 { return t.jitter * 1000 }
+func (t *UDPCBR) Jitter() float64 { return float64(t.jitter * 1000) } // rounded: callers may add it
