@@ -124,11 +124,11 @@ func TestLocalPrefOverridesPathLength(t *testing.T) {
 	c := NewSpeaker(loop, Config{ASN: 3, RouterID: 3, HoldTime: 30 * time.Second})
 	d := NewSpeaker(loop, Config{ASN: 4, RouterID: 4, HoldTime: 30 * time.Second})
 	// d hears 10.1/16 from a directly (short path, default pref) and via
-	// b->c (long path) with ImportPref boosting the c session.
+	// b->c (long path) with importPref boosting the c session.
 	connect(loop, a, d, "a", "d", PeerConfig{EBGP: true}, PeerConfig{EBGP: true}, time.Millisecond)
 	connect(loop, a, b, "a", "b", PeerConfig{EBGP: true}, PeerConfig{EBGP: true}, time.Millisecond)
 	connect(loop, b, c, "b", "c", PeerConfig{EBGP: true}, PeerConfig{EBGP: true}, time.Millisecond)
-	connect(loop, c, d, "c", "d", PeerConfig{EBGP: true}, PeerConfig{EBGP: true, ImportPref: 200}, time.Millisecond)
+	connect(loop, c, d, "c", "d", PeerConfig{EBGP: true}, PeerConfig{EBGP: true, importPref: 200}, time.Millisecond)
 	a.Originate(pfx("10.1.0.0/16"), PathAttrs{})
 	loop.Run(2 * time.Second)
 	rib := d.LocRIB()
@@ -166,7 +166,7 @@ func TestExportFilter(t *testing.T) {
 	a := NewSpeaker(loop, Config{ASN: 1, RouterID: 1, HoldTime: 30 * time.Second})
 	b := NewSpeaker(loop, Config{ASN: 2, RouterID: 2, HoldTime: 30 * time.Second})
 	noExport := func(p netip.Prefix, _ PathAttrs) bool { return p != pfx("10.99.0.0/16") }
-	connect(loop, a, b, "a", "b", PeerConfig{EBGP: true, ExportFilter: noExport}, PeerConfig{EBGP: true}, time.Millisecond)
+	connect(loop, a, b, "a", "b", PeerConfig{EBGP: true, exportFilter: noExport}, PeerConfig{EBGP: true}, time.Millisecond)
 	a.Originate(pfx("10.1.0.0/16"), PathAttrs{})
 	a.Originate(pfx("10.99.0.0/16"), PathAttrs{})
 	loop.Run(time.Second)

@@ -21,11 +21,12 @@ type PeerConfig struct {
 	Name string
 	// EBGP marks an external session (AS path grows, next hop rewritten).
 	EBGP bool
-	// ExportFilter, when set, decides which locally-best routes are
-	// announced to this peer; nil exports everything.
-	ExportFilter func(p netip.Prefix, attrs PathAttrs) bool
-	// ImportPref overrides LocalPref for routes learned from this peer.
-	ImportPref uint32
+	// exportFilter, when set, decides which locally-best routes are
+	// announced to this peer; nil exports everything. importPref, when
+	// set, overrides LocalPref for routes learned from this peer. Only
+	// this package's tests set them.
+	exportFilter func(p netip.Prefix, attrs PathAttrs) bool
+	importPref   uint32
 }
 
 // peer is session state.
@@ -228,8 +229,8 @@ func (s *Speaker) handleUpdate(p *peer, u updateMsg) {
 		if looped {
 			continue
 		}
-		if p.cfg.ImportPref != 0 {
-			attrs.LocalPref = p.cfg.ImportPref
+		if p.cfg.importPref != 0 {
+			attrs.LocalPref = p.cfg.importPref
 		} else if attrs.LocalPref == 0 {
 			attrs.LocalPref = 100
 		}
@@ -310,7 +311,7 @@ func (s *Speaker) exportable(pr *peer, r Route) bool {
 	if r.From != "" && !s.peers[r.From].cfg.EBGP && !pr.cfg.EBGP {
 		return false // iBGP reflection requires a route reflector
 	}
-	if pr.cfg.ExportFilter != nil && !pr.cfg.ExportFilter(r.Prefix, r.Attrs) {
+	if pr.cfg.exportFilter != nil && !pr.cfg.exportFilter(r.Prefix, r.Attrs) {
 		return false
 	}
 	return true

@@ -233,6 +233,10 @@ func TestMigrateValidation(t *testing.T) {
 	if err := east.EnableEgress(); err != nil {
 		t.Fatal(err)
 	}
+	west, _ := s.VirtualNode("west")
+	if err := west.EnableVPNServer(1194); err != nil {
+		t.Fatal(err)
+	}
 	s.StartOSPF(time.Second, 3*time.Second)
 	v.Run(10 * time.Second)
 	if _, err := s.Migrate("nowhere", "spare", MigrateOptions{}); err == nil {
@@ -246,6 +250,12 @@ func TestMigrateValidation(t *testing.T) {
 	}
 	if _, err := s.Migrate("east", "spare", MigrateOptions{}); err == nil {
 		t.Fatal("migrate of an egress (NAT) node accepted")
+	}
+	if _, err := s.Migrate("west", "spare", MigrateOptions{}); err == nil {
+		t.Fatal("migrate of a VPN ingress node accepted")
+	}
+	if err := s.Audit(); err != nil {
+		t.Fatal(err)
 	}
 	m, err := s.Migrate("mid", "spare", MigrateOptions{Window: 5 * time.Second})
 	if err != nil {

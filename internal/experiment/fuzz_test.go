@@ -46,6 +46,11 @@ seed 7
 	f.Add("at 1s rate a b")
 	f.Add("at 1s rate a b 10Q")
 	f.Add("at 1s rate a b 1M extra")
+	// A key without its value: each used to parse with the default kept.
+	f.Add("ping washington seattle interval")
+	f.Add("iperf-tcp a b window 16384 streams")
+	f.Add("ospf hello 5s dead")
+	f.Add("rip update")
 	f.Fuzz(func(t *testing.T, text string) {
 		sp, err := ParseSpec(text)
 		if err != nil {

@@ -132,7 +132,7 @@ func stub(p string) StubDesc { return StubDesc{Prefix: netip.MustParsePrefix(p),
 
 func fastCfg(stubs ...StubDesc) Config {
 	return Config{Hello: time.Second, Dead: 3 * time.Second,
-		Rxmt: 500 * time.Millisecond, SPFDelay: 50 * time.Millisecond, Stubs: stubs}
+		rxmt: 500 * time.Millisecond, SPFDelay: 50 * time.Millisecond, Stubs: stubs}
 }
 
 func TestWireRoundTrips(t *testing.T) {
@@ -398,8 +398,8 @@ func TestAgingPurgesDeadRouterState(t *testing.T) {
 	loop := sim.NewLoop(1)
 	m := newMesh(loop)
 	cfg := fastCfg(stub("10.0.0.1/32"))
-	cfg.Refresh = 10 * time.Second
-	cfg.MaxAge = 30 * time.Second
+	cfg.refresh = 10 * time.Second
+	cfg.maxAge = 30 * time.Second
 	mk := func(name string, id uint32, st string) *meshNode {
 		c := cfg
 		c.Stubs = []StubDesc{stub(st)}

@@ -42,17 +42,8 @@ type Config struct {
 	RouterID uint32
 	// Hello and Dead are the §5.2 knobs (5 s and 10 s in the paper).
 	Hello, Dead time.Duration
-	// Rxmt is the LSA retransmission interval (default 2s).
-	Rxmt time.Duration
 	// SPFDelay batches LSDB changes before recomputing (default 100 ms).
 	SPFDelay time.Duration
-	// Refresh re-originates our LSA periodically so neighbors' aging
-	// never expires live state (default 30 minutes, as OSPF's
-	// LSRefreshTime; tests shorten it).
-	Refresh time.Duration
-	// MaxAge purges LSAs not refreshed within it (default 1 hour,
-	// OSPF's MaxAge).
-	MaxAge time.Duration
 	// Stubs are local prefixes advertised in the router LSA (the tap0
 	// host route, in IIAS).
 	Stubs []StubDesc
@@ -62,6 +53,13 @@ type Config struct {
 	// timers (dead, retransmit, SPF delay) always use the main clock.
 	// Nil means periodic timers use the main clock too.
 	Ticks sim.Clock
+
+	// Timers only this package's tests shorten; zero selects OSPF's.
+	// rxmt is the LSA retransmission interval (2 s). refresh
+	// re-originates our LSA periodically so neighbors' aging never
+	// expires live state (30 minutes, OSPF's LSRefreshTime). maxAge
+	// purges LSAs not refreshed within it (1 hour, OSPF's MaxAge).
+	rxmt, refresh, maxAge time.Duration
 }
 
 func (c *Config) setDefaults() {
@@ -71,17 +69,17 @@ func (c *Config) setDefaults() {
 	if c.Dead <= 0 {
 		c.Dead = 2 * c.Hello
 	}
-	if c.Rxmt <= 0 {
-		c.Rxmt = 2 * time.Second
+	if c.rxmt <= 0 {
+		c.rxmt = 2 * time.Second
 	}
 	if c.SPFDelay <= 0 {
 		c.SPFDelay = 100 * time.Millisecond
 	}
-	if c.Refresh <= 0 {
-		c.Refresh = 30 * time.Minute
+	if c.refresh <= 0 {
+		c.refresh = 30 * time.Minute
 	}
-	if c.MaxAge <= 0 {
-		c.MaxAge = time.Hour
+	if c.maxAge <= 0 {
+		c.maxAge = time.Hour
 	}
 }
 
@@ -256,8 +254,8 @@ func (r *Router) Start() {
 	r.started = true
 	r.originate()
 	r.sendHellos()
-	r.ticks.Schedule(r.cfg.Refresh, r.refreshFn)
-	r.ticks.Schedule(r.cfg.MaxAge/4, r.ageFn)
+	r.ticks.Schedule(r.cfg.refresh, r.refreshFn)
+	r.ticks.Schedule(r.cfg.maxAge/4, r.ageFn)
 }
 
 // refresh periodically re-originates our LSA (LSRefreshTime) so it never
@@ -267,7 +265,7 @@ func (r *Router) refresh() {
 		return
 	}
 	r.originate()
-	r.ticks.Schedule(r.cfg.Refresh, r.refreshFn)
+	r.ticks.Schedule(r.cfg.refresh, r.refreshFn)
 }
 
 // ageSweep purges LSAs that have not been refreshed within MaxAge — the
@@ -282,7 +280,7 @@ func (r *Router) ageSweep() {
 		if origin == r.cfg.RouterID {
 			continue
 		}
-		if now-at > r.cfg.MaxAge {
+		if now-at > r.cfg.maxAge {
 			delete(r.lsdb, origin)
 			delete(r.lsdbAt, origin)
 			changed = true
@@ -291,7 +289,7 @@ func (r *Router) ageSweep() {
 	if changed {
 		r.scheduleSPF()
 	}
-	r.ticks.Schedule(r.cfg.MaxAge/4, r.ageFn)
+	r.ticks.Schedule(r.cfg.maxAge/4, r.ageFn)
 }
 
 // Started reports whether the router is speaking: after Start, until Stop.
@@ -541,7 +539,7 @@ func (r *Router) sendLSU(nb *neighbor, lsas []LSA) {
 	r.enc = appendLSU(r.enc[:0], r.cfg.RouterID, lsas)
 	r.send(nb.ifc.Index)
 	if nb.rxmtTimer.IsZero() {
-		nb.rxmtTimer = r.clock.Schedule(r.cfg.Rxmt, nb.rxmtFn)
+		nb.rxmtTimer = r.clock.Schedule(r.cfg.rxmt, nb.rxmtFn)
 	}
 }
 
@@ -557,7 +555,7 @@ func (r *Router) retransmit(nb *neighbor) {
 	sort.Slice(lsas, func(i, j int) bool { return lsas[i].Origin < lsas[j].Origin })
 	r.enc = appendLSU(r.enc[:0], r.cfg.RouterID, lsas)
 	r.send(nb.ifc.Index)
-	nb.rxmtTimer = r.clock.Schedule(r.cfg.Rxmt, nb.rxmtFn)
+	nb.rxmtTimer = r.clock.Schedule(r.cfg.rxmt, nb.rxmtFn)
 }
 
 func (r *Router) handleLSU(ifIndex int, u LSU) {

@@ -41,27 +41,28 @@ type Interface struct {
 type Config struct {
 	// Update is the periodic advertisement interval (RFC: 30 s).
 	Update time.Duration
-	// Timeout marks a route stale (RFC: 180 s).
-	Timeout time.Duration
-	// GC removes a stale route after advertising its death (RFC: 120 s).
-	GC time.Duration
 	// Stubs are local prefixes advertised at metric 1.
 	Stubs []netip.Prefix
 	// Ticks, when set, carries the periodic update timer — typically a
 	// sim.TickWheel coalescing many routers' ticks into shared slot
 	// events. Nil means the main clock.
 	Ticks sim.Clock
+
+	// timeout marks a route stale (6 updates when zero: RFC 180 s); gc
+	// removes a stale route after advertising its death (4 updates when
+	// zero: RFC 120 s). Only this package's tests set them.
+	timeout, gc time.Duration
 }
 
 func (c *Config) setDefaults() {
 	if c.Update <= 0 {
 		c.Update = 30 * time.Second
 	}
-	if c.Timeout <= 0 {
-		c.Timeout = 6 * c.Update
+	if c.timeout <= 0 {
+		c.timeout = 6 * c.Update
 	}
-	if c.GC <= 0 {
-		c.GC = 4 * c.Update
+	if c.gc <= 0 {
+		c.gc = 4 * c.Update
 	}
 }
 
@@ -168,12 +169,12 @@ func (r *Router) expire() {
 		if e.local {
 			continue
 		}
-		if e.metric < infinity && now-e.learned > r.cfg.Timeout {
+		if e.metric < infinity && now-e.learned > r.cfg.timeout {
 			e.metric = infinity
 			e.deadAt = now
 			expired++
 		}
-		if e.metric >= infinity && e.deadAt != 0 && now-e.deadAt > r.cfg.GC {
+		if e.metric >= infinity && e.deadAt != 0 && now-e.deadAt > r.cfg.gc {
 			delete(r.table, p)
 		}
 	}

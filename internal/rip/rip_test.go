@@ -49,7 +49,7 @@ func (n *hnode) SendRouting(ifIndex int, payload []byte) {
 func newHarness() *harness { return &harness{loop: sim.NewLoop(1)} }
 
 func (h *harness) addRouter(stubs ...string) *hnode {
-	cfg := Config{Update: time.Second, Timeout: 4 * time.Second, GC: 3 * time.Second}
+	cfg := Config{Update: time.Second, timeout: 4 * time.Second, gc: 3 * time.Second}
 	for _, s := range stubs {
 		cfg.Stubs = append(cfg.Stubs, netip.MustParsePrefix(s))
 	}

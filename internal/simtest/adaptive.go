@@ -29,9 +29,9 @@ type AdaptiveOptions struct {
 	Seed int64
 	// Workers is the executor's worker budget, exactly as in Options.
 	Workers int
-	// DisableOveruse sabotages the controller's over-use detector — the
+	// disableOveruse sabotages the controller's over-use detector — the
 	// mutation check: with it set, the convergence invariant must trip.
-	DisableOveruse bool
+	disableOveruse bool
 }
 
 // AdaptivePhase is one quiescent measurement point.
@@ -127,7 +127,7 @@ func RunAdaptive(opts AdaptiveOptions) (*AdaptiveResult, error) {
 
 	flow, err := traffic.StartAdaptive(w.vini.Net, nodeA, nodeD, traffic.AdaptiveConfig{
 		Telemetry:      w.vini.Telemetry(),
-		DisableOveruse: opts.DisableOveruse,
+		DisableOveruse: opts.disableOveruse,
 	})
 	if err != nil {
 		return nil, err

@@ -76,20 +76,20 @@ type scenario struct {
 // comes from a single RNG stream, so construction order is the replay
 // discipline: never reorder these calls without a compatibility note.
 func buildScenario(opts Options) (*scenario, error) {
-	if opts.MinNodes == 0 {
-		opts.MinNodes = 3
+	if opts.minNodes == 0 {
+		opts.minNodes = 3
 	}
-	if opts.MaxNodes == 0 {
-		opts.MaxNodes = 8
+	if opts.maxNodes == 0 {
+		opts.maxNodes = 8
 	}
-	if opts.MaxNodes < opts.MinNodes {
-		return nil, fmt.Errorf("simtest: MaxNodes %d < MinNodes %d", opts.MaxNodes, opts.MinNodes)
+	if opts.maxNodes < opts.minNodes {
+		return nil, fmt.Errorf("simtest: maxNodes %d < minNodes %d", opts.maxNodes, opts.minNodes)
 	}
 	rng := sim.NewRNG(opts.Seed)
-	n := opts.MinNodes + rng.Intn(opts.MaxNodes-opts.MinNodes+1)
+	n := opts.minNodes + rng.Intn(opts.maxNodes-opts.minNodes+1)
 	res := &Result{Nodes: n}
 	sc := &scenario{
-		world:     newWorld("base", &res.Outcome, opts.Seed, opts.Workers),
+		world:     newWorld("base", &res.Outcome, opts.Seed, opts.workers),
 		rng:       rng,
 		crashed:   make([]bool, n),
 		addrOwner: make(map[netip.Addr]int),

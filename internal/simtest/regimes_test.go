@@ -92,7 +92,7 @@ var regimes = []struct {
 	run                   func(seed int64, workers int) (result, error)
 }{
 	{"base", 1, seedCount{25, 25}, seedCount{25, 6}, seedCount{5, 5}, false,
-		func(s int64, w int) (result, error) { return Run(Options{Seed: s, Workers: w}) }},
+		func(s int64, w int) (result, error) { return Run(Options{Seed: s, workers: w}) }},
 	{"churn", 1, seedCount{8, 3}, seedCount{15, 4}, seedCount{3, 3}, false,
 		func(s int64, w int) (result, error) { return runChurn(churnOptions{Seed: s, Workers: w}) }},
 	// One pinned seed: 200 slices — well past the old 126-slice ceiling —
@@ -255,7 +255,7 @@ func TestMigrateMutationSuppressionChecker(t *testing.T) {
 // estimate through the convergence band and trip the no-runaway audit.
 func TestAdaptiveMutationOveruseDetector(t *testing.T) {
 	mutation(t, func(sabotage bool) (result, error) {
-		return RunAdaptive(AdaptiveOptions{Seed: 1, DisableOveruse: sabotage})
+		return RunAdaptive(AdaptiveOptions{Seed: 1, disableOveruse: sabotage})
 	}, "outside", "rate runaway")
 }
 

@@ -31,16 +31,18 @@ type ScaleOptions struct {
 	Slices int
 	// Workers is the executor's worker budget, exactly as in Options.
 	Workers int
-	// Flaps is the number of virtual-link failure/recovery cycles
-	// (default 2).
-	Flaps int
-	// Window is the demand-traffic measurement window (default 5s).
-	Window time.Duration
 	// GraphText/DemandsText carry external REPETITA file contents;
 	// both empty selects the pinned synthetic scenario.
 	GraphText   string
 	DemandsText string
 }
+
+const (
+	// scaleFlaps is the number of virtual-link failure/recovery cycles.
+	scaleFlaps = 2
+	// scaleWindow is the demand-traffic measurement window.
+	scaleWindow = 5 * time.Second
+)
 
 // ScaleResult is everything one scale scenario produced. Digest folds
 // embeddings, FIB fingerprints per phase, traffic counts and violations.
@@ -112,12 +114,6 @@ func RunScale(opts ScaleOptions) (*ScaleResult, error) {
 	}
 	if opts.Slices == 0 {
 		opts.Slices = 200
-	}
-	if opts.Flaps == 0 {
-		opts.Flaps = 2
-	}
-	if opts.Window == 0 {
-		opts.Window = 5 * time.Second
 	}
 	graphText, demandsText := opts.GraphText, opts.DemandsText
 	if graphText == "" {
@@ -290,7 +286,7 @@ func RunScale(opts ScaleOptions) (*ScaleResult, error) {
 		}
 	}
 	rng := sim.NewRNG(opts.Seed ^ 0x5ca1e)
-	for f := 0; f < opts.Flaps && len(eligible) > 0; f++ {
+	for f := 0; f < scaleFlaps && len(eligible) > 0; f++ {
 		ss := eligible[rng.Intn(len(eligible))]
 		ss.mid.SetFailed(true)
 		stable(fmt.Sprintf("flap%d-down", f))
@@ -328,7 +324,7 @@ func RunScale(opts ScaleOptions) (*ScaleResult, error) {
 	}
 	res.Flows = len(flows.Flows)
 	res.OfferedBps = flows.OfferedBps
-	w.run(opts.Window)
+	w.run(scaleWindow)
 	flows.Stop()
 	// Drain in-flight datagrams, then every sent packet must have
 	// arrived: the overlay was converged and loop-free, so loss would
@@ -338,7 +334,7 @@ func RunScale(opts ScaleOptions) (*ScaleResult, error) {
 	}
 	res.Sent, res.Delivered = flows.Sent(), flows.Delivered()
 	if res.Sent == 0 {
-		w.violate("traffic: no datagrams sent in %v window", opts.Window)
+		w.violate("traffic: no datagrams sent in %v window", scaleWindow)
 	}
 	if res.Delivered != res.Sent {
 		w.violate("traffic: delivered %d of %d demand datagrams", res.Delivered, res.Sent)

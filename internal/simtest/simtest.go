@@ -28,22 +28,22 @@ import (
 	"vini/internal/packet"
 )
 
-// Options configures one simulation run. The zero value of every field
-// except Seed selects a sensible default, so tests can sweep seeds with
-// Options{Seed: s}.
+// Options configures one simulation run: a seed. The unexported fields
+// are for this package's tests, and their zero values select the
+// defaults.
 type Options struct {
 	Seed int64
-	// MinNodes..MaxNodes bounds the drawn topology size (defaults 3..8).
-	MinNodes, MaxNodes int
-	// Events fixes the number of failure/recovery events; 0 draws
+	// minNodes..maxNodes bounds the drawn topology size (defaults 3..8).
+	minNodes, maxNodes int
+	// events fixes the number of failure/recovery events; 0 draws
 	// 2..5 from the scenario RNG.
-	Events int
-	// Workers is the executor's worker budget (<= 1 is one worker):
+	events int
+	// workers is the executor's worker budget (<= 1 is one worker):
 	// every node is its own time domain, executed by that many workers
 	// under conservative synchronization. Any value must produce
 	// byte-identical results (that is the worker-parity property the CI
 	// matrix asserts).
-	Workers int
+	workers int
 }
 
 // Result is everything one scenario produced. Log holds the injected
@@ -86,7 +86,7 @@ func Run(opts Options) (*Result, error) {
 	res.FIBDigests = append(res.FIBDigests, fp)
 	sc.fold("warmup fib=%016x", fp)
 
-	events := opts.Events
+	events := opts.events
 	if events == 0 {
 		events = 2 + sc.rng.Intn(4)
 	}

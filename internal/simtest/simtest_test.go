@@ -29,7 +29,7 @@ func TestDistinctSeedsDiverge(t *testing.T) {
 // TestReconvergenceBounded checks invariant 4's reporting path: every
 // recorded reconvergence must be finite and under the budget.
 func TestReconvergenceBounded(t *testing.T) {
-	r, err := Run(Options{Seed: 7, Events: 4})
+	r, err := Run(Options{Seed: 7, events: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestReconvergenceBounded(t *testing.T) {
 // the fib package's test-only hook) and demands the differential
 // oracle reports it.
 func TestCatchesCompiledFIBMutation(t *testing.T) {
-	sc, err := buildScenario(Options{Seed: 3, MinNodes: 4, MaxNodes: 4})
+	sc, err := buildScenario(Options{Seed: 3, minNodes: 4, maxNodes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestCatchesCompiledFIBMutation(t *testing.T) {
 // TestCatchesPacketLeak takes a pooled packet and never releases it;
 // the conservation checker must flag exactly that.
 func TestCatchesPacketLeak(t *testing.T) {
-	sc, err := buildScenario(Options{Seed: 5, MinNodes: 3, MaxNodes: 3})
+	sc, err := buildScenario(Options{Seed: 5, minNodes: 3, maxNodes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestCatchesPacketLeak(t *testing.T) {
 // bogus destination straight into the FIBs and demands the loop walker
 // reports it.
 func TestCatchesForwardingLoop(t *testing.T) {
-	sc, err := buildScenario(Options{Seed: 11, MinNodes: 4, MaxNodes: 4})
+	sc, err := buildScenario(Options{Seed: 11, minNodes: 4, maxNodes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func NewSender(clock sim.Clock, cfg Config, local netip.Addr, port uint16,
 		state: "idle",
 		rto:   time.Second,
 		rwnd:  cfg.RcvWnd,
-		cc:    newReno(cfg),
+		cc:    newReno(),
 	}
 	s.onRTOTimer = s.onRTO
 	return s
@@ -210,7 +210,7 @@ func (s *Sender) pump() {
 		if s.totalBytes > 0 && sent >= s.totalBytes {
 			return
 		}
-		n := s.cfg.MSS
+		n := mss
 		if s.totalBytes > 0 && s.totalBytes-sent < uint64(n) {
 			n = int(s.totalBytes - sent)
 		}
@@ -234,7 +234,7 @@ func (s *Sender) pump() {
 
 // retransmitFirst resends the oldest unacknowledged segment.
 func (s *Sender) retransmitFirst() {
-	n := s.cfg.MSS
+	n := mss
 	if int(s.sndNxt-s.sndUna) < n {
 		n = int(s.sndNxt - s.sndUna)
 	}
@@ -267,8 +267,8 @@ func (s *Sender) sampleRTT(rtt time.Duration) {
 		s.srtt = (7*s.srtt + rtt) / 8
 	}
 	s.rto = s.srtt + 4*s.rttvar
-	if s.rto < s.cfg.MinRTO {
-		s.rto = s.cfg.MinRTO
+	if s.rto < minRTO {
+		s.rto = minRTO
 	}
 }
 

@@ -19,33 +19,27 @@ import (
 	"vini/internal/sim"
 )
 
+const (
+	// mss is the maximum segment size: Ethernet MTU minus IP and TCP
+	// headers plus the timestamp option budget iperf saw.
+	mss = 1448
+	// minRTO clamps the retransmission timeout: the Linux minimum of the
+	// era.
+	minRTO = 200 * time.Millisecond
+	// initialSsthresh is the slow-start threshold a connection opens with.
+	initialSsthresh = 64 << 10
+)
+
 // Config parameterizes an endpoint pair.
 type Config struct {
-	// MSS is the maximum segment size (default 1448, Ethernet MTU minus
-	// IP and TCP headers plus the timestamp option budget iperf saw).
-	MSS int
 	// RcvWnd is the receiver's advertised window in bytes (default
 	// 16 KB, iperf 1.7.0's default per the paper).
 	RcvWnd int
-	// MinRTO clamps the retransmission timeout (default 200 ms, the
-	// Linux minimum of the era).
-	MinRTO time.Duration
-	// InitialSsthresh defaults to 64 KB.
-	InitialSsthresh int
 }
 
 func (c *Config) setDefaults() {
-	if c.MSS <= 0 {
-		c.MSS = 1448
-	}
 	if c.RcvWnd <= 0 {
 		c.RcvWnd = 16 << 10
-	}
-	if c.MinRTO <= 0 {
-		c.MinRTO = 200 * time.Millisecond
-	}
-	if c.InitialSsthresh <= 0 {
-		c.InitialSsthresh = 64 << 10
 	}
 }
 

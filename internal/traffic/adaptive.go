@@ -1,8 +1,8 @@
 package traffic
 
-// Adaptive is the first rate-adaptive workload on the runtime's
-// RateController seam: a delay-gradient bandwidth estimator in the
-// style of congestion-responsive media stacks (GCC/BWE). The receiver
+// Adaptive is the rate-adaptive workload: a delay-gradient bandwidth
+// estimator in the style of congestion-responsive media stacks
+// (GCC/BWE). The receiver
 // measures each datagram's one-way delay from the common frame
 // timestamp, smooths the per-packet delay gradient, and aggregates the
 // delays per feedback window: the window mean above a sliding base
@@ -41,78 +41,51 @@ type AdaptiveConfig struct {
 	// Port is the server data port (default 5201). Feedback returns to
 	// the sender's source port, Port+1000, on the client node.
 	Port uint16
-	// Payload is the UDP payload size (default 1000).
-	Payload int
 	// InitBps is the starting rate (default 200 kb/s).
 	InitBps float64
-	// MinBps/MaxBps clamp the controller (defaults 64 kb/s, 100 Mb/s).
-	MinBps, MaxBps float64
-	// IncBps is the additive-increase step per feedback interval
-	// (default 50 kb/s).
-	IncBps float64
-	// Beta is the multiplicative-decrease factor applied to the
-	// measured delivery rate on over-use (default 0.85).
-	Beta float64
-	// GradientThreshold classifies the windowed one-way-delay gradient
-	// (this feedback window's mean OWD minus the previous window's):
-	// above it the queue is building, below its negative it is draining
-	// (default 2 ms/window).
-	GradientThreshold time.Duration
-	// QueueLow/QueueHigh bound the standing queueing delay (window mean
-	// OWD above the sliding base delay). Below QueueLow the path is
-	// under-utilized and the rate may grow; above QueueHigh it is
-	// over-used (defaults 15 ms / 40 ms).
-	QueueLow, QueueHigh time.Duration
-	// FeedbackInterval is the receiver's report cadence (default 100 ms).
-	FeedbackInterval time.Duration
 	// SrcAddr/DstAddr override node primary addresses (tap0 for overlay).
 	SrcAddr, DstAddr netip.Addr
 	// Telemetry, when set, publishes the estimate-vs-actual and gradient
-	// series (registry gauges under Slice, EvRate flight events).
+	// series (registry gauges under the "adaptive" slice label, EvRate
+	// flight events).
 	Telemetry *telemetry.Telemetry
-	// Slice labels the telemetry series (default "adaptive").
-	Slice string
 	// DisableOveruse turns the over-use detector off — a sabotage hook
 	// for mutation tests, which must see the convergence invariant trip.
 	DisableOveruse bool
 }
 
+// The controller's constants.
+const (
+	// adaptivePayload is the UDP payload size in bytes.
+	adaptivePayload = 1000
+	// minBps and maxBps clamp the estimate.
+	minBps, maxBps = 64_000, 100_000_000
+	// incBps is the additive-increase step per feedback interval.
+	incBps = 50_000
+	// beta is the multiplicative-decrease factor applied to the measured
+	// delivery rate on over-use.
+	beta = 0.85
+	// gradientThreshold classifies the windowed one-way-delay gradient
+	// (this feedback window's mean OWD minus the previous window's):
+	// above it the queue is building, below its negative it is draining.
+	gradientThreshold = 2 * time.Millisecond
+	// queueLow and queueHigh bound the standing queueing delay (window
+	// mean OWD above the sliding base delay). Below queueLow the path is
+	// under-utilized and the rate may grow; above queueHigh it is
+	// over-used.
+	queueLow, queueHigh = 15 * time.Millisecond, 40 * time.Millisecond
+	// feedbackInterval is the receiver's report cadence.
+	feedbackInterval = 100 * time.Millisecond
+	// adaptiveSlice labels the telemetry series.
+	adaptiveSlice = "adaptive"
+)
+
 func (c *AdaptiveConfig) setDefaults() {
 	if c.Port == 0 {
 		c.Port = 5201
 	}
-	if c.Payload < frameHeaderLen {
-		c.Payload = 1000
-	}
 	if c.InitBps <= 0 {
 		c.InitBps = 200_000
-	}
-	if c.MinBps <= 0 {
-		c.MinBps = 64_000
-	}
-	if c.MaxBps <= 0 {
-		c.MaxBps = 100_000_000
-	}
-	if c.IncBps <= 0 {
-		c.IncBps = 50_000
-	}
-	if c.Beta <= 0 || c.Beta >= 1 {
-		c.Beta = 0.85
-	}
-	if c.GradientThreshold <= 0 {
-		c.GradientThreshold = 2 * time.Millisecond
-	}
-	if c.QueueLow <= 0 {
-		c.QueueLow = 15 * time.Millisecond
-	}
-	if c.QueueHigh <= 0 {
-		c.QueueHigh = 40 * time.Millisecond
-	}
-	if c.FeedbackInterval <= 0 {
-		c.FeedbackInterval = 100 * time.Millisecond
-	}
-	if c.Slice == "" {
-		c.Slice = "adaptive"
 	}
 }
 
@@ -239,8 +212,8 @@ func StartAdaptive(w *netem.Network, client, server *netem.Node, cfg AdaptiveCon
 		a.dst = cfg.DstAddr
 	}
 	if a.tel != nil {
-		cs := a.tel.Reg.Scope(cfg.Slice, client.Name()).With("adaptive/")
-		ss := a.tel.Reg.Scope(cfg.Slice, server.Name()).With("adaptive/")
+		cs := a.tel.Reg.Scope(adaptiveSlice, client.Name()).With("adaptive/")
+		ss := a.tel.Reg.Scope(adaptiveSlice, server.Name()).With("adaptive/")
 		a.gEstimate = cs.Gauge("estimate_bps")
 		a.gActual = cs.Gauge("actual_bps")
 		a.cFeedback = cs.Counter("feedback_rx")
@@ -272,8 +245,8 @@ func (a *Adaptive) start() {
 	a.lastPoint = a.send.Now()
 	a.lastSent = a.sentBytes
 	a.tick()
-	a.fbTimer = a.recv.Schedule(a.cfg.FeedbackInterval, a.feedbackTick)
-	a.watchTimer = a.send.Schedule(4*a.cfg.FeedbackInterval, a.watchdog)
+	a.fbTimer = a.recv.Schedule(feedbackInterval, a.feedbackTick)
+	a.watchTimer = a.send.Schedule(4*feedbackInterval, a.watchdog)
 }
 
 // Stop halts both loops, cancelling every pending timer.
@@ -297,10 +270,6 @@ func (a *Adaptive) Close() {
 	}
 }
 
-// TargetBps returns the sender's current pacing rate — Adaptive is its
-// own RateController.
-func (a *Adaptive) TargetBps() float64 { return a.rate }
-
 // EstimateBps returns the receiver's current bandwidth estimate.
 func (a *Adaptive) EstimateBps() float64 { return a.est }
 
@@ -320,9 +289,9 @@ func (a *Adaptive) tick() {
 		return
 	}
 	sendFrame(a.client, a.src, a.dst, a.fbPort, a.dataPort,
-		a.cfg.Payload, a.seq, a.send.Now())
+		adaptivePayload, a.seq, a.send.Now())
 	a.seq++
-	wire := a.cfg.Payload + packet.UDPHeaderLen + packet.IPv4HeaderLen
+	wire := adaptivePayload + packet.UDPHeaderLen + packet.IPv4HeaderLen
 	a.sentBytes += uint64(wire)
 	a.tickTimer = a.send.Schedule(paceInterval(wire, a.rate), a.onTick)
 }
@@ -346,7 +315,7 @@ func (a *Adaptive) receiveFeedback(dgram []byte) {
 	a.FeedbackRx++
 	a.cFeedback.Inc()
 	a.lastFB = now
-	a.rate = clamp(est, a.cfg.MinBps, a.cfg.MaxBps)
+	a.rate = clamp(est, minBps, maxBps)
 	a.point(now, delivered, grad, false)
 }
 
@@ -358,13 +327,13 @@ func (a *Adaptive) watchdog() {
 		return
 	}
 	now := a.send.Now()
-	if now-a.lastFB >= 4*a.cfg.FeedbackInterval {
-		a.rate = clamp(a.rate*0.5, a.cfg.MinBps, a.cfg.MaxBps)
+	if now-a.lastFB >= 4*feedbackInterval {
+		a.rate = clamp(a.rate*0.5, minBps, maxBps)
 		a.Decays++
 		a.cDecay.Inc()
 		a.point(now, 0, 0, true)
 	}
-	a.watchTimer = a.send.Schedule(4*a.cfg.FeedbackInterval, a.watchdog)
+	a.watchTimer = a.send.Schedule(4*feedbackInterval, a.watchdog)
 }
 
 // point appends a trace sample and publishes the sender-side series.
@@ -385,7 +354,7 @@ func (a *Adaptive) point(now time.Duration, delivered, grad float64, decay bool)
 			detail = "decay"
 		}
 		a.tel.Rec.Record(a.client.Domain(), telemetry.Event{
-			Kind: telemetry.EvRate, Slice: a.cfg.Slice, Node: a.client.Name(),
+			Kind: telemetry.EvRate, Slice: adaptiveSlice, Node: a.client.Name(),
 			Elem: "adaptive", Detail: detail, Value: int64(a.rate)})
 	}
 }
@@ -440,14 +409,14 @@ func (a *Adaptive) feedbackTick() {
 		return
 	}
 	defer func() {
-		a.fbTimer = a.recv.Schedule(a.cfg.FeedbackInterval, a.feedbackTick)
+		a.fbTimer = a.recv.Schedule(feedbackInterval, a.feedbackTick)
 	}()
 	if a.rxCount == 0 {
 		a.havePrev = false    // per-packet gradient baseline is stale
 		a.havePrevAvg = false // so is the window-mean gradient
 		return
 	}
-	delivered := float64(a.rxBytes) * 8 / a.cfg.FeedbackInterval.Seconds()
+	delivered := float64(a.rxBytes) * 8 / feedbackInterval.Seconds()
 	// Loss inside the window: sequence span vs. arrivals.
 	span := a.rxMaxSeq - a.rxLastMax
 	loss := 0.0
@@ -484,9 +453,9 @@ func (a *Adaptive) feedbackTick() {
 	a.winOWDSum = 0
 	a.winOWDMin = 0
 
-	thresh := float64(a.cfg.GradientThreshold)
-	qlo := float64(a.cfg.QueueLow)
-	qhi := float64(a.cfg.QueueHigh)
+	thresh := float64(gradientThreshold)
+	qlo := float64(queueLow)
+	qhi := float64(queueHigh)
 	switch {
 	case a.cfg.DisableOveruse:
 		// Sabotage hook: with the detector off there is no over-use
@@ -494,7 +463,7 @@ func (a *Adaptive) feedbackTick() {
 		// open-loop — the convergence and no-runaway invariants must
 		// catch this.
 		a.state = 0
-		a.est = clamp(a.est+a.cfg.IncBps, a.cfg.MinBps, a.cfg.MaxBps)
+		a.est = clamp(a.est+incBps, minBps, maxBps)
 	case q > qhi || loss > 0.1 || (wg > thresh && q > qlo):
 		// Over-use: a standing queue (or heavy loss) — multiplicative
 		// decrease toward the measured delivery rate, floored at half
@@ -503,11 +472,11 @@ func (a *Adaptive) feedbackTick() {
 		a.state = 1
 		a.Overuses++
 		a.cOveruse.Inc()
-		dec := a.cfg.Beta * delivered
+		dec := beta * delivered
 		if half := 0.5 * a.est; dec < half {
 			dec = half
 		}
-		a.est = clamp(dec, a.cfg.MinBps, a.cfg.MaxBps)
+		a.est = clamp(dec, minBps, maxBps)
 	case q > qlo || wg < -thresh:
 		// Under-use: the queue is draining (or still standing above the
 		// low mark); hold until it flattens.
@@ -518,14 +487,14 @@ func (a *Adaptive) feedbackTick() {
 		// Normal: additive increase, capped against the measured
 		// delivery rate so the estimate cannot detach from reality.
 		a.state = 0
-		a.est = clamp(min2(a.est+a.cfg.IncBps, float64(1.25*delivered)+a.cfg.IncBps),
-			a.cfg.MinBps, a.cfg.MaxBps)
+		a.est = clamp(min2(a.est+incBps, float64(1.25*delivered)+incBps),
+			minBps, maxBps)
 	}
 	a.gGradient.Set(int64(wg))
 	a.gDelivered.Set(int64(delivered))
 	if a.tel != nil && a.state == 1 {
 		a.tel.Rec.Record(a.server.Domain(), telemetry.Event{
-			Kind: telemetry.EvRate, Slice: a.cfg.Slice, Node: a.server.Name(),
+			Kind: telemetry.EvRate, Slice: adaptiveSlice, Node: a.server.Name(),
 			Elem: "adaptive", Detail: "overuse", Value: int64(a.est)})
 	}
 

@@ -27,19 +27,19 @@ type DemandConfig struct {
 	// hundreds of concurrent flows scale down to keep event counts
 	// tractable.
 	Scale float64
-	// BasePort is the first receiver port; flow i listens on BasePort+i.
-	// Ports must be globally unique because a physical node may host
-	// many receivers. The default 20001 keeps the whole span below the
-	// slice tunnel-port space. (default 20001)
-	BasePort uint16
 	// Payload is the UDP payload size (default 256: scale runs favor
 	// many small flows over the paper's 1430-byte iperf default).
 	Payload int
-	// MinRateBps floors each flow's scaled rate (default 8000) so a
-	// tiny demand cannot produce near-zero packet rates with
-	// pathological interarrival times.
-	MinRateBps float64
+	// basePort is the first receiver port; flow i listens on basePort+i.
+	// Ports must be globally unique because a physical node may host
+	// many receivers. The default 20001 keeps the whole span below the
+	// slice tunnel-port space; only a test moves it.
+	basePort uint16
 }
+
+// minDemandBps floors each flow's scaled rate so a tiny demand cannot
+// produce near-zero packet rates with pathological interarrival times.
+const minDemandBps = 8000
 
 // DemandFlows is a running flow set.
 type DemandFlows struct {
@@ -57,18 +57,15 @@ func StartDemands(w *netem.Network, m *topology.DemandMatrix, ep DemandEndpoint,
 	if cfg.Scale <= 0 {
 		cfg.Scale = 1.0
 	}
-	if cfg.BasePort == 0 {
-		cfg.BasePort = 20001
+	if cfg.basePort == 0 {
+		cfg.basePort = 20001
 	}
 	if cfg.Payload == 0 {
 		cfg.Payload = 256
 	}
-	if cfg.MinRateBps <= 0 {
-		cfg.MinRateBps = 8000
-	}
-	if int(cfg.BasePort)+len(m.Demands) > 32768 {
+	if int(cfg.basePort)+len(m.Demands) > 32768 {
 		return nil, fmt.Errorf("traffic: %d demands from port %d overrun the flow port space",
-			len(m.Demands), cfg.BasePort)
+			len(m.Demands), cfg.basePort)
 	}
 	out := &DemandFlows{Flows: make([]*UDPCBR, 0, len(m.Demands))}
 	for i, d := range m.Demands {
@@ -83,12 +80,12 @@ func StartDemands(w *netem.Network, m *topology.DemandMatrix, ep DemandEndpoint,
 			continue
 		}
 		rate := d.RateBps * cfg.Scale
-		if rate < cfg.MinRateBps {
-			rate = cfg.MinRateBps
+		if rate < minDemandBps {
+			rate = minDemandBps
 		}
 		f, err := StartUDPCBR(w, srcNode, dstNode, UDPCBRConfig{
 			RateBps: rate, Payload: cfg.Payload,
-			Port:    cfg.BasePort + uint16(i),
+			Port:    cfg.basePort + uint16(i),
 			SrcAddr: srcAddr, DstAddr: dstAddr,
 		})
 		if err != nil {

@@ -96,7 +96,7 @@ func TestStartDemandsPortSpace(t *testing.T) {
 	for i := range big.Demands {
 		big.Demands[i] = topology.Demand{Src: "a", Dst: "c", RateBps: 1000}
 	}
-	_, err := StartDemands(w, big, ep, DemandConfig{BasePort: 30000})
+	_, err := StartDemands(w, big, ep, DemandConfig{basePort: 30000})
 	if err == nil || !strings.Contains(err.Error(), "port space") {
 		t.Fatalf("port-space overrun not rejected: %v", err)
 	}

@@ -15,8 +15,6 @@ type IperfTCPConfig struct {
 	Streams int
 	// Window is the per-stream receive window (iperf default 16 KB).
 	Window int
-	// MSS defaults to 1448.
-	MSS int
 	// BasePort is the first server port; stream i uses BasePort+i.
 	BasePort uint16
 	// SrcAddr/DstAddr override the node primary addresses (set them to
@@ -58,7 +56,7 @@ func StartIperfTCP(w *netem.Network, client, server *netem.Node, cfg IperfTCPCon
 	loop := w.Loop()
 	t := &IperfTCP{loop: loop, started: loop.Now(),
 		clientEP: newEndpoint(client), serverEP: newEndpoint(server)}
-	tcpCfg := tcpm.Config{MSS: cfg.MSS, RcvWnd: cfg.Window}
+	tcpCfg := tcpm.Config{RcvWnd: cfg.Window}
 	for i := 0; i < cfg.Streams; i++ {
 		sport := cfg.BasePort + uint16(i) + 1000
 		dport := cfg.BasePort + uint16(i)

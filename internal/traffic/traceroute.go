@@ -18,14 +18,15 @@ type Hop struct {
 // TracerouteConfig parameterizes a trace.
 type TracerouteConfig struct {
 	Src, Dst netip.Addr
-	// MaxTTL bounds the probe depth (default 16).
-	MaxTTL int
-	// Timeout per probe (default 2 s).
-	Timeout time.Duration
-	// Port is the probe's (unlikely-to-be-listened) UDP destination port
-	// base, as classic traceroute uses (default 33434).
-	Port uint16
+	// maxTTL bounds the probe depth (16 when zero); timeout is the wait
+	// per probe (2 s when zero). Only tests shorten them.
+	maxTTL  int
+	timeout time.Duration
 }
+
+// traceroutePort is the probes' UDP destination port base, one no
+// service listens on, as classic traceroute uses.
+const traceroutePort = 33434
 
 // Traceroute runs UDP-probe traceroute through the node's stack: each
 // virtual Click hop that expires the TTL answers with an ICMP time
@@ -45,14 +46,11 @@ type Traceroute struct {
 
 // StartTraceroute begins a trace through the host's node, on its clock.
 func (h *ICMPHost) StartTraceroute(cfg TracerouteConfig) *Traceroute {
-	if cfg.MaxTTL <= 0 {
-		cfg.MaxTTL = 16
+	if cfg.maxTTL <= 0 {
+		cfg.maxTTL = 16
 	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 2 * time.Second
-	}
-	if cfg.Port == 0 {
-		cfg.Port = 33434
+	if cfg.timeout <= 0 {
+		cfg.timeout = 2 * time.Second
 	}
 	tr := &Traceroute{host: h, clock: h.node.Clock(), cfg: cfg}
 	h.traces = append(h.traces, tr)
@@ -84,15 +82,15 @@ func (tr *Traceroute) Close() {
 }
 
 func (tr *Traceroute) probe(ttl int) {
-	if ttl > tr.cfg.MaxTTL {
+	if ttl > tr.cfg.maxTTL {
 		tr.Done = true
 		return
 	}
 	tr.current = ttl
 	tr.sentAt = tr.clock.Now()
-	d := packet.BuildUDP(tr.cfg.Src, tr.cfg.Dst, 44444, tr.cfg.Port+uint16(ttl), uint8(ttl), nil)
+	d := packet.BuildUDP(tr.cfg.Src, tr.cfg.Dst, 44444, traceroutePort+uint16(ttl), uint8(ttl), nil)
 	tr.host.node.StackSend(d)
-	tr.timer = tr.clock.Schedule(tr.cfg.Timeout, func() {
+	tr.timer = tr.clock.Schedule(tr.cfg.timeout, func() {
 		tr.Hops = append(tr.Hops, Hop{TTL: ttl}) // * * *
 		tr.probe(ttl + 1)
 	})
@@ -120,7 +118,7 @@ func (tr *Traceroute) handleError(from netip.Addr, icmpType uint8, quote []byte)
 		return false
 	}
 	dport := uint16(quote[ihl+2])<<8 | uint16(quote[ihl+3])
-	if dport != tr.cfg.Port+uint16(tr.current) {
+	if dport != traceroutePort+uint16(tr.current) {
 		return false
 	}
 	if !tr.timer.IsZero() {

@@ -56,13 +56,13 @@ func TestTracerouteTimeoutHops(t *testing.T) {
 	l.SetDown(true)
 	h := NewICMPHost(src)
 	tr := h.StartTraceroute(TracerouteConfig{Src: src.Addr(), Dst: dst.Addr(),
-		MaxTTL: 3, Timeout: 200 * time.Millisecond})
+		maxTTL: 3, timeout: 200 * time.Millisecond})
 	w.Run(2 * time.Second)
 	if !tr.Done {
 		t.Fatal("trace across a dead link never gave up")
 	}
 	if len(tr.Hops) != 3 {
-		t.Fatalf("hops = %d, want MaxTTL=3 timeout entries", len(tr.Hops))
+		t.Fatalf("hops = %d, want maxTTL=3 timeout entries", len(tr.Hops))
 	}
 	for i, hop := range tr.Hops {
 		if hop.TTL != i+1 || hop.Addr.IsValid() || hop.RTT != 0 {
@@ -84,7 +84,7 @@ func TestTracerouteStopAndClose(t *testing.T) {
 	l.SetDown(true)
 	h := NewICMPHost(src)
 	tr := h.StartTraceroute(TracerouteConfig{Src: src.Addr(), Dst: dst.Addr(),
-		Timeout: 10 * time.Second})
+		timeout: 10 * time.Second})
 	w.Run(100 * time.Millisecond)
 	if tr.Done {
 		t.Fatal("trace finished with its probe still outstanding")

@@ -71,9 +71,11 @@ type PingConfig struct {
 	Src, Dst netip.Addr
 	Interval time.Duration // default 200 ms (ping -f adaptive floor here)
 	Count    int           // 0 = until Stop
-	Payload  int           // echo payload bytes (default 56)
 	Timeout  time.Duration // per-echo loss timeout (default 2 s)
 }
+
+// pingPayload is the echo payload in bytes, ping's default.
+const pingPayload = 56
 
 // PingSample is one echo's outcome, Figure 8's plotted points.
 type PingSample struct {
@@ -111,9 +113,6 @@ func (h *ICMPHost) StartPing(cfg PingConfig) *Ping {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 200 * time.Millisecond
 	}
-	if cfg.Payload <= 0 {
-		cfg.Payload = 56
-	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 2 * time.Second
 	}
@@ -150,7 +149,7 @@ func (p *Ping) tick() {
 	p.sent[seq] = now
 	p.Sent++
 	echo := packet.BuildICMPEcho(p.cfg.Src, p.cfg.Dst, false, p.id, seq, 64,
-		make([]byte, p.cfg.Payload))
+		make([]byte, pingPayload))
 	p.host.node.StackSend(echo)
 	p.timers[seq] = p.clock.Schedule(p.cfg.Timeout, func() {
 		if at, ok := p.sent[seq]; ok {
