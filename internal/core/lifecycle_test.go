@@ -347,6 +347,44 @@ func TestPauseStopsSliceAndResumeReconverges(t *testing.T) {
 	}
 }
 
+// TestStrictSliceGetsNoIdleCPU: a Strict slice's forwarder, flooded on an
+// otherwise idle node, receives its CPUShare and no more (§6.2), while
+// the same slice without Strict soaks up the idle cycles.
+func TestStrictSliceGetsNoIdleCPU(t *testing.T) {
+	const share = 0.05
+	util := func(strict bool) float64 {
+		v := buildLine(t, 1)
+		s := lineSlice(t, v, SliceConfig{Name: "st", CPUShare: share, Strict: strict})
+		s.StartOSPF(time.Second, 3*time.Second)
+		v.Run(20 * time.Second)
+		west, _ := s.VirtualNode("west")
+		east, _ := s.VirtualNode("east")
+		// 100 probes per 10 ms is many times the share's worth of
+		// forwarding. The first 2 s drain the token bucket; the next
+		// 2 s are measured.
+		var seq uint32
+		flood := func(d time.Duration) {
+			for end := v.loop.Now() + d; v.loop.Now() < end; {
+				for range 100 {
+					seq++
+					sendProbe(v, "west", west.TapAddr, east.TapAddr, seq)
+				}
+				v.Run(v.loop.Now() + 10*time.Millisecond)
+			}
+		}
+		flood(2 * time.Second)
+		before := west.proc.Task().Used()
+		flood(2 * time.Second)
+		return float64(west.proc.Task().Used()-before) / float64(2*time.Second)
+	}
+	if u := util(false); u < 3*share {
+		t.Fatalf("work-conserving forwarder got %.3f of the CPU, want well above %.2f", u, share)
+	}
+	if u := util(true); u < 0.8*share || u > 1.2*share {
+		t.Fatalf("strict forwarder got %.3f of an idle CPU, want ~%.2f", u, share)
+	}
+}
+
 func TestDestroyReleasesEverything(t *testing.T) {
 	v := buildLine(t, 1)
 	tel := v.EnableTelemetry()
