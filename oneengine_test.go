@@ -3,12 +3,19 @@ package vini_test
 // One seed, one network: core.New(seed) is one worker of the same engine
 // core.NewParallel(seed, n) runs, so all three constructions of a world
 // fire the same events, publish the same telemetry and record the same
-// flight stream.
+// flight stream. And one engine means one process: nothing splits a
+// world across executors.
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"net/netip"
+	"os"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -124,5 +131,39 @@ func TestDroppedWorldLeaksNothing(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines before 200 dropped worlds, %d after", before, runtime.NumGoroutine())
 		}
+	}
+}
+
+// TestOneProcess: the executor runs a world in one process. No socket
+// transport, no wire-capable handler seam and no shard ownership map
+// come back beside it, and there is no worker daemon to spawn.
+func TestOneProcess(t *testing.T) {
+	if _, err := os.Stat("cmd/vinid"); err == nil {
+		t.Error("cmd/vinid exists: the executor runs a world in one process")
+	}
+	gone := map[string]bool{"DomainTransport": true, "WireHandler": true, "OwnerShard": true}
+	fset := token.NewFileSet()
+	for file, text := range readSource(t, "internal", "cmd") {
+		if isTest(file) {
+			continue
+		}
+		f, err := parser.ParseFile(fset, file, text, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.HasPrefix(file, "internal/sim/") {
+			for _, imp := range f.Imports {
+				if p, _ := strconv.Unquote(imp.Path.Value); p == "net" {
+					t.Errorf("%s imports net", file)
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && gone[id.Name] {
+				t.Errorf("%s names %s", fset.Position(id.Pos()), id.Name)
+				gone[id.Name] = false // one report per name is enough
+			}
+			return true
+		})
 	}
 }
