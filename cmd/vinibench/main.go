@@ -102,7 +102,7 @@ func run(stderr io.Writer) int {
 // the per-domain executor profile. The whole scenario runs twice with
 // the same seed; the two digest pairs must match byte-for-byte or the
 // experiment fails — the same replay-determinism property the
-// distributed executor's parity proof rests on. With -v it also emits
+// worker-parity tests rest on. With -v it also emits
 // the full JSON snapshot, the machine-readable form the Section 5
 // harness reads.
 func telemetryExp() error {

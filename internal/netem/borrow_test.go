@@ -2,7 +2,6 @@ package netem
 
 import (
 	"bytes"
-	"net/netip"
 	"testing"
 	"time"
 
@@ -118,48 +117,5 @@ func TestSocketQueueIsARing(t *testing.T) {
 	}
 	if f := packet.Stats().Sub(base).InFlight(); f != 0 {
 		t.Fatalf("%d packets in flight after Close", f)
-	}
-}
-
-// TestReplicaNodeSendsReleaseTheirPackets covers driver-time code that is
-// replicated on a shard that does not own the node: the process-delivery
-// and link hand-off events are refused by the replica domain, and their
-// packets must go back to the pool instead of being stranded.
-func TestReplicaNodeSendsReleaseTheirPackets(t *testing.T) {
-	x := sim.NewExecutor(7, 1)
-	w := New(x.Loop())
-	a, err := w.AddNode("a", addr("192.168.0.1"), DETERProfile(), sched.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := w.AddNode("b", addr("192.168.0.2"), DETERProfile(), sched.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.AddLink(LinkConfig{A: "a", B: "b", Bandwidth: 1e9, Delay: time.Millisecond}); err != nil {
-		t.Fatal(err)
-	}
-	w.ComputeRoutes()
-	x.Distribute(nil, 1, 2) // this shard owns b; a is a replica
-	if !a.Domain().Remote() || b.Domain().Remote() {
-		t.Fatal("expected a to be the replica")
-	}
-	proc := a.NewProcess(ProcessConfig{Name: "click", Share: 0.5})
-	handled := 0
-	proc.OpenTap(netip.MustParsePrefix("10.0.0.0/8"), func(p *packet.Packet) {
-		handled++
-		p.Release()
-	})
-	base := packet.Stats()
-	// Into the tap: enqueue wakes the idle CPU, which runs work at once
-	// and schedules the socket delivery on the replica domain.
-	a.StackSend(packet.BuildUDP(a.Addr(), addr("10.1.0.1"), 1, 2, 64, []byte("x")))
-	// Across the link: forwardOut schedules the transmit hand-off there.
-	a.StackSend(packet.BuildUDP(a.Addr(), b.Addr(), 1, 2, 64, []byte("x")))
-	if d := packet.Stats().Sub(base); d.Gets != 2 || d.InFlight() != 0 {
-		t.Fatalf("replica sends stranded packets: %+v", d)
-	}
-	if handled != 0 || x.Loop().Pending() != 0 {
-		t.Fatalf("replica domain ran or queued work: handled=%d pending=%d", handled, x.Loop().Pending())
 	}
 }

@@ -79,9 +79,6 @@ type linkTx linkDir
 // Invoke runs in src's domain: put the packet on the wire.
 func (t *linkTx) Invoke(arg any) { (*linkDir)(t).transmit(arg.(*packet.Packet)) }
 
-// DropArg releases a hand-off that a replica domain refuses to schedule.
-func (t *linkTx) DropArg(arg any) { arg.(*packet.Packet).Release() }
-
 // txFrom returns the transmit handler for packets leaving src.
 func (l *Link) txFrom(src *Node) *linkTx {
 	if src == l.a {
@@ -122,25 +119,6 @@ func (d *linkDir) Invoke(arg any) {
 	}
 	d.dst.receive(p, d.link)
 }
-
-// EncodeArg, DecodeArg, and DropArg make linkDir a sim.WireHandler, so a
-// delivery whose receiving node lives in another process shard can ride
-// the socket transport: the packet (data plus annotations) is the wire
-// argument. The sender's copy is released after encoding; the owner
-// shard decodes into a fresh pooled packet.
-func (d *linkDir) EncodeArg(dst []byte, arg any) []byte {
-	return packet.AppendWire(dst, arg.(*packet.Packet))
-}
-
-func (d *linkDir) DecodeArg(b []byte) (any, error) {
-	p, err := packet.DecodeWire(b)
-	if err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-func (d *linkDir) DropArg(arg any) { arg.(*packet.Packet).Release() }
 
 // Instrument attaches telemetry counters to one direction (0: A->B,
 // 1: B->A). Call from the driver before traffic flows.

@@ -163,11 +163,6 @@ func (w *Network) AddLink(cfg LinkConfig) (*Link, error) {
 	// horizon.
 	a.dom.ObserveInboundLink(b.dom, cfg.Delay)
 	b.dom.ObserveInboundLink(a.dom, cfg.Delay)
-	// Register both directions as wire handlers so deliveries can cross
-	// process shards. Every process replays AddLink in the same order,
-	// so the handler ids agree everywhere.
-	w.loop.Executor().BindWire(l.dir[0])
-	w.loop.Executor().BindWire(l.dir[1])
 	a.links = append(a.links, l)
 	b.links = append(b.links, l)
 	w.links = append(w.links, l)

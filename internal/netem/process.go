@@ -222,9 +222,6 @@ func (s *Socket) Invoke(arg any) {
 	s.handler(pkt)
 }
 
-// DropArg releases a delivery that a replica domain refuses to schedule.
-func (s *Socket) DropArg(arg any) { arg.(*packet.Packet).Release() }
-
 // SetPaused freezes or thaws the process: inbound packets tail-drop at
 // its sockets and the scheduler task is parked (so buffered work stops
 // too). Must run in the node's domain or at a barrier.

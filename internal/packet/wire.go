@@ -7,10 +7,12 @@ import (
 	"time"
 )
 
-// Wire codec for shipping packets between domain shards. The encoding is
-// canonical — for any packet p, DecodeWire(AppendWire(nil, p)) produces a
-// packet that re-encodes to the identical bytes — so cross-process runs
-// can be digest-checked against in-process runs byte for byte.
+// Wire codec for a packet and its annotations. Nothing in the simulator
+// ships packets between processes; the codec is kept only because the
+// benchmark's packet.wire_roundtrip_ns probe times it, and it goes when
+// that probe does (ROADMAP.md item 3(d)). The encoding is canonical — for
+// any packet p, DecodeWire(AppendWire(nil, p)) produces a packet that
+// re-encodes to the identical bytes.
 //
 // Layout (little-endian):
 //

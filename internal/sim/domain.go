@@ -63,14 +63,6 @@ type Domain struct {
 	digest uint64
 	stats  DomainStats
 
-	// remote marks a replica domain in a sharded run: another shard owns
-	// and executes this domain's timeline. The local copy exists so
-	// replicated world construction and control-domain code hold
-	// identical references, but it never materializes or fires events —
-	// Schedule is inert, its inbox is drained onto the wire at exchange
-	// barriers, and the executor never enqueues it.
-	remote bool
-
 	// ins are the registered per-pair inbound edges: the only domains
 	// that may send here, each bounding the horizon by its own delay.
 	// outs are the domains this one has registered edges into — the
@@ -116,10 +108,6 @@ func (d *Domain) ID() int32 { return d.id }
 // Now returns the domain's current virtual time.
 func (d *Domain) Now() time.Duration { return d.now }
 
-// Remote reports whether this domain is an inert replica whose timeline
-// executes on another shard (always false outside sharded runs).
-func (d *Domain) Remote() bool { return d.remote }
-
 // RNG returns the domain's deterministic random stream. Each domain
 // forks its own stream at creation, so draws in one domain never
 // perturb another's sequence regardless of execution interleaving.
@@ -152,12 +140,6 @@ func (d *Domain) Lookahead() time.Duration {
 func (d *Domain) Schedule(delay time.Duration, fn func()) Timer {
 	if fn == nil {
 		panic("sim: Schedule with nil fn")
-	}
-	if d.remote {
-		// Replica of a domain owned by another shard: the owner's
-		// replicated copy of the calling code schedules the authentic
-		// event. A zero Timer is inert (Stop and Pending are no-ops).
-		return Timer{}
 	}
 	if delay < 0 {
 		delay = 0
@@ -247,17 +229,10 @@ func (d *Domain) step() bool {
 // the inclusive horizon h. Nothing outside this domain is touched
 // except via Send (train buffers and inboxes), so domains in one
 // window race on nothing.
-func (d *Domain) runTo(h time.Duration) bool {
-	ran := false
-	stop := &d.exec.stopped
+func (d *Domain) runTo(h time.Duration) {
 	for len(d.heap) > 0 && d.heap[0].at <= h {
-		if stop.Load() {
-			return ran
-		}
 		d.step()
-		ran = true
 	}
-	return ran
 }
 
 // pubTime reads the domain's published execution bound.

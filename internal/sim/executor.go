@@ -76,7 +76,6 @@ type Executor struct {
 	domains []*Domain
 	loop    *Loop
 	workers int
-	stopped atomic.Bool
 
 	// mu guards the run queue (LIFO: the last domain woken is the most
 	// cache-warm), the count of parked workers and quit; cond, on mu,
@@ -106,20 +105,6 @@ type Executor struct {
 	rounds    uint64
 	fallbacks uint64
 
-	// transport is the cross-shard seam: an in-process no-op by default,
-	// replaced by Distribute for sharded runs. shard/shards identify this
-	// process's slice of the domain space; terr is the sticky transport
-	// error that aborted the last Run, if any.
-	transport DomainTransport
-	shard     int
-	shards    int
-	terr      error
-
-	// wireHandlers/wireIDs map typed handlers onto stable cross-process
-	// ids (BindWire), assigned in registration order.
-	wireHandlers []WireHandler
-	wireIDs      map[WireHandler]uint32
-
 	// Diagnostic counters (scheduler-dependent, outside the parity
 	// contract).
 	windows atomic.Uint64
@@ -134,7 +119,7 @@ func NewExecutor(seed int64, workers int) *Executor {
 	if workers < 1 {
 		workers = 1
 	}
-	x := &Executor{workers: workers, transport: inprocTransport{}, shards: 1}
+	x := &Executor{workers: workers}
 	x.cond.L = &x.mu
 	ctrl := &Domain{id: 0, label: "control", exec: x, rng: NewRNG(seed)}
 	ctrl.inboxMin.Store(int64(maxTime))
@@ -158,9 +143,6 @@ func (x *Executor) NewDomain(label string) *Domain {
 	d := &Domain{id: int32(len(x.domains)), label: label, exec: x,
 		rng: ctrl.rng.Fork(), now: ctrl.now}
 	d.inboxMin.Store(int64(maxTime))
-	if x.shards > 1 {
-		d.remote = OwnerShard(d.id, x.shards) != x.shard
-	}
 	x.domains = append(x.domains, d)
 	return d
 }
@@ -238,16 +220,11 @@ func (x *Executor) ScheduleDigest() uint64 {
 	return h
 }
 
-// pending reports scheduled events across all owned domains, including
+// pending reports scheduled events across all domains, including
 // not-yet-delivered cross-domain messages and unflushed trains.
-// Replica domains are excluded: their pending input belongs to their
-// owning shard.
 func (x *Executor) pending() int {
 	n := 0
 	for _, d := range x.domains {
-		if d.remote {
-			continue
-		}
 		n += len(d.heap)
 		n += d.trainBacklog()
 		d.inMu.Lock()
@@ -263,40 +240,33 @@ func (x *Executor) pending() int {
 func (x *Executor) Shutdown() {}
 
 // Run executes events until every domain's next event lies beyond
-// until, or Stop is called. Virtual time in every domain is advanced to
-// until when its work drains first. In a sharded run the returned error
-// is the typed TransportError that aborted the superstep protocol (a
-// peer died, timed out, or desynchronized); single-process runs never
-// fail.
-func (x *Executor) Run(until time.Duration) error {
-	x.stopped.Store(false)
+// until. Virtual time in every domain is advanced to until when its work
+// drains first.
+func (x *Executor) Run(until time.Duration) {
 	if len(x.domains) == 1 {
 		d := x.domains[0]
-		for !x.stopped.Load() && len(d.heap) > 0 {
+		for len(d.heap) > 0 {
 			if d.heap[0].at > until {
 				d.now = until
-				return nil
+				return
 			}
 			d.step()
 		}
 		if d.now < until {
 			d.now = until
 		}
-		return nil
+		return
 	}
-	return x.run(until, true)
+	x.run(until, true)
 }
 
-// runAll executes events until every queue is empty or Stop is called,
-// leaving each domain's clock at its last event. Under multi-domain
-// execution prefer Run(until): runAll leaves domain clocks ragged,
-// which is fine for draining but makes "schedule more work afterwards"
-// ambiguous.
+// runAll executes events until every queue is empty, leaving each
+// domain's clock at its last event. Under multi-domain execution prefer
+// Run(until): runAll leaves domain clocks ragged, which is fine for
+// draining but makes "schedule more work afterwards" ambiguous.
 func (x *Executor) runAll() {
-	x.stopped.Store(false)
 	if len(x.domains) == 1 {
-		d := x.domains[0]
-		for !x.stopped.Load() && d.step() {
+		for x.domains[0].step() {
 		}
 		return
 	}
@@ -304,19 +274,13 @@ func (x *Executor) runAll() {
 }
 
 // startWorkers launches the helper goroutines for one run: one fewer
-// than the workers the owned domains can use, since the coordinator is
+// than the workers the node domains can use, since the coordinator is
 // the other. The count is fixed on first use (domains are fixed before
 // the first Run).
 func (x *Executor) startWorkers() {
 	if !x.started {
 		x.started = true
-		owned := 0
-		for _, d := range x.domains[1:] {
-			if !d.remote {
-				owned++
-			}
-		}
-		for range min(x.workers, owned) - 1 {
+		for range min(x.workers, len(x.domains)-1) - 1 {
 			x.helpers = append(x.helpers, func() {
 				x.work(false)
 				x.wg.Done()
@@ -354,13 +318,22 @@ func (x *Executor) flushAllTrains() {
 
 func (x *Executor) deliverAll() {
 	for _, d := range x.domains {
-		if d.remote {
-			// Replica inboxes hold cross-shard traffic awaiting the next
-			// transport Exchange; they are never materialized locally.
-			continue
-		}
 		d.drainInbox()
 	}
+}
+
+// minHead returns the node domain whose heap head is the earliest
+// pending node event in the merge order, or nil when no node domain
+// holds one. Inboxes must already be drained: after deliverAll every
+// pending event sits in a heap.
+func (x *Executor) minHead() *Domain {
+	var m *Domain
+	for _, d := range x.domains[1:] {
+		if len(d.heap) > 0 && (m == nil || less(d.heap[0], m.heap[0])) {
+			m = d
+		}
+	}
+	return m
 }
 
 // advanceAll moves every domain clock forward to t (never backward).
@@ -396,7 +369,7 @@ func (x *Executor) progress() uint64 {
 // enqueue marks d runnable and queues it if it was idle. The control
 // domain is never enqueued: only the coordinator runs it, at barriers.
 func (x *Executor) enqueue(d *Domain) {
-	if d.id == 0 || d.remote {
+	if d.id == 0 {
 		return
 	}
 	for {
@@ -542,21 +515,16 @@ func (x *Executor) runDomain(d *Domain) {
 }
 
 // run is the multi-domain coordinator loop described on Executor. Each
-// iteration is one superstep: flush and exchange cross-shard traffic,
-// deliver inboxes, agree on the global node bound through the
-// transport, then take exactly one action — one control event, a
-// return (window exhausted), one sequential fallback event, or one
-// parallel epoch. Every branch decision is a pure function of the
-// agreed Decision plus control-domain state replicated on all shards,
-// so sharded processes stay in lockstep. In-process (the default
-// transport) the loop executes the identical event sequence the
-// pre-transport engine did.
+// iteration flushes and delivers cross-domain traffic, finds the
+// earliest pending node event, then takes exactly one action — one
+// control event, a return (window exhausted), one sequential fallback
+// event, or one parallel epoch.
 //
-// Control runs at most ONE event per agreement: a control event can
-// schedule node events that exist only at their owning shard, so the
-// global node bound must be re-agreed before deciding whether another
-// control event still precedes all node work.
-func (x *Executor) run(until time.Duration, advance bool) error {
+// Control runs at most ONE event per iteration: a control event can
+// schedule node events, so the earliest node event must be found again
+// before deciding whether another control event still precedes all node
+// work.
+func (x *Executor) run(until time.Duration, advance bool) {
 	x.startWorkers()
 	defer x.stopWorkers()
 	ctrl := x.domains[0]
@@ -567,44 +535,31 @@ func (x *Executor) run(until time.Duration, advance bool) error {
 	for _, d := range x.domains {
 		d.pub.Store(int64(d.now))
 	}
-	// The fallback decision needs the previous iteration's epoch
-	// outcome: an epoch that ran but consumed nothing anywhere means
-	// the promise fixpoint is stuck below every pending event.
-	var (
-		lastDelta    uint64
-		lastEpochRan bool
-	)
+	// stalled records that the previous iteration ran an epoch which
+	// consumed nothing: the promise fixpoint is stuck below every
+	// pending event.
+	stalled := false
 	for {
-		if x.stopped.Load() {
-			return nil
-		}
 		x.flushAllTrains()
-		if err := x.transport.Exchange(x); err != nil {
-			return x.fail(err)
-		}
 		x.deliverAll()
-
-		v := Vote{Key: x.localMinKey(), Delta: lastDelta, EpochRan: lastEpochRan}
-		lastDelta, lastEpochRan = 0, false
-		dec, err := x.transport.Agree(x, v)
-		if err != nil {
-			return x.fail(err)
+		head := x.minHead()
+		nodeNext := maxTime
+		if head != nil {
+			nodeNext = head.heap[0].at
 		}
+		fallback := stalled
+		stalled = false
 
 		// Control phase, at a true barrier. At equal timestamps the
 		// merge order (at, dom, seq) puts control (domain 0) first, so
 		// the limit comparison below is inclusive.
 		if len(ctrl.heap) > 0 {
 			cn := ctrl.heap[0].at
-			lim := until
-			if dec.NodeNext < lim {
-				lim = dec.NodeNext
-			}
-			if cn <= lim {
+			if cn <= min(until, nodeNext) {
 				x.advanceAll(cn)
 				ctrl.step()
 				// Control work may have scheduled node events or sent
-				// messages; restart from the exchange barrier.
+				// messages; restart from the delivery barrier.
 				continue
 			}
 		}
@@ -615,49 +570,37 @@ func (x *Executor) run(until time.Duration, advance bool) error {
 		}
 		x.ctrlGate.Store(int64(ctrlNext))
 
-		if dec.NodeNext > until {
+		if head == nil || nodeNext > until {
 			// The control phase already ran everything at or before
-			// min(until, NodeNext), so nothing within the window
+			// min(until, nodeNext), so nothing within the window
 			// remains anywhere.
 			if advance {
 				x.advanceAll(until)
 			}
-			return nil
+			return
 		}
 
-		if dec.Fallback {
-			// Quiescent with no progress anywhere: a zero-lookahead
-			// cycle (or a promise fixpoint below every pending event).
-			// Run exactly the globally minimal event sequentially — on
-			// the shard that owns it — which is the identical total
-			// order a shared heap would have used, so determinism
-			// holds; only parallelism is lost.
+		if fallback {
+			// Quiescent with no progress: a zero-lookahead cycle (or a
+			// promise fixpoint below every pending event). Run exactly
+			// the globally minimal event sequentially, which is the
+			// identical total order a shared heap would have used, so
+			// determinism holds; only parallelism is lost.
 			x.fallbacks++
-			x.stepLocalKey(dec.FallbackKey)
+			head.step()
 			continue
 		}
 
-		// Epoch: seed every owned node domain (idle ones still relay
-		// promise updates), then drain the queue beside the helpers
-		// until the epoch is quiescent.
+		// Epoch: seed every node domain (idle ones still relay promise
+		// updates), then drain the queue beside the helpers until the
+		// epoch is quiescent.
 		before := x.progress()
 		// Sync promises up from the clocks BEFORE the first enqueue: the
 		// moment one domain is queued, worker cascades are live and
 		// now/pub belong to the workers. Interleaving the sync with the
 		// enqueues raced — and the check-then-store could overwrite a
 		// concurrently raised bound with a stale lower one.
-		//
-		// Replica domains are pinned to the agreed global bound instead:
-		// every event any shard fires this epoch has timestamp >= that
-		// bound, so a cross-shard message from a replica's owner arrives
-		// at >= bound+delay — strictly beyond any horizon derived from
-		// the pin — and is injected at the next Exchange before it could
-		// ever be late.
 		for _, d := range x.domains[1:] {
-			if d.remote {
-				d.pub.Store(int64(dec.NodeNext))
-				continue
-			}
 			if p := int64(d.now); p > d.pub.Load() {
 				d.pub.Store(p)
 			}
@@ -667,7 +610,6 @@ func (x *Executor) run(until time.Duration, advance bool) error {
 		}
 		x.work(true)
 		x.rounds++
-		lastDelta = x.progress() - before
-		lastEpochRan = true
+		stalled = x.progress() == before
 	}
 }

@@ -95,9 +95,7 @@ func TestOneWorkerStartsNoGoroutine(t *testing.T) {
 	during := -1
 	a.Schedule(time.Millisecond, func() { during = runtime.NumGoroutine() })
 	before := runtime.NumGoroutine()
-	if err := x.Run(10 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	x.Run(10 * time.Millisecond)
 	if during < 0 {
 		t.Fatal("the node event never ran")
 	}

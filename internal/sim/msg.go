@@ -86,18 +86,6 @@ func (d *Domain) Send(dst *Domain, delay time.Duration, h Handler, arg any) {
 	if h == nil {
 		panic("sim: Send with nil handler")
 	}
-	if d.remote {
-		// Replica of a domain owned elsewhere: this send is replicated
-		// driver-time code, and the owning shard's copy is the authentic
-		// one. Pushing here would strand the event on a never-drained
-		// heap (same-domain) or double-deliver (cross-domain). Release
-		// the payload if the handler knows how — a WireHandler does, and
-		// so does a same-domain handler that carries pooled payloads.
-		if w, ok := h.(interface{ DropArg(arg any) }); ok {
-			w.DropArg(arg)
-		}
-		return
-	}
 	if delay < 0 {
 		delay = 0
 	}

@@ -102,23 +102,6 @@ func TestRunAdvancesToHorizonWhenIdle(t *testing.T) {
 	}
 }
 
-func TestLoopStop(t *testing.T) {
-	l := NewLoop(1)
-	count := 0
-	for i := 1; i <= 5; i++ {
-		l.Schedule(time.Duration(i)*time.Second, func() {
-			count++
-			if count == 2 {
-				l.exec.stopped.Store(true) // what a transport failure does
-			}
-		})
-	}
-	l.RunAll()
-	if count != 2 {
-		t.Fatalf("count = %d, want 2", count)
-	}
-}
-
 func TestScheduleNegativeDelay(t *testing.T) {
 	l := NewLoop(1)
 	l.Run(time.Second)

@@ -192,7 +192,7 @@ func (f handlerFunc) Invoke(arg any) { f(arg) }
 // TestCrossDomainSendSteadyStateAllocs: after warmup (event free lists
 // primed, train buffers and inbox slices grown), the cross-domain
 // Send→train→flush→deliver→fire cycle must not allocate — this is the
-// per-packet path of the sharded network simulator.
+// per-packet path of the parallel network simulator.
 func TestCrossDomainSendSteadyStateAllocs(t *testing.T) {
 	const edge = time.Millisecond
 	x := NewExecutor(17, 1)

@@ -269,7 +269,7 @@ func (r *Registry) FindCounter(slice, node, name string) *Counter {
 // publishers stay writable — they just no longer appear in snapshots,
 // digests, or exports — so a straggling in-flight event cannot crash.
 // A fresh order slice is built rather than compacting in place, because
-// Snapshot serves capped views of the old backing array.
+// snapshot serves capped views of the old backing array.
 func (r *Registry) Retire(slice string) int {
 	if r == nil {
 		return 0
@@ -369,8 +369,8 @@ type MetricValue struct {
 	Buckets []uint64 `json:"buckets,omitempty"` // non-cumulative, trailing zeros trimmed
 }
 
-// Snapshot captures every metric in registration order.
-func (r *Registry) Snapshot() []MetricValue {
+// snapshot captures every metric in registration order.
+func (r *Registry) snapshot() []MetricValue {
 	if r == nil {
 		return nil
 	}
@@ -407,14 +407,9 @@ func (r *Registry) Snapshot() []MetricValue {
 // Digest folds every metric (labels and values) in registration order.
 // Two runs match iff they registered the same metrics in the same
 // order with the same final values.
-func (r *Registry) Digest() uint64 { return DigestOf(r.Snapshot()) }
-
-// DigestOf folds a snapshot exactly as Registry.Digest does, so a
-// snapshot merged from several process shards can be compared against a
-// single-process registry digest byte for byte.
-func DigestOf(snap []MetricValue) uint64 {
+func (r *Registry) Digest() uint64 {
 	h := uint64(fnvOffset)
-	for _, mv := range snap {
+	for _, mv := range r.snapshot() {
 		h = fnvString(h, mv.Slice)
 		h = fnvString(h, mv.Node)
 		h = fnvString(h, mv.Name)
@@ -434,7 +429,7 @@ func DigestOf(snap []MetricValue) uint64 {
 func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
+	return enc.Encode(r.snapshot())
 }
 
 // promName maps a registry metric name to a Prometheus metric name.
@@ -471,7 +466,7 @@ func promLabels(mv MetricValue) string {
 // format. Series sharing a metric name are grouped under one # TYPE
 // line, preserving first-registration order between groups.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	snap := r.Snapshot()
+	snap := r.snapshot()
 	byName := make(map[string][]MetricValue)
 	var names []string
 	for _, mv := range snap {

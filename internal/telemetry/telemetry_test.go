@@ -35,7 +35,7 @@ func TestRegistrySnapshotOrderIsRegistrationOrder(t *testing.T) {
 	r.Counter("s1", "a", "a-first")
 	r.gauge("", "", "global")
 	r.Counter("s1", "b", "z-last").Add(5) // get-or-create: same handle
-	snap := r.Snapshot()
+	snap := r.snapshot()
 	if len(snap) != 3 {
 		t.Fatalf("snapshot has %d metrics, want 3", len(snap))
 	}
@@ -82,7 +82,7 @@ func TestScopePrefix(t *testing.T) {
 	r := NewRegistry()
 	sc := r.Scope("iias", "denver").With("click/rt/")
 	sc.Counter("noroute").Add(2)
-	snap := r.Snapshot()
+	snap := r.snapshot()
 	if len(snap) != 1 || snap[0].Name != "click/rt/noroute" || snap[0].Node != "denver" {
 		t.Fatalf("snapshot = %+v", snap)
 	}
@@ -274,7 +274,7 @@ func TestRegistryRetire(t *testing.T) {
 	r.Counter("s1", "n2", "pkts").Add(4)
 	r.Counter("s2", "n1", "pkts").Add(5)
 	r.gauge("s1", "n1", "depth").Set(7)
-	snapBefore := r.Snapshot()
+	snapBefore := r.snapshot()
 	if n := r.Retire("s1"); n != 3 {
 		t.Fatalf("Retire = %d, want 3", n)
 	}
@@ -284,7 +284,7 @@ func TestRegistryRetire(t *testing.T) {
 	if n := r.Series("s2"); n != 1 {
 		t.Fatalf("Series(s2) = %d, want 1", n)
 	}
-	snap := r.Snapshot()
+	snap := r.snapshot()
 	if len(snap) != 1 || snap[0].Slice != "s2" || snap[0].Value != 5 {
 		t.Fatalf("post-retire snapshot = %+v", snap)
 	}

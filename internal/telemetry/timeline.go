@@ -174,7 +174,7 @@ func (t *Telemetry) Snapshot() Snapshot {
 	}
 	evs := t.Rec.Events()
 	return Snapshot{
-		Metrics:       t.Reg.Snapshot(),
+		Metrics:       t.Reg.snapshot(),
 		Events:        evs,
 		Dropped:       t.Rec.dropped(),
 		MetricsDigest: t.Reg.Digest(),

@@ -22,7 +22,6 @@ import (
 // the builder does not reach it.
 var handBuiltSites = map[string]string{
 	"internal/experiment/paper.go": "deterNet and planetlabNetProf give each link a Jitter, which topology.Link does not carry",
-	"internal/simtest/dist.go":     "every link sets QueueBytes, which topology.Link does not carry",
 	"examples/optin/main.go":       "adds a client and a web server to an Abilene substrate already built, then reconverges",
 }
 
