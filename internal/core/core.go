@@ -165,7 +165,7 @@ func (v *VINI) CreateSlice(cfg SliceConfig) (*Slice, error) {
 	if _, dup := v.slices[cfg.Name]; dup {
 		return nil, fmt.Errorf("core: slice %q exists", cfg.Name)
 	}
-	if cfg.CPUShare < 0 || cfg.CPUShare > 1 {
+	if !(cfg.CPUShare >= 0 && cfg.CPUShare <= 1) { // refuses NaN too
 		return nil, fmt.Errorf("core: slice %q CPUShare %.3f outside (0, 1]", cfg.Name, cfg.CPUShare)
 	}
 	if cfg.CPUShare == 0 {

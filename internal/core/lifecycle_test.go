@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net/netip"
 	"testing"
 	"time"
@@ -40,6 +41,9 @@ func TestCreateSliceValidatesCPUShare(t *testing.T) {
 	}
 	if _, err := v.CreateSlice(SliceConfig{Name: "neg", CPUShare: -0.1}); err == nil {
 		t.Fatal("negative CPUShare admitted")
+	}
+	if _, err := v.CreateSlice(SliceConfig{Name: "nan", CPUShare: math.NaN()}); err == nil {
+		t.Fatal("NaN CPUShare admitted")
 	}
 	s, err := v.CreateSlice(SliceConfig{Name: "def"})
 	if err != nil {

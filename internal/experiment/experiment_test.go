@@ -278,6 +278,12 @@ seed 7
 		"topology abilene\nfrobnicate",
 		"duration 10s", // no topology
 		"topology abilene\nudp-cbr a b rate -3",
+		// Non-finite values: a pacer fed one never advances.
+		"topology abilene\nudp-cbr a b rate Inf",
+		"topology abilene\nudp-cbr a b rate NaN",
+		"topology abilene\nadaptive a b rate NaN",
+		"topology abilene\nat 1s rate a b inf",
+		"topology abilene\nslice x share NaN",
 	}
 	for _, b := range bad {
 		if _, err := ParseSpec(b); err == nil {

@@ -1,6 +1,9 @@
 package experiment
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // FuzzParseSpec throws arbitrary text at the experiment-specification
 // parser, which must return a spec or an error — never panic. (This
@@ -51,6 +54,13 @@ seed 7
 	f.Add("iperf-tcp a b window 16384 streams")
 	f.Add("ospf hello 5s dead")
 	f.Add("rip update")
+	// Non-finite rates and shares: each used to parse, and a rate of Inf
+	// hung the run.
+	f.Add("udp-cbr a b rate Inf")
+	f.Add("udp-cbr a b rate NaN")
+	f.Add("adaptive a b rate NaN")
+	f.Add("at 1s rate a b inf")
+	f.Add("slice x share NaN")
 	f.Fuzz(func(t *testing.T, text string) {
 		sp, err := ParseSpec(text)
 		if err != nil {
@@ -58,6 +68,23 @@ seed 7
 		}
 		if sp.Duration < 0 || sp.Warmup < 0 {
 			t.Fatalf("ParseSpec accepted negative times: %+v", sp)
+		}
+		if s := sp.Slice.CPUShare; !(s >= 0 && s <= 1) {
+			t.Fatalf("ParseSpec accepted CPU share %v", s)
+		}
+		var rates []float64
+		for _, ts := range sp.Traffic {
+			rates = append(rates, ts.RateBps)
+		}
+		for _, ev := range sp.Events {
+			if ev.Action == "rate" {
+				rates = append(rates, ev.Rate)
+			}
+		}
+		for _, r := range rates {
+			if !(r > 0) || math.IsInf(r, 0) {
+				t.Fatalf("ParseSpec accepted rate %v", r)
+			}
 		}
 	})
 }

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 	"net/netip"
 	"sort"
 	"strconv"
@@ -133,8 +134,9 @@ func ParseSpec(text string) (*Spec, error) {
 					if i+1 >= len(f) {
 						return nil, fail("%s needs a value", f[i])
 					}
+					// Written so NaN, which every comparison fails, is refused.
 					v, err := strconv.ParseFloat(f[i+1], 64)
-					if err != nil || v <= 0 || v > 1 {
+					if err != nil || !(v > 0 && v <= 1) {
 						return nil, fail("bad CPU share %q", f[i+1])
 					}
 					sp.Slice.CPUShare = v
@@ -297,7 +299,9 @@ func parseKVDurations(fields []string, keys map[string]*time.Duration) error {
 	return nil
 }
 
-// parseRate accepts "10M", "500k", "1G", or plain bits/s.
+// parseRate accepts "10M", "500k", "1G", or plain bits/s: a positive,
+// finite rate. ParseFloat reads "inf" and "NaN" too; a pacer fed either
+// re-arms its tick at the same instant forever.
 func parseRate(s string) (float64, error) {
 	mult := 1.0
 	switch {
@@ -309,10 +313,11 @@ func parseRate(s string) (float64, error) {
 		mult, s = 1e3, s[:len(s)-1]
 	}
 	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || v <= 0 {
+	r := v * mult
+	if err != nil || !(r > 0) || math.IsInf(r, 1) {
 		return 0, fmt.Errorf("bad rate")
 	}
-	return v * mult, nil
+	return r, nil
 }
 
 // Result collects a run's measurements.
