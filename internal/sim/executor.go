@@ -52,7 +52,7 @@ const (
 //   - The coordinator — the goroutine that called Run, and the only
 //     context that touches the control domain — seeds each epoch and
 //     then drains the run queue as a worker itself, beside
-//     min(workers, owned domains)-1 helper goroutines that live for the
+//     min(workers, node domains)-1 helper goroutines that live for the
 //     Run. With one worker there is no helper: no goroutine, no park, no
 //     handoff. At quiescence the coordinator runs due control events at
 //     a true barrier, re-seeds the domains, and begins the next epoch.

@@ -7,9 +7,8 @@ import "time"
 // Protocol ticks (OSPF hellos, RIP periodic updates, LSA refresh sweeps)
 // do not need microsecond placement — they need "about every 5 seconds"
 // — but each one scheduled directly on a Domain is a separate heap
-// event, and every such event bounds the domain's
-// published execution promise, forcing neighbors to wait on timer
-// housekeeping. Rounding ticks up to the next slot boundary lets one
+// event, and every such event bounds the domain's published execution
+// promise, forcing neighbors to wait on timer housekeeping. Rounding ticks up to the next slot boundary lets one
 // heap event fire a whole batch, and stretches the gap between
 // consecutive events, which widens the horizon every neighbor can run
 // to.
