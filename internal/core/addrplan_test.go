@@ -169,6 +169,28 @@ func TestSpanAllocSplitsAndAligns(t *testing.T) {
 	if _, err := a.acquire(2048); !errors.Is(err, errExhausted) {
 		t.Fatalf("oversized acquire: %v, want ErrExhausted", err)
 	}
+	// Freed blocks never coalesce: a range carved into 64 spans of 16 and
+	// released whole still cannot serve a 1024-block, and the next
+	// 16-block is the last one released (LIFO).
+	c := newSpanAlloc("frag", 0, 1024, true)
+	spans := make([]uint32, 64)
+	for i := range spans {
+		if spans[i], err = c.acquire(16); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, off := range spans {
+		c.release(off, 16)
+	}
+	if err := c.audit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.acquire(1024); !errors.Is(err, errExhausted) {
+		t.Fatalf("1024-block from 64 freed 16-blocks: %v, want errExhausted", err)
+	}
+	if got, err := c.acquire(16); err != nil || got != spans[63] {
+		t.Fatalf("16-block after the sweep: %d, %v; want the last released, %d", got, err, spans[63])
+	}
 	// Non-power-of-two sizes are rejected without panicking.
 	if _, err := a.acquire(24); err == nil {
 		t.Fatal("non-power-of-two size accepted")
