@@ -72,18 +72,17 @@ seed 7
 		if s := sp.Slice.CPUShare; !(s >= 0 && s <= 1) {
 			t.Fatalf("ParseSpec accepted CPU share %v", s)
 		}
-		var rates []float64
+		checkRate := func(r float64) {
+			if !(r > 0) || math.IsInf(r, 0) {
+				t.Fatalf("ParseSpec accepted rate %v", r)
+			}
+		}
 		for _, ts := range sp.Traffic {
-			rates = append(rates, ts.RateBps)
+			checkRate(ts.RateBps)
 		}
 		for _, ev := range sp.Events {
 			if ev.Action == "rate" {
-				rates = append(rates, ev.Rate)
-			}
-		}
-		for _, r := range rates {
-			if !(r > 0) || math.IsInf(r, 0) {
-				t.Fatalf("ParseSpec accepted rate %v", r)
+				checkRate(ev.Rate)
 			}
 		}
 	})

@@ -134,8 +134,8 @@ func ParseSpec(text string) (*Spec, error) {
 					if i+1 >= len(f) {
 						return nil, fail("%s needs a value", f[i])
 					}
-					// Written so NaN, which every comparison fails, is refused.
 					v, err := strconv.ParseFloat(f[i+1], 64)
+					// Written so NaN, which every comparison fails, is refused.
 					if err != nil || !(v > 0 && v <= 1) {
 						return nil, fail("bad CPU share %q", f[i+1])
 					}
