@@ -27,9 +27,9 @@ import (
 	"vini/internal/traffic"
 )
 
-// abilene4 is the 4-slice Abilene world of BENCH_parallel.json: every PoP
-// a PlanetLab host, four mirrored OSPF slices, one cross-country 10 Mb/s
-// CBR flow per slice.
+// abilene4 is 20 virtual seconds of the benchmark's abilene_cbr world:
+// every PoP a PlanetLab host, four mirrored OSPF slices, one
+// cross-country 10 Mb/s CBR flow per slice.
 func abilene4(t *testing.T, v *core.VINI) {
 	t.Helper()
 	g := topology.Abilene()
@@ -85,25 +85,63 @@ func TestOneEngine(t *testing.T) {
 	}{
 		{"New(2)", func() *core.VINI { return core.New(2) }},
 		{"NewParallel(2,1)", func() *core.VINI { return core.NewParallel(2, 1) }},
+		{"NewParallel(2,2)", func() *core.VINI { return core.NewParallel(2, 2) }},
 		{"NewParallel(2,4)", func() *core.VINI { return core.NewParallel(2, 4) }},
 	}
 	for _, w := range worlds {
 		t.Run(w.name, func(t *testing.T) {
-			var want [3]uint64
+			var want engineAccount
 			for i, e := range engines {
 				v := e.new()
 				tel := v.EnableTelemetry()
 				w.run(t, v)
-				got := [3]uint64{v.Executor().ScheduleDigest(), tel.Reg.Digest(), tel.Rec.Digest()}
+				got := account(v, tel.Reg.Digest(), tel.Rec.Digest())
 				if i == 0 {
 					want = got
 				} else if got != want {
-					t.Errorf("%s: schedule/telemetry/flight digests %016x, %s gave %016x",
-						e.name, got, engines[0].name, want)
+					t.Errorf("%s ran\n  %+v\n%s ran\n  %+v", e.name, got, engines[0].name, want)
 				}
+			}
+			if w.name == "abilene4" && (want.schedule != abilene4Schedule || want.events != abilene4Events) {
+				t.Errorf("abilene4 on one worker: schedule digest %016x over %d events, pinned %016x over %d",
+					want.schedule, want.events, uint64(abilene4Schedule), uint64(abilene4Events))
 			}
 		})
 	}
+}
+
+// abilene4's one-worker schedule digest and fired-event count at seed 2:
+// what every commit must reproduce for this world, not only every engine
+// of one commit. A change that moves them re-pins them with the reason.
+const (
+	abilene4Schedule = 0x8e0d30cd372c4f2e
+	abilene4Events   = 868774
+)
+
+// engineAccount is what every worker count must reproduce of a run: the
+// schedule, telemetry and flight digests, the executor's counters that
+// do not depend on how the host interleaves workers (windows, trains and
+// parks do), and the events each domain fired.
+type engineAccount struct {
+	schedule, metrics, flight                        uint64
+	events, deliveries, rounds, fallbacks, trainMsgs uint64
+	perDomain                                        string
+}
+
+func account(v *core.VINI, metrics, flight uint64) engineAccount {
+	x := v.Executor()
+	a := engineAccount{
+		schedule: x.ScheduleDigest(), metrics: metrics, flight: flight,
+		events: x.TotalFired(), deliveries: x.Deliveries(), rounds: x.Rounds(), fallbacks: x.Fallbacks(),
+	}
+	_, a.trainMsgs = x.TrainStats()
+	var b strings.Builder
+	for _, d := range x.Domains() {
+		s := d.Stats()
+		fmt.Fprintf(&b, "%s=%d ", s.Label, s.Fired)
+	}
+	a.perDomain = b.String()
+	return a
 }
 
 // TestDroppedWorldLeaksNothing: worker goroutines live only inside Run,
