@@ -40,7 +40,7 @@ type churnReport struct {
 // released blocks straight back).
 func churnExp() error {
 	cycles := count(8, 3)
-	v, err := abileneWorld(*seedFlag, 1)
+	v, err := vini.BuildAbilene(*seedFlag, vini.PlanetLabProfile())
 	if err != nil {
 		return err
 	}

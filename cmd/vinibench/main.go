@@ -2,15 +2,15 @@
 // Section 5 evaluation and prints paper-reported values beside the
 // measured ones. See EXPERIMENTS.md for a captured run.
 //
-// The parallel, scale, adaptive, churn and migrate experiments also
-// write BENCH_<exp>.json. vinibench reads no host clock and no host
+// The scale, adaptive, churn and migrate experiments also write
+// BENCH_<exp>.json. vinibench reads no host clock and no host
 // shape, so those reports are a function of the flags alone and the
 // committed ones are goldens; what a run costs is measured by
 // `bash benchmark/run.sh`.
 //
 // Usage:
 //
-//	vinibench [-exp all|NAME] [-seed N] [-short] [-parallel N] [-slices N] [-nodes N] [-topo F -demands F] [-v]
+//	vinibench [-exp all|NAME] [-seed N] [-short] [-slices N] [-nodes N] [-topo F -demands F] [-v]
 //
 // vinibench -h lists the experiment names.
 package main
@@ -37,7 +37,7 @@ var experiments = []struct {
 	{"table2", table2}, {"table3", table3}, {"table4", table4}, {"table5", table5},
 	{"table6", table6}, {"fig6", fig6}, {"fig7", fig7}, {"fig8", fig8}, {"fig9", fig9},
 	{"ablation", ablation}, {"simtest", simtestExp},
-	{"parallel", parallelExp}, {"telemetry", telemetryExp}, {"churn", churnExp},
+	{"telemetry", telemetryExp}, {"churn", churnExp},
 	{"migrate", migrateExp}, {"scale", scaleExp}, {"adaptive", adaptiveExp},
 }
 
@@ -51,15 +51,14 @@ func expNames() string {
 }
 
 var (
-	expFlag      = flag.String("exp", "all", "experiment to run: "+expNames())
-	seedFlag     = flag.Int64("seed", 2, "simulation seed")
-	short        = flag.Bool("short", false, "shorter measurement windows")
-	parallelFlag = flag.Int("parallel", 4, "max worker count for the engine experiments (parallel, scale, adaptive)")
-	verbose      = flag.Bool("v", false, "print per-domain event counters in the parallel experiment (diagnostic: stall counts vary with worker interleaving)")
-	scaleSlices  = flag.Int("slices", 0, "concurrent slice count for the scale experiment (default 500, 150 with -short)")
-	scaleNodes   = flag.Int("nodes", 64, "synthetic substrate size for the scale experiment")
-	topoFlag     = flag.String("topo", "", "external REPETITA .graph file for the scale experiment")
-	demandsFlag  = flag.String("demands", "", "external REPETITA .demands file for the scale experiment")
+	expFlag     = flag.String("exp", "all", "experiment to run: "+expNames())
+	seedFlag    = flag.Int64("seed", 2, "simulation seed")
+	short       = flag.Bool("short", false, "shorter measurement windows")
+	verbose     = flag.Bool("v", false, "print the per-domain executor profile and the JSON snapshot in the telemetry experiment")
+	scaleSlices = flag.Int("slices", 0, "concurrent slice count for the scale experiment (default 500, 150 with -short)")
+	scaleNodes  = flag.Int("nodes", 64, "synthetic substrate size for the scale experiment")
+	topoFlag    = flag.String("topo", "", "external REPETITA .graph file for the scale experiment")
+	demandsFlag = flag.String("demands", "", "external REPETITA .demands file for the scale experiment")
 )
 
 func main() {
@@ -99,12 +98,8 @@ func run(stderr io.Writer) int {
 // layer enabled and dumps what it captured: the metrics registry and
 // flight-recorder digests (the values the worker-parity property pins),
 // the convergence windows derived from the control-plane timeline, and
-// the per-domain executor profile. The whole scenario runs twice with
-// the same seed; the two digest pairs must match byte-for-byte or the
-// experiment fails — the same replay-determinism property the
-// worker-parity tests rest on. With -v it also emits
-// the full JSON snapshot, the machine-readable form the Section 5
-// harness reads.
+// the per-domain executor profile. With -v it also emits the full JSON
+// snapshot, the machine-readable form the Section 5 harness reads.
 func telemetryExp() error {
 	e, err := experiment.NewAbilene(*seedFlag)
 	if err != nil {
@@ -117,19 +112,6 @@ func telemetryExp() error {
 	snap := tel.Snapshot()
 	fmt.Printf("metrics: %d series (digest %016x); flight recorder: %d events, %d dropped (digest %016x)\n",
 		len(snap.Metrics), snap.MetricsDigest, len(snap.Events), snap.Dropped, snap.FlightDigest)
-	replay, err := experiment.NewAbilene(*seedFlag)
-	if err != nil {
-		return err
-	}
-	if _, err := replay.Figure8(); err != nil {
-		return err
-	}
-	rsnap := replay.V.Telemetry().Snapshot()
-	if rsnap.MetricsDigest != snap.MetricsDigest || rsnap.FlightDigest != snap.FlightDigest {
-		return fmt.Errorf("telemetry: DIGEST MISMATCH on replay: metrics %016x vs %016x, flight %016x vs %016x",
-			snap.MetricsDigest, rsnap.MetricsDigest, snap.FlightDigest, rsnap.FlightDigest)
-	}
-	fmt.Printf("replay cross-check: second seeded run reproduced both digests\n")
 	fmt.Println("convergence after link events (first-class query over the timeline):")
 	for _, c := range snap.Convergences {
 		dir := "up"

@@ -60,7 +60,7 @@ func TestTopoWithoutDemandsIsUsageError(t *testing.T) {
 // TestShortKeepsExplicitSlices: -short shrinks the default slice count
 // of the scale experiment, never one given on the command line.
 func TestShortKeepsExplicitSlices(t *testing.T) {
-	code, stderr, dir := vinibench(t, "-exp", "scale", "-short", "-slices", "20", "-nodes", "16", "-parallel", "1")
+	code, stderr, dir := vinibench(t, "-exp", "scale", "-short", "-slices", "20", "-nodes", "16")
 	if code != 0 {
 		t.Fatalf("exit code %d: %s", code, stderr)
 	}
@@ -76,10 +76,10 @@ func TestShortKeepsExplicitSlices(t *testing.T) {
 
 // TestCommittedReportsReproduce: vinibench reads no host clock and no
 // host shape, so every committed BENCH_*.json is a golden — regenerating
-// it at default flags must give the same bytes. scale takes minutes (CI
-// regenerates it in the regimes matrix), and parallel is skipped under
-// -short; those two are decoded strictly and re-encoded instead, which
-// still catches a renamed, missing or left-over key.
+// it at default flags must give the same bytes. scale takes tens of
+// seconds (CI regenerates it in the regimes matrix), so it is decoded
+// strictly and re-encoded instead, which still catches a renamed,
+// missing or left-over key.
 func TestCommittedReportsReproduce(t *testing.T) {
 	for _, c := range []struct {
 		exp   string
@@ -87,7 +87,7 @@ func TestCommittedReportsReproduce(t *testing.T) {
 		into  any
 	}{
 		{"adaptive", true, nil}, {"churn", true, nil}, {"migrate", true, nil},
-		{"parallel", !testing.Short(), &parallelReport{}}, {"scale", false, &scaleReport{}},
+		{"scale", false, &scaleReport{}},
 	} {
 		t.Run(c.exp, func(t *testing.T) {
 			file := "BENCH_" + c.exp + ".json"

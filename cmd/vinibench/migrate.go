@@ -38,12 +38,11 @@ type migrateRow struct {
 }
 
 type migrateReport struct {
-	Seed               int64      `json:"seed"`
-	ProbeIntervalUs    int64      `json:"probe_interval_us"`
-	MBB                migrateRow `json:"make_before_break"`
-	Naive              migrateRow `json:"naive_reembed"`
-	ReplayDigestsMatch bool       `json:"replay_digests_match"`
-	StrictlySmaller    bool       `json:"mbb_blackout_strictly_smaller"`
+	Seed            int64      `json:"seed"`
+	ProbeIntervalUs int64      `json:"probe_interval_us"`
+	MBB             migrateRow `json:"make_before_break"`
+	Naive           migrateRow `json:"naive_reembed"`
+	StrictlySmaller bool       `json:"mbb_blackout_strictly_smaller"`
 }
 
 // migrateExp measures the cutover blackout of live vnode migration two
@@ -53,18 +52,12 @@ type migrateReport struct {
 // break-before-make baseline (retire first, rebuild, let OSPF
 // reconverge). A probe leaves west for east through the migrating
 // transit hop every simulated millisecond; the blackout window is the
-// probes that never arrive. Each arm runs twice with the same seed and
-// must reproduce its whole row, telemetry digests included, the same
-// replay-determinism cross-check the parallel and scale experiments
-// apply. The experiment fails unless the make-before-break blackout is
-// strictly smaller than the naive one (and, concretely, zero).
+// probes that never arrive. The experiment fails unless the
+// make-before-break blackout is strictly smaller than the naive one
+// (and, concretely, zero).
 func migrateExp() error {
 	warm, total := count(1000, 400), count(6000, 3000)
 	mbb, err := migrateArm(false, warm, total)
-	if err != nil {
-		return err
-	}
-	mbbReplay, err := migrateArm(false, warm, total)
 	if err != nil {
 		return err
 	}
@@ -72,16 +65,11 @@ func migrateExp() error {
 	if err != nil {
 		return err
 	}
-	naiveReplay, err := migrateArm(true, warm, total)
-	if err != nil {
-		return err
-	}
 	rep := migrateReport{
 		Seed:            *seedFlag,
 		ProbeIntervalUs: migProbeInterval.Microseconds(),
 		MBB:             mbb, Naive: naive,
-		ReplayDigestsMatch: mbb == mbbReplay && naive == naiveReplay,
-		StrictlySmaller:    mbb.BlackoutUs < naive.BlackoutUs,
+		StrictlySmaller: mbb.BlackoutUs < naive.BlackoutUs,
 	}
 	fmt.Printf("live migration blackout: west->east probes every %v through a migrating transit vnode\n", migProbeInterval)
 	fmt.Printf("%-18s %8s %10s %6s %5s %12s %12s %8s %10s\n",
@@ -91,18 +79,11 @@ func migrateExp() error {
 			r.Mode, r.Sent, r.Delivered, r.Lost, r.Duplicates,
 			r.BlackoutUs, r.MaxGapUs, r.Clones, r.NeighborEvents)
 	}
-	if rep.ReplayDigestsMatch {
-		fmt.Println("replay cross-check: both arms reproduced their telemetry digests on a second seeded run")
-	} else {
-		fmt.Println("WARNING: replay digest mismatch: seeded reruns diverged")
-	}
 	fmt.Printf("blackout: make-before-break %dus vs naive re-embed %dus\n", mbb.BlackoutUs, naive.BlackoutUs)
 	if err := writeReport("migrate", rep); err != nil {
 		return err
 	}
 	switch {
-	case !rep.ReplayDigestsMatch:
-		return fmt.Errorf("migrate: replay digests diverged")
 	case mbb.Lost != 0:
 		return fmt.Errorf("migrate: make-before-break lost %d probes, want 0", mbb.Lost)
 	case mbb.Duplicates != 0 || naive.Duplicates != 0:

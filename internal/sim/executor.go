@@ -151,15 +151,6 @@ func (x *Executor) NewDomain(label string) *Domain {
 // not mutate it.
 func (x *Executor) Domains() []*Domain { return x.domains }
 
-// Stats snapshots every domain's counters, control domain first.
-func (x *Executor) Stats() []DomainStats {
-	out := make([]DomainStats, len(x.domains))
-	for i, d := range x.domains {
-		out[i] = d.Stats()
-	}
-	return out
-}
-
 // Rounds returns how many coordinator epochs have run: control barriers
 // and fallback steps, each separated by a full parallel quiescence
 // phase.

@@ -27,8 +27,8 @@ import (
 // AdaptiveOptions configures one seeded adaptive-controller scenario.
 type AdaptiveOptions struct {
 	Seed int64
-	// Workers is the executor's worker budget, exactly as in Options.
-	Workers int
+	// workers is the executor's worker budget, exactly as in Options.
+	workers int
 	// disableOveruse sabotages the controller's over-use detector — the
 	// mutation check: with it set, the convergence invariant must trip.
 	disableOveruse bool
@@ -73,7 +73,7 @@ const (
 func RunAdaptive(opts AdaptiveOptions) (*AdaptiveResult, error) {
 	rng := sim.NewRNG(opts.Seed)
 	res := &AdaptiveResult{}
-	w := newWorld("adaptive", &res.Outcome, opts.Seed, opts.Workers)
+	w := newWorld("adaptive", &res.Outcome, opts.Seed, opts.workers)
 
 	// Topology: a — b — c — d carries the adaptive flow; b — e — c is
 	// the slower alternate path the flap reroutes onto. The bottleneck

@@ -77,7 +77,7 @@ func (r *AdaptiveResult) findings() (f []string) {
 // smallScale is the scale regime at its -short shape (24 nodes / 60
 // slices, still on the sized-allocation path).
 func smallScale(seed int64, workers int) (result, error) {
-	return RunScale(ScaleOptions{Seed: seed, Nodes: 24, Slices: 60, Workers: workers})
+	return RunScale(ScaleOptions{Seed: seed, Nodes: 24, Slices: 60, workers: workers})
 }
 
 // regimes is the suite: one row per regime. Every arm starts at seed
@@ -94,17 +94,17 @@ var regimes = []struct {
 	{"base", 1, seedCount{25, 25}, seedCount{25, 6}, seedCount{5, 5}, false,
 		func(s int64, w int) (result, error) { return Run(Options{Seed: s, workers: w}) }},
 	{"churn", 1, seedCount{8, 3}, seedCount{15, 4}, seedCount{3, 3}, false,
-		func(s int64, w int) (result, error) { return runChurn(churnOptions{Seed: s, Workers: w}) }},
+		func(s int64, w int) (result, error) { return runChurn(churnOptions{Seed: s, workers: w}) }},
 	// One pinned seed: 200 slices — well past the old 126-slice ceiling —
 	// on a 64-node synthetic REPETITA substrate, byte-identical at 1, 2
 	// and 4 workers. The parity arm's 1-worker leg is the sweep of that
 	// seed, so the sweep arm runs only under -seeds.
 	{"scale", 2, seedCount{}, seedCount{1, 1}, seedCount{}, true,
-		func(s int64, w int) (result, error) { return RunScale(ScaleOptions{Seed: s, Workers: w}) }},
+		func(s int64, w int) (result, error) { return RunScale(ScaleOptions{Seed: s, workers: w}) }},
 	{"migrate", 1, seedCount{6, 2}, seedCount{15, 4}, seedCount{3, 3}, true,
-		func(s int64, w int) (result, error) { return runMigrate(migrateOptions{Seed: s, Workers: w}) }},
+		func(s int64, w int) (result, error) { return runMigrate(migrateOptions{Seed: s, workers: w}) }},
 	{"adaptive", 1, seedCount{5, 2}, seedCount{10, 3}, seedCount{3, 3}, true,
-		func(s int64, w int) (result, error) { return RunAdaptive(AdaptiveOptions{Seed: s, Workers: w}) }},
+		func(s int64, w int) (result, error) { return RunAdaptive(AdaptiveOptions{Seed: s, workers: w}) }},
 }
 
 // diverged names the replay fingerprints on which two runs of the same

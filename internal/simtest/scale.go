@@ -29,8 +29,8 @@ type ScaleOptions struct {
 	Nodes int
 	// Slices is the concurrent slice count (default 200).
 	Slices int
-	// Workers is the executor's worker budget, exactly as in Options.
-	Workers int
+	// workers is the executor's worker budget, exactly as in Options.
+	workers int
 	// GraphText/DemandsText carry external REPETITA file contents;
 	// both empty selects the pinned synthetic scenario.
 	GraphText   string
@@ -142,7 +142,7 @@ func RunScale(opts ScaleOptions) (*ScaleResult, error) {
 	}
 
 	res := &ScaleResult{Nodes: len(names), Links: len(g.Links()), Slices: opts.Slices}
-	w := newWorld("scale", &res.Outcome, opts.Seed, opts.Workers)
+	w := newWorld("scale", &res.Outcome, opts.Seed, opts.workers)
 
 	// Substrate: one physical node per topology node in REPETITA file
 	// order, link parameters verbatim.
