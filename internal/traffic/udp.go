@@ -29,7 +29,7 @@ type UDPCBR struct {
 	// send is the client node's clock, recv the server's: the tick loop
 	// runs in the client's domain and the receive path in the server's,
 	// so each side reads its own timeline.
-	send      sim.Clock
+	send sim.Clock
 	recv sim.Clock
 	// cfg.RateBps is read from the client's domain before every datagram
 	// and retargeted by SetRate.
