@@ -107,7 +107,7 @@ func TestLinkDownBlocksTraffic(t *testing.T) {
 	w, src, _, dst := threeNodeNet(t, DETERProfile(), 1e9, 100*time.Microsecond)
 	got := 0
 	dst.StackListenUDP(7, func([]byte) { got++ })
-	l, _ := w.findLink("src", "fwdr")
+	l, _ := w.findLink("src", "fwdr", true)
 	l.SetDown(true)
 	src.StackSend(packet.BuildUDP(src.Addr(), dst.Addr(), 1, 7, 64, nil))
 	w.Run(10 * time.Millisecond)
@@ -162,6 +162,50 @@ func TestFailLinkUpcallAndReroute(t *testing.T) {
 	}
 	if len(events) != 2 || events[1].Down {
 		t.Fatalf("restore upcall missing: %+v", events)
+	}
+}
+
+// TestFailLinkParallelLinks: FailLink takes down an a–b link that is
+// still up and RestoreLink brings up one that is down, so failing both
+// of two parallel links severs the hop and restoring twice heals both.
+func TestFailLinkParallelLinks(t *testing.T) {
+	w := New(sim.NewLoop(1))
+	w.AddNode("a", addr("10.0.0.1"), DETERProfile(), sched.Options{})
+	w.AddNode("b", addr("10.0.0.2"), DETERProfile(), sched.Options{})
+	var links [2]*Link
+	for i := range links {
+		l, err := w.AddLink(LinkConfig{A: "a", B: "b", Bandwidth: 1e9, Delay: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		links[i] = l
+	}
+	w.ComputeRoutes()
+	var downs int
+	w.OnLinkEvent(func(ev LinkEvent) {
+		if ev.Down {
+			downs++
+		}
+	})
+	state := func() [2]bool { return [2]bool{links[0].down, links[1].down} }
+	for i, want := range [][2]bool{{true, false}, {true, true}} {
+		if err := w.FailLink("a", "b", 0); err != nil {
+			t.Fatal(err)
+		}
+		if got := state(); got != want {
+			t.Fatalf("after %d FailLink: down=%v, want %v", i+1, got, want)
+		}
+	}
+	if !w.Severed("a", "b") || downs != 2 {
+		t.Fatalf("both links failed: Severed=%v, %d down alarms; want true and 2", w.Severed("a", "b"), downs)
+	}
+	for i, want := range [][2]bool{{false, true}, {false, false}} {
+		if err := w.RestoreLink("a", "b", 0); err != nil {
+			t.Fatal(err)
+		}
+		if got := state(); got != want {
+			t.Fatalf("after %d RestoreLink: down=%v, want %v", i+1, got, want)
+		}
 	}
 }
 

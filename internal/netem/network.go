@@ -169,14 +169,22 @@ func (w *Network) AddLink(cfg LinkConfig) (*Link, error) {
 	return l, nil
 }
 
-// FindLink locates the link between two nodes.
-func (w *Network) findLink(a, b string) (*Link, bool) {
+// findLink locates a link between two nodes to set down (or up): the
+// first one that is not down (up) yet, else the first one, so of
+// parallel links each FailLink takes the next one down.
+func (w *Network) findLink(a, b string, down bool) (*Link, bool) {
+	var first *Link
 	for _, l := range w.links {
 		if (l.a.name == a && l.b.name == b) || (l.a.name == b && l.b.name == a) {
-			return l, true
+			if l.down != down {
+				return l, true
+			}
+			if first == nil {
+				first = l
+			}
 		}
 	}
-	return nil, false
+	return first, first != nil
 }
 
 // OnLinkEvent registers an upcall for physical topology changes and
@@ -203,13 +211,15 @@ func (w *Network) FailLink(a, b string, igpDelay time.Duration) error {
 	return w.setLink(a, b, true, igpDelay)
 }
 
-// RestoreLink brings the link back and reconverges the substrate.
+// RestoreLink brings the link back and reconverges the substrate. Of
+// parallel links, FailLink takes the first one that is up and
+// RestoreLink brings up the first one that is down.
 func (w *Network) RestoreLink(a, b string, igpDelay time.Duration) error {
 	return w.setLink(a, b, false, igpDelay)
 }
 
 func (w *Network) setLink(a, b string, down bool, igpDelay time.Duration) error {
-	l, ok := w.findLink(a, b)
+	l, ok := w.findLink(a, b, down)
 	if !ok {
 		return fmt.Errorf("netem: no link %s-%s", a, b)
 	}
