@@ -21,8 +21,8 @@ type churnOptions struct {
 	// Rounds is the number of create/run/pause/reembed/destroy cycles
 	// (default 4).
 	Rounds int
-	// workers is the executor's worker budget, exactly as in Options.
-	workers int
+	// Workers is the executor's worker budget, exactly as in Options.
+	Workers int
 }
 
 // churnResult is everything one churn scenario produced. Digest folds
@@ -47,7 +47,7 @@ func runChurn(opts churnOptions) (*churnResult, error) {
 	rng := sim.NewRNG(opts.Seed)
 	n := 4 + rng.Intn(3)
 	res := &churnResult{Rounds: opts.Rounds, Nodes: n}
-	w := newWorld("churn", &res.Outcome, opts.Seed, opts.workers)
+	w := newWorld("churn", &res.Outcome, opts.Seed, opts.Workers)
 	nodes, links, err := w.genSubstrate(rng, n, 2, 5)
 	if err != nil {
 		return nil, err

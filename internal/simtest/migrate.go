@@ -25,8 +25,8 @@ type migrateOptions struct {
 	Seed int64
 	// Rounds is the number of migration rounds (default 4).
 	Rounds int
-	// workers is the executor's worker budget, exactly as in Options.
-	workers int
+	// Workers is the executor's worker budget, exactly as in Options.
+	Workers int
 	// Sabotage disables duplicate suppression on every shadow — the
 	// mutation hook proving the exactly-once checker has teeth. A
 	// sabotaged run MUST report duplicate-delivery violations.
@@ -86,7 +86,7 @@ func runMigrate(opts migrateOptions) (*migrateResult, error) {
 	n := 4 + rng.Intn(3)
 	res := &migrateResult{Rounds: opts.Rounds, Nodes: n}
 	w := &migWorld{
-		world: newWorld("migrate", &res.Outcome, opts.Seed, opts.workers),
+		world: newWorld("migrate", &res.Outcome, opts.Seed, opts.Workers),
 		opts:  opts, rng: rng, res: res,
 		delivered: make([]map[string]uint32, n),
 	}

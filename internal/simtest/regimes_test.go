@@ -94,7 +94,7 @@ var regimes = []struct {
 	{"base", 1, seedCount{25, 25}, seedCount{25, 6}, seedCount{5, 5}, false,
 		func(s int64, w int) (result, error) { return Run(Options{Seed: s, workers: w}) }},
 	{"churn", 1, seedCount{8, 3}, seedCount{15, 4}, seedCount{3, 3}, false,
-		func(s int64, w int) (result, error) { return runChurn(churnOptions{Seed: s, workers: w}) }},
+		func(s int64, w int) (result, error) { return runChurn(churnOptions{Seed: s, Workers: w}) }},
 	// One pinned seed: 200 slices — well past the old 126-slice ceiling —
 	// on a 64-node synthetic REPETITA substrate, byte-identical at 1, 2
 	// and 4 workers. The parity arm's 1-worker leg is the sweep of that
@@ -102,7 +102,7 @@ var regimes = []struct {
 	{"scale", 2, seedCount{}, seedCount{1, 1}, seedCount{}, true,
 		func(s int64, w int) (result, error) { return RunScale(ScaleOptions{Seed: s, workers: w}) }},
 	{"migrate", 1, seedCount{6, 2}, seedCount{15, 4}, seedCount{3, 3}, true,
-		func(s int64, w int) (result, error) { return runMigrate(migrateOptions{Seed: s, workers: w}) }},
+		func(s int64, w int) (result, error) { return runMigrate(migrateOptions{Seed: s, Workers: w}) }},
 	{"adaptive", 1, seedCount{5, 2}, seedCount{10, 3}, seedCount{3, 3}, true,
 		func(s int64, w int) (result, error) { return RunAdaptive(AdaptiveOptions{Seed: s, workers: w}) }},
 }
