@@ -7,6 +7,7 @@ package vini_test
 // History — what a PR removed — belongs in CHANGES.md.
 
 import (
+	"bytes"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -19,6 +20,9 @@ import (
 
 var (
 	codeSpan = regexp.MustCompile("`([^`]+)`")
+	// fence is a fenced code block, blanked before spans are paired:
+	// its backticks would pair with the text around it.
+	fence = regexp.MustCompile("(?s)```.*?```")
 	// goRef is a .go path; a trailing :line or :from-to is ignored.
 	goRef    = regexp.MustCompile(`^([\w./-]+\.go)(?::[\d-]+)?$`)
 	testName = regexp.MustCompile(`\b(?:Test|Fuzz)[A-Z0-9_]\w*`)
@@ -177,6 +181,14 @@ func TestDocReferences(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		text = fence.ReplaceAllFunc(text, func(b []byte) []byte {
+			return bytes.Map(func(r rune) rune {
+				if r == '\n' {
+					return r
+				}
+				return ' '
+			}, b)
+		})
 		for _, m := range codeSpan.FindAllStringSubmatchIndex(string(text), -1) {
 			span := string(text[m[2]:m[3]])
 			line := 1 + strings.Count(string(text[:m[0]]), "\n")
