@@ -102,6 +102,29 @@ func TestRunAdvancesToHorizonWhenIdle(t *testing.T) {
 	}
 }
 
+// TestRunNeverRewindsClock: Run(until) with until behind the clock leaves
+// the clock where it is, whether the loop has one domain and a future
+// event, several domains, or nothing scheduled at all.
+func TestRunNeverRewindsClock(t *testing.T) {
+	oneDomain := NewLoop(1)
+	oneDomain.Schedule(10*time.Second, func() {})
+	multi := NewLoop(1)
+	node := multi.Executor().NewDomain("n")
+	node.Schedule(10*time.Second, func() {})
+	for _, c := range []struct {
+		name string
+		l    *Loop
+	}{{"one domain", oneDomain}, {"multi-domain", multi}, {"empty", NewLoop(1)}} {
+		c.l.Run(5 * time.Second)
+		c.l.Run(2 * time.Second)
+		for _, d := range c.l.Executor().Domains() {
+			if d.Now() != 5*time.Second {
+				t.Errorf("%s: domain %s at %v after Run(5s), Run(2s), want 5s", c.name, d.label, d.Now())
+			}
+		}
+	}
+}
+
 func TestScheduleNegativeDelay(t *testing.T) {
 	l := NewLoop(1)
 	l.Run(time.Second)
