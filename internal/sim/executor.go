@@ -232,15 +232,11 @@ func (x *Executor) Shutdown() {}
 
 // Run executes events until every domain's next event lies beyond
 // until. Virtual time in every domain is advanced to until when its work
-// drains first.
+// drains first, and never moved back when until is behind it.
 func (x *Executor) Run(until time.Duration) {
 	if len(x.domains) == 1 {
 		d := x.domains[0]
-		for len(d.heap) > 0 {
-			if d.heap[0].at > until {
-				d.now = until
-				return
-			}
+		for len(d.heap) > 0 && d.heap[0].at <= until {
 			d.step()
 		}
 		if d.now < until {
