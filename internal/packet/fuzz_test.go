@@ -2,6 +2,7 @@ package packet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net/netip"
 	"testing"
 )
@@ -117,6 +118,30 @@ func FuzzBuildUDP(f *testing.F) {
 		}
 		if !u.VerifyChecksum(sa, da, seg) {
 			t.Fatalf("BuildUDP checksum does not verify")
+		}
+	})
+}
+
+// FuzzChecksum is differential: Checksum against the two-byte reference
+// and transportChecksum against the reference over a serialized
+// pseudo-header, both on b from offset off on, so the kernel sees every
+// length, alignment and content the fuzzer finds.
+func FuzzChecksum(f *testing.F) {
+	f.Add([]byte{}, uint8(0), uint32(0), uint32(0), uint8(ProtoUDP))
+	f.Add([]byte{0xab}, uint8(0), uint32(0x0a000001), uint32(0x0a000002), uint8(ProtoTCP))
+	f.Add(bytes.Repeat([]byte{0xff}, 1500), uint8(1), ^uint32(0), ^uint32(0), uint8(0xff))
+	f.Add(make([]byte, 129), uint8(3), uint32(0), uint32(0), uint8(0))
+	f.Fuzz(func(t *testing.T, b []byte, off uint8, src, dst uint32, proto uint8) {
+		b = b[min(int(off), len(b)):]
+		if got, want := Checksum(b), refChecksum(b); got != want {
+			t.Fatalf("len %d: Checksum=%#04x ref=%#04x data=%x", len(b), got, want, b)
+		}
+		var sa, da [4]byte
+		binary.BigEndian.PutUint32(sa[:], src)
+		binary.BigEndian.PutUint32(da[:], dst)
+		s, d := netip.AddrFrom4(sa), netip.AddrFrom4(da)
+		if got, want := transportChecksum(s, d, proto, b), refTransportChecksum(s, d, proto, b); got != want {
+			t.Fatalf("len %d %v>%v proto %d: transportChecksum=%#04x ref=%#04x", len(b), s, d, proto, got, want)
 		}
 	})
 }
