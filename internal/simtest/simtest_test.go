@@ -1,9 +1,12 @@
 package simtest
 
 import (
+	"net/netip"
 	"strings"
 	"testing"
 	"time"
+
+	"vini/internal/fib"
 )
 
 // TestDistinctSeedsDiverge is the generator sanity check: different
@@ -43,6 +46,31 @@ func TestReconvergenceBounded(t *testing.T) {
 		if d < 0 || d > 300*time.Second {
 			t.Errorf("event %d: reconvergence %v out of bounds", i, d)
 		}
+	}
+}
+
+// TestQuiescenceSeesARestoredRoute pins what quiescence means: no FIB
+// mutation for a settle window. A route installed and withdrawn again
+// inside one step leaves the table's contents as they were, but it is a
+// mutation all the same, so the settle window restarts and stable takes
+// one step more than settle.
+func TestQuiescenceSeesARestoredRoute(t *testing.T) {
+	sc, err := buildScenario(Options{Seed: 3, minNodes: 4, maxNodes: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	settle := sc.settleSteps()
+	if _, ok := sc.stable(sc.vnode, time.Second, 300*time.Second, settle); !ok {
+		t.Fatal("did not converge")
+	}
+	tbl := sc.vnode[0].FIB
+	r := fib.Route{Prefix: netip.MustParsePrefix("192.0.2.0/24"), NextHop: sc.vnode[1].Interfaces()[0].Addr,
+		OutPort: outPortEncap, Metric: 1, Owner: "test", Proto: "static"}
+	sc.loop.Schedule(300*time.Millisecond, func() { tbl.Add(r) })
+	sc.loop.Schedule(600*time.Millisecond, func() { tbl.Remove(r.Prefix) })
+	took, ok := sc.stable(sc.vnode, time.Second, 300*time.Second, settle)
+	if want := time.Duration(settle+1) * time.Second; !ok || took != want {
+		t.Fatalf("took %v (settled %v), want %v", took, ok, want)
 	}
 }
 
