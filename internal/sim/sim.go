@@ -147,42 +147,6 @@ func (l *Loop) Run(until time.Duration) { l.exec.Run(until) }
 // Unlike Run, it leaves virtual time at the time of the last event run.
 func (l *Loop) RunAll() { l.exec.runAll() }
 
-// RunUntilStable advances the loop in increments of step until the
-// system fingerprint stays unchanged for settle consecutive steps, or
-// until max virtual time has elapsed since the call. It returns the
-// virtual time consumed and whether stability was reached.
-//
-// A network under periodic control traffic never drains its event queue
-// (hello timers reschedule forever), so "quiescent" cannot mean "no
-// events pending". Instead the caller supplies a fingerprint of the
-// state it cares about — e.g. a hash over every node's FIB contents —
-// and quiescence means the fingerprint stopped moving. This is the
-// quiescent-point hook the simtest invariant engine runs checkers at.
-func (l *Loop) RunUntilStable(step, max time.Duration, settle int, fingerprint func() uint64) (time.Duration, bool) {
-	if step <= 0 {
-		panic("sim: RunUntilStable with non-positive step")
-	}
-	if settle < 1 {
-		settle = 1
-	}
-	start := l.Now()
-	last := fingerprint()
-	stable := 0
-	for l.Now()-start < max {
-		l.Run(l.Now() + step)
-		if fp := fingerprint(); fp == last {
-			stable++
-			if stable >= settle {
-				return l.Now() - start, true
-			}
-		} else {
-			last = fp
-			stable = 0
-		}
-	}
-	return l.Now() - start, false
-}
-
 // RealClock adapts the wall clock to the Clock interface so protocol code
 // written for the simulator drives live deployments (cmd/iiasd). Callbacks
 // are delivered on arbitrary goroutines via time.AfterFunc; callers that

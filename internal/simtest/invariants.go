@@ -21,9 +21,8 @@ const (
 // the delivery-checked traffic probes.
 const probePort = 40000
 
-// fibFingerprint hashes every node's FIB contents (not versions —
-// periodic protocols bump versions without changing routes, and
-// quiescence means the *contents* stopped moving).
+// fibFingerprint hashes every node's FIB contents in order, the value
+// the regimes fold into their digests at quiescent points.
 func fibFingerprint(vnodes []*core.VirtualNode) uint64 {
 	h := fnv.New64a()
 	for _, vn := range vnodes {

@@ -82,8 +82,8 @@ func smallScale(seed int64, workers int) (result, error) {
 
 // regimes is the suite: one row per regime. Every arm starts at seed
 // first; sweep seeds run on 1 worker, parity seeds on 1 vs 4 workers
-// (plus 2 workers on the first two seeds when spot2), replay seeds
-// twice each on 1 and on 4 workers.
+// (plus 2 workers on the first two seeds when spot2), replay seeds once
+// more on 1 and on 4 workers, against the runs the other arms made.
 var regimes = []struct {
 	name                  string
 	first                 int64
@@ -97,8 +97,8 @@ var regimes = []struct {
 		func(s int64, w int) (result, error) { return runChurn(churnOptions{Seed: s, Workers: w}) }},
 	// One pinned seed: 200 slices — well past the old 126-slice ceiling —
 	// on a 64-node synthetic REPETITA substrate, byte-identical at 1, 2
-	// and 4 workers. The parity arm's 1-worker leg is the sweep of that
-	// seed, so the sweep arm runs only under -seeds.
+	// and 4 workers. The sweep arm runs it only under -seeds; the parity
+	// arm runs its 1-worker world either way.
 	{"scale", 2, seedCount{}, seedCount{1, 1}, seedCount{}, true,
 		func(s int64, w int) (result, error) { return RunScale(ScaleOptions{Seed: s, workers: w}) }},
 	{"migrate", 1, seedCount{6, 2}, seedCount{15, 4}, seedCount{3, 3}, true,
@@ -132,16 +132,17 @@ func diverged(a, b *Outcome) (out []string) {
 // any invariant violation; parity demands byte-identical fingerprints
 // between 1 and 4 workers — any divergence is a synchronization bug: a
 // message delivered across a horizon, a racy RNG draw, or state shared
-// between domains; replay runs the same seed twice per worker count and
-// demands the same. Every failure prints the exact command that
-// reproduces it.
+// between domains; replay runs a seed a second time per worker count
+// and demands the same. The arms of one regime share their runs, so
+// each (seed, workers) world runs once, plus once more for replay.
+// Every failure prints the exact command that reproduces it.
 func TestRegimes(t *testing.T) {
 	for _, rg := range regimes {
-		hint := func(arm string, seed int64) string {
-			return fmt.Sprintf("replay with: go test ./internal/simtest -run 'TestRegimes/%s/%s' -seed %d", rg.name, arm, seed)
+		hint := func(seed int64) string {
+			return fmt.Sprintf("replay with: go test ./internal/simtest -run 'TestRegimes/%s' -seed %d", rg.name, seed)
 		}
 		// must runs one scenario and applies the checks every arm shares.
-		must := func(t *testing.T, arm string, seed int64, workers int) *Outcome {
+		must := func(t *testing.T, seed int64, workers int) *Outcome {
 			t.Helper()
 			r, err := rg.run(seed, workers)
 			if err != nil {
@@ -150,11 +151,11 @@ func TestRegimes(t *testing.T) {
 			o := r.header()
 			if o.Failed() {
 				failArtifact(o)
-				t.Errorf("invariant violation — %s\n%s", hint(arm, seed), o)
+				t.Errorf("invariant violation — %s\n%s", hint(seed), o)
 			}
 			if f, ok := r.(interface{ findings() []string }); ok {
 				for _, msg := range f.findings() {
-					t.Errorf("seed %d workers=%d: %s — %s", seed, workers, msg, hint(arm, seed))
+					t.Errorf("seed %d workers=%d: %s — %s", seed, workers, msg, hint(seed))
 				}
 			}
 			if testing.Verbose() {
@@ -162,13 +163,24 @@ func TestRegimes(t *testing.T) {
 			}
 			return o
 		}
+		// world is must, once per (seed, workers): the first arm that
+		// needs a world runs and checks it, and later arms reuse it.
+		ran := map[[2]int64]*Outcome{}
+		world := func(t *testing.T, seed int64, workers int) *Outcome {
+			t.Helper()
+			k := [2]int64{seed, int64(workers)}
+			if ran[k] == nil {
+				ran[k] = must(t, seed, workers)
+			}
+			return ran[k]
+		}
 		// same fails the arm when two runs' fingerprints differ.
-		same := func(t *testing.T, arm string, a, b *Outcome) {
+		same := func(t *testing.T, a, b *Outcome) {
 			t.Helper()
 			if d := diverged(a, b); len(d) != 0 {
 				failArtifact(b)
 				t.Errorf("seed %d: workers=%d and workers=%d diverged: %s — %s",
-					a.Seed, a.Workers, b.Workers, strings.Join(d, "; "), hint(arm, a.Seed))
+					a.Seed, a.Workers, b.Workers, strings.Join(d, "; "), hint(a.Seed))
 			}
 		}
 		seeds := func(c seedCount) (first, end int64) {
@@ -183,23 +195,23 @@ func TestRegimes(t *testing.T) {
 				c = seedCount{*flagSeeds, *flagSeeds}
 			}
 			for s, end := seeds(c); s < end; s++ {
-				must(t, "sweep", s, 1)
+				world(t, s, 1)
 			}
 		})
 		t.Run(rg.name+"/parity", func(t *testing.T) {
 			first, end := seeds(rg.parity)
 			for s := first; s < end; s++ {
-				one := must(t, "parity", s, 1)
-				same(t, "parity", one, must(t, "parity", s, 4))
+				one := world(t, s, 1)
+				same(t, one, world(t, s, 4))
 				if rg.spot2 && s < first+2 {
-					same(t, "parity", one, must(t, "parity", s, 2))
+					same(t, one, world(t, s, 2))
 				}
 			}
 		})
 		t.Run(rg.name+"/replay", func(t *testing.T) {
 			for s, end := seeds(rg.replay); s < end; s++ {
 				for _, w := range []int{1, 4} {
-					same(t, "replay", must(t, "replay", s, w), must(t, "replay", s, w))
+					same(t, world(t, s, w), must(t, s, w))
 				}
 			}
 		})

@@ -53,9 +53,6 @@ type Result struct {
 	Nodes, Links   int
 	WithRIP        bool
 	Reconvergences []time.Duration
-	// FIBDigests records the quiescent FIB fingerprint at warmup and
-	// after each event, for fine-grained divergence reports.
-	FIBDigests []uint64
 }
 
 // Run executes one seeded scenario end to end and returns its Result.
@@ -82,9 +79,7 @@ func Run(opts Options) (*Result, error) {
 		sc.violate("initial convergence not reached within %v", maxConverge)
 	}
 	sc.checkpoint()
-	fp := fibFingerprint(sc.vnode)
-	res.FIBDigests = append(res.FIBDigests, fp)
-	sc.fold("warmup fib=%016x", fp)
+	sc.fold("warmup fib=%016x", fibFingerprint(sc.vnode))
 
 	events := opts.events
 	if events == 0 {
@@ -107,9 +102,7 @@ func Run(opts Options) (*Result, error) {
 		}
 		res.Reconvergences = append(res.Reconvergences, rec)
 		sc.checkpoint()
-		fp := fibFingerprint(sc.vnode)
-		res.FIBDigests = append(res.FIBDigests, fp)
-		sc.fold("quiescent fib=%016x", fp)
+		sc.fold("quiescent fib=%016x", fibFingerprint(sc.vnode))
 	}
 
 	sc.audit("end of run")

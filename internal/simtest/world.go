@@ -194,15 +194,35 @@ func (w *world) stackListeners() int {
 // run advances the world by d of virtual time.
 func (w *world) run(d time.Duration) { w.vini.Run(w.loop.Now() + d) }
 
-// stable advances the loop until the FIB contents of vnodes stop
-// changing for settle consecutive steps (FIB versions tick on every
-// periodic protocol update even when routes are unchanged, so
-// quiescence is defined over contents). It returns the virtual time
-// consumed and whether stability was reached within max.
+// stable advances the loop in steps until no FIB of vnodes has been
+// mutated for settle consecutive steps, or until max virtual time has
+// passed. It returns the virtual time consumed and whether quiescence
+// was reached. Control traffic never drains the event queue, so
+// quiescence is read from the tables' mutation counters: the FEA leaves
+// a table alone when a protocol re-installs an unchanged route set, so
+// a counter moves only on a real change, and a route added and
+// withdrawn again within one step is a change too.
 func (w *world) stable(vnodes []*core.VirtualNode, step, max time.Duration, settle int) (time.Duration, bool) {
-	return w.loop.RunUntilStable(step, max, settle, func() uint64 {
-		return fibFingerprint(vnodes)
-	})
+	start := w.loop.Now()
+	last, quiet := fibVersions(vnodes), 0
+	for w.loop.Now()-start < max {
+		w.run(step)
+		if v := fibVersions(vnodes); v != last {
+			last, quiet = v, 0
+		} else if quiet++; quiet >= settle {
+			return w.loop.Now() - start, true
+		}
+	}
+	return w.loop.Now() - start, false
+}
+
+// fibVersions sums the FIB mutation counters of vnodes. Each counter
+// only rises, so the sum moves whenever any table is mutated.
+func fibVersions(vnodes []*core.VirtualNode) (sum uint64) {
+	for _, vn := range vnodes {
+		sum += vn.FIB.Version()
+	}
+	return sum
 }
 
 // settle checks packet conservation: relative to the baseline, every
