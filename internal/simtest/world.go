@@ -196,12 +196,9 @@ func (w *world) run(d time.Duration) { w.vini.Run(w.loop.Now() + d) }
 
 // stable advances the loop in steps until no FIB of vnodes has been
 // mutated for settle consecutive steps, or until max virtual time has
-// passed. It returns the virtual time consumed and whether quiescence
-// was reached. Control traffic never drains the event queue, so
-// quiescence is read from the tables' mutation counters: the FEA leaves
-// a table alone when a protocol re-installs an unchanged route set, so
-// a counter moves only on a real change, and a route added and
-// withdrawn again within one step is a change too.
+// passed, and returns the virtual time consumed and whether it got
+// there. The FEA leaves a table alone when a protocol re-installs an
+// unchanged route set, so a mutation counter moves only on a change.
 func (w *world) stable(vnodes []*core.VirtualNode, step, max time.Duration, settle int) (time.Duration, bool) {
 	start := w.loop.Now()
 	last, quiet := fibVersions(vnodes), 0
