@@ -340,7 +340,9 @@ topology line a b c
 slice test reservation 0.3 rt
 ospf hello 1s dead 3s
 ping a c interval 200ms
+at 2s fail-physical a nowhere
 at 3s fail-virtual a b
+at 3s fail-virtual a c
 warmup 20s
 duration 10s
 `)
@@ -356,8 +358,16 @@ duration 10s
 	if p.LossPct < 30 {
 		t.Fatalf("loss = %.1f%%, want most post-failure pings lost", p.LossPct)
 	}
-	if len(res.Log) != 1 || !strings.Contains(res.Log[0], "fail-virtual") {
-		t.Fatalf("event log = %v", res.Log)
+	// An event on a pair with no link is logged with why it did nothing.
+	want := []string{
+		"t=2s fail-physical a nowhere",
+		"fail-physical: netem: no link a-nowhere",
+		"t=3s fail-virtual a b",
+		"t=3s fail-virtual a c",
+		"fail-virtual: no virtual link a-c",
+	}
+	if !slices.Equal(res.Log, want) {
+		t.Fatalf("event log = %q, want %q", res.Log, want)
 	}
 }
 
