@@ -447,11 +447,17 @@ func (sp *Spec) Run() (*Result, error) {
 			case "fail-virtual", "restore-virtual":
 				if vl, ok := s.FindVirtualLink(ev.A, ev.B); ok {
 					vl.SetFailed(ev.Action == "fail-virtual")
+				} else {
+					res.Log = append(res.Log, fmt.Sprintf("%s: no virtual link %s-%s", ev.Action, ev.A, ev.B))
 				}
-			case "fail-physical":
-				v.FailLink(ev.A, ev.B, 100*time.Millisecond)
-			case "restore-physical":
-				v.RestoreLink(ev.A, ev.B, 100*time.Millisecond)
+			case "fail-physical", "restore-physical":
+				setLink := v.RestoreLink
+				if ev.Action == "fail-physical" {
+					setLink = v.FailLink
+				}
+				if err := setLink(ev.A, ev.B, 100*time.Millisecond); err != nil {
+					res.Log = append(res.Log, ev.Action+": "+err.Error())
+				}
 			case "pause":
 				if err := s.Pause(); err != nil {
 					res.Log = append(res.Log, "pause: "+err.Error())
