@@ -6,9 +6,9 @@ import (
 	"time"
 
 	"vini/internal/bgp"
+	"vini/internal/core"
 	"vini/internal/netem"
 	"vini/internal/sim"
-	"vini/internal/topology"
 	"vini/internal/traffic"
 )
 
@@ -44,38 +44,25 @@ func CPUIsolationAblation(seed int64, duration time.Duration, pings int) ([]Isol
 	}
 	var out []IsolationRow
 	for _, cfg := range configs {
+		slice := &core.SliceConfig{Name: "iias", CPUShare: cfg.share, RT: cfg.rt}
 		// Throughput leg.
-		v, chi, was := planetlabNet(seed)
-		s, err := planetlabSliceWith(v, cfg.share, cfg.rt)
+		tb, err := planetlab(seed, netem.PlanetLabProfile(), slice)
 		if err != nil {
 			return nil, err
 		}
-		a, _ := s.VirtualNode(topology.Chicago)
-		b, _ := s.VirtualNode(topology.Washington)
-		test, err := traffic.StartIperfTCP(v.Net, chi, was, traffic.IperfTCPConfig{
-			Streams: 20, Window: 16 << 10, SrcAddr: a.TapAddr, DstAddr: b.TapAddr})
+		test, err := traffic.StartIperfTCP(tb.v.Net, tb.src, tb.dst, traffic.IperfTCPConfig{
+			Streams: 20, Window: 16 << 10, SrcAddr: tb.srcA, DstAddr: tb.dstA})
 		if err != nil {
 			return nil, err
 		}
-		v.Run(v.Loop().Now() + duration)
+		tb.v.Run(tb.v.Loop().Now() + duration)
 		test.Stop()
-		row := IsolationRow{Name: cfg.name, Mbps: test.Mbps()}
 		// Latency leg (fresh deployment so the iperf load does not skew it).
-		v2, chi2, was2 := planetlabNet(seed + 1)
-		s2, err := planetlabSliceWith(v2, cfg.share, cfg.rt)
-		if err != nil {
+		if tb, err = planetlab(seed+1, netem.PlanetLabProfile(), slice); err != nil {
 			return nil, err
 		}
-		a2, _ := s2.VirtualNode(topology.Chicago)
-		b2, _ := s2.VirtualNode(topology.Washington)
-		traffic.NewICMPHost(was2)
-		h := traffic.NewICMPHost(chi2)
-		p := h.StartPing(traffic.PingConfig{Src: a2.TapAddr, Dst: b2.TapAddr,
-			Interval: 20 * time.Millisecond, Count: pings})
-		v2.Run(v2.Loop().Now() + time.Duration(pings)*20*time.Millisecond + 5*time.Second)
-		row.PingMdev = p.RTTs.Mdev()
-		row.PingMax = p.RTTs.Max()
-		out = append(out, row)
+		p := tb.ping(cfg.name, 20*time.Millisecond, pings, 5*time.Second)
+		out = append(out, IsolationRow{Name: cfg.name, Mbps: test.Mbps(), PingMdev: p.Mdev, PingMax: p.Max})
 	}
 	return out, nil
 }
@@ -95,22 +82,15 @@ func SocketBufferAblation(seed int64, bufsKB []int, duration time.Duration) ([]B
 	for i, kb := range bufsKB {
 		prof := netem.PlanetLabProfile()
 		prof.SocketBuf = kb << 10
-		v, chi, was := planetlabNetProf(seed+int64(i)*13, prof)
-		s, err := planetlabSliceWith(v, 1.0/40, false)
+		tb, err := planetlab(seed+int64(i)*13, prof, &core.SliceConfig{Name: "iias", CPUShare: 1.0 / 40})
 		if err != nil {
 			return nil, err
 		}
-		a, _ := s.VirtualNode(topology.Chicago)
-		b, _ := s.VirtualNode(topology.Washington)
-		test, err := traffic.StartUDPCBR(v.Net, chi, was, traffic.UDPCBRConfig{
-			RateBps: 45e6, SrcAddr: a.TapAddr, DstAddr: b.TapAddr})
+		c, err := tb.cbr(traffic.UDPCBRConfig{RateBps: 45e6}, duration, 2*time.Second)
 		if err != nil {
 			return nil, err
 		}
-		v.Run(v.Loop().Now() + duration)
-		test.Stop()
-		v.Run(v.Loop().Now() + 2*time.Second)
-		out = append(out, BufferRow{BufferKB: kb, LossPct: 100 * test.LossRate()})
+		out = append(out, BufferRow{BufferKB: kb, LossPct: 100 * c.LossRate()})
 	}
 	return out, nil
 }
@@ -129,29 +109,21 @@ type PacketSizeRow struct {
 func PacketSizeAblation(seed int64, payloads []int, duration time.Duration) ([]PacketSizeRow, error) {
 	var out []PacketSizeRow
 	for i, size := range payloads {
-		v, src, _, dst := deterNet(seed + int64(i)*7)
-		s, err := deterIIAS(v)
+		tb, err := deter(seed+int64(i)*7, true)
 		if err != nil {
 			return nil, err
 		}
-		a, _ := s.VirtualNode("src")
-		b, _ := s.VirtualNode("sink")
 		// Offered load far above capacity so the forwarder saturates.
-		test, err := traffic.StartUDPCBR(v.Net, src, dst, traffic.UDPCBRConfig{
-			RateBps: 900e6, Payload: size, SrcAddr: a.TapAddr, DstAddr: b.TapAddr})
+		c, err := tb.cbr(traffic.UDPCBRConfig{RateBps: 900e6, Payload: size}, duration, time.Second)
 		if err != nil {
 			return nil, err
 		}
-		start := v.Loop().Now()
-		v.Run(start + duration)
-		test.Stop()
-		v.Run(v.Loop().Now() + time.Second)
 		secs := duration.Seconds()
-		mbps := float64(test.Received()) * float64(size+28) * 8 / secs / 1e6
+		mbps := float64(c.Received()) * float64(size+28) * 8 / secs / 1e6
 		out = append(out, PacketSizeRow{
 			PayloadBytes: size,
 			Mbps:         mbps,
-			KppsMeasured: float64(test.Received()) / secs / 1e3,
+			KppsMeasured: float64(c.Received()) / secs / 1e3,
 		})
 	}
 	return out, nil

@@ -1,8 +1,7 @@
 // Package experiment implements the paper's Section 5 evaluation as
 // reusable, deterministic experiments, plus the ns-like experiment
 // specification language of Section 6.2. Each function regenerates one
-// table or figure; cmd/vinibench and the repository-level benchmarks are
-// thin wrappers around them.
+// table or figure; cmd/vinibench is a thin wrapper around them.
 package experiment
 
 import (
@@ -16,6 +15,7 @@ import (
 	"vini/internal/rcc"
 	"vini/internal/sched"
 	"vini/internal/sim"
+	"vini/internal/tcpm"
 	"vini/internal/telemetry"
 	"vini/internal/topology"
 	"vini/internal/traffic"
@@ -89,11 +89,23 @@ type ArrivalPoint struct {
 	MB float64 // cumulative megabytes (9a) or stream position (9b)
 }
 
-// --- DETER microbenchmarks (§5.1.1, Tables 2 and 3) ---
+// --- The §5.1 microbenchmark path (Tables 2-6, Figure 6, ablations) ---
 
-// deterNet builds the three pc2800 machines of Figure 3 joined by
-// Gigabit Ethernet.
-func deterNet(seed int64) (*core.VINI, *netem.Node, *netem.Node, *netem.Node) {
+// testbed is the three-host path of §5.1: traffic runs from src through
+// fwd to dst, either natively or through a three-vnode IIAS slice s
+// mirrored on the path (nil when native). srcA and dstA are the traffic
+// addresses: the hosts' own, or the vnodes' tap addresses.
+type testbed struct {
+	v             *core.VINI
+	s             *core.Slice
+	src, fwd, dst *netem.Node
+	srcA, dstA    netip.Addr
+}
+
+// deter builds the three pc2800 machines of Figure 3 joined by Gigabit
+// Ethernet and, when iias, overlays the Figure 4 topology: Click on all
+// three nodes, dedicated hardware (full CPU available to the slice).
+func deter(seed int64, iias bool) (*testbed, error) {
 	v := core.New(seed)
 	v.EnableTelemetry()
 	prof := netem.DETERProfile()
@@ -107,115 +119,19 @@ func deterNet(seed int64) (*core.VINI, *netem.Node, *netem.Node, *netem.Node) {
 	v.AddLink(netem.LinkConfig{A: "fwdr", B: "sink", Bandwidth: 1e9,
 		Delay: 70 * time.Microsecond, Jitter: 45 * time.Microsecond})
 	v.ComputeRoutes()
-	return v, src, fwd, dst
+	tb := &testbed{v: v, src: src, fwd: fwd, dst: dst, srcA: src.Addr(), dstA: dst.Addr()}
+	if !iias {
+		return tb, nil
+	}
+	return tb.overlay(core.SliceConfig{Name: "iias", CPUShare: 1.0}, 10*time.Second)
 }
 
-// deterIIAS overlays the Figure 4 topology: Click on all three nodes,
-// dedicated hardware (full CPU available to the slice).
-func deterIIAS(v *core.VINI) (*core.Slice, error) {
-	s, err := v.CreateSlice(core.SliceConfig{Name: "iias", CPUShare: 1.0})
-	if err != nil {
-		return nil, err
-	}
-	for _, n := range []string{"src", "fwdr", "sink"} {
-		if _, err := s.AddVirtualNode(n); err != nil {
-			return nil, err
-		}
-	}
-	if _, err := s.ConnectVirtual("src", "fwdr", 1); err != nil {
-		return nil, err
-	}
-	if _, err := s.ConnectVirtual("fwdr", "sink", 1); err != nil {
-		return nil, err
-	}
-	s.StartOSPF(time.Second, 3*time.Second)
-	v.Run(10 * time.Second)
-	return s, nil
-}
-
-// Table2 reproduces the DETER TCP throughput test: 20 parallel iperf
-// streams through the kernel (overlay=false) or through IIAS's
-// user-space Click forwarder (overlay=true). Reported CPU is the Fwdr's
-// forwarding-path CPU.
-func Table2(seed int64, overlay bool, duration time.Duration) (ThroughputResult, error) {
-	v, src, fwd, dst := deterNet(seed)
-	cfg := traffic.IperfTCPConfig{Streams: 20, Window: 64 << 10}
-	name := "Network"
-	var s *core.Slice
-	if overlay {
-		name = "IIAS"
-		var err error
-		s, err = deterIIAS(v)
-		if err != nil {
-			return ThroughputResult{}, err
-		}
-		a, _ := s.VirtualNode("src")
-		b, _ := s.VirtualNode("sink")
-		cfg.SrcAddr, cfg.DstAddr = a.TapAddr, b.TapAddr
-	}
-	// The CPU column reads from the telemetry registry: the counters
-	// mirror the scheduler's own accounting increment-for-increment, so
-	// a counter delta over the measurement window divided by the same
-	// elapsed time is bit-identical to TaskUtilization/KernelUtilization.
-	cpuCounter := v.Telemetry().Reg.FindCounter("phys", "fwdr", "kernel/cpu_ns")
-	if overlay {
-		cpuCounter = v.Telemetry().Reg.FindCounter("iias", "fwdr", "proc/cpu_ns")
-	}
-	start := v.Loop().Now()
-	fwd.ResetAccounting()
-	cpu0 := cpuCounter.Value()
-	test, err := traffic.StartIperfTCP(v.Net, src, dst, cfg)
-	if err != nil {
-		return ThroughputResult{}, err
-	}
-	v.Run(start + duration)
-	test.Stop()
-	res := ThroughputResult{Name: name, Mbps: test.Mbps()}
-	if elapsed := v.Loop().Now() - start; elapsed > 0 {
-		res.CPU = float64(cpuCounter.Value()-cpu0) / float64(elapsed)
-	}
-	return res, nil
-}
-
-// Table3 reproduces the DETER latency test: ping -f between Src and Sink
-// through the kernel or through IIAS.
-func Table3(seed int64, overlay bool, count int) (PingResult, error) {
-	v, src, _, dst := deterNet(seed)
-	pingSrc, pingDst := src.Addr(), dst.Addr()
-	name := "Network"
-	if overlay {
-		name = "IIAS"
-		s, err := deterIIAS(v)
-		if err != nil {
-			return PingResult{}, err
-		}
-		a, _ := s.VirtualNode("src")
-		b, _ := s.VirtualNode("sink")
-		pingSrc, pingDst = a.TapAddr, b.TapAddr
-	}
-	traffic.NewICMPHost(dst)
-	h := traffic.NewICMPHost(src)
-	p := h.StartPing(traffic.PingConfig{Src: pingSrc, Dst: pingDst,
-		Interval: time.Millisecond, Count: count})
-	v.Run(v.Loop().Now() + time.Duration(count+2000)*time.Millisecond)
-	return PingResult{Name: name,
-		Min: p.RTTs.Min(), Avg: p.RTTs.Mean(), Max: p.RTTs.Max(),
-		Mdev: p.RTTs.Mdev(), LossPct: 100 * p.LossRate()}, nil
-}
-
-// --- PlanetLab microbenchmarks (§5.1.2, Tables 4-6, Figure 6) ---
-
-// planetlabNet builds the Figure 5 path: PlanetLab nodes co-located with
+// planetlab builds the Figure 5 path: PlanetLab nodes co-located with
 // the Abilene Chicago, New York, and Washington D.C. PoPs, 100 Mb/s node
-// access, and the measured 20.2 ms and 4.5 ms segment RTTs. Background
-// slices contend for each node's CPU.
-func planetlabNet(seed int64) (*core.VINI, *netem.Node, *netem.Node) {
-	return planetlabNetProf(seed, netem.PlanetLabProfile())
-}
-
-// planetlabNetProf is planetlabNet with an explicit host profile (the
-// socket-buffer ablation varies it).
-func planetlabNetProf(seed int64, prof netem.Profile) (*core.VINI, *netem.Node, *netem.Node) {
+// access, and the measured 20.2 ms and 4.5 ms segment RTTs, on host
+// profile prof. Background slices contend for each node's CPU. A non-nil
+// slice overlays IIAS with that CPU configuration.
+func planetlab(seed int64, prof netem.Profile, slice *core.SliceConfig) (*testbed, error) {
 	v := core.New(seed)
 	chi, _ := v.AddNode(topology.Chicago, netip.MustParseAddr("198.32.154.48"), prof, sched.Options{})
 	ny, _ := v.AddNode(topology.NewYork, netip.MustParseAddr("198.32.154.51"), prof, sched.Options{})
@@ -239,126 +155,168 @@ func planetlabNetProf(seed int64, prof netem.Profile) (*core.VINI, *netem.Node, 
 			})
 		}
 	}
-	return v, chi, was
-}
-
-// planetlabSlice embeds the 3-node IIAS overlay with the mode's CPU
-// configuration and waits for OSPF to converge.
-func planetlabSlice(v *core.VINI, mode Mode) (*core.Slice, error) {
-	if mode == ModePLVINI {
-		return planetlabSliceWith(v, 0.25, true)
+	tb := &testbed{v: v, src: chi, fwd: ny, dst: was, srcA: chi.Addr(), dstA: was.Addr()}
+	if slice == nil {
+		return tb, nil
 	}
-	return planetlabSliceWith(v, 0, false)
+	return tb.overlay(*slice, 15*time.Second)
 }
 
-// planetlabSliceWith is planetlabSlice with the two CPU knobs explicit
-// (share 0 is the default fair share).
-func planetlabSliceWith(v *core.VINI, share float64, rt bool) (*core.Slice, error) {
-	s, err := v.CreateSlice(core.SliceConfig{Name: "iias", CPUShare: share, RT: rt})
+// overlay embeds the IIAS slice cfg on the path with Slice.Mirror, runs
+// OSPF for warm to converge, and moves the traffic addresses onto the
+// end vnodes' taps.
+func (tb *testbed) overlay(cfg core.SliceConfig, warm time.Duration) (*testbed, error) {
+	s, err := tb.v.CreateSlice(cfg)
 	if err != nil {
 		return nil, err
 	}
-	for _, n := range []string{topology.Chicago, topology.NewYork, topology.Washington} {
-		if _, err := s.AddVirtualNode(n); err != nil {
-			return nil, err
-		}
-	}
-	if _, err := s.ConnectVirtual(topology.Chicago, topology.NewYork, 1); err != nil {
-		return nil, err
-	}
-	if _, err := s.ConnectVirtual(topology.NewYork, topology.Washington, 1); err != nil {
+	path := []string{tb.src.Name(), tb.fwd.Name(), tb.dst.Name()}
+	links := []topology.Link{{A: path[0], B: path[1], CostAB: 1}, {A: path[1], B: path[2], CostAB: 1}}
+	if err := s.Mirror(path, links, nil); err != nil {
 		return nil, err
 	}
 	s.StartOSPF(time.Second, 3*time.Second)
-	v.Run(v.Loop().Now() + 15*time.Second)
-	return s, nil
+	tb.v.Run(tb.v.Loop().Now() + warm)
+	a, _ := s.VirtualNode(path[0])
+	b, _ := s.VirtualNode(path[2])
+	tb.s, tb.srcA, tb.dstA = s, a.TapAddr, b.TapAddr
+	return tb, nil
 }
 
-// endpoints returns the traffic source/destination for the mode.
-func endpoints(v *core.VINI, s *core.Slice, mode Mode) (src, dst netip.Addr) {
-	chi, _ := v.Net.Node(topology.Chicago)
-	was, _ := v.Net.Node(topology.Washington)
-	if mode == ModeNative {
-		return chi.Addr(), was.Addr()
+// slice is the mode's IIAS slice configuration, nil for the native
+// network (share 0 is the default fair share).
+func (m Mode) slice() *core.SliceConfig {
+	switch m {
+	case ModeDefaultShare:
+		return &core.SliceConfig{Name: "iias"}
+	case ModePLVINI:
+		return &core.SliceConfig{Name: "iias", CPUShare: 0.25, RT: true}
 	}
-	a, _ := s.VirtualNode(topology.Chicago)
-	b, _ := s.VirtualNode(topology.Washington)
-	return a.TapAddr, b.TapAddr
+	return nil
 }
 
-// Table4 reproduces the PlanetLab TCP throughput rows.
-func Table4(seed int64, mode Mode, duration time.Duration) (ThroughputResult, error) {
-	v, chi, was := planetlabNet(seed)
-	var s *core.Slice
-	var err error
-	if mode != ModeNative {
-		if s, err = planetlabSlice(v, mode); err != nil {
-			return ThroughputResult{}, err
-		}
+// ping sends count echoes from src to dst at interval and runs tail past
+// the last one; the destination's responder is made first.
+func (tb *testbed) ping(name string, interval time.Duration, count int, tail time.Duration) PingResult {
+	traffic.NewICMPHost(tb.dst)
+	h := traffic.NewICMPHost(tb.src)
+	p := h.StartPing(traffic.PingConfig{Src: tb.srcA, Dst: tb.dstA, Interval: interval, Count: count})
+	tb.v.Run(tb.v.Loop().Now() + time.Duration(count)*interval + tail)
+	return PingResult{Name: name,
+		Min: p.RTTs.Min(), Avg: p.RTTs.Mean(), Max: p.RTTs.Max(),
+		Mdev: p.RTTs.Mdev(), LossPct: 100 * p.LossRate()}
+}
+
+// cbr runs a UDP CBR stream from src to dst for run, stops it, and runs
+// drain longer for packets in flight to land.
+func (tb *testbed) cbr(cfg traffic.UDPCBRConfig, run, drain time.Duration) (*traffic.UDPCBR, error) {
+	cfg.SrcAddr, cfg.DstAddr = tb.srcA, tb.dstA
+	c, err := traffic.StartUDPCBR(tb.v.Net, tb.src, tb.dst, cfg)
+	if err != nil {
+		return nil, err
 	}
-	srcA, dstA := endpoints(v, s, mode)
-	ny, _ := v.Net.Node(topology.NewYork)
-	ny.ResetAccounting()
+	tb.v.Run(tb.v.Loop().Now() + run)
+	c.Stop()
+	tb.v.Run(tb.v.Loop().Now() + drain)
+	return c, nil
+}
+
+// Table2 reproduces the DETER TCP throughput test: 20 parallel iperf
+// streams through the kernel (overlay=false) or through IIAS's
+// user-space Click forwarder (overlay=true). Reported CPU is the Fwdr's
+// forwarding-path CPU.
+func Table2(seed int64, overlay bool, duration time.Duration) (ThroughputResult, error) {
+	tb, err := deter(seed, overlay)
+	if err != nil {
+		return ThroughputResult{}, err
+	}
+	// The CPU column reads from the telemetry registry: the counters
+	// mirror the scheduler's own accounting increment-for-increment, so
+	// a counter delta over the measurement window divided by the same
+	// elapsed time is bit-identical to TaskUtilization/KernelUtilization.
+	v, res := tb.v, ThroughputResult{Name: "Network"}
+	cpuCounter := v.Telemetry().Reg.FindCounter("phys", "fwdr", "kernel/cpu_ns")
+	if overlay {
+		res.Name = "IIAS"
+		cpuCounter = v.Telemetry().Reg.FindCounter("iias", "fwdr", "proc/cpu_ns")
+	}
 	start := v.Loop().Now()
-	test, err := traffic.StartIperfTCP(v.Net, chi, was, traffic.IperfTCPConfig{
-		Streams: 20, Window: 16 << 10, SrcAddr: srcA, DstAddr: dstA})
+	tb.fwd.ResetAccounting()
+	cpu0 := cpuCounter.Value()
+	test, err := traffic.StartIperfTCP(v.Net, tb.src, tb.dst, traffic.IperfTCPConfig{
+		Streams: 20, Window: 64 << 10, SrcAddr: tb.srcA, DstAddr: tb.dstA})
 	if err != nil {
 		return ThroughputResult{}, err
 	}
 	v.Run(start + duration)
 	test.Stop()
+	res.Mbps = test.Mbps()
+	if elapsed := v.Loop().Now() - start; elapsed > 0 {
+		res.CPU = float64(cpuCounter.Value()-cpu0) / float64(elapsed)
+	}
+	return res, nil
+}
+
+// Table3 reproduces the DETER latency test: ping -f between Src and Sink
+// through the kernel or through IIAS.
+func Table3(seed int64, overlay bool, count int) (PingResult, error) {
+	tb, err := deter(seed, overlay)
+	if err != nil {
+		return PingResult{}, err
+	}
+	name := "Network"
+	if overlay {
+		name = "IIAS"
+	}
+	return tb.ping(name, time.Millisecond, count, 2*time.Second), nil
+}
+
+// Table4 reproduces the PlanetLab TCP throughput rows.
+func Table4(seed int64, mode Mode, duration time.Duration) (ThroughputResult, error) {
+	tb, err := planetlab(seed, netem.PlanetLabProfile(), mode.slice())
+	if err != nil {
+		return ThroughputResult{}, err
+	}
+	tb.fwd.ResetAccounting()
+	start := tb.v.Loop().Now()
+	test, err := traffic.StartIperfTCP(tb.v.Net, tb.src, tb.dst, traffic.IperfTCPConfig{
+		Streams: 20, Window: 16 << 10, SrcAddr: tb.srcA, DstAddr: tb.dstA})
+	if err != nil {
+		return ThroughputResult{}, err
+	}
+	tb.v.Run(start + duration)
+	test.Stop()
 	res := ThroughputResult{Name: mode.String(), Mbps: test.Mbps()}
-	if mode != ModeNative {
-		vn, _ := s.VirtualNode(topology.NewYork)
-		res.CPU = ny.CPU.TaskUtilization(vn.Proc().Task())
+	if tb.s != nil {
+		vn, _ := tb.s.VirtualNode(topology.NewYork)
+		res.CPU = tb.fwd.CPU.TaskUtilization(vn.Proc().Task())
 	}
 	return res, nil
 }
 
 // Table5 reproduces the PlanetLab ping rows.
 func Table5(seed int64, mode Mode, count int) (PingResult, error) {
-	v, chi, was := planetlabNet(seed)
-	var s *core.Slice
-	var err error
-	if mode != ModeNative {
-		if s, err = planetlabSlice(v, mode); err != nil {
-			return PingResult{}, err
-		}
+	tb, err := planetlab(seed, netem.PlanetLabProfile(), mode.slice())
+	if err != nil {
+		return PingResult{}, err
 	}
-	srcA, dstA := endpoints(v, s, mode)
-	traffic.NewICMPHost(was)
-	h := traffic.NewICMPHost(chi)
-	p := h.StartPing(traffic.PingConfig{Src: srcA, Dst: dstA,
-		Interval: 20 * time.Millisecond, Count: count})
-	v.Run(v.Loop().Now() + time.Duration(count)*20*time.Millisecond + 5*time.Second)
-	return PingResult{Name: mode.String(),
-		Min: p.RTTs.Min(), Avg: p.RTTs.Mean(), Max: p.RTTs.Max(),
-		Mdev: p.RTTs.Mdev(), LossPct: 100 * p.LossRate()}, nil
+	return tb.ping(mode.String(), 20*time.Millisecond, count, 5*time.Second), nil
 }
 
 // Table6 reproduces the jitter rows: CBR streams from 1 to 50 Mb/s, the
 // jitter pooled across stream rates as the paper reports.
 func Table6(seed int64, mode Mode) (JitterResult, error) {
-	rates := []float64{1e6, 5e6, 10e6, 20e6, 50e6}
 	var pooled sim.Stats
-	for i, rate := range rates {
-		v, chi, was := planetlabNet(seed + int64(i))
-		var s *core.Slice
-		var err error
-		if mode != ModeNative {
-			if s, err = planetlabSlice(v, mode); err != nil {
-				return JitterResult{}, err
-			}
-		}
-		srcA, dstA := endpoints(v, s, mode)
-		test, err := traffic.StartUDPCBR(v.Net, chi, was, traffic.UDPCBRConfig{
-			RateBps: rate, SrcAddr: srcA, DstAddr: dstA})
+	for i, rate := range []float64{1e6, 5e6, 10e6, 20e6, 50e6} {
+		tb, err := planetlab(seed+int64(i), netem.PlanetLabProfile(), mode.slice())
 		if err != nil {
 			return JitterResult{}, err
 		}
-		v.Run(v.Loop().Now() + 10*time.Second)
-		test.Stop()
-		pooled.Add(test.Jitter())
+		c, err := tb.cbr(traffic.UDPCBRConfig{RateBps: rate}, 10*time.Second, 0)
+		if err != nil {
+			return JitterResult{}, err
+		}
+		pooled.Add(c.Jitter())
 	}
 	return JitterResult{Name: mode.String(), Mean: pooled.Mean(), Stddev: pooled.Stddev()}, nil
 }
@@ -368,24 +326,15 @@ func Table6(seed int64, mode Mode) (JitterResult, error) {
 func Figure6(seed int64, mode Mode, ratesMbps []float64, duration time.Duration) ([]LossPoint, error) {
 	var out []LossPoint
 	for i, r := range ratesMbps {
-		v, chi, was := planetlabNet(seed + int64(i)*17)
-		var s *core.Slice
-		var err error
-		if mode != ModeNative {
-			if s, err = planetlabSlice(v, mode); err != nil {
-				return nil, err
-			}
-		}
-		srcA, dstA := endpoints(v, s, mode)
-		test, err := traffic.StartUDPCBR(v.Net, chi, was, traffic.UDPCBRConfig{
-			RateBps: r * 1e6, SrcAddr: srcA, DstAddr: dstA})
+		tb, err := planetlab(seed+int64(i)*17, netem.PlanetLabProfile(), mode.slice())
 		if err != nil {
 			return nil, err
 		}
-		v.Run(v.Loop().Now() + duration)
-		test.Stop()
-		v.Run(v.Loop().Now() + 2*time.Second)
-		out = append(out, LossPoint{RateMbps: r, LossPct: 100 * test.LossRate()})
+		c, err := tb.cbr(traffic.UDPCBRConfig{RateBps: r * 1e6}, duration, 2*time.Second)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, LossPoint{RateMbps: r, LossPct: 100 * c.LossRate()})
 	}
 	return out, nil
 }
@@ -481,17 +430,7 @@ func (e *AbileneExperiment) Figure8() ([]RTTPoint, error) {
 		Interval: 200 * time.Millisecond, Count: 250,
 		Timeout: 1500 * time.Millisecond})
 	v.Run(t0 + 55*time.Second)
-	var out []RTTPoint
-	for _, s := range p.Timeline {
-		out = append(out, RTTPoint{
-			T:     (s.At - t0).Seconds(),
-			RTTms: float64(s.RTT) / float64(time.Millisecond),
-			Lost:  s.Lost,
-		})
-	}
-	// The timeline appends at reply/timeout time; report in send order.
-	sort.Slice(out, func(i, j int) bool { return out[i].T < out[j].T })
-	return out, nil
+	return rttSeries(p.Timeline, t0), nil
 }
 
 // Figure9 runs the §5.2 TCP experiment: a bulk transfer from Washington
@@ -511,14 +450,29 @@ func (e *AbileneExperiment) Figure9() ([]ArrivalPoint, error) {
 	}
 	v.Run(t0 + 50*time.Second)
 	test.Stop()
+	return arrivalSeries(test.Receivers()[0].Arrivals, t0), nil
+}
+
+// rttSeries is a ping log as points timed from t0, in send order: the
+// log appends at reply or timeout time.
+func rttSeries(log []traffic.PingSample, t0 time.Duration) []RTTPoint {
+	var out []RTTPoint
+	for _, s := range log {
+		out = append(out, RTTPoint{T: (s.At - t0).Seconds(),
+			RTTms: float64(s.RTT) / float64(time.Millisecond), Lost: s.Lost})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].T < out[j].T })
+	return out
+}
+
+// arrivalSeries is a TCP receiver's arrival log as cumulative megabytes
+// timed from t0.
+func arrivalSeries(log []tcpm.Arrival, t0 time.Duration) []ArrivalPoint {
 	var out []ArrivalPoint
 	var cum float64
-	for _, a := range test.Receivers()[0].Arrivals {
+	for _, a := range log {
 		cum += float64(a.Len)
-		out = append(out, ArrivalPoint{
-			T:  (a.At - t0).Seconds(),
-			MB: cum / 1e6,
-		})
+		out = append(out, ArrivalPoint{T: (a.At - t0).Seconds(), MB: cum / 1e6})
 	}
-	return out, nil
+	return out
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -580,26 +579,14 @@ func (sp *Spec) Run() (*Result, error) {
 	v.Run(t0 + sp.Duration + 3*time.Second)
 	// Collect.
 	for _, h := range pings {
-		pr := PingRun{Src: h.ts.Src, Dst: h.ts.Dst,
-			Min: h.p.RTTs.Min(), Avg: h.p.RTTs.Mean(), Max: h.p.RTTs.Max(),
-			Mdev: h.p.RTTs.Mdev(), LossPct: 100 * h.p.LossRate()}
-		for _, smp := range h.p.Timeline {
-			pr.Timeline = append(pr.Timeline, RTTPoint{
-				T:     (smp.At - t0).Seconds(),
-				RTTms: float64(smp.RTT) / float64(time.Millisecond),
-				Lost:  smp.Lost})
-		}
-		sort.Slice(pr.Timeline, func(i, j int) bool { return pr.Timeline[i].T < pr.Timeline[j].T })
-		res.Pings = append(res.Pings, pr)
+		res.Pings = append(res.Pings, PingRun{Src: h.ts.Src, Dst: h.ts.Dst,
+			Timeline: rttSeries(h.p.Timeline, t0),
+			Min:      h.p.RTTs.Min(), Avg: h.p.RTTs.Mean(), Max: h.p.RTTs.Max(),
+			Mdev: h.p.RTTs.Mdev(), LossPct: 100 * h.p.LossRate()})
 	}
 	for _, h := range tcps {
-		tr := TCPRun{Src: h.ts.Src, Dst: h.ts.Dst, Mbps: h.t.Mbps()}
-		var cum float64
-		for _, a := range h.t.Receivers()[0].Arrivals {
-			cum += float64(a.Len)
-			tr.Arrivals = append(tr.Arrivals, ArrivalPoint{T: (a.At - t0).Seconds(), MB: cum / 1e6})
-		}
-		res.TCPs = append(res.TCPs, tr)
+		res.TCPs = append(res.TCPs, TCPRun{Src: h.ts.Src, Dst: h.ts.Dst, Mbps: h.t.Mbps(),
+			Arrivals: arrivalSeries(h.t.Receivers()[0].Arrivals, t0)})
 	}
 	for _, h := range cbrs {
 		res.CBRs = append(res.CBRs, CBRRun{Src: h.ts.Src, Dst: h.ts.Dst,

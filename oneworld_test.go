@@ -21,7 +21,7 @@ import (
 // with their own AddNode / AddLink / ComputeRoutes, each with the reason
 // the builder does not reach it.
 var handBuiltSites = map[string]string{
-	"internal/experiment/paper.go": "deterNet and planetlabNetProf give each link a Jitter, which topology.Link does not carry",
+	"internal/experiment/paper.go": "deter and planetlab give each link of the §5.1 testbed a Jitter, which topology.Link does not carry",
 	"examples/optin/main.go":       "adds a client and a web server to an Abilene substrate already built, then reconverges",
 }
 
