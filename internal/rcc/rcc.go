@@ -248,19 +248,12 @@ func BuildTopology(configs []*RouterConfig) (*topology.Graph, error) {
 		if err := g.AddLink(topology.Link{
 			A: ends[0].router, B: ends[1].router,
 			CostAB: ends[0].cfg.OSPFCost, CostBA: ends[1].cfg.OSPFCost,
-			Delay: maxDur(ends[0].cfg.Delay, ends[1].cfg.Delay), Bandwidth: bw,
+			Delay: max(ends[0].cfg.Delay, ends[1].cfg.Delay), Bandwidth: bw,
 		}); err != nil {
 			return nil, err
 		}
 	}
 	return g, nil
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Timers extracts the (consistent) OSPF timers across the configs,

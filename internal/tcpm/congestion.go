@@ -46,7 +46,7 @@ func (c *reno) onDupAckInRecovery() { c.cwnd += c.mss }
 // enterRecovery reacts to a triple duplicate ACK: halve ssthresh against
 // the bytes in flight and set the inflated recovery window.
 func (c *reno) enterRecovery(inflight float64) {
-	c.ssthresh = max64(inflight/2, 2*c.mss)
+	c.ssthresh = max(inflight/2, 2*c.mss)
 	c.cwnd = c.ssthresh + float64(3*c.mss) // rounded: no fused multiply-add
 }
 
@@ -65,7 +65,7 @@ func (c *reno) exitRecovery() { c.cwnd = c.ssthresh }
 // onTimeout reacts to an RTO: halve ssthresh against the bytes in flight
 // and collapse the window to one segment.
 func (c *reno) onTimeout(inflight float64) {
-	c.ssthresh = max64(inflight/2, 2*c.mss)
+	c.ssthresh = max(inflight/2, 2*c.mss)
 	c.cwnd = c.mss
 }
 

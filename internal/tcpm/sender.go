@@ -171,13 +171,6 @@ func (s *Sender) handleAck(ack uint32) {
 	}
 }
 
-func max64(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func (s *Sender) inflight() int      { return int(s.sndNxt - s.sndUna) }
 func (s *Sender) inflightF() float64 { return float64(s.sndNxt - s.sndUna) }
 
@@ -310,11 +303,4 @@ func (s *Sender) onRTO() {
 	s.backoff++
 	s.retransmitFirst()
 	s.armRTO()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

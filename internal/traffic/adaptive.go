@@ -487,7 +487,7 @@ func (a *Adaptive) feedbackTick() {
 		// Normal: additive increase, capped against the measured
 		// delivery rate so the estimate cannot detach from reality.
 		a.state = 0
-		a.est = clamp(min2(a.est+incBps, float64(1.25*delivered)+incBps),
+		a.est = clamp(min(a.est+incBps, float64(1.25*delivered)+incBps),
 			minBps, maxBps)
 	}
 	a.gGradient.Set(int64(wg))
@@ -520,11 +520,4 @@ func clamp(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-func min2(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }
