@@ -84,15 +84,15 @@ func walkFIB(vnodes []*core.VirtualNode, addrOwner map[netip.Addr]int,
 // acyclic, same-component pairs must walk to delivery, and
 // cross-component pairs must not (a cross-component "delivery" means a
 // protocol failed to withdraw routes over a failed link).
-func (sc *scenario) checkLoops() []string {
+func (o *overlay) checkLoops() []string {
 	var out []string
-	comp := sc.components()
-	for d, dvn := range sc.vnode {
-		for s := range sc.vnode {
+	comp := o.components()
+	for d, dvn := range o.vnode {
+		for s := range o.vnode {
 			if s == d {
 				continue
 			}
-			res, path := walkFIB(sc.vnode, sc.addrOwner, s, dvn.TapAddr)
+			res, path := walkFIB(o.vnode, o.addrOwner, s, dvn.TapAddr)
 			switch res {
 			case walkLoop:
 				out = append(out, fmt.Sprintf("forwarding loop for %v: %s", dvn.TapAddr, path))
@@ -119,8 +119,8 @@ func (sc *scenario) checkLoops() []string {
 // selection must match the installed FIB, the compiled stride-8 FIB
 // must agree with the reference binary trie, and every Click element
 // cache must agree with its authoritative table.
-func (sc *scenario) checkConsistency(i int, sample []netip.Addr) []string {
-	vn := sc.vnode[i]
+func (o *overlay) checkConsistency(i int, sample []netip.Addr) []string {
+	vn := o.vnode[i]
 	var out []string
 	fail := func(format string, args ...any) {
 		out = append(out, fmt.Sprintf("n%d: ", i)+fmt.Sprintf(format, args...))
@@ -171,21 +171,43 @@ func compareRoutes(proto, rib []fib.Route) error {
 	return nil
 }
 
-// addrSample collects the addresses the differential FIB oracle checks
-// on every node: all tap and interface addresses (every address a real
-// packet can carry in this world) plus a few seeded random ones for
-// the no-route paths.
-func (sc *scenario) addrSample() []netip.Addr {
+// addrs is every address a real packet can carry in the overlay: each
+// node's tap address and both ends of each of its interfaces. It is the
+// sample the differential FIB oracle checks on every node.
+func (o *overlay) addrs() []netip.Addr {
 	var out []netip.Addr
-	for _, vn := range sc.vnode {
+	for _, vn := range o.vnode {
 		out = append(out, vn.TapAddr)
 		for _, ifc := range vn.Interfaces() {
 			out = append(out, ifc.Addr, ifc.PeerAddr)
 		}
 	}
-	for i := 0; i < 16; i++ {
-		out = append(out, netip.AddrFrom4([4]byte{10, byte(sc.rng.Intn(256)),
-			byte(sc.rng.Intn(256)), byte(sc.rng.Intn(256))}))
+	return out
+}
+
+// components labels nodes by connected component over unfailed virtual
+// links — the ground truth the reachability checks compare against.
+func (o *overlay) components() []int {
+	parent := make([]int, len(o.vnode))
+	for i := range parent {
+		parent[i] = i
+	}
+	var find func(int) int
+	find = func(x int) int {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	for i, l := range o.links {
+		if !o.vls[i].Failed() {
+			parent[find(l.a)] = find(l.b)
+		}
+	}
+	out := make([]int, len(o.vnode))
+	for i := range out {
+		out[i] = find(i)
 	}
 	return out
 }
