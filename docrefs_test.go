@@ -1,8 +1,9 @@
 package vini_test
 
 // The docs name what exists: a backticked reference in README.md or
-// DESIGN.md to a .go file, to a test or to a declaration of a package
-// under internal/ is checked against the tree, so a PR that deletes a
+// DESIGN.md to a .go file, to a test, to a declaration of a package
+// under internal/ or to a vinibench experiment is checked against the
+// tree, so a PR that deletes a
 // file, a test or an identifier also deletes what the docs say about it.
 // History — what a PR removed — belongs in CHANGES.md.
 
@@ -29,6 +30,8 @@ var (
 	// identRef is a span that starts with pkg.Name or pkg.Type.Member:
 	// `core.New(seed)`, `*sim.Loop`, `ospf.Parse…`.
 	identRef = regexp.MustCompile(`^[*&]?([a-z][a-z0-9]*)\.([A-Za-z]\w*)(?:\.([A-Za-z]\w*))?`)
+	// expRef is a vinibench experiment: `-exp fig8`, `vinibench -exp scale`.
+	expRef = regexp.MustCompile(`(?:^|\s)-exp ([a-z][a-z0-9]*)`)
 )
 
 // goDecls is what the packages under internal/ declare, by package
@@ -124,14 +127,45 @@ func (d goDecls) has(pkg, name, member string) bool {
 	return p.members[name][member]
 }
 
+// experiments is what -exp accepts: "all" and the names in
+// cmd/vinibench's experiments table.
+func experiments(t *testing.T, src sourceTree) map[string]bool {
+	t.Helper()
+	const file = "cmd/vinibench/main.go"
+	f, err := parser.ParseFile(token.NewFileSet(), file, src[file], parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{"all": true}
+	ast.Inspect(f, func(n ast.Node) bool {
+		v, ok := n.(*ast.ValueSpec)
+		if !ok || len(v.Names) != 1 || v.Names[0].Name != "experiments" || len(v.Values) != 1 {
+			return true
+		}
+		for _, e := range v.Values[0].(*ast.CompositeLit).Elts {
+			if row, ok := e.(*ast.CompositeLit); ok && len(row.Elts) > 0 {
+				if lit, ok := row.Elts[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					name, _ := strconv.Unquote(lit.Value)
+					names[name] = true
+				}
+			}
+		}
+		return false
+	})
+	if len(names) == 1 {
+		t.Fatalf("%s declares no experiments table", file)
+	}
+	return names
+}
+
 // TestDocReferences: a `….go` path is the suffix of a file in the tree;
 // a `Test…` / `Fuzz…` name is declared in some _test.go file — a
 // top-level func or type, or a string literal there (the Click class a
 // test registers); and a `pkg.Name` or `pkg.Type.Member` whose pkg is a
 // package under internal/ names a top-level declaration, method or field
-// of that package (for pkg.Type.Member, one of that type). A name with
-// an underscore is a benchmark metric (`fib.lookup_ns`), not a
-// reference.
+// of that package (for pkg.Type.Member, one of that type); and a
+// `-exp NAME` names an experiment of cmd/vinibench. A name with an
+// underscore is a benchmark metric (`fib.lookup_ns`), not a reference.
 func TestDocReferences(t *testing.T) {
 	src := readSource(t, ".")
 	declared := map[string]bool{}
@@ -168,6 +202,7 @@ func TestDocReferences(t *testing.T) {
 			return true
 		})
 	}
+	exps := experiments(t, src)
 	inTree := func(ref string) bool {
 		for file := range src {
 			if file == ref || strings.HasSuffix(file, "/"+ref) {
@@ -199,6 +234,11 @@ func TestDocReferences(t *testing.T) {
 			} else if r := identRef.FindStringSubmatch(span); r != nil && decls[r[1]] != nil &&
 				!strings.Contains(r[0], "_") && !decls.has(r[1], r[2], r[3]) {
 				t.Errorf("%s:%d: %s is declared nowhere in internal/%s", doc, line, strings.TrimLeft(r[0], "*&"), r[1])
+			}
+			for _, e := range expRef.FindAllStringSubmatch(span, -1) {
+				if !exps[e[1]] {
+					t.Errorf("%s:%d: -exp %s is no vinibench experiment", doc, line, e[1])
+				}
 			}
 			for _, name := range testName.FindAllString(span, -1) {
 				if !declared[name] {
