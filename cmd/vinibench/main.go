@@ -25,7 +25,6 @@ import (
 
 	"vini/internal/experiment"
 	"vini/internal/rcc"
-	"vini/internal/simtest"
 	"vini/internal/topology"
 )
 
@@ -36,8 +35,7 @@ var experiments = []struct {
 }{
 	{"table2", table2}, {"table3", table3}, {"table4", table4}, {"table5", table5},
 	{"table6", table6}, {"fig6", fig6}, {"fig7", fig7}, {"fig8", fig8}, {"fig9", fig9},
-	{"ablation", ablation}, {"simtest", simtestExp},
-	{"telemetry", telemetryExp}, {"churn", churnExp},
+	{"ablation", ablation}, {"telemetry", telemetryExp}, {"churn", churnExp},
 	{"migrate", migrateExp}, {"scale", scaleExp}, {"adaptive", adaptiveExp},
 }
 
@@ -138,46 +136,6 @@ func telemetryExp() error {
 		fmt.Printf("%s\n", js)
 	} else {
 		fmt.Println("(run with -v for the per-domain profile and the full JSON snapshot)")
-	}
-	return nil
-}
-
-// simtestExp sweeps seeded deterministic-simulation scenarios and
-// reports the invariant engine's verdict; any violation prints the
-// seed that replays it exactly.
-func simtestExp() error {
-	seeds := count(100, 20)
-	var recon []time.Duration
-	violations := 0
-	for s := *seedFlag; s < *seedFlag+int64(seeds); s++ {
-		r, err := simtest.Run(simtest.Options{Seed: s})
-		if err != nil {
-			return err
-		}
-		recon = append(recon, r.Reconvergences...)
-		if r.Failed() {
-			violations++
-			fmt.Printf("%s\n", r)
-		}
-	}
-	var max, sum time.Duration
-	for _, d := range recon {
-		sum += d
-		if d > max {
-			max = d
-		}
-	}
-	var mean time.Duration
-	if len(recon) > 0 {
-		mean = sum / time.Duration(len(recon))
-	}
-	fmt.Printf("%d scenarios explored (seeds %d..%d): %d invariant violations\n",
-		seeds, *seedFlag, *seedFlag+int64(seeds)-1, violations)
-	fmt.Printf("reconvergence after %d injected failures: mean %v, max %v\n",
-		len(recon), mean.Round(time.Millisecond), max)
-	fmt.Println("invariants: loop-freedom, RIB/FIB/cache consistency, packet conservation, bounded reconvergence")
-	if violations > 0 {
-		return fmt.Errorf("simtest: %d scenarios violated invariants", violations)
 	}
 	return nil
 }

@@ -15,7 +15,7 @@ func TestDistinctSeedsDiverge(t *testing.T) {
 	digests := map[uint64]int64{}
 	same := 0
 	for s := int64(1); s <= 8; s++ {
-		r, err := Run(Options{Seed: s})
+		r, err := runBase(baseOptions{seed: s})
 		if err != nil {
 			t.Fatalf("seed %d: %v", s, err)
 		}
@@ -29,33 +29,13 @@ func TestDistinctSeedsDiverge(t *testing.T) {
 	}
 }
 
-// TestReconvergenceBounded checks invariant 4's reporting path: every
-// recorded reconvergence must be finite and under the budget.
-func TestReconvergenceBounded(t *testing.T) {
-	r, err := Run(Options{Seed: 7, events: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Failed() {
-		t.Fatalf("seed 7 violated invariants:\n%s", r)
-	}
-	if len(r.Reconvergences) != 4 {
-		t.Fatalf("expected 4 reconvergence samples, got %d", len(r.Reconvergences))
-	}
-	for i, d := range r.Reconvergences {
-		if d < 0 || d > 300*time.Second {
-			t.Errorf("event %d: reconvergence %v out of bounds", i, d)
-		}
-	}
-}
-
 // TestQuiescenceSeesARestoredRoute pins what quiescence means: no FIB
 // mutation for a settle window. A route installed and withdrawn again
 // inside one step leaves the table's contents as they were, but it is a
 // mutation all the same, so the settle window restarts and stable takes
 // one step more than settle.
 func TestQuiescenceSeesARestoredRoute(t *testing.T) {
-	sc, err := buildScenario(Options{Seed: 3, minNodes: 4, maxNodes: 4})
+	sc, err := buildScenario(baseOptions{seed: 3, minNodes: 4, maxNodes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +60,7 @@ func TestQuiescenceSeesARestoredRoute(t *testing.T) {
 // the fib package's test-only hook) and demands the differential
 // oracle reports it.
 func TestCatchesCompiledFIBMutation(t *testing.T) {
-	sc, err := buildScenario(Options{Seed: 3, minNodes: 4, maxNodes: 4})
+	sc, err := buildScenario(baseOptions{seed: 3, minNodes: 4, maxNodes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +85,7 @@ func TestCatchesCompiledFIBMutation(t *testing.T) {
 // TestCatchesPacketLeak takes a pooled packet and never releases it;
 // the conservation checker must flag exactly that.
 func TestCatchesPacketLeak(t *testing.T) {
-	sc, err := buildScenario(Options{Seed: 5, minNodes: 3, maxNodes: 3})
+	sc, err := buildScenario(baseOptions{seed: 5, minNodes: 3, maxNodes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,17 +94,17 @@ func TestCatchesPacketLeak(t *testing.T) {
 	}
 	leakPacketForTest() // Get() with no Release
 	sc.settle("leak test")
-	if !sc.res.Failed() {
+	if !sc.out.Failed() {
 		t.Fatal("leaked packet went undetected by the conservation checker")
 	}
-	t.Logf("caught: %v", sc.res.Violations[0])
+	t.Logf("caught: %v", sc.out.Violations[0])
 }
 
 // TestCatchesForwardingLoop installs a two-node routing loop for a
 // bogus destination straight into the FIBs and demands the loop walker
 // reports it.
 func TestCatchesForwardingLoop(t *testing.T) {
-	sc, err := buildScenario(Options{Seed: 11, minNodes: 4, maxNodes: 4})
+	sc, err := buildScenario(baseOptions{seed: 11, minNodes: 4, maxNodes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
