@@ -198,6 +198,28 @@ func TestWireRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestWireAcceptsEitherZeroChecksum pins RFC 1071 verification on a
+// packet whose ones'-complement sum makes the checksum zero: the field
+// may hold 0x0000 or its other representation, 0xffff.
+func TestWireAcceptsEitherZeroChecksum(t *testing.T) {
+	pkt := MarshalHello(42, Hello{HelloInterval: 5, DeadInterval: 10})
+	// Adding the checksum into a body word (ones'-complement addition)
+	// moves the packet's sum to the value whose checksum is zero.
+	c := uint32(binary.BigEndian.Uint16(pkt[12:14]))
+	w := uint32(binary.BigEndian.Uint16(pkt[headerLen:])) + c
+	binary.BigEndian.PutUint16(pkt[headerLen:], uint16(w+w>>16))
+	for _, field := range []uint16{0x0000, 0xffff} {
+		binary.BigEndian.PutUint16(pkt[12:14], field)
+		if _, _, err := parseHeader(pkt); err != nil {
+			t.Errorf("checksum field %#04x: %v", field, err)
+		}
+	}
+	binary.BigEndian.PutUint16(pkt[12:14], 0x0001)
+	if _, _, err := parseHeader(pkt); err == nil {
+		t.Error("checksum field 0x0001 accepted")
+	}
+}
+
 func TestWireFuzzNoPanic(t *testing.T) {
 	f := func(b []byte) bool {
 		if h, body, err := parseHeader(b); err == nil {

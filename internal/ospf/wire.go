@@ -11,6 +11,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net/netip"
+
+	"vini/internal/packet"
 )
 
 // Message types.
@@ -95,26 +97,9 @@ func seal(dst []byte, start int, typ uint8, routerID uint32) []byte {
 	pkt[1] = typ
 	binary.BigEndian.PutUint16(pkt[2:4], uint16(len(pkt)))
 	binary.BigEndian.PutUint32(pkt[4:8], routerID)
-	// bytes 8-11: area 0; 14-15 reserved
-	binary.BigEndian.PutUint16(pkt[12:14], ipChecksum(pkt))
+	// bytes 8-11: area 0; 12-13 the checksum, still zero here; 14-15 reserved
+	binary.BigEndian.PutUint16(pkt[12:14], packet.Checksum(pkt))
 	return dst
-}
-
-func ipChecksum(b []byte) uint16 {
-	var sum uint32
-	for i := 0; i+1 < len(b); i += 2 {
-		if i == 12 {
-			continue // checksum field
-		}
-		sum += uint32(binary.BigEndian.Uint16(b[i : i+2]))
-	}
-	if len(b)%2 == 1 {
-		sum += uint32(b[len(b)-1]) << 8
-	}
-	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + (sum >> 16)
-	}
-	return ^uint16(sum)
 }
 
 // parseHeader validates and decodes the common header, returning the body.
@@ -130,7 +115,9 @@ func parseHeader(b []byte) (header, []byte, error) {
 	if int(length) < headerLen || int(length) > len(b) {
 		return h, nil, fmt.Errorf("ospf: bad length %d", length)
 	}
-	if ipChecksum(b[:length]) != binary.BigEndian.Uint16(b[12:14]) {
+	// RFC 1071 verification: the sum over the packet, checksum included,
+	// is zero. It accepts either ones'-complement zero in the field.
+	if packet.Checksum(b[:length]) != 0 {
 		return h, nil, fmt.Errorf("ospf: checksum mismatch")
 	}
 	h.Type = b[1]
