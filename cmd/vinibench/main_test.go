@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -118,5 +120,41 @@ func TestCommittedReportsReproduce(t *testing.T) {
 					file, c.exp, got, want)
 			}
 		})
+	}
+}
+
+// TestReportsAreCheckedWorlds: a report is the readout of a world that
+// TestRegimes checks across seeds, worker counts and replays, so its
+// digests are the regime's golden row for the report's seed on one
+// worker. Scale is exempt: its report is the 500-slice world, and the
+// golden pins the 60-slice smallScale.
+func TestReportsAreCheckedWorlds(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("..", "..", "internal", "simtest", "testdata", "regime_digests.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string][]string{}
+	for _, line := range strings.Split(string(golden), "\n") {
+		if f := strings.Fields(line); len(f) == 8 {
+			rows[strings.Join(f[:3], " ")] = f[3:7]
+		}
+	}
+	for _, exp := range []string{"adaptive", "churn", "migrate"} {
+		data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_"+exp+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep struct {
+			Seed int64 `json:"seed"`
+			engineRow
+		}
+		if err := json.Unmarshal(data, &rep); err != nil {
+			t.Fatal(err)
+		}
+		key := fmt.Sprintf("%s %d 1", exp, rep.Seed)
+		got := []string{rep.Digest, rep.Schedule, rep.TelemetryDigest, rep.FlightDigest}
+		if want, ok := rows[key]; !ok || !slices.Equal(got, want) {
+			t.Errorf("BENCH_%s.json digests %v, want the %q golden row %v", exp, got, key, want)
+		}
 	}
 }
