@@ -4,10 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"time"
 
-	"vini/internal/core"
-	"vini/internal/packet"
 	"vini/internal/simtest"
 )
 
@@ -55,14 +52,4 @@ func measured(o *simtest.Outcome) engineRow {
 		TelemetryDigest: fmt.Sprintf("%016x", o.TelemetryDigest),
 		FlightDigest:    fmt.Sprintf("%016x", o.FlightDigest),
 	}
-}
-
-// settlePool steps the world in 50ms increments until the packet-pool
-// ledger balances against base (or 2s pass) and returns what is still
-// in flight.
-func settlePool(v *core.VINI, base packet.PoolStats) int64 {
-	for i := 0; i < 40 && packet.Stats().Sub(base).InFlight() != 0; i++ {
-		v.Run(v.Loop().Now() + 50*time.Millisecond)
-	}
-	return packet.Stats().Sub(base).InFlight()
 }

@@ -85,7 +85,8 @@ func buildScenario(opts baseOptions) (*scenario, error) {
 		crashed:   make([]bool, n),
 		delivered: make([]int, n),
 	}
-	nodes, links, err := sc.genSubstrate(rng, n, 1, 10)
+	links := genTopology(rng, n)
+	nodes, err := sc.genSubstrate(rng, n, links, 1, 10)
 	if err != nil {
 		return nil, err
 	}

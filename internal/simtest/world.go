@@ -114,28 +114,27 @@ func (w *world) violate(format string, args ...any) {
 }
 
 // genSubstrate builds n DETER nodes n0..n<n-1> at 192.168.<subnet>.1..,
-// joins them with a seeded random connected topology of 1 Gb/s links
-// with 1..maxDelayMs ms of delay, and computes substrate routes. Every
-// draw comes from rng in a fixed order — topology first, then one delay
-// per link — which is the replay discipline: never reorder.
-func (w *world) genSubstrate(rng *sim.RNG, n int, subnet byte, maxDelayMs int) ([]string, []genLink, error) {
+// joins them along links (genTopology's draw, indices into the nodes)
+// with 1 Gb/s links of 1..maxDelayMs ms of delay, and computes
+// substrate routes. Every draw comes from rng in a fixed order — the
+// caller's topology first, then one delay per link — which is the
+// replay discipline: never reorder.
+func (w *world) genSubstrate(rng *sim.RNG, n int, links []genLink, subnet byte, maxDelayMs int) ([]string, error) {
 	if n > 254 {
-		return nil, nil, fmt.Errorf("simtest: %d nodes do not fit one /24", n)
+		return nil, fmt.Errorf("simtest: %d nodes do not fit one /24", n)
 	}
 	nodes := make([]string, n)
 	for i := range nodes {
 		nodes[i] = fmt.Sprintf("n%d", i)
 	}
-	links := genTopology(rng, n)
 	wires := make([]topology.Link, len(links))
 	for i, l := range links {
 		wires[i] = topology.Link{A: nodes[l.a], B: nodes[l.b],
 			Bandwidth: 1e9, Delay: time.Duration(1+rng.Intn(maxDelayMs)) * time.Millisecond}
 	}
-	err := w.vini.AddTopology(nodes, wires, netem.DETERProfile(), func(i int, _ string) netip.Addr {
+	return nodes, w.vini.AddTopology(nodes, wires, netem.DETERProfile(), func(i int, _ string) netip.Addr {
 		return netip.AddrFrom4([4]byte{192, 168, subnet, byte(1 + i)})
 	})
-	return nodes, links, err
 }
 
 // createSlice admits a slice and enrols it in the audit's universe.
