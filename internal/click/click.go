@@ -163,6 +163,7 @@ type Router struct {
 	elements map[string]Element
 	ports    map[string]*portSet
 	order    []string // declaration order, for deterministic init
+	inited   int      // how many of order Initialize has initialized
 }
 
 // newRouter returns an empty router bound to ctx.
@@ -177,8 +178,9 @@ func newRouter(ctx *Context) *Router {
 	}
 }
 
-// addElement declares a named element instance of class with args.
-func (r *Router) addElement(name, class string, args []string) error {
+// Declare adds element name of class, built from args as the
+// configuration "name :: Class(args)" would build it.
+func (r *Router) Declare(name, class string, args ...string) error {
 	if _, dup := r.elements[name]; dup {
 		return fmt.Errorf("click: duplicate element name %q", name)
 	}
@@ -201,8 +203,8 @@ func (r *Router) addElement(name, class string, args []string) error {
 	return nil
 }
 
-// connect wires from[fromPort] -> [toPort]to.
-func (r *Router) connect(from string, fromPort int, to string, toPort int) error {
+// Connect wires from[fromPort] -> [toPort]to.
+func (r *Router) Connect(from string, fromPort int, to string, toPort int) error {
 	fp, ok := r.ports[from]
 	if !ok {
 		return fmt.Errorf("click: connect from unknown element %q", from)
@@ -228,12 +230,16 @@ type instrumentable interface {
 	Instrument(sc *telemetry.Scope)
 }
 
-// Initialize runs element initializers in declaration order, then (when
-// the context carries a telemetry scope) hands every instrumentable
-// element its per-element scope. Declaration order makes metric
-// registration order — and therefore snapshot order — deterministic.
+// Initialize runs the initializers of the elements declared since its
+// last successful call in declaration order, then (when the context
+// carries a telemetry scope) hands each of them that is instrumentable
+// its per-element scope. Each element is initialized once, so a graph
+// that grows keeps the state its running elements hold (NAT bindings).
+// Declaration order makes metric registration order — and therefore
+// snapshot order — deterministic.
 func (r *Router) Initialize() error {
-	for _, name := range r.order {
+	fresh := r.order[r.inited:]
+	for _, name := range fresh {
 		if init, ok := r.elements[name].(initializer); ok {
 			if err := init.Initialize(r.ctx); err != nil {
 				return fmt.Errorf("click: initialize %s: %w", name, err)
@@ -241,12 +247,13 @@ func (r *Router) Initialize() error {
 		}
 	}
 	if r.ctx.Metrics != nil {
-		for _, name := range r.order {
+		for _, name := range fresh {
 			if ins, ok := r.elements[name].(instrumentable); ok {
 				ins.Instrument(r.ctx.Metrics.With("click/" + name + "/"))
 			}
 		}
 	}
+	r.inited = len(r.order)
 	return nil
 }
 

@@ -425,7 +425,7 @@ func TestHandlersErrors(t *testing.T) {
 
 func TestInitializeFailsWithoutResources(t *testing.T) {
 	r := newRouter(&Context{})
-	if err := r.addElement("rt", "LookupIPRoute", nil); err != nil {
+	if err := r.Declare("rt", "LookupIPRoute"); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Initialize(); err == nil {

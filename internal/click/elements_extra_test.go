@@ -101,7 +101,7 @@ func TestSinkElementsRequireContext(t *testing.T) {
 		if class == "BandwidthShaper" {
 			args = []string{"1000"}
 		}
-		if err := r.addElement("x", class, args); err != nil {
+		if err := r.Declare("x", class, args...); err != nil {
 			t.Fatalf("%s: %v", class, err)
 		}
 		if err := r.Initialize(); err == nil {
@@ -120,7 +120,7 @@ func TestConstructorArgErrors(t *testing.T) {
 	}
 	for class, args := range bad {
 		r := newRouter(&Context{})
-		if err := r.addElement("x", class, args); err == nil {
+		if err := r.Declare("x", class, args...); err == nil {
 			t.Errorf("%s(%v) accepted", class, args)
 		}
 	}

@@ -7,6 +7,54 @@ import (
 	"unicode"
 )
 
+// Program is a parsed configuration: its declarations and connection
+// chains in source order, which Instantiate replays through Declare and
+// Connect.
+type Program struct{ stmts []statement }
+
+// statement declares names as class(args), or connects a chain.
+type statement struct {
+	names, args []string
+	class       string
+	chain       []endpoint
+}
+
+// Compile parses config, in the language ParseConfig describes, into a
+// program. Classes, names and connections are checked when it is
+// instantiated.
+func Compile(config string) (*Program, error) {
+	texts, err := splitStatements(config)
+	if err != nil {
+		return nil, err
+	}
+	p := &Program{stmts: make([]statement, len(texts))}
+	for i, t := range texts {
+		if p.stmts[i], err = parseStatement(t); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
+}
+
+// Instantiate builds a new router bound to ctx from the program.
+func (p *Program) Instantiate(ctx *Context) (*Router, error) {
+	r := newRouter(ctx)
+	for _, st := range p.stmts {
+		for _, n := range st.names {
+			if err := r.Declare(n, st.class, st.args...); err != nil {
+				return nil, err
+			}
+		}
+		for i := 0; i+1 < len(st.chain); i++ {
+			from, to := st.chain[i], st.chain[i+1]
+			if err := r.Connect(from.name, from.outPort, to.name, to.inPort); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return r, nil
+}
+
 // ParseConfig parses a Click-language configuration into router
 // declarations and connections and applies them to a new router bound to
 // ctx. The supported subset covers what IIAS generates:
@@ -18,27 +66,13 @@ import (
 //	a[1] -> [2]b;                    // explicit ports
 //
 // Elements must be declared before they are referenced in a connection.
+// Declare and Connect extend a router after it is built.
 func ParseConfig(ctx *Context, config string) (*Router, error) {
-	r := newRouter(ctx)
-	if err := ParseInto(r, config); err != nil {
+	p, err := Compile(config)
+	if err != nil {
 		return nil, err
 	}
-	return r, nil
-}
-
-// ParseInto parses config into an existing router, allowing programmatic
-// elements (tunnels bound to sockets, say) to be declared first.
-func ParseInto(r *Router, config string) error {
-	stmts, err := splitStatements(config)
-	if err != nil {
-		return err
-	}
-	for _, s := range stmts {
-		if err := parseStatement(r, s); err != nil {
-			return err
-		}
-	}
-	return nil
+	return p.Instantiate(ctx)
 }
 
 // splitStatements strips comments and splits on top-level semicolons.
@@ -91,14 +125,14 @@ func splitStatements(s string) ([]string, error) {
 	return out, nil
 }
 
-func parseStatement(r *Router, stmt string) error {
+func parseStatement(stmt string) (statement, error) {
 	if idx := topLevelIndex(stmt, "::"); idx >= 0 {
-		return parseDeclaration(r, stmt, idx)
+		return parseDeclaration(stmt, idx)
 	}
 	if topLevelIndex(stmt, "->") >= 0 {
-		return parseChain(r, stmt)
+		return parseChain(stmt)
 	}
-	return fmt.Errorf("click: cannot parse statement %q", stmt)
+	return statement{}, fmt.Errorf("click: cannot parse statement %q", stmt)
 }
 
 // topLevelIndex finds needle outside parentheses.
@@ -118,35 +152,31 @@ func topLevelIndex(s, needle string) int {
 	return -1
 }
 
-func parseDeclaration(r *Router, stmt string, sep int) error {
-	names := strings.Split(stmt[:sep], ",")
+func parseDeclaration(stmt string, sep int) (statement, error) {
+	st := statement{names: strings.Split(stmt[:sep], ",")}
 	rest := strings.TrimSpace(stmt[sep+2:])
-	class := rest
-	var args []string
+	st.class = rest
 	if p := strings.IndexByte(rest, '('); p >= 0 {
 		if !strings.HasSuffix(rest, ")") {
-			return fmt.Errorf("click: malformed declaration %q", stmt)
+			return st, fmt.Errorf("click: malformed declaration %q", stmt)
 		}
-		class = strings.TrimSpace(rest[:p])
+		st.class = strings.TrimSpace(rest[:p])
 		var err error
-		args, err = splitArgs(rest[p+1 : len(rest)-1])
+		st.args, err = splitArgs(rest[p+1 : len(rest)-1])
 		if err != nil {
-			return err
+			return st, err
 		}
 	}
-	if !validIdent(class) {
-		return fmt.Errorf("click: bad class name %q", class)
+	if !validIdent(st.class) {
+		return st, fmt.Errorf("click: bad class name %q", st.class)
 	}
-	for _, n := range names {
-		n = strings.TrimSpace(n)
-		if !validIdent(n) {
-			return fmt.Errorf("click: bad element name %q", n)
-		}
-		if err := r.addElement(n, class, args); err != nil {
-			return err
+	for i, n := range st.names {
+		st.names[i] = strings.TrimSpace(n)
+		if !validIdent(st.names[i]) {
+			return st, fmt.Errorf("click: bad element name %q", st.names[i])
 		}
 	}
-	return nil
+	return st, nil
 }
 
 // splitArgs splits a Click argument string on top-level commas, trimming
@@ -200,25 +230,20 @@ type endpoint struct {
 	outPort int
 }
 
-func parseChain(r *Router, stmt string) error {
+func parseChain(stmt string) (statement, error) {
 	parts := splitTopLevel(stmt, "->")
 	if len(parts) < 2 {
-		return fmt.Errorf("click: bad connection %q", stmt)
+		return statement{}, fmt.Errorf("click: bad connection %q", stmt)
 	}
 	eps := make([]endpoint, len(parts))
 	for i, p := range parts {
 		ep, err := parseEndpoint(strings.TrimSpace(p))
 		if err != nil {
-			return err
+			return statement{}, err
 		}
 		eps[i] = ep
 	}
-	for i := 0; i+1 < len(eps); i++ {
-		if err := r.connect(eps[i].name, eps[i].outPort, eps[i+1].name, eps[i+1].inPort); err != nil {
-			return err
-		}
-	}
-	return nil
+	return statement{chain: eps}, nil
 }
 
 func splitTopLevel(s, sep string) []string {

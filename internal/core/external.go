@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"net/netip"
 
@@ -38,17 +39,17 @@ func (vn *VirtualNode) EnableEgress() error {
 		})
 	}
 	lo, hi := s.natPorts.Lo, s.natPorts.Hi
-	cfg := fmt.Sprintf(`
-		napt :: IPNAPT(%s, PORTS %d %d);
-		ext :: ToExternal;
-		rt[%d] -> napt;
-		napt[0] -> ext;
-		napt[1] -> [0]rt;
-	`, vn.phys.Addr(), lo, hi, iias.PortNAPT)
-	if err := click.ParseInto(vn.Router, cfg); err != nil {
+	r := vn.Router
+	if err := errors.Join(
+		r.Declare("napt", "IPNAPT", vn.phys.Addr().String(), fmt.Sprintf("PORTS %d %d", lo, hi)),
+		r.Declare("ext", "ToExternal"),
+		r.Connect("rt", iias.PortNAPT, "napt", 0),
+		r.Connect("napt", 0, "ext", 0),
+		r.Connect("napt", 1, "rt", 0),
+	); err != nil {
 		return err
 	}
-	if err := vn.Router.Initialize(); err != nil {
+	if err := r.Initialize(); err != nil {
 		return err
 	}
 	// Return traffic from the Internet re-enters Click's NAT input.
@@ -96,16 +97,16 @@ func (vn *VirtualNode) EnableVPNServer(port uint16) error {
 	if vn.vpn != nil {
 		return fmt.Errorf("core: VPN server already enabled")
 	}
-	cfg := fmt.Sprintf(`
-		fromvpn :: FromVPN;
-		tovpn :: ToVPN;
-		fromvpn -> rt;
-		rt[%d] -> tovpn;
-	`, iias.PortVPN)
-	if err := click.ParseInto(vn.Router, cfg); err != nil {
+	r := vn.Router
+	if err := errors.Join(
+		r.Declare("fromvpn", "FromVPN"),
+		r.Declare("tovpn", "ToVPN"),
+		r.Connect("fromvpn", 0, "rt", 0),
+		r.Connect("rt", iias.PortVPN, "tovpn", 0),
+	); err != nil {
 		return err
 	}
-	if err := vn.Router.Initialize(); err != nil {
+	if err := r.Initialize(); err != nil {
 		return err
 	}
 	vn.vpn = &vpnServer{port: port, sessions: make(map[netip.Addr]*vpnSession)}

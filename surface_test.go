@@ -11,7 +11,8 @@ package vini_test
 //	    signature or an exported field of something reached, a method
 //	    that makes its receiver satisfy an interface that is in use;
 //	(b) every class internal/click registers is instantiated by a
-//	    configuration written in a non-test file;
+//	    configuration written in a non-test file, or by a non-test
+//	    Declare call that names it;
 //	(c) every exported field of an exported struct under internal/ whose
 //	    name ends in Config, Options or Params is written by non-test
 //	    code, or named by benchmark/: a composite-literal key anywhere, or
@@ -549,7 +550,8 @@ func auditSurface(src sourceTree, allowlist string) (*surface, error) {
 	sort.Strings(s.stale)
 
 	// Rule (b). Classes are registered by internal/click's non-test files
-	// and instantiated by "name :: Class" in any non-test string literal.
+	// and instantiated by "name :: Class" in any non-test string literal
+	// or by a non-test call Declare(name, "Class", ...).
 	registered, built := map[string]bool{}, map[string]bool{}
 	for dir, files := range l.dirs {
 		for _, f := range files {
@@ -563,6 +565,12 @@ func auditSurface(src sourceTree, allowlist string) (*surface, error) {
 						if lit, ok := n.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
 							class, _ := strconv.Unquote(lit.Value)
 							registered[class] = true
+						}
+					}
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Declare" && len(n.Args) >= 2 {
+						if lit, ok := n.Args[1].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+							class, _ := strconv.Unquote(lit.Value)
+							built[class] = true
 						}
 					}
 				case *ast.BasicLit:
@@ -716,7 +724,7 @@ func rootIdent(x ast.Expr) *ast.Ident {
 // reached only through an interface and a Config with one knob of each
 // kind, a command that is its front door, a benchmark that names one
 // knob, and a click package with one class the command's configuration
-// instantiates and one it does not.
+// instantiates, one it declares by call and one it does not.
 var guardTree = sourceTree{
 	"internal/lib/lib.go": `package lib
 
@@ -775,10 +783,15 @@ func register(class string, build func() any) {}
 
 func init() {
 	register("Wired", nil)
+	register("Declared", nil)
 	register("Spare", nil)
 }
 
 func Parse(config string) {}
+
+type Router struct{}
+
+func (r *Router) Declare(name, class string, args ...string) {}
 `,
 	"cmd/tool/main.go": `package main
 
@@ -791,6 +804,7 @@ func tune(c *lib.Config) { c.Passed = 2 }
 
 func main() {
 	click.Parse("in :: Wired; in -> in;")
+	new(click.Router).Declare("d", "Declared")
 	println(lib.Total(lib.Unit()))
 	c := lib.Config{Literal: 3}
 	tune(&c)
@@ -824,14 +838,14 @@ func TestSurfaceGuardOnASmallTree(t *testing.T) {
 	// A caller-less function and a method only a test reaches are named;
 	// Square.Area, which main reaches only as Shape.Area, is not.
 	s := audit("")
-	if s.declared != 10 {
-		t.Errorf("%d exported declarations, want 10", s.declared)
+	if s.declared != 12 {
+		t.Errorf("%d exported declarations, want 12", s.declared)
 	}
 	same("unreached", s.unreached,
 		"lib.Orphan: nothing names it, delete",
 		"lib.Square.Perimeter: only tests name it, delete it with them or allowlist it with the reason")
 	same("stale", s.stale)
-	same("classes", s.classes, "Spare", "Wired")
+	same("classes", s.classes, "Declared", "Spare", "Wired")
 	same("unbuilt classes", s.unbuilt, "Spare")
 
 	// A knob only its own setDefaults writes is named; one a caller's
