@@ -80,26 +80,6 @@ type neighbor struct {
 	Index int // index into Links()
 }
 
-// neighbors returns the adjacencies of node, sorted by neighbor name.
-// Links in down are skipped (set of link indices), which is how SPF
-// recomputation after failure is modelled at the graph level.
-func (g *Graph) neighbors(node string, down map[int]bool) []neighbor {
-	var out []neighbor
-	for i, l := range g.links {
-		if down[i] {
-			continue
-		}
-		switch node {
-		case l.A:
-			out = append(out, neighbor{Node: l.B, Cost: l.CostAB, Delay: l.Delay, Index: i})
-		case l.B:
-			out = append(out, neighbor{Node: l.A, Cost: l.CostBA, Delay: l.Delay, Index: i})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
-	return out
-}
-
 // Path is a shortest-path result.
 type Path struct {
 	Hops  []string // source..dest inclusive
@@ -135,7 +115,8 @@ func (q *pq) Pop() any {
 // ShortestPaths runs Dijkstra from src, skipping links in down, and
 // returns the path to every reachable node. Ties are broken by
 // lexicographically smallest predecessor so results are deterministic
-// (and match the SPF in internal/ospf).
+// (and match the SPF in internal/ospf). A hop's delay is that of the
+// first link up between its two nodes.
 func (g *Graph) ShortestPaths(src string, down map[int]bool) map[string]Path {
 	const inf = math.MaxUint64
 	dist := make(map[string]uint64, len(g.nodes))
@@ -145,6 +126,20 @@ func (g *Graph) ShortestPaths(src string, down map[int]bool) map[string]Path {
 	}
 	if _, ok := dist[src]; !ok {
 		return nil
+	}
+	// One pass over the links: each node's adjacencies in link order, and
+	// the delay of the first link up between each pair of nodes.
+	adj := make(map[string][]neighbor, len(g.nodes))
+	delay := make(map[[2]string]time.Duration, len(g.links))
+	for i, l := range g.links {
+		if down[i] {
+			continue
+		}
+		adj[l.A] = append(adj[l.A], neighbor{Node: l.B, Cost: l.CostAB, Delay: l.Delay, Index: i})
+		adj[l.B] = append(adj[l.B], neighbor{Node: l.A, Cost: l.CostBA, Delay: l.Delay, Index: i})
+		if _, ok := delay[pair(l.A, l.B)]; !ok {
+			delay[pair(l.A, l.B)] = l.Delay
+		}
 	}
 	dist[src] = 0
 	q := &pq{}
@@ -156,7 +151,9 @@ func (g *Graph) ShortestPaths(src string, down map[int]bool) map[string]Path {
 			continue
 		}
 		done[it.node] = true
-		for _, nb := range g.neighbors(it.node, down) {
+		nbs := adj[it.node]
+		sort.Slice(nbs, func(i, j int) bool { return nbs[i].Node < nbs[j].Node })
+		for _, nb := range nbs {
 			nd := it.dist + uint64(nb.Cost)
 			if nd < dist[nb.Node] || (nd == dist[nb.Node] && it.node < prev[nb.Node]) {
 				dist[nb.Node] = nd
@@ -183,25 +180,19 @@ func (g *Graph) ShortestPaths(src string, down map[int]bool) map[string]Path {
 		}
 		p := Path{Hops: hops, Cost: uint32(d)}
 		for i := 0; i+1 < len(hops); i++ {
-			if l, ok := g.activeLink(hops[i], hops[i+1], down); ok {
-				p.Delay += l.Delay
-			}
+			p.Delay += delay[pair(hops[i], hops[i+1])]
 		}
 		out[n] = p
 	}
 	return out
 }
 
-func (g *Graph) activeLink(a, b string, down map[int]bool) (Link, bool) {
-	for i, l := range g.links {
-		if down[i] {
-			continue
-		}
-		if (l.A == a && l.B == b) || (l.A == b && l.B == a) {
-			return l, true
-		}
+// pair keys an unordered pair of nodes.
+func pair(a, b string) [2]string {
+	if b < a {
+		a, b = b, a
 	}
-	return Link{}, false
+	return [2]string{a, b}
 }
 
 // bellmanFord computes shortest-path costs from src by relaxation; it is
