@@ -62,7 +62,7 @@ func segment(src, dst netip.Addr, th *packet.TCP, n int) *packet.Packet {
 type Arrival struct {
 	At     time.Duration
 	Offset uint32 // position in stream of the segment's first byte
-	Len    int
+	Len    uint32 // 32 bits, like Offset: an Arrival is 16 bytes, not 24
 }
 
 // Receiver is the sink endpoint.
@@ -137,7 +137,7 @@ func (r *Receiver) Deliver(dgram []byte) {
 		// Data before SYN: ignore.
 	case len(payload) > 0:
 		r.Arrivals = append(r.Arrivals, Arrival{
-			At: r.clock.Now(), Offset: th.Seq - r.isn - 1, Len: len(payload)})
+			At: r.clock.Now(), Offset: th.Seq - r.isn - 1, Len: uint32(len(payload))})
 		r.accept(th.Seq, len(payload))
 	case th.Flags&packet.TCPFin != 0:
 		r.rcvNxt++

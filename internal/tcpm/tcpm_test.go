@@ -218,8 +218,8 @@ func TestArrivalLogMatchesByteStream(t *testing.T) {
 	}
 	seen := uint32(0)
 	for _, a := range rcv.Arrivals {
-		if a.Offset+uint32(a.Len) > seen {
-			seen = a.Offset + uint32(a.Len)
+		if a.Offset+a.Len > seen {
+			seen = a.Offset + a.Len
 		}
 	}
 	if uint64(seen) != 200<<10 {
