@@ -783,10 +783,19 @@ func (e *icmpError) Initialize(ctx *Context) error {
 	return nil
 }
 
+// Push writes the error straight into a pooled packet: the quote (the
+// offending IP header plus the first 8 payload bytes, RFC 792) behind
+// the default headroom, then the ICMP and IPv4 headers in place. The
+// bytes are packet.BuildICMPError's.
 func (e *icmpError) Push(port int, p *packet.Packet) {
-	// RFC 1122: never generate an ICMP error about an ICMP error.
 	var oip packet.IPv4
-	if payload, err := oip.Parse(p.Data); err == nil && oip.Proto == packet.ProtoICMP {
+	payload, err := oip.Parse(p.Data)
+	if err != nil {
+		p.Release()
+		return
+	}
+	// RFC 1122: never generate an ICMP error about an ICMP error.
+	if oip.Proto == packet.ProtoICMP {
 		var ic packet.ICMP
 		if _, err := ic.Parse(payload); err == nil &&
 			(ic.Type == packet.ICMPUnreachable || ic.Type == packet.ICMPTimeExceeded) {
@@ -794,15 +803,16 @@ func (e *icmpError) Push(port int, p *packet.Packet) {
 			return
 		}
 	}
-	msg := packet.BuildICMPError(e.ctx.LocalAddr.Src, e.typ, e.code, p.Data)
-	ts := p.Anno.Timestamp
-	p.Release() // the error quotes a copy; the offending packet is done
-	if msg == nil {
-		return
+	quote := p.Data
+	if max := oip.HeaderLen + 8; len(quote) > max {
+		quote = quote[:max]
 	}
 	q := packet.Get()
-	q.SetData(msg)
-	q.Anno.Timestamp = ts
+	q.Append(quote)
+	q.Anno.Timestamp = p.Anno.Timestamp
+	p.Release() // the error quotes a copy; the offending packet is done
+	packet.EncapICMP(q, &packet.ICMP{Type: e.typ, Code: e.code})
+	packet.EncapIPv4(q, &packet.IPv4{TTL: 64, Proto: packet.ProtoICMP, Src: e.ctx.LocalAddr.Src, Dst: oip.Src})
 	e.trace("icmp-error", q)
 	e.out.output(0, q)
 }

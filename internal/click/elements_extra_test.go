@@ -1,6 +1,8 @@
 package click
 
 import (
+	"bytes"
+	"encoding/binary"
 	"net/netip"
 	"testing"
 
@@ -191,6 +193,97 @@ func TestICMPErrorNeverAboutICMPError(t *testing.T) {
 	r.Push("err", 0, packet.New(echo))
 	if len(o.(*sink).got) != 1 {
 		t.Fatal("echo-triggered error suppressed")
+	}
+}
+
+// TestICMPErrorMatchesBuild holds the in-place error to
+// packet.BuildICMPError byte for byte: offenders shorter and longer than
+// the quote, one with IP options, an ICMP echo, and pooled offenders
+// whose buffers are poisoned the moment the element releases them.
+func TestICMPErrorMatchesBuild(t *testing.T) {
+	defer packet.PoisonOnReleaseForTest(packet.PoisonOnReleaseForTest(true))
+	ctx, _, _ := testCtx()
+	r := mustParse(t, ctx, `
+		err :: ICMPError(3, 1);
+		out :: TestSink;
+		err -> out;
+	`)
+	// The UDP datagram again with a 4-byte option (four NOPs) in its
+	// IPv4 header: IHL 6, total length and checksum recomputed.
+	udp := packet.BuildUDP(src10, dst10, 1, 2, 9, []byte("payload"))
+	opts := append(append(append([]byte{}, udp[:20]...), 1, 1, 1, 1), udp[20:]...)
+	opts[0] = 4<<4 | 6
+	binary.BigEndian.PutUint16(opts[2:4], uint16(len(opts)))
+	opts[10], opts[11] = 0, 0
+	binary.BigEndian.PutUint16(opts[10:12], packet.Checksum(opts[:24]))
+	offenders := map[string][]byte{
+		"udp, no payload":        packet.BuildUDP(src10, dst10, 1, 2, 1, nil),
+		"shorter than the quote": (&packet.IPv4{TTL: 1, Proto: packet.ProtoUDP, Src: src10, Dst: dst10}).Marshal([]byte{1, 2, 3, 4}),
+		"udp, 1400 bytes":        packet.BuildUDP(src10, dst10, 1, 2, 1, make([]byte, 1400)),
+		"ip options":             opts,
+		"icmp echo":              packet.BuildICMPEcho(src10, dst10, false, 7, 9, 1, []byte("ping")),
+		"tcp":                    packet.BuildTCP(src10, dst10, packet.TCP{SrcPort: 5, DstPort: 80, Seq: 1}, 3, []byte("GET /")),
+	}
+	o, _ := r.Element("out")
+	sk := o.(*sink)
+	for name, dgram := range offenders {
+		want := packet.BuildICMPError(ctx.LocalAddr.Src, 3, 1, dgram)
+		if want == nil {
+			t.Fatalf("%s: BuildICMPError refused the offender", name)
+		}
+		for _, pooled := range []bool{false, true} {
+			p := packet.New(append([]byte{}, dgram...))
+			if pooled {
+				p = packet.Get()
+				p.Append(dgram)
+			}
+			p.Anno.Timestamp = 42
+			n := len(sk.got)
+			r.Push("err", 0, p)
+			if len(sk.got) != n+1 {
+				t.Fatalf("%s: no error generated", name)
+			}
+			got := sk.got[n]
+			if !bytes.Equal(got.Data, want) {
+				t.Errorf("%s (pooled %v):\n got %x\nwant %x", name, pooled, got.Data, want)
+			}
+			if got.Anno.Timestamp != 42 {
+				t.Errorf("%s: timestamp %v, want the offender's", name, got.Anno.Timestamp)
+			}
+		}
+	}
+	// Not an IPv4 datagram: nothing to quote, nothing sent.
+	n := len(sk.got)
+	r.Push("err", 0, packet.New([]byte{0x45, 0}))
+	if len(sk.got) != n {
+		t.Error("an error was generated about a truncated header")
+	}
+}
+
+// TestICMPErrorZeroAlloc: the error is written into a pooled packet, so
+// generating one costs no object (two Marshal copies used to).
+func TestICMPErrorZeroAlloc(t *testing.T) {
+	ctx, _, _ := testCtx()
+	r := mustParse(t, ctx, `
+		err :: ICMPError(11, 0);
+		d :: Discard;
+		err -> d;
+	`)
+	dgram := packet.BuildUDP(src10, dst10, 1, 2, 1, make([]byte, 100))
+	base := packet.Stats()
+	push := func() {
+		p := packet.Get()
+		p.Append(dgram)
+		r.Push("err", 0, p)
+	}
+	if n := testing.AllocsPerRun(200, push); n != 0 {
+		t.Errorf("ICMP error: %v objects, want 0", n)
+	}
+	if v, _ := r.Handler("d.count", ""); v != "201" {
+		t.Errorf("d.count = %s, want 201 errors discarded", v)
+	}
+	if d := packet.Stats().Sub(base); d.InFlight() != 0 {
+		t.Errorf("pool ledger unbalanced: %d gets, %d releases", d.Gets, d.Releases)
 	}
 }
 

@@ -334,17 +334,18 @@ func (f *Forwarder) FromTap(p *packet.Packet) { f.fromTap.Push(0, p) }
 // sendControl pushes a routing-protocol message into the per-tunnel Click
 // chain so failure injection cuts routing adjacencies exactly as it cuts
 // data traffic. payload is lent by the protocol for the call: it is
-// copied once into a packet of its own whose buffer has 64 bytes of headroom
-// in front, so the inner headers here (IPv4, under it UDP 520 when proto
-// is UDP: RIP) and the tunnel's later are written in place. The packet
-// is not pooled; see DESIGN.md "Routing-message lifetime".
+// copied once into a pooled packet behind 64 bytes of headroom, so the
+// inner headers here (IPv4, under it UDP 520 when proto is UDP: RIP) and
+// the tunnel's later are written in place. The packet is counted on the
+// pool's control ledger, and whoever ends it (a drop, the far end's
+// Receive, a socket send) releases it as it would a data packet; see
+// DESIGN.md "Routing-message lifetime".
 func (f *Forwarder) sendControl(ifIndex int, proto uint8, payload []byte) {
 	if f.suspended || ifIndex < 0 || ifIndex >= len(f.ifaces) {
 		return
 	}
 	ifc := &f.ifaces[ifIndex]
-	p := packet.New(nil)
-	copy(p.Extend(len(payload)), payload)
+	p := packet.GetControl(payload)
 	if proto == packet.ProtoUDP {
 		packet.EncapUDP(p, ifc.Addr, ifc.PeerAddr, 520, 520)
 	}

@@ -277,11 +277,25 @@ func (h *ICMP) Parse(b []byte) ([]byte, error) {
 // Marshal serializes header+payload, computing the checksum.
 func (h *ICMP) Marshal(payload []byte) []byte {
 	b := make([]byte, ICMPHeaderLen+len(payload))
-	b[0] = h.Type
-	b[1] = h.Code
-	binary.BigEndian.PutUint16(b[4:6], h.ID)
-	binary.BigEndian.PutUint16(b[6:8], h.Seq)
 	copy(b[ICMPHeaderLen:], payload)
-	binary.BigEndian.PutUint16(b[2:4], Checksum(b))
+	h.put(b)
 	return b
+}
+
+// put serializes the header into the first ICMPHeaderLen bytes of msg,
+// which must already hold the body at msg[ICMPHeaderLen:], and computes
+// the checksum over all of msg in place.
+func (h *ICMP) put(msg []byte) {
+	msg[0] = h.Type
+	msg[1] = h.Code
+	msg[2], msg[3] = 0, 0
+	binary.BigEndian.PutUint16(msg[4:6], h.ID)
+	binary.BigEndian.PutUint16(msg[6:8], h.Seq)
+	binary.BigEndian.PutUint16(msg[2:4], Checksum(msg))
+}
+
+// EncapICMP prepends an ICMP header to p in place, using headroom when
+// available. The packet's current contents become the message body.
+func EncapICMP(p *Packet, h *ICMP) {
+	h.put(p.Extend(ICMPHeaderLen))
 }

@@ -273,3 +273,60 @@ func TestPoolLedgerHasNoEscapeHatch(t *testing.T) {
 		t.Fatalf("after release: %+v", d)
 	}
 }
+
+// TestControlLedgerIsItsOwn: one pool, two ledgers. A GetControl packet
+// is counted and credited on the control ledger only, so the data
+// ledger's InFlight — what the simulation settles on — never sees it,
+// and a Clone of it is a data packet like any other.
+func TestControlLedgerIsItsOwn(t *testing.T) {
+	base := Stats()
+	msg := []byte("hello")
+	c := GetControl(msg)
+	if !bytes.Equal(c.Data, msg) || c.off != defaultHeadroom {
+		t.Fatalf("control packet holds %q at offset %d, want %q behind %d bytes", c.Data, c.off, msg, defaultHeadroom)
+	}
+	q := c.Clone()
+	d := Stats().Sub(base)
+	if d.ControlInFlight() != 1 || d.InFlight() != 1 || d.ControlGets != 1 || d.Gets != 1 {
+		t.Fatalf("a control packet and its clone: %+v", d)
+	}
+	c.Release()
+	if d := Stats().Sub(base); d.ControlInFlight() != 0 || d.InFlight() != 1 {
+		t.Fatalf("control packet released: %+v", d)
+	}
+	q.Release()
+	// The recycled packet forgets which ledger it was last drawn on.
+	p := Get()
+	p.Release()
+	if d := Stats().Sub(base); d.ControlInFlight() != 0 || d.InFlight() != 0 || d.ControlReleases != 1 || d.Releases != 2 {
+		t.Fatalf("after release: %+v", d)
+	}
+	// A message larger than a pool buffer still lands behind the headroom.
+	big := bytes.Repeat([]byte{7}, poolBufSize)
+	c = GetControl(big)
+	if !bytes.Equal(c.Data, big) || c.off != defaultHeadroom {
+		t.Fatalf("%d-byte control packet: %d bytes at offset %d", len(big), len(c.Data), c.off)
+	}
+	c.Release()
+}
+
+// TestAppend: Append adds after what the packet holds, keeps the
+// headroom, and re-homes a wrapped packet onto an owned buffer first.
+func TestAppend(t *testing.T) {
+	p := Get()
+	p.Append([]byte("ab"))
+	p.Append([]byte("cd"))
+	if string(p.Data) != "abcd" || p.off != defaultHeadroom {
+		t.Fatalf("pooled: %q at offset %d", p.Data, p.off)
+	}
+	p.Append(make([]byte, poolBufSize)) // past the pool buffer: reallocated
+	if len(p.Data) != 4+poolBufSize || string(p.Data[:4]) != "abcd" || p.off != defaultHeadroom {
+		t.Fatalf("grown: %d bytes starting %q at offset %d", len(p.Data), p.Data[:4], p.off)
+	}
+	p.Release()
+	w := New([]byte("xy"))
+	w.Append([]byte("z"))
+	if string(w.Data) != "xyz" || !w.own || w.off != defaultHeadroom {
+		t.Fatalf("wrapped: %q own=%v offset %d", w.Data, w.own, w.off)
+	}
+}

@@ -76,12 +76,7 @@ func DecodeWire(b []byte) (*Packet, error) {
 	data, rest := b[:n], b[n:]
 
 	q := Get()
-	if cap(q.buf) < defaultHeadroom+n {
-		q.buf = make([]byte, defaultHeadroom+n)
-	}
-	q.off = defaultHeadroom
-	q.Data = q.buf[q.off : q.off+n]
-	copy(q.Data, data)
+	q.Append(data)
 
 	q.Anno.Timestamp = time.Duration(binary.LittleEndian.Uint64(rest[0:]))
 	q.Anno.InPort = int(int64(binary.LittleEndian.Uint64(rest[8:])))

@@ -264,10 +264,16 @@ func (w *world) settle(where string) {
 // drain is the tail of a full teardown: run d so in-flight deliveries
 // land, settle the pool ledger, and demand empty domain heaps — with
 // every slice destroyed and every workload closed, anything still
-// pending is an orphaned timer.
+// pending is an orphaned timer. With no routing process left the
+// control ledger must balance too: a routing message some path ended
+// without releasing it never comes back.
 func (w *world) drain(d time.Duration, where string) {
 	w.run(d)
 	w.settle(where)
+	if d := packet.Stats().Sub(w.pool); d.ControlInFlight() != 0 {
+		w.violate("%s: %d routing messages unaccounted after teardown (gets=%d releases=%d)",
+			where, d.ControlInFlight(), d.ControlGets, d.ControlReleases)
+	}
 	if p := w.loop.Pending(); p != 0 {
 		w.violate("%s: %d events still pending after teardown (orphaned timers)", where, p)
 	}
