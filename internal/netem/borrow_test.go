@@ -119,3 +119,35 @@ func TestSocketQueueIsARing(t *testing.T) {
 		t.Fatalf("%d packets in flight after Close", f)
 	}
 }
+
+// TestStackSendCopiesTheDatagram: StackSend takes a copy of the caller's
+// datagram, so the caller may reuse its buffer as soon as the call
+// returns. A packet still aliasing that buffer while it crosses a
+// delayed link would deliver whatever the caller wrote there next.
+func TestStackSendCopiesTheDatagram(t *testing.T) {
+	w, src, _, dst := threeNodeNet(t, DETERProfile(), 1e9, 100*time.Microsecond)
+	var got []byte
+	if err := dst.StackListenUDP(7000, func(d []byte) { got = append([]byte(nil), d...) }); err != nil {
+		t.Fatal(err)
+	}
+	base := packet.Stats()
+	d := packet.BuildUDP(src.Addr(), dst.Addr(), 5000, 7000, 64, []byte("original"))
+	want := append([]byte(nil), d...)
+	src.StackSend(d)
+	copy(d[len(d)-len("original"):], "mutated!")
+	w.Run(10 * time.Millisecond)
+	if got == nil {
+		t.Fatal("datagram not delivered")
+	}
+	var ip packet.IPv4
+	seg, err := ip.Parse(got)
+	if err != nil {
+		t.Fatalf("listener read %x: %v", got, err)
+	}
+	if !bytes.Equal(seg, want[packet.IPv4HeaderLen:]) {
+		t.Fatalf("listener read %x, sender wrote %x", seg, want[packet.IPv4HeaderLen:])
+	}
+	if d := packet.Stats().Sub(base); d.Gets == 0 || d.InFlight() != 0 {
+		t.Fatalf("StackSend's packet is not on the balanced ledger: %+v", d)
+	}
+}
