@@ -1,11 +1,11 @@
 package vini_test
 
-// The docs name what exists: a backticked reference in README.md or
-// DESIGN.md to a .go file, to a test, to a declaration of a package
-// under internal/ or to a vinibench experiment is checked against the
-// tree, so a PR that deletes a
-// file, a test or an identifier also deletes what the docs say about it.
-// History — what a PR removed — belongs in CHANGES.md.
+// The docs name what exists: a backticked reference in README.md,
+// DESIGN.md or the verify notes (.claude/skills/verify/SKILL.md) to a
+// .go file, to a test, to a declaration of a package under internal/ or
+// to a vinibench experiment is checked against the tree, so a PR that
+// deletes a file, a test or an identifier also deletes what the docs
+// say about it. History — what a PR removed — belongs in CHANGES.md.
 
 import (
 	"bytes"
@@ -24,9 +24,14 @@ var (
 	// fence is a fenced code block, blanked before spans are paired:
 	// its backticks would pair with the text around it.
 	fence = regexp.MustCompile("(?s)```.*?```")
-	// goRef is a .go path; a trailing :line or :from-to is ignored.
-	goRef    = regexp.MustCompile(`^([\w./-]+\.go)(?::[\d-]+)?$`)
+	// goRef is a .go path; a trailing :line or :from-to is ignored. The
+	// file name starts with a letter or digit (the go tool ignores
+	// files starting with _), so a bare `_test.go` is no path.
+	goRef    = regexp.MustCompile(`^((?:[\w.-]+/)*[A-Za-z0-9][\w.-]*\.go)(?::[\d-]+)?$`)
 	testName = regexp.MustCompile(`\b(?:Test|Fuzz)[A-Z0-9_]\w*`)
+	// runFlag marks a span holding a go test -run pattern, which is
+	// unanchored: a name there may be the prefix of the tests it runs.
+	runFlag = regexp.MustCompile(`-(?:test\.)?run\b`)
 	// identRef is a span that starts with pkg.Name or pkg.Type.Member:
 	// `core.New(seed)`, `*sim.Loop`, `ospf.Parse…`.
 	identRef = regexp.MustCompile(`^[*&]?([a-z][a-z0-9]*)\.([A-Za-z]\w*)(?:\.([A-Za-z]\w*))?`)
@@ -166,6 +171,9 @@ func experiments(t *testing.T, src sourceTree) map[string]bool {
 // of that package (for pkg.Type.Member, one of that type); and a
 // `-exp NAME` names an experiment of cmd/vinibench. A name with an
 // underscore is a benchmark metric (`fib.lookup_ns`), not a reference.
+// In a span with a -run pattern a test name counts if a declared test
+// starts with it: `go test -run TestPathFollows` runs
+// TestPathFollowsFailedLinks.
 func TestDocReferences(t *testing.T) {
 	src := readSource(t, ".")
 	declared := map[string]bool{}
@@ -211,7 +219,15 @@ func TestDocReferences(t *testing.T) {
 		}
 		return false
 	}
-	for _, doc := range []string{"README.md", "DESIGN.md"} {
+	isPrefix := func(name string) bool {
+		for d := range declared {
+			if strings.HasPrefix(d, name) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, doc := range []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
@@ -240,8 +256,9 @@ func TestDocReferences(t *testing.T) {
 					t.Errorf("%s:%d: -exp %s is no vinibench experiment", doc, line, e[1])
 				}
 			}
+			run := runFlag.MatchString(span)
 			for _, name := range testName.FindAllString(span, -1) {
-				if !declared[name] {
+				if !declared[name] && !(run && isPrefix(name)) {
 					t.Errorf("%s:%d: %s is declared in no _test.go file", doc, line, name)
 				}
 			}

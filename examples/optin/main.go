@@ -2,8 +2,9 @@
 // an OpenVPN-style client to an IIAS ingress node; its web request rides
 // the overlay across Abilene to the egress node, leaves through NAT to a
 // server that never heard of VINI, and the response returns through the
-// overlay to the client. Element-level trace events from the transit
-// Click processes are printed along the way.
+// overlay to the client. Request and response are painted, and the hops
+// they left in the flight recorder (every Click element and substrate
+// link they crossed) are printed at the end.
 package main
 
 import (
@@ -14,6 +15,7 @@ import (
 	"vini"
 	"vini/internal/netem"
 	"vini/internal/packet"
+	"vini/internal/telemetry"
 	"vini/internal/topology"
 )
 
@@ -22,6 +24,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
+	tel := v.EnableTelemetry()
 	// An end-host client near Washington D.C. and a web server ("CNN" in
 	// the paper's figure) attached beyond New York.
 	clientPub := netip.MustParseAddr("128.112.93.81")
@@ -62,16 +65,6 @@ func main() {
 	s.StartOSPF(time.Second, 3*time.Second)
 	v.Run(30 * time.Second) // converge
 
-	// Trace the packet through the ingress and egress Click processes.
-	for _, vn := range []*vini.VirtualNode{wash, ny} {
-		name := vn.Phys().Name()
-		vn.Trace = func(el, ev string, p *packet.Packet) {
-			if f, ok := packet.FlowOf(p.Data); ok && (f.DstPort == 80 || f.SrcPort == 80) {
-				fmt.Printf("  [%s click] %s: %s (%s)\n", name, el, ev, f)
-			}
-		}
-	}
-
 	// The client opts in: capture the server's prefix and the overlay.
 	vc, err := vini.NewVPNClient(v, "client", clientOverlay, key,
 		netip.AddrPortFrom(wash.Phys().Addr(), 1194),
@@ -85,8 +78,7 @@ func main() {
 	web.StackListenUDP(80, func(d []byte) {
 		f, _ := packet.FlowOf(d)
 		fmt.Printf("  [webserver] request from %v:%d (the egress NAT address)\n", f.Src, f.SrcPort)
-		resp := packet.BuildUDP(serverPub, f.Src, 80, f.SrcPort, 64, []byte("HTTP/1.0 200 OK"))
-		web.StackSend(resp)
+		web.StackSendPacket(painted(packet.BuildUDP(serverPub, f.Src, 80, f.SrcPort, 64, []byte("HTTP/1.0 200 OK"))))
 	})
 
 	// The client's browser sends the request; the client node's VPN tun
@@ -102,14 +94,29 @@ func main() {
 	})
 	fmt.Println("life of a packet (Firefox -> CNN in the paper's Figure 2):")
 	fmt.Printf("  [client] sends UDP %v:5555 -> %v:80 into the VPN tun device\n", clientOverlay, serverPub)
-	req := packet.BuildUDP(clientOverlay, serverPub, 5555, 80, 64, []byte("GET / HTTP/1.0"))
-	client.StackSend(req)
+	client.StackSendPacket(painted(packet.BuildUDP(clientOverlay, serverPub, 5555, 80, 64, []byte("GET / HTTP/1.0"))))
 	v.Run(v.Loop().Now() + 20*time.Second)
 	if response == "" {
 		panic("no response returned through the overlay")
 	}
+	for _, h := range telemetry.PacketPath(tel.Rec.Events()) {
+		hop := h.Elem
+		if h.Detail != "" {
+			hop += ": " + h.Detail
+		}
+		fmt.Printf("  %-13v [%s %s] %s (%d bytes)\n", h.At, h.Node, h.Slice, hop, h.Value)
+	}
 	fmt.Printf("  [client] received %q back through the overlay (VPN frames decrypted: %d)\n",
 		response, vc.Received)
+}
+
+// painted returns a packet holding dgram, marked for the flight
+// recorder's life-of-a-packet trace.
+func painted(dgram []byte) *packet.Packet {
+	p := packet.Get()
+	p.Append(dgram)
+	p.Anno.Paint = telemetry.TracePaint
+	return p
 }
 
 func mustNode(v *vini.VINI, name string, addr netip.Addr) {

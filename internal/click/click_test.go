@@ -24,6 +24,14 @@ func newSink(name string, args []string) (Element, error) {
 func (s *sink) Class() string                   { return "TestSink" }
 func (s *sink) Push(port int, p *packet.Packet) { s.got = append(s.got, p) }
 
+// packetOf returns a packet holding a copy of b, as a tunnel or tap
+// delivers one.
+func packetOf(b []byte) *packet.Packet {
+	p := packet.Get()
+	p.Append(b)
+	return p
+}
+
 // capture implements TunnelTransport and TapSink for tests.
 type capture struct {
 	tunneled []fib.EncapEntry
@@ -80,7 +88,7 @@ func TestParseDeclarationAndChain(t *testing.T) {
 		out :: TestSink;
 		in -> dup -> out;
 	`)
-	p := packet.New([]byte{1, 2, 3})
+	p := packetOf([]byte{1, 2, 3})
 	r.Push("in", 0, p)
 	s, _ := r.Element("out")
 	if len(s.(*sink).got) != 1 {
@@ -100,8 +108,8 @@ func TestParseExplicitPorts(t *testing.T) {
 		dec[0] -> a;
 		dec[1] -> [0]b;
 	`)
-	r.Push("dec", 0, packet.New(packet.BuildUDP(src10, dst10, 1, 2, 64, nil)))
-	r.Push("dec", 0, packet.New(packet.BuildUDP(src10, dst10, 1, 2, 1, nil)))
+	r.Push("dec", 0, packetOf(packet.BuildUDP(src10, dst10, 1, 2, 64, nil)))
+	r.Push("dec", 0, packetOf(packet.BuildUDP(src10, dst10, 1, 2, 1, nil)))
 	ea, _ := r.Element("a")
 	eb, _ := r.Element("b")
 	if len(ea.(*sink).got) != 1 || len(eb.(*sink).got) != 1 {
@@ -205,10 +213,10 @@ func TestCheckIPHeader(t *testing.T) {
 		chk[0] -> good; chk[1] -> bad;
 	`)
 	ok := packet.BuildUDP(src10, dst10, 1, 2, 64, nil)
-	r.Push("chk", 0, packet.New(ok))
+	r.Push("chk", 0, packetOf(ok))
 	corrupt := append([]byte(nil), ok...)
 	corrupt[4] ^= 0xff
-	r.Push("chk", 0, packet.New(corrupt))
+	r.Push("chk", 0, packetOf(corrupt))
 	g, _ := r.Element("good")
 	b, _ := r.Element("bad")
 	if len(g.(*sink).got) != 1 || len(b.(*sink).got) != 1 {
@@ -226,8 +234,8 @@ func TestDecIPTTLExpiry(t *testing.T) {
 		fwd :: TestSink; exp :: TestSink;
 		dec[0] -> fwd; dec[1] -> exp;
 	`)
-	r.Push("dec", 0, packet.New(packet.BuildUDP(src10, dst10, 1, 2, 64, nil)))
-	r.Push("dec", 0, packet.New(packet.BuildUDP(src10, dst10, 1, 2, 1, nil)))
+	r.Push("dec", 0, packetOf(packet.BuildUDP(src10, dst10, 1, 2, 64, nil)))
+	r.Push("dec", 0, packetOf(packet.BuildUDP(src10, dst10, 1, 2, 1, nil)))
 	f, _ := r.Element("fwd")
 	e, _ := r.Element("exp")
 	if len(f.(*sink).got) != 1 || len(e.(*sink).got) != 1 {
@@ -258,17 +266,17 @@ func TestLookupRouteAndEncap(t *testing.T) {
 		rt[2] -> unreach;
 	`)
 	// Forwarded packet goes to the tunnel transport.
-	r.Push("rt", 0, packet.New(packet.BuildUDP(src10, dst10, 1, 2, 64, nil)))
+	r.Push("rt", 0, packetOf(packet.BuildUDP(src10, dst10, 1, 2, 64, nil)))
 	if len(cap.tunneled) != 1 || cap.tunneled[0].Remote != netip.MustParseAddr("198.32.154.250") {
 		t.Fatalf("tunneled = %+v", cap.tunneled)
 	}
 	// Local packet goes to tap.
-	r.Push("rt", 0, packet.New(packet.BuildUDP(src10, netip.MustParseAddr("10.1.1.1"), 1, 2, 64, nil)))
+	r.Push("rt", 0, packetOf(packet.BuildUDP(src10, netip.MustParseAddr("10.1.1.1"), 1, 2, 64, nil)))
 	if len(cap.tapped) != 1 {
 		t.Fatal("local packet not delivered to tap")
 	}
 	// Unroutable packet exits the NOROUTE port.
-	r.Push("rt", 0, packet.New(packet.BuildUDP(src10, netip.MustParseAddr("203.0.113.9"), 1, 2, 64, nil)))
+	r.Push("rt", 0, packetOf(packet.BuildUDP(src10, netip.MustParseAddr("203.0.113.9"), 1, 2, 64, nil)))
 	u, _ := r.Element("unreach")
 	if len(u.(*sink).got) != 1 {
 		t.Fatal("unroutable packet lost")
@@ -285,16 +293,16 @@ func TestLinkFailHandlerAndDrop(t *testing.T) {
 		out :: TestSink;
 		fail -> out;
 	`)
-	r.Push("fail", 0, packet.New([]byte{1}))
+	r.Push("fail", 0, packetOf([]byte{1}))
 	if _, err := r.Handler("fail.active", "true"); err != nil {
 		t.Fatal(err)
 	}
-	r.Push("fail", 0, packet.New([]byte{2}))
-	r.Push("fail", 0, packet.New([]byte{3}))
+	r.Push("fail", 0, packetOf([]byte{2}))
+	r.Push("fail", 0, packetOf([]byte{3}))
 	if _, err := r.Handler("fail.active", "false"); err != nil {
 		t.Fatal(err)
 	}
-	r.Push("fail", 0, packet.New([]byte{4}))
+	r.Push("fail", 0, packetOf([]byte{4}))
 	o, _ := r.Element("out")
 	if len(o.(*sink).got) != 2 {
 		t.Fatalf("passed = %d, want 2", len(o.(*sink).got))
@@ -312,7 +320,7 @@ func TestLinkFailDropProb(t *testing.T) {
 		fail -> out;
 	`)
 	for i := 0; i < 2000; i++ {
-		r.Push("fail", 0, packet.New([]byte{1}))
+		r.Push("fail", 0, packetOf([]byte{1}))
 	}
 	o, _ := r.Element("out")
 	got := len(o.(*sink).got)
@@ -332,7 +340,7 @@ func TestBandwidthShaper(t *testing.T) {
 	var arrivals []time.Duration
 	o, _ := r.Element("out")
 	for i := 0; i < 3; i++ {
-		r.Push("sh", 0, packet.New(make([]byte, 100)))
+		r.Push("sh", 0, packetOf(make([]byte, 100)))
 	}
 	loop.RunAll()
 	for range o.(*sink).got {
@@ -356,7 +364,7 @@ func TestIPNAPTElement(t *testing.T) {
 		napt[1] -> [0]in;
 	`)
 	ext := netip.MustParseAddr("64.236.16.20")
-	r.Push("napt", 0, packet.New(packet.BuildUDP(src10, ext, 5555, 80, 62, []byte("GET"))))
+	r.Push("napt", 0, packetOf(packet.BuildUDP(src10, ext, 5555, 80, 62, []byte("GET"))))
 	o, _ := r.Element("out")
 	if len(o.(*sink).got) != 1 {
 		t.Fatal("outbound not translated")
@@ -367,7 +375,7 @@ func TestIPNAPTElement(t *testing.T) {
 	}
 	// Return path.
 	ret := packet.BuildUDP(ext, netip.MustParseAddr("198.32.154.226"), 80, f.SrcPort, 60, []byte("OK"))
-	r.Push("napt", 1, packet.New(ret))
+	r.Push("napt", 1, packetOf(ret))
 	i, _ := r.Element("in")
 	if len(i.(*sink).got) != 1 {
 		t.Fatal("inbound not translated")
@@ -377,7 +385,7 @@ func TestIPNAPTElement(t *testing.T) {
 		t.Fatalf("restored = %v", bf)
 	}
 	// Unsolicited inbound is dropped.
-	r.Push("napt", 1, packet.New(packet.BuildUDP(ext, netip.MustParseAddr("198.32.154.226"), 80, 9999, 60, nil)))
+	r.Push("napt", 1, packetOf(packet.BuildUDP(ext, netip.MustParseAddr("198.32.154.226"), 80, 9999, 60, nil)))
 	if len(i.(*sink).got) != 1 {
 		t.Fatal("unsolicited inbound passed")
 	}
@@ -390,7 +398,7 @@ func TestICMPErrorElement(t *testing.T) {
 		out :: TestSink;
 		err -> out;
 	`)
-	r.Push("err", 0, packet.New(packet.BuildUDP(src10, dst10, 1, 2, 1, nil)))
+	r.Push("err", 0, packetOf(packet.BuildUDP(src10, dst10, 1, 2, 1, nil)))
 	o, _ := r.Element("out")
 	if len(o.(*sink).got) != 1 {
 		t.Fatal("no ICMP error generated")
@@ -444,9 +452,7 @@ func TestRouterFlushReleasesBufferedPackets(t *testing.T) {
 	// Fill the shaper's backlog: the 1 kbit/s rate keeps all but the first
 	// packet buffered.
 	for i := 0; i < 4; i++ {
-		ps := packet.Get()
-		ps.SetData([]byte{1, 2, 3, 4})
-		r.Push("sh", 0, ps)
+		r.Push("sh", 0, packetOf([]byte{1, 2, 3, 4}))
 	}
 	if n := r.Flush(); n != 3 {
 		t.Fatalf("Flush released %d, want 3", n)

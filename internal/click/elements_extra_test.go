@@ -30,8 +30,8 @@ func TestToTunnelPerLinkChain(t *testing.T) {
 		encap[1] -> fail1; fail1 -> tun1;
 	`)
 	// Traffic for each next hop leaves on its own chain.
-	r.Push("rt", 0, packet.New(packet.BuildUDP(src10, netip.MustParseAddr("10.1.2.9"), 1, 2, 64, nil)))
-	r.Push("rt", 0, packet.New(packet.BuildUDP(src10, netip.MustParseAddr("10.1.3.9"), 1, 2, 64, nil)))
+	r.Push("rt", 0, packetOf(packet.BuildUDP(src10, netip.MustParseAddr("10.1.2.9"), 1, 2, 64, nil)))
+	r.Push("rt", 0, packetOf(packet.BuildUDP(src10, netip.MustParseAddr("10.1.3.9"), 1, 2, 64, nil)))
 	if len(cap.tunneled) != 2 {
 		t.Fatalf("tunneled = %d", len(cap.tunneled))
 	}
@@ -40,13 +40,13 @@ func TestToTunnelPerLinkChain(t *testing.T) {
 	}
 	// Failing one chain stops its traffic only.
 	r.Handler("fail0.active", "true")
-	r.Push("rt", 0, packet.New(packet.BuildUDP(src10, netip.MustParseAddr("10.1.2.9"), 1, 2, 64, nil)))
-	r.Push("rt", 0, packet.New(packet.BuildUDP(src10, netip.MustParseAddr("10.1.3.9"), 1, 2, 64, nil)))
+	r.Push("rt", 0, packetOf(packet.BuildUDP(src10, netip.MustParseAddr("10.1.2.9"), 1, 2, 64, nil)))
+	r.Push("rt", 0, packetOf(packet.BuildUDP(src10, netip.MustParseAddr("10.1.3.9"), 1, 2, 64, nil)))
 	if len(cap.tunneled) != 3 || cap.tunneled[2].Tunnel != 1 {
 		t.Fatalf("failure injection leaked: %+v", cap.tunneled)
 	}
 	// Misses stay counted.
-	r.Push("rt", 0, packet.New(packet.BuildUDP(src10, netip.MustParseAddr("10.9.9.9"), 1, 2, 64, nil)))
+	r.Push("rt", 0, packetOf(packet.BuildUDP(src10, netip.MustParseAddr("10.9.9.9"), 1, 2, 64, nil)))
 	if v, _ := r.Handler("rt.noroute", ""); v != "0" {
 		// 10.9.9.9 has no route at all, so it never reaches encap.
 		t.Logf("noroute = %s", v)
@@ -63,7 +63,7 @@ func TestEncapMissCounted(t *testing.T) {
 		encap :: EncapTunnel;
 		rt[0] -> encap;
 	`)
-	r.Push("rt", 0, packet.New(packet.BuildUDP(src10, netip.MustParseAddr("10.1.2.9"), 1, 2, 64, nil)))
+	r.Push("rt", 0, packetOf(packet.BuildUDP(src10, netip.MustParseAddr("10.1.2.9"), 1, 2, 64, nil)))
 	if len(cap.tunneled) != 0 {
 		t.Fatal("miss was sent anyway")
 	}
@@ -81,8 +81,8 @@ func TestToExternalAndToVPNElements(t *testing.T) {
 		ext :: ToExternal;
 		vpn :: ToVPN;
 	`)
-	r.Push("ext", 0, packet.New([]byte{1}))
-	r.Push("vpn", 0, packet.New([]byte{2}))
+	r.Push("ext", 0, packetOf([]byte{1}))
+	r.Push("vpn", 0, packetOf([]byte{2}))
 	if extGot != 1 || vpnGot != 1 {
 		t.Fatalf("sinks: ext=%d vpn=%d", extGot, vpnGot)
 	}
@@ -138,7 +138,7 @@ func TestIPNAPTPortsArg(t *testing.T) {
 	ext := netip.MustParseAddr("64.236.16.20")
 	// Only two ports: the third distinct flow fails and is dropped.
 	for i := 0; i < 3; i++ {
-		r.Push("napt", 0, packet.New(packet.BuildUDP(src10, ext, uint16(6000+i), 80, 62, nil)))
+		r.Push("napt", 0, packetOf(packet.BuildUDP(src10, ext, uint16(6000+i), 80, 62, nil)))
 	}
 	o, _ := r.Element("out")
 	outs := o.(*sink).got
@@ -166,8 +166,8 @@ func TestDiscardCount(t *testing.T) {
 		d :: Discard;
 		in -> d;
 	`)
-	r.Push("in", 0, packet.New([]byte{1, 2}))
-	r.Push("in", 0, packet.New([]byte{3}))
+	r.Push("in", 0, packetOf([]byte{1, 2}))
+	r.Push("in", 0, packetOf([]byte{3}))
 	if v, _ := r.Handler("d.count", ""); v != "2" {
 		t.Fatalf("discard count = %s", v)
 	}
@@ -183,14 +183,14 @@ func TestICMPErrorNeverAboutICMPError(t *testing.T) {
 	// An ICMP time-exceeded about a time-exceeded must be suppressed.
 	offending := packet.BuildICMPError(netip.MustParseAddr("10.0.0.9"), packet.ICMPTimeExceeded, 0,
 		packet.BuildUDP(src10, dst10, 1, 2, 1, nil))
-	r.Push("err", 0, packet.New(offending))
+	r.Push("err", 0, packetOf(offending))
 	o, _ := r.Element("out")
 	if len(o.(*sink).got) != 0 {
 		t.Fatal("generated an ICMP error about an ICMP error")
 	}
 	// But an echo request still elicits one (RFC allows errors on echo).
 	echo := packet.BuildICMPEcho(src10, dst10, false, 1, 1, 1, nil)
-	r.Push("err", 0, packet.New(echo))
+	r.Push("err", 0, packetOf(echo))
 	if len(o.(*sink).got) != 1 {
 		t.Fatal("echo-triggered error suppressed")
 	}
@@ -198,8 +198,8 @@ func TestICMPErrorNeverAboutICMPError(t *testing.T) {
 
 // TestICMPErrorMatchesBuild holds the in-place error to
 // packet.BuildICMPError byte for byte: offenders shorter and longer than
-// the quote, one with IP options, an ICMP echo, and pooled offenders
-// whose buffers are poisoned the moment the element releases them.
+// the quote, one with IP options and an ICMP echo, each in a buffer
+// that is poisoned the moment the element releases it.
 func TestICMPErrorMatchesBuild(t *testing.T) {
 	defer packet.PoisonOnReleaseForTest(packet.PoisonOnReleaseForTest(true))
 	ctx, _, _ := testCtx()
@@ -231,30 +231,24 @@ func TestICMPErrorMatchesBuild(t *testing.T) {
 		if want == nil {
 			t.Fatalf("%s: BuildICMPError refused the offender", name)
 		}
-		for _, pooled := range []bool{false, true} {
-			p := packet.New(append([]byte{}, dgram...))
-			if pooled {
-				p = packet.Get()
-				p.Append(dgram)
-			}
-			p.Anno.Timestamp = 42
-			n := len(sk.got)
-			r.Push("err", 0, p)
-			if len(sk.got) != n+1 {
-				t.Fatalf("%s: no error generated", name)
-			}
-			got := sk.got[n]
-			if !bytes.Equal(got.Data, want) {
-				t.Errorf("%s (pooled %v):\n got %x\nwant %x", name, pooled, got.Data, want)
-			}
-			if got.Anno.Timestamp != 42 {
-				t.Errorf("%s: timestamp %v, want the offender's", name, got.Anno.Timestamp)
-			}
+		p := packetOf(dgram)
+		p.Anno.Timestamp = 42
+		n := len(sk.got)
+		r.Push("err", 0, p)
+		if len(sk.got) != n+1 {
+			t.Fatalf("%s: no error generated", name)
+		}
+		got := sk.got[n]
+		if !bytes.Equal(got.Data, want) {
+			t.Errorf("%s:\n got %x\nwant %x", name, got.Data, want)
+		}
+		if got.Anno.Timestamp != 42 {
+			t.Errorf("%s: timestamp %v, want the offender's", name, got.Anno.Timestamp)
 		}
 	}
 	// Not an IPv4 datagram: nothing to quote, nothing sent.
 	n := len(sk.got)
-	r.Push("err", 0, packet.New([]byte{0x45, 0}))
+	r.Push("err", 0, packetOf([]byte{0x45, 0}))
 	if len(sk.got) != n {
 		t.Error("an error was generated about a truncated header")
 	}
@@ -271,11 +265,7 @@ func TestICMPErrorZeroAlloc(t *testing.T) {
 	`)
 	dgram := packet.BuildUDP(src10, dst10, 1, 2, 1, make([]byte, 100))
 	base := packet.Stats()
-	push := func() {
-		p := packet.Get()
-		p.Append(dgram)
-		r.Push("err", 0, p)
-	}
+	push := func() { r.Push("err", 0, packetOf(dgram)) }
 	if n := testing.AllocsPerRun(200, push); n != 0 {
 		t.Errorf("ICMP error: %v objects, want 0", n)
 	}

@@ -92,7 +92,7 @@ func TestOutputReleasedPacketPanics(t *testing.T) {
 func TestHandlerPathParsing(t *testing.T) {
 	ctx, _, _ := testCtx()
 	r := mustParse(t, ctx, `c0 :: Discard;`)
-	r.Push("c0", 0, packet.New([]byte{1}))
+	r.Push("c0", 0, packetOf([]byte{1}))
 	if v, err := r.Handler("c0.count", ""); err != nil || v != "1" {
 		t.Fatalf("c0.count = %q, %v", v, err)
 	}
@@ -124,7 +124,7 @@ func TestLookupRouteCacheInvalidationMidStream(t *testing.T) {
 	e, _ := r.Element("s")
 	s := e.(*sink)
 	push := func() *packet.Packet {
-		r.Push("rt", 0, packet.New(packet.BuildUDP(src10, dst10, 1, 2, 64, nil)))
+		r.Push("rt", 0, packetOf(packet.BuildUDP(src10, dst10, 1, 2, 64, nil)))
 		return s.got[len(s.got)-1]
 	}
 	if q := push(); q.Anno.NextHop != nhA {

@@ -172,8 +172,8 @@ func (vn *VirtualNode) vpnReceive(p *packet.Packet) {
 		sess.outer = netip.AddrPortFrom(outer.Src, u.SrcPort)
 		sess.seen = true
 		q := packet.Get()
-		q.SetData(inner) // Open returned a fresh buffer; adopt it
-		q.Anno.Timestamp = p.Anno.Timestamp
+		q.Append(inner)
+		q.Anno.Timestamp, q.Anno.Paint = p.Anno.Timestamp, p.Anno.Paint
 		vn.vpn.fromVPN.Push(0, q)
 		return
 	}
@@ -184,17 +184,26 @@ type vpnSink VirtualNode
 
 func (t *vpnSink) SendVPN(p *packet.Packet) {
 	vn := (*VirtualNode)(t)
-	defer p.Release() // Seal copies out of p.Data; p is never retained
 	var ip packet.IPv4
 	if _, err := ip.Parse(p.Data); err != nil {
+		p.Release()
 		return
 	}
 	sess, ok := vn.vpn.sessions[ip.Dst]
 	if !ok || !sess.seen {
+		p.Release()
 		return
 	}
-	frame := sess.codec.Seal(p.Data)
-	vn.proc.SendUDP(vn.vpn.port, sess.outer, frame, 64)
+	seal(p, sess.codec)
+	vn.proc.SendUDPPacket(vn.vpn.port, sess.outer, p, 64)
+}
+
+// seal replaces p's datagram with its encrypted frame. The packet, and
+// with it a trace paint, carries on into the tunnel.
+func seal(p *packet.Packet, c *vpn.Codec) {
+	frame := c.Seal(p.Data)
+	p.Trim(0)
+	p.Append(frame)
 }
 
 // VPNClient is the end-host side: an OpenVPN-style process that captures
@@ -243,9 +252,8 @@ func NewVPNClient(v *VINI, nodeName string, overlayAddr netip.Addr, key []byte,
 
 // capture seals an outgoing packet and tunnels it to the server.
 func (c *VPNClient) capture(p *packet.Packet) {
-	frame := c.codec.Seal(p.Data)
-	p.Release()
-	c.proc.SendUDP(c.port, c.server, frame, 64)
+	seal(p, c.codec)
+	c.proc.SendUDPPacket(c.port, c.server, p, 64)
 }
 
 // ret handles a frame returning from the server.
@@ -266,5 +274,7 @@ func (c *VPNClient) ret(p *packet.Packet) {
 		return
 	}
 	c.Received++
-	c.node.InjectLocalPacket(packet.New(inner))
+	q := packet.Get()
+	q.Append(inner)
+	c.node.InjectLocalPacket(q)
 }

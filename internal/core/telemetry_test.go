@@ -113,10 +113,10 @@ func TestTelemetryCountersAndTimeline(t *testing.T) {
 }
 
 // TestTelemetryPacketPathTrace paints one packet and follows it
-// hop-by-hop: Click elements on the ingress node, substrate link
-// transmissions and receives along the physical path, and Click again
-// on the egress node — the life-of-a-packet view, ordered by the
-// deterministic merge key.
+// hop-by-hop: Click elements on the ingress node, the route lookup on
+// the New York transit node, substrate link transmissions and receives
+// along the physical path, and Click again on the egress node — the
+// life-of-a-packet view, ordered by the deterministic merge key.
 func TestTelemetryPacketPathTrace(t *testing.T) {
 	v := buildAbilene(t, 7)
 	tel := v.EnableTelemetry()
@@ -129,7 +129,8 @@ func TestTelemetryPacketPathTrace(t *testing.T) {
 	before := len(telemetry.PacketPath(tel.Rec.Events()))
 	v.Loop().Schedule(0, func() {
 		dgram := packet.BuildUDP(wash.TapAddr, sea.TapAddr, 9000, 9000, 64, []byte("trace-me"))
-		p := packet.New(dgram)
+		p := packet.Get()
+		p.Append(dgram)
 		p.Anno.Paint = telemetry.TracePaint
 		wash.Router.Push("fromtap", 0, p)
 	})
@@ -139,7 +140,7 @@ func TestTelemetryPacketPathTrace(t *testing.T) {
 	if len(hops) == 0 {
 		t.Fatal("painted packet left no trace")
 	}
-	var sawIngress, sawSubstrate, sawEgress bool
+	var sawIngress, sawTransit, sawSubstrate, sawEgress bool
 	for i, h := range hops {
 		if i > 0 && hops[i-1].At > h.At {
 			t.Fatalf("hops out of travel order: %+v then %+v", hops[i-1], h)
@@ -147,14 +148,16 @@ func TestTelemetryPacketPathTrace(t *testing.T) {
 		switch {
 		case h.Slice == "iias" && h.Node == topology.Washington && h.Elem == "rt":
 			sawIngress = true
+		case h.Slice == "iias" && h.Node == topology.NewYork && h.Elem == "rt" && h.Detail == "route":
+			sawTransit = true
 		case h.Slice == "phys" && h.Elem == "link-tx":
 			sawSubstrate = true
 		case h.Slice == "iias" && h.Node == topology.Seattle && h.Elem == "totap":
 			sawEgress = true
 		}
 	}
-	if !sawIngress || !sawSubstrate || !sawEgress {
-		t.Fatalf("path incomplete: ingress=%v substrate=%v egress=%v; hops=%+v",
-			sawIngress, sawSubstrate, sawEgress, hops)
+	if !sawIngress || !sawTransit || !sawSubstrate || !sawEgress {
+		t.Fatalf("path incomplete: ingress=%v transit=%v substrate=%v egress=%v; hops=%+v",
+			sawIngress, sawTransit, sawSubstrate, sawEgress, hops)
 	}
 }

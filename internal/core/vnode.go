@@ -59,8 +59,6 @@ type VirtualNode struct {
 	// ospfHello/ospfDead/ripUpdate remember the routing timer
 	// configuration so a migration shadow can rebuild the processes.
 	ospfHello, ospfDead, ripUpdate time.Duration
-	// Trace taps life-of-a-packet events when set.
-	Trace func(element, event string, p *packet.Packet)
 }
 
 func newVirtualNode(s *Slice, phys *netem.Node, tap netip.Addr) (*VirtualNode, error) {
@@ -78,10 +76,25 @@ func newVirtualNode(s *Slice, phys *netem.Node, tap netip.Addr) (*VirtualNode, e
 	})
 	tel := s.vini.tel
 	var metrics *telemetry.Scope
+	var trace func(el, ev string, p *packet.Packet)
 	if tel != nil {
 		metrics = tel.Reg.Scope(s.cfg.Name, phys.Name())
 		vn.proc.Task().Instrument(metrics.Counter("proc/cpu_ns"),
 			metrics.Histogram("proc/wake_latency"))
+		// Painted packets leave a hop per element in the flight
+		// recorder; without telemetry the elements make no call.
+		trace = func(el, ev string, p *packet.Packet) {
+			if p.Anno.Paint == telemetry.TracePaint {
+				tel.Rec.Record(phys.Domain(), telemetry.Event{
+					Kind:   telemetry.EvPacket,
+					Slice:  s.cfg.Name,
+					Node:   phys.Name(),
+					Elem:   el,
+					Detail: ev,
+					Value:  int64(p.Len()),
+				})
+			}
+		}
 	}
 	// Construction order from here to Initialize is pinned by every
 	// digest: the RNG fork, element creation, the ledger acquisitions,
@@ -95,21 +108,7 @@ func newVirtualNode(s *Slice, phys *netem.Node, tap netip.Addr) (*VirtualNode, e
 		VPN:       (*vpnSink)(vn),
 		LocalAddr: packet.Flow{Src: tap},
 		Metrics:   metrics,
-		Trace: func(el, ev string, p *packet.Packet) {
-			if vn.Trace != nil {
-				vn.Trace(el, ev, p)
-			}
-			if tel != nil && p != nil && p.Anno.Paint == telemetry.TracePaint {
-				tel.Rec.Record(phys.Domain(), telemetry.Event{
-					Kind:   telemetry.EvPacket,
-					Slice:  s.cfg.Name,
-					Node:   phys.Name(),
-					Elem:   el,
-					Detail: ev,
-					Value:  int64(p.Len()),
-				})
-			}
-		},
+		Trace:     trace,
 	}, vn.ticks)
 	if err != nil {
 		return nil, fmt.Errorf("core: IIAS config: %w", err)

@@ -51,9 +51,8 @@ func TestCrossDomainPacketPathAllocs(t *testing.T) {
 	until := time.Duration(0)
 	cycle := func() {
 		for i := 0; i < burst; i++ {
-			packet.SetTTL(dgrams[i], 64)
 			p := packet.Get()
-			p.SetData(dgrams[i])
+			p.Append(dgrams[i])
 			a.route(p, true)
 		}
 		until += 20 * time.Millisecond

@@ -12,6 +12,14 @@ import (
 
 func addr(s string) netip.Addr { return netip.MustParseAddr(s) }
 
+// packetOf returns a packet holding a copy of b, as a tunnel or tap
+// delivers one.
+func packetOf(b []byte) *packet.Packet {
+	p := packet.Get()
+	p.Append(b)
+	return p
+}
+
 // threeNodeNet builds src -- fwdr -- dst with the given profile/links.
 func threeNodeNet(t *testing.T, prof Profile, bw float64, delay time.Duration) (*Network, *Node, *Node, *Node) {
 	t.Helper()

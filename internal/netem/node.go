@@ -223,6 +223,7 @@ func (n *Node) ResetAccounting() {
 
 // StackSend transmits dgram from this node's kernel: tap routes first
 // (the 10/8 route to tap0), then local delivery, then kernel forwarding.
+// The datagram is copied into a packet, so the caller may reuse dgram.
 func (n *Node) StackSend(dgram []byte) {
 	n.kernelCharge(n.prof.scaled(n.prof.StackCost))
 	n.send(dgram)
@@ -377,11 +378,11 @@ func (n *Node) deliverLocal(ip packet.IPv4, p *packet.Packet) {
 	}
 }
 
-// send transmits a fully-formed IP datagram from this node, used by both
-// kernel apps and processes after their CPU cost is charged.
+// send transmits a copy of a fully-formed IP datagram from this node,
+// used by kernel apps after their CPU cost is charged.
 func (n *Node) send(dgram []byte) {
 	p := packet.Get()
-	p.SetData(dgram)
+	p.Append(dgram)
 	n.sendPacket(p)
 }
 

@@ -151,19 +151,11 @@ func (s *Socket) enqueue(p *packet.Packet) {
 	s.proc.task.Wake()
 }
 
-// SendUDP transmits payload from the process's port to dst — Click's
-// sendto on a tunnel socket. The CPU cost was charged when the packet
-// that triggered this send was processed. The payload is copied (into
-// pooled headroom), so callers may reuse it.
-func (p *Process) SendUDP(srcPort uint16, dst netip.AddrPort, payload []byte, ttl uint8) {
-	pkt := packet.Get()
-	pkt.SetData(payload)
-	p.SendUDPPacket(srcPort, dst, pkt, ttl)
-}
-
-// SendUDPPacket is SendUDP for a packet the caller owns: the UDP and IPv4
-// headers are written into the packet's headroom in place (no copy when
-// the packet has its headroom available, as tunnel-decapsulated
+// SendUDPPacket transmits the packet's contents from the process's port
+// to dst — Click's sendto on a tunnel socket. The CPU cost was charged
+// when the packet that triggered this send was processed. The UDP and
+// IPv4 headers are written into the packet's headroom in place (no copy
+// when the packet has its headroom available, as tunnel-decapsulated
 // packets do). Ownership transfers to the substrate.
 func (p *Process) SendUDPPacket(srcPort uint16, dst netip.AddrPort, pkt *packet.Packet, ttl uint8) {
 	src := p.node.addr

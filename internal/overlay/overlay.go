@@ -230,12 +230,14 @@ func (n *Node) readLoop() {
 		}
 		// A packet of its own with 64 bytes of headroom in front, as a
 		// simulated tunnel delivers: the graph writes headers in place.
-		p := packet.New(nil)
-		copy(p.Extend(sz), buf[:sz])
+		p := packet.Get()
+		p.Append(buf[:sz])
 		src := from.String()
 		n.post(func() {
-			if idx, ok := n.remotes[src]; ok { // else not a configured neighbor
+			if idx, ok := n.remotes[src]; ok {
 				n.fw.Receive(idx, p)
+			} else { // not a configured neighbor
+				p.Release()
 			}
 		})
 	}
@@ -244,8 +246,9 @@ func (n *Node) readLoop() {
 // Send injects a locally originated IP datagram into the overlay (a tap
 // write). Safe to call from any goroutine.
 func (n *Node) Send(dgram []byte) {
-	buf := append([]byte(nil), dgram...)
-	n.post(func() { n.fw.FromTap(packet.New(buf)) })
+	p := packet.Get()
+	p.Append(dgram)
+	n.post(func() { n.fw.FromTap(p) })
 }
 
 // Routes returns a snapshot of the node's FIB.

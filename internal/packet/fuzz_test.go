@@ -145,3 +145,91 @@ func FuzzChecksum(f *testing.F) {
 		}
 	})
 }
+
+// FuzzPacketOps runs a program of buffer operations on a packet from
+// Get and on a plain []byte model of its contents: each pair of input
+// bytes is an operation and its argument. Appends reach past
+// poolBufSize, prepends past the headroom left and past the whole
+// buffer. After every step the packet holds what the model holds, in
+// its own buffer at its recorded offset. A clone must keep what the
+// packet held when it was taken, whatever the packet does next; at the
+// end every packet is released and the ledger balances.
+func FuzzPacketOps(f *testing.F) {
+	f.Add([]byte{0, 10, 1, 40, 3, 128, 5, 0, 1, 200, 4, 100})
+	f.Add([]byte{0, 250, 0, 250, 5, 0, 3, 255, 1, 64})
+	f.Add([]byte{1, 65, 2, 255, 3, 0, 4, 0, 0, 1, 5, 0})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) > 128 {
+			prog = prog[:128]
+		}
+		base := Stats()
+		p := Get()
+		var model []byte
+		type clone struct {
+			p    *Packet
+			want []byte
+		}
+		var clones []clone
+		fill := func(b []byte, step int) {
+			for i := range b {
+				b[i] = byte(step*31 + i)
+			}
+		}
+		// differ is the first index at which got and want differ.
+		differ := func(got, want []byte) int {
+			i := 0
+			for i < len(got) && i < len(want) && got[i] == want[i] {
+				i++
+			}
+			return i
+		}
+		for step := 0; step+1 < len(prog); step += 2 {
+			arg := int(prog[step+1])
+			switch prog[step] % 6 {
+			case 0:
+				b := make([]byte, 9*arg)
+				fill(b, step)
+				p.Append(b)
+				model = append(model, b...)
+			case 1, 2:
+				n := arg
+				if prog[step]%6 == 2 {
+					n *= 9
+				}
+				b := p.Extend(n)
+				fill(b[:n], step)
+				model = append(append([]byte(nil), b[:n]...), model...)
+			case 3:
+				n := len(model) * arg / 255
+				p.Pull(n)
+				model = model[n:]
+			case 4:
+				n := len(model) * arg / 255
+				p.Trim(n)
+				model = model[:n]
+			case 5:
+				q := p.Clone()
+				clones = append(clones, clone{q, append([]byte(nil), model...)})
+			}
+			if !bytes.Equal(p.Data, model) {
+				t.Fatalf("step %d (op %d, arg %d): packet holds %d bytes, model %d, first difference at %d",
+					step/2, prog[step]%6, arg, len(p.Data), len(model), differ(p.Data, model))
+			}
+			if p.off < 0 || p.off+len(p.Data) > len(p.buf) ||
+				(len(p.Data) > 0 && &p.Data[0] != &p.buf[p.off]) {
+				t.Fatalf("step %d: Data is not buf[%d:%d] (buf %d bytes)", step/2, p.off, p.off+len(p.Data), len(p.buf))
+			}
+		}
+		p.Release()
+		for i, c := range clones {
+			if !bytes.Equal(c.p.Data, c.want) {
+				t.Fatalf("clone %d changed after it was taken: %d bytes, want %d, first difference at %d",
+					i, len(c.p.Data), len(c.want), differ(c.p.Data, c.want))
+			}
+			c.p.Release()
+		}
+		if d := Stats().Sub(base); d.InFlight() != 0 || d.Gets != uint64(1+len(clones)) {
+			t.Fatalf("ledger after releasing every packet: %+v", d)
+		}
+	})
+}

@@ -5,11 +5,14 @@
 // (internal/click) handles every packet as raw bytes exactly as the Click
 // software router does.
 //
-// Packets use a Click-style headroom layout: Data is a window into a
-// larger backing buffer, so encapsulation (Extend) and decapsulation (Pull)
-// on the forwarding fast path are pointer arithmetic, not copy-allocate.
-// A sync.Pool (Get/Release) recycles packet buffers so the steady-state
-// IIAS forwarding path runs at zero allocations per packet.
+// There is one kind of packet: Get (or GetControl) hands it out of a
+// sync.Pool, it owns a backing buffer with a Click-style headroom layout,
+// and Release returns it and credits the ledger it was drawn from. Data
+// is a window into that buffer, so encapsulation (Extend) and
+// decapsulation (Pull) on the forwarding fast path are pointer
+// arithmetic, not copy-allocate, and the steady-state IIAS forwarding
+// path runs at zero allocations per packet. Bytes from outside enter a
+// packet by Append, which copies them.
 package packet
 
 import (
@@ -38,7 +41,7 @@ const (
 	ICMPHeaderLen = 8
 )
 
-// defaultHeadroom is the front reserve on owned buffers: two rounds of
+// defaultHeadroom is the front reserve on a fresh packet: two rounds of
 // IPv4+UDP tunnel encapsulation (2×28) fit without sliding the payload.
 const defaultHeadroom = 64
 
@@ -60,17 +63,11 @@ type Packet struct {
 	Data []byte
 	Anno Annotations
 
-	// buf is the backing storage Data points into when own is set.
-	// Pooled packets keep buf across Release/Get cycles.
+	// buf is the backing storage: Data == buf[off:off+len(Data)]. A
+	// packet keeps buf across Release/Get cycles.
 	buf []byte
-	// off is the index of Data[0] within buf (valid only when own).
+	// off is the index of Data[0] within buf, the headroom left.
 	off int
-	// own records that Data == buf[off:off+len(Data)], enabling the
-	// headroom fast path in Extend/Pull.
-	own bool
-	// pooled marks packets obtained from Get or GetControl; only these
-	// return to the pool on Release.
-	pooled bool
 	// control marks packets obtained from GetControl: Release credits
 	// the control ledger instead of the data ledger.
 	control bool
@@ -104,10 +101,6 @@ type Annotations struct {
 	// delivery. See core.Migrate and the click DupSuppress element.
 	MigClone bool
 }
-
-// New returns a packet wrapping data (not copied). The packet does not
-// own headroom; the first Extend migrates it onto an owned buffer.
-func New(data []byte) *Packet { return &Packet{Data: data} }
 
 var pktPool = sync.Pool{
 	New: func() any { return &Packet{buf: make([]byte, poolBufSize)} },
@@ -173,7 +166,7 @@ var poisonOnRelease atomic.Bool
 // previous setting.
 func PoisonOnReleaseForTest(on bool) (was bool) { return poisonOnRelease.Swap(on) }
 
-// Get returns an empty pooled packet with defaultHeadroom reserved,
+// Get returns an empty packet with defaultHeadroom reserved,
 // counted on the data ledger. The caller owns it until it is handed off
 // or Released.
 func Get() *Packet {
@@ -197,23 +190,16 @@ func get(control bool) *Packet {
 	p := pktPool.Get().(*Packet)
 	p.off = defaultHeadroom
 	p.Data = p.buf[p.off:p.off]
-	p.own = true
-	p.pooled = true
 	p.control = control
 	p.released = false
 	p.Anno = Annotations{}
 	return p
 }
 
-// Release returns a pooled packet to the pool and credits the ledger it
-// was drawn from. Releasing a wrapped (non-pooled) packet is a no-op —
-// the garbage collector reclaims it — so drop paths may call Release
-// unconditionally. Releasing the same pooled packet twice panics: it
-// means two owners believed they held it.
+// Release returns the packet to the pool and credits the ledger it was
+// drawn from. Releasing the same packet twice panics: it means two
+// owners believed they held it.
 func (p *Packet) Release() {
-	if !p.pooled {
-		return
-	}
 	if p.released {
 		panic("packet: double release (two owners dropped the same packet)")
 	}
@@ -232,12 +218,12 @@ func (p *Packet) Release() {
 	pktPool.Put(p)
 }
 
-// Released reports whether a pooled packet has been returned to the pool.
+// Released reports whether the packet has been returned to the pool.
 // The data plane uses it as a cheap use-after-release guard.
 func (p *Packet) Released() bool { return p.released }
 
 // Clone deep-copies the packet, as Tee does in Click. The clone is a
-// pooled packet on the data ledger with fresh headroom; the caller owns
+// packet on the data ledger with fresh headroom; the caller owns
 // it.
 func (p *Packet) Clone() *Packet {
 	q := Get()
@@ -249,14 +235,12 @@ func (p *Packet) Clone() *Packet {
 // Len returns the current buffer length.
 func (p *Packet) Len() int { return len(p.Data) }
 
-// Pull removes n bytes from the front (decapsulation). On owned buffers
-// the removed region becomes headroom for a later Extend. It panics if the
-// buffer is shorter than n; callers validate with header parsing first.
+// Pull removes n bytes from the front (decapsulation); the removed
+// region becomes headroom for a later Extend. It panics if the buffer is
+// shorter than n; callers validate with header parsing first.
 func (p *Packet) Pull(n int) {
 	p.Data = p.Data[n:]
-	if p.own {
-		p.off += n
-	}
+	p.off += n
 }
 
 // Trim shortens the packet to its first n bytes (e.g. dropping padding
@@ -267,7 +251,7 @@ func (p *Packet) Trim(n int) { p.Data = p.Data[:n] }
 // whose first n bytes are the caller's to fill (in-place header
 // serialization). When headroom is available this is pointer arithmetic.
 func (p *Packet) Extend(n int) []byte {
-	if p.own && p.off >= n {
+	if p.off >= n {
 		p.off -= n
 		p.Data = p.buf[p.off : p.off+n+len(p.Data)]
 		return p.Data
@@ -277,12 +261,9 @@ func (p *Packet) Extend(n int) []byte {
 }
 
 // Append copies b onto the end of the packet's data, as Click's put
-// does: on an empty pooled packet b lands behind defaultHeadroom. The
-// owned buffer is reallocated only when b does not fit.
+// does: on an empty packet b lands behind defaultHeadroom. The buffer is
+// reallocated only when b does not fit.
 func (p *Packet) Append(b []byte) {
-	if !p.own {
-		p.grow(0)
-	}
 	n := len(p.Data)
 	if need := p.off + n + len(b); need > len(p.buf) {
 		buf := make([]byte, need)
@@ -293,34 +274,18 @@ func (p *Packet) Append(b []byte) {
 	copy(p.Data[n:], b)
 }
 
-// SetData replaces the packet's contents with b (not copied). Ownership
-// of the backing buffer's layout is dropped; a later Extend re-establishes
-// it by migrating the data into the owned buffer with fresh headroom.
-func (p *Packet) SetData(b []byte) {
-	p.Data = b
-	p.own = false
-}
-
-// grow re-homes the data into the owned buffer (reused when large
-// enough, reallocated otherwise) leaving defaultHeadroom plus n bytes of
-// front space, with the first n exposed in Data.
+// grow serves an Extend of n bytes larger than the headroom left: the
+// data moves behind n bytes plus a fresh defaultHeadroom, within the
+// buffer when it is large enough, into a new one otherwise.
 func (p *Packet) grow(n int) {
 	old := len(p.Data)
-	need := defaultHeadroom + n + old
 	buf := p.buf
-	if cap(buf) < need {
-		c := 2 * cap(buf)
-		if c < need {
-			c = need
-		}
-		buf = make([]byte, c)
+	if need := defaultHeadroom + n + old; len(buf) < need {
+		buf = make([]byte, max(2*len(buf), need))
 	}
-	buf = buf[:cap(buf)]
 	copy(buf[defaultHeadroom+n:], p.Data) // memmove: may overlap p.buf
-	p.buf = buf
-	p.off = defaultHeadroom
+	p.buf, p.off = buf, defaultHeadroom
 	p.Data = buf[defaultHeadroom : defaultHeadroom+n+old]
-	p.own = true
 }
 
 // csumAdd folds v into a running 64-bit ones-complement sum with

@@ -251,7 +251,8 @@ func TestBuildICMPErrorQuotesOffender(t *testing.T) {
 }
 
 func TestPacketPushPullClone(t *testing.T) {
-	p := New([]byte{1, 2, 3, 4})
+	p := Get()
+	p.Append([]byte{1, 2, 3, 4})
 	copy(p.Extend(2), []byte{9, 9})
 	if !bytes.Equal(p.Data, []byte{9, 9, 1, 2, 3, 4}) {
 		t.Fatalf("push: %v", p.Data)
@@ -268,6 +269,8 @@ func TestPacketPushPullClone(t *testing.T) {
 	if p.Data[0] == 7 {
 		t.Fatal("clone aliases original")
 	}
+	p.Release()
+	q.Release()
 }
 
 func TestUDPChecksumNeverZeroOnWire(t *testing.T) {

@@ -129,21 +129,13 @@ func benchmarkChecksum(b *testing.B, n int) {
 
 var checksumSink uint16
 
-// headroom is how many bytes Extend can prepend to p without copying.
-func headroom(p *Packet) int {
-	if !p.own {
-		return 0
-	}
-	return p.off
-}
-
 func TestGetReleaseLifecycle(t *testing.T) {
 	p := Get()
 	if p.Len() != 0 {
 		t.Fatalf("fresh pooled packet has %d bytes", p.Len())
 	}
-	if headroom(p) != defaultHeadroom {
-		t.Fatalf("fresh headroom = %d, want %d", headroom(p), defaultHeadroom)
+	if p.off != defaultHeadroom {
+		t.Fatalf("fresh headroom = %d, want %d", p.off, defaultHeadroom)
 	}
 	copy(p.Extend(4), []byte{1, 2, 3, 4})
 	if p.Released() {
@@ -161,54 +153,25 @@ func TestGetReleaseLifecycle(t *testing.T) {
 	p.Release()
 }
 
-func TestReleaseWrappedPacketIsNoOp(t *testing.T) {
-	p := New([]byte{1, 2, 3})
-	p.Release()
-	p.Release() // never panics: drop paths release unconditionally
-	if p.Released() {
-		t.Fatal("non-pooled packet claims to be pooled")
-	}
-}
-
 func TestPooledPushPullUsesHeadroom(t *testing.T) {
 	p := Get()
 	payload := []byte{0xaa, 0xbb, 0xcc, 0xdd}
 	copy(p.Extend(len(payload)), payload)
 	hdr := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	before := headroom(p)
+	before := p.off
 	copy(p.Extend(len(hdr)), hdr)
-	if headroom(p) != before-len(hdr) {
-		t.Fatalf("push did not consume headroom: %d -> %d", before, headroom(p))
+	if p.off != before-len(hdr) {
+		t.Fatalf("push did not consume headroom: %d -> %d", before, p.off)
 	}
 	if !bytes.Equal(p.Data[:8], hdr) || !bytes.Equal(p.Data[8:], payload) {
 		t.Fatalf("push result %x", p.Data)
 	}
 	p.Pull(len(hdr))
-	if headroom(p) != before {
-		t.Fatalf("pull did not restore headroom: want %d got %d", before, headroom(p))
+	if p.off != before {
+		t.Fatalf("pull did not restore headroom: want %d got %d", before, p.off)
 	}
 	if !bytes.Equal(p.Data, payload) {
 		t.Fatalf("pull result %x", p.Data)
-	}
-	p.Release()
-}
-
-func TestSetDataRehomesOnPush(t *testing.T) {
-	foreign := []byte{9, 8, 7}
-	p := Get()
-	p.SetData(foreign)
-	if headroom(p) != 0 {
-		t.Fatal("foreign buffer should report no headroom")
-	}
-	copy(p.Extend(2), []byte{1, 2})
-	if !bytes.Equal(p.Data, []byte{1, 2, 9, 8, 7}) {
-		t.Fatalf("rehomed data %x", p.Data)
-	}
-	if headroom(p) != defaultHeadroom {
-		t.Fatalf("rehomed headroom = %d", headroom(p))
-	}
-	if &p.Data[2] == &foreign[0] {
-		t.Fatal("rehome still aliases the foreign buffer")
 	}
 	p.Release()
 }
@@ -234,8 +197,8 @@ func TestExtendLargerThanPoolBufferGrows(t *testing.T) {
 	}
 	b[0], b[n-1] = 1, 2
 	// Headroom is re-established so encapsulation still works in place.
-	if headroom(p) != defaultHeadroom {
-		t.Fatalf("grown headroom = %d", headroom(p))
+	if p.off != defaultHeadroom {
+		t.Fatalf("grown headroom = %d", p.off)
 	}
 	p.Release()
 }
@@ -310,8 +273,8 @@ func TestControlLedgerIsItsOwn(t *testing.T) {
 	c.Release()
 }
 
-// TestAppend: Append adds after what the packet holds, keeps the
-// headroom, and re-homes a wrapped packet onto an owned buffer first.
+// TestAppend: Append adds after what the packet holds and keeps the
+// headroom.
 func TestAppend(t *testing.T) {
 	p := Get()
 	p.Append([]byte("ab"))
@@ -324,9 +287,4 @@ func TestAppend(t *testing.T) {
 		t.Fatalf("grown: %d bytes starting %q at offset %d", len(p.Data), p.Data[:4], p.off)
 	}
 	p.Release()
-	w := New([]byte("xy"))
-	w.Append([]byte("z"))
-	if string(w.Data) != "xyz" || !w.own || w.off != defaultHeadroom {
-		t.Fatalf("wrapped: %q own=%v offset %d", w.Data, w.own, w.off)
-	}
 }

@@ -64,8 +64,8 @@ func TestPacketWireRoundTrip(t *testing.T) {
 				t.Fatal("re-encode not byte-identical")
 			}
 			// The decoded packet owns headroom for later encapsulation.
-			if headroom(q) != defaultHeadroom {
-				t.Fatalf("decoded headroom %d, want %d", headroom(q), defaultHeadroom)
+			if q.off != defaultHeadroom {
+				t.Fatalf("decoded headroom %d, want %d", q.off, defaultHeadroom)
 			}
 		})
 	}
