@@ -173,7 +173,7 @@ func experiments(t *testing.T, src sourceTree) map[string]bool {
 // underscore is a benchmark metric (`fib.lookup_ns`), not a reference.
 // In a span with a -run pattern a test name counts if a declared test
 // starts with it: `go test -run TestPathFollows` runs
-// TestPathFollowsFailedLinks.
+// TestPathFollowsTheSubstrate.
 func TestDocReferences(t *testing.T) {
 	src := readSource(t, ".")
 	declared := map[string]bool{}

@@ -378,8 +378,9 @@ func (n *Node) deliverLocal(ip packet.IPv4, p *packet.Packet) {
 	}
 }
 
-// send transmits a copy of a fully-formed IP datagram from this node,
-// used by kernel apps after their CPU cost is charged.
+// send transmits a copy of a fully-formed IP datagram from this node:
+// StackSend after its CPU cost is charged, and the kernel's own ICMP
+// replies.
 func (n *Node) send(dgram []byte) {
 	p := packet.Get()
 	p.Append(dgram)
